@@ -7,9 +7,9 @@ silently ignored delivery (the dispatcher drops unknown kinds for forward
 compatibility) or as traffic that never appears in the Section 8 metrics:
 
 * every :class:`~repro.net.messages.Message` subclass has a dispatch arm —
-  an ``isinstance(message, X)`` test — in ``RJoinNode.handle_envelope``
-  (``core/node.py``),
-* no dispatch arm tests a class that is not a declared message (a deleted
+  a key of the ``type(message)`` → handler table ``RJoinNode.__init__``
+  builds for ``handle_envelope`` (``core/node.py``),
+* no dispatch arm names a class that is not a declared message (a deleted
   or renamed message must take its handler with it),
 * every message class has at least one *accounted send site*: a function
   that constructs it and hands it to one of the traffic-accounted
@@ -31,7 +31,9 @@ PROTOCOL_FILES = ("core/protocol.py", "net/messages.py")
 #: File holding the application-layer dispatcher.
 DISPATCH_FILE = "core/node.py"
 DISPATCH_CLASS = "RJoinNode"
-DISPATCH_METHOD = "handle_envelope"
+#: Method that builds the dispatch table, and the attribute holding it.
+DISPATCH_METHOD = "__init__"
+DISPATCH_TABLE = "_dispatch"
 
 #: Base classes that mark a class as a wire message.
 _MESSAGE_BASES = {"Message"}
@@ -64,7 +66,7 @@ class ProtocolRule(Rule):
 
     name = "protocol-completeness"
     description = (
-        "every Message subclass has a dispatch arm in RJoinNode and an "
+        "every Message subclass has an arm in RJoinNode's dispatch table and an "
         "accounted send site; no dispatch arm without a message"
     )
 
@@ -83,7 +85,7 @@ class ProtocolRule(Rule):
                     sf,
                     node,
                     f"message {name} has no dispatch arm in "
-                    f"{DISPATCH_CLASS}.{DISPATCH_METHOD} "
+                    f"{DISPATCH_CLASS}.{DISPATCH_TABLE} "
                     f"({DISPATCH_FILE}): deliveries would be silently "
                     "dropped",
                 )
@@ -102,7 +104,7 @@ class ProtocolRule(Rule):
                     yield self.finding(
                         sf,
                         node,
-                        f"dispatch arm tests {name}, which is not a "
+                        f"dispatch arm names {name}, which is not a "
                         "declared Message subclass "
                         f"({' / '.join(PROTOCOL_FILES)}): dead or "
                         "misspelled handler",
@@ -128,10 +130,10 @@ class ProtocolRule(Rule):
     def _dispatch_arms(
         self, project: Project
     ) -> Optional[List[Tuple[str, Tuple[SourceFile, ast.AST]]]]:
-        """``(class name, (file, isinstance node))`` per dispatch arm.
+        """``(class name, (file, key node))`` per dispatch arm.
 
-        ``None`` when the dispatcher file/method is not part of the
-        analyzed tree (fixture subsets), in which case only declaration
+        ``None`` when the dispatcher file, class or table is not part of
+        the analyzed tree (fixture subsets), in which case only declaration
         and send-site checks run.
         """
         sf = project.get(DISPATCH_FILE)
@@ -149,25 +151,24 @@ class ProtocolRule(Rule):
                     method = item
         if method is None:
             return None
-        arms: List[Tuple[str, Tuple[SourceFile, ast.AST]]] = []
         for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
                 continue
-            func = node.func
-            if not (isinstance(func, ast.Name) and func.id == "isinstance"):
+            if not isinstance(node.value, ast.Dict) or not any(
+                isinstance(target, ast.Attribute) and target.attr == DISPATCH_TABLE
+                for target in targets
+            ):
                 continue
-            if len(node.args) != 2:
-                continue
-            classinfo = node.args[1]
-            candidates: List[ast.expr] = (
-                list(classinfo.elts)
-                if isinstance(classinfo, ast.Tuple)
-                else [classinfo]
-            )
-            for candidate in candidates:
-                if isinstance(candidate, ast.Name):
-                    arms.append((candidate.id, (sf, node)))
-        return arms
+            return [
+                (key.id, (sf, key))
+                for key in node.value.keys
+                if isinstance(key, ast.Name)
+            ]
+        return None
 
     def _accounted_send_sites(self, project: Project) -> Set[str]:
         """Message class names constructed in a function that also sends.

@@ -34,6 +34,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple as TupleT,
     Union,
 )
 
@@ -59,6 +60,7 @@ from repro.errors import (
     UnknownRelationError,
 )
 from repro.metrics.collectors import ChurnStats, LoadTracker
+from repro.net.messages import Message
 from repro.net.runtime import EventHandle, make_transport
 from repro.net.simulator import SimulationKernel
 from repro.net.stats import TrafficStats
@@ -186,6 +188,8 @@ class RJoinEngine:
 
         # Bookkeeping -------------------------------------------------------
         self._handles: Dict[str, QueryHandle] = {}
+        # (produced_at, delivered_at) of the last collected answer envelope.
+        self._answer_times: TupleT[float, float] = (0.0, 0.0)
         self._query_counter = 0
         self._sequence = 0
         self._published = 0
@@ -603,20 +607,34 @@ class RJoinEngine:
     # answers
     # ------------------------------------------------------------------
     def _collect_answer(self, message: AnswerMessage, delivered_at: float) -> None:
-        handle = self._handles.get(message.query_id)
-        if handle is None:
-            return
-        handle.add_answer(
-            Answer(
-                query_id=message.query_id,
-                values=message.values,
-                produced_at=message.produced_at,
-                delivered_at=delivered_at,
-                producer=message.producer,
+        """Hand every answer of a delivered envelope to its query's handle."""
+        handles = self._handles
+        # Answers are what keeps these floats alive, and envelopes delivered
+        # one after the other mostly repeat the same two times: share one
+        # float object per time instead of holding one per envelope.
+        times = (message.produced_at, delivered_at)
+        if times == self._answer_times:
+            times = self._answer_times
+        else:
+            self._answer_times = times
+        produced_at, delivered_at = times
+        collected = 0
+        for query_id, values in message.answers:
+            handle = handles.get(query_id)
+            if handle is None:
+                continue
+            handle.add_answer(
+                Answer(
+                    query_id=query_id,
+                    values=values,
+                    produced_at=produced_at,
+                    delivered_at=delivered_at,
+                    producer=message.producer,
+                )
             )
-        )
-        if self.obs is not None:
-            self.obs.record_answer_latency(delivered_at)
+            collected += 1
+        if self.obs is not None and collected:
+            self.obs.record_answer_latency(delivered_at, collected)
 
     def _operation(
         self, name: str, trace_id: str, node: str
@@ -774,15 +792,17 @@ class RJoinEngine:
         self.api.unregister_handler(address)
         if owned and successor is not None:
             owned_set = set(owned)
-            rerouted = self.api.redirect_in_flight(
-                address,
-                lambda message: (
-                    successor
-                    if isinstance(message, AnswerMessage)
-                    and message.query_id in owned_set
-                    else None
-                ),
-            )
+
+            def reroute(message: Message) -> Optional[tuple[str, Message, int]]:
+                """Answers of still-owned queries go on to the successor."""
+                if not isinstance(message, AnswerMessage):
+                    return None
+                kept = message.only(owned_set)
+                if not kept.answers:
+                    return None
+                return successor, kept, len(kept.answers)
+
+            rerouted = self.api.redirect_in_flight(address, reroute)
             if rerouted:
                 self.churn.record_answers_rerouted(rerouted)
         self.api.drop_in_flight(address)

@@ -24,9 +24,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import weakref
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Hashable,
@@ -52,8 +54,11 @@ from repro.core.protocol import (
     RicRequestMessage,
 )
 from repro.core.rewriting import (
+    TriggerPlan,
     canonical_state_key,
+    compile_plan,
     discriminating_selection,
+    plan_key,
     rewrite_query,
 )
 from repro.core.ric import CandidateTable, RateTracker, RicEntry
@@ -79,7 +84,7 @@ from repro.dht.hashing import IdentifierSpace
 from repro.errors import EngineError
 from repro.metrics.collectors import LoadTracker
 from repro.net.messages import Envelope
-from repro.sql.ast import WindowSpec
+from repro.sql.ast import Query, WindowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.lifecycle import HandleRegistration
@@ -142,7 +147,10 @@ class StoredQueryRecord:
     number (the deterministic trigger order), the ``(attribute, value)``
     selection the predicate-aware index filed the record under (None for
     wildcard records) and the canonical sharing key of its state (None when
-    the state is not shareable or sharing is disabled).
+    the state is not shareable or sharing is disabled).  ``plan`` is the
+    compiled rewrite of the record's query by its key's relation, looked up
+    by the first tuple that triggers the record and reused by every later
+    one; it is not shipped with a re-homed record (the new home has its own).
     """
 
     state: QueryState
@@ -152,6 +160,7 @@ class StoredQueryRecord:
     seq: int = 0
     discriminator: Optional[TupleT[str, object]] = None
     share_key: Optional[Hashable] = None
+    plan: Optional[TriggerPlan] = None
 
 
 class _KeyBucket:
@@ -546,6 +555,28 @@ class RJoinNode:
         #: candidate-table invalidation on membership events keeps this at
         #: zero; the counter is the regression probe for that behaviour.
         self.stale_one_hop_attempts = 0
+        # Answer path ---------------------------------------------------------
+        #: Query shape -> compiled rewrite (:func:`~repro.core.rewriting.plan_key`),
+        #: shared by every record of that shape stored here and freed with
+        #: the last of them.
+        self._plans: "weakref.WeakValueDictionary[Hashable, TriggerPlan]" = (
+            weakref.WeakValueDictionary()
+        )
+        #: Answers the running handler produced so far, per resolved owner
+        #: (in order of first answer); :meth:`handle_envelope` sends them
+        #: when the handler returns, so it never outlives one invocation.
+        self._answers: Dict[str, List[TupleT[str, TupleT[Any, ...]]]] = {}
+        # Dispatch ------------------------------------------------------------
+        #: Message type -> handler ``(message, delivered_at)``.
+        self._dispatch: Dict[type, Callable[[Any, float], None]] = {
+            NewTupleMessage: self._on_new_tuple,
+            EvalMessage: self._on_eval,
+            IndexQueryMessage: self._on_index_query,
+            RicRequestMessage: self._on_ric_request,
+            RicReplyMessage: self._on_ric_reply,
+            AnswerMessage: self._on_answer,
+            RetractQueryMessage: self._on_retract_query,
+        }
 
     # ------------------------------------------------------------------
     # dispatch
@@ -553,21 +584,16 @@ class RJoinNode:
     def handle_envelope(self, envelope: Envelope) -> None:
         """Entry point registered with the messaging service."""
         message = envelope.message
-        if isinstance(message, NewTupleMessage):
-            self._on_new_tuple(message)
-        elif isinstance(message, EvalMessage):
-            self._on_eval(message)
-        elif isinstance(message, IndexQueryMessage):
-            self._on_index_query(message)
-        elif isinstance(message, RicRequestMessage):
-            self._on_ric_request(message)
-        elif isinstance(message, RicReplyMessage):
-            self._on_ric_reply(message)
-        elif isinstance(message, AnswerMessage):
-            self._on_answer(message)
-        elif isinstance(message, RetractQueryMessage):
-            self._on_retract_query(message)
-        # Unknown messages are silently ignored (forward compatibility).
+        handler = self._dispatch.get(type(message))
+        if handler is None:
+            return  # unknown kinds are silently ignored (forward compatibility)
+        try:
+            handler(message, envelope.delivered_at)
+        finally:
+            # Also when the handler raised: what it produced before is sent,
+            # and nothing is left over for the next delivery to inherit.
+            if self._answers:
+                self._flush_answers(envelope.delivered_at)
 
     # ------------------------------------------------------------------
     # Procedure 1: publishing a tuple
@@ -610,7 +636,7 @@ class RJoinNode:
     # ------------------------------------------------------------------
     # Procedure 2: receiving a tuple
     # ------------------------------------------------------------------
-    def _on_new_tuple(self, msg: NewTupleMessage) -> None:
+    def _on_new_tuple(self, msg: NewTupleMessage, delivered_at: float) -> None:
         now = self.ctx.clock()
         key = msg.key
         tup = msg.tuple
@@ -668,26 +694,42 @@ class RJoinNode:
         state = record.state
         if tup.pub_time < state.insertion_time:
             return  # only tuples published at or after the query's submission
-        window = state.query.window
+        query = state.query
+        window = query.window
         if not admits(window, state.window_state, tup):
             return
-        if tup.relation not in state.query.relations:
+        if tup.relation not in query.relations:
             return
         if state.distinct and record.tracker is not None:
-            if not record.tracker.admit_and_record(state.query, tup, schema):
+            if not record.tracker.admit_and_record(query, tup, schema):
                 return
-        result = rewrite_query(state.query, tup, schema)
+        plan = record.plan
+        if plan is None or plan.relation != tup.relation:
+            plan = record.plan = self._plan_for(query, tup.relation, schema)
+        result = rewrite_query(query, tup, schema, plan)
         if result.dead:
             return
-        assert result.query is not None
         if self.ctx.record_queries_triggered is not None:
             self.ctx.record_queries_triggered(1)
-        new_window_state = extend(window, state.window_state, tup)
-        new_state = state.derive(result.query, new_window_state)
         if result.complete:
-            self._emit_answer(new_state)
-        else:
-            self._index_query(new_state, is_input=False)
+            assert result.values is not None
+            self._emit_answer(state, result.values)
+            return
+        assert result.query is not None
+        new_window_state = extend(window, state.window_state, tup)
+        self._index_query(
+            state.derive(result.query, new_window_state), is_input=False
+        )
+
+    def _plan_for(
+        self, query: Query, relation: str, schema: RelationSchema
+    ) -> TriggerPlan:
+        """The node's one plan for queries of ``query``'s shape."""
+        key = plan_key(query, relation)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = compile_plan(query, relation, schema)
+        return plan
 
     def _share_key_of(self, state: QueryState) -> Optional[Hashable]:
         """The canonical sharing key of ``state`` (None: do not share)."""
@@ -711,8 +753,8 @@ class RJoinNode:
             return ProjectionTracker()
         return None
 
-    def _emit_answer(self, state: QueryState) -> None:
-        """Ship an answer directly to every subscriber of the state.
+    def _emit_answer(self, state: QueryState, values: TupleT[Any, ...]) -> None:
+        """Buffer an answer for every subscriber of the state.
 
         An unshared state has exactly one subscriber (the input query it was
         derived for); a shared state fans the answer out once per subscriber,
@@ -721,30 +763,51 @@ class RJoinNode:
         is resolved through the lifecycle layer at emission time: after an
         owner failover the stored query states still carry the departed
         owner's address, but answers must reach the surviving registrant.
+        The answers leave with :meth:`_flush_answers`.
         """
-        now = self.ctx.clock()
-        values = state.query.answer_values()
-        subscribers = state.subscribers
-        for subscriber in subscribers:
-            answer = AnswerMessage(
-                query_id=subscriber.query_id,
-                values=values,
-                produced_at=now,
-                producer=self.address,
+        self._buffer_answer(state.query_id, state.owner, values)
+        extras = state.extra_subscribers
+        if extras:
+            for subscriber in extras:
+                self._buffer_answer(subscriber.query_id, subscriber.owner, values)
+            if self.ctx.record_shared_fanout is not None:
+                self.ctx.record_shared_fanout(len(extras))
+
+    def _buffer_answer(
+        self, query_id: str, owner: str, values: TupleT[Any, ...]
+    ) -> None:
+        """Count one logical answer and queue it for its (resolved) owner."""
+        self.answers_sent += 1
+        self.ctx.loads.record_answer(self.address)
+        if self.ctx.resolve_owner is not None:
+            owner = self.ctx.resolve_owner(query_id, owner)
+        pending = self._answers.get(owner)
+        if pending is None:
+            self._answers[owner] = [(query_id, values)]
+        else:
+            pending.append((query_id, values))
+
+    def _flush_answers(self, now: float) -> None:
+        """Send what the handler produced: one envelope per owner.
+
+        The envelope is charged one message per answer it carries, which is
+        what the paper's one-message-per-answer delivery costs.  ``now`` is
+        the delivery time of the envelope that was handled: the answers
+        were produced, and leave, then.
+        """
+        answers, self._answers = self._answers, {}
+        for owner, entries in answers.items():
+            self.ctx.api.send_direct(
+                self.address,
+                AnswerMessage(answers=entries, produced_at=now, producer=self.address),
+                owner,
+                weight=len(entries),
             )
-            self.answers_sent += 1
-            self.ctx.loads.record_answer(self.address)
-            owner = subscriber.owner
-            if self.ctx.resolve_owner is not None:
-                owner = self.ctx.resolve_owner(subscriber.query_id, owner)
-            self.ctx.api.send_direct(self.address, answer, owner)
-        if len(subscribers) > 1 and self.ctx.record_shared_fanout is not None:
-            self.ctx.record_shared_fanout(len(subscribers) - 1)
 
     # ------------------------------------------------------------------
     # receiving an input query
     # ------------------------------------------------------------------
-    def _on_index_query(self, msg: IndexQueryMessage) -> None:
+    def _on_index_query(self, msg: IndexQueryMessage, delivered_at: float) -> None:
         now = self.ctx.clock()
         self.ctx.loads.record_input_query_received(self.address)
         state, key = msg.state, msg.key
@@ -782,7 +845,7 @@ class RJoinNode:
     # ------------------------------------------------------------------
     # Procedure 3: receiving a rewritten query
     # ------------------------------------------------------------------
-    def _on_eval(self, msg: EvalMessage) -> None:
+    def _on_eval(self, msg: EvalMessage, delivered_at: float) -> None:
         now = self.ctx.clock()
         self.ctx.loads.record_query_received(self.address)
         state, key = msg.state, msg.key
@@ -948,7 +1011,7 @@ class RJoinNode:
             is_ric=True,
         )
 
-    def _on_ric_request(self, msg: RicRequestMessage) -> None:
+    def _on_ric_request(self, msg: RicRequestMessage, delivered_at: float) -> None:
         """Report the local arrival rate and forward the chain (Section 6)."""
         if self.ctx.obs is not None:
             self.ctx.obs.record_ric("request")
@@ -979,7 +1042,7 @@ class RJoinNode:
             reply = RicReplyMessage(request_id=msg.request_id, collected=collected)
             self.ctx.api.send_direct(self.address, reply, msg.origin, is_ric=True)
 
-    def _on_ric_reply(self, msg: RicReplyMessage) -> None:
+    def _on_ric_reply(self, msg: RicReplyMessage, delivered_at: float) -> None:
         """Complete a pending indexing decision with the freshly gathered rates."""
         if self.ctx.obs is not None:
             self.ctx.obs.record_ric("reply")
@@ -1054,9 +1117,14 @@ class RJoinNode:
     # ------------------------------------------------------------------
     # answers
     # ------------------------------------------------------------------
-    def _on_answer(self, msg: AnswerMessage) -> None:
-        """An answer for a query submitted by this node arrived."""
-        self.ctx.collect_answer(msg, self.ctx.clock())
+    def _on_answer(self, msg: AnswerMessage, delivered_at: float) -> None:
+        """Answers for queries submitted by this node arrived.
+
+        They are stamped with the envelope's own delivery time, not the
+        runtime clock: on ``asyncio`` the clock is the high-water mark over
+        every delivery made so far, which can be later.
+        """
+        self.ctx.collect_answer(msg, delivered_at)
 
     # ------------------------------------------------------------------
     # query lifecycle: retraction and vacuum
@@ -1088,7 +1156,7 @@ class RJoinNode:
                 return True
         return False
 
-    def _on_retract_query(self, msg: RetractQueryMessage) -> None:
+    def _on_retract_query(self, msg: RetractQueryMessage, delivered_at: float) -> None:
         """Delete every piece of local state belonging to a retracted query."""
         self.retract_query(msg.query_id)
 
@@ -1249,6 +1317,7 @@ class RJoinNode:
                 if not should_move(key_text):
                     continue
                 for record in table.pop_key(key_text):
+                    record.plan = None
                     items.append(
                         RehomedItem(kind=kind, key_text=key_text, payload=record)
                     )

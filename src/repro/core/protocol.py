@@ -13,8 +13,12 @@ machinery of Sections 6–7 and answer delivery:
 * :class:`RicRequestMessage` / :class:`RicReplyMessage` — the chained RIC
   information gathering of Section 6 (each candidate appends its observation
   and forwards the request; the last one replies directly to the origin),
-* :class:`AnswerMessage` — an answer of an input query, sent directly to the
-  node that submitted it,
+* :class:`AnswerMessage` — answers of input queries, sent directly to the
+  node that submitted them: every ``(query id, values)`` one handler
+  invocation produced for one owner travels in one envelope, charged as one
+  message *per answer* (see :meth:`~repro.dht.api.DHTMessagingService.send_direct`'s
+  ``weight``), so the message counts of Section 8 are those of one message
+  per answer,
 * :class:`RetractQueryMessage` — the lifecycle layer's retraction of a
   continuous query: broadcast to every node so each one purges the query's
   local state (input record, rewritten queries, pending RIC round trips).
@@ -35,7 +39,7 @@ answer fans out to each subscriber's owner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple as TupleT
+from typing import Any, Container, Dict, List, Optional, Tuple as TupleT
 
 from repro.core.keys import IndexKey
 from repro.core.ric import RicEntry
@@ -218,12 +222,23 @@ class RicReplyMessage(Message):
 
 @dataclass
 class AnswerMessage(Message):
-    """An answer tuple of an input query, delivered to its owner."""
+    """Answers of input queries, delivered to the owner they share.
 
-    query_id: str
-    values: TupleT[Any, ...]
+    ``answers`` holds one ``(query id, answer values)`` entry per logical
+    answer, in production order; a single answer is a list of one.
+    """
+
+    answers: List[TupleT[str, TupleT[Any, ...]]]
     produced_at: float
     producer: str
+
+    def only(self, query_ids: Container[str]) -> "AnswerMessage":
+        """The same message restricted to the answers of ``query_ids``."""
+        return AnswerMessage(
+            answers=[entry for entry in self.answers if entry[0] in query_ids],
+            produced_at=self.produced_at,
+            producer=self.producer,
+        )
 
 
 @dataclass

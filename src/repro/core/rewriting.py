@@ -16,16 +16,24 @@ fact that ``t`` has arrived:
 A rewritten query whose where clause became equivalent to ``true`` (no
 relations, no predicates, only constants in the select list) is an *answer*
 of the original query.
+
+Everything in that list except the values is the same for every tuple of
+``R`` — and for every query that differs from ``q`` only in its constants —
+so a rewrite is *compile + apply*: :func:`compile_plan` works out the
+:class:`TriggerPlan` of ``(shape of q, R)`` once, :meth:`TriggerPlan.apply`
+runs it on a query's constants and a tuple's values by position.
+:func:`rewrite_query` does both; a caller that rewrites stored queries by
+many tuples (the nodes' trigger path) keeps the plans and passes them back
+in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple as TupleT, Union
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple as TupleT
 
 from repro.data.schema import AttributeRef, RelationSchema
 from repro.data.tuples import Tuple
-from repro.errors import RewriteError
+from repro.errors import RewriteError, SchemaError
 from repro.sql.ast import Constant, JoinPredicate, Query, SelectionPredicate
 from repro.sql.predicates import is_contradictory
 
@@ -33,34 +41,59 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocol import QueryState
 
 
-@dataclass(frozen=True)
 class RewriteResult:
-    """Outcome of one rewrite step."""
+    """Outcome of one rewrite step.
 
-    query: Optional[Query]      # None when the rewrite is dead
-    dead: bool = False
-    complete: bool = False      # where clause equivalent to true
+    Exactly one of ``dead`` / ``complete`` / :attr:`alive` holds.  A complete
+    result carries the answer ``values`` themselves; the rewritten
+    :class:`Query` such an answer stands for (no relations, no predicates,
+    constants only) is materialised the first time :attr:`query` is read,
+    which the trigger path of :class:`~repro.core.node.RJoinNode` never does.
+    """
+
+    __slots__ = ("dead", "complete", "values", "_query", "_source")
+
+    def __init__(
+        self,
+        query: Optional[Query] = None,
+        dead: bool = False,
+        complete: bool = False,
+        values: Optional[TupleT[Any, ...]] = None,
+        source: Optional[Query] = None,
+    ) -> None:
+        self.dead = dead
+        self.complete = complete
+        #: Answer values of a complete result, else None.
+        self.values = values
+        self._query = query
+        #: The query a complete result was rewritten from, until
+        #: :attr:`query` is asked for.
+        self._source = source
 
     @property
     def alive(self) -> bool:
         """Whether a (non-answer) rewritten query was produced."""
         return not self.dead and not self.complete
 
+    @property
+    def query(self) -> Optional[Query]:
+        """The rewritten query; None when the rewrite is dead."""
+        source = self._source
+        if self._query is None and source is not None:
+            self._query = Query(
+                select_items=tuple(Constant(value) for value in self.values or ()),
+                relations=(),
+                distinct=source.distinct,
+                window=source.window,
+            )
+        return self._query
 
-DEAD = RewriteResult(query=None, dead=True)
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        kind = "dead" if self.dead else "complete" if self.complete else "alive"
+        return f"RewriteResult({kind}, {self.query})"
 
 
-def tuple_satisfies_selections(
-    query: Query, tup: Tuple, schema: RelationSchema
-) -> bool:
-    """Check the explicit selections of ``query`` on ``tup``'s relation."""
-    values = tup.as_dict(schema)
-    for sp in query.selection_predicates:
-        if sp.attribute.relation != tup.relation:
-            continue
-        if values[sp.attribute.attribute] != sp.value:
-            return False
-    return True
+DEAD = RewriteResult(dead=True)
 
 
 def discriminating_selection(
@@ -122,84 +155,219 @@ def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
     return key
 
 
-def rewrite_query(query: Query, tup: Tuple, schema: RelationSchema) -> RewriteResult:
-    """Rewrite ``query`` with ``tup`` (one step of RJoin's incremental evaluation).
+class TriggerPlan:
+    """What rewriting a query by a tuple of one relation does, values aside.
 
-    Raises :class:`~repro.errors.RewriteError` when ``tup``'s relation does
-    not appear in the query's FROM clause — callers are expected to route
-    tuples only to queries that reference their relation.
+    Which selections to check and at which tuple position, which joins turn
+    into selections on which other attribute, where the select list takes
+    tuple values, what remains of FROM and WHERE, and whether the result is
+    an answer are fixed by the query's *shape* (:func:`plan_key`: the query
+    with its constants blanked) and the relation.  The plan holds positions
+    and indexes only — :meth:`apply` reads the tuple's values and the
+    query's constants through them — so every query of one shape can share
+    one plan, however many stored copies with different constants exist.
     """
-    relation = tup.relation
+
+    __slots__ = (
+        "relation",
+        "arity",
+        "checks",
+        "kept",
+        "recheck",
+        "self_joins",
+        "bindings",
+        "kept_joins",
+        "relations",
+        "fills",
+        "complete",
+        "__weakref__",
+    )
+
+    def __init__(self, query: Query, relation: str, schema: RelationSchema) -> None:
+        position_of = schema.position_of
+        selections = query.selection_predicates
+        self.relation = relation
+        self.arity = schema.arity
+        #: ``(tuple position, selection index)`` per selection on the
+        #: consumed relation: the tuple must carry that selection's constant.
+        self.checks: TupleT[TupleT[int, int], ...] = tuple(
+            (position_of(sp.attribute.attribute), index)
+            for index, sp in enumerate(selections)
+            if sp.attribute.relation == relation
+        )
+        #: Indexes of the selections on other relations, which stay.
+        self.kept: TupleT[int, ...] = tuple(
+            index
+            for index, sp in enumerate(selections)
+            if sp.attribute.relation != relation
+        )
+        pinned = {selections[index].attribute: index for index in self.kept}
+        #: Some attribute has two kept selections; if their constants differ
+        #: no tuple can make the rewrite anything but dead.
+        self.recheck = len(pinned) < len(self.kept)
+        kept_joins: List[JoinPredicate] = []
+        self_joins: List[TupleT[int, int]] = []
+        #: ``(other attribute, tuple position, twin, pin)`` per join with the
+        #: consumed relation, in join order: the join becomes the selection
+        #: ``other = tuple value`` unless something constrains ``other``
+        #: already — the kept selection of index ``pin`` or the earlier
+        #: binding reading tuple position ``twin`` (-1: none) — in which case
+        #: the values must agree.
+        bindings: List[TupleT[AttributeRef, int, int, int]] = []
+        first_binding: Dict[AttributeRef, int] = {}
+        for jp in query.join_predicates:
+            if not jp.references(relation):
+                kept_joins.append(jp)
+                continue
+            other = jp.other_side(relation)
+            own = position_of(jp.side_for(relation).attribute)
+            if other.relation == relation:
+                # Self-join predicate (not produced by the parser, but handle
+                # it): both sides are bound by the tuple, so evaluate it.
+                self_joins.append((own, position_of(other.attribute)))
+                continue
+            bindings.append(
+                (other, own, first_binding.get(other, -1), pinned.get(other, -1))
+            )
+            first_binding.setdefault(other, own)
+        self.self_joins = tuple(self_joins)
+        self.bindings = tuple(bindings)
+        self.kept_joins = tuple(kept_joins)
+        self.relations = tuple(rel for rel in query.relations if rel != relation)
+        #: Per select item: the tuple position it takes its value from, or -1
+        #: for an item the rewrite leaves as it is.
+        self.fills: TupleT[int, ...] = tuple(
+            position_of(item.attribute)
+            if isinstance(item, AttributeRef) and item.relation == relation
+            else -1
+            for item in query.select_items
+        )
+        #: Nothing left to join or select and a select list of constants:
+        #: every live rewrite is an answer.
+        self.complete = (
+            not self.relations
+            and not self.kept_joins
+            and not self.kept
+            and not self.bindings
+            and all(
+                position >= 0 or isinstance(item, Constant)
+                for position, item in zip(self.fills, query.select_items)
+            )
+        )
+
+    def apply(self, query: Query, tup: Tuple) -> RewriteResult:
+        """One rewrite step: ``query`` (of this plan's shape) consumed ``tup``."""
+        vals = tup.values
+        if len(vals) != self.arity:
+            raise SchemaError(
+                f"tuple arity {len(vals)} does not match schema "
+                f"{self.relation!r} arity {self.arity}"
+            )
+        # Selections on the consumed relation must be satisfied.
+        stated = query.selection_predicates
+        for position, index in self.checks:
+            if vals[position] != stated[index].value:
+                return DEAD
+        for left, right in self.self_joins:
+            if vals[left] != vals[right]:
+                return DEAD
+        if self.complete:
+            # An answer: every select item the tuple does not fill is a
+            # Constant already.
+            values = [
+                item.value  # type: ignore[union-attr]
+                if position < 0
+                else vals[position]
+                for position, item in zip(self.fills, query.select_items)
+            ]
+            return RewriteResult(complete=True, values=tuple(values), source=query)
+        # Joins with the consumed relation become selections on the other
+        # side; one that restates a selection is dropped, one that
+        # contradicts it (two different constants required of the same
+        # attribute can never be satisfied) kills the rewrite.
+        selections = [stated[index] for index in self.kept]
+        if self.recheck and is_contradictory(selections):
+            return DEAD
+        for other, position, twin, pin in self.bindings:
+            value = vals[position]
+            if pin >= 0:
+                if value != stated[pin].value:
+                    return DEAD
+            elif twin >= 0:
+                if value != vals[twin]:
+                    return DEAD
+            else:
+                selections.append(SelectionPredicate(other, value))
+        # The tuple's values enter the select list; its relation leaves FROM.
+        return RewriteResult(
+            Query(
+                select_items=tuple(
+                    [
+                        item if position < 0 else Constant(vals[position])
+                        for position, item in zip(self.fills, query.select_items)
+                    ]
+                ),
+                relations=self.relations,
+                join_predicates=self.kept_joins,
+                selection_predicates=tuple(selections),
+                distinct=query.distinct,
+                window=query.window,
+            )
+        )
+
+
+def plan_key(query: Query, relation: str) -> Hashable:
+    """The shape of ``query`` as far as rewriting by ``relation`` goes.
+
+    Two queries with equal keys (and one schema for ``relation``) have equal
+    plans: the key is the query with the constants of its selections and
+    select list blanked.
+    """
+    return (
+        relation,
+        query.relations,
+        query.join_predicates,
+        tuple([sp.attribute for sp in query.selection_predicates]),
+        tuple(
+            [
+                item if isinstance(item, AttributeRef) else None
+                for item in query.select_items
+            ]
+        ),
+    )
+
+
+def compile_plan(query: Query, relation: str, schema: RelationSchema) -> TriggerPlan:
+    """The :class:`TriggerPlan` of rewriting ``query`` by tuples of ``relation``.
+
+    Raises :class:`~repro.errors.RewriteError` when ``relation`` does not
+    appear in the query's FROM clause — callers are expected to route tuples
+    only to queries that reference their relation.
+    """
     if relation not in query.relations:
         raise RewriteError(
             f"tuple of relation {relation!r} cannot rewrite a query over "
             f"{query.relations}"
         )
-    values: Dict[str, Any] = tup.as_dict(schema)
+    return TriggerPlan(query, relation, schema)
 
-    # 1. Selections on the consumed relation must be satisfied.
-    remaining_selections: List[SelectionPredicate] = []
-    for sp in query.selection_predicates:
-        if sp.attribute.relation == relation:
-            if values[sp.attribute.attribute] != sp.value:
-                return DEAD
-            # satisfied -> dropped
-        else:
-            remaining_selections.append(sp)
 
-    # 2. Join predicates involving the consumed relation become selections.
-    remaining_joins: List[JoinPredicate] = []
-    new_selections: List[SelectionPredicate] = []
-    for jp in query.join_predicates:
-        if not jp.references(relation):
-            remaining_joins.append(jp)
-            continue
-        other = jp.other_side(relation)
-        own = jp.side_for(relation)
-        if other.relation == relation:
-            # Self-join predicate (not produced by the parser, but handle it):
-            # both sides are bound by the tuple, so simply evaluate it.
-            if values[own.attribute] != values[other.attribute]:
-                return DEAD
-            continue
-        new_selections.append(
-            SelectionPredicate(other, values[own.attribute])
-        )
+def rewrite_query(
+    query: Query,
+    tup: Tuple,
+    schema: RelationSchema,
+    plan: Optional[TriggerPlan] = None,
+) -> RewriteResult:
+    """Rewrite ``query`` with ``tup`` (one step of RJoin's incremental evaluation).
 
-    # 3. Merge selections and detect contradictions (two different constants
-    #    required for the same attribute can never be satisfied).
-    merged: List[SelectionPredicate] = list(remaining_selections)
-    seen = {(sp.attribute, sp.value) for sp in merged}
-    for sp in new_selections:
-        if (sp.attribute, sp.value) in seen:
-            continue
-        seen.add((sp.attribute, sp.value))
-        merged.append(sp)
-    if is_contradictory(merged):
-        return DEAD
-
-    # 4. Substitute values into the select list.
-    new_select: List[Union[AttributeRef, Constant]] = []
-    for item in query.select_items:
-        if isinstance(item, AttributeRef) and item.relation == relation:
-            new_select.append(Constant(values[item.attribute]))
-        else:
-            new_select.append(item)
-
-    # 5. Drop the consumed relation from FROM.
-    new_relations = tuple(rel for rel in query.relations if rel != relation)
-
-    rewritten = Query(
-        select_items=tuple(new_select),
-        relations=new_relations,
-        join_predicates=tuple(remaining_joins),
-        selection_predicates=tuple(merged),
-        distinct=query.distinct,
-        window=query.window,
-    )
-    if rewritten.is_complete():
-        return RewriteResult(query=rewritten, complete=True)
-    return RewriteResult(query=rewritten)
+    ``plan`` is the plan of ``query``'s shape and ``tup``'s relation when the
+    caller kept one from an earlier rewrite; it is compiled here otherwise
+    (and :class:`~repro.errors.RewriteError` raised for a tuple of a relation
+    the query does not mention).
+    """
+    if plan is None:
+        plan = compile_plan(query, tup.relation, schema)
+    return plan.apply(query, tup)
 
 
 def rewrite_chain(
@@ -218,5 +386,7 @@ def rewrite_chain(
         assert result.query is not None
         current = result.query
     if current.is_complete():
-        return RewriteResult(query=current, complete=True)
+        return RewriteResult(
+            query=current, complete=True, values=current.answer_values()
+        )
     return RewriteResult(query=current)

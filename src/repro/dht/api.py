@@ -15,14 +15,17 @@ the traffic definition of Section 8.  Deliveries are posted to the runtime
 count, which realises the bounded-delay asynchronous model used by the
 formal analysis (Section 4).  The service is transport-neutral: the same
 code runs on the deterministic ``sim`` kernel and the concurrent
-``asyncio`` actor runtime.
+``asyncio`` actor runtime, and stamps the same ``sent_at`` /
+``delivered_at`` on both — a message sent by a handler leaves at the
+delivery time of the message that handler was given, a message sent from
+outside any handler at the transport's clock.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dht.chord import ChordNode, ChordRing
 from repro.errors import ConfigurationError, RoutingError
@@ -90,6 +93,8 @@ class DHTMessagingService:
         self._obs = observability
         self._handlers: Dict[str, MessageHandler] = {}
         self._dropped = 0
+        # Delivery time of the envelope whose handler is running, else None.
+        self._handling_at: Optional[float] = None
 
     @property
     def kernel(self) -> SimulationKernel:
@@ -131,49 +136,55 @@ class DHTMessagingService:
 
         Models an abrupt crash: deliveries already in flight towards the
         dead address are cancelled (the network loses them) and counted as
-        dropped.  Returns the number of messages destroyed.
+        dropped.  Returns the number of (logical) messages destroyed.
         """
-        dropped = self.transport.cancel_inbound(address)
+        dropped = sum(
+            envelope.weight for envelope in self.transport.extract_inbound(address)
+        )
         self._dropped += dropped
         return dropped
 
     def redirect_in_flight(
         self,
         address: str,
-        reroute: Callable[[Message], Optional[str]],
+        reroute: Callable[[Message], Optional[Tuple[str, Message, int]]],
     ) -> int:
         """Re-route undelivered messages addressed to ``address``.
 
-        Every undelivered message to ``address`` is taken off the network;
-        ``reroute(message)`` (evaluated once per message) names its new
-        destination, or ``None`` to drop it — the same fate
-        :meth:`drop_in_flight` would apply.  Models owner failover: when a
-        query owner crashes, answers still in flight towards it are re-sent
-        by their producers to the re-registered owner once the failure is
-        detected — so each re-routed message is a fresh, fully charged
-        direct transmission from its original sender.  Messages whose
-        sender has itself left the ring cannot be re-sent and are counted
-        as dropped.  Returns the number of re-routed messages.
+        Every undelivered envelope to ``address`` is taken off the network;
+        ``reroute(message)`` (evaluated once per envelope) names the new
+        destination, what to send there — the message itself or the part of
+        it worth re-sending — and that part's weight, or ``None`` to drop
+        the envelope: the same fate :meth:`drop_in_flight` would apply.
+        Models owner failover: when a query owner crashes, answers still in
+        flight towards it are re-sent by their producers to the
+        re-registered owner once the failure is detected — so each
+        re-routed message is a fresh, fully charged direct transmission
+        from its original sender.  Messages whose sender has itself left
+        the ring cannot be re-sent and are counted as dropped, like the
+        part of an envelope's weight that is not re-sent.  Returns the
+        number of (logical) messages re-routed.
         """
         pending = self.transport.extract_inbound(address)
         rerouted = 0
         for envelope in pending:
-            destination = reroute(envelope.message)
-            if destination is None or not self.ring.has_address(
-                envelope.sender
-            ):
-                self._dropped += 1
+            target = reroute(envelope.message)
+            if target is None or not self.ring.has_address(envelope.sender):
+                self._dropped += envelope.weight
                 continue
+            destination, message, weight = target
             # The extracted envelope was never delivered, so its span was
             # never opened: the re-send carries the *same* trace context and
             # the eventual delivery stays inside the original trace.
             self.send_direct(
                 envelope.sender,
-                envelope.message,
+                message,
                 destination,
                 trace=envelope.trace,
+                weight=weight,
             )
-            rerouted += 1
+            rerouted += weight
+            self._dropped += envelope.weight - weight
         return rerouted
 
     @property
@@ -260,8 +271,15 @@ class DHTMessagingService:
         destination: str,
         is_ric: bool = False,
         trace: Optional[TraceContext] = None,
+        weight: int = 1,
     ) -> Envelope:
-        """``sendDirect(msg, addr)``: deliver ``message`` to a known address in one hop."""
+        """``sendDirect(msg, addr)``: deliver ``message`` to a known address in one hop.
+
+        ``weight`` is the number of logical messages ``message`` stands for
+        (the answers of one :class:`~repro.core.protocol.AnswerMessage`):
+        the sender is charged that many transmissions for the one envelope,
+        exactly what sending them one by one would have cost.
+        """
         sender_node = self.ring.node_by_address(sender)
         if destination == sender:
             # Local delivery: no network transmission.
@@ -284,6 +302,7 @@ class DHTMessagingService:
             is_ric=is_ric,
             direct=True,
             trace=trace,
+            weight=weight,
         )
 
     # ------------------------------------------------------------------
@@ -299,6 +318,7 @@ class DHTMessagingService:
         direct: bool = False,
         record_traffic: bool = True,
         trace: Optional[TraceContext] = None,
+        weight: int = 1,
     ) -> Envelope:
         destination = path[-1]
         hops = len(path) - 1
@@ -307,10 +327,19 @@ class DHTMessagingService:
                 sender_node.address,
                 [node.address for node in path[1:]],
                 is_ric=is_ric,
+                count=weight,
             )
         delay = hops * self.hop_delay
         if self.delay_jitter > 0:
             delay += self._rng.uniform(0.0, self.delay_jitter)
+        # What a handler sends leaves when the message it is handling arrived
+        # — on ``sim`` that *is* the clock; on ``asyncio`` the clock is the
+        # high-water mark over every actor's deliveries, and stamping with it
+        # would make timestamps depend on how the actors happened to
+        # interleave.
+        sent_at = self._handling_at
+        if sent_at is None:
+            sent_at = self.transport.now
         envelope = Envelope(
             message=message,
             sender=sender_node.address,
@@ -318,9 +347,10 @@ class DHTMessagingService:
             target_identifier=identifier,
             route=tuple(node.address for node in path),
             hops=hops,
-            sent_at=self.transport.now,
-            delivered_at=self.transport.now + delay,
+            sent_at=sent_at,
+            delivered_at=sent_at + delay,
             direct=direct,
+            weight=weight,
         )
         if self._obs is not None:
             envelope.trace = (
@@ -332,15 +362,20 @@ class DHTMessagingService:
     def _deliver(self, envelope: Envelope) -> None:
         handler = self._handlers.get(envelope.destination)
         if handler is None:
-            self._dropped += 1
+            self._dropped += envelope.weight
             if self._obs is not None:
                 self._obs.record_dropped(envelope)
             return
-        if self._obs is None:
-            handler(envelope)
-            return
-        span = self._obs.delivery_begin(envelope, self.transport.pending_events)
+        obs = self._obs
+        span = (
+            None
+            if obs is None
+            else obs.delivery_begin(envelope, self.transport.pending_events)
+        )
+        self._handling_at = envelope.delivered_at
         try:
             handler(envelope)
         finally:
-            self._obs.delivery_end(span)
+            self._handling_at = None
+            if obs is not None:
+                obs.delivery_end(span)

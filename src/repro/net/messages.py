@@ -49,6 +49,9 @@ class Envelope:
     sent_at: float = 0.0
     delivered_at: float = 0.0
     direct: bool = False
+    #: Logical messages the envelope carries and its sender was charged for
+    #: per hop (an answer envelope: one per answer; everything else: 1).
+    weight: int = 1
     #: Trace propagation state (observability layer).  ``None`` unless the
     #: engine runs with ``observability="on"``; failover re-sends carry the
     #: original context so a re-routed answer stays in its trace.

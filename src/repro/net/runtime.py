@@ -21,9 +21,9 @@ A transport owns four responsibilities:
    delivery callback installed with :meth:`Transport.bind` (the messaging
    layer's ``_deliver``, which looks up the destination handler and counts
    drops),
-2. **in-flight surgery** — :meth:`Transport.cancel_inbound` /
-   :meth:`Transport.extract_inbound` destroy or take over the undelivered
-   messages addressed to one node (crashes and owner failover),
+2. **in-flight surgery** — :meth:`Transport.extract_inbound` takes the
+   undelivered messages addressed to one node off the network (a crash
+   loses them, owner failover re-routes some),
 3. **timers** — :meth:`Transport.schedule_at` / :meth:`Transport.schedule_in`
    run a callback at a (logical) time and return an
    :class:`EventHandle`-shaped handle that supports cancellation,
@@ -180,15 +180,10 @@ class Transport(ABC, _TimerLedger):
         now (to ``envelope.destination``)."""
 
     @abstractmethod
-    def cancel_inbound(self, address: str) -> int:
-        """Destroy every undelivered envelope addressed to ``address``;
-        returns the number destroyed (an abrupt crash loses them)."""
-
-    @abstractmethod
     def extract_inbound(self, address: str) -> List[Envelope]:
         """Take every undelivered envelope addressed to ``address`` off the
-        network and return them in posting order (owner failover re-routes
-        them)."""
+        network and return them in posting order (an abrupt crash loses
+        them, owner failover re-routes them)."""
 
     # ------------------------------------------------------------------
     # timers

@@ -11,8 +11,13 @@ to an oversized queue rather than a deadlock.
 Time is *logical* here: the clock starts at the engine's simulated clock and
 ratchets forward to each envelope's ``delivered_at`` / each timer's due time
 as work is processed, so windows, expiry sweeps and traffic accounting see
-the same timebase as the deterministic runtime.  Delivery *order*, however,
-is whatever the scheduler produces — determinism is exactly the property
+the same timebase as the deterministic runtime.  The clock is therefore a
+high-water mark over *every* actor's deliveries, and which delivery raised
+it last depends on the interleaving; envelope timestamps do not read it
+from inside a handler — the messaging layer stamps what a handler sends
+with the delivery time of the message being handled, which is what the
+``sim`` clock shows at that point (``DHTMessagingService._transmit``).
+Delivery *order*, however, is whatever the scheduler produces — determinism is exactly the property
 this runtime trades away for concurrency (see the README's "Runtimes &
 transports" section; RJoin's answer bags are provably order-independent,
 which is what the cross-runtime equality tests exercise).
@@ -240,19 +245,6 @@ class AsyncioTransport(Transport):
             self._actor_outbox.append(entry)
         else:
             self._driver_outbox.append(entry)
-
-    def cancel_inbound(self, address: str) -> int:
-        """Destroy every undelivered envelope addressed to ``address``."""
-        cancelled = 0
-        for entry in self._pending.get(address, ()):
-            if not entry.cancelled:
-                entry.cancelled = True
-                cancelled += 1
-        if cancelled:
-            self._live_messages -= cancelled
-            self._message_done.set()
-        self._pending.pop(address, None)
-        return cancelled
 
     def extract_inbound(self, address: str) -> List[Envelope]:
         """Take the undelivered envelopes for ``address``, in posting order."""

@@ -118,34 +118,17 @@ class SimulationKernel(_runtime._TimerLedger):
             raise SimulationError("delay must be non-negative")
         return self.schedule_at(self._now + delay, callback, *args)
 
-    def cancel_where(
-        self, predicate: Callable[[Callable[..., None], Tuple[Any, ...]], bool]
-    ) -> int:
-        """Cancel every pending event matching ``predicate(callback, args)``.
-
-        Used to model abrupt node failures: a crash destroys messages that
-        are still in flight towards the dead address, so their delivery
-        events must never fire.  Returns the number of events cancelled.
-        """
-        cancelled = 0
-        for event in self._heap:
-            if event.cancelled or event.fired:
-                continue
-            if predicate(event.callback, event.args):
-                event.cancelled = True
-                self._live_events -= 1
-                cancelled += 1
-        return cancelled
-
     def extract_where(
         self, predicate: Callable[[Callable[..., None], Tuple[Any, ...]], bool]
     ) -> List[Tuple[Any, ...]]:
         """Cancel matching pending events and return their argument tuples.
 
-        Like :meth:`cancel_where`, but hands the payloads back so the caller
-        can reschedule them differently — the mechanism behind re-routing
-        in-flight answers to a failed-over query owner.  Results are in
-        scheduling order (time, then insertion sequence).
+        Models what a crash does to messages still in flight towards the
+        dead address: their delivery events never fire.  The payloads are
+        handed back so the caller can count them or reschedule them
+        differently — the mechanism behind re-routing in-flight answers to a
+        failed-over query owner.  Results are in scheduling order (time,
+        then insertion sequence).
         """
         extracted: List[_ScheduledEvent] = []
         for event in self._heap:
@@ -305,20 +288,11 @@ class SimTransport(Transport):
             )
         self._kernel.schedule_in(delay, self._deliver, envelope)
 
-    def cancel_inbound(self, address: str) -> int:
-        """Cancel the delivery events of messages addressed to ``address``."""
+    def extract_inbound(self, address: str) -> List[Envelope]:
+        """Take the undelivered messages addressed to ``address`` off the kernel."""
         # Bound-method comparison must use ``==``: every attribute access on
         # the messaging service creates a fresh bound-method object, so a
         # rebinding caller would defeat an ``is`` check.
-        deliver = self._deliver
-        return self._kernel.cancel_where(
-            lambda callback, args: callback == deliver
-            and bool(args)
-            and args[0].destination == address
-        )
-
-    def extract_inbound(self, address: str) -> List[Envelope]:
-        """Take the undelivered messages addressed to ``address`` off the kernel."""
         deliver = self._deliver
         pending = self._kernel.extract_where(
             lambda callback, args: callback == deliver

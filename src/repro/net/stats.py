@@ -75,21 +75,22 @@ class TrafficStats:
             self._total_ric_messages += count
 
     def record_path(
-        self, sender: str, route: Iterable[str], is_ric: bool = False
+        self, sender: str, route: Iterable[str], is_ric: bool = False, count: int = 1
     ) -> int:
         """Charge a full routed transmission: the sender plus every forwarder.
 
         ``route`` is the node sequence visited by the message *excluding* the
         sender and *including* the final recipient; the recipient does not
-        transmit, so it is not charged.  Returns the number of transmissions
-        charged (i.e. the hop count).
+        transmit, so it is not charged.  ``count`` logical messages sharing
+        the route are charged ``count`` times.  Returns the number of
+        transmissions charged (the hop count times ``count``).
         """
         route = list(route)
-        self.record_send(sender, is_ric=is_ric)
+        self.record_send(sender, is_ric=is_ric, count=count)
         # Intermediate nodes (all but the final recipient) forward the message.
         for forwarder in route[:-1]:
-            self.record_route(forwarder, is_ric=is_ric)
-        return len(route)
+            self.record_route(forwarder, is_ric=is_ric, count=count)
+        return len(route) * count
 
     # ------------------------------------------------------------------
     # aggregate views

@@ -7,7 +7,8 @@ produces::
     python -m repro.obs convert TRACE.jsonl --output trace.json
 
 ``summarize`` prints the run's shape: span/trace totals, the hop breakdown
-per message kind, the slowest end-to-end traces with their critical path
+per message kind (with the logical messages each envelope carried — the
+answers per answer envelope), the slowest end-to-end traces with their critical path
 (the chain of spans from the root to the last delivery), and the slowest
 individual spans.  ``convert`` writes Chrome ``trace_event`` JSON for
 ``chrome://tracing`` / https://ui.perfetto.dev.
@@ -69,7 +70,9 @@ def summarize(spans: Sequence[Span], out: TextIO, top: int = 5) -> None:
         f"{len(nodes)} nodes\n"
     )
 
-    # Hop breakdown per message kind: where the network traffic goes.
+    # Hop breakdown per message kind: where the network traffic goes.  An
+    # envelope can carry several logical messages (the answers one handler
+    # invocation produced for one owner); "per envelope" is how many.
     out.write("\nhop breakdown by message kind:\n")
     by_kind: Dict[str, List[Span]] = {}
     for span in spans:
@@ -79,9 +82,11 @@ def summarize(spans: Sequence[Span], out: TextIO, top: int = 5) -> None:
         hops = sum(span.hops for span in kind_spans)
         transit = sum(span.start - span.sent_at for span in kind_spans)
         mean_delay = transit / len(kind_spans)
+        carried = sum(span.weight for span in kind_spans)
         out.write(
             f"  {kind:<24} {len(kind_spans):>7} deliveries "
-            f"{hops:>8} hops  mean transit {mean_delay:.2f}\n"
+            f"{hops:>8} hops  mean transit {mean_delay:.2f}  "
+            f"{carried / len(kind_spans):.2f} per envelope\n"
         )
 
     # Slowest traces end to end, with their critical path.

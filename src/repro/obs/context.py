@@ -101,11 +101,13 @@ class Observability:
         with self.tracer.span(context, name=name, node=node):
             yield
 
-    def record_answer_latency(self, delivered_at: float) -> None:
+    def record_answer_latency(self, delivered_at: float, answers: int) -> None:
         """Record publish/submit -> answer latency for the active trace.
 
-        Runs once per delivered answer; reads the tracer's active-context
-        stack and trace-start table directly (pre-bound in ``__init__``).
+        Runs once per delivered answer envelope, whose ``answers`` answers
+        share the delivery time and the trace: one observation each.  Reads
+        the tracer's active-context stack and trace-start table directly
+        (pre-bound in ``__init__``).
         """
         stack = self._stack
         if not stack:
@@ -113,7 +115,7 @@ class Observability:
         start = self._trace_starts.get(stack[-1].trace_id)
         if start is None:
             return
-        self._answer_latency.record(delivered_at - start)
+        self._answer_latency.record(delivered_at - start, answers)
 
     # ------------------------------------------------------------------
     # messaging-side hooks
@@ -173,8 +175,9 @@ class Observability:
             start=delivered,
             end=delivered,
             sent_at=sent_at,
-            hops=envelope.hops,
+            hops=envelope.hops * envelope.weight,
             hop=context.hop,
+            weight=envelope.weight,
         )
         self._stack.append(context)
         if self._wall:

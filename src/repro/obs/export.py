@@ -59,6 +59,7 @@ def chrome_trace_events(spans: Sequence[Span]) -> List[Dict[str, object]]:
                     "parent_id": span.parent_id,
                     "hop": span.hop,
                     "hops": span.hops,
+                    "weight": span.weight,
                     "sent_at": span.sent_at,
                     "wall_us": span.wall_us,
                 },

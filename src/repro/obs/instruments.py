@@ -116,11 +116,11 @@ class Histogram:
         self.total = 0.0
         self.max = 0.0
 
-    def record(self, value: float) -> None:
-        """Record one observation."""
-        self._counts[bisect_left(self._buckets, value)] += 1
-        self.count += 1
-        self.total += value
+    def record(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of one ``value``."""
+        self._counts[bisect_left(self._buckets, value)] += count
+        self.count += count
+        self.total += value * count
         if value > self.max:
             self.max = value
 

@@ -85,13 +85,17 @@ class Span:
     #: Logical time the message was handed to the transport (equals
     #: ``start`` for root spans).
     sent_at: float
-    #: Routing hops the delivered message travelled (0 for root spans).
+    #: Transmissions charged for the delivered envelope: the routing hops it
+    #: travelled times the logical messages it carried (0 for root spans).
     hops: int
     #: Depth of this span in the trace tree (indexing hops from the root).
     hop: int
     #: Wall-clock handler service time in microseconds (0.0 on the
     #: deterministic runtime, where wall time would break reproducibility).
     wall_us: float = 0.0
+    #: Logical messages the delivered envelope carried (the answers of a
+    #: coalesced answer envelope; 1 for everything else).
+    weight: int = 1
 
     @property
     def duration(self) -> float:
@@ -112,6 +116,7 @@ class Span:
             "hops": self.hops,
             "hop": self.hop,
             "wall_us": self.wall_us,
+            "weight": self.weight,
         }
 
     @classmethod
@@ -130,6 +135,7 @@ class Span:
             hops=int(data.get("hops", 0)),
             hop=int(data.get("hop", 0)),
             wall_us=float(data.get("wall_us", 0.0)),
+            weight=int(data.get("weight", 1)),
         )
 
 

@@ -10,15 +10,24 @@ class GhostMessage:
 class RJoinNode:
     def __init__(self, service):
         self.service = service
+        self._dispatch = {
+            HandledMessage: self._on_handled,
+            UnsentMessage: self._on_unsent,
+            GhostMessage: self._on_ghost,  # VIOLATION: dead dispatch arm
+        }
 
     def handle_envelope(self, message):
-        if isinstance(message, HandledMessage):
-            return "handled"
-        if isinstance(message, UnsentMessage):
-            return "unsent"
-        if isinstance(message, GhostMessage):  # VIOLATION: dead dispatch arm
-            return "ghost"
-        return None
+        handler = self._dispatch.get(type(message))
+        return None if handler is None else handler(message)
+
+    def _on_handled(self, message):
+        return "handled"
+
+    def _on_unsent(self, message):
+        return "unsent"
+
+    def _on_ghost(self, message):
+        return "ghost"
 
     def announce(self, target):
         # Accounted send sites for HandledMessage and UnroutedMessage:

@@ -94,7 +94,7 @@ class TestProtocolMessages:
             EvalMessage(state=state, key=key),
             RicRequestMessage(request_id="r", origin="n", target_key=key),
             RicReplyMessage(request_id="r"),
-            AnswerMessage(query_id="q", values=(1,), produced_at=0.0, producer="n"),
+            AnswerMessage(answers=[("q", (1,))], produced_at=0.0, producer="n"),
         ]
         ids = [message.message_id for message in messages]
         assert len(set(ids)) == len(ids)

@@ -330,7 +330,7 @@ class TestOwnerFailover:
                 break
         assert target is not None, "workload produced no in-flight answer"
         owner = target.destination
-        handle = by_id[target.message.query_id]
+        handle = by_id[target.message.answers[0][0]]
         assert handle.owner == owner
         delivered_before = handle.count
         engine.crash_node(owner)

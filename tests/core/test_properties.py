@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.keys import value_key
-from repro.core.rewriting import rewrite_query
+from repro.core.rewriting import compile_plan, plan_key, rewrite_query
 from repro.core.windows import WindowState, admits, combination_valid, extend
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
@@ -17,7 +18,15 @@ from repro.data.schema import AttributeRef, Catalog
 from repro.data.tuples import Tuple
 from repro.dht.hashing import IdentifierSpace
 from repro.dht.ring import RingMap
-from repro.sql.ast import JoinPredicate, Query, SelectionPredicate, WindowSpec
+from repro.errors import RewriteError, SchemaError
+from repro.sql.ast import (
+    Constant,
+    JoinPredicate,
+    Query,
+    SelectionPredicate,
+    WindowSpec,
+)
+from repro.sql.predicates import is_contradictory
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +121,173 @@ def test_rewrite_order_independence(values):
         return current.answer_values() if current.is_complete() else None
 
     assert consume([r_tup, s_tup]) == consume([s_tup, r_tup])
+
+
+# ---------------------------------------------------------------------------
+# Compiled trigger plans vs the one-tuple-at-a-time rewrite they replaced
+# ---------------------------------------------------------------------------
+def _reference_rewrite(query, tup, schema):
+    """``rewrite_query`` as it was before plans: ``(outcome, rewritten query)``.
+
+    The reference the differential below compares against — every step on
+    the tuple's values by attribute name, nothing precomputed.
+    """
+    relation = tup.relation
+    if relation not in query.relations:
+        raise RewriteError(f"{relation!r} is not in {query.relations}")
+    values = tup.as_dict(schema)
+    remaining = []
+    for sp in query.selection_predicates:
+        if sp.attribute.relation == relation:
+            if values[sp.attribute.attribute] != sp.value:
+                return "dead", None
+        else:
+            remaining.append(sp)
+    joins, derived = [], []
+    for jp in query.join_predicates:
+        if not jp.references(relation):
+            joins.append(jp)
+            continue
+        other, own = jp.other_side(relation), jp.side_for(relation)
+        if other.relation == relation:
+            if values[own.attribute] != values[other.attribute]:
+                return "dead", None
+            continue
+        derived.append(SelectionPredicate(other, values[own.attribute]))
+    merged = list(remaining)
+    seen = {(sp.attribute, sp.value) for sp in merged}
+    for sp in derived:
+        if (sp.attribute, sp.value) not in seen:
+            seen.add((sp.attribute, sp.value))
+            merged.append(sp)
+    if is_contradictory(merged):
+        return "dead", None
+    rewritten = Query(
+        select_items=tuple(
+            Constant(values[item.attribute])
+            if isinstance(item, AttributeRef) and item.relation == relation
+            else item
+            for item in query.select_items
+        ),
+        relations=tuple(rel for rel in query.relations if rel != relation),
+        join_predicates=tuple(joins),
+        selection_predicates=tuple(merged),
+        distinct=query.distinct,
+        window=query.window,
+    )
+    return ("complete" if rewritten.is_complete() else "alive"), rewritten
+
+
+_plan_catalog = Catalog.uniform(4, 3)
+_plan_values = st.integers(min_value=0, max_value=1)
+_plan_attributes = st.sampled_from(["a0", "a1", "a2"])
+#: One compiled plan per query shape, shared by every example of the run: a
+#: plan compiled for one set of constants must serve every other.
+_shared_plans = {}
+
+
+@st.composite
+def _plan_cases(draw):
+    """A chain/star query with selections and one tuple per relation, any order."""
+    arity = draw(st.integers(2, 4))
+    relations = tuple(draw(st.permutations(_plan_catalog.relation_names()))[:arity])
+
+    def ref(relation):
+        return AttributeRef(relation, draw(_plan_attributes))
+
+    star = draw(st.booleans())
+    joins = [
+        JoinPredicate(
+            ref(relations[0] if star else relations[i - 1]), ref(relations[i])
+        )
+        for i in range(1, len(relations))
+    ]
+    # Extra joins aim several bindings at one attribute, or at a selected one.
+    for _ in range(draw(st.integers(0, 2))):
+        left, right = draw(st.permutations(relations))[:2]
+        joins.append(JoinPredicate(ref(left), ref(right)))
+    selections = [
+        SelectionPredicate(ref(draw(st.sampled_from(relations))), draw(_plan_values))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    select_items = [
+        Constant(draw(_plan_values))
+        if draw(st.booleans())
+        else ref(draw(st.sampled_from(relations)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    window = draw(st.sampled_from(
+        [None, WindowSpec(size=5, mode="tuples"), WindowSpec(size=3.0, mode="time")]
+    ))
+    query = Query(
+        select_items=tuple(select_items),
+        relations=relations,
+        join_predicates=tuple(joins),
+        selection_predicates=tuple(selections),
+        distinct=draw(st.booleans()),
+        window=window,
+    )
+    tuples = [
+        Tuple.from_schema(
+            _plan_catalog.get(relation),
+            (draw(_plan_values), draw(_plan_values), draw(_plan_values)),
+            pub_time=float(sequence),
+            sequence=sequence,
+        )
+        for sequence, relation in enumerate(draw(st.permutations(relations)), 1)
+    ]
+    return query, tuples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_cases())
+def test_plans_rewrite_exactly_like_the_reference(case):
+    """Dead / alive / complete, the rewritten query and the answer, step by step."""
+    current, tuples = case
+    for tup in tuples:
+        schema = _plan_catalog.get(tup.relation)
+        outcome, expected = _reference_rewrite(current, tup, schema)
+        shared = _shared_plans.setdefault(
+            plan_key(current, tup.relation),
+            compile_plan(current, tup.relation, schema),
+        )
+        for result in (
+            rewrite_query(current, tup, schema),
+            rewrite_query(current, tup, schema, plan=shared),
+        ):
+            assert (result.dead, result.alive, result.complete) == (
+                outcome == "dead", outcome == "alive", outcome == "complete"
+            )
+            assert result.query == expected
+            if outcome == "complete":
+                assert result.values == expected.answer_values()
+                assert result.query.answer_values() == expected.answer_values()
+            else:
+                assert result.values is None
+        assert shared.complete == (outcome == "complete") or outcome == "dead"
+        if outcome != "alive":
+            break
+        current = expected
+
+
+@given(_plan_cases())
+def test_plans_keep_raising_on_misrouted_and_malformed_tuples(case):
+    query, tuples = case
+    tup = tuples[0]
+    schema = _plan_catalog.get(tup.relation)
+    plan = compile_plan(query, tup.relation, schema)
+    short = Tuple(relation=tup.relation, values=tup.values[:2])
+    for use in (None, plan):
+        with pytest.raises(SchemaError):
+            rewrite_query(query, short, schema, plan=use)
+    foreign = [name for name in _plan_catalog.relation_names()
+               if name not in query.relations]
+    for name in foreign:
+        stranger = Tuple.from_schema(_plan_catalog.get(name), (0, 0, 0))
+        with pytest.raises(RewriteError):
+            rewrite_query(query, stranger, _plan_catalog.get(name))
+        with pytest.raises(RewriteError):
+            compile_plan(query, name, _plan_catalog.get(name))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core.rewriting import DEAD, rewrite_chain, rewrite_query
+from repro.core.rewriting import (
+    DEAD,
+    compile_plan,
+    plan_key,
+    rewrite_chain,
+    rewrite_query,
+)
 from repro.data.schema import AttributeRef, Catalog
 from repro.data.tuples import Tuple
 from repro.errors import RewriteError
@@ -187,3 +193,50 @@ class TestRewriteChain:
         result = rewrite_chain(query, [make_tuple(catalog, "R", (1, 2, 3))], schemas)
         assert result.alive
         assert result.query.arity == 2
+
+
+class TestTriggerPlan:
+    def test_one_plan_serves_every_query_of_its_shape(self, catalog):
+        """Compiled for one set of constants, applied to another."""
+        first, second = (
+            parse_query(
+                f"SELECT R.A, S.C FROM R, S WHERE R.B = S.B AND S.A = {constant}",
+                catalog=catalog,
+            )
+            for constant in (1, 2)
+        )
+        assert plan_key(first, "S") == plan_key(second, "S")
+        assert plan_key(first, "S") != plan_key(first, "R")
+        schema = catalog.get("S")
+        plan = compile_plan(first, "S", schema)
+        tup = make_tuple(catalog, "S", (2, 7, 9))
+        assert rewrite_query(first, tup, schema, plan=plan).dead
+        rewritten = rewrite_query(second, tup, schema, plan=plan).query
+        assert rewritten == rewrite_query(second, tup, schema).query
+        assert rewritten.select_items == (AttributeRef("R", "A"), Constant(9))
+
+    def test_completeness_is_decided_at_compile_time(self, catalog):
+        query = parse_query(
+            "SELECT R.A, S.C FROM R, S WHERE R.B = S.B", catalog=catalog
+        )
+        assert not compile_plan(query, "S", catalog.get("S")).complete
+        last = rewrite_query(
+            query, make_tuple(catalog, "R", (1, 2, 3)), catalog.get("R")
+        ).query
+        assert compile_plan(last, "S", catalog.get("S")).complete
+        result = rewrite_query(
+            last, make_tuple(catalog, "S", (0, 2, 5)), catalog.get("S")
+        )
+        assert result.complete and result.values == (1, 5)
+        # The answer's query is only built when somebody asks for it.
+        assert result.query.is_complete()
+        assert result.query.answer_values() == (1, 5)
+
+    def test_join_onto_a_selected_attribute_must_agree_with_it(self, catalog):
+        query = parse_query(
+            "SELECT R.A FROM R, S WHERE R.B = S.B AND S.B = 4", catalog=catalog
+        )
+        schema = catalog.get("R")
+        assert rewrite_query(query, make_tuple(catalog, "R", (1, 5, 0)), schema).dead
+        agreed = rewrite_query(query, make_tuple(catalog, "R", (1, 4, 0)), schema)
+        assert len(agreed.query.selection_predicates) == 1

@@ -9,6 +9,7 @@ from repro.dht.chord import ChordRing
 from repro.dht.hashing import IdentifierSpace
 from repro.errors import RoutingError
 from repro.net.messages import Message
+from repro.net.runtime import TRANSPORT_NAMES, make_transport
 from repro.net.simulator import SimulationKernel
 from repro.net.stats import TrafficStats
 
@@ -136,3 +137,63 @@ class TestDeliveryEdgeCases:
         identifier = ring.space.hash_key("jitter")
         envelope = api.send(ring.addresses[0], Ping(), identifier)
         assert envelope.delivered_at >= envelope.hops * 1.0
+
+
+class TestSendTime:
+    """What a handler sends leaves when the message it handles arrived."""
+
+    def build(self, runtime):
+        ring = ChordRing.create_network(16, space=IdentifierSpace(16), seed=1)
+        transport = make_transport(runtime)
+        api = DHTMessagingService(ring, transport, TrafficStats(), hop_delay=1.0)
+        for address in ring.addresses:
+            api.register_handler(address, lambda env: None)
+        return ring, transport, api
+
+    def far_identifier(self, ring, sender, but):
+        """An identifier three or more hops from ``sender``, not owned by ``but``."""
+        start = ring.node_by_address(sender)
+        for number in range(1000):
+            identifier = ring.space.hash_key(f"far-{number}")
+            path = ring.route_path(start, identifier)
+            if len(path) > 3 and path[-1].address != but:
+                return identifier
+        raise AssertionError("no far identifier on this ring")
+
+    @pytest.mark.parametrize("runtime", TRANSPORT_NAMES)
+    def test_reply_is_stamped_with_the_handled_delivery_time(self, runtime):
+        ring, transport, api = self.build(runtime)
+        sender, relay, sink = ring.addresses[:3]
+        replies = []
+        api.register_handler(
+            relay,
+            lambda env: replies.append(api.send_direct(relay, Ping("reply"), sink)),
+        )
+        # Posted first, so the asyncio actors deliver it first: the clock is
+        # already past 3 when the relay handles a message that arrived at 1.
+        far = api.send(sender, Ping(), self.far_identifier(ring, sender, relay))
+        near = api.send_direct(sender, Ping(), relay)
+        transport.drain()
+        (reply,) = replies
+        assert near.delivered_at == 1.0
+        assert (reply.sent_at, reply.delivered_at) == (1.0, 2.0)
+        assert transport.now == far.delivered_at >= 3.0
+        # Outside a handler the clock is the time of a send.
+        assert api.send_direct(sender, Ping(), sink).sent_at == transport.now
+        transport.shutdown()
+
+    @pytest.mark.parametrize("runtime", TRANSPORT_NAMES)
+    def test_raising_handler_does_not_leave_its_time_behind(self, runtime):
+        ring, transport, api = self.build(runtime)
+        sender, relay, sink = ring.addresses[:3]
+
+        def failing(env):
+            raise RuntimeError("handler bug")
+
+        api.register_handler(relay, failing)
+        api.send_direct(sender, Ping(), relay)
+        with pytest.raises(RuntimeError, match="handler bug"):
+            transport.drain()
+        transport.advance_by(5.0)
+        assert api.send_direct(sender, Ping(), sink).sent_at == transport.now == 6.0
+        transport.shutdown()

@@ -185,19 +185,19 @@ class TestDelivery:
 
 
 class TestInFlightSurgery:
-    def test_cancel_inbound_drops_only_that_address(self, transport, recorder):
+    def test_extract_inbound_takes_only_that_address(self, transport, recorder):
         for _ in range(3):
             transport.post(envelope("node-1"), 1.0)
         for _ in range(2):
             transport.post(envelope("node-2"), 1.0)
-        assert transport.cancel_inbound("node-1") == 3
+        assert len(transport.extract_inbound("node-1")) == 3
         assert transport.pending_events == 2
         transport.drain()
         assert recorder.ids_for("node-1") == []
         assert len(recorder.ids_for("node-2")) == 2
 
-    def test_cancel_inbound_with_nothing_in_flight(self, transport, recorder):
-        assert transport.cancel_inbound("node-1") == 0
+    def test_extract_inbound_with_nothing_in_flight(self, transport, recorder):
+        assert transport.extract_inbound("node-1") == []
 
     def test_extract_inbound_returns_posting_order(self, transport, recorder):
         posted = [envelope("node-1") for _ in range(4)]

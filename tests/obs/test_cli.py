@@ -52,6 +52,12 @@ class TestSummarize:
         spans = load_spans(str(trace_file))
         assert f"{len(spans)} spans" in text
         assert "hop breakdown by message kind:" in text
+        # Answers per answer envelope, straight from the spans' weights.
+        answers = [span for span in spans if span.name == "AnswerMessage"]
+        per_envelope = sum(span.weight for span in answers) / len(answers)
+        (row,) = [line for line in text.splitlines() if "AnswerMessage" in line
+                  and "deliveries" in line]
+        assert row.endswith(f"{per_envelope:.2f} per envelope")
         assert "critical path:" in text
         assert "slowest" in text
 

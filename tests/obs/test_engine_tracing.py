@@ -58,6 +58,20 @@ class TestTraceReplay:
         assert sum(span.hops for span in spans) == engine.traffic.total_messages
         engine.close()
 
+    def test_coalesced_answer_spans_account_for_every_answer(self):
+        engine, _, _ = run_flood()
+        answers = [s for s in engine.obs.spans if s.name == "AnswerMessage"]
+        assert any(span.weight > 1 for span in answers), "no coalesced envelope"
+        for span in answers:
+            # One hop (or none, producer == owner), charged once per answer.
+            assert span.hops in (0, span.weight)
+        others = [s for s in engine.obs.spans if s.name != "AnswerMessage"]
+        assert all(span.weight == 1 for span in others)
+        delivered = engine.total_answers
+        assert sum(span.weight for span in answers) == delivered
+        assert engine.obs.registry.histogram("answer_latency").count == delivered
+        engine.close()
+
     def test_every_parent_resolves_no_orphan_spans(self):
         engine, _, _ = run_flood()
         by_trace = {}

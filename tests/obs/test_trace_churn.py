@@ -131,7 +131,7 @@ class TestInFlightFailover:
         redirected_trace = target.trace.trace_id
         redirected_span = target.trace.span_id
         owner = target.destination
-        handle = by_id[target.message.query_id]
+        handle = by_id[target.message.answers[0][0]]
         delivered_before = handle.count
         engine.crash_node(owner)
         assert engine.churn.answers_rerouted > 0
