@@ -17,7 +17,7 @@ collisions between the concatenations (e.g. ``R + "AB"`` vs ``"RA" + B``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.data.schema import AttributeRef, RelationSchema
@@ -36,6 +36,15 @@ class IndexKey:
     relation: str
     attribute: str
     value: Optional[Any] = None
+    #: Canonical string form, the input of ``Hash()``: built once per key,
+    #: and no part of its identity (equal keys have equal texts).
+    text: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        text = f"{self.relation}{_SEPARATOR}{self.attribute}"
+        if self.value is not None:
+            text = f"{text}{_SEPARATOR}{self.value!r}"
+        object.__setattr__(self, "text", text)
 
     # ------------------------------------------------------------------
     # properties
@@ -49,13 +58,6 @@ class IndexKey:
     def is_value_level(self) -> bool:
         """Whether this key carries a value component."""
         return self.value is not None
-
-    @property
-    def text(self) -> str:
-        """Canonical string form, the input of ``Hash()``."""
-        if self.value is None:
-            return f"{self.relation}{_SEPARATOR}{self.attribute}"
-        return f"{self.relation}{_SEPARATOR}{self.attribute}{_SEPARATOR}{self.value!r}"
 
     @property
     def attribute_prefix(self) -> str:

@@ -60,9 +60,9 @@ from repro.core.rewriting import (
 )
 from repro.core.ric import CandidateTable, RateTracker, RicEntry
 from repro.core.strategy import (
+    CandidatePlan,
     IndexingStrategy,
     input_query_candidates,
-    rewritten_query_candidates,
 )
 from repro.core.windows import admits, expired, extend
 from repro.core.config import RJoinConfig
@@ -262,7 +262,7 @@ class RJoinNode:
     # ------------------------------------------------------------------
     def submit_query(self, state: QueryState) -> None:
         """Start indexing an input query submitted by this node."""
-        self._index_query(state, is_input=True)
+        self._index_query(state, input_query_candidates(state.query))
 
     # ------------------------------------------------------------------
     # Procedure 2: receiving a tuple
@@ -346,10 +346,13 @@ class RJoinNode:
             assert result.values is not None
             self._emit_answer(state, result.values)
             return
-        assert result.query is not None
-        new_window_state = extend(window, state.window_state, tup)
+        child = result.query
+        assert child is not None
+        if plan.child is None:
+            plan.child = CandidatePlan(child)
         self._index_query(
-            state.derive(result.query, new_window_state), is_input=False
+            state.derive(child, extend(window, state.window_state, tup)),
+            plan.child.apply(child, self.ctx.config.allow_attribute_level_rewrites),
         )
 
     def _plan_for(
@@ -574,16 +577,10 @@ class RJoinNode:
             del state.ric_info[key_text]
         self.candidate_table.update_many(state.ric_info.values())
 
-    def _index_query(self, state: QueryState, is_input: bool) -> None:
-        """Decide where to index ``state`` and send it there."""
+    def _index_query(self, state: QueryState, candidates: List[IndexKey]) -> None:
+        """Decide under which of ``candidates`` to index ``state`` and send it there."""
         config = self.ctx.config
-        if is_input:
-            candidates = input_query_candidates(state.query)
-        else:
-            candidates = rewritten_query_candidates(
-                state.query,
-                allow_attribute_level=config.allow_attribute_level_rewrites,
-            )
+        is_input = state.is_input
         if not candidates:
             # Nothing to wait for (degenerate query): nothing to index.
             return
@@ -773,6 +770,8 @@ class RJoinNode:
         is_retracted = self.ctx.is_retracted
         if is_retracted is None:
             return False
+        if not state.extra_subscribers and not is_retracted(state.query_id):
+            return False  # nearly every arrival: one subscriber, still active
         retracted_ids = [
             query_id
             for query_id in state.subscriber_ids

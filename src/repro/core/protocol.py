@@ -116,7 +116,9 @@ class QueryState:
     @property
     def subscriber_ids(self) -> TupleT[str, ...]:
         """The query ids of every subscriber, primary first."""
-        return tuple(sub.query_id for sub in self.subscribers)
+        return (self.query_id,) + tuple(
+            sub.query_id for sub in self.extra_subscribers
+        )
 
     def serves(self, query_id: str) -> bool:
         """Whether ``query_id`` is among this state's subscribers."""

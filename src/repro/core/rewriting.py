@@ -39,6 +39,7 @@ from repro.sql.predicates import is_contradictory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocol import QueryState
+    from repro.core.strategy import CandidatePlan
 
 
 class RewriteResult:
@@ -180,6 +181,7 @@ class TriggerPlan:
         "relations",
         "fills",
         "complete",
+        "child",
         "__weakref__",
     )
 
@@ -188,6 +190,9 @@ class TriggerPlan:
         selections = query.selection_predicates
         self.relation = relation
         self.arity = schema.arity
+        #: The candidate plan of the live rewrites this plan produces — they
+        #: all have one shape; compiled by whoever indexes the first of them.
+        self.child: Optional["CandidatePlan"] = None
         #: ``(tuple position, selection index)`` per selection on the
         #: consumed relation: the tuple must carry that selection's constant.
         self.checks: TupleT[TupleT[int, int], ...] = tuple(

@@ -29,23 +29,27 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from functools import lru_cache
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.core.keys import IndexKey, attribute_key, value_key
+from repro.core.keys import IndexKey, attribute_key
+from repro.data.schema import AttributeRef
 from repro.errors import ConfigurationError
 from repro.sql.ast import Query
-from repro.sql.predicates import all_selections
+from repro.sql.predicates import equality_closure
 
 
 # ---------------------------------------------------------------------------
 # candidate enumeration
 # ---------------------------------------------------------------------------
-# Candidate enumeration is memoized by query value: the AST is a frozen
-# dataclass, so structurally identical queries — the million-query flood
-# shape, and the identical rewritten states that multi-query sharing
-# canonicalizes — hash to the same entry and enumerate once.  Queries whose
-# selection constants are unhashable fall back to direct enumeration.
+def _attribute_keys(refs: Iterable[AttributeRef]) -> List[IndexKey]:
+    """One attribute-level key per distinct reference, in order of appearance."""
+    return [attribute_key(ref.relation, ref.attribute) for ref in dict.fromkeys(refs)]
+
+
+def _join_sides(query: Query) -> List[AttributeRef]:
+    return [side for jp in query.join_predicates for side in (jp.left, jp.right)]
+
+
 def input_query_candidates(query: Query) -> List[IndexKey]:
     """Attribute-level candidates of an input query.
 
@@ -54,10 +58,91 @@ def input_query_candidates(query: Query) -> List[IndexKey]:
     the select-list attributes are used instead so that the query still meets
     every tuple of its relation.
     """
-    try:
-        return list(_input_candidates_cached(query))
-    except TypeError:
-        return list(_enumerate_input_candidates(query))
+    refs = _join_sides(query) + [sp.attribute for sp in query.selection_predicates]
+    if not refs:
+        refs = [item for item in query.select_items if isinstance(item, AttributeRef)]
+    return _attribute_keys(refs)
+
+
+class CandidatePlan:
+    """The Section 6 candidates of every rewritten query of one shape.
+
+    Which relation-attribute pairs carry a value-level candidate, in which
+    order, and which stated selections each takes its value from are fixed by
+    the query with its constants blanked (the
+    :func:`~repro.core.rewriting.plan_key` shape): the equality closure of
+    the where clause is worked out here, once, and :meth:`apply` reads a
+    query's constants through selection indexes.  No constant is hashed.
+    Every live rewrite a :class:`~repro.core.rewriting.TriggerPlan` produces
+    has one shape, so the trigger plan keeps the candidate plan of its
+    children (``TriggerPlan.child``).
+    """
+
+    __slots__ = ("values", "dedupe", "joins", "fallback")
+
+    def __init__(self, query: Query) -> None:
+        relations = query.relations
+        stated = query.selection_predicates
+        #: ``(relation, attribute, selection indexes)`` per value-level
+        #: candidate: explicit selections first (family (b), one index), then
+        #: per closure class the attributes that inherit the class's constant
+        #: (family (c)) — read from the first index, and a candidate only
+        #: while the constants at all of them agree.
+        values: List[Tuple[str, str, Tuple[int, ...]]] = [
+            (sp.attribute.relation, sp.attribute.attribute, (index,))
+            for index, sp in enumerate(stated)
+            if sp.attribute.relation in relations
+        ]
+        last_stated = {sp.attribute: index for index, sp in enumerate(stated)}
+        for group in equality_closure(query):
+            members = sorted(group)
+            sources = tuple(
+                sorted(last_stated[ref] for ref in members if ref in last_stated)
+            )
+            if not sources:
+                continue
+            values += [
+                (ref.relation, ref.attribute, sources)
+                for ref in members
+                if ref not in last_stated and ref.relation in relations
+            ]
+        self.values = tuple(values)
+        #: An attribute is stated twice: equal constants give one key.
+        self.dedupe = len(last_stated) < len(stated)
+        #: Attribute-level candidates (family (a)): the join attributes.
+        self.joins = tuple(_attribute_keys(_join_sides(query)))
+        #: Degenerate queries (no usable selection, and no join or
+        #: attribute-level keys disallowed) wait under any of their
+        #: attributes so that they can still be indexed somewhere.
+        self.fallback = tuple(
+            _attribute_keys(
+                ref
+                for ref in query.attribute_refs()
+                if ref.relation in relations and not values
+            )
+        )
+
+    def apply(
+        self, query: Query, allow_attribute_level: bool = True
+    ) -> List[IndexKey]:
+        """The candidates of ``query`` (of this plan's shape), in Section 6 order."""
+        stated = query.selection_predicates
+        keys: List[IndexKey] = []
+        for relation, attribute, sources in self.values:
+            value = stated[sources[0]].value
+            if len(sources) > 1 and any(
+                stated[index].value != value for index in sources[1:]
+            ):
+                continue  # contradictory constants imply nothing
+            keys.append(IndexKey(relation, attribute, value))
+        if self.dedupe:
+            first_by_text: Dict[str, IndexKey] = {}
+            for key in keys:
+                first_by_text.setdefault(key.text, key)
+            keys = list(first_by_text.values())
+        if allow_attribute_level:
+            keys.extend(self.joins)
+        return keys or list(self.fallback)
 
 
 def rewritten_query_candidates(
@@ -71,72 +156,7 @@ def rewritten_query_candidates(
     :class:`FirstCandidateStrategy` and the deterministic tie-breaking of the
     rate-based strategies.
     """
-    try:
-        return list(_rewritten_candidates_cached(query, allow_attribute_level))
-    except TypeError:
-        return list(_enumerate_rewritten_candidates(query, allow_attribute_level))
-
-
-@lru_cache(maxsize=8192)
-def _input_candidates_cached(query: Query) -> Tuple[IndexKey, ...]:
-    return _enumerate_input_candidates(query)
-
-
-@lru_cache(maxsize=8192)
-def _rewritten_candidates_cached(
-    query: Query, allow_attribute_level: bool
-) -> Tuple[IndexKey, ...]:
-    return _enumerate_rewritten_candidates(query, allow_attribute_level)
-
-
-def _enumerate_input_candidates(query: Query) -> Tuple[IndexKey, ...]:
-    candidates: List[IndexKey] = []
-    seen = set()
-
-    def _add(relation: str, attribute: str) -> None:
-        key = attribute_key(relation, attribute)
-        if key.text not in seen:
-            seen.add(key.text)
-            candidates.append(key)
-
-    for jp in query.join_predicates:
-        _add(jp.left.relation, jp.left.attribute)
-        _add(jp.right.relation, jp.right.attribute)
-    for sp in query.selection_predicates:
-        _add(sp.attribute.relation, sp.attribute.attribute)
-    if not candidates:
-        for item in query.select_items:
-            if hasattr(item, "relation"):
-                _add(item.relation, item.attribute)  # type: ignore[union-attr]
-    return tuple(candidates)
-
-
-def _enumerate_rewritten_candidates(
-    query: Query, allow_attribute_level: bool
-) -> Tuple[IndexKey, ...]:
-    candidates: List[IndexKey] = []
-    seen = set()
-
-    def _add(key: IndexKey) -> None:
-        if key.text not in seen:
-            seen.add(key.text)
-            candidates.append(key)
-
-    for sp in all_selections(query):
-        if sp.attribute.relation in query.relations:
-            _add(value_key(sp.attribute.relation, sp.attribute.attribute, sp.value))
-    if allow_attribute_level:
-        for jp in query.join_predicates:
-            _add(attribute_key(jp.left.relation, jp.left.attribute))
-            _add(attribute_key(jp.right.relation, jp.right.attribute))
-    if not candidates:
-        # Degenerate queries (no usable selection and attribute-level keys
-        # disallowed): fall back to attribute-level pairs so that the query
-        # can still be indexed somewhere.
-        for ref in query.attribute_refs():
-            if ref.relation in query.relations:
-                _add(attribute_key(ref.relation, ref.attribute))
-    return tuple(candidates)
+    return CandidatePlan(query).apply(query, allow_attribute_level)
 
 
 # ---------------------------------------------------------------------------

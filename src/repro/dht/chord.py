@@ -17,6 +17,7 @@ stability again before the next message is routed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dht.hashing import IdentifierSpace
@@ -57,7 +58,10 @@ class ChordRing:
         self.space = space or IdentifierSpace()
         self._ring: RingMap[ChordNode] = RingMap(self.space)
         self._by_address: Dict[str, ChordNode] = {}
-        self._finger_cache: Dict[str, List[ChordNode]] = {}
+        #: Address -> the node's distinct fingers as parallel lists
+        #: ``(clockwise progress, finger)``, by increasing progress; at most
+        #: ``bits`` entries per node, dropped on every membership change.
+        self._finger_cache: Dict[str, Tuple[List[int], List[ChordNode]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -202,15 +206,32 @@ class ChordRing:
     # ------------------------------------------------------------------
     def finger_table(self, node: ChordNode) -> List[ChordNode]:
         """The finger table of ``node``: ``finger[i] = Successor(n + 2^i)``."""
+        progress, fingers = self._fingers(node)
+        table: List[ChordNode] = []
+        for exponent in range(self.space.bits):
+            # Successor(n + 2^i) is the nearest node at least 2^i away, and
+            # a finger itself; past the farthest one the circle wraps to n.
+            index = bisect_left(progress, 1 << exponent)
+            table.append(fingers[index] if index < len(fingers) else node)
+        return table
+
+    def _fingers(self, node: ChordNode) -> Tuple[List[int], List[ChordNode]]:
+        """The distinct fingers of ``node`` other than itself, nearest first."""
         cached = self._finger_cache.get(node.address)
-        if cached is not None:
-            return cached
-        fingers = [
-            self.successor(self.space.power_step(node.node_id, i))
-            for i in range(self.space.bits)
-        ]
-        self._finger_cache[node.address] = fingers
-        return fingers
+        if cached is None:
+            progress: List[int] = []
+            fingers: List[ChordNode] = []
+            # Progress never decreases with the exponent until the circle
+            # wraps back to the node itself (progress 0), so walking the
+            # exponents upwards yields the fingers already sorted.
+            for exponent in range(self.space.bits):
+                finger = self.successor(self.space.power_step(node.node_id, exponent))
+                reach = self.space.distance(node.node_id, finger.node_id)
+                if reach and (not progress or reach > progress[-1]):
+                    progress.append(reach)
+                    fingers.append(finger)
+            cached = self._finger_cache[node.address] = (progress, fingers)
+        return cached
 
     def route_path(self, start: ChordNode, identifier: int) -> List[ChordNode]:
         """The node sequence a Chord lookup from ``start`` for ``identifier`` visits.
@@ -244,17 +265,12 @@ class ChordRing:
         remaining = self.space.distance(current.node_id, identifier)
         if remaining == 0:
             return current
-        # The largest useful finger is 2^(bit_length(remaining) - 1): larger
-        # fingers overshoot the target and would be skipped anyway.
-        top_exponent = min(self.space.bits, remaining.bit_length()) - 1
-        for exponent in range(top_exponent, -1, -1):
-            step = 1 << exponent
-            if step > remaining:
-                continue
-            candidate = self.successor(self.space.power_step(current.node_id, exponent))
-            progress = self.space.distance(current.node_id, candidate.node_id)
-            if 0 < progress <= remaining:
-                return candidate
+        # The finger that most closely precedes the identifier is the one
+        # with the largest progress inside (current, identifier].
+        progress, fingers = self._fingers(current)
+        index = bisect_right(progress, remaining)
+        if index:
+            return fingers[index - 1]
         # No finger falls inside (current, identifier]: the immediate
         # successor of ``current`` owns the identifier.
         return self.successor_of(current)

@@ -40,7 +40,7 @@ re-exports it for backward compatibility with a deprecation warning.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -60,16 +60,21 @@ TRANSPORT_NAMES: Tuple[str, ...] = ("sim", "asyncio")
 DEFAULT_TRANSPORT = "sim"
 
 
-@dataclass(order=True)
+@dataclass
 class _ScheduledEvent:
-    """Timer-heap entry: (time, sequence) ordering, payload not compared."""
+    """A scheduled callback and whether it was cancelled or has fired."""
 
     time: float
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: Tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    fired: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: Tuple[Any, ...] = ()
+    cancelled: bool = False
+    fired: bool = False
+
+
+#: Timer-heap entry of both runtimes: ``(time, sequence, event)``.  The
+#: sequence number is unique per scheduler, so entries order as plain tuples
+#: by time, then insertion, and the event itself is never compared.
+_HeapEntry = Tuple[float, int, _ScheduledEvent]
 
 
 class EventHandle:

@@ -49,6 +49,7 @@ from repro.net.runtime import (
     DeliverCallback,
     EventHandle,
     Transport,
+    _HeapEntry,
     _ScheduledEvent,
     ensure_not_reentrant,
 )
@@ -158,7 +159,7 @@ class AsyncioTransport(Transport):
         self._live_messages = 0
         self._message_done = asyncio.Event()
         # timers -----------------------------------------------------------
-        self._timer_heap: List[_ScheduledEvent] = []
+        self._timer_heap: List[_HeapEntry] = []
         self._timer_sequence = itertools.count()
         self._live_events = 0
         # drain / lifecycle ------------------------------------------------
@@ -270,13 +271,8 @@ class AsyncioTransport(Transport):
             raise SimulationError(
                 f"cannot schedule an event in the past ({time} < {self._now})"
             )
-        event = _ScheduledEvent(
-            time=time,
-            sequence=next(self._timer_sequence),
-            callback=callback,
-            args=args,
-        )
-        heapq.heappush(self._timer_heap, event)
+        event = _ScheduledEvent(time, callback, args)
+        heapq.heappush(self._timer_heap, (time, next(self._timer_sequence), event))
         self._live_events += 1
         return EventHandle(event, self)
 
@@ -290,7 +286,7 @@ class AsyncioTransport(Transport):
 
     def _pop_timer(self) -> Optional[_ScheduledEvent]:
         while self._timer_heap:
-            event = heapq.heappop(self._timer_heap)
+            _, _, event = heapq.heappop(self._timer_heap)
             if event.cancelled:
                 continue
             return event

@@ -24,12 +24,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import warnings
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net import runtime as _runtime
 from repro.net.messages import Envelope
-from repro.net.runtime import DeliverCallback, Transport, _ScheduledEvent
+from repro.net.runtime import DeliverCallback, Transport, _HeapEntry, _ScheduledEvent
 
 #: Names that moved to :mod:`repro.net.runtime`; accessing them here warns.
 _MOVED_TO_RUNTIME = ("EventHandle",)
@@ -58,7 +58,7 @@ class SimulationKernel(_runtime._TimerLedger):
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._heap: List[_ScheduledEvent] = []
+        self._heap: List[_HeapEntry] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -103,10 +103,8 @@ class SimulationKernel(_runtime._TimerLedger):
             raise SimulationError(
                 f"cannot schedule an event in the past ({time} < {self._now})"
             )
-        event = _ScheduledEvent(
-            time=time, sequence=next(self._sequence), callback=callback, args=args
-        )
-        heapq.heappush(self._heap, event)
+        event = _ScheduledEvent(time, callback, args)
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
         self._live_events += 1
         return _runtime.EventHandle(event, self)
 
@@ -130,16 +128,23 @@ class SimulationKernel(_runtime._TimerLedger):
         failed-over query owner.  Results are in scheduling order (time,
         then insertion sequence).
         """
-        extracted: List[_ScheduledEvent] = []
-        for event in self._heap:
+        extracted: List[_HeapEntry] = []
+        for entry in self._heap:
+            event = entry[2]
             if event.cancelled or event.fired:
                 continue
             if predicate(event.callback, event.args):
                 event.cancelled = True
                 self._live_events -= 1
-                extracted.append(event)
-        extracted.sort(key=lambda event: (event.time, event.sequence))
-        return [event.args for event in extracted]
+                extracted.append(entry)
+        extracted.sort()
+        return [event.args for _, _, event in extracted]
+
+    def pending(self) -> Iterator[Tuple[Callable[..., None], Tuple[Any, ...]]]:
+        """``(callback, args)`` of every event still to fire, in no particular order."""
+        for _, _, event in self._heap:
+            if not event.cancelled:
+                yield event.callback, event.args
 
     # ------------------------------------------------------------------
     # execution
@@ -147,7 +152,7 @@ class SimulationKernel(_runtime._TimerLedger):
     def step(self) -> bool:
         """Process the next pending event; return False when none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            _, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
             if event.time > self._now:
@@ -196,9 +201,9 @@ class SimulationKernel(_runtime._TimerLedger):
         return processed
 
     def _next_pending(self) -> Optional[_ScheduledEvent]:
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     # ------------------------------------------------------------------
     # introspection

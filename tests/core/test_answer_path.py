@@ -202,13 +202,9 @@ class TestFailover:
         in_flight = None
         while in_flight is None:
             assert engine.kernel.step(), "no answer envelope was ever posted"
-            for event in engine.kernel._heap:
-                candidate = event.args[0] if event.args else None
-                if (
-                    not event.cancelled
-                    and not event.fired
-                    and isinstance(getattr(candidate, "message", None), AnswerMessage)
-                ):
+            for _, args in engine.kernel.pending():
+                candidate = args[0] if args else None
+                if isinstance(getattr(candidate, "message", None), AnswerMessage):
                     in_flight = candidate
         assert in_flight.destination == owner and in_flight.weight == 2 * k
         # One of the two queries is retracted while the envelope travels.

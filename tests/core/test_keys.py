@@ -44,6 +44,16 @@ class TestIndexKey:
         assert key.attribute_ref == AttributeRef("R", "a")
         assert key.at_attribute_level() == attribute_key("R", "a")
 
+    def test_text_is_no_part_of_identity(self):
+        key = value_key("R", "a", 5)
+        assert key.text is key.text  # built once
+        assert key.text == value_key("R", "a", 5).text
+        assert "text" not in repr(key)
+        # Keys compare and order by (relation, attribute, value) alone:
+        # as texts, 'R\x1fa\x1f10' sorts before 'R\x1fa\x1f9'.
+        assert value_key("R", "a", 9) < value_key("R", "a", 10)
+        assert value_key("R", "a", 10).text < value_key("R", "a", 9).text
+
     def test_ordering_and_hashing(self):
         keys = {
             attribute_key("R", "a"),

@@ -312,15 +312,13 @@ class TestOwnerFailover:
             engine.publish(generated.relation, generated.values, process=False)
             while engine.kernel.pending_events:
                 pending = [
-                    event.args[0]
-                    for event in engine.kernel._heap
-                    if not event.cancelled
-                    and not event.fired
-                    and event.args
-                    and hasattr(event.args[0], "message")
-                    and isinstance(event.args[0].message, AnswerMessage)
-                    and event.args[0].sender != event.args[0].destination
-                    and event.args[0].destination in engine.nodes
+                    args[0]
+                    for _, args in engine.kernel.pending()
+                    if args
+                    and hasattr(args[0], "message")
+                    and isinstance(args[0].message, AnswerMessage)
+                    and args[0].sender != args[0].destination
+                    and args[0].destination in engine.nodes
                 ]
                 if pending:
                     target = pending[0]

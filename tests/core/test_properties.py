@@ -8,14 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.keys import value_key
+from repro.core.keys import attribute_key, value_key
 from repro.core.rewriting import compile_plan, plan_key, rewrite_query
+from repro.core.strategy import CandidatePlan, rewritten_query_candidates
 from repro.core.windows import WindowState, admits, combination_valid, extend
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.reference import ReferenceEngine
 from repro.data.schema import AttributeRef, Catalog
 from repro.data.tuples import Tuple
+from repro.dht.chord import ChordRing
 from repro.dht.hashing import IdentifierSpace
 from repro.dht.ring import RingMap
 from repro.errors import RewriteError, SchemaError
@@ -26,7 +28,7 @@ from repro.sql.ast import (
     SelectionPredicate,
     WindowSpec,
 )
-from repro.sql.predicates import is_contradictory
+from repro.sql.predicates import all_selections, is_contradictory
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +54,66 @@ def test_ring_successor_is_owner(ids, probe):
     candidates = sorted(ids)
     expected = next((i for i in candidates if i >= probe), candidates[0])
     assert owner_id == expected
+
+
+def _reference_route(ring, start, identifier):
+    """``route_path`` as it was before hops were read from the finger cache.
+
+    Per hop: from the largest useful exponent down, take ``Successor(current
+    + 2^e)`` off the ring by bisection and follow the first one that lands
+    inside ``(current, identifier]``.
+    """
+    space = ring.space
+    identifier = space.normalize(identifier)
+    owner = ring.successor(identifier)
+    path, current = [start], start
+    while current.address != owner.address:
+        remaining = space.distance(current.node_id, identifier)
+        next_hop = ring.successor_of(current)
+        for exponent in range(min(space.bits, remaining.bit_length()) - 1, -1, -1):
+            candidate = ring.successor(space.power_step(current.node_id, exponent))
+            if 0 < space.distance(current.node_id, candidate.node_id) <= remaining:
+                next_hop = candidate
+                break
+        path.append(next_hop)
+        current = next_hop
+        assert len(path) <= space.bits + 2
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_route_path_reads_the_same_hops_off_the_finger_cache(data):
+    """Random rings, identifiers on / just before / just after node ids, and
+    the same again after a join, a departure and an id movement."""
+    bits = data.draw(st.integers(8, 64))
+    identifiers = st.integers(0, (1 << bits) - 1)
+    ring = ChordRing(IdentifierSpace(bits))
+    for index, node_id in enumerate(
+        sorted(data.draw(st.sets(identifiers, min_size=1, max_size=200)))
+    ):
+        ring.add_node(f"n{index}", node_id)
+
+    def check():
+        nodes = st.sampled_from(ring.nodes)
+        targets = data.draw(st.lists(identifiers, max_size=3))
+        for node in data.draw(st.lists(nodes, min_size=1, max_size=6)):
+            targets += [node.node_id - 1, node.node_id, node.node_id + 1]
+        for start in data.draw(st.lists(nodes, min_size=1, max_size=3)):
+            for target in targets:
+                assert ring.route_path(start, target) == _reference_route(
+                    ring, start, target
+                )
+
+    free = identifiers.filter(lambda identifier: identifier not in ring._ring)
+    check()
+    ring.add_node("joiner", data.draw(free))
+    check()
+    if len(ring) > 1:
+        ring.remove_node(data.draw(st.sampled_from(ring.addresses)))
+        check()
+    ring.move_node(data.draw(st.sampled_from(ring.addresses)), data.draw(free))
+    check()
 
 
 @given(st.text(min_size=0, max_size=20))
@@ -288,6 +350,85 @@ def test_plans_keep_raising_on_misrouted_and_malformed_tuples(case):
             rewrite_query(query, stranger, _plan_catalog.get(name))
         with pytest.raises(RewriteError):
             compile_plan(query, name, _plan_catalog.get(name))
+
+
+# ---------------------------------------------------------------------------
+# Compiled candidate plans vs the per-query enumeration they replaced
+# ---------------------------------------------------------------------------
+def _reference_candidates(query, allow_attribute_level):
+    """``rewritten_query_candidates`` as it was before candidate plans.
+
+    Explicit and implied selections from :func:`all_selections` (which runs
+    the equality closure on the query itself), then the join attributes,
+    deduplicated by key text.
+    """
+    candidates, seen = [], set()
+
+    def add(key):
+        if key.text not in seen:
+            seen.add(key.text)
+            candidates.append(key)
+
+    for sp in all_selections(query):
+        if sp.attribute.relation in query.relations:
+            add(value_key(sp.attribute.relation, sp.attribute.attribute, sp.value))
+    if allow_attribute_level:
+        for jp in query.join_predicates:
+            add(attribute_key(jp.left.relation, jp.left.attribute))
+            add(attribute_key(jp.right.relation, jp.right.attribute))
+    if not candidates:
+        for ref in query.attribute_refs():
+            if ref.relation in query.relations:
+                add(attribute_key(ref.relation, ref.attribute))
+    return candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plan_cases(), st.booleans())
+def test_candidate_plans_enumerate_exactly_like_the_reference(case, allow):
+    """Same keys in the same order for every live rewrite, step by step.
+
+    The trigger plans — and with them the candidate plan each compiled from
+    the first child it produced — are shared by every example of the run.
+    """
+    current, tuples = case
+    # The public function, on shapes no live rewrite has: one attribute
+    # selected twice with different constants.
+    assert rewritten_query_candidates(current, allow) == _reference_candidates(
+        current, allow
+    )
+    for tup in tuples:
+        schema = _plan_catalog.get(tup.relation)
+        plan = _shared_plans.setdefault(
+            plan_key(current, tup.relation),
+            compile_plan(current, tup.relation, schema),
+        )
+        result = plan.apply(current, tup)
+        if not result.alive:
+            break
+        child = result.query
+        if plan.child is None:
+            plan.child = CandidatePlan(child)
+        expected = _reference_candidates(child, allow)
+        assert plan.child.apply(child, allow) == expected
+        assert rewritten_query_candidates(child, allow) == expected
+        current = child
+
+
+def test_unhashable_selection_constants_enumerate():
+    a, b = AttributeRef("R0", "a0"), AttributeRef("R1", "a1")
+    query = Query(
+        select_items=(a,),
+        relations=("R0", "R1"),
+        join_predicates=(JoinPredicate(a, b),),
+        selection_predicates=(SelectionPredicate(a, [1, 2]),),
+    )
+    assert rewritten_query_candidates(query) == [
+        value_key("R0", "a0", [1, 2]),
+        value_key("R1", "a1", [1, 2]),
+        attribute_key("R0", "a0"),
+        attribute_key("R1", "a1"),
+    ]
 
 
 # ---------------------------------------------------------------------------

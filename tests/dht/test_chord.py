@@ -116,12 +116,23 @@ class TestRouting:
         assert fingers[0].address == ring.successor(node.node_id + 1).address
 
     def test_finger_cache_invalidated_on_membership_change(self, ring):
-        node = ring.nodes[0]
+        start, target = ring.nodes[0], ring.nodes[16]
+        node = ring.predecessor_of(target)
         before = ring.finger_table(node)
-        ring.add_node("joiner")
+        assert before[0] == target
+        # A routed lookup fills the cache of every node on the path.
+        assert ring.route_path(start, target.node_id - 1)[-2:] == [node, target]
+        joiner = ring.add_node("joiner", target.node_id - 1)
         after = ring.finger_table(node)
         assert len(after) == ring.space.bits
         assert before is not after
+        assert after[0] == joiner
+        assert ring.route_path(start, joiner.node_id)[-1] == joiner
+        # Routed on the fingers of a moment ago, the path would visit the
+        # departed node.
+        ring.remove_node("joiner")
+        path = ring.route_path(start, joiner.node_id)
+        assert path[-1] == target and joiner not in path
 
 
 class TestIdMovement:

@@ -1,5 +1,12 @@
 """Tests for the query AST."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.data.schema import AttributeRef
@@ -11,6 +18,8 @@ from repro.sql.ast import (
     SelectionPredicate,
     WindowSpec,
 )
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def two_way_query(**overrides):
@@ -142,3 +151,60 @@ class TestQuery:
         text = str(two_way_query())
         assert text.startswith("SELECT")
         assert "WHERE" in text
+
+
+class TestQueryHash:
+    """The hash is computed once per object and stays in the process that did."""
+
+    def query(self):
+        return two_way_query(
+            selection_predicates=(SelectionPredicate(AttributeRef("S", "c"), "x"),),
+            window=WindowSpec(size=5, mode="tuples"),
+        )
+
+    def test_equal_queries_hash_alike_before_and_after_copying(self):
+        query = self.query()
+        first = hash(query)
+        assert hash(query) == first == hash(self.query())
+        for clone in (copy.copy(query), copy.deepcopy(query)):
+            assert "_hash" not in vars(clone)
+            assert clone == query and hash(clone) == first
+        assert hash(query.with_window(None)) != first
+
+    def test_pickle_round_trip_leaves_the_hash_behind(self):
+        query = self.query()
+        hash(query)
+        clone = pickle.loads(pickle.dumps(query))
+        assert clone == query and "_hash" not in vars(clone)
+        assert {query: 1}[clone] == 1
+
+    def test_unhashable_constants_still_raise(self):
+        query = two_way_query(
+            selection_predicates=(SelectionPredicate(AttributeRef("S", "c"), [1]),)
+        )
+        with pytest.raises(TypeError):
+            hash(query)
+
+    def test_hashed_query_is_found_under_another_hash_seed(self):
+        """String hashes differ per process; a carried-over hash would miss."""
+        query = self.query()
+        hash(query)
+        script = (
+            "import pickle, sys\n"
+            "from tests.sql.test_ast import TestQueryHash\n"
+            "shipped = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert {TestQueryHash().query(): 'found'}[shipped] == 'found'\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(query),
+            capture_output=True,
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join(sys.path),
+            },
+            cwd=ROOT,
+        )
+        assert done.returncode == 0, done.stderr.decode()
