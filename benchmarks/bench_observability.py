@@ -185,7 +185,7 @@ def run_bench(
     produces a clean control — a noisy box must not fail CI on identical
     code.
     """
-    num_nodes, num_queries, num_tuples = (8, 6, 20) if smoke else (24, 30, 120)
+    num_nodes, num_queries, num_tuples = (8, 6, 20) if smoke else (24, 30, 160)
     spec = WorkloadSpec(
         num_relations=4,
         attributes_per_relation=3,

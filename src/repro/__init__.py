@@ -33,7 +33,6 @@ regenerates every figure of the paper, and ``python -m repro`` for the
 command-line entry points.
 """
 
-import warnings
 from typing import Any
 
 from repro.core.answers import Answer, QueryHandle
@@ -107,16 +106,9 @@ _LAZY_EXPORTS = {
     "run_grid": ("repro.experiments.parallel", "run_grid"),
 }
 
-#: Names that moved during the transport extraction.  They keep resolving
-#: here (with a :class:`DeprecationWarning`) so downstream imports break
-#: loudly never, softly once.
-_DEPRECATED_ALIASES = {
-    "EventHandle": ("repro.net.runtime", "EventHandle"),
-}
-
 
 def __getattr__(name: str) -> Any:
-    """:pep:`562` hook: lazy experiment exports + deprecation shims."""
+    """:pep:`562` hook: the lazy experiment exports."""
     import importlib
 
     if name in _LAZY_EXPORTS:
@@ -124,15 +116,6 @@ def __getattr__(name: str) -> Any:
         value = getattr(importlib.import_module(module_name), attribute)
         globals()[name] = value  # cache: subsequent lookups skip this hook
         return value
-    if name in _DEPRECATED_ALIASES:
-        module_name, attribute = _DEPRECATED_ALIASES[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; import {attribute} from "
-            f"{module_name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), attribute)
     # PEP 562 requires AttributeError here: hasattr()/getattr() probing
     # depends on it, so the exception-discipline rule does not apply.
     raise AttributeError(  # repro: allow[exception-discipline]

@@ -64,7 +64,7 @@ from repro.core.strategy import (
     IndexingStrategy,
     input_query_candidates,
 )
-from repro.core.windows import admits, expired, extend
+from repro.core.windows import expired, extend
 from repro.core.config import RJoinConfig
 from repro.data.backends import (
     DEFAULT_BACKEND,
@@ -315,45 +315,100 @@ class RJoinNode:
             return
         if self.ctx.record_candidates_scanned is not None:
             self.ctx.record_candidates_scanned(len(candidates))
+        one = (tup,)
         for record in candidates:
-            self._try_trigger(record, tup, schema)
+            self._trigger(record, one, schema)
 
-    def _try_trigger(
-        self, record: StoredQueryRecord, tup: Tuple, schema: RelationSchema
+    def _trigger(
+        self,
+        record: StoredQueryRecord,
+        tuples: Sequence[Tuple],
+        schema: RelationSchema,
     ) -> None:
-        """Apply the trigger conditions and, if satisfied, rewrite and re-index."""
+        """Procedure 3's loop: rewrite ``record`` by each tuple that may trigger it.
+
+        ``tuples`` are of one relation (``schema``'s) and in publication
+        order, as a key's store and the ALTT hand them out.  Everything that
+        is the same for all of them — the state, the window bounds, the
+        tracker, the plan, the sinks — is read once; per tuple remain the
+        trigger conditions (published at or after the query's submission,
+        inside the window by :func:`~repro.core.windows.admits`' rule,
+        admitted by the DISTINCT tracker), the rewrite, and the answer or the
+        re-indexing, in tuple order.  The answers of a state with one
+        subscriber are buffered in one go; a shared state fans each answer out
+        to every subscriber as it is produced, so per-subscriber accounting
+        and the order inside an owner's envelope match what N private states
+        would have produced.  What the tuples before a raising one produced
+        is counted and buffered all the same.
+        """
         state = record.state
-        if tup.pub_time < state.insertion_time:
-            return  # only tuples published at or after the query's submission
         query = state.query
+        relation = schema.name
+        if relation not in query.relations:
+            return
+        inserted = state.insertion_time
         window = query.window
-        if not admits(window, state.window_state, tup):
-            return
-        if tup.relation not in query.relations:
-            return
-        if state.distinct and record.tracker is not None:
-            if not record.tracker.admit_and_record(query, tup, schema):
-                return
+        span = state.window_state
+        # The window bounds, when there is a window and a tuple was consumed.
+        size: Optional[float] = None
+        if window is not None and span is not None:
+            low, high, size = span.min_clock, span.max_clock, window.size
+            by_time = window.mode == "time"
+        tracker = record.tracker if state.distinct else None
         plan = record.plan
-        if plan is None or plan.relation != tup.relation:
-            plan = record.plan = self._plan_for(query, tup.relation, schema)
-        result = rewrite_query(query, tup, schema, plan)
-        if result.dead:
-            return
-        if self.ctx.record_queries_triggered is not None:
-            self.ctx.record_queries_triggered(1)
-        if result.complete:
-            assert result.values is not None
-            self._emit_answer(state, result.values)
-            return
-        child = result.query
-        assert child is not None
-        if plan.child is None:
-            plan.child = CandidatePlan(child)
-        self._index_query(
-            state.derive(child, extend(window, state.window_state, tup)),
-            plan.child.apply(child, self.ctx.config.allow_attribute_level_rewrites),
-        )
+        if plan is not None and plan.relation != relation:
+            plan = None
+        extras = state.extra_subscribers
+        answers: List[TupleT[Any, ...]] = []
+        fired = 0
+        try:
+            for tup in tuples:
+                if tup.pub_time < inserted:
+                    continue
+                if size is not None:
+                    clock = tup.pub_time if by_time else float(tup.sequence)
+                    if (
+                        (clock if clock > high else high)
+                        - (clock if clock < low else low)
+                        + 1
+                    ) > size:
+                        continue
+                if tracker is not None and not tracker.admit_and_record(
+                    query, tup, schema
+                ):
+                    continue
+                if plan is None:
+                    plan = record.plan = self._plan_for(query, relation, schema)
+                result = rewrite_query(query, tup, schema, plan)
+                if result.dead:
+                    continue
+                fired += 1
+                values = result.values
+                if values is None:  # not an answer yet: re-index the rewrite
+                    child = result.query
+                    assert child is not None
+                    if plan.child is None:
+                        plan.child = CandidatePlan(child)
+                    self._index_query(
+                        state.derive(child, extend(window, span, tup)),
+                        plan.child.apply(
+                            child, self.ctx.config.allow_attribute_level_rewrites
+                        ),
+                    )
+                elif not extras:
+                    answers.append(values)
+                else:
+                    for subscriber in state.subscribers:
+                        self._buffer_answers(
+                            subscriber.query_id, subscriber.owner, (values,)
+                        )
+                    if self.ctx.record_shared_fanout is not None:
+                        self.ctx.record_shared_fanout(len(extras))
+        finally:
+            if fired and self.ctx.record_queries_triggered is not None:
+                self.ctx.record_queries_triggered(fired)
+            if answers:
+                self._buffer_answers(state.query_id, state.owner, answers)
 
     def _plan_for(
         self, query: Query, relation: str, schema: RelationSchema
@@ -364,12 +419,6 @@ class RJoinNode:
         if plan is None:
             plan = self._plans[key] = compile_plan(query, relation, schema)
         return plan
-
-    def _share_key_of(self, state: QueryState) -> Optional[Hashable]:
-        """The canonical sharing key of ``state`` (None: do not share)."""
-        if not self.ctx.config.shared_query_state:
-            return None
-        return canonical_state_key(state)
 
     @staticmethod
     def _make_tracker(state: QueryState) -> Optional[ProjectionTracker]:
@@ -387,39 +436,26 @@ class RJoinNode:
             return ProjectionTracker()
         return None
 
-    def _emit_answer(self, state: QueryState, values: TupleT[Any, ...]) -> None:
-        """Buffer an answer for every subscriber of the state.
-
-        An unshared state has exactly one subscriber (the input query it was
-        derived for); a shared state fans the answer out once per subscriber,
-        so per-subscriber accounting (answers produced, delivery messages)
-        matches what N private states would have produced.  Each destination
-        is resolved through the lifecycle layer at emission time: after an
-        owner failover the stored query states still carry the departed
-        owner's address, but answers must reach the surviving registrant.
-        The answers leave with :meth:`_flush_answers`.
-        """
-        self._buffer_answer(state.query_id, state.owner, values)
-        extras = state.extra_subscribers
-        if extras:
-            for subscriber in extras:
-                self._buffer_answer(subscriber.query_id, subscriber.owner, values)
-            if self.ctx.record_shared_fanout is not None:
-                self.ctx.record_shared_fanout(len(extras))
-
-    def _buffer_answer(
-        self, query_id: str, owner: str, values: TupleT[Any, ...]
+    def _buffer_answers(
+        self, query_id: str, owner: str, values: Sequence[TupleT[Any, ...]]
     ) -> None:
-        """Count one logical answer and queue it for its (resolved) owner."""
-        self.answers_sent += 1
-        self.ctx.loads.record_answer(self.address)
+        """Count ``values`` as answers of ``query_id`` and queue them for its owner.
+
+        The destination is resolved through the lifecycle layer at emission
+        time: after an owner failover the stored query states still carry the
+        departed owner's address, but answers must reach the surviving
+        registrant.  The answers leave with :meth:`_flush_answers`.
+        """
+        self.answers_sent += len(values)
+        self.ctx.loads.record_answer(self.address, len(values))
         if self.ctx.resolve_owner is not None:
             owner = self.ctx.resolve_owner(query_id, owner)
+        entries = [(query_id, answer) for answer in values]
         pending = self._answers.get(owner)
         if pending is None:
-            self._answers[owner] = [(query_id, values)]
+            self._answers[owner] = entries
         else:
-            pending.append((query_id, values))
+            pending.extend(entries)
 
     def _flush_answers(self, now: float) -> None:
         """Send what the handler produced: one envelope per owner.
@@ -448,33 +484,9 @@ class RJoinNode:
         if self._drop_if_retracted(state):
             return
         self._adopt_ric_info(state)
-        share_key = self._share_key_of(state)
-        host = self.input_queries.find_share_host(key.text, share_key)
-        record = StoredQueryRecord(
-            state=state,
-            key=key,
-            stored_at=now,
-            tracker=self._make_tracker(state),
-            share_key=share_key,
-        )
-        if host is None:
-            self.input_queries.add(key.text, record)
-        # Section 4, rule 2: search the ALTT for tuples that raced past the
-        # query.  A newcomer merging into a shared host runs this catch-up on
-        # its own (unstored) record first — the host already triggered for
-        # its subscribers when those tuples arrived — and only then attaches
-        # its subscribers, so future arrivals trigger the host exactly once.
-        schema_cache: Dict[str, RelationSchema] = {}
-        for tup in self.altt.find(
-            key.text, now, published_at_or_after=state.insertion_time
-        ):
-            schema = schema_cache.get(tup.relation)
-            if schema is None:
-                schema = self.ctx.catalog.get(tup.relation)
-                schema_cache[tup.relation] = schema
-            self._try_trigger(record, tup, schema)
-        if host is not None:
-            host.state.attach_subscribers(state.subscribers)
+        # Section 4, rule 2: the ALTT holds the tuples that raced past the query.
+        raced = self.altt.find(key.text, now, state.insertion_time)
+        self._settle(self.input_queries, state, key, now, keep=True, waiting=raced)
 
     # ------------------------------------------------------------------
     # Procedure 3: receiving a rewritten query
@@ -486,42 +498,55 @@ class RJoinNode:
         if self._drop_if_retracted(state):
             return
         self._adopt_ric_info(state)
+        # A query whose window can no longer admit *future* tuples is not
+        # stored, but it must still be matched against the tuples already
+        # stored here (published after the input query was submitted but
+        # delivered before this query): those may well complete a combination
+        # that fits the window.
+        window = state.query.window
+        open_for_future = window is None or not expired(
+            window, state.window_state, self._window_clock(window)
+        )
+        stored = self._stored_tuples_for(key)
+        self._settle(self.rewritten_queries, state, key, now, open_for_future, stored)
 
-        share_key = self._share_key_of(state)
+    def _settle(
+        self,
+        table: QueryTable,
+        state: QueryState,
+        key: IndexKey,
+        now: float,
+        keep: bool,
+        waiting: Sequence[Tuple],
+    ) -> None:
+        """Store an arriving query in ``table`` if it is to be kept, and match
+        it against the tuples of its key that were ``waiting`` here.
+
+        Multi-query sharing: an equivalent state already resident absorbs the
+        newcomer's subscribers instead of a second physical record.  The
+        newcomer runs its catch-up on its own (unstored) record first — the
+        host already triggered for its subscribers when those tuples arrived
+        — and only then attaches its subscribers, so future arrivals trigger
+        the host exactly once.
+        """
         record = StoredQueryRecord(
             state=state,
             key=key,
             stored_at=now,
             tracker=self._make_tracker(state),
-            share_key=share_key,
-        )
-        # A query whose window can no longer admit *future* tuples is not
-        # stored, but it must still be matched against the tuples already
-        # stored here: those were published in the past and may well complete
-        # a combination that fits the window.
-        window = state.query.window
-        window_open_for_future = window is None or not expired(
-            window, state.window_state, self._window_clock(window)
+            share_key=canonical_state_key(state)
+            if self.ctx.config.shared_query_state
+            else None,
         )
         host: Optional[StoredQueryRecord] = None
-        if window_open_for_future:
-            # Multi-query sharing: an equivalent state already resident here
-            # absorbs the newcomer's subscribers instead of a second physical
-            # record.  The merge happens *after* the newcomer's catch-up
-            # below — the host already triggered for its own subscribers
-            # when the stored tuples arrived.
-            host = self.rewritten_queries.find_share_host(key.text, share_key)
+        if keep:
+            host = table.find_share_host(key.text, record.share_key, state.query)
             if host is None:
-                self.rewritten_queries.add(key.text, record)
-                self.ctx.loads.record_query_stored(self.address)
-
-        # Match against tuples already stored locally (published after the
-        # input query was submitted but delivered here before this query).
-        # The store hands the tuples out already ordered by
-        # ``(pub_time, sequence)``, so no re-sort is needed here.
-        for tup in self._stored_tuples_for(key):
-            schema = self.ctx.catalog.get(tup.relation)
-            self._try_trigger(record, tup, schema)
+                table.add(key.text, record)
+                if not state.is_input:
+                    self.ctx.loads.record_query_stored(self.address)
+        if waiting:
+            self._trigger(record, waiting, self.ctx.catalog.get(key.relation))
         if host is not None:
             host.state.attach_subscribers(state.subscribers)
 

@@ -22,12 +22,14 @@ from typing import (
     Mapping,
     Optional,
     Tuple as TupleT,
+    Union,
 )
 
 from repro.core.dedup import ProjectionTracker
 from repro.core.keys import IndexKey
 from repro.core.protocol import QueryState
 from repro.core.rewriting import TriggerPlan, discriminating_selection
+from repro.sql.ast import Query
 
 
 @dataclass
@@ -38,11 +40,12 @@ class StoredQueryRecord:
     :class:`QueryTable` the record currently lives in: the insertion sequence
     number (the deterministic trigger order), the ``(attribute, value)``
     selection the predicate-aware index filed the record under (None for
-    wildcard records) and the canonical sharing key of its state (None when
-    the state is not shareable or sharing is disabled).  ``plan`` is the
-    compiled rewrite of the record's query by its key's relation, looked up
-    by the first tuple that triggers the record and reused by every later
-    one; it is not shipped with a re-homed record (the new home has its own).
+    wildcard records) and the cheap part of its state's sharing identity
+    (None when the state is not shareable or sharing is disabled).  ``plan``
+    is the compiled rewrite of the record's query by its key's relation,
+    looked up by the first tuple that triggers the record and reused by every
+    later one; it is not shipped with a re-homed record (the new home has its
+    own).
     """
 
     state: QueryState
@@ -55,6 +58,10 @@ class StoredQueryRecord:
     plan: Optional[TriggerPlan] = None
 
 
+#: A sharing-index entry: the one record with a cheap part, or several by query.
+_ShareHosts = Union[StoredQueryRecord, Dict[Query, StoredQueryRecord]]
+
+
 class _KeyBucket:
     """The records stored under one key text, sub-indexed for probing.
 
@@ -64,8 +71,12 @@ class _KeyBucket:
     discriminating selection) or in ``by_value[attribute][value]`` — the
     predicate-aware index an arriving tuple probes with its own values.
     ``expiry`` holds per-window-mode ``(deadline, seq)`` min-heaps so the
-    trigger path drops aged-out records without scanning the bucket, and
-    ``by_share`` maps a canonical sharing key to the hosting record's seq.
+    trigger path drops aged-out records without scanning the bucket.
+    ``by_share`` is the sharing index: the cheap part of a shareable state
+    (:func:`~repro.core.rewriting.canonical_state_key`) maps to the one
+    resident record that has it or, from the second such record on, to a
+    ``{query: record}`` dict — one entry per resident shareable record, freed
+    with it.
     """
 
     __slots__ = (
@@ -82,7 +93,7 @@ class _KeyBucket:
         self.records: Dict[int, StoredQueryRecord] = {}
         self.wildcard: Dict[int, StoredQueryRecord] = {}
         self.by_value: Dict[str, Dict[object, Dict[int, StoredQueryRecord]]] = {}
-        self.by_share: Dict[Hashable, int] = {}
+        self.by_share: Dict[Hashable, _ShareHosts] = {}
         self.expiry: Dict[str, List[TupleT[float, int]]] = {
             "time": [],
             "tuples": [],
@@ -150,7 +161,21 @@ class QueryTable:
             ] = record
 
         if record.share_key is not None:
-            bucket.by_share.setdefault(record.share_key, seq)
+            # The first record with a cheap part is filed as it is, without a
+            # look at its query; from the second on they are told apart by
+            # their queries, in a dict (the first host of a query wins).  A
+            # query that cannot be hashed (an unhashable selection constant)
+            # leaves the newcomer unshareable: stored and triggered like any
+            # other record, only never found as a host.
+            hosts = bucket.by_share.setdefault(record.share_key, record)
+            if hosts is not record:
+                try:
+                    if not isinstance(hosts, dict):
+                        hosts = {hosts.state.query: hosts}
+                    hosts.setdefault(record.state.query, record)
+                    bucket.by_share[record.share_key] = hosts
+                except TypeError:
+                    record.share_key = None
 
         window = record.state.query.window
         state = record.state.window_state
@@ -214,11 +239,14 @@ class QueryTable:
                         del groups[value]
                         if not groups:
                             del bucket.by_value[attribute]
-        if (
-            record.share_key is not None
-            and bucket.by_share.get(record.share_key) == seq
-        ):
-            del bucket.by_share[record.share_key]
+        if record.share_key is not None:
+            hosts = bucket.by_share.get(record.share_key)
+            if hosts is record:
+                del bucket.by_share[record.share_key]
+            elif isinstance(hosts, dict) and hosts.get(record.state.query) is record:
+                del hosts[record.state.query]
+                if not hosts:
+                    del bucket.by_share[record.share_key]
         if not bucket.records:
             del self._by_key[key_text]
 
@@ -294,18 +322,29 @@ class QueryTable:
         return candidates, dropped
 
     def find_share_host(
-        self, key_text: str, share_key: Optional[Hashable]
+        self, key_text: str, share_key: Optional[Hashable], query: Query
     ) -> Optional[StoredQueryRecord]:
-        """The resident record hosting ``share_key``, if any."""
+        """The resident record hosting the state ``(share_key, query)``, if any.
+
+        A cheap part no resident record has — nearly every rewritten query
+        under a window — misses without touching ``query``; one resident
+        record with it costs one ``==``, more of them one hash and one
+        ``==``, however many there are.
+        """
         if share_key is None:
             return None
         bucket = self._by_key.get(key_text)
         if bucket is None:
             return None
-        seq = bucket.by_share.get(share_key)
-        if seq is None:
+        hosts = bucket.by_share.get(share_key)
+        if hosts is None:
             return None
-        return bucket.records.get(seq)
+        if isinstance(hosts, dict):
+            try:
+                return hosts.get(query)
+            except TypeError:  # unhashable constant: never filed in a dict
+                return None
+        return hosts if hosts.state.query == query else None
 
     # ------------------------------------------------------------------
     # plain table access

@@ -127,33 +127,29 @@ def discriminating_selection(
 
 
 def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
-    """Canonical form of a rewritten-query state, equal modulo query id.
+    """The cheap part of a state's sharing identity (None: do not share).
 
-    Two states with the same canonical key represent exactly the same
-    residual evaluation work: the same rewritten query (shape, bindings,
-    window), the same window state over consumed tuples, the same insertion
-    time and rewrite depth.  Multi-query sharing stores one physical record
-    per canonical key and fans answers out to every subscriber.
+    Two states represent exactly the same residual evaluation work — and
+    multi-query sharing stores one physical record for both, fanning answers
+    out to every subscriber — when they agree on this key *and* their
+    rewritten queries are equal.  The key is everything but the query:
+    insertion time, window state over the consumed tuples, input flag and
+    rewrite depth, four shallow hashes.  Under a window it holds the clocks of
+    the consumed tuples, so it already tells nearly all resident states
+    apart; the query table compares queries only among records that share it
+    (:meth:`~repro.core.query_table.QueryTable.find_share_host`).
 
-    Returns None when the state must not be shared: DISTINCT queries carry a
-    mutating per-record projection tracker whose merge semantics are not
-    order-independent, and a query with unhashable components cannot be
-    keyed at all.
+    DISTINCT queries are not shared: they carry a mutating per-record
+    projection tracker whose merge semantics are not order-independent.
     """
     if state.distinct:
         return None
-    try:
-        key: TupleT[Hashable, ...] = (
-            state.query,
-            state.insertion_time,
-            state.window_state,
-            state.is_input,
-            state.consumed,
-        )
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    return (
+        state.insertion_time,
+        state.window_state,
+        state.is_input,
+        state.consumed,
+    )
 
 
 class TriggerPlan:

@@ -24,14 +24,13 @@ outside any handler at the transport's clock.
 from __future__ import annotations
 
 import random
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dht.chord import ChordNode, ChordRing
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.messages import Envelope, Message
 from repro.net.runtime import Transport
-from repro.net.simulator import SimulationKernel, SimTransport
+from repro.net.simulator import SimTransport
 from repro.net.stats import TrafficStats
 from repro.obs.context import Observability
 from repro.obs.trace import TraceContext
@@ -47,10 +46,8 @@ class DHTMessagingService:
     ring:
         The Chord ring used for lookups and routing paths.
     transport:
-        The runtime transport deliveries are posted to.  A bare
-        :class:`~repro.net.simulator.SimulationKernel` is also accepted for
-        backward compatibility and wrapped in a
-        :class:`~repro.net.simulator.SimTransport` sharing that kernel.
+        The runtime transport deliveries are posted to (a fresh
+        :class:`~repro.net.simulator.SimTransport` when omitted).
     traffic:
         Traffic accounting sink.
     hop_delay:
@@ -70,7 +67,7 @@ class DHTMessagingService:
     def __init__(
         self,
         ring: ChordRing,
-        transport: Union[Transport, SimulationKernel, None] = None,
+        transport: Optional[Transport] = None,
         traffic: Optional[TrafficStats] = None,
         hop_delay: float = 1.0,
         delay_jitter: float = 0.0,
@@ -79,12 +76,8 @@ class DHTMessagingService:
     ) -> None:
         if hop_delay < 0 or delay_jitter < 0:
             raise ConfigurationError("delays must be non-negative")
-        if transport is None:
-            transport = SimTransport()
-        elif isinstance(transport, SimulationKernel):
-            transport = SimTransport(transport)
         self.ring = ring
-        self.transport = transport
+        self.transport = transport if transport is not None else SimTransport()
         self.transport.bind(self._deliver)
         self.traffic = traffic if traffic is not None else TrafficStats()
         self.hop_delay = hop_delay
@@ -95,28 +88,6 @@ class DHTMessagingService:
         self._dropped = 0
         # Delivery time of the envelope whose handler is running, else None.
         self._handling_at: Optional[float] = None
-
-    @property
-    def kernel(self) -> SimulationKernel:
-        """Deprecated: the underlying simulation kernel (``sim`` runtime only).
-
-        Deliveries are now posted through :attr:`transport`; use that (or
-        ``transport.kernel`` when deterministic event surgery is really
-        needed).
-        """
-        warnings.warn(
-            "DHTMessagingService.kernel is deprecated; use "
-            "DHTMessagingService.transport (transport.kernel exposes the "
-            "sim runtime's kernel)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kernel = self.transport.kernel
-        if kernel is None:
-            raise ConfigurationError(
-                f"the {self.transport.name!r} runtime has no simulation kernel"
-            )
-        return kernel
 
     # ------------------------------------------------------------------
     # handler registration
@@ -222,7 +193,7 @@ class DHTMessagingService:
         """``send(msg, id)``: deliver ``message`` to ``Successor(identifier)``."""
         sender_node = self.ring.node_by_address(sender)
         path = self.ring.route_path(sender_node, identifier)
-        return self._transmit(sender_node, path, message, identifier, is_ric)
+        return self._transmit(path, message, identifier, is_ric)
 
     def multi_send(
         self,
@@ -249,7 +220,7 @@ class DHTMessagingService:
         for message, identifier in zip(messages, identifiers):
             path = self.ring.route_path(sender_node, identifier)
             envelope = self._transmit(
-                sender_node, path, message, identifier, is_ric, record_traffic=False
+                path, message, identifier, is_ric, record_traffic=False
             )
             envelopes.append(envelope)
             # Coalesce the traffic accounting over the whole batch: one
@@ -280,29 +251,17 @@ class DHTMessagingService:
         the sender is charged that many transmissions for the one envelope,
         exactly what sending them one by one would have cost.
         """
-        sender_node = self.ring.node_by_address(sender)
+        self.ring.node_by_address(sender)  # an unknown sender raises
         if destination == sender:
             # Local delivery: no network transmission.
-            path = [sender_node]
-        elif self.ring.has_address(destination):
-            path = [sender_node, self.ring.node_by_address(destination)]
-        else:
-            # The destination left the ring (or crashed) after handing out
-            # its address.  The sender cannot know that: the transmission is
-            # still paid for, and the message is dropped on (non-)delivery
-            # because no handler is registered for the address any more.
-            # Only the address matters for delivery, so a placeholder node
-            # stands in for the departed destination on the path.
-            path = [sender_node, ChordNode(0, destination)]
-        return self._transmit(
-            sender_node,
-            path,
-            message,
-            identifier=None,
-            is_ric=is_ric,
-            direct=True,
-            trace=trace,
-            weight=weight,
+            return self._post(message, (sender,), None, 0, True, trace, weight)
+        # The destination may have left the ring (or crashed) after handing
+        # out its address.  The sender cannot know that: the transmission is
+        # paid for either way, and the message is dropped on (non-)delivery
+        # when no handler is registered for the address any more.
+        self.traffic.record_send(sender, is_ric, weight)
+        return self._post(
+            message, (sender, destination), None, 1, True, trace, weight
         )
 
     # ------------------------------------------------------------------
@@ -310,25 +269,34 @@ class DHTMessagingService:
     # ------------------------------------------------------------------
     def _transmit(
         self,
-        sender_node: ChordNode,
         path: List[ChordNode],
         message: Message,
-        identifier: Optional[int],
+        identifier: int,
         is_ric: bool,
-        direct: bool = False,
         record_traffic: bool = True,
-        trace: Optional[TraceContext] = None,
-        weight: int = 1,
     ) -> Envelope:
-        destination = path[-1]
-        hops = len(path) - 1
+        """Charge and post a message routed along ``path`` (sender first)."""
+        route = tuple([node.address for node in path])
+        hops = len(route) - 1
         if hops > 0 and record_traffic:
-            self.traffic.record_path(
-                sender_node.address,
-                [node.address for node in path[1:]],
-                is_ric=is_ric,
-                count=weight,
-            )
+            self.traffic.record_path(route[0], route[1:], is_ric=is_ric)
+        return self._post(message, route, identifier, hops, False, None, 1)
+
+    def _post(
+        self,
+        message: Message,
+        route: Tuple[str, ...],
+        identifier: Optional[int],
+        hops: int,
+        direct: bool,
+        trace: Optional[TraceContext],
+        weight: int,
+    ) -> Envelope:
+        """Stamp the envelope of ``message`` travelling ``route`` and post it.
+
+        The one place that draws the jitter, reads the send time and builds
+        an :class:`~repro.net.messages.Envelope`, for all three primitives.
+        """
         delay = hops * self.hop_delay
         if self.delay_jitter > 0:
             delay += self._rng.uniform(0.0, self.delay_jitter)
@@ -341,16 +309,16 @@ class DHTMessagingService:
         if sent_at is None:
             sent_at = self.transport.now
         envelope = Envelope(
-            message=message,
-            sender=sender_node.address,
-            destination=destination.address,
-            target_identifier=identifier,
-            route=tuple(node.address for node in path),
-            hops=hops,
-            sent_at=sent_at,
-            delivered_at=sent_at + delay,
-            direct=direct,
-            weight=weight,
+            message,
+            route[0],
+            route[-1],
+            identifier,
+            route,
+            hops,
+            sent_at,
+            sent_at + delay,
+            direct,
+            weight,
         )
         if self._obs is not None:
             envelope.trace = (

@@ -331,10 +331,10 @@ class LoadTracker:
         self._per_node[address].tuples_dropped += count
         self._total_dropped += count
 
-    def record_answer(self, address: str) -> None:
-        """A node produced an answer for some input query."""
-        self._per_node[address].answers_produced += 1
-        self._total_answers += 1
+    def record_answer(self, address: str, count: int = 1) -> None:
+        """A node produced ``count`` answers for some input query."""
+        self._per_node[address].answers_produced += count
+        self._total_answers += count
 
     # ------------------------------------------------------------------
     # per-node access

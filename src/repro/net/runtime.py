@@ -33,8 +33,7 @@ A transport owns four responsibilities:
    due timer fired).
 
 :class:`EventHandle` (and the heap entry it wraps) lives here because both
-runtimes use the same timer representation; :mod:`repro.net.simulator`
-re-exports it for backward compatibility with a deprecation warning.
+runtimes use the same timer representation.
 """
 
 from __future__ import annotations

@@ -13,44 +13,18 @@ The kernel is deliberately minimal: it knows nothing about Chord or RJoin.
 (:mod:`repro.core.engine`) drains it between tuple publications.  This is
 the test/oracle harness: two runs with the same seed take the same decisions
 in the same order.
-
-.. deprecated::
-    ``EventHandle`` moved to :mod:`repro.net.runtime` during the transport
-    extraction; importing it from this module still works but warns.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net import runtime as _runtime
 from repro.net.messages import Envelope
 from repro.net.runtime import DeliverCallback, Transport, _HeapEntry, _ScheduledEvent
-
-#: Names that moved to :mod:`repro.net.runtime`; accessing them here warns.
-_MOVED_TO_RUNTIME = ("EventHandle",)
-
-
-def __getattr__(name: str) -> Any:
-    """Deprecation shims for names that moved to :mod:`repro.net.runtime`."""
-    if name in _MOVED_TO_RUNTIME:
-        warnings.warn(
-            f"repro.net.simulator.{name} moved to repro.net.runtime.{name}; "
-            "update the import (the alias will be removed in a future "
-            "release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_runtime, name)
-    # PEP 562 requires AttributeError here: hasattr()/getattr() probing
-    # depends on it, so the exception-discipline rule does not apply.
-    raise AttributeError(  # repro: allow[exception-discipline]
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 class SimulationKernel(_runtime._TimerLedger):
@@ -95,10 +69,16 @@ class SimulationKernel(_runtime._TimerLedger):
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> _runtime.EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+    def push(
+        self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]
+    ) -> _ScheduledEvent:
+        """Queue ``callback(*args)`` at absolute simulated ``time``, handle-less.
+
+        The one place the heap grows.  For events nobody cancels one by one
+        (message deliveries: a crash takes them off with
+        :meth:`extract_where`); :meth:`schedule_at` wraps the returned event
+        in an :class:`~repro.net.runtime.EventHandle` for those somebody may.
+        """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule an event in the past ({time} < {self._now})"
@@ -106,7 +86,13 @@ class SimulationKernel(_runtime._TimerLedger):
         event = _ScheduledEvent(time, callback, args)
         heapq.heappush(self._heap, (time, next(self._sequence), event))
         self._live_events += 1
-        return _runtime.EventHandle(event, self)
+        return event
+
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> _runtime.EventHandle:
+        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        return _runtime.EventHandle(self.push(time, callback, args), self)
 
     def schedule_in(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -291,7 +277,8 @@ class SimTransport(Transport):
             raise SimulationError(
                 "no delivery callback bound; call bind() before post()"
             )
-        self._kernel.schedule_in(delay, self._deliver, envelope)
+        kernel = self._kernel
+        kernel.push(kernel.now + delay, self._deliver, (envelope,))
 
     def extract_inbound(self, address: str) -> List[Envelope]:
         """Take the undelivered messages addressed to ``address`` off the kernel."""

@@ -12,11 +12,13 @@ import gc
 
 import pytest
 
+from repro.core import node as node_module
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.keys import value_key
 from repro.core.protocol import AnswerMessage
 from repro.core.reference import ReferenceEngine
+from repro.core.rewriting import rewrite_query
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
 SQL = "SELECT R.a, S.d FROM R, S WHERE R.b = S.c"
@@ -153,7 +155,7 @@ class TestCoalescing:
         assert {answer.delivered_at for answer in handle.answers} == {envelope.sent_at}
         engine.close()
 
-    def test_raising_handler_leaves_no_buffered_answers(self):
+    def test_raising_handler_leaves_no_buffered_answers(self, monkeypatch):
         engine = make_engine()
         producer = producer_of(engine)
         owner = another_node(engine, producer)
@@ -161,25 +163,30 @@ class TestCoalescing:
         for d in range(3):
             engine.publish("S", (10, d))
         node = engine.nodes[producer]
-        try_trigger = node._try_trigger
-        calls = []
+        rewrites = []
 
-        def failing_trigger(record, tup, schema):
-            calls.append(tup)
-            if len(calls) == 2:
-                raise RuntimeError("injected handler failure")
-            try_trigger(record, tup, schema)
+        def failing_rewrite(query, tup, schema, plan=None):
+            # The Eval at the producer meets its three stored S tuples in one
+            # _trigger call; the second of them fails.
+            if tup.relation == "S":
+                rewrites.append(tup)
+                if len(rewrites) == 2:
+                    raise RuntimeError("injected handler failure")
+            return rewrite_query(query, tup, schema, plan)
 
-        node._try_trigger = failing_trigger
+        monkeypatch.setattr(node_module, "rewrite_query", failing_rewrite)
         posted = record_posts(engine)
+        triggered_before = engine.churn.queries_triggered
         with pytest.raises(RuntimeError, match="injected"):
             engine.publish("R", (1, 10))
         # The answer produced before the failure left with the failing
         # invocation; nothing waits for the next delivery to pick up.
         assert node._answers == {}
         (envelope,) = answer_envelopes(posted)
-        assert envelope.weight == 1
-        del node._try_trigger
+        assert envelope.weight == 1 and node.answers_sent == 1
+        # The R tuple's trigger of the input query, and the first S tuple's.
+        assert engine.churn.queries_triggered - triggered_before == 2
+        monkeypatch.undo()
         engine.run()
         assert handle.values() == [(1, 0)]
         engine.publish("R", (2, 10))
@@ -334,7 +341,7 @@ class TestPlanLifetime:
             new_home.accept_rehomed(item)
         schema = engine.catalog.get("S")
         tup = engine.publish("S", (10, 1), process=False)
-        new_home._try_trigger(record, tup, schema)
+        new_home._trigger(record, (tup,), schema)
         new_home._flush_answers(engine.now)
         assert record.plan is not old_plan
         assert record.plan is new_home._plans[next(iter(new_home._plans))]
@@ -351,7 +358,7 @@ class TestPlanLifetime:
         (record,) = self.stored_records(node)
         for relation, values in (("R", (1, 10)), ("S", (10, 2)), ("R", (3, 10))):
             tup = engine.publish(relation, values, process=False)
-            node._try_trigger(record, tup, engine.catalog.get(relation))
+            node._trigger(record, (tup,), engine.catalog.get(relation))
             assert record.plan.relation == relation
             assert not record.plan.complete
         engine.run()

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import node as node_module
+from repro.core.dedup import ProjectionTracker
 from repro.core.keys import attribute_key, value_key
+from repro.core.protocol import (
+    AnswerMessage,
+    EvalMessage,
+    QueryState,
+    RicRequestMessage,
+    Subscriber,
+)
+from repro.core.query_table import StoredQueryRecord
 from repro.core.rewriting import compile_plan, plan_key, rewrite_query
 from repro.core.strategy import CandidatePlan, rewritten_query_candidates
 from repro.core.windows import WindowState, admits, combination_valid, extend
@@ -350,6 +360,204 @@ def test_plans_keep_raising_on_misrouted_and_malformed_tuples(case):
             rewrite_query(query, stranger, _plan_catalog.get(name))
         with pytest.raises(RewriteError):
             compile_plan(query, name, _plan_catalog.get(name))
+
+
+# ---------------------------------------------------------------------------
+# Set-at-a-time triggering vs one _trigger call per tuple
+# ---------------------------------------------------------------------------
+_time_window = WindowSpec(size=2.5, mode="time")
+_tuple_window = WindowSpec(size=4, mode="tuples")
+
+
+def _triggering(draw, query, relation):
+    """Values of a ``relation`` tuple the selections of ``query`` let through."""
+    stated = {
+        sp.attribute.attribute: sp.value
+        for sp in query.selection_predicates
+        if sp.attribute.relation == relation
+    }
+    return tuple(
+        stated.get(attribute, draw(_plan_values))
+        for attribute in _plan_catalog.get(relation).attributes
+    )
+
+
+@st.composite
+def _trigger_cases(draw):
+    """A stored state (input or rewritten) and tuples of one relation to meet it.
+
+    The query is a ``_plan_cases`` query rewritten by none, some or all but
+    one of its relations — so the triggering relation's plan re-indexes or
+    completes — under no window or either mode; most tuples carry values
+    that trigger it, their clocks sit inside the window and on, just inside
+    and just outside its two boundaries, and some were published before the
+    query was submitted.
+    """
+    query, _ = draw(_plan_cases())
+    window = draw(st.sampled_from([None, _time_window, _tuple_window]))
+    query = Query(
+        select_items=query.select_items,
+        relations=query.relations,
+        join_predicates=query.join_predicates,
+        selection_predicates=query.selection_predicates,
+        distinct=query.distinct and draw(st.booleans()),
+        window=window,
+    )
+    consumed = 0
+    left = len(query.relations) - 1
+    for _ in range(draw(st.sampled_from([0, 1, left, left]))):
+        consumes = draw(st.sampled_from(query.relations))
+        schema = _plan_catalog.get(consumes)
+        result = rewrite_query(
+            query, Tuple.from_schema(schema, _triggering(draw, query, consumes)), schema
+        )
+        if not result.alive:
+            break
+        query, consumed = result.query, consumed + 1
+    relation = draw(
+        st.sampled_from(query.relations * 3 + tuple(_plan_catalog.relation_names()))
+    )
+    low = draw(st.sampled_from([10.0, 10.25, 12.0]))
+    high = low + draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    span = None
+    if window is not None and (consumed or draw(st.booleans())):
+        span = WindowState(min_clock=low, max_clock=high)
+    # Oldest and newest admissible clock, and their neighbourhoods.
+    size = 0.0 if window is None else float(window.size)
+    steps = [-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0]
+    clocks = st.sampled_from(
+        [edge + step for edge in (high - size + 1, low + size - 1) for step in steps]
+        + [low, high, (low + high) / 2] * 5
+    )
+    insertion_time = draw(st.sampled_from([0.0, 0.0, low - 1.0, low + 0.5]))
+    by_sequence = window is not None and window.mode == "tuples"
+    tuples = []
+    for _ in range(draw(st.sampled_from([0, 1, 2, 4, 6]))):
+        clock = draw(clocks)
+        values = (
+            (draw(_plan_values), draw(_plan_values), draw(_plan_values))
+            if draw(st.integers(0, 3)) == 0
+            else _triggering(draw, query, relation)
+        )
+        tuples.append(
+            Tuple.from_schema(
+                _plan_catalog.get(relation),
+                values,
+                pub_time=draw(st.sampled_from([0.0, low - 1.0, low + 0.5, high]))
+                if by_sequence
+                else clock,
+                sequence=int(clock) if by_sequence else len(tuples) + 1,
+            )
+        )
+    tuples.sort(key=lambda tup: (tup.pub_time, tup.sequence))
+    # Index into the ring's addresses; the primary subscriber's owner is 1.
+    extras = draw(st.lists(st.sampled_from([1, 1, 2, 0]), max_size=2))
+    strategy = draw(st.sampled_from(["first", "rjoin"]))
+    return query, relation, span, consumed, insertion_time, tuples, extras, strategy
+
+
+def _describe(envelope):
+    """What the differential compares of a posted envelope."""
+    message = envelope.message
+    payload = None
+    if isinstance(message, AnswerMessage):
+        payload = list(message.answers)
+    elif isinstance(message, EvalMessage):
+        state = message.state
+        payload = (
+            message.key.text, state.query, state.window_state, state.consumed,
+            state.subscribers,
+        )
+    elif isinstance(message, RicRequestMessage):
+        payload = (message.target_key.text, [key.text for key in message.pending])
+    return message.kind, envelope.destination, envelope.weight, payload
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_trigger_cases())
+def test_trigger_set_at_a_time_equals_tuple_at_a_time(case):
+    """One ``_trigger`` over a key's tuples ≡ one ``_trigger`` per tuple.
+
+    Same envelopes in the same order, same counters — and the tuples that
+    reach ``rewrite_query`` are exactly those the trigger conditions as they
+    were written one tuple at a time (``windows.admits`` is that rule) let
+    through.
+    """
+    query, relation, span, consumed, insertion_time, tuples, extras, strategy = case
+    schema = _plan_catalog.get(relation)
+    outcomes = []
+    for batched in (True, False):
+        engine = RJoinEngine(
+            RJoinConfig(num_nodes=8, seed=3, strategy=strategy), catalog=_plan_catalog
+        )
+        addresses = engine.ring.addresses
+        node = engine.nodes[addresses[0]]
+        state = QueryState(
+            query_id="q0",
+            owner=addresses[1],
+            query=query,
+            insertion_time=insertion_time,
+            is_input=consumed == 0 and span is None,
+            window_state=span,
+            consumed=consumed,
+            extra_subscribers=tuple(
+                Subscriber(f"q{index + 1}", addresses[owner])
+                for index, owner in enumerate(extras)
+            ),
+        )
+        record = StoredQueryRecord(
+            state=state,
+            key=attribute_key(relation, "a0"),
+            stored_at=0.0,
+            tracker=node._make_tracker(state),
+        )
+        posted, rewritten = [], []
+        post = engine.transport.post
+        engine.transport.post = lambda envelope, delay: (
+            posted.append(_describe(envelope)),
+            post(envelope, delay),
+        )
+        original = node_module.rewrite_query
+
+        def spy(query, tup, schema, plan=None):
+            rewritten.append(tup)
+            return original(query, tup, schema, plan)
+
+        node_module.rewrite_query = spy
+        try:
+            if batched:
+                node._trigger(record, tuples, schema)
+            else:
+                for tup in tuples:
+                    node._trigger(record, (tup,), schema)
+            node._flush_answers(engine.now)
+        finally:
+            node_module.rewrite_query = original
+        outcomes.append(
+            (
+                posted,
+                rewritten,
+                node.answers_sent,
+                engine.loads.per_node(),
+                engine.churn.queries_triggered,
+                engine.churn.shared_state_fanout,
+            )
+        )
+        engine.close()
+    assert outcomes[0] == outcomes[1]
+
+    tracker = ProjectionTracker() if query.distinct and query.window is None else None
+    admitted = [
+        tup
+        for tup in tuples
+        if tup.pub_time >= insertion_time
+        and admits(query.window, span, tup)
+        and relation in query.relations
+        and (tracker is None or tracker.admit_and_record(query, tup, schema))
+    ]
+    assert outcomes[0][1] == admitted
+    complete = sum(rewrite_query(query, tup, schema).complete for tup in admitted)
+    assert outcomes[0][2] == complete * (1 + len(extras))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.simulator import SimulationKernel
+from repro.net.messages import Envelope, Message
+from repro.net.simulator import SimTransport, SimulationKernel
 
 
 class TestScheduling:
@@ -147,3 +148,65 @@ class TestPendingEventsCounter:
         assert kernel.pending_events == 1
         kernel.run_until_idle()
         assert kernel.pending_events == 0
+
+
+class TestHandleLessPush:
+    """``push`` queues like ``schedule_at`` but hands out no ``EventHandle``."""
+
+    def test_fires_in_time_then_insertion_order_among_timers(self):
+        kernel = SimulationKernel()
+        order = []
+        kernel.push(2.0, order.append, ("pushed@2 first",))
+        kernel.schedule_at(2.0, order.append, "timer@2 second")
+        kernel.schedule_at(1.0, order.append, "timer@1")
+        kernel.push(2.0, order.append, ("pushed@2 third",))
+        kernel.push(0.5, order.append, ("pushed@0.5",))
+        assert kernel.run_until_idle() == 5
+        assert order == [
+            "pushed@0.5", "timer@1", "pushed@2 first", "timer@2 second",
+            "pushed@2 third",
+        ]
+        assert kernel.now == 2.0 and kernel.events_processed == 5
+
+    def test_counts_in_pending_events_and_shows_in_pending(self):
+        kernel = SimulationKernel()
+        seen = []
+        event = kernel.push(1.0, seen.append, ("x",))
+        handle = kernel.schedule_at(1.0, seen.append, "y")
+        assert not hasattr(event, "cancel") and hasattr(handle, "cancel")
+        assert kernel.pending_events == 2
+        assert sorted(args for _, args in kernel.pending()) == [("x",), ("y",)]
+        kernel.step()
+        assert kernel.pending_events == 1 and seen == ["x"]
+
+    def test_extract_where_finds_and_cancels_pushed_events(self):
+        kernel = SimulationKernel()
+        fired = []
+        kernel.push(3.0, fired.append, ("late",))
+        kernel.push(1.0, fired.append, ("early",))
+        kernel.push(2.0, fired.append, ("kept",))
+        extracted = kernel.extract_where(lambda callback, args: args[0] != "kept")
+        assert extracted == [("early",), ("late",)]
+        assert kernel.pending_events == 1
+        kernel.run_until_idle()
+        assert fired == ["kept"]
+
+    def test_the_past_is_refused(self):
+        kernel = SimulationKernel(start_time=5.0)
+        with pytest.raises(SimulationError, match="in the past"):
+            kernel.push(4.0, lambda: None, ())
+        assert kernel.pending_events == 0
+
+    def test_transport_post_rides_on_it_and_refuses_a_negative_delay(self):
+        kernel = SimulationKernel(start_time=5.0)
+        transport = SimTransport(kernel)
+        delivered = []
+        transport.bind(delivered.append)
+        envelope = Envelope(Message(), "a", "b")
+        transport.post(envelope, 1.5)
+        assert transport.pending_events == 1
+        assert transport.extract_inbound("nobody") == []
+        with pytest.raises(SimulationError, match="in the past"):
+            transport.post(envelope, -0.5)
+        assert transport.drain() == 1
+        assert delivered == [envelope] and transport.now == 6.5

@@ -4,8 +4,9 @@ The API redesign promises three things at the package root:
 
 * every name in ``repro.__all__`` resolves (eagerly or lazily via
   :pep:`562`), and the documented quickstart import works,
-* names that moved during the transport extraction keep resolving from
-  their old locations — with a :class:`DeprecationWarning`, never silently,
+* the deprecation shims of the transport extraction (``repro.EventHandle``,
+  ``simulator.EventHandle``, ``DHTMessagingService.kernel`` and its
+  bare-kernel constructor argument) have been removed,
 * ``python -m repro`` dispatches to the sub-CLIs while the historical
   direct invocations stay untouched.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -60,41 +60,30 @@ class TestPublicExports:
         engine.close()
 
 
-class TestDeprecationShims:
-    def test_package_event_handle_warns_but_works(self):
-        from repro.net.runtime import EventHandle
+class TestDeprecationShimsAreGone:
+    def test_package_event_handle_is_gone(self):
+        with pytest.raises(AttributeError, match="no attribute 'EventHandle'"):
+            repro.EventHandle
 
-        with pytest.warns(DeprecationWarning, match="repro.EventHandle"):
-            alias = repro.EventHandle
-        assert alias is EventHandle
-
-    def test_simulator_event_handle_warns_but_works(self):
+    def test_simulator_event_handle_is_gone(self):
         import repro.net.simulator as simulator
-        from repro.net.runtime import EventHandle
 
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            alias = simulator.EventHandle
-        assert alias is EventHandle
+        with pytest.raises(AttributeError, match="EventHandle"):
+            simulator.EventHandle
 
-    def test_messaging_kernel_property_warns_but_works(self):
+    def test_messaging_kernel_property_and_bare_kernel_argument_are_gone(self):
         from repro.dht.api import DHTMessagingService
         from repro.dht.chord import ChordRing
         from repro.dht.hashing import IdentifierSpace
+        from repro.net.simulator import SimulationKernel
 
         ring = ChordRing.create_network(4, space=IdentifierSpace(16), seed=1)
         service = DHTMessagingService(ring)
-        with pytest.warns(DeprecationWarning, match="transport"):
-            kernel = service.kernel
-        assert kernel is service.transport.kernel
-
-    def test_simulator_unknown_attribute_still_raises(self):
-        import repro.net.simulator as simulator
-
-        with pytest.raises(AttributeError, match="no attribute"):
-            simulator.nonsense
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # probing must not warn
-            assert not hasattr(simulator, "also_nonsense")
+        with pytest.raises(AttributeError, match="kernel"):
+            service.kernel
+        assert service.transport.kernel is not None
+        with pytest.raises((AttributeError, TypeError)):
+            DHTMessagingService(ring, SimulationKernel())
 
 
 class TestUmbrellaCli:
