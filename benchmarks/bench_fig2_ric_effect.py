@@ -1,7 +1,8 @@
 """Figure 2 — effect of taking RIC information into account.
 
 Regenerates the three panels of Figure 2: total messages per node (with the
-"Request RIC" series), query-processing load per node and storage load per
+"Request RIC" series — the RIC questions actually sent: one per key in
+flight per node), query-processing load per node and storage load per
 node, for the Worst / Random / RJoin indexing strategies, after increasing
 numbers of incoming tuples.
 

@@ -44,7 +44,12 @@ from repro.core.keys import tuple_index_keys
 from repro.core.lifecycle import QueryLifecycleManager
 from repro.core.membership import MembershipManager
 from repro.core.node import NodeContext, RJoinNode
-from repro.core.protocol import AnswerMessage, QueryState, RetractQueryMessage
+from repro.core.protocol import (
+    AnswerMessage,
+    QueryState,
+    RetractQueryMessage,
+    RicRequestMessage,
+)
 from repro.core.strategy import IndexingStrategy, make_strategy
 from repro.data.schema import Catalog, RelationSchema
 from repro.data.tuples import Tuple
@@ -68,6 +73,16 @@ from repro.obs.context import Observability
 from repro.obs.instruments import histogram_percentiles
 from repro.sql.ast import Query, WindowSpec
 from repro.sql.parser import parse_query
+
+
+#: Counters every :class:`RJoinNode` keeps for itself and the metrics summary
+#: reports summed over all nodes that ever lived.
+_NODE_COUNTERS = (
+    "stale_one_hop_attempts",
+    "ric_chains_started",
+    "ric_questions_joined",
+    "ric_chains_lost",
+)
 
 
 class RJoinEngine:
@@ -179,9 +194,9 @@ class RJoinEngine:
         )
         self._churn_rng = random.Random(self.config.seed + 3)
         self._next_node_index = len(self.ring)
-        #: Stale one-hop attempts recorded by nodes that have since departed;
-        #: keeps the engine-wide counter monotone under churn.
-        self._departed_stale_attempts = 0
+        #: What the nodes that have since departed had counted; keeps the
+        #: engine-wide counters monotone under churn.
+        self._departed_counts: Dict[str, int] = dict.fromkeys(_NODE_COUNTERS, 0)
         #: Join/leave operations requested while the network was mid-drain;
         #: applied at the next quiescent point (see :meth:`run`).
         self._pending_membership: List[tuple] = []
@@ -779,8 +794,12 @@ class RJoinEngine:
         The node's entire state is destroyed (accounted as lost in
         :attr:`churn` and as dropped state in :attr:`loads`), and every
         message still in flight towards the dead address is destroyed by
-        the network.  Unlike joins and leaves a crash takes effect
-        immediately, even mid-drain — that is the point of modelling it.
+        the network — except that answers of queries the victim owned go on
+        to its successor, and a destroyed RIC chain is handed back to the
+        node that started it, which asks again
+        (:meth:`~repro.core.node.RJoinNode.ric_chain_lost`).  Unlike joins
+        and leaves a crash takes effect immediately, even mid-drain — that
+        is the point of modelling it.
         """
         address = self._resolve_victim(address, operation="crash")
         node = self.nodes.pop(address)
@@ -790,22 +809,24 @@ class RJoinEngine:
         owned, successor = self._failover_target(address)
         self.ring.remove_node(address)
         self.api.unregister_handler(address)
-        if owned and successor is not None:
-            owned_set = set(owned)
+        owned_set = set(owned)
+        lost_chains: List[RicRequestMessage] = []
 
-            def reroute(message: Message) -> Optional[tuple[str, Message, int]]:
-                """Answers of still-owned queries go on to the successor."""
-                if not isinstance(message, AnswerMessage):
-                    return None
-                kept = message.only(owned_set)
-                if not kept.answers:
-                    return None
-                return successor, kept, len(kept.answers)
+        def reroute(message: Message) -> Optional[tuple[str, Message, int]]:
+            """Answers of still-owned queries go on to the successor; a RIC
+            chain is lost like the rest, and noted for the hand-back below."""
+            if isinstance(message, RicRequestMessage):
+                lost_chains.append(message)
+            if successor is None or not isinstance(message, AnswerMessage):
+                return None
+            kept = message.only(owned_set)
+            if not kept.answers:
+                return None
+            return successor, kept, len(kept.answers)
 
-            rerouted = self.api.redirect_in_flight(address, reroute)
-            if rerouted:
-                self.churn.record_answers_rerouted(rerouted)
-        self.api.drop_in_flight(address)
+        rerouted = self.api.redirect_in_flight(address, reroute)
+        if rerouted:
+            self.churn.record_answers_rerouted(rerouted)
         self.membership.discard(node)
         if owned and successor is not None:
             self.lifecycle.failover_owner(address, successor)
@@ -813,6 +834,12 @@ class RJoinEngine:
         if repaired:
             self.churn.record_replica_repairs(repaired)
         self._forget_departed(address, node)
+        # Only now, so that the fresh chains meet tables that no longer name
+        # the victim.  A chain whose origin is gone too has nobody waiting.
+        for request in lost_chains:
+            origin = self.nodes.get(request.origin)
+            if origin is not None:
+                origin.ric_chain_lost(request)
         return address
 
     def _failover_target(self, address: str) -> tuple:
@@ -940,7 +967,8 @@ class RJoinEngine:
         """
         for survivor in self.nodes.values():
             survivor.forget_address(address)
-        self._departed_stale_attempts += node.stale_one_hop_attempts
+        for counter in _NODE_COUNTERS:
+            self._departed_counts[counter] += getattr(node, counter)
         node.tuple_store.close()
 
     def _resolve_victim(self, address: Optional[str], operation: str) -> str:
@@ -1009,10 +1037,7 @@ class RJoinEngine:
             "records_lost": float(self.churn.records_lost),
             "bytes_lost": float(self.churn.bytes_lost),
             "dropped_messages": float(self.api.dropped_messages),
-            "stale_one_hop_attempts": float(
-                self._departed_stale_attempts
-                + sum(node.stale_one_hop_attempts for node in self.nodes.values())
-            ),
+            "stale_one_hop_attempts": self._node_total("stale_one_hop_attempts"),
             # Query lifecycle (removal + owner failover) -------------------
             "queries_removed": float(self.churn.queries_removed),
             "records_retracted": float(self.churn.records_retracted),
@@ -1029,11 +1054,22 @@ class RJoinEngine:
                 self.churn.trigger_candidates_scanned
             ),
             "shared_state_fanout": float(self.churn.shared_state_fanout),
+            # The RIC path (one question per key in flight per node) --------
+            "ric_chains_started": self._node_total("ric_chains_started"),
+            "ric_questions_joined": self._node_total("ric_questions_joined"),
+            "ric_chains_lost": self._node_total("ric_chains_lost"),
             # Observability (latency/load histograms; zeros when off) ------
             **histogram_percentiles(
                 self.obs.registry if self.obs is not None else None
             ),
         }
+
+    def _node_total(self, counter: str) -> float:
+        """One of :data:`_NODE_COUNTERS` summed over live and departed nodes."""
+        return float(
+            self._departed_counts[counter]
+            + sum(getattr(node, counter) for node in self.nodes.values())
+        )
 
     @property
     def store_backend(self) -> str:

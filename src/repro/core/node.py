@@ -135,14 +135,19 @@ class NodeContext:
     obs: Optional["Observability"] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class _PendingIndexOp:
     """An indexing decision waiting for RIC information to come back."""
 
+    #: Its key in ``RJoinNode._pending_ric``, and the ``request_id`` of the
+    #: chain it starts (if it has anything to ask that nobody is asking).
+    label: str
     state: QueryState
-    is_input: bool
     candidates: List[IndexKey]
+    #: Entries it had, plus those reported since, by key text.
     known: Dict[str, RicEntry]
+    #: Unknown candidate keys no reply has reported yet.
+    missing: int
 
 
 @dataclass
@@ -175,6 +180,14 @@ class RJoinNode:
         self.candidate_table = CandidateTable(freshness=ctx.config.ric_freshness)
         self._pending_ric: Dict[str, _PendingIndexOp] = {}
         self._ric_counter = 0
+        #: Key text -> the pending ops waiting for that key, in the order they
+        #: registered.  A key is in here exactly while one chain of this node
+        #: is asking it: the op that puts it in sends the chain, later ops
+        #: wait with it, and the reply (or the hand-back of a chain a crash
+        #: destroyed, :meth:`ric_chain_lost`) takes it out.  An op that was
+        #: retracted or handed back meanwhile has left ``_pending_ric`` and
+        #: is skipped.
+        self._ric_waiters: Dict[str, List[_PendingIndexOp]] = {}
         # Query lifecycle state -----------------------------------------------
         #: Replicated handle registrations this node holds for queries whose
         #: owner's ring successor it currently is (owner failover).
@@ -186,6 +199,12 @@ class RJoinNode:
         #: candidate-table invalidation on membership events keeps this at
         #: zero; the counter is the regression probe for that behaviour.
         self.stale_one_hop_attempts = 0
+        #: The RIC path: chains this node sent off, unknown keys it waited for
+        #: on a chain already in flight instead of asking again, and chains a
+        #: crash destroyed and the engine handed back (:meth:`ric_chain_lost`).
+        self.ric_chains_started = 0
+        self.ric_questions_joined = 0
+        self.ric_chains_lost = 0
         # Answer path ---------------------------------------------------------
         #: Query shape -> compiled rewrite (:func:`~repro.core.rewriting.plan_key`),
         #: shared by every record of that shape stored here and freed with
@@ -624,7 +643,7 @@ class RJoinNode:
                 else:
                     unknown.append(key)
             if unknown:
-                self._start_ric_chain(state, is_input, candidates, known, unknown)
+                self._start_ric_chain(state, candidates, known, unknown)
                 return
             self._finish_indexing(state, is_input, candidates, known)
             return
@@ -638,29 +657,50 @@ class RJoinNode:
     def _start_ric_chain(
         self,
         state: QueryState,
-        is_input: bool,
         candidates: List[IndexKey],
         known: Dict[str, RicEntry],
         unknown: List[IndexKey],
     ) -> None:
-        """Ask the candidate nodes we know nothing about for RIC information."""
+        """Wait for RIC information about ``unknown``; ask what nobody is asking.
+
+        The candidate table's promise — a key once asked needs no further
+        message (Section 7) — extended to answers that are on their way: a
+        key another chain of this node is asking right now is waited for,
+        not asked again, and the chain sent here (Section 6) holds the rest.
+        None when every unknown key is already in flight.
+        """
         self._ric_counter += 1
-        request_id = f"{self.address}/ric-{self._ric_counter}"
-        self._pending_ric[request_id] = _PendingIndexOp(
-            state=state, is_input=is_input, candidates=candidates, known=dict(known)
-        )
-        first, rest = unknown[0], tuple(unknown[1:])
+        label = f"{self.address}/ric-{self._ric_counter}"
+        op = _PendingIndexOp(label, state, candidates, known, len(unknown))
+        self._pending_ric[label] = op
+        waiters = self._ric_waiters
+        ask: List[IndexKey] = []
+        for key in unknown:
+            waiting = waiters.get(key.text)
+            if waiting is None:
+                waiters[key.text] = [op]
+                ask.append(key)
+            else:
+                waiting.append(op)
+        joined = len(unknown) - len(ask)
+        if joined:
+            self.ric_questions_joined += joined
+            if self.ctx.obs is not None:
+                self.ctx.obs.record_ric("joined", joined)
+        if not ask:
+            return
+        self.ric_chains_started += 1
         request = RicRequestMessage(
-            request_id=request_id,
+            request_id=label,
             origin=self.address,
-            target_key=first,
-            pending=rest,
+            target_key=ask[0],
+            pending=tuple(ask[1:]),
             collected=(),
         )
         self.ctx.api.send(
             self.address,
             request,
-            self.ctx.space.hash_key(first.text),
+            self.ctx.space.hash_key(ask[0].text),
             is_ric=True,
         )
 
@@ -696,29 +736,63 @@ class RJoinNode:
             self.ctx.api.send_direct(self.address, reply, msg.origin, is_ric=True)
 
     def _on_ric_reply(self, msg: RicReplyMessage, delivered_at: float) -> None:
-        """Complete a pending indexing decision with the freshly gathered rates."""
+        """Give every reported key to the ops waiting for it.
+
+        An op whose last missing key this is goes on to
+        :meth:`_finish_indexing` with what it knew plus what was reported to
+        it — ops in the order their last key resolves, the waiters of one key
+        in the order they registered.  A reply whose keys nobody (alive)
+        waits for changes only the candidate table.
+        """
         if self.ctx.obs is not None:
             self.ctx.obs.record_ric("reply")
-        op = self._pending_ric.pop(msg.request_id, None)
-        if op is None:
-            return
-        if self._drop_if_retracted(op.state):
-            return
-        # A reporter can crash while its reply is in flight; its entries are
-        # dead on arrival and must not re-enter the candidate table.
         ring = self.ctx.api.ring
-        collected = [
-            entry for entry in msg.collected if ring.has_address(entry.address)
-        ]
-        self.candidate_table.update_many(collected)
-        entries = {
-            key_text: entry
-            for key_text, entry in op.known.items()
-            if ring.has_address(entry.address)
-        }
-        for entry in collected:
-            entries[entry.key_text] = entry
-        self._finish_indexing(op.state, op.is_input, op.candidates, entries)
+        pending = self._pending_ric
+        for entry in msg.collected:
+            # A reporter can crash while its reply is in flight; its entry is
+            # dead on arrival: it ends the wait for its key, but must neither
+            # re-enter the candidate table nor inform a decision.
+            live = ring.has_address(entry.address)
+            if live:
+                self.candidate_table.update(entry)
+            for op in self._ric_waiters.pop(entry.key_text, ()):
+                if op.label not in pending:
+                    continue
+                if live:
+                    op.known[entry.key_text] = entry
+                op.missing -= 1
+                if op.missing:
+                    continue
+                del pending[op.label]
+                state = op.state
+                if self._drop_if_retracted(state):
+                    continue
+                entries = {
+                    key_text: known
+                    for key_text, known in op.known.items()
+                    if ring.has_address(known.address)
+                }
+                self._finish_indexing(state, state.is_input, op.candidates, entries)
+
+    def ric_chain_lost(self, request: RicRequestMessage) -> None:
+        """A crash destroyed ``request``, a chain of this node: ask again.
+
+        Called by the engine once the survivors have forgotten the crashed
+        node.  Every key of the chain — reported along the way or not — leaves
+        the waiter index, and each indexing decision that waited for one of
+        them starts over on the repaired ring: what the table knows by now is
+        used, the rest is asked by a fresh chain (or waited for, where
+        another chain still asks it).
+        """
+        self.ric_chains_lost += 1
+        pending = self._pending_ric
+        stranded: List[_PendingIndexOp] = []
+        for key_text in request.key_texts():
+            for op in self._ric_waiters.pop(key_text, ()):
+                if pending.pop(op.label, None) is not None:
+                    stranded.append(op)
+        for op in stranded:
+            self._index_query(op.state, op.candidates)
 
     def _finish_indexing(
         self,
@@ -837,15 +911,17 @@ class RJoinNode:
             )
         stale_ops: List[str] = []
         ops_detached = 0
-        for request_id, op in self._pending_ric.items():
+        for label, op in self._pending_ric.items():
             if not op.state.serves(query_id):
                 continue
             if op.state.detach_subscriber(query_id):
-                stale_ops.append(request_id)
+                stale_ops.append(label)
             else:
                 ops_detached += 1
-        for request_id in stale_ops:
-            del self._pending_ric[request_id]
+        # Leaving ``_pending_ric`` is what unlinks an op: the replies it
+        # waited for step over it (its keys stay asked until they arrive).
+        for label in stale_ops:
+            del self._pending_ric[label]
         purged = (
             len(input_records)
             + len(rewritten_records)

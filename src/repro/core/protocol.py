@@ -12,7 +12,10 @@ machinery of Sections 6–7 and answer delivery:
   information,
 * :class:`RicRequestMessage` / :class:`RicReplyMessage` — the chained RIC
   information gathering of Section 6 (each candidate appends its observation
-  and forwards the request; the last one replies directly to the origin),
+  and forwards the request; the last one replies directly to the origin).  A
+  chain asks only keys no other chain of its origin is asking at that moment;
+  the origin matches a reply to the decisions waiting for it by the key texts
+  of the entries it carries,
 * :class:`AnswerMessage` — answers of input queries, sent directly to the
   node that submitted them: every ``(query id, values)`` one handler
   invocation produced for one owner travels in one envelope, charged as one
@@ -204,7 +207,13 @@ class RicRequestMessage(Message):
 
     ``target_key`` is the key the receiving node must report about;
     ``pending`` holds the keys still to be visited; ``collected`` accumulates
-    the observations gathered so far along the chain.
+    the observations gathered so far along the chain.  Together the three
+    name every key the chain is asking: while it (or its reply) is in
+    flight, ``origin`` asks none of them again — later indexing decisions
+    wait for this chain — and if a crash destroys the request, the engine
+    hands it back to ``origin``, which asks them afresh.  ``request_id``
+    labels the chain for traces (``<origin>/ric-<n>``, the indexing decision
+    that started it); nothing is looked up by it.
     """
 
     request_id: str
@@ -213,10 +222,23 @@ class RicRequestMessage(Message):
     pending: TupleT[IndexKey, ...] = ()
     collected: TupleT[RicEntry, ...] = ()
 
+    def key_texts(self) -> List[str]:
+        """Every key the chain is asking: at hand, still to visit, reported."""
+        texts = [self.target_key.text]
+        texts += [key.text for key in self.pending]
+        texts += [entry.key_text for entry in self.collected]
+        return texts
+
 
 @dataclass
 class RicReplyMessage(Message):
-    """The final RIC reply, sent directly back to the requesting node."""
+    """The final RIC reply, sent directly back to the requesting node.
+
+    Each entry of ``collected`` resolves, at the origin, every indexing
+    decision waiting for that entry's key — the one that started the chain
+    and those that joined it since; ``request_id`` is the chain's trace
+    label, carried over from the request.
+    """
 
     request_id: str
     collected: TupleT[RicEntry, ...] = ()

@@ -2,8 +2,8 @@
 
 Before indexing a query, RJoin asks the candidate nodes for information about
 the rate of incoming tuples for the candidate keys (RIC information), then
-indexes the query where the predicted rate is lowest.  Three pieces of local
-state support this:
+indexes the query where the predicted rate is lowest.  The node-local RIC
+state:
 
 * :class:`RateTracker` — every node records, per indexing key it is
   responsible for, the arrival times of incoming tuples; the reported rate is
@@ -14,15 +14,22 @@ state support this:
   that reported it and when it was reported,
 * :class:`CandidateTable` (CT) — the per-node cache of RIC entries
   (Section 7): entries learned by asking candidates, or received piggy-backed
-  on rewritten queries, are kept so that future indexing decisions for the
-  same key need no extra messages; stale entries can be refreshed.
+  on rewritten queries (``QueryState.ric_info``), are kept so that future
+  indexing decisions for the same key need no extra messages; stale entries
+  are asked again,
+* and, in :class:`~repro.core.node.RJoinNode`, what is on its way: the
+  indexing decisions waiting for a reply (``_pending_ric``) and the waiter
+  index (``_ric_waiters``: key text -> the decisions waiting for that key),
+  which holds a key exactly while one chain of the node is asking it — so the
+  table's promise also covers answers that have not arrived yet, and a key is
+  asked by at most one chain per node at a time.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Mapping, Optional
+from typing import Deque, Dict, Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -168,11 +175,6 @@ class CandidateTable:
         """
         self._entries.clear()
 
-    def address_of(self, key_text: str) -> Optional[str]:
-        """Last known responsible node for ``key_text`` (even if the rate is stale)."""
-        entry = self._entries.get(key_text)
-        return entry.address if entry is not None else None
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -183,22 +185,6 @@ class CandidateTable:
 
     @property
     def misses(self) -> int:
-        """Number of lookups that required contacting the candidate node."""
+        """Number of lookups that found nothing fresh: the key is asked, or
+        waited for with the chain of this node that is asking it already."""
         return self._misses
-
-
-def merge_ric_info(
-    base: Mapping[str, RicEntry], extra: Iterable[RicEntry]
-) -> Dict[str, RicEntry]:
-    """Merge RIC observations, preferring the most recent entry per key.
-
-    Used to build the information piggy-backed on rewritten queries: the
-    forwarding node packs what it knows so that the receiving node only needs
-    to ask about candidate keys introduced by the rewriting step.
-    """
-    merged: Dict[str, RicEntry] = dict(base)
-    for entry in extra:
-        current = merged.get(entry.key_text)
-        if current is None or entry.observed_at >= current.observed_at:
-            merged[entry.key_text] = entry
-    return merged

@@ -102,34 +102,26 @@ class DHTMessagingService:
         self._handlers.pop(address, None)
         self.transport.unregister_address(address)
 
-    def drop_in_flight(self, address: str) -> int:
-        """Destroy every undelivered message addressed to ``address``.
-
-        Models an abrupt crash: deliveries already in flight towards the
-        dead address are cancelled (the network loses them) and counted as
-        dropped.  Returns the number of (logical) messages destroyed.
-        """
-        dropped = sum(
-            envelope.weight for envelope in self.transport.extract_inbound(address)
-        )
-        self._dropped += dropped
-        return dropped
-
     def redirect_in_flight(
         self,
         address: str,
         reroute: Callable[[Message], Optional[Tuple[str, Message, int]]],
     ) -> int:
-        """Re-route undelivered messages addressed to ``address``.
+        """Take every undelivered message addressed to ``address`` off the network.
 
-        Every undelivered envelope to ``address`` is taken off the network;
-        ``reroute(message)`` (evaluated once per envelope) names the new
-        destination, what to send there — the message itself or the part of
-        it worth re-sending — and that part's weight, or ``None`` to drop
-        the envelope: the same fate :meth:`drop_in_flight` would apply.
-        Models owner failover: when a query owner crashes, answers still in
-        flight towards it are re-sent by their producers to the
-        re-registered owner once the failure is detected — so each
+        Models an abrupt crash: deliveries in flight towards the dead
+        address never happen.  ``reroute(message)`` (evaluated once per
+        envelope, in posting order) decides each one's fate: ``None``
+        destroys it — the network lost it, it is counted as dropped — or it
+        names the new destination, what to send there (the message itself
+        or the part of it worth re-sending) and that part's weight.  The
+        callback sees every destroyed message, so it is also where a caller
+        learns of losses somebody has to make good (the engine hands a
+        destroyed RIC chain back to the node that started it).
+
+        Re-routing models owner failover: when a query owner crashes,
+        answers still in flight towards it are re-sent by their producers to
+        the re-registered owner once the failure is detected — so each
         re-routed message is a fresh, fully charged direct transmission
         from its original sender.  Messages whose sender has itself left
         the ring cannot be re-sent and are counted as dropped, like the
@@ -164,7 +156,7 @@ class DHTMessagingService:
 
         Counts both deliveries whose destination had no registered handler
         (the address departed after the message was sent) and in-flight
-        messages destroyed by a crash (:meth:`drop_in_flight`).
+        messages destroyed by a crash (:meth:`redirect_in_flight`).
         """
         return self._dropped
 

@@ -77,7 +77,12 @@ def figure2(
     checkpoints: Optional[Sequence[int]] = None,
     seed: int = 42,
 ) -> FigureResult:
-    """Worst vs Random vs RJoin: traffic, QPL and SL per node (Figure 2)."""
+    """Worst vs Random vs RJoin: traffic, QPL and SL per node (Figure 2).
+
+    The "Request RIC" series (``rjoin_ric_messages_per_node``) counts the RIC
+    messages actually sent: a question that waited for a chain of its node
+    already asking the key (``ric_questions_joined`` in the summary) cost none.
+    """
     base = _scenario_base("fig2", seed)
     if num_nodes is not None:
         base = base.with_overrides(num_nodes=num_nodes)

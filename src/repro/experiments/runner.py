@@ -67,7 +67,8 @@ class ExperimentResult:
 
     @property
     def ric_messages_per_node(self) -> float:
-        """RIC-related messages per node (the "Request RIC" series)."""
+        """RIC-related messages per node (the "Request RIC" series): the
+        questions actually sent, not those that rode on a chain in flight."""
         return self.ric_messages_total / self.config.num_nodes
 
     @property

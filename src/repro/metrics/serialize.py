@@ -22,13 +22,15 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v8: the observability layer added the latency/load histogram percentiles
-#: (``answer_latency_p50``/``p95``/``p99`` and friends — three keys per
-#: histogram declared in ``repro.obs.instruments.HISTOGRAMS``) to the
-#: summary, plus ``ExperimentConfig.observability`` to the config schema.
+#: v9: the RIC path added its three counters (``ric_chains_started``,
+#: ``ric_questions_joined``, ``ric_chains_lost``) to the summary.
 #: Older result files still *load* — ``result_from_dict``, ``load_cells``
 #: and ``report --diff`` accept any schema version.
-#: (v7: the transport extraction added ``ExperimentConfig.runtime``
+#: (v8: the observability layer added the latency/load histogram percentiles
+#: (``answer_latency_p50``/``p95``/``p99`` and friends — three keys per
+#: histogram declared in ``repro.obs.instruments.HISTOGRAMS``) to the
+#: summary, plus ``ExperimentConfig.observability`` to the config schema;
+#: v7: the transport extraction added ``ExperimentConfig.runtime``
 #: (``sim`` / ``asyncio``) to the config schema;
 #: v6: million-query matching added the trigger-path counters
 #: (``queries_triggered``, ``trigger_candidates_scanned``,
@@ -41,7 +43,7 @@ from repro.sql.ast import WindowSpec
 #: v4: query lifecycle added ``ExperimentConfig.query_churn`` /
 #: ``ExperimentConfig.owner_failover`` plus the lifecycle counters;
 #: v3: ``ExperimentConfig.store_backend`` joined the config schema.)
-RESULT_SCHEMA_VERSION = 8
+RESULT_SCHEMA_VERSION = 9
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
@@ -85,6 +87,9 @@ SUMMARY_SCHEMA: Tuple[str, ...] = (
     "queries_triggered",
     "trigger_candidates_scanned",
     "shared_state_fanout",
+    "ric_chains_started",
+    "ric_questions_joined",
+    "ric_chains_lost",
     # Observability histogram percentiles (three keys per histogram declared
     # in ``repro.obs.instruments.HISTOGRAMS``; all zero when observability
     # is off so the key set never depends on the mode).

@@ -8,9 +8,10 @@ produces::
 
 ``summarize`` prints the run's shape: span/trace totals, the hop breakdown
 per message kind (with the logical messages each envelope carried — the
-answers per answer envelope), the slowest end-to-end traces with their critical path
-(the chain of spans from the root to the last delivery), and the slowest
-individual spans.  ``convert`` writes Chrome ``trace_event`` JSON for
+answers per answer envelope — and the RIC questions its handlers joined onto
+chains in flight instead of sending), the slowest end-to-end traces with
+their critical path (the chain of spans from the root to the last delivery),
+and the slowest individual spans.  ``convert`` writes Chrome ``trace_event`` JSON for
 ``chrome://tracing`` / https://ui.perfetto.dev.
 """
 
@@ -72,7 +73,9 @@ def summarize(spans: Sequence[Span], out: TextIO, top: int = 5) -> None:
 
     # Hop breakdown per message kind: where the network traffic goes.  An
     # envelope can carry several logical messages (the answers one handler
-    # invocation produced for one owner); "per envelope" is how many.
+    # invocation produced for one owner); "per envelope" is how many.  "RIC
+    # joined" is traffic that did not happen: questions the kind's handlers
+    # waited for on a chain already in flight.
     out.write("\nhop breakdown by message kind:\n")
     by_kind: Dict[str, List[Span]] = {}
     for span in spans:
@@ -83,10 +86,12 @@ def summarize(spans: Sequence[Span], out: TextIO, top: int = 5) -> None:
         transit = sum(span.start - span.sent_at for span in kind_spans)
         mean_delay = transit / len(kind_spans)
         carried = sum(span.weight for span in kind_spans)
+        joined = sum(span.ric_joined for span in kind_spans)
         out.write(
             f"  {kind:<24} {len(kind_spans):>7} deliveries "
             f"{hops:>8} hops  mean transit {mean_delay:.2f}  "
-            f"{carried / len(kind_spans):.2f} per envelope\n"
+            f"{carried / len(kind_spans):.2f} per envelope  "
+            f"{joined:>6} RIC joined\n"
         )
 
     # Slowest traces end to end, with their critical path.

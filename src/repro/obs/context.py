@@ -77,6 +77,8 @@ class Observability:
         self._deliveries_by_kind = self.registry.counter("deliveries_by_kind")
         self._key_load = self.registry.counter("key_load")
         self._ric_chain = self.registry.counter("ric_chain")
+        #: RIC questions the span now open has joined (see :meth:`record_ric`).
+        self._ric_joined = 0
         self._dropped = self.registry.counter("dropped_deliveries")
         # The delivery pair below inlines ``Tracer.begin_span``/``end_span``
         # (see its docstring), so it shares the tracer's active-context
@@ -98,8 +100,11 @@ class Observability:
         Every message sent inside the block joins trace ``trace_id``.
         """
         context = self.tracer.new_trace(trace_id)
-        with self.tracer.span(context, name=name, node=node):
-            yield
+        with self.tracer.span(context, name=name, node=node) as span:
+            try:
+                yield
+            finally:
+                span.ric_joined, self._ric_joined = self._ric_joined, 0
 
     def record_answer_latency(self, delivered_at: float, answers: int) -> None:
         """Record publish/submit -> answer latency for the active trace.
@@ -187,6 +192,8 @@ class Observability:
     def delivery_end(self, span: Span) -> None:
         """Close a span opened by :meth:`delivery_begin` (inlined pair)."""
         self._stack.pop()
+        if self._ric_joined:
+            span.ric_joined, self._ric_joined = self._ric_joined, 0
         if self._wall:
             wall = (perf_counter() - self._wall_starts.pop()) * 1e6
             span.wall_us = wall
@@ -204,9 +211,17 @@ class Observability:
         """Per-indexing-key arrival counter (hot-key telemetry)."""
         self._key_load.inc(key_text)
 
-    def record_ric(self, phase: str) -> None:
-        """RIC chain telemetry (``request`` / ``reply``)."""
-        self._ric_chain.inc(phase)
+    def record_ric(self, phase: str, count: int = 1) -> None:
+        """RIC path telemetry: ``request`` / ``reply`` deliveries, ``joined`` questions.
+
+        A *joined* question is an unknown candidate key that was not sent
+        because a chain of the same node was already asking it; it is no
+        delivery, so the span that is open (the delivery whose handler
+        joined, or the submitting operation) carries the count.
+        """
+        self._ric_chain.inc(phase, count)
+        if phase == "joined" and self._stack:
+            self._ric_joined += count
 
     def record_store_probe(self, result_size: int) -> None:
         """Result size of one set-at-a-time store batch probe."""

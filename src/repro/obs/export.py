@@ -60,6 +60,7 @@ def chrome_trace_events(spans: Sequence[Span]) -> List[Dict[str, object]]:
                     "hop": span.hop,
                     "hops": span.hops,
                     "weight": span.weight,
+                    "ric_joined": span.ric_joined,
                     "sent_at": span.sent_at,
                     "wall_us": span.wall_us,
                 },

@@ -96,6 +96,9 @@ class Span:
     #: Logical messages the delivered envelope carried (the answers of a
     #: coalesced answer envelope; 1 for everything else).
     weight: int = 1
+    #: RIC questions this span's handler did not send because a chain of its
+    #: node was already asking the key (they are no deliveries of their own).
+    ric_joined: int = 0
 
     @property
     def duration(self) -> float:
@@ -117,6 +120,7 @@ class Span:
             "hop": self.hop,
             "wall_us": self.wall_us,
             "weight": self.weight,
+            "ric_joined": self.ric_joined,
         }
 
     @classmethod
@@ -136,6 +140,7 @@ class Span:
             hop=int(data.get("hop", 0)),
             wall_us=float(data.get("wall_us", 0.0)),
             weight=int(data.get("weight", 1)),
+            ric_joined=int(data.get("ric_joined", 0)),
         )
 
 

@@ -1,6 +1,6 @@
 """Tests for RIC bookkeeping: rate tracking, candidate table, piggy-backing."""
 
-from repro.core.ric import CandidateTable, RateTracker, RicEntry, merge_ric_info
+from repro.core.ric import CandidateTable, RateTracker, RicEntry
 
 
 class TestRateTracker:
@@ -96,30 +96,7 @@ class TestCandidateTable:
         assert table.hits == 1
         assert table.misses == 1
 
-    def test_address_survives_staleness(self):
-        table = CandidateTable(freshness=1.0)
-        table.update(self.entry(address="node-9", observed_at=0.0))
-        assert table.lookup("k", now=100.0) is None
-        assert table.address_of("k") == "node-9"
-        assert table.address_of("unknown") is None
-
     def test_update_many_and_len(self):
         table = CandidateTable()
         table.update_many([self.entry(key="a"), self.entry(key="b")])
         assert len(table) == 2
-
-
-class TestMergeRicInfo:
-    def test_most_recent_entry_wins(self):
-        older = RicEntry("k", 1.0, "n1", observed_at=1.0)
-        newer = RicEntry("k", 2.0, "n2", observed_at=5.0)
-        merged = merge_ric_info({"k": older}, [newer])
-        assert merged["k"] is newer
-        merged_back = merge_ric_info({"k": newer}, [older])
-        assert merged_back["k"] is newer
-
-    def test_disjoint_keys_union(self):
-        a = RicEntry("a", 1.0, "n", 0.0)
-        b = RicEntry("b", 1.0, "n", 0.0)
-        merged = merge_ric_info({"a": a}, [b])
-        assert set(merged) == {"a", "b"}

@@ -16,7 +16,7 @@ from repro.__main__ import main as umbrella_main
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.obs.cli import critical_path, main as obs_main
-from repro.obs.trace import load_spans
+from repro.obs.trace import Span, load_spans
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
 
@@ -57,9 +57,29 @@ class TestSummarize:
         per_envelope = sum(span.weight for span in answers) / len(answers)
         (row,) = [line for line in text.splitlines() if "AnswerMessage" in line
                   and "deliveries" in line]
-        assert row.endswith(f"{per_envelope:.2f} per envelope")
+        assert f"{per_envelope:.2f} per envelope" in row
+        assert row.endswith("RIC joined")
         assert "critical path:" in text
         assert "slowest" in text
+
+    def test_ric_joined_column_sums_the_spans_per_kind(self, tmp_path):
+        """Joined questions are no deliveries: the column reads them off the
+        spans whose handlers joined them."""
+        def span(span_id, name, ric_joined):
+            return Span(trace_id="pub-1", span_id=span_id, parent_id=None,
+                        name=name, node="node-0", start=1.0, end=1.0,
+                        sent_at=0.0, hops=1, hop=1, ric_joined=ric_joined)
+
+        path = tmp_path / "joined.jsonl"
+        spans = [span(1, "NewTupleMessage", 3), span(2, "NewTupleMessage", 4),
+                 span(3, "EvalMessage", 0)]
+        path.write_text("".join(json.dumps(s.to_dict()) + "\n" for s in spans))
+        out = io.StringIO()
+        assert obs_main(["summarize", str(path)], out=out) == 0
+        rows = {line.split()[0]: line for line in out.getvalue().splitlines()
+                if "deliveries" in line}
+        assert rows["NewTupleMessage"].endswith("     7 RIC joined")
+        assert rows["EvalMessage"].endswith("     0 RIC joined")
 
     def test_top_must_be_positive(self, trace_file):
         assert obs_main(["summarize", str(trace_file), "--top", "0"]) == 1
