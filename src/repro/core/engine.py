@@ -82,6 +82,8 @@ _NODE_COUNTERS = (
     "ric_chains_started",
     "ric_questions_joined",
     "ric_chains_lost",
+    "ric_requests_direct",
+    "ric_requests_misdirected",
 )
 
 
@@ -1058,6 +1060,9 @@ class RJoinEngine:
             "ric_chains_started": self._node_total("ric_chains_started"),
             "ric_questions_joined": self._node_total("ric_questions_joined"),
             "ric_chains_lost": self._node_total("ric_chains_lost"),
+            # ...and one hop per question wherever the owner's arc is cached.
+            "ric_requests_direct": self._node_total("ric_requests_direct"),
+            "ric_requests_misdirected": self._node_total("ric_requests_misdirected"),
             # Observability (latency/load histograms; zeros when off) ------
             **histogram_percentiles(
                 self.obs.registry if self.obs is not None else None

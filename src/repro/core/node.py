@@ -58,7 +58,7 @@ from repro.core.rewriting import (
     plan_key,
     rewrite_query,
 )
-from repro.core.ric import CandidateTable, RateTracker, RicEntry
+from repro.core.ric import CandidateTable, RateTracker, RicEntry, arc_holds
 from repro.core.strategy import (
     CandidatePlan,
     IndexingStrategy,
@@ -205,6 +205,11 @@ class RJoinNode:
         self.ric_chains_started = 0
         self.ric_questions_joined = 0
         self.ric_chains_lost = 0
+        #: Requests this node sent in one hop on a cached arc instead of
+        #: through the ring, and requests it was handed for keys it does not
+        #: own (the sender's arc was stale) and passed on through the ring.
+        self.ric_requests_direct = 0
+        self.ric_requests_misdirected = 0
         # Answer path ---------------------------------------------------------
         #: Query shape -> compiled rewrite (:func:`~repro.core.rewriting.plan_key`),
         #: shared by every record of that shape stored here and freed with
@@ -690,46 +695,74 @@ class RJoinNode:
         if not ask:
             return
         self.ric_chains_started += 1
-        request = RicRequestMessage(
-            request_id=label,
-            origin=self.address,
-            target_key=ask[0],
-            pending=tuple(ask[1:]),
-            collected=(),
+        self._route_ric(
+            RicRequestMessage(
+                request_id=label,
+                origin=self.address,
+                target_key=ask[0],
+                target_id=self.ctx.space.hash_key(ask[0].text),
+                pending=tuple(ask[1:]),
+                collected=(),
+            )
         )
-        self.ctx.api.send(
-            self.address,
-            request,
-            self.ctx.space.hash_key(ask[0].text),
-            is_ric=True,
-        )
+
+    def _route_ric(self, request: RicRequestMessage) -> None:
+        """Send ``request`` to the owner of its target key, in one hop if known.
+
+        The candidate table's promise extended from keys to owners: a node
+        that ever reported about any key also said which arc of the ring it
+        owns, and a question about another key on that arc goes straight to
+        it.  Only RIC questions travel on arcs; with none cached for the key
+        the request is routed through the ring, as Section 6 has it.
+        """
+        owner = self.candidate_table.owner_of(request.target_id)
+        if owner is not None and not self.ctx.api.ring.has_address(owner):
+            # Departures drop their arcs eagerly: like a stale entry, counted.
+            self.stale_one_hop_attempts += 1
+            owner = None
+        if owner is None:
+            self.ctx.api.send(self.address, request, request.target_id, is_ric=True)
+            return
+        self.ric_requests_direct += 1
+        if self.ctx.obs is not None:
+            self.ctx.obs.record_ric("direct")
+        self.ctx.api.send_direct(self.address, request, owner, is_ric=True)
 
     def _on_ric_request(self, msg: RicRequestMessage, delivered_at: float) -> None:
         """Report the local arrival rate and forward the chain (Section 6)."""
-        if self.ctx.obs is not None:
-            self.ctx.obs.record_ric("request")
+        obs = self.ctx.obs
+        arc = self.ctx.api.ring.arc_of(self.address)
+        if not arc_holds(arc, msg.target_id):
+            # Sent here on an arc that is no longer this node's.  The ring
+            # knows the owner, and the owner's report evicts the stale arc
+            # wherever it arrives: with the reply, at the chain's origin.
+            self.ric_requests_misdirected += 1
+            if obs is not None:
+                obs.record_ric("misdirected")
+            self.ctx.api.send(self.address, msg, msg.target_id, is_ric=True)
+            return
+        if obs is not None:
+            obs.record_ric("request")
         now = self.ctx.clock()
         entry = RicEntry(
             key_text=msg.target_key.text,
             rate=self.rates.rate(msg.target_key.text, now),
             address=self.address,
             observed_at=now,
+            arc=arc,
         )
         collected = msg.collected + (entry,)
         if msg.pending:
             next_key, rest = msg.pending[0], msg.pending[1:]
-            forwarded = RicRequestMessage(
-                request_id=msg.request_id,
-                origin=msg.origin,
-                target_key=next_key,
-                pending=rest,
-                collected=collected,
-            )
-            self.ctx.api.send(
-                self.address,
-                forwarded,
-                self.ctx.space.hash_key(next_key.text),
-                is_ric=True,
+            self._route_ric(
+                RicRequestMessage(
+                    request_id=msg.request_id,
+                    origin=msg.origin,
+                    target_key=next_key,
+                    target_id=self.ctx.space.hash_key(next_key.text),
+                    pending=rest,
+                    collected=collected,
+                )
             )
         else:
             reply = RicReplyMessage(request_id=msg.request_id, collected=collected)

@@ -205,9 +205,13 @@ class EvalMessage(Message):
 class RicRequestMessage(Message):
     """A chained request for RIC information (Section 6).
 
-    ``target_key`` is the key the receiving node must report about;
-    ``pending`` holds the keys still to be visited; ``collected`` accumulates
-    the observations gathered so far along the chain.  Together the three
+    ``target_key`` is the key the receiving node must report about and
+    ``target_id`` its identifier, which the sender hashed to address the
+    request and the receiver holds against its own arc: a request sent
+    direct on a cached arc that has gone stale reaches a node that does not
+    own the key, and is passed on through the ring.  ``pending`` holds the
+    keys still to be visited; ``collected`` accumulates the observations
+    gathered so far along the chain.  ``target_key`` and those two together
     name every key the chain is asking: while it (or its reply) is in
     flight, ``origin`` asks none of them again — later indexing decisions
     wait for this chain — and if a crash destroys the request, the engine
@@ -219,6 +223,7 @@ class RicRequestMessage(Message):
     request_id: str
     origin: str
     target_key: IndexKey
+    target_id: int
     pending: TupleT[IndexKey, ...] = ()
     collected: TupleT[RicEntry, ...] = ()
 

@@ -11,12 +11,15 @@ state:
   count when no window is configured — "we observe what has happened ... and
   assume a similar behavior for the future"),
 * :class:`RicEntry` — one observation: key, rate, the address of the node
-  that reported it and when it was reported,
+  that reported it, when it was reported, and the arc of the identifier
+  circle that node was responsible for then,
 * :class:`CandidateTable` (CT) — the per-node cache of RIC entries
   (Section 7): entries learned by asking candidates, or received piggy-backed
   on rewritten queries (``QueryState.ric_info``), are kept so that future
   indexing decisions for the same key need no extra messages; stale entries
-  are asked again,
+  are asked again.  It also keeps the reporters' arcs, so that a question it
+  must ask goes to the key's owner in one hop once that owner has reported
+  anything at all (:meth:`CandidateTable.owner_of`),
 * and, in :class:`~repro.core.node.RJoinNode`, what is on its way: the
   indexing decisions waiting for a reply (``_pending_ric``) and the waiter
   index (``_ric_waiters``: key text -> the decisions waiting for that key),
@@ -27,12 +30,30 @@ state:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
+
+#: ``(predecessor id, own id)``: the identifiers ``(predecessor, own]`` a node
+#: is responsible for, clockwise; equal ends are the whole circle.
+Arc = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+def arc_holds(arc: Arc, identifier: int) -> bool:
+    """Whether ``identifier`` lies on ``arc`` (Chord's ownership rule).
+
+    :meth:`IdentifierSpace.in_interval <repro.dht.hashing.IdentifierSpace.in_interval>`
+    for an arc and an identifier that are already on the circle: two
+    comparisons, on the path of every RIC request.
+    """
+    start, end = arc
+    if start < end:
+        return start < identifier <= end
+    return identifier > start or identifier <= end
+
+
+@dataclass(frozen=True, slots=True)
 class RicEntry:
     """One piece of RIC information about an indexing key."""
 
@@ -40,6 +61,10 @@ class RicEntry:
     rate: float
     address: str
     observed_at: float
+    #: The arc ``address`` owned when it reported (the ring's one tuple per
+    #: node and membership change, shared by every entry that node stamps);
+    #: ``None`` on a hand-built entry, which teaches no arc.
+    arc: Optional[Arc] = None
 
     def is_fresh(self, now: float, freshness: Optional[float]) -> bool:
         """Whether the entry is still considered valid at time ``now``."""
@@ -120,25 +145,105 @@ class RateTracker:
 
 
 class CandidateTable:
-    """Cache of RIC entries (and candidate node addresses) — Section 7."""
+    """Cache of RIC entries and of their reporters' arcs — Section 7.
+
+    An entry answers "what is the rate of this key"; the arc it carries
+    answers "which node do I ask about *any* key hashing here".  The table
+    keeps one arc per reporter, the newest observed, and no two that
+    overlap: the ring's own arcs never do, so of two overlapping ones the
+    older was observed before a membership change and is dropped.  Hence
+    there are never more arcs than the ring has members, and a hint that
+    went stale (a join split the arc, an id movement shrank it) misdirects
+    one question of its node at most — the reply carries the arc of the
+    key's real owner, which evicts the hint.  (A node that only forwarded
+    somebody else's chain on the hint sees no reply; it keeps the hint until
+    an entry of the real owner reaches it, asked for or piggy-backed.)  An
+    arc is a hint and no more: the node it names checks for itself whether
+    it owns the key it is asked about.
+    """
 
     def __init__(self, freshness: Optional[float] = None) -> None:
         """``freshness`` is the maximum age of a usable entry (``None`` = no limit)."""
         self.freshness = freshness
         self._entries: Dict[str, RicEntry] = {}
+        #: Reporter address -> its arc, and -> when that arc was first observed.
+        self._arc_of: Dict[str, Arc] = {}
+        self._arc_seen: Dict[str, float] = {}
+        #: The cached arcs' ends in increasing order, their owners alongside.
+        self._arc_ends: List[int] = []
+        self._arc_owners: List[str] = []
         self._hits = 0
         self._misses = 0
 
     def update(self, entry: RicEntry) -> None:
         """Insert ``entry``, keeping the most recently observed one per key."""
-        current = self._entries.get(entry.key_text)
-        if current is None or entry.observed_at >= current.observed_at:
-            self._entries[entry.key_text] = entry
+        self.update_many((entry,))
 
     def update_many(self, entries: Iterable[RicEntry]) -> None:
-        """Insert several entries at once."""
+        """Insert several entries at once, and learn their reporters' arcs.
+
+        The loop every arriving query runs over what it carries piggy-backed:
+        nearly always the arc is the very tuple the reporter is known by.
+        """
+        cached, arc_of = self._entries, self._arc_of
         for entry in entries:
-            self.update(entry)
+            current = cached.get(entry.key_text)
+            if current is None or entry.observed_at >= current.observed_at:
+                cached[entry.key_text] = entry
+            arc = entry.arc
+            if arc is not None and arc_of.get(entry.address) is not arc:
+                self._learn_arc(entry.address, arc, entry.observed_at)
+
+    def owner_of(self, identifier: int) -> Optional[str]:
+        """The reporter whose cached arc holds ``identifier``, or None."""
+        ends = self._arc_ends
+        if not ends:
+            return None
+        # The one arc that can hold it ends at or after it, wrapping around.
+        index = bisect_left(ends, identifier)
+        owner = self._arc_owners[index if index < len(ends) else 0]
+        return owner if arc_holds(self._arc_of[owner], identifier) else None
+
+    def _learn_arc(self, address: str, arc: Arc, observed_at: float) -> None:
+        """Cache that ``address`` owned ``arc`` at ``observed_at``; newest wins.
+
+        It is no news, and dropped, when ``address`` is known to own something
+        else since, or when it overlaps an arc observed later.  Otherwise it
+        replaces the previous arc of ``address`` and every cached arc it
+        overlaps: those whose end lies on it, and the one its own end lies on.
+        """
+        seen = self._arc_seen
+        known = self._arc_of.get(address)
+        if known == arc:
+            self._arc_of[address] = arc  # an equal tuple of a later ring
+            return
+        if known is not None:
+            if seen[address] > observed_at:
+                return
+            self._drop_arc(address)  # superseded, whatever becomes of ``arc``
+        start, end = arc
+        ends, owners = self._arc_ends, self._arc_owners
+        low, high = bisect_right(ends, start), bisect_right(ends, end)
+        overlapped = owners[low:high] if start < end else owners[low:] + owners[:high]
+        holder = self.owner_of(end)
+        if holder is not None and holder not in overlapped:
+            overlapped.append(holder)
+        if any(seen[owner] > observed_at for owner in overlapped):
+            return
+        for owner in overlapped:
+            self._drop_arc(owner)
+        index = bisect_left(ends, end)
+        ends.insert(index, end)
+        owners.insert(index, address)
+        self._arc_of[address] = arc
+        seen[address] = observed_at
+
+    def _drop_arc(self, address: str) -> None:
+        _, end = self._arc_of.pop(address)
+        del self._arc_seen[address]
+        index = bisect_left(self._arc_ends, end)
+        del self._arc_ends[index]
+        del self._arc_owners[index]
 
     def lookup(self, key_text: str, now: float) -> Optional[RicEntry]:
         """Return a fresh cached entry for ``key_text`` or None."""
@@ -150,7 +255,7 @@ class CandidateTable:
         return None
 
     def invalidate_address(self, address: str) -> int:
-        """Drop every cached entry reported by ``address``; returns the count.
+        """Drop the entries ``address`` reported and its arc; returns the entry count.
 
         Called eagerly when a node leaves the ring (graceful departure or
         crash): entries pointing at the departed node can never satisfy the
@@ -164,16 +269,22 @@ class CandidateTable:
         ]
         for key_text in stale:
             del self._entries[key_text]
+        if address in self._arc_of:
+            self._drop_arc(address)
         return len(stale)
 
     def clear(self) -> None:
-        """Drop every cached entry (the hit/miss counters are preserved).
+        """Drop every cached entry and arc (the hit/miss counters are preserved).
 
         The query-lifecycle vacuum: cached RIC observations only inform the
         indexing decisions of continuous queries, so once the last active
         query is removed the cache is dead weight.
         """
         self._entries.clear()
+        self._arc_of.clear()
+        self._arc_seen.clear()
+        self._arc_ends.clear()
+        self._arc_owners.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

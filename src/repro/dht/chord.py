@@ -62,6 +62,9 @@ class ChordRing:
         #: ``(clockwise progress, finger)``, by increasing progress; at most
         #: ``bits`` entries per node, dropped on every membership change.
         self._finger_cache: Dict[str, Tuple[List[int], List[ChordNode]]] = {}
+        #: Address -> ``(predecessor id, own id)``, built on first use and
+        #: dropped with the fingers: one tuple per node and membership change.
+        self._arc_cache: Dict[str, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -118,7 +121,7 @@ class ChordRing:
         node = ChordNode(node_id, address)
         self._ring.insert(node_id, node)
         self._by_address[address] = node
-        self._invalidate_fingers()
+        self._invalidate_caches()
         return node
 
     def remove_node(self, address: str) -> ChordNode:
@@ -126,7 +129,7 @@ class ChordRing:
         node = self.node_by_address(address)
         self._ring.remove(node.node_id)
         del self._by_address[address]
-        self._invalidate_fingers()
+        self._invalidate_caches()
         return node
 
     def move_node(self, address: str, new_id: int) -> Tuple[int, int]:
@@ -142,11 +145,12 @@ class ChordRing:
             return old_id, new_id
         self._ring.move(old_id, new_id)
         node.node_id = new_id
-        self._invalidate_fingers()
+        self._invalidate_caches()
         return old_id, new_id
 
-    def _invalidate_fingers(self) -> None:
+    def _invalidate_caches(self) -> None:
         self._finger_cache.clear()
+        self._arc_cache.clear()
 
     # ------------------------------------------------------------------
     # membership queries
@@ -196,6 +200,20 @@ class ChordRing:
     def owner_of_key(self, key: str) -> ChordNode:
         """The node responsible for a string key (``Successor(Hash(key))``)."""
         return self.successor(self.space.hash_key(key))
+
+    def arc_of(self, address: str) -> Tuple[int, int]:
+        """``(predecessor id, own id)`` of the node at ``address``.
+
+        It is responsible for the identifiers ``(predecessor id, own id]`` —
+        the whole circle when it is the only node.  Every call between two
+        membership changes returns the same tuple object.
+        """
+        arc = self._arc_cache.get(address)
+        if arc is None:
+            node = self.node_by_address(address)
+            arc = (self.predecessor_of(node).node_id, node.node_id)
+            self._arc_cache[address] = arc
+        return arc
 
     def arc_length_of(self, node: ChordNode) -> int:
         """Number of identifiers owned by ``node``."""

@@ -22,11 +22,13 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v9: the RIC path added its three counters (``ric_chains_started``,
-#: ``ric_questions_joined``, ``ric_chains_lost``) to the summary.
+#: v10: RIC requests sent in one hop on a cached arc added
+#: ``ric_requests_direct`` and ``ric_requests_misdirected`` to the summary.
 #: Older result files still *load* — ``result_from_dict``, ``load_cells``
 #: and ``report --diff`` accept any schema version.
-#: (v8: the observability layer added the latency/load histogram percentiles
+#: (v9: the RIC path added its three counters (``ric_chains_started``,
+#: ``ric_questions_joined``, ``ric_chains_lost``) to the summary;
+#: v8: the observability layer added the latency/load histogram percentiles
 #: (``answer_latency_p50``/``p95``/``p99`` and friends — three keys per
 #: histogram declared in ``repro.obs.instruments.HISTOGRAMS``) to the
 #: summary, plus ``ExperimentConfig.observability`` to the config schema;
@@ -43,7 +45,7 @@ from repro.sql.ast import WindowSpec
 #: v4: query lifecycle added ``ExperimentConfig.query_churn`` /
 #: ``ExperimentConfig.owner_failover`` plus the lifecycle counters;
 #: v3: ``ExperimentConfig.store_backend`` joined the config schema.)
-RESULT_SCHEMA_VERSION = 9
+RESULT_SCHEMA_VERSION = 10
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
@@ -90,6 +92,8 @@ SUMMARY_SCHEMA: Tuple[str, ...] = (
     "ric_chains_started",
     "ric_questions_joined",
     "ric_chains_lost",
+    "ric_requests_direct",
+    "ric_requests_misdirected",
     # Observability histogram percentiles (three keys per histogram declared
     # in ``repro.obs.instruments.HISTOGRAMS``; all zero when observability
     # is off so the key set never depends on the mode).

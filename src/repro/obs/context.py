@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import ObservabilityError
 from repro.obs.instruments import MetricsRegistry
@@ -28,6 +28,10 @@ from repro.obs.trace import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.messages import Envelope
+
+
+#: The :meth:`Observability.record_ric` phases a span counts, as ``ric_<phase>``.
+_SPAN_PHASES = frozenset(("joined", "direct", "misdirected"))
 
 
 class Observability:
@@ -77,8 +81,9 @@ class Observability:
         self._deliveries_by_kind = self.registry.counter("deliveries_by_kind")
         self._key_load = self.registry.counter("key_load")
         self._ric_chain = self.registry.counter("ric_chain")
-        #: RIC questions the span now open has joined (see :meth:`record_ric`).
-        self._ric_joined = 0
+        #: What the span now open did on the RIC path that is no delivery of
+        #: its own, by phase (see :meth:`record_ric`).
+        self._ric_open: Dict[str, int] = {}
         self._dropped = self.registry.counter("dropped_deliveries")
         # The delivery pair below inlines ``Tracer.begin_span``/``end_span``
         # (see its docstring), so it shares the tracer's active-context
@@ -104,7 +109,8 @@ class Observability:
             try:
                 yield
             finally:
-                span.ric_joined, self._ric_joined = self._ric_joined, 0
+                if self._ric_open:
+                    self._close_ric(span)
 
     def record_answer_latency(self, delivered_at: float, answers: int) -> None:
         """Record publish/submit -> answer latency for the active trace.
@@ -192,8 +198,8 @@ class Observability:
     def delivery_end(self, span: Span) -> None:
         """Close a span opened by :meth:`delivery_begin` (inlined pair)."""
         self._stack.pop()
-        if self._ric_joined:
-            span.ric_joined, self._ric_joined = self._ric_joined, 0
+        if self._ric_open:
+            self._close_ric(span)
         if self._wall:
             wall = (perf_counter() - self._wall_starts.pop()) * 1e6
             span.wall_us = wall
@@ -212,16 +218,26 @@ class Observability:
         self._key_load.inc(key_text)
 
     def record_ric(self, phase: str, count: int = 1) -> None:
-        """RIC path telemetry: ``request`` / ``reply`` deliveries, ``joined`` questions.
+        """RIC path telemetry: ``request`` / ``reply`` deliveries, ``joined``
+        questions, requests sent ``direct`` and requests ``misdirected``.
 
         A *joined* question is an unknown candidate key that was not sent
-        because a chain of the same node was already asking it; it is no
-        delivery, so the span that is open (the delivery whose handler
-        joined, or the submitting operation) carries the count.
+        because a chain of the same node was already asking it; a *direct*
+        request went to its key's owner in one hop on a cached arc; a
+        *misdirected* one arrived on a stale arc and was passed on through
+        the ring.  None is a delivery of its own, so the span that is open
+        (the delivery whose handler did it, or the submitting operation)
+        carries the count.
         """
         self._ric_chain.inc(phase, count)
-        if phase == "joined" and self._stack:
-            self._ric_joined += count
+        if phase in _SPAN_PHASES and self._stack:
+            self._ric_open[phase] = self._ric_open.get(phase, 0) + count
+
+    def _close_ric(self, span: Span) -> None:
+        """Move what :meth:`record_ric` counted for the open span onto it."""
+        for phase, count in self._ric_open.items():
+            setattr(span, f"ric_{phase}", count)
+        self._ric_open.clear()
 
     def record_store_probe(self, result_size: int) -> None:
         """Result size of one set-at-a-time store batch probe."""

@@ -1,6 +1,8 @@
 """Tests for RIC bookkeeping: rate tracking, candidate table, piggy-backing."""
 
-from repro.core.ric import CandidateTable, RateTracker, RicEntry
+import random
+
+from repro.core.ric import CandidateTable, RateTracker, RicEntry, arc_holds
 
 
 class TestRateTracker:
@@ -100,3 +102,106 @@ class TestCandidateTable:
         table = CandidateTable()
         table.update_many([self.entry(key="a"), self.entry(key="b")])
         assert len(table) == 2
+
+
+class TestArcs:
+    """The arc cache: which reporter owns the arc an identifier lies on."""
+
+    def entry(self, address, arc, observed_at=0.0, key=None):
+        return RicEntry(
+            key_text=key or f"about-{address}-{observed_at}",
+            rate=1.0,
+            address=address,
+            observed_at=observed_at,
+            arc=arc,
+        )
+
+    def test_arc_holds_follows_chords_ownership_rule(self):
+        assert arc_holds((10, 20), 20) and arc_holds((10, 20), 11)
+        assert not arc_holds((10, 20), 10) and not arc_holds((10, 20), 21)
+        # Across zero, and the single node's whole circle.
+        assert all(arc_holds((90, 5), identifier) for identifier in (95, 0, 5))
+        assert not arc_holds((90, 5), 6) and not arc_holds((90, 5), 90)
+        assert all(arc_holds((7, 7), identifier) for identifier in (0, 7, 8, 99))
+
+    def test_owner_of_names_the_reporter_whose_arc_holds_the_identifier(self):
+        table = CandidateTable()
+        assert table.owner_of(15) is None
+        table.update_many([
+            self.entry("a", (10, 20)),
+            self.entry("b", (40, 50)),
+            self.entry("w", (90, 5)),
+        ])
+        assert [table.owner_of(i) for i in (11, 20, 45, 95, 0, 5)] == [
+            "a", "a", "b", "w", "w", "w",
+        ]
+        # Arcs nobody reported, and the open start of one that was.
+        assert [table.owner_of(i) for i in (10, 30, 51, 90, 6)] == [None] * 5
+
+    def test_an_entry_without_an_arc_teaches_none(self):
+        table = CandidateTable()
+        table.update(self.entry("a", None))
+        assert len(table) == 1 and not table._arc_of and table.owner_of(15) is None
+
+    def test_a_newer_arc_evicts_every_arc_it_overlaps(self):
+        table = CandidateTable()
+        table.update_many([
+            self.entry("a", (10, 20), 1.0), self.entry("b", (20, 30), 1.0),
+            self.entry("c", (30, 40), 1.0), self.entry("d", (40, 50), 1.0),
+        ])
+        # "n" joined at 35 and then moved to 45, as "d" sees it at time 5.
+        table.update(self.entry("n", (25, 45), 5.0))
+        assert table._arc_of == {
+            "a": (10, 20), "n": (25, 45),
+        }
+        assert table._arc_ends == [20, 45] and table._arc_owners == ["a", "n"]
+        assert table.owner_of(22) is None and table.owner_of(47) is None
+
+    def test_a_stale_arc_does_not_come_back_over_a_newer_one(self):
+        """Piggy-backed entries stamped before a join keep arriving after it."""
+        table = CandidateTable()
+        table.update(self.entry("s", (10, 50), 1.0))
+        table.update(self.entry("b", (10, 30), 5.0))  # "b" joined, splitting "s"
+        assert table.owner_of(20) == "b" and table.owner_of(40) is None
+        table.update(self.entry("s", (10, 50), 2.0, key="late"))
+        assert table.owner_of(20) == "b" and table.owner_of(40) is None
+        table.update(self.entry("s", (30, 50), 6.0))
+        assert table.owner_of(40) == "s"
+        # ...nor over a newer arc of its own reporter.
+        table.update(self.entry("s", (10, 50), 2.0, key="later still"))
+        assert table.owner_of(20) == "b" and table._arc_of["s"] == (30, 50)
+
+    def test_one_arc_per_reporter_the_newest(self):
+        table = CandidateTable()
+        table.update(self.entry("a", (10, 20), 1.0))
+        table.update(self.entry("a", (10, 15), 2.0))  # its id moved back
+        assert table._arc_ends == [15] and table.owner_of(18) is None
+        table.update(self.entry("a", (90, 15), 3.0))  # its predecessor left
+        assert table._arc_ends == [15] and table.owner_of(95) == "a"
+
+    def test_invalidate_address_and_clear_drop_the_arcs_with_the_entries(self):
+        table = CandidateTable()
+        table.update_many([self.entry("a", (10, 20)), self.entry("b", (40, 50))])
+        assert table.invalidate_address("a") == 1
+        assert table.owner_of(15) is None and table.owner_of(45) == "b"
+        assert table._arc_ends == [50] and table._arc_owners == ["b"]
+        table.clear()
+        assert table.owner_of(45) is None
+        assert not table._arc_of and not table._arc_ends and not table._arc_owners
+
+    def test_never_more_arcs_than_disjoint_reporters(self):
+        """Whatever order observations of a changing ring arrive in."""
+        rng = random.Random(3)
+        table = CandidateTable()
+        for step in range(400):
+            start = rng.randrange(1000)
+            arc = (start, (start + rng.randrange(1, 300)) % 1000)
+            table.update(self.entry(f"n{rng.randrange(12)}", arc, float(step)))
+            arcs = list(table._arc_of.values())
+            assert len(arcs) <= 12
+            assert table._arc_ends == sorted(end for _, end in arcs)
+            for identifier in range(0, 1000, 7):
+                holders = [arc for arc in arcs if arc_holds(arc, identifier)]
+                assert len(holders) <= 1
+                owner = table.owner_of(identifier)
+                assert (owner is not None) == bool(holders)

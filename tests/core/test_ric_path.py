@@ -1,11 +1,14 @@
-"""The RIC path, single-flight: one question per key in flight per node.
+"""The RIC path: one question per key in flight per node, one hop per question.
 
 An indexing decision that needs RIC information (Section 6) asks only the
 candidate keys no chain of its node is asking already and waits with those
 chains for the rest; a reply resolves its keys' waiters, and a chain a crash
 destroys is handed back to its origin, which asks again.  The waiter index
 (``RJoinNode._ric_waiters``) may never outlive a chain: a key is in it
-exactly while one chain of the node is in flight asking it.
+exactly while one chain of the node is in flight asking it.  A request goes
+to its key's owner in one hop once that owner has reported about any key at
+all — its entries say which arc of the ring it owns — and through the ring
+until then (``tests/core/test_ric_churn.py`` has the arcs that went stale).
 """
 
 from __future__ import annotations
@@ -57,6 +60,27 @@ def spy_on_posts(engine: RJoinEngine) -> List[object]:
     engine.api.send = spy(engine.api.send)
     engine.api.send_direct = spy(engine.api.send_direct)
     return posted
+
+
+def spy_on_requests(engine: RJoinEngine):
+    """``(routed, direct)``: the RIC requests handed to ``send`` / ``send_direct``
+    from now on, the direct ones with the address they were sent to."""
+    routed: List[RicRequestMessage] = []
+    direct: List[tuple] = []
+    send, send_direct = engine.api.send, engine.api.send_direct
+
+    def spied_send(sender, message, identifier, *args, **kwargs):
+        if isinstance(message, RicRequestMessage):
+            routed.append(message)
+        return send(sender, message, identifier, *args, **kwargs)
+
+    def spied_send_direct(sender, message, destination, *args, **kwargs):
+        if isinstance(message, RicRequestMessage):
+            direct.append((message, destination))
+        return send_direct(sender, message, destination, *args, **kwargs)
+
+    engine.api.send, engine.api.send_direct = spied_send, spied_send_direct
+    return routed, direct
 
 
 def chains_started(posted) -> List[RicRequestMessage]:
@@ -255,6 +279,91 @@ class TestOneQuestionPerKey:
         assert_ric_path_idle(h.engine)
 
 
+class TestOneHop:
+    """A reporter's arc reaches the asker; the next question uses it."""
+
+    def keys_of_one_owner(self, h: Harness, count: int):
+        """``count`` keys that one node other than the harness's owns."""
+        by_owner: Dict[str, list] = {}
+        for value in range(1000):
+            key = value_key("S", "c", value)
+            owner = h.engine.ring.owner_of_key(key.text).address
+            if owner == h.node.address:
+                continue
+            by_owner.setdefault(owner, []).append(key)
+            if len(by_owner[owner]) == count:
+                return owner, by_owner[owner]
+        raise AssertionError("no node owns enough keys")
+
+    def test_the_first_question_is_routed_the_next_to_that_owner_goes_direct(self):
+        h = Harness()
+        routed, direct = spy_on_requests(h.engine)
+        owner, (first, second) = self.keys_of_one_owner(h, 2)
+        h.node._index_query(h.state(1), [first])
+        assert [r.target_key for r in routed] == [first] and not direct
+        h.engine.run()
+        arc = h.engine.ring.arc_of(owner)
+        assert h.finished[0][1][first.text].arc is arc
+        assert h.node.candidate_table._arc_of[owner] == arc
+        h.node._index_query(h.state(2), [second])
+        assert [(r.target_key, to) for r, to in direct] == [(second, owner)]
+        assert len(routed) == 1 and h.node.ric_requests_direct == 1
+        h.engine.run()
+        assert h.finished_ids == ["node-0#1", "node-0#2"]
+        assert h.engine.metrics_summary()["ric_requests_misdirected"] == 0
+        assert_ric_path_idle(h.engine)
+
+    def test_a_chain_is_forwarded_on_the_forwarders_own_arcs(self):
+        """Each hop of a chain is sent by another node, from what *it* knows."""
+        h = Harness()
+        owner, (first, second, third) = self.keys_of_one_owner(h, 3)
+        # The owner of K1 once asked ``first`` itself; node-0 never did.
+        forwarder = h.engine.nodes[h.engine.ring.owner_of_key(K1.text).address]
+        assert forwarder.address not in (owner, h.node.address)
+        forwarder._index_query(h.state(1), [first])
+        h.engine.run()
+        routed, direct = spy_on_requests(h.engine)
+        h.node._index_query(h.state(2), [K1, second])
+        h.engine.run()
+        assert [r.target_key for r in routed] == [K1]
+        assert [(r.target_key, to) for r, to in direct] == [(second, owner)]
+        assert (h.node.ric_requests_direct, forwarder.ric_requests_direct) == (0, 1)
+        # ...and the reply taught node-0 both reporters' arcs.
+        assert set(h.node.candidate_table._arc_of) == {forwarder.address, owner}
+        h.node._index_query(h.state(3), [third])
+        assert direct[-1] == (direct[-1][0], owner) and len(routed) == 1
+        h.engine.run()
+        assert_ric_path_idle(h.engine)
+
+    def test_piggy_backed_entries_teach_arcs_too(self):
+        h = Harness()
+        owner, (first, second) = self.keys_of_one_owner(h, 2)
+        arc = h.engine.ring.arc_of(owner)
+        state = h.state(1)
+        state.ric_info[first.text] = RicEntry(first.text, 2.0, owner, h.engine.now, arc)
+        h.node._adopt_ric_info(state)
+        identifier = h.engine.space.hash_key(second.text)
+        assert h.node.candidate_table.owner_of(identifier) == owner
+
+    def test_a_request_for_a_key_of_ones_own_is_a_local_delivery_either_way(self):
+        h = Harness()
+        first, second = [
+            key for key in (value_key("S", "c", value) for value in range(1000))
+            if h.engine.ring.owner_of_key(key.text).address == h.node.address
+        ][:2]
+        messages = h.engine.traffic.total_messages
+        h.node._index_query(h.state(1), [first])  # routed: a path of no hops
+        h.engine.run()
+        assert h.node.ric_requests_direct == 0
+        h.node._index_query(h.state(2), [second])  # on the node's own arc
+        h.engine.run()
+        assert h.node.ric_requests_direct == 1
+        assert h.finished_ids == ["node-0#1", "node-0#2"]
+        # Asked, answered and the queries sent on without a transmission.
+        assert h.engine.traffic.total_messages == messages
+        assert_ric_path_idle(h.engine)
+
+
 def busy_engine(runtime: str = "sim", seed: int = 5, **config):
     """Many queries per attribute key: their rewrites share candidate keys."""
     generator = WorkloadGenerator(
@@ -292,10 +401,35 @@ class TestCounters:
         # The same, read off the telemetry: every question sent was delivered
         # once, every chain replied once, and the joined ones — deliveries
         # that did not happen — sit on the spans whose handlers joined them.
-        by_phase = engine.obs.registry.counter("ric_chain").by_label
+        by_phase = dict(engine.obs.registry.counter("ric_chain").by_label)
+        assert by_phase.pop("direct") == summary["ric_requests_direct"]
         assert by_phase == {"request": asked, "reply": len(chains), "joined": joined}
         assert sum(span.ric_joined for span in engine.obs.spans) == joined
         assert_ric_path_idle(engine)
+        engine.close()
+
+    def test_on_a_static_ring_a_request_is_direct_or_routed_and_never_misdirected(self):
+        engine, generator = busy_engine(observability="on")
+        routed, direct = spy_on_requests(engine)
+        for query in generator.generate_queries(40):
+            engine.submit(query)
+        for generated in generator.generate_tuples(60):
+            engine.publish(generated.relation, generated.values)
+        summary = engine.metrics_summary()
+        assert summary["ric_requests_misdirected"] == 0
+        assert summary["ric_requests_direct"] == len(direct) > 0
+        # Every request posted was asked of one node, once, and answered there.
+        posted = len(direct) + len(routed)
+        by_phase = engine.obs.registry.counter("ric_chain").by_label
+        assert by_phase["request"] == posted and "misdirected" not in by_phase
+        assert sum(span.ric_direct for span in engine.obs.spans) == len(direct)
+        for request, destination in direct:
+            owner = engine.ring.owner_of_key(request.target_key.text)
+            assert destination == owner.address
+        # The mechanism does something: once the tables are warm, most
+        # questions travel one hop.
+        assert len(direct) > len(routed)
+        assert summary["stale_one_hop_attempts"] == 0
         engine.close()
 
     def test_counters_of_a_departed_node_stay_in_the_summary(self):

@@ -127,6 +127,43 @@ class TestSimAsyncioEquivalence:
             sim_engine.close()
             conc_engine.close()
 
+    def test_a_ric_heavy_cell_costs_the_same_on_both_runtimes(self):
+        """A wide value domain: nearly every rewrite meets candidate keys its
+        node has no rate for, so RIC requests — routed while the tables are
+        cold, one hop on a cached arc after — are a large part of the traffic.
+        The runtimes agree on the bag and on every count of it."""
+        spec = WorkloadSpec(
+            num_relations=4,
+            attributes_per_relation=3,
+            value_domain=60,
+            join_arity=3,
+            seed=1501,
+        )
+        self.generator = WorkloadGenerator(spec)
+        queries = self.generator.generate_queries(48)
+        tuples = self.generator.generate_tuples(120)
+        sim_engine, sim_handles = self.run_on("sim", queries, tuples, strategy="rjoin")
+        conc_engine, conc_handles = self.run_on(
+            "asyncio", queries, tuples, strategy="rjoin"
+        )
+        try:
+            for sim_handle, conc_handle in zip(sim_handles, conc_handles):
+                assert as_bag(sim_handle.values()) == as_bag(conc_handle.values())
+            sim, conc = sim_engine.metrics_summary(), conc_engine.metrics_summary()
+            for counter in (
+                "answers", "total_messages", "ric_messages", "ric_chains_started",
+                "ric_requests_direct", "ric_requests_misdirected",
+            ):
+                assert sim[counter] == conc[counter], counter
+            assert sim["answers"] > 0 and sim["ric_requests_misdirected"] == 0
+            # RIC-heavy, and the arcs at work: a tenth of the traffic is RIC,
+            # and more requests went direct than chains were started.
+            assert sim["ric_messages"] > 0.1 * sim["total_messages"]
+            assert sim["ric_requests_direct"] > sim["ric_chains_started"] > 0
+        finally:
+            sim_engine.close()
+            conc_engine.close()
+
     def test_scheduled_churn_same_bags_and_counters(self):
         # Same scheduled join + graceful leave on both runtimes: same seed
         # picks the same ring positions and victims, graceful hand-offs lose

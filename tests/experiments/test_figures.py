@@ -1,5 +1,6 @@
 """Smoke tests for the figure harness (tiny overrides, qualitative assertions)."""
 
+import pytest
 
 from repro.experiments.figures import (
     figure2,
@@ -28,6 +29,36 @@ class TestFigure2:
         )
         text = fig.to_text()
         assert "Figure 2" in text and "worst_qpl_per_node" in text
+
+
+    @pytest.mark.parametrize("seed", [42, 43, 44])
+    def test_traffic_ordering_holds(self, seed):
+        """Paper claim (Fig. 2, its headline metric): choosing by RIC
+        information costs less traffic than choosing at random, asking
+        included, and that less than the worst choice."""
+        fig = figure2(num_nodes=24, num_queries=40, checkpoints=[20, 40], seed=seed)
+        worst, random_, rjoin = (
+            fig.series[f"{strategy}_messages_per_node"][-1]
+            for strategy in ("worst", "random", "rjoin")
+        )
+        assert worst >= random_ >= rjoin
+
+    @pytest.mark.parametrize("seed", [42, 43, 44])
+    def test_request_ric_share_of_rjoin_traffic(self, seed):
+        """Characterisation, not a paper claim (the repo records no number
+        for it): asking is 24-30 % of what RJoin sends by the last checkpoint
+        at this size, and a smaller part of it than at the first — the
+        candidate tables fill, with rates and with the arcs to ask on."""
+        fig = figure2(num_nodes=24, num_queries=40, checkpoints=[20, 40], seed=seed)
+        first, last = (
+            ric / total
+            for ric, total in zip(
+                fig.series["rjoin_ric_messages_per_node"],
+                fig.series["rjoin_messages_per_node"],
+            )
+        )
+        assert 0.22 <= last <= 0.32
+        assert last < first
 
 
 class TestFigure3:

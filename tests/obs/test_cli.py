@@ -58,28 +58,32 @@ class TestSummarize:
         (row,) = [line for line in text.splitlines() if "AnswerMessage" in line
                   and "deliveries" in line]
         assert f"{per_envelope:.2f} per envelope" in row
-        assert row.endswith("RIC joined")
+        assert "RIC joined" in row and row.endswith("misdirected")
         assert "critical path:" in text
         assert "slowest" in text
 
-    def test_ric_joined_column_sums_the_spans_per_kind(self, tmp_path):
-        """Joined questions are no deliveries: the column reads them off the
-        spans whose handlers joined them."""
-        def span(span_id, name, ric_joined):
+    def test_ric_columns_sum_the_spans_per_kind(self, tmp_path):
+        """Joined questions, requests sent direct and misdirected ones are no
+        deliveries: the columns read them off the spans whose handlers joined,
+        sent or passed them on."""
+        def span(span_id, name, ric_joined, ric_direct=0, ric_misdirected=0):
             return Span(trace_id="pub-1", span_id=span_id, parent_id=None,
                         name=name, node="node-0", start=1.0, end=1.0,
-                        sent_at=0.0, hops=1, hop=1, ric_joined=ric_joined)
+                        sent_at=0.0, hops=1, hop=1, ric_joined=ric_joined,
+                        ric_direct=ric_direct, ric_misdirected=ric_misdirected)
 
         path = tmp_path / "joined.jsonl"
-        spans = [span(1, "NewTupleMessage", 3), span(2, "NewTupleMessage", 4),
-                 span(3, "EvalMessage", 0)]
+        spans = [span(1, "NewTupleMessage", 3, 5), span(2, "NewTupleMessage", 4, 6),
+                 span(3, "EvalMessage", 0), span(4, "RicRequestMessage", 0, 1, 1)]
         path.write_text("".join(json.dumps(s.to_dict()) + "\n" for s in spans))
         out = io.StringIO()
         assert obs_main(["summarize", str(path)], out=out) == 0
         rows = {line.split()[0]: line for line in out.getvalue().splitlines()
                 if "deliveries" in line}
-        assert rows["NewTupleMessage"].endswith("     7 RIC joined")
-        assert rows["EvalMessage"].endswith("     0 RIC joined")
+        ending = "{:>6} RIC joined {:>6} direct {:>4} misdirected".format
+        assert rows["NewTupleMessage"].endswith(ending(7, 11, 0))
+        assert rows["EvalMessage"].endswith(ending(0, 0, 0))
+        assert rows["RicRequestMessage"].endswith(ending(0, 1, 1))
 
     def test_top_must_be_positive(self, trace_file):
         assert obs_main(["summarize", str(trace_file), "--top", "0"]) == 1
