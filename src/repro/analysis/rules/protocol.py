@@ -14,8 +14,10 @@ compatibility) or as traffic that never appears in the Section 8 metrics:
 * every message class has at least one *accounted send site*: a function
   that constructs it and hands it to one of the traffic-accounted
   messaging primitives (``send`` / ``multi_send`` / ``send_direct`` on the
-  :class:`~repro.dht.api.DHTMessagingService`), so no message can be
-  minted without being charged to its sender.
+  :class:`~repro.dht.api.DHTMessagingService`) — or to a *relay*, a
+  function that takes a ``message`` and calls one (``RJoinNode._route``,
+  which picks the primitive) — so no message can be minted without being
+  charged to its sender.
 """
 
 from __future__ import annotations
@@ -177,24 +179,32 @@ class ProtocolRule(Rule):
         ``X(...)`` and calls ``<something>.send/multi_send/send_direct``
         counts as an accounted send site for ``X``.  All messaging
         primitives charge traffic internally, so construction plus a
-        primitive call in one function is the invariant worth pinning.
+        primitive call in one function is the invariant worth pinning.  A
+        function with a ``message`` parameter that calls a primitive is a
+        relay, and calling it counts like calling the primitive it picks.
         """
-        accounted: Set[str] = set()
+        called_in: List[Tuple[ast.AST, Set[str]]] = []
         for sf in project.files():
             for node in ast.walk(sf.tree):
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                constructed: Set[str] = set()
-                sends = False
+                called: Set[str] = set()
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Call):
                         func = sub.func
                         if isinstance(func, ast.Name):
-                            constructed.add(func.id)
+                            called.add(func.id)
                         elif isinstance(func, ast.Attribute):
-                            if func.attr in _SEND_METHODS:
-                                sends = True
-                            constructed.add(func.attr)
-                if sends:
-                    accounted |= constructed
+                            called.add(func.attr)
+                called_in.append((node, called))
+        senders = set(_SEND_METHODS)
+        for node, called in called_in:
+            if called & _SEND_METHODS and any(
+                arg.arg == "message" for arg in node.args.args
+            ):
+                senders.add(node.name)
+        accounted: Set[str] = set()
+        for _, called in called_in:
+            if called & senders:
+                accounted |= called
         return accounted

@@ -82,8 +82,8 @@ _NODE_COUNTERS = (
     "ric_chains_started",
     "ric_questions_joined",
     "ric_chains_lost",
-    "ric_requests_direct",
-    "ric_requests_misdirected",
+    "arc_sends_direct",
+    "arc_sends_misdirected",
 )
 
 
@@ -421,13 +421,13 @@ class RJoinEngine:
     ) -> List[Tuple]:
         """Publish a whole batch of ``(relation, values)`` pairs at once.
 
-        The vectorized fast path behind high-rate workloads: tuples are
-        grouped per publishing node and handed to one ``multiSend`` each, so
-        every indexing key is hashed once for the batch (memoised by the
-        identifier space) and traffic accounting is coalesced per batch
-        instead of per message.  The network is drained a single time at the
-        end, and the garbage-collection / rebalancing hooks fire once per
-        crossed scheduling boundary rather than once per tuple.
+        The fast path behind high-rate workloads: tuples are grouped per
+        publishing node and sent off in one go each
+        (:meth:`~repro.core.node.RJoinNode.publish_tuples`), every indexing
+        key hashed once for the batch (memoised by the identifier space).
+        The network is drained a single time at the end, and the
+        garbage-collection / rebalancing hooks fire once per crossed
+        scheduling boundary rather than once per tuple.
 
         ``publisher`` fixes the publishing node for the whole batch; by
         default each row draws a random publisher, matching :meth:`publish`.
@@ -448,7 +448,7 @@ class RJoinEngine:
             published.append(tup)
         for address, tuples in by_publisher.items():
             # One root span per publisher group, named after its first
-            # sequence number: the whole multiSend fan-out of the group
+            # sequence number: the whole fan-out of the group
             # shares one trace.
             trace_id = f"pub-{tuples[0].sequence}"
             with self._operation("publish_batch", trace_id, address):
@@ -961,9 +961,9 @@ class RJoinEngine:
 
         RIC state pointing at the departed address — candidate-table
         entries, per-query piggy-backed caches, pending RIC round trips —
-        is invalidated *eagerly* (churn-aware RIC): the lazy ownership check
-        in ``RJoinNode._send_query`` would reject it anyway, but only after
-        a stale one-hop attempt per affected indexing decision.  The
+        is invalidated *eagerly* (churn-aware RIC): the liveness check in
+        ``RJoinNode._route`` would reject it anyway, but only after a stale
+        one-hop attempt per affected message.  The
         departed node's store is also closed so backends holding external
         resources (sqlite connections) release them promptly.
         """
@@ -1060,9 +1060,10 @@ class RJoinEngine:
             "ric_chains_started": self._node_total("ric_chains_started"),
             "ric_questions_joined": self._node_total("ric_questions_joined"),
             "ric_chains_lost": self._node_total("ric_chains_lost"),
-            # ...and one hop per question wherever the owner's arc is cached.
-            "ric_requests_direct": self._node_total("ric_requests_direct"),
-            "ric_requests_misdirected": self._node_total("ric_requests_misdirected"),
+            # The routing cache: one hop per keyed message wherever the
+            # owner's arc is cached.
+            "arc_sends_direct": self._node_total("arc_sends_direct"),
+            "arc_sends_misdirected": self._node_total("arc_sends_misdirected"),
             # Observability (latency/load histograms; zeros when off) ------
             **histogram_percentiles(
                 self.obs.registry if self.obs is not None else None

@@ -14,7 +14,8 @@ application-layer state and the handlers for every protocol message:
 * receiving a rewritten query (Procedure 3): it is stored and matched against
   the locally stored tuples,
 * RIC requests/replies (Section 6) and the candidate-table/piggy-backing
-  optimisations (Section 7),
+  optimisations (Section 7), whose cached arcs also address every keyed
+  message the node sends (:meth:`RJoinNode._route`),
 * sliding-window garbage collection (Section 5) and DISTINCT projection
   tracking (Section 4).
 """
@@ -42,6 +43,7 @@ from repro.core.dedup import ProjectionTracker
 from repro.core.keys import ATTRIBUTE_LEVEL, IndexKey, tuple_index_keys
 from repro.core.protocol import (
     AnswerMessage,
+    ArcNoticeMessage,
     EvalMessage,
     IndexQueryMessage,
     NewTupleMessage,
@@ -58,7 +60,7 @@ from repro.core.rewriting import (
     plan_key,
     rewrite_query,
 )
-from repro.core.ric import CandidateTable, RateTracker, RicEntry, arc_holds
+from repro.core.ric import Arc, CandidateTable, RateTracker, RicEntry, arc_holds
 from repro.core.strategy import (
     CandidatePlan,
     IndexingStrategy,
@@ -80,7 +82,7 @@ from repro.dht.api import DHTMessagingService
 from repro.dht.hashing import IdentifierSpace
 from repro.errors import EngineError
 from repro.metrics.collectors import LoadTracker
-from repro.net.messages import Envelope
+from repro.net.messages import Envelope, Message
 from repro.sql.ast import Query, WindowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -178,6 +180,9 @@ class RJoinNode:
             max_keys=ctx.config.ric_max_tracked_keys,
         )
         self.candidate_table = CandidateTable(freshness=ctx.config.ric_freshness)
+        #: Only a strategy that asks RIC ever learns an arc; the others route
+        #: every keyed message and must be told nothing for it.
+        self._keeps_arcs = ctx.strategy.requires_ric
         self._pending_ric: Dict[str, _PendingIndexOp] = {}
         self._ric_counter = 0
         #: Key text -> the pending ops waiting for that key, in the order they
@@ -205,11 +210,12 @@ class RJoinNode:
         self.ric_chains_started = 0
         self.ric_questions_joined = 0
         self.ric_chains_lost = 0
-        #: Requests this node sent in one hop on a cached arc instead of
-        #: through the ring, and requests it was handed for keys it does not
-        #: own (the sender's arc was stale) and passed on through the ring.
-        self.ric_requests_direct = 0
-        self.ric_requests_misdirected = 0
+        #: The routing cache: keyed messages this node sent in one hop on a
+        #: cached arc instead of through the ring, and keyed messages it was
+        #: handed for identifiers it does not own (the sender's arc was
+        #: stale) and passed on through the ring.
+        self.arc_sends_direct = 0
+        self.arc_sends_misdirected = 0
         # Answer path ---------------------------------------------------------
         #: Query shape -> compiled rewrite (:func:`~repro.core.rewriting.plan_key`),
         #: shared by every record of that shape stored here and freed with
@@ -229,6 +235,7 @@ class RJoinNode:
             IndexQueryMessage: self._on_index_query,
             RicRequestMessage: self._on_ric_request,
             RicReplyMessage: self._on_ric_reply,
+            ArcNoticeMessage: self._on_arc_notice,
             AnswerMessage: self._on_answer,
             RetractQueryMessage: self._on_retract_query,
         }
@@ -237,8 +244,26 @@ class RJoinNode:
     # dispatch
     # ------------------------------------------------------------------
     def handle_envelope(self, envelope: Envelope) -> None:
-        """Entry point registered with the messaging service."""
+        """Entry point registered with the messaging service.
+
+        An address is a hint and the receiver decides: a message sent here
+        in one hop as to the owner of an identifier is held against this
+        node's arc before anything looks at it, whatever its kind.  (An
+        answer names no identifier.)  A routed message was brought here by
+        the ring itself, because its sender had no arc to send it on: that
+        costs the sender one message, not every one (:meth:`_tell_arcs`).
+        """
         message = envelope.message
+        identifier = envelope.target_identifier
+        if identifier is not None:
+            if envelope.direct:
+                arc = self.ctx.api.ring.arc_of(self.address)
+                if not arc_holds(arc, identifier):
+                    self._pass_on(envelope, identifier, arc)
+                    return
+            elif self._keeps_arcs and envelope.sender != self.address:
+                # Its sender knew no arc for it, and is told.
+                self._tell_arcs(envelope, self.ctx.api.ring.arc_of(self.address))
         handler = self._dispatch.get(type(message))
         if handler is None:
             return  # unknown kinds are silently ignored (forward compatibility)
@@ -256,30 +281,28 @@ class RJoinNode:
     def publish_tuple(self, tup: Tuple) -> int:
         """Index ``tup`` in the network: twice per attribute (attribute + value level).
 
-        Returns the number of messages handed to ``multiSend``.
+        Returns the number of messages sent.
         """
         return self.publish_tuples((tup,))
 
     def publish_tuples(self, tuples: Sequence[Tuple]) -> int:
-        """Index a whole batch of tuples with a single ``multiSend``.
+        """Index a whole batch of tuples: the paper's ``multiSend(M, I)``.
 
-        The batch path hashes every indexing key once and lets the messaging
-        service coalesce the per-message traffic accounting; it is the fast
-        path behind :meth:`repro.core.engine.RJoinEngine.publish_batch`.
+        Each of a tuple's 2k keys costs one message once its owner's arc is
+        cached, and O(log N) until then.  It is the path behind
+        :meth:`repro.core.engine.RJoinEngine.publish_batch`.
         """
         catalog = self.ctx.catalog
         hash_key = self.ctx.space.hash_key
-        messages: List[NewTupleMessage] = []
-        identifiers: List[int] = []
+        sent = 0
         for tup in tuples:
-            schema = catalog.get(tup.relation)
-            for key in tuple_index_keys(tup, schema):
-                messages.append(
-                    NewTupleMessage(tuple=tup, key=key, publisher=self.address)
+            for key in tuple_index_keys(tup, catalog.get(tup.relation)):
+                self._route(
+                    NewTupleMessage(tuple=tup, key=key, publisher=self.address),
+                    hash_key(key.text),
                 )
-                identifiers.append(hash_key(key.text))
-        self.ctx.api.multi_send(self.address, messages, identifiers)
-        return len(messages)
+                sent += 1
+        return sent
 
     # ------------------------------------------------------------------
     # query submission (invoked on the owner node by the engine)
@@ -695,74 +718,41 @@ class RJoinNode:
         if not ask:
             return
         self.ric_chains_started += 1
-        self._route_ric(
+        self._route(
             RicRequestMessage(
                 request_id=label,
                 origin=self.address,
                 target_key=ask[0],
-                target_id=self.ctx.space.hash_key(ask[0].text),
                 pending=tuple(ask[1:]),
                 collected=(),
-            )
+            ),
+            self.ctx.space.hash_key(ask[0].text),
         )
-
-    def _route_ric(self, request: RicRequestMessage) -> None:
-        """Send ``request`` to the owner of its target key, in one hop if known.
-
-        The candidate table's promise extended from keys to owners: a node
-        that ever reported about any key also said which arc of the ring it
-        owns, and a question about another key on that arc goes straight to
-        it.  Only RIC questions travel on arcs; with none cached for the key
-        the request is routed through the ring, as Section 6 has it.
-        """
-        owner = self.candidate_table.owner_of(request.target_id)
-        if owner is not None and not self.ctx.api.ring.has_address(owner):
-            # Departures drop their arcs eagerly: like a stale entry, counted.
-            self.stale_one_hop_attempts += 1
-            owner = None
-        if owner is None:
-            self.ctx.api.send(self.address, request, request.target_id, is_ric=True)
-            return
-        self.ric_requests_direct += 1
-        if self.ctx.obs is not None:
-            self.ctx.obs.record_ric("direct")
-        self.ctx.api.send_direct(self.address, request, owner, is_ric=True)
 
     def _on_ric_request(self, msg: RicRequestMessage, delivered_at: float) -> None:
         """Report the local arrival rate and forward the chain (Section 6)."""
-        obs = self.ctx.obs
-        arc = self.ctx.api.ring.arc_of(self.address)
-        if not arc_holds(arc, msg.target_id):
-            # Sent here on an arc that is no longer this node's.  The ring
-            # knows the owner, and the owner's report evicts the stale arc
-            # wherever it arrives: with the reply, at the chain's origin.
-            self.ric_requests_misdirected += 1
-            if obs is not None:
-                obs.record_ric("misdirected")
-            self.ctx.api.send(self.address, msg, msg.target_id, is_ric=True)
-            return
-        if obs is not None:
-            obs.record_ric("request")
+        if self.ctx.obs is not None:
+            self.ctx.obs.record_ric("request")
         now = self.ctx.clock()
         entry = RicEntry(
             key_text=msg.target_key.text,
             rate=self.rates.rate(msg.target_key.text, now),
             address=self.address,
             observed_at=now,
-            arc=arc,
+            arc=self.ctx.api.ring.arc_of(self.address),
         )
         collected = msg.collected + (entry,)
         if msg.pending:
             next_key, rest = msg.pending[0], msg.pending[1:]
-            self._route_ric(
+            self._route(
                 RicRequestMessage(
                     request_id=msg.request_id,
                     origin=msg.origin,
                     target_key=next_key,
-                    target_id=self.ctx.space.hash_key(next_key.text),
                     pending=rest,
                     collected=collected,
-                )
+                ),
+                self.ctx.space.hash_key(next_key.text),
             )
         else:
             reply = RicReplyMessage(request_id=msg.request_id, collected=collected)
@@ -851,28 +841,98 @@ class RJoinNode:
         known_address: Optional[str],
     ) -> None:
         """Transmit the (input or rewritten) query to its chosen node."""
+        message: Message
         if is_input:
             message = IndexQueryMessage(state=state, key=key)
         else:
             message = EvalMessage(state=state, key=key)
-        ring = self.ctx.api.ring
-        # The one-hop shortcut of Section 6 only applies while the cached
-        # candidate address is still responsible for the key; after a node
-        # leaves or moves (id movement), fall back to a regular DHT lookup.
-        if known_address is not None and not ring.has_address(known_address):
-            # The cached candidate departed: membership events should have
-            # invalidated this entry eagerly, so count the stale attempt.
+        self._route(message, self.ctx.space.hash_key(key.text), hint=known_address)
+
+    # ------------------------------------------------------------------
+    # the routing cache
+    # ------------------------------------------------------------------
+    def _route(
+        self, message: Message, identifier: int, hint: Optional[str] = None
+    ) -> None:
+        """Send ``message`` to the owner of ``identifier``, in one hop if known.
+
+        The one way a tuple, an input query, a rewritten query and a RIC
+        question leave this node.  The candidate table's promise extended
+        from keys to owners: a node that ever reported about any key also
+        said which arc of the ring it owns, and whatever is for an
+        identifier on that arc goes straight to it — as does a query to the
+        address ``hint`` its chosen key's entry names (the one-hop shortcut
+        of Section 6), while the table knows no arc to gainsay it.  With
+        nobody known the message is routed through the ring, as the paper
+        has it, and the owner it reaches says what it knows of the ring
+        (:meth:`_tell_arcs`); a strategy that never asks RIC learns no arc
+        and routes everything.  The address is a guess, and
+        :meth:`handle_envelope` of the node it names the judge of it.
+        """
+        api = self.ctx.api
+        is_ric = type(message) is RicRequestMessage
+        owner = self.candidate_table.owner_of(identifier, hint)
+        if owner is not None and not api.ring.has_address(owner):
+            # Departures drop their entries and arcs eagerly: this counts
+            # what slipped through.
             self.stale_one_hop_attempts += 1
-            known_address = None
-        if (
-            known_address is not None
-            and ring.owner_of_key(key.text).address == known_address
-        ):
-            self.ctx.api.send_direct(self.address, message, known_address)
-        else:
-            self.ctx.api.send(
-                self.address, message, self.ctx.space.hash_key(key.text)
-            )
+            owner = None
+        if owner is None:
+            api.send(self.address, message, identifier, is_ric=is_ric)
+            return
+        self.arc_sends_direct += 1
+        api.send_direct(
+            self.address, message, owner, is_ric=is_ric, target_identifier=identifier
+        )
+
+    def _pass_on(self, envelope: Envelope, identifier: int, arc: Arc) -> None:
+        """``envelope`` came in one hop for an ``identifier`` off ``arc``, this
+        node's own: the sender's cached arc of it is stale.
+
+        The ring knows the owner, so the message goes on through it, at this
+        node's charge; and the sender is told ``arc`` in one direct notice,
+        so that the stale one misdirects one of its messages, not every one.
+        """
+        self.arc_sends_misdirected += 1
+        if self.ctx.obs is not None:
+            self.ctx.obs.record_misdirected(envelope.kind)
+        message = envelope.message
+        self.ctx.api.send(
+            self.address, message, identifier,
+            is_ric=type(message) is RicRequestMessage,
+        )
+        self._tell_arcs(envelope, arc)
+
+    def _tell_arcs(self, envelope: Envelope, arc: Arc) -> None:
+        """Tell the sender of ``envelope`` that this node owns ``arc``, and the
+        arcs it has cached, in one direct notice.
+
+        A stale arc and a missing one both end here.  What is cached comes
+        with the time it was observed, so the sender's table keeps whatever
+        it knows to be newer (:meth:`~repro.core.ric.CandidateTable.learn_arc`);
+        with it a node's first misses fill its table — at most one arc per
+        live member in a notice, at most one notice per message that had no
+        good arc to travel on.  A strategy that never asks RIC keeps no arcs
+        and is told none.
+        """
+        api = self.ctx.api
+        if not api.ring.has_address(envelope.sender):  # it left meanwhile
+            return
+        arcs = [(self.address, arc, self.ctx.clock())]
+        arcs += self.candidate_table.arcs()
+        api.send_direct(
+            self.address, ArcNoticeMessage(arcs), envelope.sender,
+            is_ric=type(envelope.message) is RicRequestMessage,
+        )
+
+    def _on_arc_notice(self, msg: ArcNoticeMessage, delivered_at: float) -> None:
+        """A node this one sent a keyed message says what it knows of the ring
+        (:meth:`_tell_arcs`)."""
+        has_address = self.ctx.api.ring.has_address
+        learn_arc = self.candidate_table.learn_arc
+        for address, arc, observed_at in msg.arcs:
+            if has_address(address):  # still, by now
+                learn_arc(address, arc, observed_at)
 
     # ------------------------------------------------------------------
     # answers
@@ -974,8 +1034,9 @@ class RJoinNode:
         any *future* query's insertion time will be at or after ``now``,
         and the trigger condition ``pubT(t) >= insT(q)`` makes every tuple
         published strictly before that unreachable — stored value-level
-        copies and ALTT entries alike.  The candidate-table RIC cache is
-        cleared with them (it only informs indexing decisions of queries).
+        copies and ALTT entries alike.  The candidate table's RIC entries
+        are cleared with them (they only inform indexing decisions of
+        queries); its arcs stay, being about the ring.
         Returns the number of reclaimed records.
         """
         tuples_dropped = self.tuple_store.remove_expired(
@@ -984,8 +1045,7 @@ class RJoinNode:
         if tuples_dropped:
             self.ctx.loads.record_tuple_dropped(self.address, tuples_dropped)
         altt_dropped = self.altt.remove_published_before(published_before)
-        cache_dropped = len(self.candidate_table)
-        self.candidate_table.clear()
+        cache_dropped = self.candidate_table.clear_entries()
         return tuples_dropped + altt_dropped + cache_dropped
 
     # ------------------------------------------------------------------

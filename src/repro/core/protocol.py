@@ -16,6 +16,11 @@ machinery of Sections 6–7 and answer delivery:
   chain asks only keys no other chain of its origin is asking at that moment;
   the origin matches a reply to the decisions waiting for it by the key texts
   of the entries it carries,
+* :class:`ArcNoticeMessage` — the routing cache's own message: a node handed
+  a keyed message on an arc that is no longer its own passes the message on
+  through the ring and tells the sender which arc it owns now; a node a keyed
+  message reached through the ring — its sender knew no arc for it — tells
+  the sender likewise; either way with the arcs it has cached itself,
 * :class:`AnswerMessage` — answers of input queries, sent directly to the
   node that submitted them: every ``(query id, values)`` one handler
   invocation produced for one owner travels in one envelope, charged as one
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Container, Dict, List, Optional, Tuple as TupleT
 
 from repro.core.keys import IndexKey
-from repro.core.ric import RicEntry
+from repro.core.ric import Arc, RicEntry
 from repro.core.windows import WindowState
 from repro.data.tuples import Tuple
 from repro.net.messages import Message
@@ -205,25 +210,22 @@ class EvalMessage(Message):
 class RicRequestMessage(Message):
     """A chained request for RIC information (Section 6).
 
-    ``target_key`` is the key the receiving node must report about and
-    ``target_id`` its identifier, which the sender hashed to address the
-    request and the receiver holds against its own arc: a request sent
-    direct on a cached arc that has gone stale reaches a node that does not
-    own the key, and is passed on through the ring.  ``pending`` holds the
-    keys still to be visited; ``collected`` accumulates the observations
-    gathered so far along the chain.  ``target_key`` and those two together
-    name every key the chain is asking: while it (or its reply) is in
-    flight, ``origin`` asks none of them again — later indexing decisions
-    wait for this chain — and if a crash destroys the request, the engine
-    hands it back to ``origin``, which asks them afresh.  ``request_id``
-    labels the chain for traces (``<origin>/ric-<n>``, the indexing decision
-    that started it); nothing is looked up by it.
+    ``target_key`` is the key the receiving node must report about; its
+    identifier travels on the envelope, as for every keyed message
+    (``RJoinNode._route``).  ``pending`` holds the keys still to be visited;
+    ``collected`` accumulates the observations gathered so far along the
+    chain.  ``target_key`` and those two together name every key the chain
+    is asking: while it (or its reply) is in flight, ``origin`` asks none of
+    them again — later indexing decisions wait for this chain — and if a
+    crash destroys the request, the engine hands it back to ``origin``,
+    which asks them afresh.  ``request_id`` labels the chain for traces
+    (``<origin>/ric-<n>``, the indexing decision that started it); nothing
+    is looked up by it.
     """
 
     request_id: str
     origin: str
     target_key: IndexKey
-    target_id: int
     pending: TupleT[IndexKey, ...] = ()
     collected: TupleT[RicEntry, ...] = ()
 
@@ -247,6 +249,22 @@ class RicReplyMessage(Message):
 
     request_id: str
     collected: TupleT[RicEntry, ...] = ()
+
+
+@dataclass
+class ArcNoticeMessage(Message):
+    """What its sender knows of the ring, for a node that sent it a keyed
+    message on a stale arc, or through the ring for want of one.
+
+    ``arcs`` holds ``(address, arc, observed at)``: first the sender's own
+    arc as of now, then every arc its candidate table has cached, each with
+    the time it was observed (at most one per live member).  Sent direct,
+    once per misdirected and once per routed keyed message, to that
+    message's sender, whose candidate table takes each like the arc of a RIC
+    entry, newest wins: a stale arc is replaced, a missing one filled in.
+    """
+
+    arcs: List[TupleT[str, Arc, float]]
 
 
 @dataclass

@@ -17,9 +17,11 @@ state:
   (Section 7): entries learned by asking candidates, or received piggy-backed
   on rewritten queries (``QueryState.ric_info``), are kept so that future
   indexing decisions for the same key need no extra messages; stale entries
-  are asked again.  It also keeps the reporters' arcs, so that a question it
-  must ask goes to the key's owner in one hop once that owner has reported
-  anything at all (:meth:`CandidateTable.owner_of`),
+  are asked again.  It also keeps the reporters' arcs, and those are the
+  node's routing cache: every message it sends to a key — a published
+  tuple, an input or rewritten query, a RIC question — goes to the key's
+  owner in one hop once that owner has reported anything at all, to this
+  node or to one that told it (:meth:`CandidateTable.owner_of`),
 * and, in :class:`~repro.core.node.RJoinNode`, what is on its way: the
   indexing decisions waiting for a reply (``_pending_ric``) and the waiter
   index (``_ric_waiters``: key text -> the decisions waiting for that key),
@@ -45,7 +47,7 @@ def arc_holds(arc: Arc, identifier: int) -> bool:
 
     :meth:`IdentifierSpace.in_interval <repro.dht.hashing.IdentifierSpace.in_interval>`
     for an arc and an identifier that are already on the circle: two
-    comparisons, on the path of every RIC request.
+    comparisons, on the path of every keyed message sent in one hop.
     """
     start, end = arc
     if start < end:
@@ -152,14 +154,17 @@ class CandidateTable:
     keeps one arc per reporter, the newest observed, and no two that
     overlap: the ring's own arcs never do, so of two overlapping ones the
     older was observed before a membership change and is dropped.  Hence
-    there are never more arcs than the ring has members, and a hint that
-    went stale (a join split the arc, an id movement shrank it) misdirects
-    one question of its node at most — the reply carries the arc of the
-    key's real owner, which evicts the hint.  (A node that only forwarded
-    somebody else's chain on the hint sees no reply; it keeps the hint until
-    an entry of the real owner reaches it, asked for or piggy-backed.)  An
-    arc is a hint and no more: the node it names checks for itself whether
-    it owns the key it is asked about.
+    there are never more arcs than the ring has members.  An arc is a hint
+    and no more: the node it names checks for itself whether it owns the
+    identifier a message is for, and one that went stale (a join split the
+    arc, an id movement shrank it) misdirects one message of its node at
+    most — the receiver passes that on through the ring and sends back the
+    arc it owns now (:meth:`learn_arc`), which evicts the hint.  A missing
+    one costs its node one routed message: the owner that reaches sends back
+    its arc and every arc it has cached itself (:meth:`arcs`), each with the
+    time it was observed, so that a table fills from its node's first few
+    misses rather than one reporter at a time.  The arcs outlive the
+    entries (:meth:`clear_entries`): they describe the ring, not any query.
     """
 
     def __init__(self, freshness: Optional[float] = None) -> None:
@@ -192,19 +197,28 @@ class CandidateTable:
                 cached[entry.key_text] = entry
             arc = entry.arc
             if arc is not None and arc_of.get(entry.address) is not arc:
-                self._learn_arc(entry.address, arc, entry.observed_at)
+                self.learn_arc(entry.address, arc, entry.observed_at)
 
-    def owner_of(self, identifier: int) -> Optional[str]:
-        """The reporter whose cached arc holds ``identifier``, or None."""
+    def owner_of(self, identifier: int, hint: Optional[str] = None) -> Optional[str]:
+        """The reporter whose cached arc holds ``identifier``, or None.
+
+        ``hint`` is the address an entry about the identifier's key names.
+        The arcs know better where they know anything: it is returned only
+        when none holds the identifier and none is cached for ``hint``
+        itself — once its arc is, that arc has the say.
+        """
         ends = self._arc_ends
-        if not ends:
+        if ends:
+            # The one arc that can hold it ends at or after it, wrapping around.
+            index = bisect_left(ends, identifier)
+            owner = self._arc_owners[index if index < len(ends) else 0]
+            if arc_holds(self._arc_of[owner], identifier):
+                return owner
+        if hint is not None and hint in self._arc_of:
             return None
-        # The one arc that can hold it ends at or after it, wrapping around.
-        index = bisect_left(ends, identifier)
-        owner = self._arc_owners[index if index < len(ends) else 0]
-        return owner if arc_holds(self._arc_of[owner], identifier) else None
+        return hint
 
-    def _learn_arc(self, address: str, arc: Arc, observed_at: float) -> None:
+    def learn_arc(self, address: str, arc: Arc, observed_at: float) -> None:
         """Cache that ``address`` owned ``arc`` at ``observed_at``; newest wins.
 
         It is no news, and dropped, when ``address`` is known to own something
@@ -237,6 +251,12 @@ class CandidateTable:
         owners.insert(index, address)
         self._arc_of[address] = arc
         seen[address] = observed_at
+
+    def arcs(self) -> List[Tuple[str, Arc, float]]:
+        """Every cached arc as ``(address, arc, observed at)``: what an arc
+        notice carries to another table's :meth:`learn_arc`."""
+        seen = self._arc_seen
+        return [(address, arc, seen[address]) for address, arc in self._arc_of.items()]
 
     def _drop_arc(self, address: str) -> None:
         _, end = self._arc_of.pop(address)
@@ -273,13 +293,20 @@ class CandidateTable:
             self._drop_arc(address)
         return len(stale)
 
-    def clear(self) -> None:
-        """Drop every cached entry and arc (the hit/miss counters are preserved).
+    def clear_entries(self) -> int:
+        """Drop every cached entry, keep the arcs; returns the entry count.
 
         The query-lifecycle vacuum: cached RIC observations only inform the
         indexing decisions of continuous queries, so once the last active
-        query is removed the cache is dead weight.
+        query is removed they are dead weight.  Who owns which arc of the
+        ring is as true for the next query's messages as for the last one's.
         """
+        dropped = len(self._entries)
+        self._entries.clear()
+        return dropped
+
+    def clear(self) -> None:
+        """Drop every cached entry and arc (the hit/miss counters are preserved)."""
         self._entries.clear()
         self._arc_of.clear()
         self._arc_seen.clear()

@@ -235,6 +235,7 @@ class DHTMessagingService:
         is_ric: bool = False,
         trace: Optional[TraceContext] = None,
         weight: int = 1,
+        target_identifier: Optional[int] = None,
     ) -> Envelope:
         """``sendDirect(msg, addr)``: deliver ``message`` to a known address in one hop.
 
@@ -242,18 +243,23 @@ class DHTMessagingService:
         (the answers of one :class:`~repro.core.protocol.AnswerMessage`):
         the sender is charged that many transmissions for the one envelope,
         exactly what sending them one by one would have cost.
+        ``target_identifier`` is the identifier ``send`` would have been given,
+        when ``destination`` was picked as its presumed owner: it travels on
+        the envelope, so that the receiver can tell whether it is.
         """
         self.ring.node_by_address(sender)  # an unknown sender raises
         if destination == sender:
             # Local delivery: no network transmission.
-            return self._post(message, (sender,), None, 0, True, trace, weight)
+            return self._post(
+                message, (sender,), target_identifier, 0, True, trace, weight
+            )
         # The destination may have left the ring (or crashed) after handing
         # out its address.  The sender cannot know that: the transmission is
         # paid for either way, and the message is dropped on (non-)delivery
         # when no handler is registered for the address any more.
         self.traffic.record_send(sender, is_ric, weight)
         return self._post(
-            message, (sender, destination), None, 1, True, trace, weight
+            message, (sender, destination), target_identifier, 1, True, trace, weight
         )
 
     # ------------------------------------------------------------------

@@ -22,8 +22,9 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v10: RIC requests sent in one hop on a cached arc added
-#: ``ric_requests_direct`` and ``ric_requests_misdirected`` to the summary.
+#: v11: every keyed message travels on cached arcs, and the two counters of
+#: that are ``arc_sends_direct`` and ``arc_sends_misdirected`` (v10 counted
+#: RIC requests only, as ``ric_requests_direct`` / ``_misdirected``).
 #: Older result files still *load* — ``result_from_dict``, ``load_cells``
 #: and ``report --diff`` accept any schema version.
 #: (v9: the RIC path added its three counters (``ric_chains_started``,
@@ -45,7 +46,7 @@ from repro.sql.ast import WindowSpec
 #: v4: query lifecycle added ``ExperimentConfig.query_churn`` /
 #: ``ExperimentConfig.owner_failover`` plus the lifecycle counters;
 #: v3: ``ExperimentConfig.store_backend`` joined the config schema.)
-RESULT_SCHEMA_VERSION = 10
+RESULT_SCHEMA_VERSION = 11
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
@@ -92,8 +93,8 @@ SUMMARY_SCHEMA: Tuple[str, ...] = (
     "ric_chains_started",
     "ric_questions_joined",
     "ric_chains_lost",
-    "ric_requests_direct",
-    "ric_requests_misdirected",
+    "arc_sends_direct",
+    "arc_sends_misdirected",
     # Observability histogram percentiles (three keys per histogram declared
     # in ``repro.obs.instruments.HISTOGRAMS``; all zero when observability
     # is off so the key set never depends on the mode).

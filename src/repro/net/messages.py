@@ -43,6 +43,9 @@ class Envelope:
     message: Message
     sender: str
     destination: str
+    #: The identifier the message is for: what ``send`` routed it to, or what
+    #: the sender of a direct envelope takes ``destination`` to own (``None``
+    #: when it was sent to a plain address, as an answer to its owner is).
     target_identifier: Optional[int] = None
     route: Tuple[str, ...] = ()
     hops: int = 0

@@ -30,10 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.messages import Envelope
 
 
-#: The :meth:`Observability.record_ric` phases a span counts, as ``ric_<phase>``.
-_SPAN_PHASES = frozenset(("joined", "direct", "misdirected"))
-
-
 class Observability:
     """Tracing + metrics for one engine instance.
 
@@ -81,9 +77,14 @@ class Observability:
         self._deliveries_by_kind = self.registry.counter("deliveries_by_kind")
         self._key_load = self.registry.counter("key_load")
         self._ric_chain = self.registry.counter("ric_chain")
-        #: What the span now open did on the RIC path that is no delivery of
-        #: its own, by phase (see :meth:`record_ric`).
-        self._ric_open: Dict[str, int] = {}
+        # The routing cache, by message kind: deliveries made in one hop on a
+        # cached arc, and those among them that arrived on a stale one.
+        self._arc_direct = self.registry.counter("arc_direct")
+        self._arc_misdirected = self.registry.counter("arc_misdirected")
+        #: What the handler of the span now open did that is no delivery of
+        #: its own, by span attribute (:meth:`record_ric`,
+        #: :meth:`record_misdirected`).
+        self._open: Dict[str, int] = {}
         self._dropped = self.registry.counter("dropped_deliveries")
         # The delivery pair below inlines ``Tracer.begin_span``/``end_span``
         # (see its docstring), so it shares the tracer's active-context
@@ -109,8 +110,8 @@ class Observability:
             try:
                 yield
             finally:
-                if self._ric_open:
-                    self._close_ric(span)
+                if self._open:
+                    self._close_open(span)
 
     def record_answer_latency(self, delivered_at: float, answers: int) -> None:
         """Record publish/submit -> answer latency for the active trace.
@@ -177,6 +178,12 @@ class Observability:
         # separate node-side hook) so one facade call covers the delivery.
         self._node_deliveries.inc(node)
         self._deliveries_by_kind.inc(kind)
+        # Sent in one hop to the presumed owner of an identifier (an answer
+        # names none: its destination is an address, not an owner).
+        arc_direct = 0
+        if envelope.direct and envelope.target_identifier is not None:
+            arc_direct = 1
+            self._arc_direct.inc(kind)
         span = Span(
             trace_id=context.trace_id,
             span_id=context.span_id,
@@ -189,6 +196,7 @@ class Observability:
             hops=envelope.hops * envelope.weight,
             hop=context.hop,
             weight=envelope.weight,
+            arc_direct=arc_direct,
         )
         self._stack.append(context)
         if self._wall:
@@ -198,8 +206,8 @@ class Observability:
     def delivery_end(self, span: Span) -> None:
         """Close a span opened by :meth:`delivery_begin` (inlined pair)."""
         self._stack.pop()
-        if self._ric_open:
-            self._close_ric(span)
+        if self._open:
+            self._close_open(span)
         if self._wall:
             wall = (perf_counter() - self._wall_starts.pop()) * 1e6
             span.wall_us = wall
@@ -218,26 +226,30 @@ class Observability:
         self._key_load.inc(key_text)
 
     def record_ric(self, phase: str, count: int = 1) -> None:
-        """RIC path telemetry: ``request`` / ``reply`` deliveries, ``joined``
-        questions, requests sent ``direct`` and requests ``misdirected``.
+        """RIC path telemetry: ``request`` / ``reply`` deliveries and
+        ``joined`` questions.
 
         A *joined* question is an unknown candidate key that was not sent
-        because a chain of the same node was already asking it; a *direct*
-        request went to its key's owner in one hop on a cached arc; a
-        *misdirected* one arrived on a stale arc and was passed on through
-        the ring.  None is a delivery of its own, so the span that is open
-        (the delivery whose handler did it, or the submitting operation)
-        carries the count.
+        because a chain of the same node was already asking it.  It is no
+        delivery of its own, so the span that is open (the delivery whose
+        handler joined it, or the submitting operation) carries the count.
         """
         self._ric_chain.inc(phase, count)
-        if phase in _SPAN_PHASES and self._stack:
-            self._ric_open[phase] = self._ric_open.get(phase, 0) + count
+        if phase == "joined" and self._stack:
+            self._open["ric_joined"] = self._open.get("ric_joined", 0) + count
 
-    def _close_ric(self, span: Span) -> None:
-        """Move what :meth:`record_ric` counted for the open span onto it."""
-        for phase, count in self._ric_open.items():
-            setattr(span, f"ric_{phase}", count)
-        self._ric_open.clear()
+    def record_misdirected(self, kind: str) -> None:
+        """The delivery being handled, a ``kind`` message sent in one hop,
+        reached a node that does not own its identifier and was passed on."""
+        self._arc_misdirected.inc(kind)
+        if self._stack:
+            self._open["arc_misdirected"] = 1
+
+    def _close_open(self, span: Span) -> None:
+        """Move what was counted for the open span's handler onto the span."""
+        for attribute, count in self._open.items():
+            setattr(span, attribute, count)
+        self._open.clear()
 
     def record_store_probe(self, result_size: int) -> None:
         """Result size of one set-at-a-time store batch probe."""

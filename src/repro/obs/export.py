@@ -61,8 +61,8 @@ def chrome_trace_events(spans: Sequence[Span]) -> List[Dict[str, object]]:
                     "hops": span.hops,
                     "weight": span.weight,
                     "ric_joined": span.ric_joined,
-                    "ric_direct": span.ric_direct,
-                    "ric_misdirected": span.ric_misdirected,
+                    "arc_direct": span.arc_direct,
+                    "arc_misdirected": span.arc_misdirected,
                     "sent_at": span.sent_at,
                     "wall_us": span.wall_us,
                 },

@@ -99,11 +99,11 @@ class Span:
     #: RIC questions this span's handler did not send because a chain of its
     #: node was already asking the key (they are no deliveries of their own).
     ric_joined: int = 0
-    #: RIC requests this span's handler sent in one hop on a cached arc, and
-    #: (a ``RicRequestMessage`` delivery) whether the request arrived on a
-    #: stale arc at a node that does not own its key and was passed on.
-    ric_direct: int = 0
-    ric_misdirected: int = 0
+    #: The routing cache: whether the delivered message was sent in one hop
+    #: to the node its sender took for the owner of its identifier, and
+    #: whether that node was not (a stale arc) and passed it on.
+    arc_direct: int = 0
+    arc_misdirected: int = 0
 
     @property
     def duration(self) -> float:
@@ -126,8 +126,8 @@ class Span:
             "wall_us": self.wall_us,
             "weight": self.weight,
             "ric_joined": self.ric_joined,
-            "ric_direct": self.ric_direct,
-            "ric_misdirected": self.ric_misdirected,
+            "arc_direct": self.arc_direct,
+            "arc_misdirected": self.arc_misdirected,
         }
 
     @classmethod
@@ -148,8 +148,8 @@ class Span:
             wall_us=float(data.get("wall_us", 0.0)),
             weight=int(data.get("weight", 1)),
             ric_joined=int(data.get("ric_joined", 0)),
-            ric_direct=int(data.get("ric_direct", 0)),
-            ric_misdirected=int(data.get("ric_misdirected", 0)),
+            arc_direct=int(data.get("arc_direct", 0)),
+            arc_misdirected=int(data.get("arc_misdirected", 0)),
         )
 
 

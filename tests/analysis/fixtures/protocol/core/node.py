@@ -1,6 +1,11 @@
 """Fixture dispatcher with a dead arm and an unaccounted message."""
 
-from core.protocol import HandledMessage, UnroutedMessage, UnsentMessage
+from core.protocol import (
+    HandledMessage,
+    RelayedMessage,
+    UnroutedMessage,
+    UnsentMessage,
+)
 
 
 class GhostMessage:
@@ -12,6 +17,7 @@ class RJoinNode:
         self.service = service
         self._dispatch = {
             HandledMessage: self._on_handled,
+            RelayedMessage: self._on_handled,
             UnsentMessage: self._on_unsent,
             GhostMessage: self._on_ghost,  # VIOLATION: dead dispatch arm
         }
@@ -34,6 +40,14 @@ class RJoinNode:
         # construction plus a messaging-primitive call in one function.
         self.service.send(target, HandledMessage())
         self.service.send(target, UnroutedMessage())
+
+    def announce_relayed(self, target):
+        # An accounted send site too: ``_route`` takes a message and calls a
+        # primitive, so handing it the construction is as good as sending.
+        self._route(RelayedMessage(), target)
+
+    def _route(self, message, target):
+        self.service.send_direct(target, message)
 
     def mint_without_sending(self):
         # VIOLATION (for UnsentMessage): constructed, but no function ever

@@ -9,6 +9,12 @@ class HandledMessage(Message):
     kind = "handled"
 
 
+class RelayedMessage(Message):
+    """Dispatched, and sent through a relay — compliant as well."""
+
+    kind = "relayed"
+
+
 class UnroutedMessage(Message):
     """VIOLATION: sent but never dispatched in RJoinNode.handle_envelope."""
 

@@ -81,6 +81,10 @@ class TestProtocolCompleteness:
         report = run_fixture("protocol", "protocol-completeness")
         assert "HandledMessage" not in "\n".join(messages(report.active))
 
+    def test_a_message_handed_to_a_relay_of_a_primitive_is_accounted(self):
+        report = run_fixture("protocol", "protocol-completeness")
+        assert "RelayedMessage" not in "\n".join(messages(report.active))
+
 
 class TestMetricsRegistry:
     def test_seeded_violations_fire(self):

@@ -92,7 +92,7 @@ class TestProtocolMessages:
         messages = [
             IndexQueryMessage(state=state, key=key),
             EvalMessage(state=state, key=key),
-            RicRequestMessage(request_id="r", origin="n", target_key=key, target_id=0),
+            RicRequestMessage(request_id="r", origin="n", target_key=key),
             RicReplyMessage(request_id="r"),
             AnswerMessage(answers=[("q", (1,))], produced_at=0.0, producer="n"),
         ]
@@ -101,6 +101,6 @@ class TestProtocolMessages:
 
     def test_ric_request_defaults(self):
         key = value_key("R", "a", 1)
-        msg = RicRequestMessage(request_id="r", origin="n", target_key=key, target_id=0)
+        msg = RicRequestMessage(request_id="r", origin="n", target_key=key)
         assert msg.pending == ()
         assert msg.collected == ()

@@ -229,8 +229,10 @@ class TestBatchSequentialEquivalence:
     #: decision may meet a candidate table that does not know yet what a
     #: sequential run had already learnt — it asks (or waits with a chain in
     #: flight) where the sequential run looks up, and every transmitted
-    #: message is counted.  Load, storage and answer metrics must match
-    #: exactly for every strategy.
+    #: message is counted.  The same goes for the arcs: a batch's tuples all
+    #: leave before the first owner says which arc it owns, so fewer of them
+    #: go in one hop.  Load, storage and answer metrics must match exactly
+    #: for every strategy.
     TRAFFIC_KEYS = (
         "total_messages",
         "ric_messages",
@@ -238,6 +240,7 @@ class TestBatchSequentialEquivalence:
         "ric_messages_per_node",
         "ric_chains_started",
         "ric_questions_joined",
+        "arc_sends_direct",
     )
     #: The trigger-path observables may differ for *every* strategy: a
     #: rewritten query still in flight when a later batch tuple lands is

@@ -1,7 +1,7 @@
 """Churn-aware RIC: eager candidate-table invalidation on departures.
 
 Candidate-table entries pointing at a departed node used to be rejected only
-*lazily* — by the ownership check in ``RJoinNode._send_query`` at the moment
+*lazily* — by the liveness check (now in ``RJoinNode._route``) at the moment
 a one-hop shortcut was attempted.  Membership events now invalidate those
 entries eagerly, and every node counts the stale one-hop attempts that slip
 through (``RJoinNode.stale_one_hop_attempts``) as the regression probe.
@@ -103,11 +103,13 @@ class TestEagerInvalidationOnMembership:
 
         Bypasses the eager invalidation by sending with an explicit
         ``known_address`` of a departed node — exactly the situation the
-        lazy ownership check used to absorb silently.
+        lazy check used to absorb silently — from a table with no arc to
+        know better by.
         """
         engine, generator = build_busy_engine()
         victim = engine.crash_node("node-4")
         sender = engine.nodes["node-1"]
+        sender.candidate_table.clear()
         query = next(iter(generator.generate_queries(1)))
         state = QueryState(
             query_id="probe#1",
@@ -130,6 +132,7 @@ class TestEagerInvalidationOnMembership:
 
 # ---------------------------------------------------------------------------
 # stale arcs: a RIC request sent in one hop on a hint a membership event undid
+# (tests/core/test_arc_routing.py has the tuples and queries that were)
 # ---------------------------------------------------------------------------
 RUNTIMES = ("sim", "asyncio")
 
@@ -186,15 +189,16 @@ class ArcScenario:
     def ask(self, key: IndexKey) -> int:
         """The asker asks ``key`` for nobody; returns the key's identifier."""
         identifier = self.engine.space.hash_key(key.text)
-        self.asker._route_ric(
+        self.asker._route(
             RicRequestMessage(request_id="probe", origin=self.asker.address,
-                              target_key=key, target_id=identifier)
+                              target_key=key),
+            identifier,
         )
         self.engine.run()
         return identifier
 
     def misdirected(self) -> float:
-        return self.engine.metrics_summary()["ric_requests_misdirected"]
+        return self.engine.metrics_summary()["arc_sends_misdirected"]
 
     def finish(self) -> None:
         """More traffic on the changed ring, then every check of quiescence."""
@@ -225,15 +229,15 @@ class TestStaleArcs:
         joined = engine.add_node(node_id=middle)
         # The newcomer's half is still the old owner's, as far as the asker knows.
         identifier = s.ask(s.key_on((start, middle)))
-        assert engine.nodes[s.hinted].ric_requests_misdirected == 1
+        assert engine.nodes[s.hinted].arc_sends_misdirected == 1
         assert s.misdirected() == 1
-        # The reply carried the newcomer's arc and evicted the hint: the same
-        # key goes straight to its owner now, the other half through the ring.
+        # The old owner's notice cut the hint down to what it still owns, and
+        # the reply carried the newcomer's arc: either half goes straight to
+        # its owner now.
         assert table.owner_of(identifier) == joined
-        assert s.hinted not in table._arc_of
+        assert table._arc_of[s.hinted] == (middle, end)
         s.ask(s.key_on((start, middle)))
         s.ask(s.key_on((middle, end)))
-        assert table._arc_of[s.hinted] == (middle, end)
         assert s.misdirected() == 1
         s.finish()
 
@@ -248,13 +252,12 @@ class TestStaleArcs:
         engine.ring.move_node(s.hinted, middle)
         engine.membership.rehome_misplaced(kind="move", subject="id-movement")
         identifier = s.ask(s.key_on((middle, end)))
-        assert engine.nodes[s.hinted].ric_requests_misdirected == 1
+        assert engine.nodes[s.hinted].arc_sends_misdirected == 1
         assert table.owner_of(identifier) == heir
         assert table._arc_of[heir] == engine.ring.arc_of(heir)
-        assert s.hinted not in table._arc_of
+        assert table._arc_of[s.hinted] == (start, middle)
         s.ask(s.key_on((middle, end)))
         s.ask(s.key_on((start, middle)))
-        assert table._arc_of[s.hinted] == (start, middle)
         assert s.misdirected() == 1
         s.finish()
 
@@ -291,16 +294,16 @@ class TestStaleArcs:
         # The victim reports about some other key of its arc: the asker knows
         # whom to ask about ``first_key``, but not the answer.
         warm = key_on(engine, engine.ring.arc_of(victim))
-        asker._route_ric(
-            RicRequestMessage(request_id="warm", origin=asker.address, target_key=warm,
-                              target_id=engine.space.hash_key(warm.text))
+        asker._route(
+            RicRequestMessage(request_id="warm", origin=asker.address, target_key=warm),
+            engine.space.hash_key(warm.text),
         )
         engine.run()
-        assert asker.ric_requests_direct == 0
+        assert asker.arc_sends_direct == 0
         handle = engine.submit(sql, owner=asker.address, process=False)
         reference.submit(handle.query, query_id=handle.query_id,
                          insertion_time=handle.insertion_time)
-        assert asker.ric_requests_direct == 1
+        assert asker.arc_sends_direct == 1
         assert first_key.text in asker._ric_waiters
 
         engine.crash_node(victim)
@@ -308,7 +311,7 @@ class TestStaleArcs:
         assert asker.ric_chains_lost == 1
         # Asked again — through the ring: the victim's arc left with it.
         assert first_key.text in asker._ric_waiters
-        assert asker.ric_requests_direct == 1
+        assert asker.arc_sends_direct == 1
         assert victim not in asker.candidate_table._arc_of
         engine.run()
         assert not asker._pending_ric and not asker._ric_waiters
@@ -316,7 +319,7 @@ class TestStaleArcs:
             reference.publish_tuple(engine.publish(relation, values))
         assert handle.values() == reference.answers(handle.query_id) != []
         summary = engine.metrics_summary()
-        assert summary["ric_requests_misdirected"] == 0
+        assert summary["arc_sends_misdirected"] == 0
         assert summary["stale_one_hop_attempts"] == 0
         engine.close()
 
@@ -347,7 +350,7 @@ def test_never_more_arcs_than_live_members_after_three_rings_worth_of_churn():
         assert table._arc_ends == sorted(end for _, end in table._arc_of.values())
     summary = engine.metrics_summary()
     assert summary["stale_one_hop_attempts"] == 0
-    assert summary["ric_requests_direct"] > 0
+    assert summary["arc_sends_direct"] > 0
     for node in engine.nodes.values():
         assert not node._pending_ric and not node._ric_waiters
     engine.close()

@@ -130,7 +130,8 @@ class TestSimAsyncioEquivalence:
     def test_a_ric_heavy_cell_costs_the_same_on_both_runtimes(self):
         """A wide value domain: nearly every rewrite meets candidate keys its
         node has no rate for, so RIC requests — routed while the tables are
-        cold, one hop on a cached arc after — are a large part of the traffic.
+        cold, one hop on a cached arc after, like the tuples and the queries
+        — are a large part of the traffic.
         The runtimes agree on the bag and on every count of it."""
         spec = WorkloadSpec(
             num_relations=4,
@@ -152,14 +153,14 @@ class TestSimAsyncioEquivalence:
             sim, conc = sim_engine.metrics_summary(), conc_engine.metrics_summary()
             for counter in (
                 "answers", "total_messages", "ric_messages", "ric_chains_started",
-                "ric_requests_direct", "ric_requests_misdirected",
+                "arc_sends_direct", "arc_sends_misdirected",
             ):
                 assert sim[counter] == conc[counter], counter
-            assert sim["answers"] > 0 and sim["ric_requests_misdirected"] == 0
+            assert sim["answers"] > 0 and sim["arc_sends_misdirected"] == 0
             # RIC-heavy, and the arcs at work: a tenth of the traffic is RIC,
-            # and more requests went direct than chains were started.
+            # and more messages went direct than chains were started.
             assert sim["ric_messages"] > 0.1 * sim["total_messages"]
-            assert sim["ric_requests_direct"] > sim["ric_chains_started"] > 0
+            assert sim["arc_sends_direct"] > sim["ric_chains_started"] > 0
         finally:
             sim_engine.close()
             conc_engine.close()

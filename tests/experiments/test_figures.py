@@ -46,9 +46,16 @@ class TestFigure2:
     @pytest.mark.parametrize("seed", [42, 43, 44])
     def test_request_ric_share_of_rjoin_traffic(self, seed):
         """Characterisation, not a paper claim (the repo records no number
-        for it): asking is 24-30 % of what RJoin sends by the last checkpoint
+        for it): asking is 30-38 % of what RJoin sends by the last checkpoint
         at this size, and a smaller part of it than at the first — the
-        candidate tables fill, with rates and with the arcs to ask on."""
+        candidate tables fill, with rates and with the arcs to ask on.
+
+        Re-pinned from 24-30 %: tuples and queries travel on the cached arcs
+        too now, and a routed message is answered with the arcs its owner
+        knows, so RJoin's total traffic more than halved here (156 -> 69,
+        130 -> 50, 139 -> 55 messages per node on seeds 42-44) and the
+        asking fell with it, by less (47 -> 26, 31 -> 15, 36 -> 18) — the
+        share rose because its denominator shrank faster."""
         fig = figure2(num_nodes=24, num_queries=40, checkpoints=[20, 40], seed=seed)
         first, last = (
             ric / total
@@ -57,7 +64,7 @@ class TestFigure2:
                 fig.series["rjoin_messages_per_node"],
             )
         )
-        assert 0.22 <= last <= 0.32
+        assert 0.26 <= last <= 0.42
         assert last < first
 
 
