@@ -81,6 +81,7 @@ _NODE_COUNTERS = (
     "stale_one_hop_attempts",
     "ric_chains_started",
     "ric_questions_joined",
+    "ric_questions_spared",
     "ric_chains_lost",
     "arc_sends_direct",
     "arc_sends_misdirected",
@@ -960,8 +961,8 @@ class RJoinEngine:
         """Purge every trace of a departed node from the survivors.
 
         RIC state pointing at the departed address — candidate-table
-        entries, per-query piggy-backed caches, pending RIC round trips —
-        is invalidated *eagerly* (churn-aware RIC): the liveness check in
+        entries and arcs, pending RIC round trips; a stored query keeps
+        none — is invalidated *eagerly* (churn-aware RIC): the liveness check in
         ``RJoinNode._route`` would reject it anyway, but only after a stale
         one-hop attempt per affected message.  The
         departed node's store is also closed so backends holding external
@@ -1056,9 +1057,11 @@ class RJoinEngine:
                 self.churn.trigger_candidates_scanned
             ),
             "shared_state_fanout": float(self.churn.shared_state_fanout),
-            # The RIC path (one question per key in flight per node) --------
+            # The RIC path (one question per key in flight per node, and
+            # none whose answer could not change the choice) ---------------
             "ric_chains_started": self._node_total("ric_chains_started"),
             "ric_questions_joined": self._node_total("ric_questions_joined"),
+            "ric_questions_spared": self._node_total("ric_questions_spared"),
             "ric_chains_lost": self._node_total("ric_chains_lost"),
             # The routing cache: one hop per keyed message wherever the
             # owner's arc is cached.

@@ -148,7 +148,7 @@ class _PendingIndexOp:
     candidates: List[IndexKey]
     #: Entries it had, plus those reported since, by key text.
     known: Dict[str, RicEntry]
-    #: Unknown candidate keys no reply has reported yet.
+    #: Candidate keys it waits for that no reply has reported yet.
     missing: int
 
 
@@ -205,10 +205,13 @@ class RJoinNode:
         #: zero; the counter is the regression probe for that behaviour.
         self.stale_one_hop_attempts = 0
         #: The RIC path: chains this node sent off, unknown keys it waited for
-        #: on a chain already in flight instead of asking again, and chains a
-        #: crash destroyed and the engine handed back (:meth:`ric_chain_lost`).
+        #: on a chain already in flight instead of asking again, unknown keys
+        #: it did not ask because no answer could have changed the choice
+        #: (``IndexingStrategy.worth_asking``), and chains a crash destroyed
+        #: and the engine handed back (:meth:`ric_chain_lost`).
         self.ric_chains_started = 0
         self.ric_questions_joined = 0
+        self.ric_questions_spared = 0
         self.ric_chains_lost = 0
         #: The routing cache: keyed messages this node sent in one hop on a
         #: cached arc instead of through the ring, and keyed messages it was
@@ -631,86 +634,99 @@ class RJoinNode:
     # indexing pipeline (Sections 3, 6 and 7)
     # ------------------------------------------------------------------
     def _adopt_ric_info(self, state: QueryState) -> None:
-        """Adopt the RIC information piggy-backed on an arriving query.
+        """Move the RIC information piggy-backed on an arriving query into the
+        candidate table: the state, stored or rewritten, keeps none of it.
 
-        Entries reported by nodes that have since left the ring are purged
+        Entries reported by nodes that have since left the ring are dropped
         *before* they reach the candidate table — otherwise an in-flight
         query would re-pollute tables that the membership event already
         invalidated eagerly, and the stale address would surface later as a
         failed one-hop attempt.
         """
-        ring = self.ctx.api.ring
-        stale = [
-            key_text
-            for key_text, cached in state.ric_info.items()
-            if not ring.has_address(cached.address)
-        ]
-        for key_text in stale:
-            del state.ric_info[key_text]
-        self.candidate_table.update_many(state.ric_info.values())
+        entries = state.ric_info
+        if not entries:
+            return
+        state.ric_info = ()
+        has_address = self.ctx.api.ring.has_address
+        self.candidate_table.update_many(
+            entry for entry in entries if has_address(entry.address)
+        )
 
     def _index_query(self, state: QueryState, candidates: List[IndexKey]) -> None:
-        """Decide under which of ``candidates`` to index ``state`` and send it there."""
-        config = self.ctx.config
-        is_input = state.is_input
+        """Decide under which of ``candidates`` to index ``state`` and send it there.
+
+        A strategy that chooses by rate reads the candidate table and asks
+        the unknown keys that are ``worth_asking``: none for a lone candidate.
+        Unknown is also what the table holds back to have it read again
+        (``CandidateTable.lookup``).
+        """
         if not candidates:
             # Nothing to wait for (degenerate query): nothing to index.
             return
         strategy = self.ctx.strategy
-        now = self.ctx.clock()
-
-        if strategy.requires_ric:
-            known: Dict[str, RicEntry] = {}
-            unknown: List[IndexKey] = []
-            for key in candidates:
-                entry = state.ric_info.get(key.text)
-                if entry is None or not entry.is_fresh(now, config.ric_freshness):
-                    entry = self.candidate_table.lookup(key.text, now)
-                if entry is not None:
-                    known[key.text] = entry
-                else:
-                    unknown.append(key)
-            if unknown:
-                self._start_ric_chain(state, candidates, known, unknown)
-                return
-            self._finish_indexing(state, is_input, candidates, known)
+        if not strategy.requires_ric:
+            rates: Dict[str, float] = {}
+            if strategy.uses_oracle:
+                rates = {
+                    key.text: self.ctx.rate_oracle(key.text) for key in candidates
+                }
+            self._send_query(state, strategy.choose(candidates, rates, self.ctx.rng))
             return
-
-        rates: Dict[str, float] = {}
-        if strategy.uses_oracle:
-            rates = {key.text: self.ctx.rate_oracle(key.text) for key in candidates}
-        choice = strategy.choose(candidates, rates, self.ctx.rng)
-        self._send_query(state, is_input, choice, known_address=None)
+        if len(candidates) == 1:  # no answer could change this choice
+            self._send_query(state, candidates[0])
+            return
+        now = self.ctx.clock()
+        lookup = self.candidate_table.lookup
+        known: Dict[str, RicEntry] = {}
+        for key in candidates:
+            entry = lookup(key.text, now)
+            if entry is not None:
+                known[key.text] = entry
+        unknown = len(candidates) - len(known)
+        if unknown:
+            ask = strategy.worth_asking(
+                candidates, {key_text: entry.rate for key_text, entry in known.items()}
+            )
+            spared = unknown - len(ask)
+            if spared:
+                self.ric_questions_spared += spared
+                if self.ctx.obs is not None:
+                    self.ctx.obs.record_ric("spared", spared)
+            if ask:
+                self._start_ric_chain(state, candidates, known, ask)
+                return
+        self._finish_indexing(state, candidates, known)
 
     def _start_ric_chain(
         self,
         state: QueryState,
         candidates: List[IndexKey],
         known: Dict[str, RicEntry],
-        unknown: List[IndexKey],
+        worth: List[IndexKey],
     ) -> None:
-        """Wait for RIC information about ``unknown``; ask what nobody is asking.
+        """Wait for RIC information about ``worth``, the unknown candidates
+        worth a question; ask what nobody is asking.
 
         The candidate table's promise — a key once asked needs no further
         message (Section 7) — extended to answers that are on their way: a
         key another chain of this node is asking right now is waited for,
         not asked again, and the chain sent here (Section 6) holds the rest.
-        None when every unknown key is already in flight.
+        None when every one of them is already in flight.
         """
         self._ric_counter += 1
         label = f"{self.address}/ric-{self._ric_counter}"
-        op = _PendingIndexOp(label, state, candidates, known, len(unknown))
+        op = _PendingIndexOp(label, state, candidates, known, len(worth))
         self._pending_ric[label] = op
         waiters = self._ric_waiters
         ask: List[IndexKey] = []
-        for key in unknown:
+        for key in worth:
             waiting = waiters.get(key.text)
             if waiting is None:
                 waiters[key.text] = [op]
                 ask.append(key)
             else:
                 waiting.append(op)
-        joined = len(unknown) - len(ask)
+        joined = len(worth) - len(ask)
         if joined:
             self.ric_questions_joined += joined
             if self.ctx.obs is not None:
@@ -795,7 +811,7 @@ class RJoinNode:
                     for key_text, known in op.known.items()
                     if ring.has_address(known.address)
                 }
-                self._finish_indexing(state, state.is_input, op.candidates, entries)
+                self._finish_indexing(state, op.candidates, entries)
 
     def ric_chain_lost(self, request: RicRequestMessage) -> None:
         """A crash destroyed ``request``, a chain of this node: ask again.
@@ -820,29 +836,25 @@ class RJoinNode:
     def _finish_indexing(
         self,
         state: QueryState,
-        is_input: bool,
         candidates: List[IndexKey],
         entries: Dict[str, RicEntry],
     ) -> None:
         """Choose the candidate with the gathered rates and ship the query."""
         rates = {key_text: entry.rate for key_text, entry in entries.items()}
         choice = self.ctx.strategy.choose(candidates, rates, self.ctx.rng)
-        # Piggy-back what we know so the next node can reuse it (Section 7).
-        state.ric_info.update(entries)
+        # Piggy-back what this decision compared, and no more, so that the
+        # next node need not ask it (Section 7).
+        state.ric_info = tuple(entries.values())
         chosen_entry = entries.get(choice.text)
         known_address = chosen_entry.address if chosen_entry is not None else None
-        self._send_query(state, is_input, choice, known_address)
+        self._send_query(state, choice, known_address)
 
     def _send_query(
-        self,
-        state: QueryState,
-        is_input: bool,
-        key: IndexKey,
-        known_address: Optional[str],
+        self, state: QueryState, key: IndexKey, known_address: Optional[str] = None
     ) -> None:
         """Transmit the (input or rewritten) query to its chosen node."""
         message: Message
-        if is_input:
+        if state.is_input:
             message = IndexQueryMessage(state=state, key=key)
         else:
             message = EvalMessage(state=state, key=key)
@@ -1170,29 +1182,17 @@ class RJoinNode:
         """Eagerly drop every piece of RIC state naming a departed node.
 
         Called once per membership departure (graceful leave or crash).
-        Covers the candidate table, the RIC caches piggy-backed on stored
-        query states (which would otherwise re-pollute the candidate table
-        on the next trigger) and pending RIC round trips.  Returns the
-        number of invalidated entries.
+        Covers the candidate table and the pending RIC round trips, the two
+        places a node keeps RIC entries: a stored query state holds none
+        (:meth:`_adopt_ric_info`).  Returns the number of invalidated entries.
         """
         dropped = self.candidate_table.invalidate_address(address)
-
-        def _purge(info: Dict[str, RicEntry]) -> int:
-            stale = [
-                key_text
-                for key_text, cached in info.items()
-                if cached.address == address
-            ]
-            for key_text in stale:
-                del info[key_text]
-            return len(stale)
-
-        for table in (self.input_queries, self.rewritten_queries):
-            for _, records in table.items():
-                for record in records:
-                    dropped += _purge(record.state.ric_info)
         for op in self._pending_ric.values():
-            dropped += _purge(op.known)
+            known = op.known
+            stale = [text for text in known if known[text].address == address]
+            for key_text in stale:
+                del known[key_text]
+            dropped += len(stale)
         return dropped
 
     def accept_rehomed(self, item: RehomedItem) -> None:

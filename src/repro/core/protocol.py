@@ -8,8 +8,8 @@ machinery of Sections 6–7 and answer delivery:
 * :class:`IndexQueryMessage` — an input query being indexed at the attribute
   level,
 * :class:`EvalMessage` — Procedure 3: a rewritten query being (re)indexed,
-  together with the key it was indexed under and piggy-backed RIC
-  information,
+  together with the key it was indexed under and the RIC information its
+  sender chose that key by, piggy-backed,
 * :class:`RicRequestMessage` / :class:`RicReplyMessage` — the chained RIC
   information gathering of Section 6 (each candidate appends its observation
   and forwards the request; the last one replies directly to the origin).  A
@@ -34,7 +34,8 @@ machinery of Sections 6–7 and answer delivery:
 :class:`QueryState` is the mutable evaluation state shipped inside the query
 messages: the (rewritten) query, the identity and owner of the originating
 input query, its insertion time, the window state of the tuples consumed so
-far, and the piggy-backed RIC entries.
+far, and — on the wire only — the RIC entries its last indexing decision
+compared, piggy-backed for the receiver's candidate table (Section 7).
 
 Multi-query sharing (PR 8) extends the state with *subscribers*: when two
 continuous queries reach the same rewritten form (same residual query,
@@ -46,8 +47,8 @@ answer fans out to each subscriber's owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Container, Dict, List, Optional, Tuple as TupleT
+from dataclasses import dataclass
+from typing import Any, Container, List, Optional, Tuple as TupleT
 
 from repro.core.keys import IndexKey
 from repro.core.ric import Arc, RicEntry
@@ -83,19 +84,17 @@ class QueryState:
     is_input: bool = True
     window_state: Optional[WindowState] = None
     consumed: int = 0
-    ric_info: Dict[str, RicEntry] = field(default_factory=dict)
+    #: The piggy-back of Section 7, while the state travels: the RIC entries
+    #: the indexing decision that sent it compared (none for a lone candidate).
+    #: The receiver moves them into its candidate table; a stored or derived
+    #: state carries none.
+    ric_info: TupleT[RicEntry, ...] = ()
     extra_subscribers: TupleT[Subscriber, ...] = ()
 
     def derive(
-        self,
-        query: Query,
-        window_state: Optional[WindowState],
-        extra_ric: Optional[Dict[str, RicEntry]] = None,
+        self, query: Query, window_state: Optional[WindowState]
     ) -> "QueryState":
         """The state of the query obtained by consuming one more tuple."""
-        ric_info = dict(self.ric_info)
-        if extra_ric:
-            ric_info.update(extra_ric)
         return QueryState(
             query_id=self.query_id,
             owner=self.owner,
@@ -104,7 +103,6 @@ class QueryState:
             is_input=False,
             window_state=window_state,
             consumed=self.consumed + 1,
-            ric_info=ric_info,
             extra_subscribers=self.extra_subscribers,
         )
 

@@ -2,8 +2,10 @@
 
 Before indexing a query, RJoin asks the candidate nodes for information about
 the rate of incoming tuples for the candidate keys (RIC information), then
-indexes the query where the predicted rate is lowest.  The node-local RIC
-state:
+indexes the query where the predicted rate is lowest — asking, of the keys it
+knows no rate for, those whose answer could still change that choice
+(:meth:`~repro.core.strategy.IndexingStrategy.worth_asking`).  The node-local
+RIC state:
 
 * :class:`RateTracker` — every node records, per indexing key it is
   responsible for, the arrival times of incoming tuples; the reported rate is
@@ -14,10 +16,14 @@ state:
   that reported it, when it was reported, and the arc of the identifier
   circle that node was responsible for then,
 * :class:`CandidateTable` (CT) — the per-node cache of RIC entries
-  (Section 7): entries learned by asking candidates, or received piggy-backed
-  on rewritten queries (``QueryState.ric_info``), are kept so that future
-  indexing decisions for the same key need no extra messages; stale entries
-  are asked again.  It also keeps the reporters' arcs, and those are the
+  (Section 7), and the one place an indexing decision reads them from:
+  entries learned by asking candidates, or received piggy-backed on an
+  arriving query (``QueryState.ric_info``: what the decision that sent it
+  compared, moved into the table on arrival and kept nowhere else), are kept
+  so that future indexing decisions for the same key need no extra messages;
+  stale entries are asked again, and so is one that keeps deciding — at
+  its 8th, 16th, 32nd ... use, together with the keys it is compared with
+  (:data:`REASK_FROM`).  It also keeps the reporters' arcs, and those are the
   node's routing cache: every message it sends to a key — a published
   tuple, an input or rewritten query, a RIC question — goes to the key's
   owner in one hop once that owner has reported anything at all, to this
@@ -40,6 +46,10 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 #: ``(predecessor id, own id)``: the identifiers ``(predecessor, own]`` a node
 #: is responsible for, clockwise; equal ends are the whole circle.
 Arc = Tuple[int, int]
+
+#: The use of a cached entry from which it is asked again — at this one and
+#: at every doubling of it (:meth:`CandidateTable.lookup`).
+REASK_FROM = 8
 
 
 def arc_holds(arc: Arc, identifier: int) -> bool:
@@ -165,12 +175,23 @@ class CandidateTable:
     time it was observed, so that a table fills from its node's first few
     misses rather than one reporter at a time.  The arcs outlive the
     entries (:meth:`clear_entries`): they describe the ring, not any query.
+
+    A rate is a count its reporter read once, and with no ``freshness`` an
+    entry would hold it for ever: the first few tuples of a run would decide
+    where a key's queries go for the rest of it, and which way they decide
+    is chance.  So an entry that keeps being used is asked again
+    (:meth:`lookup` misses) at its :data:`REASK_FROM`-th use and at every
+    doubling of that: the candidates of a decision that recurs are used
+    together, miss together and are read again by one chain at one time, and
+    a key used ``n`` times costs ``log2 n`` questions.
     """
 
     def __init__(self, freshness: Optional[float] = None) -> None:
         """``freshness`` is the maximum age of a usable entry (``None`` = no limit)."""
         self.freshness = freshness
         self._entries: Dict[str, RicEntry] = {}
+        #: Key text -> the lookups its entries have answered (no key without one).
+        self._uses: Dict[str, int] = {}
         #: Reporter address -> its arc, and -> when that arc was first observed.
         self._arc_of: Dict[str, Arc] = {}
         self._arc_seen: Dict[str, float] = {}
@@ -187,8 +208,9 @@ class CandidateTable:
     def update_many(self, entries: Iterable[RicEntry]) -> None:
         """Insert several entries at once, and learn their reporters' arcs.
 
-        The loop every arriving query runs over what it carries piggy-backed:
-        nearly always the arc is the very tuple the reporter is known by.
+        The loop an arriving query runs over what it carries piggy-backed (at
+        most one entry per candidate of the decision that sent it): nearly
+        always the arc is the very tuple the reporter is known by.
         """
         cached, arc_of = self._entries, self._arc_of
         for entry in entries:
@@ -266,11 +288,14 @@ class CandidateTable:
         del self._arc_owners[index]
 
     def lookup(self, key_text: str, now: float) -> Optional[RicEntry]:
-        """Return a fresh cached entry for ``key_text`` or None."""
+        """Return a fresh cached entry for ``key_text`` or None: also at its
+        :data:`REASK_FROM`-th use and every doubling of it, to be asked again."""
         entry = self._entries.get(key_text)
         if entry is not None and entry.is_fresh(now, self.freshness):
-            self._hits += 1
-            return entry
+            uses = self._uses[key_text] = self._uses.get(key_text, 0) + 1
+            if uses < REASK_FROM or uses & (uses - 1):
+                self._hits += 1
+                return entry
         self._misses += 1
         return None
 
@@ -289,6 +314,7 @@ class CandidateTable:
         ]
         for key_text in stale:
             del self._entries[key_text]
+            self._uses.pop(key_text, None)
         if address in self._arc_of:
             self._drop_arc(address)
         return len(stale)
@@ -303,11 +329,13 @@ class CandidateTable:
         """
         dropped = len(self._entries)
         self._entries.clear()
+        self._uses.clear()
         return dropped
 
     def clear(self) -> None:
         """Drop every cached entry and arc (the hit/miss counters are preserved)."""
         self._entries.clear()
+        self._uses.clear()
         self._arc_of.clear()
         self._arc_seen.clear()
         self._arc_ends.clear()

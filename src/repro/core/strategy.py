@@ -181,12 +181,19 @@ class IndexingStrategy(ABC):
     ) -> IndexKey:
         """Pick one candidate.  ``rates`` maps key text to the observed rate."""
 
+    def worth_asking(
+        self, candidates: Sequence[IndexKey], rates: Mapping[str, float]
+    ) -> List[IndexKey]:
+        """The candidates ``rates`` does not know whose rate could change what
+        :meth:`choose` returns: each of them, for all this class can tell."""
+        return [key for key in candidates if key.text not in rates]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
 
 def _rate_of(key: IndexKey, rates: Mapping[str, float]) -> float:
-    return float(rates.get(key.text, 0.0))
+    return rates.get(key.text, 0.0)
 
 
 def _tie_break(key: IndexKey) -> tuple:
@@ -209,6 +216,28 @@ class RJoinStrategy(IndexingStrategy):
         if not candidates:
             raise ConfigurationError("cannot choose among zero candidates")
         return min(candidates, key=lambda key: (_rate_of(key, rates), _tie_break(key)))
+
+    def worth_asking(
+        self, candidates: Sequence[IndexKey], rates: Mapping[str, float]
+    ) -> List[IndexKey]:
+        """Section 6 asks *so that a choice can be made*: a rate is a count,
+        never below zero, and :meth:`choose` takes the lowest ``(rate,
+        tie-break)``.  So a lone candidate is chosen whatever its rate, and a
+        known one at 0.0 is beaten only by an unknown one that ties it and
+        breaks the tie its way; the rest need no question — left out of
+        ``rates`` they count as 0.0 in :meth:`choose` and lose that tie.
+        """
+        if len(candidates) < 2:
+            return []
+        unknown = super().worth_asking(candidates, rates)
+        known = [key for key in candidates if key.text in rates]
+        if not known or not unknown:
+            return unknown
+        best = min(known, key=lambda key: (rates[key.text], _tie_break(key)))
+        if rates[best.text] > 0.0:
+            return unknown
+        bar = _tie_break(best)
+        return [key for key in unknown if _tie_break(key) < bar]
 
 
 class WorstStrategy(IndexingStrategy):

@@ -82,10 +82,11 @@ def figure2(
     The "Request RIC" series (``rjoin_ric_messages_per_node``) counts the RIC
     transmissions actually made: a question that waited for a chain of its
     node already asking the key (``ric_questions_joined`` in the summary)
-    cost none, a request sent on a cached arc (counted, with every other
-    keyed message, in ``arc_sends_direct``) one instead of a routing path's
-    worth, and a reply one.  Asking included, RJoin's traffic stays below
-    Random's (asserted over three seeds in
+    cost none, nor one no answer to which could have changed the choice
+    (``ric_questions_spared``), a request sent on a cached arc (counted, with
+    every other keyed message, in ``arc_sends_direct``) one instead of a
+    routing path's worth, and a reply one.  Asking included, RJoin's traffic
+    stays below Random's (asserted over three seeds in
     ``tests/experiments/test_figures.py``).
 
     RJoin's traffic series (``rjoin_messages_per_node``) includes a saving

@@ -22,12 +22,14 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v11: every keyed message travels on cached arcs, and the two counters of
-#: that are ``arc_sends_direct`` and ``arc_sends_misdirected`` (v10 counted
-#: RIC requests only, as ``ric_requests_direct`` / ``_misdirected``).
+#: v12: ``ric_questions_spared`` — unknown candidate keys an indexing
+#: decision did not ask because no answer could have changed its choice.
 #: Older result files still *load* — ``result_from_dict``, ``load_cells``
 #: and ``report --diff`` accept any schema version.
-#: (v9: the RIC path added its three counters (``ric_chains_started``,
+#: (v11: every keyed message travels on cached arcs, and the two counters of
+#: that are ``arc_sends_direct`` and ``arc_sends_misdirected`` (v10 counted
+#: RIC requests only, as ``ric_requests_direct`` / ``_misdirected``);
+#: v9: the RIC path added its three counters (``ric_chains_started``,
 #: ``ric_questions_joined``, ``ric_chains_lost``) to the summary;
 #: v8: the observability layer added the latency/load histogram percentiles
 #: (``answer_latency_p50``/``p95``/``p99`` and friends — three keys per
@@ -46,7 +48,7 @@ from repro.sql.ast import WindowSpec
 #: v4: query lifecycle added ``ExperimentConfig.query_churn`` /
 #: ``ExperimentConfig.owner_failover`` plus the lifecycle counters;
 #: v3: ``ExperimentConfig.store_backend`` joined the config schema.)
-RESULT_SCHEMA_VERSION = 11
+RESULT_SCHEMA_VERSION = 12
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
@@ -92,6 +94,7 @@ SUMMARY_SCHEMA: Tuple[str, ...] = (
     "shared_state_fanout",
     "ric_chains_started",
     "ric_questions_joined",
+    "ric_questions_spared",
     "ric_chains_lost",
     "arc_sends_direct",
     "arc_sends_misdirected",

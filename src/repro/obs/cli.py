@@ -9,7 +9,8 @@ produces::
 ``summarize`` prints the run's shape: span/trace totals, the hop breakdown
 per message kind (with the logical messages each envelope carried — the
 answers per answer envelope — the RIC questions its handlers joined onto
-chains in flight instead of sending, and how many of the kind were sent in
+chains in flight instead of sending and those they spared because no answer
+could have changed the choice, and how many of the kind were sent in
 one hop on a cached arc, with those that arrived on a stale one), the
 slowest end-to-end traces with their critical path (the chain of spans from
 the root to the last delivery), and the slowest individual spans.
@@ -77,7 +78,8 @@ def summarize(spans: Sequence[Span], out: TextIO, top: int = 5) -> None:
     # envelope can carry several logical messages (the answers one handler
     # invocation produced for one owner); "per envelope" is how many.  "RIC
     # joined" is traffic that did not happen: questions the kind's handlers
-    # waited for on a chain already in flight.  "direct" are the deliveries
+    # waited for on a chain already in flight — and "spared": questions no
+    # answer to which could have changed the choice.  "direct" are the deliveries
     # of the kind that came in one hop on a cached arc, "misdirected" those
     # among them that reached a node no longer owning the identifier.
     out.write("\nhop breakdown by message kind:\n")
@@ -91,13 +93,14 @@ def summarize(spans: Sequence[Span], out: TextIO, top: int = 5) -> None:
         mean_delay = transit / len(kind_spans)
         carried = sum(span.weight for span in kind_spans)
         joined = sum(span.ric_joined for span in kind_spans)
+        spared = sum(span.ric_spared for span in kind_spans)
         direct = sum(span.arc_direct for span in kind_spans)
         misdirected = sum(span.arc_misdirected for span in kind_spans)
         out.write(
             f"  {kind:<24} {len(kind_spans):>7} deliveries "
             f"{hops:>8} hops  mean transit {mean_delay:.2f}  "
             f"{carried / len(kind_spans):.2f} per envelope  "
-            f"{joined:>6} RIC joined {direct:>6} direct "
+            f"{joined:>6} RIC joined {spared:>6} spared {direct:>6} direct "
             f"{misdirected:>4} misdirected\n"
         )
 

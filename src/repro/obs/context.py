@@ -226,17 +226,20 @@ class Observability:
         self._key_load.inc(key_text)
 
     def record_ric(self, phase: str, count: int = 1) -> None:
-        """RIC path telemetry: ``request`` / ``reply`` deliveries and
-        ``joined`` questions.
+        """RIC path telemetry: ``request`` / ``reply`` deliveries, ``joined``
+        and ``spared`` questions.
 
         A *joined* question is an unknown candidate key that was not sent
-        because a chain of the same node was already asking it.  It is no
-        delivery of its own, so the span that is open (the delivery whose
-        handler joined it, or the submitting operation) carries the count.
+        because a chain of the same node was already asking it; a *spared*
+        one was not sent because no answer could have changed the choice.
+        Neither is a delivery of its own, so the span that is open (the
+        delivery whose handler decided, or the submitting operation) carries
+        the count.
         """
         self._ric_chain.inc(phase, count)
-        if phase == "joined" and self._stack:
-            self._open["ric_joined"] = self._open.get("ric_joined", 0) + count
+        if phase in ("joined", "spared") and self._stack:
+            attribute = "ric_" + phase
+            self._open[attribute] = self._open.get(attribute, 0) + count
 
     def record_misdirected(self, kind: str) -> None:
         """The delivery being handled, a ``kind`` message sent in one hop,

@@ -61,6 +61,7 @@ def chrome_trace_events(spans: Sequence[Span]) -> List[Dict[str, object]]:
                     "hops": span.hops,
                     "weight": span.weight,
                     "ric_joined": span.ric_joined,
+                    "ric_spared": span.ric_spared,
                     "arc_direct": span.arc_direct,
                     "arc_misdirected": span.arc_misdirected,
                     "sent_at": span.sent_at,

@@ -99,6 +99,9 @@ class Span:
     #: RIC questions this span's handler did not send because a chain of its
     #: node was already asking the key (they are no deliveries of their own).
     ric_joined: int = 0
+    #: ...and those it did not ask because no answer could have changed the
+    #: indexing decision they were for.
+    ric_spared: int = 0
     #: The routing cache: whether the delivered message was sent in one hop
     #: to the node its sender took for the owner of its identifier, and
     #: whether that node was not (a stale arc) and passed it on.
@@ -126,6 +129,7 @@ class Span:
             "wall_us": self.wall_us,
             "weight": self.weight,
             "ric_joined": self.ric_joined,
+            "ric_spared": self.ric_spared,
             "arc_direct": self.arc_direct,
             "arc_misdirected": self.arc_misdirected,
         }
@@ -148,6 +152,7 @@ class Span:
             wall_us=float(data.get("wall_us", 0.0)),
             weight=int(data.get("weight", 1)),
             ric_joined=int(data.get("ric_joined", 0)),
+            ric_spared=int(data.get("ric_spared", 0)),
             arc_direct=int(data.get("arc_direct", 0)),
             arc_misdirected=int(data.get("arc_misdirected", 0)),
         )

@@ -60,17 +60,20 @@ class TestQueryHandle:
 class TestQueryState:
     def test_derive_marks_rewritten_and_accumulates(self):
         state = make_state()
-        entry = RicEntry("k", 1.0, "n2", 0.0)
+        state.ric_info = (RicEntry("k", 1.0, "n2", 0.0),)
         new_query = parse_query("SELECT R.a FROM R", validate=False)
-        derived = state.derive(new_query, WindowState(1, 1), extra_ric={"k": entry})
+        derived = state.derive(new_query, WindowState(1, 1))
         assert not derived.is_input
         assert derived.consumed == 1
         assert derived.query is new_query
-        assert derived.ric_info["k"] is entry
+        # A child carries none of its parent's RIC entries: it will be
+        # indexed under other keys, and piggy-backs what *its* decision learns.
+        assert derived.ric_info == ()
+        assert derived.derive(new_query, None).consumed == 2
         assert derived.query_id == state.query_id
         assert derived.insertion_time == state.insertion_time
         # the parent state is untouched
-        assert state.is_input and state.consumed == 0 and not state.ric_info
+        assert state.is_input and state.consumed == 0 and len(state.ric_info) == 1
 
     def test_distinct_flag_follows_query(self):
         query = parse_query("SELECT DISTINCT R.a FROM R, S WHERE R.b = S.c")

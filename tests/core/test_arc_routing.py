@@ -459,14 +459,18 @@ def test_any_address_is_only_a_hint_and_the_receiver_decides(runtime):
     assert bystander != s.home.address
     table = s.home.candidate_table
     table.learn_arc(bystander, s.old_arc, s.engine.now)
-    s.publish("R", (1, s.VALUE))  # a RIC question, and then an Eval
+    s.publish("R", (1, s.VALUE))  # an Eval: its one candidate is no question
     assert s.misdirected() == 1
-    assert [sent[:2] for sent in s.to_the_key(RicRequestMessage)] == [
-        (RicRequestMessage, "routed")  # ...passed on by the bystander
+    assert s.to_the_key(EvalMessage) == [
+        # ...passed on by the bystander.
+        (EvalMessage, "routed", bystander, s.old_owner)
     ]
     assert table._arc_of[bystander] == ring.arc_of(bystander)
-    assert table._arc_of[s.old_owner] == s.old_arc
+    # Nobody is known for the key now: the next message for it is routed, and
+    # its owner answers that with its arc.
+    assert table.owner_of(s.identifier) is None
     s.publish("S", (s.VALUE, 7))
+    assert table._arc_of[s.old_owner] == s.old_arc
     assert s.misdirected() == 1
     s.finish()
 

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.ric import CandidateTable, RateTracker, RicEntry, arc_holds
+from repro.core.ric import REASK_FROM, CandidateTable, RateTracker, RicEntry, arc_holds
 
 
 class TestRateTracker:
@@ -102,6 +102,49 @@ class TestCandidateTable:
         table = CandidateTable()
         table.update_many([self.entry(key="a"), self.entry(key="b")])
         assert len(table) == 2
+
+    def test_an_entry_in_use_is_asked_again_at_every_doubling(self):
+        """Uses 8, 16, 32, ... miss; a newer entry does not restart the count."""
+        table = CandidateTable()
+        table.update(self.entry(observed_at=0.0))
+        missed = []
+        for use in range(1, 4 * REASK_FROM + 1):
+            if table.lookup("k", now=float(use)) is None:
+                missed.append(use)
+                table.update(self.entry(rate=float(use), observed_at=float(use)))
+        assert missed == [REASK_FROM, 2 * REASK_FROM, 4 * REASK_FROM]
+        assert table.misses == 3 and table.hits == 4 * REASK_FROM - 3
+        assert table.lookup("k", now=99.0).rate == 4.0 * REASK_FROM
+
+    def test_keys_used_together_are_asked_again_together(self):
+        """One chain reads the candidates of a recurring decision at one time."""
+        table = CandidateTable()
+        table.update_many([self.entry(key="a"), self.entry(key="b")])
+        for _ in range(REASK_FROM - 1):
+            assert table.lookup("a", 1.0) is not None
+            assert table.lookup("b", 1.0) is not None
+        assert table.lookup("a", 1.0) is None and table.lookup("b", 1.0) is None
+
+    def test_a_miss_left_unanswered_is_served_by_the_old_entry(self):
+        """A question the strategy spares leaves the entry as good as before."""
+        table = CandidateTable()
+        table.update(self.entry(rate=2.0))
+        for _ in range(REASK_FROM - 1):
+            table.lookup("k", 1.0)
+        assert table.lookup("k", 1.0) is None
+        assert table.lookup("k", 1.0).rate == 2.0
+
+    def test_dropped_entries_take_their_use_counts_along(self):
+        table = CandidateTable()
+        table.update_many([self.entry(key="a", address="x"), self.entry(key="b")])
+        for _ in range(REASK_FROM - 1):
+            table.lookup("a", 1.0), table.lookup("b", 1.0)
+        table.invalidate_address("x")
+        table.update(self.entry(key="a", address="y"))
+        assert table.lookup("a", 1.0) is not None  # use 1 of a new count
+        table.clear_entries()
+        table.update(self.entry(key="b"))
+        assert table.lookup("b", 1.0) is not None
 
 
 class TestArcs:

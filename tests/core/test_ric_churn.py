@@ -120,7 +120,7 @@ class TestEagerInvalidationOnMembership:
         )
         relation = query.relations[0]
         key = attribute_key(relation, engine.catalog.get(relation).attributes[0])
-        sender._send_query(state, is_input=True, key=key, known_address=victim)
+        sender._send_query(state, key, known_address=victim)
         engine.run()
         assert sender.stale_one_hop_attempts == 1
         assert engine.metrics_summary()["stale_one_hop_attempts"] == 1.0

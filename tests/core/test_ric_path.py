@@ -5,7 +5,14 @@ candidate keys no chain of its node is asking already and waits with those
 chains for the rest; a reply resolves its keys' waiters, and a chain a crash
 destroys is handed back to its origin, which asks again.  The waiter index
 (``RJoinNode._ric_waiters``) may never outlive a chain: a key is in it
-exactly while one chain of the node is in flight asking it.  A request goes
+exactly while one chain of the node is in flight asking it.  And a question
+is asked only if its answer could change the choice: a lone candidate is sent
+at once, and once a known candidate stands at rate 0.0 only the unknown ones
+that would win a tie with it are asked (``RJoinStrategy.worth_asking``) — so
+the hand-driven decisions here all have a second candidate, ``KNOWN``, that
+the table knows at a rate anything asked may still beat.  An entry that
+keeps deciding is asked again at its 8th, 16th, 32nd ... use
+(``CandidateTable.lookup``), with the keys it is compared with.  A request goes
 to its key's owner in one hop once that owner has reported about any key at
 all — its entries say which arc of the ring it owns — and through the ring
 until then (``tests/core/test_ric_churn.py`` has the arcs that went stale,
@@ -33,7 +40,7 @@ from repro.core.protocol import (
     RicRequestMessage,
 )
 from repro.core.reference import ReferenceEngine
-from repro.core.ric import RicEntry
+from repro.core.ric import REASK_FROM, RicEntry
 from repro.data.schema import Catalog
 from repro.sql.parser import parse_query
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
@@ -45,6 +52,9 @@ SQL = "SELECT R.a, T.f FROM R, S, T WHERE R.b = S.c AND S.d = T.e"
 K1 = attribute_key("R", "b")
 K2 = attribute_key("S", "c")
 K3 = attribute_key("S", "d")
+#: The second candidate of the decisions :meth:`Harness.index` makes: known
+#: at a rate above zero, so every unknown key beside it is worth its question.
+KNOWN = attribute_key("T", "e")
 
 
 def spy_on_posts(engine: RJoinEngine) -> List[object]:
@@ -118,11 +128,16 @@ class Harness:
         self.finished: List[tuple] = []
         finish = self.node._finish_indexing
 
-        def spied_finish(state, is_input, candidates, entries):
+        def spied_finish(state, candidates, entries):
             self.finished.append((state.query_id, dict(entries)))
-            finish(state, is_input, candidates, entries)
+            finish(state, candidates, entries)
 
         self.node._finish_indexing = spied_finish
+        self.node.candidate_table.update(self.entry(KNOWN, rate=5.0))
+
+    def index(self, number: int, *keys) -> None:
+        """An indexing decision of the node between ``keys`` and ``KNOWN``."""
+        self.node._index_query(self.state(number), [*keys, KNOWN])
 
     def state(self, number: int) -> QueryState:
         return QueryState(
@@ -151,8 +166,8 @@ class Harness:
 class TestOneQuestionPerKey:
     def test_two_ops_with_the_same_unknown_key_post_one_request(self):
         h = Harness()
-        h.node._index_query(h.state(1), [K1])
-        h.node._index_query(h.state(2), [K1])
+        h.index(1, K1)
+        h.index(2, K1)
         (request,) = chains_started(h.posted)
         assert request.key_texts() == [K1.text]
         assert (h.node.ric_chains_started, h.node.ric_questions_joined) == (1, 1)
@@ -169,12 +184,17 @@ class TestOneQuestionPerKey:
 
     def test_two_rewrites_of_one_tuple_arrival_share_one_chain(self, small_catalog):
         """The case the ledger is full of: one handler invocation triggers
-        several stored queries whose rewrites have a candidate key in common."""
+        several stored queries whose rewrites have a candidate key in common.
+        (Attribute-level rewrites give each rewrite its join attributes as
+        candidates beside the shared value-level key; alone, that key would
+        be no question at all.)"""
         engine = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=7, strategy="rjoin"), catalog=small_catalog
+            RJoinConfig(num_nodes=16, seed=7, strategy="rjoin",
+                        allow_attribute_level_rewrites=True),
+            catalog=small_catalog,
         )
         engine.submit(SQL)
-        engine.submit("SELECT R.a, S.d FROM R, S WHERE R.b = S.c")
+        engine.submit("SELECT S.d, T.f FROM R, S, T WHERE R.b = S.c AND S.d = T.e")
         (home,) = [node for node in engine.nodes.values() if node.input_queries]
         assert len(home.input_queries) == 2
         before = home.ric_questions_joined
@@ -190,8 +210,8 @@ class TestOneQuestionPerKey:
 
     def test_an_op_asks_only_the_keys_nobody_is_asking(self):
         h = Harness()
-        h.node._index_query(h.state(1), [K1])
-        h.node._index_query(h.state(2), [K1, K2])
+        h.index(1, K1)
+        h.index(2, K1, K2)
         first, second = chains_started(h.posted)
         assert first.key_texts() == [K1.text]
         assert second.key_texts() == [K2.text]
@@ -212,11 +232,11 @@ class TestOneQuestionPerKey:
 
     def test_ops_finish_as_their_last_key_resolves_then_by_registration(self):
         h = Harness()
-        h.node._index_query(h.state(1), [K1])
-        h.node._index_query(h.state(2), [K1, K2])
-        h.node._index_query(h.state(3), [K2])
-        h.node._index_query(h.state(4), [K1])
-        h.node._index_query(h.state(5), [K2, K3])
+        h.index(1, K1)
+        h.index(2, K1, K2)
+        h.index(3, K2)
+        h.index(4, K1)
+        h.index(5, K2, K3)
         assert [r.key_texts() for r in chains_started(h.posted)] == [
             [K1.text], [K2.text], [K3.text],
         ]
@@ -229,8 +249,8 @@ class TestOneQuestionPerKey:
 
     def test_a_retracted_waiter_is_skipped_and_an_unawaited_reply_is_a_no_op(self):
         h = Harness()
-        h.node._index_query(h.state(1), [K1])
-        h.node._index_query(h.state(2), [K1])
+        h.index(1, K1)
+        h.index(2, K1)
         assert h.node.retract_query("node-0#1") == 1
         assert [op.state.query_id for op in h.node._pending_ric.values()] == [
             "node-0#2"
@@ -248,35 +268,150 @@ class TestOneQuestionPerKey:
 
     def test_a_dead_reporters_entry_ends_the_wait_but_is_not_used(self):
         h = Harness()
-        h.node._index_query(h.state(1), [K1, K2])
+        h.index(1, K1, K2)
         h.reply(h.entry(K1, rate=7.0, address="node-gone"), h.entry(K2, rate=3.0))
         ((query_id, entries),) = h.finished
-        assert set(entries) == {K2.text}
+        assert set(entries) == {K2.text, KNOWN.text}
         assert h.node.candidate_table.lookup(K1.text, h.engine.now) is None
         # Unreported counts as rate 0.0, the lowest: K1 is chosen, and routed
         # (no address to take the one-hop shortcut to).
         (sent,) = [m for m in h.posted if isinstance(m, IndexQueryMessage)]
         assert sent.key == K1
-        assert K1.text not in sent.state.ric_info
+        assert K1.text not in [entry.key_text for entry in sent.state.ric_info]
         assert_ric_path_idle(h.engine)
 
     def test_a_stale_entry_is_asked_again_once_and_joined_by_the_rest(self):
         h = Harness(ric_freshness=3.0)
-        h.node._index_query(h.state(1), [K1])
+        h.index(1, K1)
         h.engine.run()
         assert h.finished_ids == ["node-0#1"]
         h.engine.tick(10.0)
-        h.node._index_query(h.state(2), [K1])
-        h.node._index_query(h.state(3), [K1])
+        h.node.candidate_table.update(h.entry(KNOWN, rate=5.0))  # kept fresh
+        h.index(2, K1)
+        h.index(3, K1)
         assert len(chains_started(h.posted)) == 2
         assert h.node.ric_questions_joined == 1
         h.engine.run()
         assert h.finished_ids == ["node-0#1", "node-0#2", "node-0#3"]
         # Fresh again: the next decision needs no message at all.
         posted = len(h.posted)
-        h.node._index_query(h.state(4), [K1])
+        h.index(4, K1)
         assert h.finished_ids[-1] == "node-0#4"
         assert [type(m) for m in h.posted[posted:]] == [IndexQueryMessage]
+        assert_ric_path_idle(h.engine)
+
+
+class TestOnlyWhatCanChangeTheChoice:
+    """A question is a request and a reply: it is asked if its answer could
+    make ``choose`` pick another key, and not otherwise."""
+
+    low, high = value_key("S", "c", 5), value_key("S", "c", 6)
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_a_lone_candidate_is_sent_at_once_and_asks_nothing(
+        self, runtime, small_catalog
+    ):
+        engine = RJoinEngine(
+            RJoinConfig(num_nodes=16, seed=7, strategy="rjoin", runtime=runtime),
+            catalog=small_catalog,
+        )
+        handle = engine.submit("SELECT R.a, S.d FROM R, S WHERE R.b = S.c")
+        tables = [node.candidate_table for node in engine.nodes.values()]
+        lookups = sum(table.hits + table.misses for table in tables)
+        posted = spy_on_posts(engine)
+        engine.publish("R", (1, 10))
+        # The rewrite can wait under S.c = 10 and nowhere else.
+        kinds = Counter(type(message) for message in posted)
+        assert kinds[EvalMessage] == 1
+        assert kinds[RicRequestMessage] == kinds[RicReplyMessage] == 0
+        (sent,) = [m for m in posted if isinstance(m, EvalMessage)]
+        assert sent.key == value_key("S", "c", 10)
+        # No lookup either, so no unknown key met: nothing to count as spared.
+        assert sum(table.hits + table.misses for table in tables) == lookups
+        assert engine.metrics_summary()["ric_questions_spared"] == 0
+        assert_ric_path_idle(engine)
+        engine.publish("S", (10, 99))
+        assert handle.values() == [(1, 99)]
+        engine.close()
+
+    def test_a_lone_candidate_of_an_input_query_likewise(self):
+        h = Harness()
+        h.node._index_query(h.state(1), [K1])
+        assert [type(m) for m in h.posted] == [IndexQueryMessage]
+        assert h.posted[0].key == K1 and h.posted[0].state.ric_info == ()
+        assert h.finished == [] and h.node.ric_questions_spared == 0
+        assert_ric_path_idle(h.engine)
+
+    def test_a_quiet_known_key_spares_a_worse_unknown_and_asks_a_better_one(self):
+        """``high`` stands at 0.0: an attribute-level key loses any tie with
+        it, ``low`` would win one — so ``low`` is asked and ``K1`` is not, and
+        the choice is what the full round of answers would have made it."""
+        h = Harness()
+        low, high = self.low, self.high
+        h.node.candidate_table.update(h.entry(high, rate=0.0))
+        h.node._index_query(h.state(1), [K1, high, low])
+        (request,) = chains_started(h.posted)
+        assert request.key_texts() == [low.text]
+        assert set(h.node._ric_waiters) == {low.text}
+        assert h.node.ric_questions_spared == 1
+        h.reply(h.entry(low, rate=0.0))
+        ((_, entries),) = h.finished
+        assert set(entries) == {high.text, low.text}
+        (sent,) = [m for m in h.posted if isinstance(m, IndexQueryMessage)]
+        assert sent.key == low
+        assert sorted(e.key_text for e in sent.state.ric_info) == [low.text, high.text]
+        assert_ric_path_idle(h.engine)
+
+    def test_a_busy_answer_leaves_the_quiet_known_key_chosen(self):
+        h = Harness()
+        low, high = self.low, self.high
+        h.node.candidate_table.update(h.entry(high, rate=0.0))
+        h.node._index_query(h.state(1), [K1, high, low])
+        h.reply(h.entry(low, rate=3.0))
+        (sent,) = [m for m in h.posted if isinstance(m, IndexQueryMessage)]
+        assert sent.key == high
+        assert_ric_path_idle(h.engine)
+
+    def test_with_nothing_worth_asking_the_decision_is_made_at_once(self):
+        h = Harness()
+        h.node.candidate_table.update(h.entry(self.low, rate=0.0))
+        h.node._index_query(h.state(1), [K1, K2, self.low])
+        assert [type(m) for m in h.posted] == [IndexQueryMessage]
+        assert h.posted[0].key == self.low
+        assert h.node.ric_questions_spared == 2
+        assert (h.node.ric_chains_started, h.node.ric_questions_joined) == (0, 0)
+        assert_ric_path_idle(h.engine)
+
+    def test_a_busy_known_key_spares_nothing(self):
+        h = Harness()
+        h.index(1, K1, self.low)  # KNOWN stands at 5.0: either may be quieter
+        (request,) = chains_started(h.posted)
+        assert request.key_texts() == [K1.text, self.low.text]
+        assert h.node.ric_questions_spared == 0
+        h.engine.run()
+        assert_ric_path_idle(h.engine)
+
+    def test_a_decision_that_recurs_reads_its_candidates_again_together(self):
+        """Both keys are first used together, so both come due at the same
+        decision (``REASK_FROM``) and one chain reads them at one time."""
+        h = Harness()
+        h.node._index_query(h.state(0), [K1, K2])
+        h.engine.run()
+        for number in range(1, REASK_FROM):
+            h.node._index_query(h.state(number), [K1, K2])
+        assert len(chains_started(h.posted)) == 1
+        assert len(h.finished) == REASK_FROM
+        h.engine.tick(5.0)
+        h.node._index_query(h.state(REASK_FROM), [K1, K2])
+        again = chains_started(h.posted)[1]
+        assert again.key_texts() == [K1.text, K2.text]
+        assert len(h.finished) == REASK_FROM
+        h.engine.run()
+        _, entries = h.finished[-1]
+        assert {entry.observed_at for entry in entries.values()} != {
+            entry.observed_at for entry in h.finished[0][1].values()
+        }
+        assert h.node.ric_chains_started == 2
         assert_ric_path_idle(h.engine)
 
 
@@ -300,7 +435,7 @@ class TestOneHop:
         h = Harness()
         routed, direct = spy_on_requests(h.engine)
         owner, (first, second) = self.keys_of_one_owner(h, 2)
-        h.node._index_query(h.state(1), [first])
+        h.index(1, first)
         assert [r.target_key for r in routed] == [first] and not direct
         h.engine.run()
         arc = h.engine.ring.arc_of(owner)
@@ -308,7 +443,7 @@ class TestOneHop:
         assert h.node.candidate_table._arc_of[owner] == arc
         # The query itself left on the arc its chain had just brought back.
         assert h.node.arc_sends_direct == 1
-        h.node._index_query(h.state(2), [second])
+        h.index(2, second)
         assert [(r.target_key, to) for r, to in direct] == [(second, owner)]
         assert len(routed) == 1 and h.node.arc_sends_direct == 2
         h.engine.run()
@@ -323,11 +458,12 @@ class TestOneHop:
         # The owner of K1 once asked ``first`` itself; node-0 never did.
         forwarder = h.engine.nodes[h.engine.ring.owner_of_key(K1.text).address]
         assert forwarder.address not in (owner, h.node.address)
-        forwarder._index_query(h.state(1), [first])
+        forwarder.candidate_table.update(h.entry(KNOWN, rate=5.0))
+        forwarder._index_query(h.state(1), [first, KNOWN])
         h.engine.run()
         routed, direct = spy_on_requests(h.engine)
         sent_direct = forwarder.arc_sends_direct
-        h.node._index_query(h.state(2), [K1, second])
+        h.index(2, K1, second)
         h.engine.run()
         assert [r.target_key for r in routed] == [K1]
         assert [(r.target_key, to) for r, to in direct] == [(second, owner)]
@@ -338,7 +474,7 @@ class TestOneHop:
         )
         # ...and the reply taught node-0 both reporters' arcs.
         assert set(h.node.candidate_table._arc_of) == {forwarder.address, owner}
-        h.node._index_query(h.state(3), [third])
+        h.index(3, third)
         assert direct[-1] == (direct[-1][0], owner) and len(routed) == 1
         h.engine.run()
         assert_ric_path_idle(h.engine)
@@ -348,10 +484,13 @@ class TestOneHop:
         owner, (first, second) = self.keys_of_one_owner(h, 2)
         arc = h.engine.ring.arc_of(owner)
         state = h.state(1)
-        state.ric_info[first.text] = RicEntry(first.text, 2.0, owner, h.engine.now, arc)
+        state.ric_info = (RicEntry(first.text, 2.0, owner, h.engine.now, arc),)
         h.node._adopt_ric_info(state)
         identifier = h.engine.space.hash_key(second.text)
         assert h.node.candidate_table.owner_of(identifier) == owner
+        # ...and are the table's from then on, not the state's.
+        assert state.ric_info == ()
+        assert h.node.candidate_table.lookup(first.text, h.engine.now).rate == 2.0
 
     def test_a_request_for_a_key_of_ones_own_is_a_local_delivery_either_way(self):
         h = Harness()
@@ -360,12 +499,12 @@ class TestOneHop:
             if h.engine.ring.owner_of_key(key.text).address == h.node.address
         ][:2]
         messages = h.engine.traffic.total_messages
-        h.node._index_query(h.state(1), [first])  # routed: a path of no hops
+        h.index(1, first)  # routed: a path of no hops
         assert h.node.arc_sends_direct == 0
         h.engine.run()
         # ...and the query it was asked for: on the node's own arc, by now.
         assert h.node.arc_sends_direct == 1
-        h.node._index_query(h.state(2), [second])
+        h.index(2, second)
         assert h.node.arc_sends_direct == 2
         h.engine.run()
         assert h.node.arc_sends_direct == 3
@@ -390,7 +529,10 @@ def busy_engine(runtime: str = "sim", seed: int = 5, **config):
 
 
 class TestCounters:
-    def test_asked_plus_joined_is_every_unknown_key_an_indexing_decision_met(self):
+    def test_asked_joined_and_spared_are_every_unknown_key_a_decision_met(self):
+        """A decision looks its candidates up when it has more than one; each
+        it does not find is asked, waited for on a chain in flight, or spared
+        because its answer could not matter — and nothing else."""
         engine, generator = busy_engine(observability="on")
         posted = spy_on_posts(engine)
         for query in generator.generate_queries(40):
@@ -401,20 +543,29 @@ class TestCounters:
         asked = sum(len(request.key_texts()) for request in chains)
         summary = engine.metrics_summary()
         joined = int(summary["ric_questions_joined"])
+        spared = int(summary["ric_questions_spared"])
         unknown = sum(node.candidate_table.misses for node in engine.nodes.values())
-        assert joined > 0 and asked > 0
-        assert asked + joined == unknown
+        assert joined > 0 and asked > 0 and spared > 0
+        assert asked + joined + spared == unknown
+        assert spared == sum(
+            node.ric_questions_spared for node in engine.nodes.values()
+        )
         assert summary["ric_chains_started"] == len(chains)
         assert summary["ric_chains_lost"] == 0
         assert summary["ric_chains_started"] == sum(
             node.ric_chains_started for node in engine.nodes.values()
         )
         # The same, read off the telemetry: every question sent was delivered
-        # once, every chain replied once, and the joined ones — deliveries
-        # that did not happen — sit on the spans whose handlers joined them.
+        # once, every chain replied once, and the joined and the spared ones —
+        # deliveries that did not happen — sit on the spans whose handlers
+        # joined or spared them.
         by_phase = engine.obs.registry.counter("ric_chain").by_label
-        assert by_phase == {"request": asked, "reply": len(chains), "joined": joined}
+        assert by_phase == {
+            "request": asked, "reply": len(chains), "joined": joined,
+            "spared": spared,
+        }
         assert sum(span.ric_joined for span in engine.obs.spans) == joined
+        assert sum(span.ric_spared for span in engine.obs.spans) == spared
         assert_ric_path_idle(engine)
         engine.close()
 
@@ -457,7 +608,8 @@ class TestCounters:
         assert victim.ric_chains_started > 0
         engine.crash_node(victim.address)
         after = engine.metrics_summary()
-        for name in ("ric_chains_started", "ric_questions_joined", "ric_chains_lost"):
+        for name in ("ric_chains_started", "ric_questions_joined",
+                     "ric_questions_spared", "ric_chains_lost"):
             assert after[name] == before[name]
         engine.close()
 
@@ -529,8 +681,8 @@ class TestLostChain:
 
     def test_an_op_also_waiting_for_a_live_chain_starts_over_exactly_once(self):
         h = Harness()
-        h.node._index_query(h.state(1), [K1])
-        h.node._index_query(h.state(2), [K1, K2])
+        h.index(1, K1)
+        h.index(2, K1, K2)
         lost, live = chains_started(h.posted)
         h.node.ric_chain_lost(lost)
         # Both decisions start over: the first asks K1 again, the second
@@ -550,7 +702,7 @@ class TestLostChain:
 
     def test_a_lost_chain_nobody_waits_for_changes_nothing(self):
         h = Harness()
-        h.node._index_query(h.state(1), [K1])
+        h.index(1, K1)
         (request,) = chains_started(h.posted)
         h.engine.run()
         posted = len(h.posted)
@@ -584,9 +736,9 @@ class TestLostChain:
                 if label not in node._pending_ric:
                     handed_back[id(op.state)] = node.address
 
-        def spied_send_query(node, state, is_input, key, known_address):
+        def spied_send_query(node, state, key, known_address=None):
             sent.add(id(state))
-            send_query(node, state, is_input, key, known_address)
+            send_query(node, state, key, known_address)
 
         monkeypatch.setattr(RJoinNode, "ric_chain_lost", spied_chain_lost)
         monkeypatch.setattr(RJoinNode, "_send_query", spied_send_query)

@@ -132,7 +132,14 @@ class TestSimAsyncioEquivalence:
         node has no rate for, so RIC requests — routed while the tables are
         cold, one hop on a cached arc after, like the tuples and the queries
         — are a large part of the traffic.
-        The runtimes agree on the bag and on every count of it."""
+        The runtimes agree exactly on the bag and on every *decision*: the
+        answers, the chains started, the questions joined and spared.  On the
+        *transmissions* they agree within 1 %: ``asyncio`` handles the
+        deliveries of one instant in either order, so a message posted the
+        instant an arc notice arrives goes routed on one runtime and direct
+        on the other (here 12,193 vs 12,190 messages, 5,839 vs 5,840 direct;
+        0 … 23 of ≈ 10,000 on four other seeds, on this tree and on its
+        parent alike — seed 13 used to land on equal counts by chance)."""
         spec = WorkloadSpec(
             num_relations=4,
             attributes_per_relation=3,
@@ -152,14 +159,17 @@ class TestSimAsyncioEquivalence:
                 assert as_bag(sim_handle.values()) == as_bag(conc_handle.values())
             sim, conc = sim_engine.metrics_summary(), conc_engine.metrics_summary()
             for counter in (
-                "answers", "total_messages", "ric_messages", "ric_chains_started",
-                "arc_sends_direct", "arc_sends_misdirected",
+                "answers", "ric_chains_started", "ric_questions_joined",
+                "ric_questions_spared", "arc_sends_misdirected",
             ):
                 assert sim[counter] == conc[counter], counter
+            for counter in ("total_messages", "ric_messages", "arc_sends_direct"):
+                assert abs(sim[counter] - conc[counter]) <= 0.01 * sim[counter], counter
             assert sim["answers"] > 0 and sim["arc_sends_misdirected"] == 0
-            # RIC-heavy, and the arcs at work: a tenth of the traffic is RIC,
-            # and more messages went direct than chains were started.
-            assert sim["ric_messages"] > 0.1 * sim["total_messages"]
+            # RIC-heavy, and the arcs at work: a twelfth of the traffic is RIC
+            # (1,188 of 12,193; 1,779 of 12,692 while a lone candidate still
+            # asked), and more messages went direct than chains were started.
+            assert sim["ric_messages"] > 0.08 * sim["total_messages"]
             assert sim["arc_sends_direct"] > sim["ric_chains_started"] > 0
         finally:
             sim_engine.close()

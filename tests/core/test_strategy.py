@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.keys import attribute_key, value_key
 from repro.core.strategy import (
@@ -157,6 +159,75 @@ class TestStrategies:
         assert WorstStrategy().uses_oracle
         assert not RandomStrategy().requires_ric
         assert not FirstCandidateStrategy().uses_oracle
+
+
+# ---------------------------------------------------------------------------
+# which questions are worth asking
+# ---------------------------------------------------------------------------
+_keys = st.builds(
+    lambda relation, attribute, value: attribute_key(relation, attribute)
+    if value is None
+    else value_key(relation, attribute, value),
+    st.sampled_from("RST"),
+    st.sampled_from("abc"),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+#: Counts, never below zero; zero is what a quiet key reports, so it is common.
+_rates = st.one_of(st.just(0.0), st.integers(min_value=0, max_value=5).map(float))
+
+
+class TestWorthAsking:
+    # Value level before attribute level, then by text: the tie-break order.
+    low, high = value_key("S", "b", 5), value_key("S", "b", 6)
+    level = attribute_key("R", "a")
+
+    @given(
+        candidates=st.lists(_keys, min_size=1, max_size=6, unique_by=lambda k: k.text),
+        is_known=st.lists(st.booleans(), min_size=6, max_size=6),
+        rate_of=st.lists(_rates, min_size=6, max_size=6),
+    )
+    def test_no_answer_of_a_spared_key_changes_the_choice(
+        self, candidates, is_known, rate_of
+    ):
+        """Whatever every unknown key would have answered: ``choose`` on the
+        known rates plus the answers of the keys worth asking — the spared
+        ones absent — returns what it returns with every answer at hand."""
+        strategy = RJoinStrategy()
+        answers = {key.text: rate for key, rate in zip(candidates, rate_of)}
+        known = {
+            key.text: answers[key.text]
+            for key, known in zip(candidates, is_known)
+            if known
+        }
+        asked = strategy.worth_asking(candidates, known)
+        assert all(key in candidates and key.text not in known for key in asked)
+        gathered = {**known, **{key.text: answers[key.text] for key in asked}}
+        assert strategy.choose(candidates, gathered, rng()) == strategy.choose(
+            candidates, answers, rng()
+        )
+
+    def test_a_lone_candidate_is_no_question(self):
+        assert RJoinStrategy().worth_asking([value_key("S", "b", 5)], {}) == []
+
+    def test_with_nothing_known_or_a_busy_best_key_every_unknown_is_asked(self):
+        low, high, level = self.low, self.high, self.level
+        strategy = RJoinStrategy()
+        assert strategy.worth_asking([low, high, level], {}) == [low, high, level]
+        assert strategy.worth_asking([low, high, level], {high.text: 2.0}) == [
+            low, level,
+        ]
+
+    def test_a_quiet_known_key_spares_what_cannot_win_the_tie(self):
+        low, high, level = self.low, self.high, self.level
+        # Only ``low`` can still beat ``high`` standing at 0.0.
+        assert RJoinStrategy().worth_asking(
+            [level, high, low], {high.text: 0.0}
+        ) == [low]
+        assert RJoinStrategy().worth_asking([level, low], {low.text: 0.0}) == []
+
+    def test_a_strategy_that_says_nothing_about_its_choice_asks_everything(self):
+        low, level = self.low, self.level
+        assert WorstStrategy().worth_asking([low, level], {low.text: 0.0}) == [level]
 
 
 class TestFactory:

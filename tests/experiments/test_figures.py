@@ -55,7 +55,16 @@ class TestFigure2:
         knows, so RJoin's total traffic more than halved here (156 -> 69,
         130 -> 50, 139 -> 55 messages per node on seeds 42-44) and the
         asking fell with it, by less (47 -> 26, 31 -> 15, 36 -> 18) — the
-        share rose because its denominator shrank faster."""
+        share rose because its denominator shrank faster.
+
+        Read again when a decision stopped asking what cannot change it and
+        a query stopped carrying its ancestors' entries, and left where it
+        was: 4 of this cell's 220 decisions have a lone candidate and 2
+        questions are spared, and entries are read again at their 8th use
+        on seed 42 alone (+0.3 RIC messages per node), so the share reads 0.381 / 0.302 / 0.328 at
+        the last checkpoint (0.382 / 0.302 / 0.330 before), RIC 26.3 / 15.0 /
+        17.8 of 69.0 / 49.8 / 54.3 messages per node (26.4 / 15.0 / 18.0 of
+        69.2 / 49.8 / 54.5), and 0.438 / 0.426 / 0.442 at the first."""
         fig = figure2(num_nodes=24, num_queries=40, checkpoints=[20, 40], seed=seed)
         first, last = (
             ric / total

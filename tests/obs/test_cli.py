@@ -63,29 +63,35 @@ class TestSummarize:
         assert "slowest" in text
 
     def test_ric_columns_sum_the_spans_per_kind(self, tmp_path):
-        """Joined questions are no deliveries: the column reads them off the
-        spans whose handlers joined them.  Direct and misdirected are said of
-        the delivery itself, whatever its kind: it came in one hop on a cached
-        arc, and (of those) to a node that had to pass it on."""
-        def span(span_id, name, ric_joined, arc_direct=0, arc_misdirected=0):
+        """Joined and spared questions are no deliveries: the columns read them
+        off the spans whose handlers joined or spared them.  Direct and
+        misdirected are said of the delivery itself, whatever its kind: it
+        came in one hop on a cached arc, and (of those) to a node that had to
+        pass it on."""
+        def span(span_id, name, ric_joined, arc_direct=0, arc_misdirected=0,
+                 ric_spared=0):
             return Span(trace_id="pub-1", span_id=span_id, parent_id=None,
                         name=name, node="node-0", start=1.0, end=1.0,
                         sent_at=0.0, hops=1, hop=1, ric_joined=ric_joined,
+                        ric_spared=ric_spared,
                         arc_direct=arc_direct, arc_misdirected=arc_misdirected)
 
         path = tmp_path / "joined.jsonl"
         spans = [span(1, "NewTupleMessage", 3, 1), span(2, "NewTupleMessage", 4, 1),
-                 span(3, "NewTupleMessage", 0), span(4, "EvalMessage", 0),
+                 span(3, "NewTupleMessage", 0, ric_spared=2),
+                 span(4, "EvalMessage", 0, ric_spared=5),
                  span(5, "RicRequestMessage", 0, 1, 1)]
         path.write_text("".join(json.dumps(s.to_dict()) + "\n" for s in spans))
         out = io.StringIO()
         assert obs_main(["summarize", str(path)], out=out) == 0
         rows = {line.split()[0]: line for line in out.getvalue().splitlines()
                 if "deliveries" in line}
-        ending = "{:>6} RIC joined {:>6} direct {:>4} misdirected".format
-        assert rows["NewTupleMessage"].endswith(ending(7, 2, 0))
-        assert rows["EvalMessage"].endswith(ending(0, 0, 0))
-        assert rows["RicRequestMessage"].endswith(ending(0, 1, 1))
+        ending = (
+            "{:>6} RIC joined {:>6} spared {:>6} direct {:>4} misdirected".format
+        )
+        assert rows["NewTupleMessage"].endswith(ending(7, 2, 2, 0))
+        assert rows["EvalMessage"].endswith(ending(0, 5, 0, 0))
+        assert rows["RicRequestMessage"].endswith(ending(0, 0, 1, 1))
 
     def test_top_must_be_positive(self, trace_file):
         assert obs_main(["summarize", str(trace_file), "--top", "0"]) == 1
