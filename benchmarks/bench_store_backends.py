@@ -23,8 +23,9 @@ Usage::
         [--tuples N] [--lookups N] [--gc-ticks N]
         [--compact-min-dead N] [--compact-fraction F]
 
-The ``--compact-*`` flags sweep the append-log compaction thresholds
-(they are ignored by the other backends).
+The ``--compact-*`` flags sweep the append-log compaction thresholds: the
+append-log stores are then built as ``AppendLogTupleStore(compact_min_dead=…,
+compact_dead_fraction=…)`` (the other backends have no such knobs).
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ import argparse
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
+from repro.data.append_log import AppendLogTupleStore
 from repro.data.backends import (
+    APPEND_LOG_BACKEND,
     BACKEND_NAMES,
     SEPARATOR,
-    StoreTuning,
+    StoreBackend,
     make_store,
 )
 from repro.data.schema import RelationSchema
@@ -97,15 +100,22 @@ def _timed(operations: int, fn) -> Dict[str, float]:
     }
 
 
+def _open(backend: str, compaction: Mapping[str, float]) -> StoreBackend:
+    """A fresh store; an append-log one with the swept compaction thresholds."""
+    if backend == APPEND_LOG_BACKEND and compaction:
+        return AppendLogTupleStore(**compaction)
+    return make_store(backend)
+
+
 def _measure_backend(
     backend: str,
     sizes: Dict[str, int],
-    tuning: Optional[StoreTuning] = None,
+    compaction: Mapping[str, float],
 ) -> Dict[str, object]:
     tuples = _make_tuples(sizes["tuples"])
 
     # add ------------------------------------------------------------------
-    store = make_store(backend, tuning=tuning)
+    store = _open(backend, compaction)
 
     def _add() -> None:
         for tup in tuples:
@@ -147,14 +157,14 @@ def _measure_backend(
     timing_gc = _timed(ticks, _gc)
 
     # rehome ---------------------------------------------------------------
-    source = make_store(backend, tuning=tuning)
+    source = _open(backend, compaction)
     rehome_tuples = tuples[: max(sizes["tuples"] // 4, 1)]
     for tup in rehome_tuples:
         source.add(_key_of(tup), tup, now=tup.pub_time)
     # Settle the source's write buffer so the rehome window times only the
     # extraction + replay round trip, not the source's own pending inserts.
     source.flush()
-    target = make_store(backend, tuning=tuning)
+    target = _open(backend, compaction)
 
     def _rehome() -> None:
         for key in list(source.keys()):
@@ -192,26 +202,28 @@ def _measure_backend(
 
 def run_bench(
     smoke: bool = False,
-    tuning: Optional[StoreTuning] = None,
+    compaction: Optional[Mapping[str, float]] = None,
     **overrides,
 ) -> Dict[str, object]:
-    """Measure every backend; returns the JSON-safe report."""
+    """Measure every backend; returns the JSON-safe report.
+
+    ``compaction`` holds ``AppendLogTupleStore`` keyword arguments
+    (``compact_min_dead`` / ``compact_dead_fraction``); omitted ones keep
+    the store's defaults.
+    """
+    compaction = dict(compaction or {})
     sizes = dict(SMOKE_SIZES if smoke else DEFAULT_SIZES)
     sizes.update({k: v for k, v in overrides.items() if v is not None})
     results = [
-        _measure_backend(backend, sizes, tuning=tuning)
-        for backend in BACKEND_NAMES
+        _measure_backend(backend, sizes, compaction) for backend in BACKEND_NAMES
     ]
     report: Dict[str, object] = {
         "smoke": smoke,
         "parameters": sizes,
         "results": results,
     }
-    if tuning is not None:
-        report["tuning"] = {
-            "compact_min_dead": tuning.compact_min_dead,
-            "compact_dead_fraction": tuning.compact_dead_fraction,
-        }
+    if compaction:
+        report["tuning"] = compaction
     return report
 
 
@@ -232,15 +244,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
 
-    tuning = None
-    if args.compact_min_dead is not None or args.compact_fraction is not None:
-        tuning = StoreTuning(
-            compact_min_dead=args.compact_min_dead or 64,
-            compact_dead_fraction=args.compact_fraction or 0.5,
-        )
+    compaction: Dict[str, float] = {}
+    if args.compact_min_dead is not None:
+        compaction["compact_min_dead"] = args.compact_min_dead
+    if args.compact_fraction is not None:
+        compaction["compact_dead_fraction"] = args.compact_fraction
     report = run_bench(
         smoke=args.smoke,
-        tuning=tuning,
+        compaction=compaction,
         tuples=args.tuples,
         lookups=args.lookups,
         gc_ticks=args.gc_ticks,

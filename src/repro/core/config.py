@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.data.backends import BACKEND_NAMES, DEFAULT_BACKEND, StoreTuning
+from repro.data.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.errors import ConfigurationError
 from repro.net.runtime import DEFAULT_TRANSPORT, TRANSPORT_NAMES
 from repro.obs.trace import OBSERVABILITY_MODES
@@ -19,8 +19,10 @@ AUTO = "auto"
 class RJoinConfig:
     """Tunable parameters of an :class:`~repro.core.engine.RJoinEngine`.
 
-    The defaults favour small, fully deterministic simulations; the
-    experiment harness overrides the network size and strategy per figure.
+    The defaults favour small, fully deterministic simulations.  An
+    experiment is this configuration plus its workload
+    (:class:`~repro.experiments.config.ExperimentConfig` subclasses it), so
+    every field below can be set from a scenario or ``--set``.
 
     Parameters
     ----------
@@ -46,26 +48,18 @@ class RJoinConfig:
         prefix-index store), ``sqlite`` (table-backed, index scans for
         prefix match and expiry) or ``append-log`` (append-only log with
         compaction); see :func:`repro.data.backends.make_store`.
-    append_log_compact_min_dead:
-        Tombstone floor below which the append-log backend never compacts
-        (only meaningful with ``store_backend="append-log"``).
-    append_log_compact_fraction:
-        Dead fraction of the append-log that triggers a compaction rewrite,
-        in ``(0, 1]``; lower values compact more aggressively.
     allow_attribute_level_rewrites:
         Whether rewritten queries may also be indexed at the attribute level
         (candidate family (a) of Section 6).  Attribute-level rewritten
         queries only see tuples that arrive *after* them (plus the ALTT), so
         enabling the family trades exactness for the larger plan space the
-        paper explores; the experiment harness enables it, the library
+        paper explores; an experiment enables it, the library
         default keeps it off so that RJoin delivers exactly the reference
         bag of answers.
     altt_delta:
         Retention Δ of the attribute-level tuple table: ``"auto"`` derives a
         safe overestimate from the messaging delay bound, ``None`` keeps
         tuples forever, a number sets Δ explicitly.
-    count_altt_in_storage:
-        Whether ALTT entries count towards the storage-load metric.
     shared_query_state:
         Whether equivalent query states (same residual query, window state
         and insertion time — equal modulo query id) are canonicalized into
@@ -78,16 +72,10 @@ class RJoinConfig:
     ric_freshness:
         Maximum age of a cached candidate-table entry before the candidate
         node is asked again; ``None`` caches forever.
-    ric_max_tracked_keys:
-        Per-node bound on the number of distinct keys the RIC rate tracker
-        keeps arrival state for; the least recently *recorded* key is
-        evicted first (its reported rate falls back to 0.0 — RIC entries
-        are advisory).  ``None`` removes the bound, restoring unbounded
-        growth under million-distinct-key floods.
     tuple_gc_window:
         When every continuous query of the run uses the same sliding window,
-        stored tuples older than this window can be garbage collected; the
-        experiment harness sets it to the workload window.
+        stored tuples older than this window can be garbage collected; an
+        experiment's generated queries all use it as their window.
     gc_every_tuples:
         How often (in published tuples) the engine sweeps stores for
         window-expired state.
@@ -102,15 +90,9 @@ class RJoinConfig:
         Enables the lower-layer id-movement load balancing (Figure 9).
     rebalance_every_tuples:
         How often (in published tuples) the balancer runs when enabled.
-    light_load_factor:
-        Nodes below ``light_load_factor * average load`` are candidates to be
-        moved next to overloaded nodes.
     seed:
         Seed of every random choice made by the engine (node placement,
         random strategy, owner/publisher selection).
-    max_events_per_publish:
-        Optional guard on the number of simulation events a single tuple
-        publication may trigger (protects tests from runaway cascades).
     observability:
         ``"off"`` (the default — no tracer, no instruments, near-zero
         overhead) or ``"on"``: every envelope carries a trace context,
@@ -131,23 +113,17 @@ class RJoinConfig:
     delay_jitter: float = 0.0
     strategy: str = "rjoin"
     store_backend: str = DEFAULT_BACKEND
-    append_log_compact_min_dead: int = 64
-    append_log_compact_fraction: float = 0.5
     allow_attribute_level_rewrites: bool = False
     shared_query_state: bool = True
     altt_delta: Union[str, float, None] = AUTO
-    count_altt_in_storage: bool = False
     ric_window: Optional[float] = None
     ric_freshness: Optional[float] = None
-    ric_max_tracked_keys: Optional[int] = 65536
     tuple_gc_window: Optional[WindowSpec] = None
     gc_every_tuples: int = 50
     owner_failover: bool = True
     id_movement: bool = False
     rebalance_every_tuples: int = 100
-    light_load_factor: float = 0.5
     seed: int = 0
-    max_events_per_publish: Optional[int] = None
     observability: str = "off"
     trace_path: Optional[str] = None
 
@@ -168,9 +144,6 @@ class RJoinConfig:
             raise ConfigurationError(
                 f"unknown store backend {self.store_backend!r}; known: {known}"
             )
-        # Delegates range validation of the compaction knobs to StoreTuning,
-        # so engine- and store-level construction reject the same values.
-        self.store_tuning
         if isinstance(self.altt_delta, str) and self.altt_delta != AUTO:
             raise ConfigurationError(
                 f"altt_delta must be a number, None or {AUTO!r}"
@@ -181,14 +154,10 @@ class RJoinConfig:
             raise ConfigurationError("ric_window must be positive")
         if self.ric_freshness is not None and self.ric_freshness < 0:
             raise ConfigurationError("ric_freshness must be non-negative")
-        if self.ric_max_tracked_keys is not None and self.ric_max_tracked_keys <= 0:
-            raise ConfigurationError("ric_max_tracked_keys must be positive")
         if self.gc_every_tuples <= 0:
             raise ConfigurationError("gc_every_tuples must be positive")
         if self.rebalance_every_tuples <= 0:
             raise ConfigurationError("rebalance_every_tuples must be positive")
-        if not 0 < self.light_load_factor <= 1:
-            raise ConfigurationError("light_load_factor must be in (0, 1]")
         if self.observability not in OBSERVABILITY_MODES:
             known = ", ".join(OBSERVABILITY_MODES)
             raise ConfigurationError(
@@ -200,14 +169,6 @@ class RJoinConfig:
                 "trace_path requires observability='on' (nothing would "
                 "ever be written to it otherwise)"
             )
-
-    @property
-    def store_tuning(self) -> StoreTuning:
-        """The backend tuning knobs packaged for the store factory."""
-        return StoreTuning(
-            compact_min_dead=self.append_log_compact_min_dead,
-            compact_dead_fraction=self.append_log_compact_fraction,
-        )
 
     def resolve_altt_delta(self, max_transit_delay: float) -> Optional[float]:
         """Translate the configured Δ into a concrete retention time.

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import replace
 from typing import (
     ContextManager,
     Dict,
@@ -96,16 +95,8 @@ class RJoinEngine:
         config: Optional[RJoinConfig] = None,
         catalog: Optional[Catalog] = None,
         strategy: Optional[IndexingStrategy] = None,
-        store_backend: Optional[str] = None,
     ) -> None:
-        """``store_backend`` overrides ``config.store_backend`` when given
-        (``memory`` / ``sqlite`` / ``append-log``; see
-        :func:`repro.data.backends.make_store`)."""
         self.config = config or RJoinConfig()
-        if store_backend is not None:
-            # replace() re-runs validation, so an unknown backend name fails
-            # here rather than at the first node construction.
-            self.config = replace(self.config, store_backend=store_backend)
         self.catalog = catalog or Catalog()
         self._rng = random.Random(self.config.seed)
 
@@ -152,8 +143,6 @@ class RJoinEngine:
             rate_oracle=self._oracle_rate,
             collect_answer=self._collect_answer,
             altt_delta=altt_delta,
-            store_backend=self.config.store_backend,
-            store_tuning=self.config.store_tuning,
             obs=self.obs,
             # Lifecycle callbacks resolve ``self.lifecycle`` / ``self.churn``
             # lazily: the context must exist before either does.
@@ -182,9 +171,7 @@ class RJoinEngine:
         # Load balancing -------------------------------------------------------
         self.balancer: Optional[IdMovementBalancer] = None
         if self.config.id_movement:
-            self.balancer = IdMovementBalancer(
-                self.ring, light_load_factor=self.config.light_load_factor
-            )
+            self.balancer = IdMovementBalancer(self.ring)
 
         # Dynamic membership ---------------------------------------------------
         self.churn = ChurnStats()
@@ -541,16 +528,12 @@ class RJoinEngine:
         owner.  Crashes are the exception: they take effect immediately
         (see :meth:`crash_node`).
         """
-        processed = self.transport.drain(
-            max_events=self.config.max_events_per_publish
-        )
+        processed = self.transport.drain()
         while self._pending_membership:
             ops, self._pending_membership = self._pending_membership, []
             for op in ops:
                 self._apply_membership_op(op)
-            processed += self.transport.drain(
-                max_events=self.config.max_events_per_publish
-            )
+            processed += self.transport.drain()
         return processed
 
     def tick(self, delta: float = 1.0) -> None:

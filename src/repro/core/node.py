@@ -68,13 +68,7 @@ from repro.core.strategy import (
 )
 from repro.core.windows import expired, extend
 from repro.core.config import RJoinConfig
-from repro.data.backends import (
-    DEFAULT_BACKEND,
-    PREFIX_PROBE,
-    StoreBackend,
-    StoreTuning,
-    make_store,
-)
+from repro.data.backends import PREFIX_PROBE, StoreBackend, make_store
 from repro.data.schema import Catalog, RelationSchema
 from repro.data.store import StoredTuple
 from repro.data.tuples import Tuple
@@ -106,12 +100,6 @@ class NodeContext:
     rate_oracle: Callable[[str], float]
     collect_answer: Callable[[AnswerMessage, float], None]
     altt_delta: Optional[float] = None
-    #: Tuple-store backend every node of the engine builds its local store
-    #: from (see :func:`repro.data.backends.make_store`).
-    store_backend: str = DEFAULT_BACKEND
-    #: Backend tuning knobs (compaction thresholds) forwarded to the store
-    #: factory; ``None`` keeps each backend's defaults.
-    store_tuning: Optional[StoreTuning] = None
     # Query lifecycle services (retraction + owner failover) ---------------
     #: ``(query_id, fallback) -> current owner address``: producers resolve
     #: the live owner at answer-emission time so failover re-registrations
@@ -170,15 +158,10 @@ class RJoinNode:
         # Stored state ----------------------------------------------------
         self.input_queries = QueryTable()
         self.rewritten_queries = QueryTable()
-        self.tuple_store: StoreBackend = make_store(
-            ctx.store_backend, tuning=ctx.store_tuning
-        )
+        self.tuple_store: StoreBackend = make_store(ctx.config.store_backend)
         self.altt = AttributeLevelTupleTable(delta=ctx.altt_delta)
         # RIC state ---------------------------------------------------------
-        self.rates = RateTracker(
-            window=ctx.config.ric_window,
-            max_keys=ctx.config.ric_max_tracked_keys,
-        )
+        self.rates = RateTracker(window=ctx.config.ric_window)
         self.candidate_table = CandidateTable(freshness=ctx.config.ric_freshness)
         #: Only a strategy that asks RIC ever learns an arc; the others route
         #: every keyed message and must be told nothing for it.
@@ -1256,10 +1239,7 @@ class RJoinNode:
     @property
     def current_storage_items(self) -> int:
         """Rewritten queries plus tuples currently stored (the SL state)."""
-        count = self.stored_rewritten_queries + self.stored_tuples
-        if self.ctx.config.count_altt_in_storage:
-            count += len(self.altt)
-        return count
+        return self.stored_rewritten_queries + self.stored_tuples
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -88,9 +88,10 @@ class RicEntry:
 class RateTracker:
     """Per-node arrival counting for the keys the node is responsible for.
 
-    ``max_keys`` bounds the number of distinct keys the tracker holds state
-    for: recording an arrival for a fresh key beyond the bound evicts the
-    least recently *recorded* key first (deterministic LRU).  RIC entries
+    ``max_keys`` (65536 by default, the bound every engine node uses) bounds
+    the number of distinct keys the tracker holds state for: recording an
+    arrival for a fresh key beyond the bound evicts the least recently
+    *recorded* key first (deterministic LRU).  RIC entries
     are advisory — an evicted key simply reports a rate (and total) of zero
     until tuples arrive for it again — so the bound trades a little rate
     fidelity under million-distinct-key floods for a hard memory ceiling.
@@ -98,7 +99,7 @@ class RateTracker:
     """
 
     def __init__(
-        self, window: Optional[float] = None, max_keys: Optional[int] = None
+        self, window: Optional[float] = None, max_keys: Optional[int] = 65536
     ) -> None:
         """``window`` bounds the observation horizon; ``None`` counts forever."""
         self.window = window

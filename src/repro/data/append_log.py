@@ -29,8 +29,8 @@ Structures:
   dead fraction reaches ``compact_dead_fraction`` of the log, the log is
   rewritten in place (positions are remapped, heaps rebuilt) —
   :attr:`AppendLogTupleStore.compactions` counts the rewrites for the
-  benchmark report.  Both thresholds are constructor arguments (threaded
-  from ``StoreTuning`` / ``RJoinConfig``) so the benchmark can sweep them.
+  benchmark report.  Both thresholds are constructor arguments so the
+  benchmark can sweep them; an engine's stores use the defaults.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from repro.data.backends import (
     record_order,
 )
 from repro.data.tuples import Tuple
+from repro.errors import ConfigurationError
 
 _tuple_order = (lambda t: (t.pub_time, t.sequence))
 
@@ -77,6 +78,10 @@ class AppendLogTupleStore(StoreBackend):
         compact_min_dead: int = COMPACT_MIN_DEAD,
         compact_dead_fraction: float = COMPACT_DEAD_FRACTION,
     ) -> None:
+        if compact_min_dead < 1:
+            raise ConfigurationError("compact_min_dead must be at least one")
+        if not 0.0 < compact_dead_fraction <= 1.0:
+            raise ConfigurationError("compact_dead_fraction must lie in (0, 1]")
         self.compact_min_dead = compact_min_dead
         self.compact_dead_fraction = compact_dead_fraction
         self._log: List[_Slot] = []

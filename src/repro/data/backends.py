@@ -83,30 +83,6 @@ KEY_PROBE = "key"
 PREFIX_PROBE = "prefix"
 
 
-@dataclass(frozen=True)
-class StoreTuning:
-    """Backend tuning knobs threaded through :func:`make_store`.
-
-    Currently these parameterise the append-log backend's compaction
-    trigger (a rewrite fires once at least ``compact_min_dead`` slots are
-    tombstoned *and* the dead fraction of the log reaches
-    ``compact_dead_fraction``); backends without matching knobs ignore the
-    tuning.  The benchmark harness sweeps these to study the compaction
-    trade-off.
-    """
-
-    compact_min_dead: int = 64
-    compact_dead_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.compact_min_dead < 1:
-            raise ConfigurationError("compact_min_dead must be at least one")
-        if not 0.0 < self.compact_dead_fraction <= 1.0:
-            raise ConfigurationError(
-                "compact_dead_fraction must lie in (0, 1]"
-            )
-
-
 @dataclass
 class StoredTuple:
     """A tuple held in a node-local store together with bookkeeping data."""
@@ -321,15 +297,11 @@ class StoreBackend(abc.ABC):
         """Release external resources held by the backend (no-op default)."""
 
 
-def make_store(
-    backend: str = DEFAULT_BACKEND, tuning: Optional[StoreTuning] = None
-) -> StoreBackend:
+def make_store(backend: str = DEFAULT_BACKEND) -> StoreBackend:
     """Build a fresh store of the requested backend kind.
 
     Implementations are imported lazily so that selecting ``memory`` never
     pays for the alternatives (and so this module stays import-cycle free).
-    ``tuning`` carries backend knobs (see :class:`StoreTuning`); backends
-    without matching knobs ignore it.
     """
     if backend == MEMORY_BACKEND:
         from repro.data.store import TupleStore
@@ -342,11 +314,6 @@ def make_store(
     if backend == APPEND_LOG_BACKEND:
         from repro.data.append_log import AppendLogTupleStore
 
-        if tuning is not None:
-            return AppendLogTupleStore(
-                compact_min_dead=tuning.compact_min_dead,
-                compact_dead_fraction=tuning.compact_dead_fraction,
-            )
         return AppendLogTupleStore()
     known = ", ".join(BACKEND_NAMES)
     raise ConfigurationError(

@@ -1,8 +1,8 @@
 """Experiment harness reproducing the paper's evaluation (Section 8).
 
-* :mod:`repro.experiments.config` — experiment parameters (network size,
-  workload, strategy, checkpoints) with the paper-scale and the reduced
-  default-scale presets,
+* :mod:`repro.experiments.config` — experiment parameters: the engine's
+  :class:`~repro.core.config.RJoinConfig` plus the workload and checkpoints,
+  with the paper-scale and the reduced default-scale presets,
 * :mod:`repro.experiments.runner` — runs one experiment end to end on the
   RJoin engine and collects every metric series the figures need,
 * :mod:`repro.experiments.scenarios` — the declarative scenario registry:

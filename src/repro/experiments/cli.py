@@ -12,8 +12,10 @@ when ``--workers > 1``), streaming one JSON checkpoint per cell under the
 output directory so that re-running resumes instead of recomputing.
 ``report`` renders the aggregated mean/stddev statistics of a finished grid;
 ``report --diff A B`` compares two grid result directories cell-by-cell
-(regression diffs between branches, scales or machines — result files of
-older schema versions load fine, so diffs can span schema bumps).
+(regression diffs between branches, scales or machines).  A result file of
+another schema version is refused (exit 2); re-run its grid to recompute it.
+``--set`` takes any :class:`~repro.experiments.config.ExperimentConfig`
+field, engine fields included; an unknown name is refused the same way.
 
 Lifecycle scenarios (``query-churn``, ``owner-failover``) are best viewed
 with their own counters, e.g.::

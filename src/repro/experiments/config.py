@@ -13,14 +13,11 @@ numbers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Tuple
 
-from repro.data.backends import BACKEND_NAMES, DEFAULT_BACKEND
+from repro.core.config import RJoinConfig
 from repro.errors import ExperimentError
-from repro.net.runtime import DEFAULT_TRANSPORT, TRANSPORT_NAMES
-from repro.obs.trace import OBSERVABILITY_MODES
-from repro.sql.ast import WindowSpec
 
 FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 
@@ -144,45 +141,30 @@ class QueryChurnSpec:
 
 
 @dataclass
-class ExperimentConfig:
-    """Parameters of one experiment run."""
+class ExperimentConfig(RJoinConfig):
+    """One experiment run: the engine's configuration plus its workload.
+
+    Every :class:`~repro.core.config.RJoinConfig` field is an experiment
+    field too, validated by the engine's own check, and
+    :func:`~repro.experiments.runner.build_engine` hands the whole object to
+    the engine.  ``tuple_gc_window`` is also the window of every generated
+    query.
+    """
+
+    # Engine defaults an experiment changes: a larger ring, a fixed seed,
+    # and the full candidate space of Section 6 (families (a), (b) and (c)),
+    # which is what separates the Worst and Random baselines from RJoin in
+    # Figure 2.
+    num_nodes: int = 100
+    seed: int = 42
+    allow_attribute_level_rewrites: bool = True
 
     name: str = "experiment"
-    # Network ----------------------------------------------------------------
-    num_nodes: int = 100
-    #: Node runtime the engine executes on: ``sim`` (deterministic
-    #: discrete-event kernel, reproducible traffic/placement numbers) or
-    #: ``asyncio`` (concurrent actor tasks; answer bags identical, event
-    #: interleavings not).  Scenario defaults stay on ``sim``.
-    runtime: str = DEFAULT_TRANSPORT
-    strategy: str = "rjoin"
-    id_movement: bool = False
-    #: Simulated time one routing hop takes and the extra per-message random
-    #: delay in ``[0, delay_jitter]`` — the knobs of the ``latency`` scenario,
-    #: separating algorithmic load from network asynchrony.
-    hop_delay: float = 1.0
-    delay_jitter: float = 0.0
     #: Membership churn schedule (None: the ring is static for the whole run).
     churn: Optional[ChurnSpec] = None
     #: Query-lifecycle churn schedule (None: queries are only ever added) —
     #: composes freely with node churn into the full elasticity story.
     query_churn: Optional[QueryChurnSpec] = None
-    #: Whether query-handle registrations are replicated to the owner's ring
-    #: successor so owner departures fail over instead of dropping answers
-    #: (the axis of the ``owner-failover`` scenario).
-    owner_failover: bool = True
-    #: Whether canonically equal rewritten-query states collapse into one
-    #: shared record with a subscriber list (the million-query matching
-    #: optimisation) — disable to measure the per-query-private baseline.
-    shared_query_state: bool = True
-    #: Node-local tuple-store backend (``memory`` / ``sqlite`` /
-    #: ``append-log``) — the axis of the ``store-backends`` scenario.
-    store_backend: str = DEFAULT_BACKEND
-    #: Append-log compaction knobs (tombstone floor and dead fraction),
-    #: sweepable by the store-backends benchmark; only meaningful with
-    #: ``store_backend="append-log"``.
-    append_log_compact_min_dead: int = 64
-    append_log_compact_fraction: float = 0.5
     # Workload ---------------------------------------------------------------
     num_queries: int = 500
     num_tuples: int = 100
@@ -191,7 +173,6 @@ class ExperimentConfig:
     value_domain: int = 100
     zipf_theta: float = 0.9
     join_arity: int = 4
-    window: Optional[WindowSpec] = None
     distinct: bool = False
     # Arrival pattern ---------------------------------------------------------
     #: ``"per-tuple"`` publishes (and drains) one tuple at a time, mirroring
@@ -215,22 +196,9 @@ class ExperimentConfig:
     # Instrumentation ----------------------------------------------------------
     checkpoints: List[int] = field(default_factory=list)
     capture_per_tuple: bool = False
-    #: Observability mode of the engine (``off`` / ``on``); ``on`` records
-    #: per-delivery spans and the latency/load histograms whose percentiles
-    #: land in the summary (``answer_latency_p95`` and friends).
-    observability: str = "off"
-    #: With ``observability="on"``, stream spans to this JSONL file.
-    trace_path: Optional[str] = None
-    seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.num_nodes <= 0:
-            raise ExperimentError("num_nodes must be positive")
-        if self.runtime not in TRANSPORT_NAMES:
-            known = ", ".join(TRANSPORT_NAMES)
-            raise ExperimentError(
-                f"unknown runtime {self.runtime!r}; known runtimes: {known}"
-            )
+        super().__post_init__()
         if self.num_queries < 0 or self.num_tuples < 0:
             raise ExperimentError("workload sizes must be non-negative")
         if self.warmup_tuples < 0:
@@ -244,16 +212,8 @@ class ExperimentConfig:
             )
         if self.batch_size < 1:
             raise ExperimentError("batch_size must be at least one tuple")
-        if self.observability not in OBSERVABILITY_MODES:
-            known = ", ".join(OBSERVABILITY_MODES)
-            raise ExperimentError(
-                f"unknown observability mode {self.observability!r}; "
-                f"known modes: {known}"
-            )
         if not 0.0 <= self.hot_key_fraction <= 1.0:
             raise ExperimentError("hot_key_fraction must lie in [0, 1]")
-        if self.hop_delay < 0 or self.delay_jitter < 0:
-            raise ExperimentError("hop_delay and delay_jitter must be non-negative")
         if self.churn is not None and not isinstance(self.churn, ChurnSpec):
             raise ExperimentError("churn must be a ChurnSpec (or None)")
         if self.query_churn is not None and not isinstance(
@@ -261,19 +221,6 @@ class ExperimentConfig:
         ):
             raise ExperimentError(
                 "query_churn must be a QueryChurnSpec (or None)"
-            )
-        if self.store_backend not in BACKEND_NAMES:
-            known = ", ".join(BACKEND_NAMES)
-            raise ExperimentError(
-                f"unknown store backend {self.store_backend!r}; known: {known}"
-            )
-        if self.append_log_compact_min_dead < 1:
-            raise ExperimentError(
-                "append_log_compact_min_dead must be at least 1"
-            )
-        if not 0.0 < self.append_log_compact_fraction <= 1.0:
-            raise ExperimentError(
-                "append_log_compact_fraction must lie in (0, 1]"
             )
         for checkpoint in self.checkpoints:
             if checkpoint <= 0 or checkpoint > self.num_tuples:
@@ -283,6 +230,13 @@ class ExperimentConfig:
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """A copy of the configuration with the given fields replaced."""
+        known = [config_field.name for config_field in fields(self)]
+        unknown = sorted(set(overrides) - set(known))
+        if unknown:
+            raise ExperimentError(
+                f"unknown config field {', '.join(map(repr, unknown))}; "
+                f"known fields: {', '.join(known)}"
+            )
         return replace(self, **overrides)
 
     @classmethod

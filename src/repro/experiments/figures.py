@@ -377,7 +377,7 @@ def figure6(
 def _figure_window_sizes() -> List[int]:
     """Window sizes of the fig7 scenario's variants (shared with Figure 8)."""
     return [
-        int(variant.overrides["window"].size)
+        int(variant.overrides["tuple_gc_window"].size)
         for variant in get_scenario("fig7").variants()
     ]
 
@@ -402,7 +402,7 @@ def _window_sweep(
         window = WindowSpec(size=float(size), mode="tuples")
         config = base.with_overrides(
             name=f"window-{size}",
-            window=window,
+            tuple_gc_window=window,
             capture_per_tuple=capture_per_tuple,
         )
         results[str(size)] = run_experiment(config)

@@ -84,8 +84,7 @@ class CellOutcome:
 
     @property
     def derived(self) -> Dict[str, float]:
-        derived = self.payload["result"].get("derived", {})  # type: ignore[index]
-        return dict(derived)
+        return dict(self.payload["result"]["derived"])  # type: ignore[index]
 
 
 @dataclass
@@ -290,7 +289,9 @@ def load_cells(result_dir: "Path | str") -> Dict[str, Dict[str, object]]:
     """Read every per-cell checkpoint of a grid result directory.
 
     Returns ``cell_id -> payload`` for every parseable ``<cell_id>.json``
-    (the ``aggregate.json`` summary and unreadable files are skipped).
+    (the ``aggregate.json`` summary and unreadable files are skipped).  A
+    cell written under another result schema version is refused: re-run the
+    grid to recompute it.
     """
     directory = Path(result_dir)
     if not directory.is_dir():
@@ -308,6 +309,13 @@ def load_cells(result_dir: "Path | str") -> Dict[str, Dict[str, object]]:
         descriptor = payload.get("cell")
         if not isinstance(descriptor, dict):
             continue
+        version = payload.get("schema_version")
+        if version != serialize.RESULT_SCHEMA_VERSION:
+            raise ExperimentError(
+                f"{path} has result schema version {version}, this build "
+                f"reads version {serialize.RESULT_SCHEMA_VERSION}; re-run "
+                "the grid to recompute it"
+            )
         cell_id = descriptor.get("cell_id")
         if isinstance(cell_id, str) and cell_id:
             cells[cell_id] = payload

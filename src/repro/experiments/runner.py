@@ -19,7 +19,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.experiments.config import ExperimentConfig
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
@@ -135,28 +134,7 @@ class ExperimentResult:
 
 def build_engine(config: ExperimentConfig) -> RJoinEngine:
     """Create an engine configured for ``config`` (without any workload)."""
-    rj_config = RJoinConfig(
-        num_nodes=config.num_nodes,
-        runtime=config.runtime,
-        strategy=config.strategy,
-        store_backend=config.store_backend,
-        append_log_compact_min_dead=config.append_log_compact_min_dead,
-        append_log_compact_fraction=config.append_log_compact_fraction,
-        seed=config.seed,
-        owner_failover=config.owner_failover,
-        shared_query_state=config.shared_query_state,
-        id_movement=config.id_movement,
-        hop_delay=config.hop_delay,
-        delay_jitter=config.delay_jitter,
-        tuple_gc_window=config.window,
-        observability=config.observability,
-        trace_path=config.trace_path,
-        # The experiments explore the full candidate space of Section 6
-        # (families (a), (b) and (c)); this is what separates the Worst and
-        # Random baselines from RJoin in Figure 2.
-        allow_attribute_level_rewrites=True,
-    )
-    return RJoinEngine(rj_config)
+    return RJoinEngine(config)
 
 
 def build_workload(config: ExperimentConfig) -> WorkloadGenerator:
@@ -167,7 +145,7 @@ def build_workload(config: ExperimentConfig) -> WorkloadGenerator:
         value_domain=config.value_domain,
         zipf_theta=config.zipf_theta,
         join_arity=config.join_arity,
-        window=config.window,
+        window=config.tuple_gc_window,
         distinct=config.distinct,
         burst_size=config.batch_size,
         hot_key_fraction=config.hot_key_fraction,

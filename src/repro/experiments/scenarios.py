@@ -215,7 +215,9 @@ def _window_sweep(sizes: Sequence[int]) -> Tuple[Variant, ...]:
     return tuple(
         Variant(
             label=f"W={size}",
-            overrides={"window": WindowSpec(size=float(size), mode="tuples")},
+            overrides={
+                "tuple_gc_window": WindowSpec(size=float(size), mode="tuples")
+            },
         )
         for size in sizes
     )
@@ -561,7 +563,7 @@ def _backend_variants(window_size: int) -> Tuple[Variant, ...]:
     return tuple(
         Variant(
             label=backend,
-            overrides={"store_backend": backend, "window": window},
+            overrides={"store_backend": backend, "tuple_gc_window": window},
         )
         for backend in BACKEND_NAMES
     )

@@ -7,48 +7,26 @@ module owns the schema: converting :class:`ExperimentConfig` /
 :class:`ExperimentResult` to plain JSON-safe dictionaries, and the
 mean/stddev aggregation applied across seeds.
 
-``RESULT_SCHEMA_VERSION`` is bumped on every incompatible change; the runner
-re-computes (instead of reusing) checkpoint files written under a different
-version.
+``RESULT_SCHEMA_VERSION`` is bumped on every incompatible change; a file
+written under another version is recomputed by the runner and refused by
+every reader.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v12: ``ric_questions_spared`` — unknown candidate keys an indexing
-#: decision did not ask because no answer could have changed its choice.
-#: Older result files still *load* — ``result_from_dict``, ``load_cells``
-#: and ``report --diff`` accept any schema version.
-#: (v11: every keyed message travels on cached arcs, and the two counters of
-#: that are ``arc_sends_direct`` and ``arc_sends_misdirected`` (v10 counted
-#: RIC requests only, as ``ric_requests_direct`` / ``_misdirected``);
-#: v9: the RIC path added its three counters (``ric_chains_started``,
-#: ``ric_questions_joined``, ``ric_chains_lost``) to the summary;
-#: v8: the observability layer added the latency/load histogram percentiles
-#: (``answer_latency_p50``/``p95``/``p99`` and friends — three keys per
-#: histogram declared in ``repro.obs.instruments.HISTOGRAMS``) to the
-#: summary, plus ``ExperimentConfig.observability`` to the config schema;
-#: v7: the transport extraction added ``ExperimentConfig.runtime``
-#: (``sim`` / ``asyncio``) to the config schema;
-#: v6: million-query matching added the trigger-path counters
-#: (``queries_triggered``, ``trigger_candidates_scanned``,
-#: ``shared_state_fanout``) to the summary;
-#: v5: the metrics-summary key set became *declared* (:data:`SUMMARY_SCHEMA`)
-#: and machine-checked against ``RJoinEngine.metrics_summary`` by the static
-#: analysis suite (``python -m repro.analysis check``, rule
-#: ``metrics-registry``) — adding or removing a summary counter without
-#: updating the declaration fails lint instead of shipping silent drift;
-#: v4: query lifecycle added ``ExperimentConfig.query_churn`` /
-#: ``ExperimentConfig.owner_failover`` plus the lifecycle counters;
-#: v3: ``ExperimentConfig.store_backend`` joined the config schema.)
-RESULT_SCHEMA_VERSION = 12
+#: v13: the config dict carries every engine field (``ExperimentConfig`` is
+#: an ``RJoinConfig`` plus its workload).  Only this version loads:
+#: ``load_cells`` and ``report --diff`` refuse a file of any other one, and
+#: ``run`` recomputes its cell.
+RESULT_SCHEMA_VERSION = 13
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
@@ -146,12 +124,11 @@ def churn_to_dict(churn: Optional[ChurnSpec]) -> Optional[Dict[str, object]]:
     }
 
 
-def churn_from_dict(data: Optional[Mapping[str, object]]) -> Optional[ChurnSpec]:
+def churn_from_dict(data: Optional[Mapping[str, Any]]) -> Optional[ChurnSpec]:
     """Rebuild a :class:`ChurnSpec` from :func:`churn_to_dict` output."""
     if data is None:
         return None
-    known = {spec_field.name for spec_field in fields(ChurnSpec)}
-    return ChurnSpec(**{key: value for key, value in data.items() if key in known})
+    return ChurnSpec(**data)
 
 
 def query_churn_to_dict(
@@ -167,15 +144,12 @@ def query_churn_to_dict(
 
 
 def query_churn_from_dict(
-    data: Optional[Mapping[str, object]],
+    data: Optional[Mapping[str, Any]],
 ) -> Optional[QueryChurnSpec]:
     """Rebuild a :class:`QueryChurnSpec` from :func:`query_churn_to_dict` output."""
     if data is None:
         return None
-    known = {spec_field.name for spec_field in fields(QueryChurnSpec)}
-    return QueryChurnSpec(
-        **{key: value for key, value in data.items() if key in known}
-    )
+    return QueryChurnSpec(**data)
 
 
 def config_to_dict(config: ExperimentConfig) -> Dict[str, object]:
@@ -195,19 +169,13 @@ def config_to_dict(config: ExperimentConfig) -> Dict[str, object]:
     return data
 
 
-def config_from_dict(data: Mapping[str, object]) -> ExperimentConfig:
+def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     """Rebuild an :class:`ExperimentConfig` from :func:`config_to_dict` output."""
-    known = {spec_field.name for spec_field in fields(ExperimentConfig)}
-    kwargs = {key: value for key, value in data.items() if key in known}
-    if kwargs.get("window") is not None:
-        kwargs["window"] = window_from_dict(kwargs["window"])  # type: ignore[arg-type]
-    if kwargs.get("churn") is not None:
-        kwargs["churn"] = churn_from_dict(kwargs["churn"])  # type: ignore[arg-type]
-    if kwargs.get("query_churn") is not None:
-        kwargs["query_churn"] = query_churn_from_dict(
-            kwargs["query_churn"]  # type: ignore[arg-type]
-        )
-    return ExperimentConfig(**kwargs)  # type: ignore[arg-type]
+    kwargs = dict(data)
+    kwargs["tuple_gc_window"] = window_from_dict(data["tuple_gc_window"])
+    kwargs["churn"] = churn_from_dict(data["churn"])
+    kwargs["query_churn"] = query_churn_from_dict(data["query_churn"])
+    return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,36 +224,28 @@ def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
     }
 
 
-def result_from_dict(data: Mapping[str, object]) -> ExperimentResult:
+def result_from_dict(data: Mapping[str, Any]) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from :func:`result_to_dict` output."""
     return ExperimentResult(
-        config=config_from_dict(data["config"]),  # type: ignore[arg-type]
-        summary=dict(data["summary"]),  # type: ignore[arg-type]
-        baseline=dict(data.get("baseline", {})),  # type: ignore[arg-type]
-        warmup_baseline=dict(data.get("warmup_baseline", {})),  # type: ignore[arg-type]
-        messages_total=int(data["messages_total"]),  # type: ignore[arg-type]
-        ric_messages_total=int(data["ric_messages_total"]),  # type: ignore[arg-type]
-        messages_tuple_phase=int(
-            data["messages_tuple_phase"]  # type: ignore[arg-type]
-        ),
-        ric_messages_tuple_phase=int(
-            data["ric_messages_tuple_phase"]  # type: ignore[arg-type]
-        ),
-        ranked_qpl=list(data.get("ranked_qpl", [])),  # type: ignore[arg-type]
-        ranked_storage=list(data.get("ranked_storage", [])),  # type: ignore[arg-type]
-        ranked_storage_current=list(
-            data.get("ranked_storage_current", [])  # type: ignore[arg-type]
-        ),
-        ranked_traffic=list(data.get("ranked_traffic", [])),  # type: ignore[arg-type]
+        config=config_from_dict(data["config"]),
+        summary=dict(data["summary"]),
+        baseline=dict(data["baseline"]),
+        warmup_baseline=dict(data["warmup_baseline"]),
+        messages_total=int(data["messages_total"]),
+        ric_messages_total=int(data["ric_messages_total"]),
+        messages_tuple_phase=int(data["messages_tuple_phase"]),
+        ric_messages_tuple_phase=int(data["ric_messages_tuple_phase"]),
+        ranked_qpl=list(data["ranked_qpl"]),
+        ranked_storage=list(data["ranked_storage"]),
+        ranked_storage_current=list(data["ranked_storage_current"]),
+        ranked_traffic=list(data["ranked_traffic"]),
         checkpoints={
             int(index): dict(snapshot)
-            for index, snapshot in dict(data.get("checkpoints", {})).items()
+            for index, snapshot in data["checkpoints"].items()
         },
-        cumulative_qpl=list(data.get("cumulative_qpl", [])),  # type: ignore[arg-type]
-        cumulative_storage=list(
-            data.get("cumulative_storage", [])  # type: ignore[arg-type]
-        ),
-        answers=int(data.get("answers", 0)),  # type: ignore[arg-type]
+        cumulative_qpl=list(data["cumulative_qpl"]),
+        cumulative_storage=list(data["cumulative_storage"]),
+        answers=int(data["answers"]),
     )
 
 

@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DeliverCallback = Callable[[Envelope], None]
 
 #: Registered runtime names accepted by :func:`make_transport` (and by
-#: ``RJoinConfig.runtime`` / ``ExperimentConfig.runtime``).
+#: ``RJoinConfig.runtime``).
 TRANSPORT_NAMES: Tuple[str, ...] = ("sim", "asyncio")
 
 #: The runtime used when no explicit choice is made.

@@ -25,8 +25,6 @@ class TestRJoinConfig:
             ("ric_freshness", -1.0),
             ("gc_every_tuples", 0),
             ("rebalance_every_tuples", 0),
-            ("light_load_factor", 0.0),
-            ("light_load_factor", 1.5),
             ("altt_delta", -1.0),
             ("altt_delta", "whenever"),
         ],

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data.append_log import AppendLogTupleStore
 from repro.data.backends import (
     BACKEND_NAMES,
     SEPARATOR,
     StoreBackend,
-    StoreTuning,
     make_store,
 )
 from repro.data.schema import RelationSchema
@@ -354,18 +354,17 @@ class TestBatchOperations:
         assert [t.sequence for t in store.tuples_for_key("k")] == [4]
 
 
-class TestStoreTuning:
-    def test_invalid_tuning_is_rejected(self):
+class TestAppendLogCompaction:
+    def test_invalid_thresholds_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            StoreTuning(compact_min_dead=0)
+            AppendLogTupleStore(compact_min_dead=0)
         with pytest.raises(ConfigurationError):
-            StoreTuning(compact_dead_fraction=0.0)
+            AppendLogTupleStore(compact_dead_fraction=0.0)
         with pytest.raises(ConfigurationError):
-            StoreTuning(compact_dead_fraction=1.5)
+            AppendLogTupleStore(compact_dead_fraction=1.5)
 
     def test_append_log_honours_aggressive_thresholds(self, schema):
-        tuning = StoreTuning(compact_min_dead=1, compact_dead_fraction=0.01)
-        store = make_store("append-log", tuning=tuning)
+        store = AppendLogTupleStore(compact_min_dead=1, compact_dead_fraction=0.01)
         try:
             assert store.compact_min_dead == 1
             for seq in range(1, 21):
@@ -382,13 +381,3 @@ class TestStoreTuning:
             )
         finally:
             store.close()
-
-    def test_memory_and_sqlite_ignore_tuning(self, schema):
-        tuning = StoreTuning(compact_min_dead=1, compact_dead_fraction=0.01)
-        for name in ("memory", "sqlite"):
-            store = make_store(name, tuning=tuning)
-            try:
-                store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)
-                assert store.tuples_for_key("k")[0].sequence == 1
-            finally:
-                store.close()

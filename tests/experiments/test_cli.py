@@ -101,6 +101,14 @@ class TestRun:
         assert code == 2
         assert "key=value" in output
 
+    def test_unknown_set_field_is_reported(self, tmp_path):
+        code, output = run_cli(
+            "run", "baseline", "--output", str(tmp_path), "--set", "nmu_nodes=4"
+        )
+        assert code == 2
+        assert "unknown config field 'nmu_nodes'" in output
+        assert "num_nodes" in output
+
 
 class TestReport:
     def test_report_without_run_fails_gracefully(self, tmp_path):

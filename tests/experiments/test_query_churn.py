@@ -2,12 +2,12 @@
 
 Covers the :class:`~repro.experiments.config.QueryChurnSpec` schedule, the
 runner integration (removal / re-submission between publications, composed
-with node churn), the ``query-churn`` and ``owner-failover`` scenarios, the
-v3 → v4 result-schema bump and — crucially — backward compatibility: v3
-grid result files still load and ``report --diff`` works across schema
-versions.
+with node churn), the ``query-churn`` and ``owner-failover`` scenarios and
+the lifecycle fields of the result schema — which reads one version only:
+``report --diff`` refuses a directory written under another.
 """
 
+import io
 import json
 
 import pytest
@@ -18,7 +18,7 @@ from repro.experiments.config import (
     ExperimentConfig,
     QueryChurnSpec,
 )
-from repro.experiments.parallel import diff_grids, load_cells
+from repro.experiments.cli import main
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import get_scenario, scenario_names
 from repro.metrics.serialize import (
@@ -27,7 +27,6 @@ from repro.metrics.serialize import (
     config_to_dict,
     query_churn_from_dict,
     query_churn_to_dict,
-    result_from_dict,
     result_to_dict,
 )
 
@@ -195,67 +194,30 @@ class TestSerialization:
         assert restored.query_churn == config.query_churn
         assert restored.owner_failover is False
 
-    def test_v3_config_dict_still_loads(self):
-        """A config dict written before the lifecycle fields existed."""
-        data = config_to_dict(tiny_config())
-        del data["query_churn"]
-        del data["owner_failover"]
-        restored = config_from_dict(data)
-        assert restored.query_churn is None
-        assert restored.owner_failover is True
-
-    def test_v3_result_dict_still_loads(self):
-        result = run_experiment(tiny_config(num_tuples=5, num_queries=2))
-        data = result_to_dict(result)
-        data["schema_version"] = 3
-        del data["config"]["query_churn"]
-        del data["config"]["owner_failover"]
-        restored = result_from_dict(data)
-        assert restored.config.num_nodes == 12
-        assert restored.summary == result.summary
-
 
 def _write_cell(directory, cell_id, payload):
     directory.mkdir(parents=True, exist_ok=True)
     (directory / f"{cell_id}.json").write_text(json.dumps(payload))
 
 
-class TestCrossVersionDiff:
-    def _payload(self, schema_version, qpl):
-        config = config_to_dict(tiny_config(num_tuples=5, num_queries=2))
-        if schema_version < 4:
-            del config["query_churn"]
-            del config["owner_failover"]
-        return {
-            "schema_version": schema_version,
-            "cell": {
-                "cell_id": "sc__v__rjoin__seed42",
-                "scenario": "sc",
-                "variant": "v",
-                "strategy": "rjoin",
-                "seed": 42,
-            },
-            "result": {
-                "config": config,
-                "summary": {"answers": 3.0},
-                "derived": {"qpl_per_node": qpl},
-            },
+class TestOtherSchemaVersion:
+    def test_report_diff_refuses_a_v12_directory(self, tmp_path):
+        result = run_experiment(tiny_config(num_tuples=5, num_queries=2))
+        payload = {
+            "schema_version": RESULT_SCHEMA_VERSION,
+            "cell": {"cell_id": "sc__v__rjoin__seed42"},
+            "result": result_to_dict(result),
         }
-
-    def test_diff_spans_schema_versions(self, tmp_path):
-        """``report --diff`` pairs a v3 directory with a v4 directory."""
-        dir_a = tmp_path / "v3"
-        dir_b = tmp_path / "v4"
-        _write_cell(dir_a, "sc__v__rjoin__seed42", self._payload(3, 10.0))
+        _write_cell(tmp_path / "v13", "sc__v__rjoin__seed42", payload)
         _write_cell(
-            dir_b,
-            "sc__v__rjoin__seed42",
-            self._payload(RESULT_SCHEMA_VERSION, 12.5),
+            tmp_path / "v12", "sc__v__rjoin__seed42", {**payload, "schema_version": 12}
         )
-        assert set(load_cells(dir_a)) == {"sc__v__rjoin__seed42"}
-        diff = diff_grids(dir_a, dir_b, ["qpl_per_node"])
-        assert diff["only_in_a"] == [] and diff["only_in_b"] == []
-        pair = diff["cells"][0]["metrics"]["qpl_per_node"]
-        assert pair["a"] == 10.0
-        assert pair["b"] == 12.5
-        assert pair["delta"] == pytest.approx(2.5)
+        out = io.StringIO()
+        code = main(
+            ["report", "--diff", str(tmp_path / "v12"), str(tmp_path / "v13")],
+            out=out,
+        )
+        text = out.getvalue()
+        assert code == 2
+        assert "v12/sc__v__rjoin__seed42.json" in text
+        assert f"version 12, this build reads version {RESULT_SCHEMA_VERSION}" in text

@@ -66,7 +66,7 @@ class TestRunExperiment:
 
     def test_windowed_experiment_runs(self):
         config = ExperimentConfig(
-            window=WindowSpec(size=10, mode="tuples"), **TINY
+            tuple_gc_window=WindowSpec(size=10, mode="tuples"), **TINY
         )
         result = run_experiment(config)
         assert result.summary["current_storage"] <= result.summary["total_storage"]

@@ -93,11 +93,11 @@ class TestScenarioSemantics:
     def test_window_churn_sets_sliding_windows(self):
         scenario = get_scenario("window-churn")
         sizes = sorted(
-            cell.config.window.size for cell in scenario.cells(seeds=[1])
+            cell.config.tuple_gc_window.size for cell in scenario.cells(seeds=[1])
         )
         assert sizes == [10.0, 25.0, 50.0, 100.0]
         assert all(
-            cell.config.window.mode == "tuples"
+            cell.config.tuple_gc_window.mode == "tuples"
             for cell in scenario.cells(seeds=[1])
         )
 
@@ -136,10 +136,11 @@ class TestCustomScenario:
     def test_variant_apply(self):
         base = ExperimentConfig(num_nodes=16, num_queries=10, num_tuples=10)
         variant = Variant(
-            label="w", overrides={"window": WindowSpec(size=5, mode="tuples")}
+            label="w",
+            overrides={"tuple_gc_window": WindowSpec(size=5, mode="tuples")},
         )
         config = variant.apply(base)
-        assert config.window.size == 5
+        assert config.tuple_gc_window.size == 5
 
     def test_cells_from_unregistered_scenario(self):
         scenario = Scenario(

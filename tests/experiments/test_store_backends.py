@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.backends import BACKEND_NAMES
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import get_scenario
@@ -19,7 +19,7 @@ from repro.metrics.serialize import (
 class TestConfigPlumbing:
     def test_store_backend_default_and_validation(self):
         assert ExperimentConfig().store_backend == "memory"
-        with pytest.raises(ExperimentError, match="unknown store backend"):
+        with pytest.raises(ConfigurationError, match="unknown store backend"):
             ExperimentConfig(store_backend="floppy")
 
     def test_store_backend_serialization_round_trip(self):
@@ -43,7 +43,7 @@ class TestScenario:
         for variant in scenario.variants(full_scale=False):
             config = scenario.config_for(variant, strategy="rjoin", seed=1)
             assert config.store_backend == variant.label
-            assert config.window is not None, "scenario must apply GC pressure"
+            assert config.tuple_gc_window is not None, "scenario must apply GC pressure"
 
     def test_cells_expand_over_backends_and_seeds(self):
         scenario = get_scenario("store-backends")

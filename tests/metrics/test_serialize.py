@@ -31,7 +31,7 @@ class TestConfigRoundTrip:
 
     def test_config_with_window_and_checkpoints(self):
         config = ExperimentConfig(
-            window=WindowSpec(size=12, mode="tuples"),
+            tuple_gc_window=WindowSpec(size=12, mode="tuples"),
             checkpoints=[4, 8],
             publish_mode="batch",
             batch_size=4,
@@ -41,7 +41,7 @@ class TestConfigRoundTrip:
         data = config_to_dict(config)
         json.dumps(data)
         restored = config_from_dict(data)
-        assert restored.window == config.window
+        assert restored.tuple_gc_window == config.tuple_gc_window
         assert restored.checkpoints == [4, 8]
         assert restored.publish_mode == "batch"
         assert restored.hot_key_fraction == 0.5
