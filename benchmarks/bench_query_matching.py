@@ -17,8 +17,8 @@ Each row records per-arrival ``ops_per_sec`` for both paths, the speedup,
 and the index hit ratio (candidates fetched / records resident — the
 fraction of the table a probe actually touches).  A second suite measures
 multi-query sharing end to end on a real engine: N duplicate queries are
-batch-submitted with and without ``shared_query_state`` and the stored
-records, answer fan-out and answer counts are compared.
+batch-submitted and their stored records, answer fan-out and answer counts
+are compared with one copy's.
 
 Usage::
 
@@ -159,19 +159,16 @@ def _measure_matching(
 
 
 def _measure_sharing(copies: int) -> Dict[str, object]:
-    """Shared vs private state for ``copies`` duplicates of one query."""
+    """``copies`` batch-submitted duplicates of one query against one copy."""
     catalog = Catalog()
     catalog.add_relation("R", ["a", "b"])
     catalog.add_relation("S", ["c", "d"])
     sql = "SELECT R.a, S.d FROM R, S WHERE R.b = S.c"
     rows = [("R", (1, 10)), ("S", (10, 2)), ("R", (3, 10)), ("S", (10, 4))]
 
-    def run(shared: bool) -> Dict[str, float]:
-        engine = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=9, shared_query_state=shared),
-            catalog=catalog,
-        )
-        for _ in range(copies):
+    def run(submissions: int) -> Dict[str, float]:
+        engine = RJoinEngine(RJoinConfig(num_nodes=16, seed=9), catalog=catalog)
+        for _ in range(submissions):
             engine.submit(sql, process=False)
         engine.run()
         for relation, values in rows:
@@ -179,23 +176,18 @@ def _measure_sharing(copies: int) -> Dict[str, object]:
         return engine.metrics_summary()
 
     started = time.perf_counter()
-    shared = run(True)
-    private = run(False)
+    shared = run(copies)
+    single = run(1)
     elapsed = time.perf_counter() - started
     return {
         "name": f"sharing-x{copies}",
         "copies": copies,
         "seconds": elapsed,
         "answers": shared["answers"],
-        "answers_private": private["answers"],
+        "answers_single": single["answers"],
         "shared_state_fanout": shared["shared_state_fanout"],
         "current_storage_shared": shared["current_storage"],
-        "current_storage_private": private["current_storage"],
-        "storage_savings": (
-            1.0 - shared["current_storage"] / private["current_storage"]
-            if private["current_storage"]
-            else 0.0
-        ),
+        "current_storage_single": single["current_storage"],
     }
 
 
@@ -243,10 +235,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     sharing = report["sharing"]
     print(
-        f"sharing (x{sharing['copies']}): "
-        f"storage {sharing['current_storage_shared']:.0f} shared vs "
-        f"{sharing['current_storage_private']:.0f} private "
-        f"({sharing['storage_savings']:.0%} saved), "
+        f"sharing (x{sharing['copies']} vs x1): "
+        f"storage {sharing['current_storage_shared']:.0f} vs "
+        f"{sharing['current_storage_single']:.0f}, "
+        f"answers {sharing['answers']:.0f} vs {sharing['answers_single']:.0f}, "
         f"fanout {sharing['shared_state_fanout']:.0f}"
     )
     if not args.smoke:

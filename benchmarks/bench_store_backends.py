@@ -1,7 +1,7 @@
 """Throughput of every tuple-store backend on the store hot paths.
 
-Measures, per registered backend (``memory`` / ``sqlite`` / ``append-log``)
-and in operations per second:
+Measures, per registered backend (``memory`` / ``sqlite``) and in
+operations per second:
 
 * ``add`` — insertion throughput (the sqlite backend amortises this through
   its batched write buffer, so the flush cost is included),
@@ -9,8 +9,7 @@ and in operations per second:
 * ``batch_match`` — the same lookups through the set-at-a-time
   ``tuples_for_prefixes`` API, whole probe batches per call,
 * ``window_gc`` — ``remove_published_before`` ticks interleaved with fresh
-  writes, the window-churn pressure pattern (this is what triggers
-  compaction in the append-log backend),
+  writes, the window-churn pressure pattern,
 * ``rehome`` — ``remove_key`` + replay into a fresh store of the same kind,
   the membership re-homing round trip.
 
@@ -21,11 +20,6 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_store_backends.py [--smoke]
         [--tuples N] [--lookups N] [--gc-ticks N]
-        [--compact-min-dead N] [--compact-fraction F]
-
-The ``--compact-*`` flags sweep the append-log compaction thresholds: the
-append-log stores are then built as ``AppendLogTupleStore(compact_min_dead=…,
-compact_dead_fraction=…)`` (the other backends have no such knobs).
 """
 
 from __future__ import annotations
@@ -34,16 +28,9 @@ import argparse
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
-from repro.data.append_log import AppendLogTupleStore
-from repro.data.backends import (
-    APPEND_LOG_BACKEND,
-    BACKEND_NAMES,
-    SEPARATOR,
-    StoreBackend,
-    make_store,
-)
+from repro.data.backends import BACKEND_NAMES, SEPARATOR, make_store
 from repro.data.schema import RelationSchema
 from repro.data.tuples import Tuple
 
@@ -100,22 +87,11 @@ def _timed(operations: int, fn) -> Dict[str, float]:
     }
 
 
-def _open(backend: str, compaction: Mapping[str, float]) -> StoreBackend:
-    """A fresh store; an append-log one with the swept compaction thresholds."""
-    if backend == APPEND_LOG_BACKEND and compaction:
-        return AppendLogTupleStore(**compaction)
-    return make_store(backend)
-
-
-def _measure_backend(
-    backend: str,
-    sizes: Dict[str, int],
-    compaction: Mapping[str, float],
-) -> Dict[str, object]:
+def _measure_backend(backend: str, sizes: Dict[str, int]) -> Dict[str, object]:
     tuples = _make_tuples(sizes["tuples"])
 
     # add ------------------------------------------------------------------
-    store = _open(backend, compaction)
+    store = make_store(backend)
 
     def _add() -> None:
         for tup in tuples:
@@ -157,14 +133,14 @@ def _measure_backend(
     timing_gc = _timed(ticks, _gc)
 
     # rehome ---------------------------------------------------------------
-    source = _open(backend, compaction)
+    source = make_store(backend)
     rehome_tuples = tuples[: max(sizes["tuples"] // 4, 1)]
     for tup in rehome_tuples:
         source.add(_key_of(tup), tup, now=tup.pub_time)
     # Settle the source's write buffer so the rehome window times only the
     # extraction + replay round trip, not the source's own pending inserts.
     source.flush()
-    target = _open(backend, compaction)
+    target = make_store(backend)
 
     def _rehome() -> None:
         for key in list(source.keys()):
@@ -192,39 +168,20 @@ def _measure_backend(
         },
         "residual_records": len(store),
     }
-    compactions = getattr(store, "compactions", None)
-    if compactions is not None:
-        result["compactions"] = compactions
     for opened in (store, source, target):
         opened.close()
     return result
 
 
-def run_bench(
-    smoke: bool = False,
-    compaction: Optional[Mapping[str, float]] = None,
-    **overrides,
-) -> Dict[str, object]:
-    """Measure every backend; returns the JSON-safe report.
-
-    ``compaction`` holds ``AppendLogTupleStore`` keyword arguments
-    (``compact_min_dead`` / ``compact_dead_fraction``); omitted ones keep
-    the store's defaults.
-    """
-    compaction = dict(compaction or {})
+def run_bench(smoke: bool = False, **overrides) -> Dict[str, object]:
+    """Measure every backend; returns the JSON-safe report."""
     sizes = dict(SMOKE_SIZES if smoke else DEFAULT_SIZES)
     sizes.update({k: v for k, v in overrides.items() if v is not None})
-    results = [
-        _measure_backend(backend, sizes, compaction) for backend in BACKEND_NAMES
-    ]
-    report: Dict[str, object] = {
+    return {
         "smoke": smoke,
         "parameters": sizes,
-        "results": results,
+        "results": [_measure_backend(backend, sizes) for backend in BACKEND_NAMES],
     }
-    if compaction:
-        report["tuning"] = compaction
-    return report
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -235,23 +192,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--tuples", type=int, default=None)
     parser.add_argument("--lookups", type=int, default=None)
     parser.add_argument("--gc-ticks", dest="gc_ticks", type=int, default=None)
-    parser.add_argument(
-        "--compact-min-dead", dest="compact_min_dead", type=int, default=None
-    )
-    parser.add_argument(
-        "--compact-fraction", dest="compact_fraction", type=float, default=None
-    )
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
     args = parser.parse_args(argv)
 
-    compaction: Dict[str, float] = {}
-    if args.compact_min_dead is not None:
-        compaction["compact_min_dead"] = args.compact_min_dead
-    if args.compact_fraction is not None:
-        compaction["compact_dead_fraction"] = args.compact_fraction
     report = run_bench(
         smoke=args.smoke,
-        compaction=compaction,
         tuples=args.tuples,
         lookups=args.lookups,
         gc_ticks=args.gc_ticks,
@@ -259,10 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for row in report["results"]:
         rates = row["ops_per_sec"]
         line = ", ".join(f"{name}={rate:,.0f}/s" for name, rate in rates.items())
-        extra = (
-            f" (compactions={row['compactions']})" if "compactions" in row else ""
-        )
-        print(f"{row['backend']:>10s}: {line}{extra}")
+        print(f"{row['backend']:>10s}: {line}")
     if not args.smoke:
         args.output.write_text(json.dumps(report, indent=2, sort_keys=True))
         print(f"wrote {args.output}")

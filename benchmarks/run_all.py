@@ -117,7 +117,7 @@ SMOKE_SUITES: List[
         lambda module: module.run_bench(smoke=False),
         lambda report: (
             f"{len(report['results'])} population sizes, "
-            f"{report['sharing']['storage_savings']:.0%} sharing savings"
+            f"sharing fan-out {report['sharing']['shared_state_fanout']:.0f}"
         ),
     ),
     (

@@ -3,8 +3,7 @@
 Generic linters cannot check what this project actually relies on — that
 the simulated core stays deterministic, that every protocol message is
 dispatched and traffic-accounted, that metrics counters reach the result
-schema, that store backends honour the contract ``make_store`` promises,
-and that library errors stay inside the :class:`~repro.errors.ReproError`
+schema, and that library errors stay inside the :class:`~repro.errors.ReproError`
 hierarchy.  This package machine-checks those invariants on every PR::
 
     python -m repro.analysis check            # human output

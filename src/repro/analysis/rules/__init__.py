@@ -16,14 +16,12 @@ from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
 from repro.analysis.rules.metrics_registry import MetricsRegistryRule
 from repro.analysis.rules.protocol import ProtocolRule
-from repro.analysis.rules.store_contract import StoreContractRule
 
 #: Every shipped rule, in report order.
 ALL_RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
     ProtocolRule(),
     MetricsRegistryRule(),
-    StoreContractRule(),
     ExceptionDisciplineRule(),
     AnnotationCompletenessRule(),
 )

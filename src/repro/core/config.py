@@ -45,9 +45,8 @@ class RJoinConfig:
         Indexing strategy name: ``rjoin``, ``random``, ``worst`` or ``first``.
     store_backend:
         Node-local tuple-store backend: ``memory`` (the default dict +
-        prefix-index store), ``sqlite`` (table-backed, index scans for
-        prefix match and expiry) or ``append-log`` (append-only log with
-        compaction); see :func:`repro.data.backends.make_store`.
+        prefix-index store) or ``sqlite`` (table-backed, index scans for
+        prefix match and expiry); see :func:`repro.data.backends.make_store`.
     allow_attribute_level_rewrites:
         Whether rewritten queries may also be indexed at the attribute level
         (candidate family (a) of Section 6).  Attribute-level rewritten
@@ -60,12 +59,6 @@ class RJoinConfig:
         Retention Δ of the attribute-level tuple table: ``"auto"`` derives a
         safe overestimate from the messaging delay bound, ``None`` keeps
         tuples forever, a number sets Δ explicitly.
-    shared_query_state:
-        Whether equivalent query states (same residual query, window state
-        and insertion time — equal modulo query id) are canonicalized into
-        one shared physical record whose answers fan out per subscriber
-        (multi-query sharing).  Disabling restores strictly private
-        per-query state; answers are identical either way.
     ric_window:
         Horizon (in simulated time) of the per-key arrival counting used as
         RIC information; ``None`` counts arrivals since the beginning.
@@ -114,7 +107,6 @@ class RJoinConfig:
     strategy: str = "rjoin"
     store_backend: str = DEFAULT_BACKEND
     allow_attribute_level_rewrites: bool = False
-    shared_query_state: bool = True
     altt_delta: Union[str, float, None] = AUTO
     ric_window: Optional[float] = None
     ric_freshness: Optional[float] = None

@@ -36,9 +36,9 @@ query after submission:
   ring mutations move the successor of an owner (joins, graceful leaves,
   crashes of the replica itself, id movement).
 
-* **Shared rewritten-query state** — with
-  :attr:`~repro.core.config.RJoinConfig.shared_query_state` enabled,
-  canonically equal rewritten states collapse into one stored record with a
+* **Shared rewritten-query state** — canonically equal rewritten states
+  (same residual query, window state and insertion time — equal modulo
+  query id) collapse into one stored record with a
   subscriber list (see :class:`repro.core.protocol.QueryState`), and both
   transitions above become *per-subscriber*: retraction detaches only the
   removed query's subscriptions (promoting a surviving subscriber to

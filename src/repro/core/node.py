@@ -567,9 +567,7 @@ class RJoinNode:
             key=key,
             stored_at=now,
             tracker=self._make_tracker(state),
-            share_key=canonical_state_key(state)
-            if self.ctx.config.shared_query_state
-            else None,
+            share_key=canonical_state_key(state),
         )
         host: Optional[StoredQueryRecord] = None
         if keep:

@@ -41,7 +41,7 @@ class StoredQueryRecord:
     number (the deterministic trigger order), the ``(attribute, value)``
     selection the predicate-aware index filed the record under (None for
     wildcard records) and the cheap part of its state's sharing identity
-    (None when the state is not shareable or sharing is disabled).  ``plan``
+    (None when the state is not shareable).  ``plan``
     is the compiled rewrite of the record's query by its key's relation,
     looked up by the first tuple that triggers the record and reused by every
     later one; it is not shipped with a re-homed record (the new home has its

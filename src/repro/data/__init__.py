@@ -10,11 +10,10 @@ provides:
 * :class:`~repro.data.tuples.Tuple` — an immutable published tuple carrying
   its publication time and per-relation sequence number,
 * :class:`~repro.data.backends.StoreBackend` — the contract of the per-node
-  local tuple storage, with three implementations behind
+  local tuple storage, with two implementations behind
   :func:`~repro.data.backends.make_store`:
-  :class:`~repro.data.store.TupleStore` (``memory``, the default),
-  :class:`~repro.data.sqlite_store.SqliteTupleStore` (``sqlite``) and
-  :class:`~repro.data.append_log.AppendLogTupleStore` (``append-log``).
+  :class:`~repro.data.store.TupleStore` (``memory``, the default) and
+  :class:`~repro.data.sqlite_store.SqliteTupleStore` (``sqlite``).
 """
 
 from repro.data.backends import (

@@ -11,15 +11,11 @@ lets the engine swap implementations without touching the protocol layer:
 * ``sqlite`` — a disk-capable structured store
   (:class:`~repro.data.sqlite_store.SqliteTupleStore`) whose prefix matches
   and window expiries are SQL index scans and whose writes are batched into
-  one transaction per network drain,
-* ``append-log`` — an in-memory index over an append-only record log with
-  compaction on garbage collection
-  (:class:`~repro.data.append_log.AppendLogTupleStore`); a cheap middle
-  point between the two.
+  one transaction per network drain.
 
 The contract every backend must honour (the conformance suite in
 ``tests/data/test_store_backends.py`` enforces it for all registered
-backends):
+backends, and ``abc`` refuses to build one missing an abstract method):
 
 * per-key record lists are ordered by publication ``(pub_time, sequence)``
   regardless of insertion order,
@@ -35,7 +31,7 @@ backends):
 * the set-at-a-time operations (:meth:`StoreBackend.add_batch`,
   :meth:`StoreBackend.match_batch` / :meth:`StoreBackend.tuples_for_prefixes`
   and the ranged :meth:`StoreBackend.remove_expired`) are answer-equivalent
-  to their per-item counterparts — they exist so disk backends can serve a
+  to their per-item counterparts — they exist so the sqlite backend can serve a
   whole drain tick's probes without a per-record Python round trip.
 """
 
@@ -67,14 +63,9 @@ SEPARATOR = "\x1f"
 
 MEMORY_BACKEND = "memory"
 SQLITE_BACKEND = "sqlite"
-APPEND_LOG_BACKEND = "append-log"
 
 #: Every registered backend name, in documentation order.
-BACKEND_NAMES: TupleT[str, ...] = (
-    MEMORY_BACKEND,
-    SQLITE_BACKEND,
-    APPEND_LOG_BACKEND,
-)
+BACKEND_NAMES: TupleT[str, ...] = (MEMORY_BACKEND, SQLITE_BACKEND)
 
 DEFAULT_BACKEND = MEMORY_BACKEND
 
@@ -150,7 +141,7 @@ class StoreBackend(abc.ABC):
     deduplicate through :meth:`tuples_for_prefix`.
     """
 
-    #: Registry name of the backend (``memory`` / ``sqlite`` / ``append-log``).
+    #: Registry name of the backend (``memory`` / ``sqlite``).
     name: ClassVar[str] = "abstract"
 
     # ------------------------------------------------------------------
@@ -195,18 +186,12 @@ class StoreBackend(abc.ABC):
     def tuples_for_prefix(self, prefix: str) -> List["Tuple"]:
         """Tuples under any key starting with ``prefix`` (deduplicated, ordered)."""
 
-    @abc.abstractmethod
-    def has_key(self, key: str) -> bool:
-        """Return whether any tuple is stored under ``key``."""
-
     # ------------------------------------------------------------------
     # set-at-a-time operations
     # ------------------------------------------------------------------
-    # Every batch method has a per-item default so the contract stays
-    # backward-compatible: a backend only overrides what it can genuinely
-    # serve set-at-a-time (the sqlite backend answers a whole probe batch
-    # with one SQL statement; the append-log backend merges sorted position
-    # lists and batches tombstone writes).
+    # Every batch method has a per-item default: a backend only overrides
+    # what it can genuinely serve set-at-a-time (the sqlite backend answers
+    # a whole probe batch with one SQL statement).
 
     def add_batch(
         self, entries: Iterable[TupleT[str, "Tuple", float]]
@@ -253,7 +238,7 @@ class StoreBackend(abc.ABC):
         """Ranged GC: drop records behind either cutoff in one sweep.
 
         The union of :meth:`remove_published_before` and
-        :meth:`remove_sequenced_before` (both strict); disk backends turn
+        :meth:`remove_sequenced_before` (both strict); the sqlite backend turns
         the combined predicate into a single ranged ``DELETE``.
         """
         removed = 0
@@ -311,10 +296,6 @@ def make_store(backend: str = DEFAULT_BACKEND) -> StoreBackend:
         from repro.data.sqlite_store import SqliteTupleStore
 
         return SqliteTupleStore()
-    if backend == APPEND_LOG_BACKEND:
-        from repro.data.append_log import AppendLogTupleStore
-
-        return AppendLogTupleStore()
     known = ", ".join(BACKEND_NAMES)
     raise ConfigurationError(
         f"unknown store backend {backend!r}; known backends: {known}"

@@ -436,14 +436,6 @@ class SqliteTupleStore(StoreBackend):
             matched.setdefault("p" + bucket, [])
         return matched
 
-    def has_key(self, key: str) -> bool:
-        """Return whether any tuple is stored under ``key``."""
-        self.flush()
-        row = self._conn.execute(
-            "SELECT 1 FROM records WHERE key = ? LIMIT 1", (key,)
-        ).fetchone()
-        return row is not None
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------

@@ -321,10 +321,6 @@ class TupleStore(StoreBackend):
             return []
         return merge_records(lists)
 
-    def has_key(self, key: str) -> bool:
-        """Return whether any tuple is stored under ``key``."""
-        return key in self._by_key
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------

@@ -319,6 +319,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     # Release the runtime (actor tasks, event loop, store handles): on the
     # asyncio transport a garbage-collected loop would warn about pending
-    # actor tasks, and sqlite/append-log stores hold real file handles.
+    # actor tasks, and a sqlite store holds an open connection.
     engine.close()
     return result

@@ -330,22 +330,11 @@ register(
         ),
         default_variants=_sweep("num_queries", (200, 400, 800)),
         paper_base=ExperimentConfig.paper_scale(name="query-flood"),
-        # Million-query matching (PR 8): the full-scale sweep pushes the
-        # resident population to 10⁵–10⁶ queries — feasible only because the
+        # Million-query matching: the full-scale sweep pushes the resident
+        # population to 10⁵–10⁶ queries — feasible only because the
         # predicate-aware query index keeps per-arrival matching sublinear
-        # and shared rewritten-query state collapses duplicates.  The
-        # ``q100000-private`` variant re-runs the 10⁵ point with sharing
-        # disabled so the two optimisations can be separated in the report.
-        paper_variants=_sweep("num_queries", (100_000, 300_000, 1_000_000))
-        + (
-            Variant(
-                label="q100000-private",
-                overrides={
-                    "num_queries": 100_000,
-                    "shared_query_state": False,
-                },
-            ),
-        ),
+        # and shared rewritten-query state collapses duplicates.
+        paper_variants=_sweep("num_queries", (100_000, 300_000, 1_000_000)),
     )
 )
 
@@ -574,7 +563,7 @@ register(
         name="store-backends",
         description=(
             "window-churn-style GC pressure replayed across the pluggable "
-            "tuple-store backends (memory / sqlite / append-log): same "
+            "tuple-store backends (memory / sqlite): same "
             "workload, same sliding window, different storage engines — "
             "answers must be identical, storage and wall-clock differ."
         ),

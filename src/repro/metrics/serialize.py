@@ -22,11 +22,12 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v13: the config dict carries every engine field (``ExperimentConfig`` is
-#: an ``RJoinConfig`` plus its workload).  Only this version loads:
+#: v14: the config dict carries every engine field (``ExperimentConfig`` is
+#: an ``RJoinConfig`` plus its workload) and no longer the sharing switch,
+#: since state sharing is always on.  Only this version loads:
 #: ``load_cells`` and ``report --diff`` refuse a file of any other one, and
 #: ``run`` recomputes its cell.
-RESULT_SCHEMA_VERSION = 13
+RESULT_SCHEMA_VERSION = 14
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /

@@ -121,22 +121,6 @@ class TestMetricsRegistry:
         assert "'answer_latency_p99'" not in joined
 
 
-class TestStoreContract:
-    def test_seeded_violations_fire(self):
-        report = run_fixture("store", "store-contract")
-        assert not report.ok
-        assert len(report.active) == 3
-        joined = "\n".join(messages(report.active))
-        assert "RogueBackend does not inherit StoreBackend" in joined
-        assert "does not implement abstract StoreBackend.match" in joined
-        assert "match_batch changes the batch-contract signature" in joined
-        assert all(f.path == "data/rogue_backend.py" for f in report.active)
-
-    def test_compliant_backend_stays_silent(self):
-        report = run_fixture("store", "store-contract")
-        assert "GoodBackend" not in "\n".join(messages(report.active))
-
-
 class TestExceptionDiscipline:
     def test_seeded_violations_fire(self):
         report = run_fixture("exceptions", "exception-discipline")

@@ -4,7 +4,7 @@ The set-at-a-time store matching work rides the same invariant as the
 backend swap: *how* tuples reach the stores (one ``publish`` per tuple vs
 bursts through ``RJoinEngine.publish_batch``) and which backend serves the
 probes are implementation details — the bag of answers every query handle
-collects must be identical across all four indexing strategies, all three
+collects must be identical across all four indexing strategies, both
 backends, both publish paths and the centralised reference oracle.
 
 Two window regimes, because exact batch-vs-per-tuple equality is only
@@ -17,8 +17,7 @@ defined for one of them:
   the batch's sequence numbers up front, so the tuple clock legitimately
   runs ahead of per-tuple publication and expiry decisions may differ
   between the paths.  What must NOT differ there is the backend: the batch
-  path has to produce identical answers on ``memory``, ``sqlite`` and
-  ``append-log``.
+  path has to produce identical answers on ``memory`` and ``sqlite``.
 """
 
 from __future__ import annotations

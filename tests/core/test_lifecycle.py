@@ -6,7 +6,7 @@ The invariants checked here are the contract of
 * ``remove_query`` leaves zero orphaned records on any node — no stored
   input-query record, rewritten query, pending RIC round trip or handle
   registration of the removed query survives anywhere, across all four
-  indexing strategies and all three store backends,
+  indexing strategies and both store backends,
 * after removing *all* queries the network is fully vacuumed: every node's
   tuple store, ALTT, query tables and candidate table are empty,
 * removal is mirrored by :class:`~repro.core.reference.ReferenceEngine`, so

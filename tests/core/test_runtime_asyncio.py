@@ -66,7 +66,7 @@ def assert_bags_match(handles, reference) -> None:
 
 
 class TestStrategyBackendMatrix:
-    """4 strategies × 3 backends, each run concurrently, each oracle-exact."""
+    """4 strategies × 2 backends, each run concurrently, each oracle-exact."""
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("strategy", STRATEGIES)

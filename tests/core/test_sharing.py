@@ -2,9 +2,8 @@
 
 The contract of PR 8's matching subsystem:
 
-* sharing is *transparent*: with ``shared_query_state`` on, every handle's
-  answer bag equals both the unshared engine's and the reference oracle's,
-  across all four indexing strategies and all three store backends,
+* sharing is *transparent*: every handle's answer bag equals the reference
+  oracle's, across all four indexing strategies and both store backends,
 * the subscriber list is a multiset — two canonically equal partial states
   of the *same* query (derived from distinct tuples with identical values)
   each deliver their copy of every future answer,
@@ -44,12 +43,9 @@ def run_workload(
     *,
     strategy: str = "rjoin",
     backend: str = "memory",
-    shared: bool = True,
     queries: int = 6,
     tuples: int = 30,
     seed: int = 17,
-    mirror: bool = True,
-    **config_overrides,
 ):
     """Run a random workload; returns ``(engine, reference, handles)``."""
     spec = WorkloadSpec(
@@ -66,27 +62,23 @@ def run_workload(
             seed=seed,
             strategy=strategy,
             store_backend=backend,
-            shared_query_state=shared,
-            **config_overrides,
         )
     )
     engine.register_catalog(generator.catalog)
-    reference = ReferenceEngine(generator.catalog) if mirror else None
+    reference = ReferenceEngine(generator.catalog)
     handles = []
     sqls = generator.generate_queries(queries)
     for query in sqls:
         handle = engine.submit(query)
         handles.append(handle)
-        if reference is not None:
-            reference.submit(
-                query,
-                query_id=handle.query_id,
-                insertion_time=handle.insertion_time,
-            )
+        reference.submit(
+            query,
+            query_id=handle.query_id,
+            insertion_time=handle.insertion_time,
+        )
     for generated in generator.generate_tuples(tuples):
         tup = engine.publish(generated.relation, generated.values)
-        if reference is not None:
-            reference.publish_tuple(tup)
+        reference.publish_tuple(tup)
     return engine, reference, handles, sqls
 
 
@@ -98,29 +90,14 @@ def assert_matches_oracle(handles, reference):
 
 
 class TestSharingTransparency:
-    """Shared matching is bag-equal to private matching and the oracle."""
+    """Shared matching is bag-equal to the oracle."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_shared_matches_unshared_and_oracle(self, strategy, backend):
-        shared_engine, reference, shared_handles, _ = run_workload(
-            strategy=strategy, backend=backend, shared=True
-        )
-        private_engine, _, private_handles, _ = run_workload(
-            strategy=strategy, backend=backend, shared=False, mirror=False
-        )
-        assert sum(h.count for h in shared_handles) > 0
-        assert_matches_oracle(shared_handles, reference)
-        for shared_h, private_h in zip(shared_handles, private_handles):
-            assert as_bag(shared_h.values()) == as_bag(private_h.values())
-        # Sharing never stores more than private state does.
-        shared_summary = shared_engine.metrics_summary()
-        private_summary = private_engine.metrics_summary()
-        assert (
-            shared_summary["current_storage"]
-            <= private_summary["current_storage"]
-        )
-        assert private_summary["shared_state_fanout"] == 0.0
+    def test_shared_matches_oracle(self, strategy, backend):
+        _, reference, handles, _ = run_workload(strategy=strategy, backend=backend)
+        assert sum(h.count for h in handles) > 0
+        assert_matches_oracle(handles, reference)
 
     def test_identical_queries_share_state_and_fan_out(self):
         """N copies of one query keep one shared record chain, N answer streams."""
@@ -128,39 +105,37 @@ class TestSharingTransparency:
         sql = "SELECT R.a, S.d FROM R, S WHERE R.b = S.c"
         copies = 5
 
-        def run(shared):
+        def run(submissions):
             engine = RJoinEngine(
-                RJoinConfig(
-                    num_nodes=16, seed=9, shared_query_state=shared
-                ),
-                catalog=catalog,
+                RJoinConfig(num_nodes=16, seed=9), catalog=catalog
             )
             # Batch submission: equal insertion times are the sharing
             # precondition (states submitted at different times admit
             # different tuple suffixes and must stay separate).
             handles = [
-                engine.submit(sql, process=False) for _ in range(copies)
+                engine.submit(sql, process=False) for _ in range(submissions)
             ]
             engine.run()
             for row in [("R", (1, 10)), ("S", (10, 2)), ("S", (10, 3)), ("R", (4, 10))]:
                 engine.publish(*row)
             return engine, handles
 
-        shared_engine, shared_handles = run(True)
-        private_engine, private_handles = run(False)
+        shared_engine, shared_handles = run(copies)
+        single_engine, single_handles = run(1)
         expected = as_bag([(1, 2), (1, 3), (4, 2), (4, 3)])
-        for handle in shared_handles + private_handles:
+        for handle in shared_handles + single_handles:
             assert as_bag(handle.values()) == expected
         shared_summary = shared_engine.metrics_summary()
-        private_summary = private_engine.metrics_summary()
-        # The co-subscribers ride the first copy's physical records.
+        single_summary = single_engine.metrics_summary()
+        # The co-subscribers ride the first copy's physical records: N copies
+        # store exactly what one copy does...
         assert shared_summary["shared_state_fanout"] > 0.0
         assert (
             shared_summary["current_storage"]
-            < private_summary["current_storage"]
+            == single_summary["current_storage"]
         )
-        # Every answer delivery is still accounted per subscriber.
-        assert shared_summary["answers"] == private_summary["answers"]
+        # ...while every answer delivery is still accounted per subscriber.
+        assert shared_summary["answers"] == copies * single_summary["answers"]
 
     def test_duplicate_tuples_preserve_answer_multiplicity(self):
         """Canonically equal states of the same query stay a multiset.
@@ -172,7 +147,7 @@ class TestSharingTransparency:
         """
         catalog = two_relation_catalog()
         engine = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=9, shared_query_state=True),
+            RJoinConfig(num_nodes=16, seed=9),
             catalog=catalog,
         )
         handle = engine.submit("SELECT R.a, S.d FROM R, S WHERE R.b = S.c")
@@ -189,7 +164,7 @@ class TestSharingLifecycle:
         catalog = two_relation_catalog()
         sql = "SELECT R.a, S.d FROM R, S WHERE R.b = S.c"
         engine = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=9, shared_query_state=True),
+            RJoinConfig(num_nodes=16, seed=9),
             catalog=catalog,
         )
         keep = engine.submit(sql, process=False)
@@ -254,9 +229,7 @@ class TestSharingLifecycle:
         )
         generator = WorkloadGenerator(spec)
         engine = RJoinEngine(
-            RJoinConfig(
-                num_nodes=24, seed=31, strategy=strategy, shared_query_state=True
-            )
+            RJoinConfig(num_nodes=24, seed=31, strategy=strategy)
         )
         engine.register_catalog(generator.catalog)
         reference = ReferenceEngine(generator.catalog)

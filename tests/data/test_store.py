@@ -68,7 +68,7 @@ class TestTupleStore:
         store.add("k", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
         store.add("k", make_tuple(schema, (2, 2), 2, pub_time=9.0), now=0.0)
         assert store.remove_published_before(5.0) == 1
-        assert store.has_key("k")
+        assert [t.sequence for t in store.tuples_for_key("k")] == [2]
 
     def test_keys_and_iteration(self, schema):
         store = TupleStore()

@@ -5,14 +5,17 @@ the same contract — publication ordering, strict expiry cutoffs, prefix
 matching with identity deduplication, re-homing round-trips and counter
 consistency — so the whole suite is parametrized over the registry.  A new
 backend only has to register in :func:`repro.data.backends.make_store` to be
-held to the same invariants.
+held to the same invariants.  The sqlite backend runs twice: with its default
+in-memory database and with the database in a file, the configuration that
+lets a node's store outgrow RAM.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.data.append_log import AppendLogTupleStore
 from repro.data.backends import (
     BACKEND_NAMES,
     SEPARATOR,
@@ -20,8 +23,24 @@ from repro.data.backends import (
     make_store,
 )
 from repro.data.schema import RelationSchema
+from repro.data.sqlite_store import SqliteTupleStore
 from repro.data.tuples import Tuple
 from repro.errors import ConfigurationError
+
+#: The sqlite backend with its database in a file rather than ``:memory:``.
+ON_DISK_SQLITE = "sqlite-file"
+
+#: Every store the conformance suite holds to the contract.
+STORE_KINDS = BACKEND_NAMES + (ON_DISK_SQLITE,)
+
+_database_names = itertools.count()
+
+
+def open_store(kind: str, directory) -> StoreBackend:
+    """A fresh store of ``kind``; on-disk databases go under ``directory``."""
+    if kind == ON_DISK_SQLITE:
+        return SqliteTupleStore(str(directory / f"store{next(_database_names)}.db"))
+    return make_store(kind)
 
 
 @pytest.fixture
@@ -29,9 +48,9 @@ def schema():
     return RelationSchema("R", ["a", "b"])
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def store(request):
-    backend = make_store(request.param)
+@pytest.fixture(params=STORE_KINDS)
+def store(request, tmp_path):
+    backend = open_store(request.param, tmp_path)
     yield backend
     backend.close()
 
@@ -69,8 +88,6 @@ class TestConformance:
         assert record.key == "k"
         assert store.tuples_for_key("k") == [tup]
         assert store.tuples_for_key("missing") == []
-        assert store.has_key("k")
-        assert not store.has_key("missing")
 
     def test_publication_ordering_despite_insertion_order(self, store, schema):
         late = make_tuple(schema, (1, 1), 3, pub_time=5.0)
@@ -142,13 +159,13 @@ class TestConformance:
         removed = store.remove_key("k")
         assert [r.tuple.sequence for r in removed] == [1, 2]
         assert [r.stored_at for r in removed] == [0.25, 0.5]
-        assert not store.has_key("k")
+        assert store.tuples_for_key("k") == []
         assert len(store) == 0
         assert store.remove_key("k") == []
 
-    @pytest.mark.parametrize("destination", BACKEND_NAMES)
+    @pytest.mark.parametrize("destination", STORE_KINDS)
     def test_rehoming_round_trip_lands_in_any_backend(
-        self, store, schema, destination
+        self, store, schema, destination, tmp_path
     ):
         """Records extracted from one backend replay into any other kind."""
         key = key_for("R", "a", 1)
@@ -158,7 +175,7 @@ class TestConformance:
         ]
         for tup in tuples:
             store.add(key, tup, now=10.0 + tup.sequence)
-        target = make_store(destination)
+        target = open_store(destination, tmp_path)
         try:
             for record in store.remove_key(key):
                 target.add(record.key, record.tuple, record.stored_at)
@@ -196,7 +213,7 @@ class TestConformance:
         store.clear()
         assert len(store) == 0
         assert store.cumulative_stored == 5
-        assert not store.has_key("k")
+        assert store.tuples_for_key("k") == []
         store.add("k", make_tuple(schema, (1, 1), 99), now=0.0)
         assert len(store) == 1
         assert store.cumulative_stored == 6
@@ -226,16 +243,109 @@ class TestConformance:
         assert isinstance(stored.values[1], int)
         assert stored.identity == tup.identity
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (-(2**63), 2**63 - 1),
+            (2**70, -(2**70)),
+            (1.5, float("-inf")),
+            ("ünïcode", ""),
+            (None, True),
+            (b"\x00raw", False),
+            ((1, 2), frozenset({3})),
+        ],
+        ids=["int64-bounds", "big-ints", "floats", "text", "none-bool", "bytes", "containers"],
+    )
+    def test_value_kinds_round_trip(self, store, schema, values):
+        """Every kind of attribute value comes back equal and of the same type."""
+        store.add(key_for("R", "a", 1), make_tuple(schema, values, 1), now=0.0)
+        for stored in (
+            store.tuples_for_key(key_for("R", "a", 1))[0],
+            store.tuples_for_prefix(prefix_for("R", "a"))[0],
+        ):
+            assert stored.values == values
+            assert [type(v) for v in stored.values] == [type(v) for v in values]
+
+    def test_records_carry_key_and_stored_at(self, store, schema):
+        store.add("k", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=2.5)
+        store.add("j", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=7.0)
+        (record,) = store.records_for_key("k")
+        assert (record.key, record.stored_at, record.tuple.sequence) == ("k", 2.5, 1)
+        assert sorted((r.key, r.stored_at) for r in store) == [
+            ("j", 7.0),
+            ("k", 2.5),
+        ]
+
+    def test_remove_older_than_touches_only_its_key(self, store, schema):
+        store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)
+        store.add("j", make_tuple(schema, (2, 2), 2), now=0.0)
+        assert store.remove_older_than("k", cutoff=1.0) == 1
+        assert store.tuples_for_key("k") == []
+        assert [t.sequence for t in store.tuples_for_key("j")] == [2]
+        assert len(store) == 1
+
+    def test_expiry_drops_emptied_keys(self, store, schema):
+        store.add("old", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
+        store.add("new", make_tuple(schema, (2, 2), 2, pub_time=5.0), now=0.0)
+        store.add("mixed", make_tuple(schema, (3, 3), 3, pub_time=1.0), now=0.0)
+        store.add("mixed", make_tuple(schema, (4, 4), 4, pub_time=5.0), now=0.0)
+        assert store.remove_published_before(2.0) == 2
+        assert sorted(store.keys()) == ["mixed", "new"]
+        assert store.remove_sequenced_before(10) == 2
+        assert list(store.keys()) == []
+        assert len(store) == 0
+
+    def test_expiry_removes_every_slot_of_a_publication(self, store, schema):
+        shared = make_tuple(schema, (1, 1), 1, pub_time=1.0)
+        store.add(key_for("R", "a", 1), shared, now=0.0)
+        store.add(key_for("R", "b", 1), shared, now=0.0)
+        store.add(
+            key_for("R", "a", 2), make_tuple(schema, (2, 2), 2, pub_time=2.0), now=0.0
+        )
+        assert store.distinct_tuples() == 2
+        assert store.remove_sequenced_before(2) == 2  # both slots of seq 1
+        assert len(store) == 1
+        assert store.distinct_tuples() == 1
+        assert store.tuples_for_prefix(prefix_for("R", "b")) == []
+
+    def test_clear_discards_memoised_prefix_results(self, store, schema):
+        prefix = prefix_for("R", "a")
+        store.add(key_for("R", "a", 1), make_tuple(schema, (1, 1), 1), now=0.0)
+        assert len(store.tuples_for_prefix(prefix)) == 1
+        assert len(store.match_batch(probes=[("prefix", prefix)])[0]) == 1
+        store.clear()
+        assert store.tuples_for_prefix(prefix) == []
+        assert store.match_batch(probes=[("prefix", prefix)]) == [[]]
+        fresh = make_tuple(schema, (2, 2), 2)
+        store.add(key_for("R", "a", 2), fresh, now=0.0)
+        assert store.tuples_for_prefix(prefix) == [fresh]
+
+    def test_lookup_results_belong_to_the_caller(self, store, schema):
+        """Mutating a returned list must not leak into the store's memo."""
+        prefix = prefix_for("R", "a")
+        tup = make_tuple(schema, (1, 1), 1)
+        store.add(key_for("R", "a", 1), tup, now=0.0)
+        store.tuples_for_prefix(prefix).clear()
+        store.tuples_for_key(key_for("R", "a", 1)).clear()
+        store.match_batch(probes=[("prefix", prefix)])[0].append(tup)
+        assert store.tuples_for_prefix(prefix) == [tup]
+        assert store.match_batch(probes=[("prefix", prefix)]) == [[tup]]
+        assert store.tuples_for_key(key_for("R", "a", 1)) == [tup]
+
 
 class TestBatchOperations:
-    """The set-at-a-time APIs must agree exactly with their per-item forms."""
+    """The set-at-a-time APIs must agree exactly with their per-item forms.
+
+    Each batch method is called by keyword, so a backend that renames a
+    batch parameter fails here.
+    """
 
     def test_add_batch_matches_per_item_adds(self, store, schema):
         entries = [
             (key_for("R", "a", seq % 3), make_tuple(schema, (seq, seq), seq), float(seq))
             for seq in range(1, 9)
         ]
-        records = store.add_batch(entries)
+        records = store.add_batch(entries=entries)
         assert [r.tuple.sequence for r in records] == list(range(1, 9))
         assert [r.key for r in records] == [key for key, _, _ in entries]
         assert [r.stored_at for r in records] == [now for _, _, now in entries]
@@ -266,7 +376,7 @@ class TestBatchOperations:
             ("prefix", "plain"),
             ("prefix", prefix_for("R", "a")),  # repeated probe
         ]
-        batched = store.match_batch(probes)
+        batched = store.match_batch(probes=probes)
         assert len(batched) == len(probes)
         for (kind, text), result in zip(probes, batched):
             if kind == "key":
@@ -291,7 +401,7 @@ class TestBatchOperations:
         store.add(key_for("R", "a", 1), make_tuple(schema, (1, 1), 1), now=0.0)
         store.add(key_for("R", "b", 2), make_tuple(schema, (2, 2), 2), now=0.0)
         prefixes = [prefix_for("R", "a"), prefix_for("R", "b"), prefix_for("T", "a")]
-        mapping = store.tuples_for_prefixes(prefixes)
+        mapping = store.tuples_for_prefixes(prefixes=prefixes)
         assert set(mapping) == set(prefixes)
         for prefix in prefixes:
             assert mapping[prefix] == store.tuples_for_prefix(prefix)
@@ -353,31 +463,47 @@ class TestBatchOperations:
         assert store.remove_expired(sequenced_before=4) == 2
         assert [t.sequence for t in store.tuples_for_key("k")] == [4]
 
+    def test_empty_batches(self, store, schema):
+        store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)
+        assert store.add_batch(entries=[]) == []
+        assert store.match_batch(probes=[]) == []
+        assert store.tuples_for_prefixes(prefixes=[]) == {}
+        assert store.remove_expired() == 0
+        assert len(store) == 1
 
-class TestAppendLogCompaction:
-    def test_invalid_thresholds_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AppendLogTupleStore(compact_min_dead=0)
-        with pytest.raises(ConfigurationError):
-            AppendLogTupleStore(compact_dead_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            AppendLogTupleStore(compact_dead_fraction=1.5)
+    def test_match_batch_beyond_one_statement_chunk(self, store, schema):
+        """A batch of ~1,000 keys and buckets matches its per-probe answers."""
+        entries = [
+            (key_for(f"R{seq % 450}", "a", seq % 7), make_tuple(schema, (seq, seq), seq), 0.0)
+            for seq in range(1, 1001)
+        ]
+        store.add_batch(entries=entries)
+        probes = [("key", key) for key, _, _ in entries[::2]]
+        probes += [("prefix", prefix_for(f"R{n}", "a")) for n in range(460)]
+        batched = store.match_batch(probes=probes)
+        assert sum(map(len, batched)) == 500 + 1000
+        for (kind, text), result in zip(probes, batched):
+            if kind == "key":
+                assert result == store.tuples_for_key(text)
+            else:
+                assert result == store.tuples_for_prefix(text)
 
-    def test_append_log_honours_aggressive_thresholds(self, schema):
-        store = AppendLogTupleStore(compact_min_dead=1, compact_dead_fraction=0.01)
+
+class TestOnDiskSqlite:
+    def test_records_land_in_the_database_file(self, schema, tmp_path):
+        path = tmp_path / "node.db"
+        store = SqliteTupleStore(str(path))
         try:
-            assert store.compact_min_dead == 1
-            for seq in range(1, 21):
-                store.add(
-                    "k",
-                    make_tuple(schema, (seq, seq), seq, pub_time=float(seq)),
-                    now=0.0,
-                )
-            assert store.remove_published_before(11.0) == 10
-            # With a tombstone floor of one, a single sweep must compact.
-            assert store.compactions >= 1
-            assert [t.sequence for t in store.tuples_for_key("k")] == list(
-                range(11, 21)
+            empty = path.stat().st_size
+            store.add_batch(
+                entries=[
+                    (key_for("R", "a", seq), make_tuple(schema, (seq, "x" * 200), seq), 0.0)
+                    for seq in range(500)
+                ]
             )
+            store.flush()
+            assert path.stat().st_size > empty + 500 * 200
+            assert len(store.tuples_for_prefix(prefix_for("R", "a"))) == 500
         finally:
             store.close()
+

@@ -22,7 +22,6 @@ NON_DEFAULT = {
     "strategy": "worst",
     "store_backend": "sqlite",
     "allow_attribute_level_rewrites": False,
-    "shared_query_state": False,
     "altt_delta": 3.0,
     "ric_window": 10.0,
     "ric_freshness": 6.0,

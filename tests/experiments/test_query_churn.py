@@ -208,13 +208,13 @@ class TestOtherSchemaVersion:
             "cell": {"cell_id": "sc__v__rjoin__seed42"},
             "result": result_to_dict(result),
         }
-        _write_cell(tmp_path / "v13", "sc__v__rjoin__seed42", payload)
+        _write_cell(tmp_path / "current", "sc__v__rjoin__seed42", payload)
         _write_cell(
             tmp_path / "v12", "sc__v__rjoin__seed42", {**payload, "schema_version": 12}
         )
         out = io.StringIO()
         code = main(
-            ["report", "--diff", str(tmp_path / "v12"), str(tmp_path / "v13")],
+            ["report", "--diff", str(tmp_path / "v12"), str(tmp_path / "current")],
             out=out,
         )
         text = out.getvalue()
