@@ -15,7 +15,7 @@ from typing import Any, List, Optional, Set, Tuple as TupleT
 from repro.sql.ast import Query
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Answer:
     """One answer of a continuous query."""
 

@@ -17,6 +17,7 @@ collisions between the concatenations (e.g. ``R + "AB"`` vs ``"RA" + B``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
@@ -29,7 +30,7 @@ VALUE_LEVEL = "value"
 _SEPARATOR = "\x1f"  # unit separator: never present in identifiers or values
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IndexKey:
     """A DHT indexing key at the attribute or value level."""
 
@@ -37,14 +38,15 @@ class IndexKey:
     attribute: str
     value: Optional[Any] = None
     #: Canonical string form, the input of ``Hash()``: built once per key,
-    #: and no part of its identity (equal keys have equal texts).
+    #: and no part of its identity (equal keys have equal texts).  Interned:
+    #: every key, record and table entry naming one key holds one string.
     text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         text = f"{self.relation}{_SEPARATOR}{self.attribute}"
         if self.value is not None:
             text = f"{text}{_SEPARATOR}{self.value!r}"
-        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "text", sys.intern(text))
 
     # ------------------------------------------------------------------
     # properties

@@ -58,7 +58,7 @@ from repro.net.messages import Message
 from repro.sql.ast import Query
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subscriber:
     """One input query interested in a shared query state's answers."""
 
@@ -66,7 +66,7 @@ class Subscriber:
     owner: str
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryState:
     """The evaluation state of a continuous query (input or rewritten).
 
@@ -174,7 +174,7 @@ class QueryState:
         return f"QueryState({self.query_id}, {kind}, {self.query})"
 
 
-@dataclass
+@dataclass(slots=True)
 class NewTupleMessage(Message):
     """A freshly published tuple routed to one of its indexing keys."""
 
@@ -188,7 +188,7 @@ class NewTupleMessage(Message):
         return self.key.level
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexQueryMessage(Message):
     """An input query being indexed at an attribute-level key."""
 
@@ -196,7 +196,7 @@ class IndexQueryMessage(Message):
     key: IndexKey
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalMessage(Message):
     """A rewritten query being indexed (Procedure 3)."""
 
@@ -204,7 +204,7 @@ class EvalMessage(Message):
     key: IndexKey
 
 
-@dataclass
+@dataclass(slots=True)
 class RicRequestMessage(Message):
     """A chained request for RIC information (Section 6).
 
@@ -235,7 +235,7 @@ class RicRequestMessage(Message):
         return texts
 
 
-@dataclass
+@dataclass(slots=True)
 class RicReplyMessage(Message):
     """The final RIC reply, sent directly back to the requesting node.
 
@@ -249,7 +249,7 @@ class RicReplyMessage(Message):
     collected: TupleT[RicEntry, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class ArcNoticeMessage(Message):
     """What its sender knows of the ring, for a node that sent it a keyed
     message on a stale arc, or through the ring for want of one.
@@ -265,7 +265,7 @@ class ArcNoticeMessage(Message):
     arcs: List[TupleT[str, Arc, float]]
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerMessage(Message):
     """Answers of input queries, delivered to the owner they share.
 
@@ -286,7 +286,7 @@ class AnswerMessage(Message):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RetractQueryMessage(Message):
     """Retraction of a continuous query (query lifecycle subsystem).
 

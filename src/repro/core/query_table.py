@@ -29,19 +29,20 @@ from repro.core.dedup import ProjectionTracker
 from repro.core.keys import IndexKey
 from repro.core.protocol import QueryState
 from repro.core.rewriting import TriggerPlan, discriminating_selection
-from repro.sql.ast import Query
+from repro.sql.ast import Query, SelectionPredicate
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredQueryRecord:
     """A (rewritten or input) query stored at a node, with local bookkeeping.
 
     ``seq``, ``discriminator`` and ``share_key`` are maintained by the
     :class:`QueryTable` the record currently lives in: the insertion sequence
-    number (the deterministic trigger order), the ``(attribute, value)``
-    selection the predicate-aware index filed the record under (None for
+    number (the deterministic trigger order), the selection of the record's
+    query the predicate-aware index filed the record under (None for
     wildcard records) and the cheap part of its state's sharing identity
-    (None when the state is not shareable).  ``plan``
+    (None when the state is not shareable); so is ``key``, which the table
+    points at its bucket's one :class:`IndexKey`.  ``plan``
     is the compiled rewrite of the record's query by its key's relation,
     looked up by the first tuple that triggers the record and reused by every
     later one; it is not shipped with a re-homed record (the new home has its
@@ -53,7 +54,7 @@ class StoredQueryRecord:
     stored_at: float
     tracker: Optional[ProjectionTracker] = None
     seq: int = 0
-    discriminator: Optional[TupleT[str, object]] = None
+    discriminator: Optional[SelectionPredicate] = None
     share_key: Optional[Hashable] = None
     plan: Optional[TriggerPlan] = None
 
@@ -71,15 +72,19 @@ class _KeyBucket:
     discriminating selection) or in ``by_value[attribute][value]`` — the
     predicate-aware index an arriving tuple probes with its own values.
     ``expiry`` holds per-window-mode ``(deadline, seq)`` min-heaps so the
-    trigger path drops aged-out records without scanning the bucket.
-    ``by_share`` is the sharing index: the cheap part of a shareable state
-    (:func:`~repro.core.rewriting.canonical_state_key`) maps to the one
-    resident record that has it or, from the second such record on, to a
-    ``{query: record}`` dict — one entry per resident shareable record, freed
-    with it.
+    trigger path drops aged-out records without scanning the bucket.  Entries
+    of records removed otherwise are skipped when popped, and each heap holds
+    at most 2 × live records + 8 entries (:meth:`bound_expiry`).  ``key`` is
+    the :class:`IndexKey` of the bucket's first record, which every later
+    record points at.  ``by_share`` is the sharing index: the cheap part of a
+    shareable state (:func:`~repro.core.rewriting.canonical_state_key`) maps
+    to the one resident record that has it or, from the second such record
+    on, to a ``{query: record}`` dict — one entry per resident shareable
+    record, freed with it.
     """
 
     __slots__ = (
+        "key",
         "records",
         "wildcard",
         "by_value",
@@ -89,7 +94,8 @@ class _KeyBucket:
         "last_probe",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, key: IndexKey) -> None:
+        self.key = key
         self.records: Dict[int, StoredQueryRecord] = {}
         self.wildcard: Dict[int, StoredQueryRecord] = {}
         self.by_value: Dict[str, Dict[object, Dict[int, StoredQueryRecord]]] = {}
@@ -109,6 +115,17 @@ class _KeyBucket:
         self.last_probe: Optional[
             TupleT[int, TupleT[object, ...], List[StoredQueryRecord]]
         ] = None
+
+    def bound_expiry(self, mode: str) -> None:
+        """Drop ``mode``'s stale heap entries once they break the bound.
+
+        Popping skips them anyway, so no trigger order or drop count changes.
+        """
+        heap = self.expiry[mode]
+        if len(heap) > 2 * len(self.records) + 8:
+            # In place: :meth:`QueryTable.probe` may be popping this very list.
+            heap[:] = [entry for entry in heap if entry[1] in self.records]
+            heapq.heapify(heap)
 
 
 class QueryTable:
@@ -143,22 +160,22 @@ class QueryTable:
         """Store ``record`` under ``key_text``, (re)indexing it for probes."""
         bucket = self._by_key.get(key_text)
         if bucket is None:
-            bucket = _KeyBucket()
-            self._by_key[key_text] = bucket
+            bucket = self._by_key[key_text] = _KeyBucket(record.key)
+        else:
+            record.key = bucket.key
         seq = next(self._tiebreak)
         record.seq = seq
         bucket.records[seq] = record
         bucket.version += 1
         self._size += 1
 
-        record.discriminator = self._discriminator_of(record)
-        if record.discriminator is None:
+        sp = record.discriminator = self._discriminator_of(record)
+        if sp is None:
             bucket.wildcard[seq] = record
         else:
-            attribute, value = record.discriminator
-            bucket.by_value.setdefault(attribute, {}).setdefault(value, {})[
-                seq
-            ] = record
+            bucket.by_value.setdefault(sp.attribute.attribute, {}).setdefault(
+                sp.value, {}
+            )[seq] = record
 
         if record.share_key is not None:
             # The first record with a cheap part is filed as it is, without a
@@ -190,8 +207,8 @@ class QueryTable:
     @staticmethod
     def _discriminator_of(
         record: StoredQueryRecord,
-    ) -> Optional[TupleT[str, object]]:
-        """The ``(attribute, value)`` group the record is filed under.
+    ) -> Optional[SelectionPredicate]:
+        """The selection whose ``(attribute, value)`` group the record is filed under.
 
         Only safe discriminators are used: an explicit selection on the
         record's key relation (step 1 of the rewrite kills mismatching
@@ -216,7 +233,7 @@ class QueryTable:
             hash(sp.value)
         except TypeError:
             return None
-        return (sp.attribute.attribute, sp.value)
+        return sp
 
     def _remove_record(
         self, key_text: str, bucket: _KeyBucket, record: StoredQueryRecord
@@ -226,17 +243,18 @@ class QueryTable:
         del bucket.records[seq]
         bucket.version += 1
         self._size -= 1
-        if record.discriminator is None:
+        sp = record.discriminator
+        if sp is None:
             bucket.wildcard.pop(seq, None)
         else:
-            attribute, value = record.discriminator
+            attribute = sp.attribute.attribute
             groups = bucket.by_value.get(attribute)
             if groups is not None:
-                group = groups.get(value)
+                group = groups.get(sp.value)
                 if group is not None:
                     group.pop(seq, None)
                     if not group:
-                        del groups[value]
+                        del groups[sp.value]
                         if not groups:
                             del bucket.by_value[attribute]
         if record.share_key is not None:
@@ -249,6 +267,10 @@ class QueryTable:
                     del bucket.by_share[record.share_key]
         if not bucket.records:
             del self._by_key[key_text]
+            return
+        window = record.state.query.window
+        if window is not None:
+            bucket.bound_expiry(window.mode)
 
     # ------------------------------------------------------------------
     # probing (the tuple-arrival fast path)

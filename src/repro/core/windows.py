@@ -28,7 +28,7 @@ from repro.data.tuples import Tuple
 from repro.sql.ast import WindowSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowState:
     """Clock span of the tuples consumed so far by a rewritten query."""
 

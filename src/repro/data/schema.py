@@ -20,7 +20,7 @@ from repro.errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class AttributeRef:
     """A reference to an attribute of a relation, e.g. ``R.A``.
 

@@ -23,7 +23,7 @@ from repro.data.schema import RelationSchema
 from repro.errors import SchemaError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tuple:
     """An immutable published tuple of an append-only relation."""
 

@@ -24,7 +24,7 @@ from repro.obs.trace import TraceContext
 _MESSAGE_COUNTER = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """Base class for every protocol message."""
 
@@ -36,7 +36,7 @@ class Message:
         return type(self).__name__
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """A message in flight, together with its routing metadata."""
 

@@ -22,13 +22,13 @@ Queries are immutable.  The rewriting step of RJoin (Section 3) produces a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, FrozenSet, List, Optional, Tuple, Union
 
 from repro.data.schema import AttributeRef, Catalog
 from repro.errors import PredicateBindingError, UnsupportedQueryError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Constant:
     """A literal value appearing in a select list or predicate."""
 
@@ -44,7 +44,7 @@ SelectItem = Union[AttributeRef, Constant]
 Operand = Union[AttributeRef, Constant]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinPredicate:
     """An equi-join predicate ``left = right`` between two attribute refs."""
 
@@ -95,7 +95,7 @@ class JoinPredicate:
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionPredicate:
     """An equality selection ``attr = constant``."""
 
@@ -146,7 +146,7 @@ class WindowSpec:
         return f"WINDOW {size} {unit}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """An immutable (possibly rewritten) continuous equi-join query.
 
@@ -176,34 +176,6 @@ class Query:
             raise UnsupportedQueryError(
                 "self-joins (a relation listed twice in FROM) are not supported"
             )
-
-    def __hash__(self) -> int:
-        """The hash of the field values, computed once per object.
-
-        A stored query is looked up by value again and again (state sharing
-        keys on it); hashing the whole tree each time was the cost.  The
-        remembered hash lives beside the fields, not among them.
-        """
-        cached: Optional[int] = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = hash(
-                (
-                    self.select_items,
-                    self.relations,
-                    self.join_predicates,
-                    self.selection_predicates,
-                    self.distinct,
-                    self.window,
-                )
-            )
-        return cached
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """The fields only: string hashes differ between processes, so a
-        pickled or copied query must not bring its remembered hash along."""
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
     # ------------------------------------------------------------------
     # structural accessors

@@ -5,7 +5,8 @@ sharing identity (:func:`~repro.core.rewriting.canonical_state_key`) first,
 the query only among the resident records that have that part.  These tests
 pin what that buys — a miss touches no query, a hit costs O(1) however many
 records share the part — and that hosts come and go exactly as a plain
-dictionary keyed on the full ``(query, cheap part)`` says.
+dictionary keyed on the full ``(query, cheap part)`` says.  The table's
+per-bucket expiry heaps keep to their bound however records leave.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.keys import attribute_key
 from repro.core.protocol import QueryState
-from repro.core.query_table import QueryTable, StoredQueryRecord
+from repro.core.query_table import QueryTable, StoredQueryRecord, _KeyBucket
 from repro.core.rewriting import canonical_state_key
 from repro.core.windows import WindowState
 from repro.data.schema import AttributeRef
@@ -320,3 +321,42 @@ class TestUnhashableConstants:
         for record in records + later + [late]:
             table.remove_query(record.state.query_id)
         assert len(table) == 0 and list(table.keys()) == []
+
+
+class TestExpiryHeapBound:
+    """A bucket's expiry heap holds at most 2 × live records + 8 entries."""
+
+    STEPS = 400
+
+    def expire_through_gc(self):
+        """One record per clock tick under one never-probed key, each tick
+        followed by a table-wide ``gc_expired``; then one probe per value."""
+        table = QueryTable()
+        window = WindowSpec(size=10, mode="tuples")
+        drops, sizes = [], []
+        for clock in range(self.STEPS):
+            span = WindowState(float(clock), float(clock))
+            query = make_query(clock % 3, window)
+            table.add("k", make_record(f"q{clock}", query, 0.0, span, consumed=1))
+            drops.append(table.gc_expired({"tuples": float(clock)}))
+            bucket = table._by_key["k"]
+            sizes.append((len(bucket.expiry["tuples"]), len(bucket.records)))
+        probes = []
+        for constant in range(3):
+            candidates, dropped = table.probe(
+                "k", {"tuples": self.STEPS + 3.0}, lambda attribute, c=constant: c
+            )
+            probes.append(([record.state.query_id for record in candidates], dropped))
+        return drops, sizes, probes
+
+    def test_gc_of_a_never_probed_bucket_keeps_its_heap_bounded(self, monkeypatch):
+        drops, sizes, probes = self.expire_through_gc()
+        assert all(heap <= 2 * live + 8 for heap, live in sizes)
+        assert sum(drops) >= self.STEPS - 20
+        monkeypatch.setattr(_KeyBucket, "bound_expiry", lambda bucket, mode: None)
+        unbounded = self.expire_through_gc()
+        # Without the bound the stale entries pile up, and nothing else differs.
+        assert unbounded[1][-1][0] > self.STEPS - 20
+        assert (drops, probes) == (unbounded[0], unbounded[2])
+        assert sum(dropped for _, dropped in probes) > 0
+        assert [ids for ids, _ in probes] != [[], [], []]
