@@ -33,11 +33,10 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple as TupleT,
     Union,
 )
 
-from repro.core.answers import Answer, QueryHandle
+from repro.core.answers import QueryHandle
 from repro.core.config import RJoinConfig
 from repro.core.keys import tuple_index_keys
 from repro.core.lifecycle import QueryLifecycleManager
@@ -193,8 +192,6 @@ class RJoinEngine:
 
         # Bookkeeping -------------------------------------------------------
         self._handles: Dict[str, QueryHandle] = {}
-        # (produced_at, delivered_at) of the last collected answer envelope.
-        self._answer_times: TupleT[float, float] = (0.0, 0.0)
         self._query_counter = 0
         self._sequence = 0
         self._published = 0
@@ -610,30 +607,15 @@ class RJoinEngine:
     def _collect_answer(self, message: AnswerMessage, delivered_at: float) -> None:
         """Hand every answer of a delivered envelope to its query's handle."""
         handles = self._handles
-        # Answers are what keeps these floats alive, and envelopes delivered
-        # one after the other mostly repeat the same two times: share one
-        # float object per time instead of holding one per envelope.
-        times = (message.produced_at, delivered_at)
-        if times == self._answer_times:
-            times = self._answer_times
-        else:
-            self._answer_times = times
-        produced_at, delivered_at = times
+        stamp = (message.produced_at, delivered_at, message.producer)
         collected = 0
         for query_id, values in message.answers:
             handle = handles.get(query_id)
             if handle is None:
                 continue
-            handle.add_answer(
-                Answer(
-                    query_id=query_id,
-                    values=values,
-                    produced_at=produced_at,
-                    delivered_at=delivered_at,
-                    producer=message.producer,
-                )
-            )
-            collected += 1
+            for answer in values:
+                handle.add_answer(answer, stamp)
+            collected += len(values)
         if self.obs is not None and collected:
             self.obs.record_answer_latency(delivered_at, collected)
 
@@ -808,7 +790,7 @@ class RJoinEngine:
             kept = message.only(owned_set)
             if not kept.answers:
                 return None
-            return successor, kept, len(kept.answers)
+            return successor, kept, kept.count
 
         rerouted = self.api.redirect_in_flight(address, reroute)
         if rerouted:

@@ -209,10 +209,10 @@ class RJoinNode:
         self._plans: "weakref.WeakValueDictionary[Hashable, TriggerPlan]" = (
             weakref.WeakValueDictionary()
         )
-        #: Answers the running handler produced so far, per resolved owner
-        #: (in order of first answer); :meth:`handle_envelope` sends them
+        #: Answers the running handler produced so far, per resolved owner and
+        #: query (in order of first answer); :meth:`handle_envelope` sends them
         #: when the handler returns, so it never outlives one invocation.
-        self._answers: Dict[str, List[TupleT[str, TupleT[Any, ...]]]] = {}
+        self._answers: Dict[str, Dict[str, List[TupleT[Any, ...]]]] = {}
         # Dispatch ------------------------------------------------------------
         #: Message type -> handler ``(message, delivered_at)``.
         self._dispatch: Dict[type, Callable[[Any, float], None]] = {
@@ -483,29 +483,20 @@ class RJoinNode:
         self.ctx.loads.record_answer(self.address, len(values))
         if self.ctx.resolve_owner is not None:
             owner = self.ctx.resolve_owner(query_id, owner)
-        entries = [(query_id, answer) for answer in values]
-        pending = self._answers.get(owner)
-        if pending is None:
-            self._answers[owner] = entries
-        else:
-            pending.extend(entries)
+        self._answers.setdefault(owner, {}).setdefault(query_id, []).extend(values)
 
     def _flush_answers(self, now: float) -> None:
         """Send what the handler produced: one envelope per owner.
 
-        The envelope is charged one message per answer it carries, which is
-        what the paper's one-message-per-answer delivery costs.  ``now`` is
-        the delivery time of the envelope that was handled: the answers
-        were produced, and leave, then.
+        The envelope carries one group per query and is charged one message
+        per answer, which is what the paper's one-message-per-answer
+        delivery costs.  ``now`` is the delivery time of the envelope that
+        was handled: the answers were produced, and leave, then.
         """
         answers, self._answers = self._answers, {}
-        for owner, entries in answers.items():
-            self.ctx.api.send_direct(
-                self.address,
-                AnswerMessage(answers=entries, produced_at=now, producer=self.address),
-                owner,
-                weight=len(entries),
-            )
+        for owner, groups in answers.items():
+            message = AnswerMessage(list(groups.items()), now, self.address)
+            self.ctx.api.send_direct(self.address, message, owner, weight=message.count)
 
     # ------------------------------------------------------------------
     # receiving an input query

@@ -22,8 +22,8 @@ machinery of Sections 6–7 and answer delivery:
   message reached through the ring — its sender knew no arc for it — tells
   the sender likewise; either way with the arcs it has cached itself,
 * :class:`AnswerMessage` — answers of input queries, sent directly to the
-  node that submitted them: every ``(query id, values)`` one handler
-  invocation produced for one owner travels in one envelope, charged as one
+  node that submitted them: every answer one handler invocation produced for
+  one owner travels in one envelope, one group per query, charged as one
   message *per answer* (see :meth:`~repro.dht.api.DHTMessagingService.send_direct`'s
   ``weight``), so the message counts of Section 8 are those of one message
   per answer,
@@ -269,18 +269,23 @@ class ArcNoticeMessage(Message):
 class AnswerMessage(Message):
     """Answers of input queries, delivered to the owner they share.
 
-    ``answers`` holds one ``(query id, answer values)`` entry per logical
-    answer, in production order; a single answer is a list of one.
+    ``answers`` holds one ``(query id, values list)`` group per query, each
+    group's answers in production order; a single answer is one group of one.
     """
 
-    answers: List[TupleT[str, TupleT[Any, ...]]]
+    answers: List[TupleT[str, List[TupleT[Any, ...]]]]
     produced_at: float
     producer: str
 
+    @property
+    def count(self) -> int:
+        """The number of answers carried, over every group."""
+        return sum(len(values) for _, values in self.answers)
+
     def only(self, query_ids: Container[str]) -> "AnswerMessage":
-        """The same message restricted to the answers of ``query_ids``."""
+        """The same message restricted to the groups of ``query_ids``."""
         return AnswerMessage(
-            answers=[entry for entry in self.answers if entry[0] in query_ids],
+            answers=[group for group in self.answers if group[0] in query_ids],
             produced_at=self.produced_at,
             producer=self.producer,
         )

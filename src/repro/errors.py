@@ -104,6 +104,10 @@ class RewriteError(EngineError):
     """A query rewrite step was applied to an incompatible tuple."""
 
 
+class AnswerIndexError(EngineError, IndexError):
+    """An answer was asked for by a position the handle does not hold."""
+
+
 class ExperimentError(ReproError):
     """An experiment configuration or run is invalid."""
 

@@ -94,9 +94,10 @@ class TestCoalescing:
         (envelope,) = answer_envelopes(posted)
         assert envelope.sender == producer and envelope.destination == owner
         assert envelope.hops == 1 and envelope.weight == k
-        assert [query_id for query_id, _ in envelope.message.answers] == (
-            [handle.query_id] * k
-        )
+        # One group of k values: the query travels once, not once per answer.
+        ((query_id, values),) = envelope.message.answers
+        assert query_id == handle.query_id and len(values) == k
+        assert envelope.message.count == k
         # Traffic stays per logical answer: k sends for the one envelope.
         assert engine.traffic.total_messages - messages_before == charged(posted)
         sent = engine.traffic.node(producer).sent - sent_before
@@ -107,6 +108,34 @@ class TestCoalescing:
             envelope.sent_at + engine.config.hop_delay
         }
         assert {answer.produced_at for answer in handle.answers} == {envelope.sent_at}
+        engine.close()
+
+    def test_two_queries_of_one_owner_share_one_envelope_one_group_each(self):
+        engine = make_engine()
+        producer = producer_of(engine)
+        owner = another_node(engine, producer)
+        first = engine.submit(SQL, owner=owner)
+        second = engine.submit(SQL.replace("R.a, S.d", "S.d, R.a"), owner=owner)
+        # Two rewrites of each query wait at S.c = 10, so the S tuple meets
+        # all four in one handler at the producer.
+        engine.publish("R", (1, 10))
+        engine.publish("R", (2, 10))
+        posted = record_posts(engine)
+        engine.publish("S", (10, 5))
+
+        (envelope,) = answer_envelopes(posted)
+        assert envelope.sender == producer and envelope.destination == owner
+        groups = dict(envelope.message.answers)
+        assert len(envelope.message.answers) == 2
+        assert envelope.weight == envelope.message.count == 4
+        assert groups == {
+            first.query_id: [(1, 5), (2, 5)],
+            second.query_id: [(5, 1), (5, 2)],
+        }
+        # Each handle holds its group as produced.
+        assert first.values() == groups[first.query_id]
+        assert second.values() == groups[second.query_id]
+        assert {answer.producer for answer in first.answers} == {producer}
         engine.close()
 
     def test_shared_state_with_two_owners_posts_two_envelopes(self):
@@ -290,18 +319,18 @@ class TestTimestamps:
         assert all(produced <= delivered for _, _, produced, delivered in times)
         assert self.answer_times("asyncio") == (times, clock)
 
-    def test_answers_of_one_time_share_their_time_floats(self):
-        """Handles keep every answer: one float per time, not per envelope."""
+    def test_a_delivered_group_is_stamped_once(self):
+        """A handle keeps one stamp per delivered group, not one per answer."""
         engine = make_engine()
-        first, second = engine.submit(SQL), engine.submit(SQL.replace("S.d", "S.c"))
+        handle = engine.submit(SQL)
         engine.publish("S", (10, 0))
+        engine.publish("S", (10, 1))
         engine.publish("R", (1, 10))
-        (one,), (other,) = first.answers, second.answers
-        assert (one.produced_at, one.delivered_at) == (
-            other.produced_at, other.delivered_at
+        one, other = handle.answers
+        assert (one.produced_at, one.delivered_at, one.producer) == (
+            other.produced_at, other.delivered_at, other.producer
         )
-        assert one.produced_at is other.produced_at
-        assert one.delivered_at is other.delivered_at
+        assert len(handle.answers._starts) == 1
         engine.close()
 
 

@@ -30,15 +30,6 @@ def make_state(is_input=True):
 
 
 class TestQueryHandle:
-    def answer(self, values):
-        return Answer(
-            query_id="n1#1",
-            values=values,
-            produced_at=1.0,
-            delivered_at=2.0,
-            producer="x",
-        )
-
     def test_collection_and_accessors(self):
         handle = QueryHandle(
             query_id="n1#1",
@@ -48,13 +39,14 @@ class TestQueryHandle:
         )
         assert handle.count == 0
         assert handle.latest() is None
-        handle.add_answer(self.answer((1,)))
-        handle.add_answer(self.answer((1,)))
-        handle.add_answer(self.answer((2,)))
+        handle.add_answer((1,), (1.0, 2.0, "x"))
+        handle.add_answer((1,), (1.0, 2.0, "x"))
+        handle.add_answer((2,), (1.0, 3.0, "y"))
         assert handle.count == 3
         assert handle.values() == [(1,), (1,), (2,)]
         assert handle.distinct_values() == {(1,), (2,)}
-        assert handle.latest().values == (2,)
+        assert handle.latest() == Answer("n1#1", (2,), 1.0, 3.0, "y")
+        assert handle.answers[0] == Answer("n1#1", (1,), 1.0, 2.0, "x")
 
 
 class TestQueryState:
@@ -97,7 +89,7 @@ class TestProtocolMessages:
             EvalMessage(state=state, key=key),
             RicRequestMessage(request_id="r", origin="n", target_key=key),
             RicReplyMessage(request_id="r"),
-            AnswerMessage(answers=[("q", (1,))], produced_at=0.0, producer="n"),
+            AnswerMessage(answers=[("q", [(1,)])], produced_at=0.0, producer="n"),
         ]
         ids = [message.message_id for message in messages]
         assert len(set(ids)) == len(ids)

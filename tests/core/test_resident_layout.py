@@ -17,7 +17,7 @@ import pickle
 import pytest
 
 from repro.core import protocol
-from repro.core.answers import Answer
+from repro.core.answers import Answer, AnswerLog
 from repro.core.keys import IndexKey
 from repro.core.protocol import (
     AnswerMessage,
@@ -72,6 +72,10 @@ TUPLE = Tuple.from_schema(
     RelationSchema("R", ["a", "b"]), (1, "y"), pub_time=1.5, sequence=4,
     publisher="n2",
 )
+LOG = AnswerLog("q1")
+LOG.add((1, 3), (2.0, 3.0, "n4"))
+LOG.add((1, 4), (2.0, 3.0, "n4"))
+LOG.add((1, 3), (2.0, 4.0, "n5"))
 
 #: One instance of every slotted class a node, a handle or a delivery holds
 #: per record, answer or message.
@@ -92,13 +96,14 @@ SLOTTED = [
         share_key=(2.0, SPAN, False, 1),
     ),
     Answer("q1", (1, 3), produced_at=2.0, delivered_at=3.0, producer="n4"),
+    LOG,
     NewTupleMessage(TUPLE, KEY, "n2"),
     IndexQueryMessage(STATE, KEY.at_attribute_level()),
     EvalMessage(STATE, KEY),
     RicRequestMessage("n0/ric-1", "n0", KEY, pending=(KEY,), collected=(ENTRY,)),
     RicReplyMessage("n0/ric-1", (ENTRY,)),
     ArcNoticeMessage([("n1", (1, 2), 0.5)]),
-    AnswerMessage([("q1", (1, 3))], produced_at=2.0, producer="n4"),
+    AnswerMessage([("q1", [(1, 3), (1, 4)])], produced_at=2.0, producer="n4"),
     RetractQueryMessage("q1", "n0"),
     Message(),
     Envelope(
