@@ -42,6 +42,7 @@ from repro.core.engine import RJoinEngine
 from repro.core.keys import IndexKey
 from repro.core.node import QueryTable, StoredQueryRecord
 from repro.core.protocol import QueryState
+from repro.core.rewriting import QueryShape
 from repro.data.schema import Catalog
 from repro.sql.ast import AttributeRef, Constant, Query, SelectionPredicate
 
@@ -86,6 +87,7 @@ def _rewritten_query(constant: int) -> Query:
 
 def _build_table(num_queries: int) -> QueryTable:
     table = QueryTable()
+    shape = QueryShape()  # every record has one shape, as in the engine
     for k in range(num_queries):
         state = QueryState(
             query_id=f"q{k}",
@@ -94,6 +96,7 @@ def _build_table(num_queries: int) -> QueryTable:
             insertion_time=0.0,
             is_input=False,
             consumed=1,
+            shape=shape,
         )
         table.add(KEY.text, StoredQueryRecord(state=state, key=KEY, stored_at=0.0))
     return table

@@ -24,10 +24,12 @@ at any time through :attr:`traffic`, :attr:`loads` and
 from __future__ import annotations
 
 import random
+import weakref
 from contextlib import nullcontext
 from typing import (
     ContextManager,
     Dict,
+    Hashable,
     Iterable,
     List,
     Mapping,
@@ -48,6 +50,7 @@ from repro.core.protocol import (
     RetractQueryMessage,
     RicRequestMessage,
 )
+from repro.core.rewriting import QueryShape, shape_key
 from repro.core.strategy import IndexingStrategy, make_strategy
 from repro.data.schema import Catalog, RelationSchema
 from repro.data.tuples import Tuple
@@ -192,6 +195,12 @@ class RJoinEngine:
 
         # Bookkeeping -------------------------------------------------------
         self._handles: Dict[str, QueryHandle] = {}
+        #: Input query shape (:func:`~repro.core.rewriting.shape_key`) -> the
+        #: one :class:`~repro.core.rewriting.QueryShape` its states carry:
+        #: one entry per shape some live state has, freed with the last one.
+        self._shapes: "weakref.WeakValueDictionary[Hashable, QueryShape]" = (
+            weakref.WeakValueDictionary()
+        )
         self._query_counter = 0
         self._sequence = 0
         self._published = 0
@@ -279,12 +288,17 @@ class RJoinEngine:
         self._handles[query_id] = handle
         self._submitted_total += 1
         self.lifecycle.register(handle)
+        key = shape_key(parsed)
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = QueryShape()
         state = QueryState(
             query_id=query_id,
             owner=owner,
             query=parsed,
             insertion_time=insertion_time,
             is_input=True,
+            shape=shape,
         )
         with self._operation("submit", f"sub-{query_id}", owner):
             self.nodes[owner].submit_query(state)

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import heapq
 import random
-import weakref
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    Hashable,
     List,
     Optional,
     Sequence,
@@ -53,19 +51,9 @@ from repro.core.protocol import (
     RicRequestMessage,
 )
 from repro.core.query_table import QueryTable, StoredQueryRecord
-from repro.core.rewriting import (
-    TriggerPlan,
-    canonical_state_key,
-    compile_plan,
-    plan_key,
-    rewrite_query,
-)
+from repro.core.rewriting import canonical_state_key, rewrite_query
 from repro.core.ric import Arc, CandidateTable, RateTracker, RicEntry, arc_holds
-from repro.core.strategy import (
-    CandidatePlan,
-    IndexingStrategy,
-    input_query_candidates,
-)
+from repro.core.strategy import IndexingStrategy, input_query_candidates
 from repro.core.windows import expired, extend
 from repro.core.config import RJoinConfig
 from repro.data.backends import PREFIX_PROBE, StoreBackend, make_store
@@ -77,7 +65,7 @@ from repro.dht.hashing import IdentifierSpace
 from repro.errors import EngineError
 from repro.metrics.collectors import LoadTracker
 from repro.net.messages import Envelope, Message
-from repro.sql.ast import Query, WindowSpec
+from repro.sql.ast import WindowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.lifecycle import HandleRegistration
@@ -203,12 +191,6 @@ class RJoinNode:
         self.arc_sends_direct = 0
         self.arc_sends_misdirected = 0
         # Answer path ---------------------------------------------------------
-        #: Query shape -> compiled rewrite (:func:`~repro.core.rewriting.plan_key`),
-        #: shared by every record of that shape stored here and freed with
-        #: the last of them.
-        self._plans: "weakref.WeakValueDictionary[Hashable, TriggerPlan]" = (
-            weakref.WeakValueDictionary()
-        )
         #: Answers the running handler produced so far, per resolved owner and
         #: query (in order of first answer); :meth:`handle_envelope` sends them
         #: when the handler returns, so it never outlives one invocation.
@@ -411,7 +393,7 @@ class RJoinNode:
                 ):
                     continue
                 if plan is None:
-                    plan = record.plan = self._plan_for(query, relation, schema)
+                    plan = record.plan = state.shape.plan_for(query, relation, schema)
                 result = rewrite_query(query, tup, schema, plan)
                 if result.dead:
                     continue
@@ -420,11 +402,10 @@ class RJoinNode:
                 if values is None:  # not an answer yet: re-index the rewrite
                     child = result.query
                     assert child is not None
-                    if plan.child is None:
-                        plan.child = CandidatePlan(child)
+                    shape = plan.child_shape
                     self._index_query(
-                        state.derive(child, extend(window, span, tup)),
-                        plan.child.apply(
+                        state.derive(child, extend(window, span, tup), shape),
+                        shape.candidate_plan(child).apply(
                             child, self.ctx.config.allow_attribute_level_rewrites
                         ),
                     )
@@ -442,16 +423,6 @@ class RJoinNode:
                 self.ctx.record_queries_triggered(fired)
             if answers:
                 self._buffer_answers(state.query_id, state.owner, answers)
-
-    def _plan_for(
-        self, query: Query, relation: str, schema: RelationSchema
-    ) -> TriggerPlan:
-        """The node's one plan for queries of ``query``'s shape."""
-        key = plan_key(query, relation)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = compile_plan(query, relation, schema)
-        return plan
 
     @staticmethod
     def _make_tracker(state: QueryState) -> Optional[ProjectionTracker]:
@@ -1125,7 +1096,6 @@ class RJoinNode:
                 if not should_move(key_text):
                     continue
                 for record in table.pop_key(key_text):
-                    record.plan = None
                     items.append(
                         RehomedItem(kind=kind, key_text=key_text, payload=record)
                     )

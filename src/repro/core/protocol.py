@@ -47,10 +47,11 @@ answer fans out to each subscriber's owner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Container, List, Optional, Tuple as TupleT
 
 from repro.core.keys import IndexKey
+from repro.core.rewriting import QueryShape
 from repro.core.ric import Arc, RicEntry
 from repro.core.windows import WindowState
 from repro.data.tuples import Tuple
@@ -90,11 +91,16 @@ class QueryState:
     #: state carries none.
     ric_info: TupleT[RicEntry, ...] = ()
     extra_subscribers: TupleT[Subscriber, ...] = ()
+    #: What is compiled for every query of ``query``'s shape: the engine's
+    #: one per input shape, or the ``child_shape`` of the plan that rewrote
+    #: the parent; a state built without one gets its own.
+    shape: QueryShape = field(default_factory=QueryShape, compare=False, repr=False)
 
     def derive(
-        self, query: Query, window_state: Optional[WindowState]
+        self, query: Query, window_state: Optional[WindowState], shape: QueryShape
     ) -> "QueryState":
-        """The state of the query obtained by consuming one more tuple."""
+        """The state of ``query`` (of ``shape``), obtained by consuming one
+        more tuple."""
         return QueryState(
             query_id=self.query_id,
             owner=self.owner,
@@ -104,6 +110,7 @@ class QueryState:
             window_state=window_state,
             consumed=self.consumed + 1,
             extra_subscribers=self.extra_subscribers,
+            shape=shape,
         )
 
     @property

@@ -28,7 +28,7 @@ from typing import (
 from repro.core.dedup import ProjectionTracker
 from repro.core.keys import IndexKey
 from repro.core.protocol import QueryState
-from repro.core.rewriting import TriggerPlan, discriminating_selection
+from repro.core.rewriting import TriggerPlan
 from repro.sql.ast import Query, SelectionPredicate
 
 
@@ -42,11 +42,11 @@ class StoredQueryRecord:
     query the predicate-aware index filed the record under (None for
     wildcard records) and the cheap part of its state's sharing identity
     (None when the state is not shareable); so is ``key``, which the table
-    points at its bucket's one :class:`IndexKey`.  ``plan``
-    is the compiled rewrite of the record's query by its key's relation,
-    looked up by the first tuple that triggers the record and reused by every
-    later one; it is not shipped with a re-homed record (the new home has its
-    own).
+    points at its bucket's one :class:`IndexKey`.  ``plan`` points at the
+    compiled rewrite of the record's query by its key's relation in the
+    state's :class:`~repro.core.rewriting.QueryShape`: looked up by the first
+    tuple that triggers the record and reused by every later one, on this
+    node or, after a re-homing, on the next.
     """
 
     state: QueryState
@@ -134,7 +134,7 @@ class QueryTable:
     Both node-local query tables (input and rewritten) use this structure.
     Under each key text, records are sub-indexed by the discriminating bound
     values their trigger conditions test (see
-    :func:`~repro.core.rewriting.discriminating_selection`), so a tuple
+    :meth:`~repro.core.rewriting.QueryShape.discriminator`), so a tuple
     arrival fetches only the records its values can actually rewrite —
     mirroring the tuple store's prefix index, but over queries.  The table
     also keeps per-bucket and table-wide expiry heaps (window GC without
@@ -217,15 +217,14 @@ class QueryTable:
         admitted tuple, so those records must see every arrival.  At the
         value level the key's own attribute is trivially satisfied by every
         arriving tuple, so a selection on any *other* attribute is
-        preferred.
+        preferred.  Which selection that is, the state's shape knows.
         """
         if record.tracker is not None:
             return None
         key = record.key
-        sp = discriminating_selection(
-            record.state.query,
-            key.relation,
-            prefer_other_than=key.attribute if key.is_value_level else None,
+        state = record.state
+        sp = state.shape.discriminator(
+            state.query, key.relation, key.attribute if key.is_value_level else None
         )
         if sp is None:
             return None

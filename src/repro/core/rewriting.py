@@ -22,15 +22,16 @@ Everything in that list except the values is the same for every tuple of
 so a rewrite is *compile + apply*: :func:`compile_plan` works out the
 :class:`TriggerPlan` of ``(shape of q, R)`` once, :meth:`TriggerPlan.apply`
 runs it on a query's constants and a tuple's values by position.
-:func:`rewrite_query` does both; a caller that rewrites stored queries by
-many tuples (the nodes' trigger path) keeps the plans and passes them back
-in.
+:func:`rewrite_query` does both.  The nodes' trigger path keeps what it
+compiles in the :class:`QueryShape` every query state carries, so each
+shape is compiled once per engine, not once per node or per query.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple as TupleT
 
+from repro.core.strategy import CandidatePlan
 from repro.data.schema import AttributeRef, RelationSchema
 from repro.data.tuples import Tuple
 from repro.errors import RewriteError, SchemaError
@@ -39,7 +40,6 @@ from repro.sql.predicates import is_contradictory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.protocol import QueryState
-    from repro.core.strategy import CandidatePlan
 
 
 class RewriteResult:
@@ -97,35 +97,6 @@ class RewriteResult:
 DEAD = RewriteResult(dead=True)
 
 
-def discriminating_selection(
-    query: Query, relation: str, prefer_other_than: Optional[str] = None
-) -> Optional[SelectionPredicate]:
-    """The explicit selection on ``relation`` a trigger check tests first.
-
-    A stored query can only be rewritten by a tuple of ``relation`` whose
-    value for the selected attribute equals the selection's constant (step 1
-    of :func:`rewrite_query` returns :data:`DEAD` otherwise), so this
-    predicate is a safe *discriminator* for the query index: the index files
-    the record under the selection's ``(attribute, value)`` and an arriving
-    tuple only fetches records whose discriminator matches (or records with
-    no discriminator at all).
-
-    ``prefer_other_than`` names an attribute the caller already knows to be
-    bound (e.g. the value-level index key's attribute, which every resident
-    record trivially matches) — a selection on any *other* attribute prunes
-    more, so it wins when available.
-    """
-    first: Optional[SelectionPredicate] = None
-    for sp in query.selection_predicates:
-        if sp.attribute.relation != relation:
-            continue
-        if first is None:
-            first = sp
-        if sp.attribute.attribute != prefer_other_than:
-            return sp
-    return first
-
-
 def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
     """The cheap part of a state's sharing identity (None: do not share).
 
@@ -158,7 +129,7 @@ class TriggerPlan:
     Which selections to check and at which tuple position, which joins turn
     into selections on which other attribute, where the select list takes
     tuple values, what remains of FROM and WHERE, and whether the result is
-    an answer are fixed by the query's *shape* (:func:`plan_key`: the query
+    an answer are fixed by the query's *shape* (:func:`shape_key`: the query
     with its constants blanked) and the relation.  The plan holds positions
     and indexes only — :meth:`apply` reads the tuple's values and the
     query's constants through them — so every query of one shape can share
@@ -177,8 +148,7 @@ class TriggerPlan:
         "relations",
         "fills",
         "complete",
-        "child",
-        "__weakref__",
+        "child_shape",
     )
 
     def __init__(self, query: Query, relation: str, schema: RelationSchema) -> None:
@@ -186,9 +156,10 @@ class TriggerPlan:
         selections = query.selection_predicates
         self.relation = relation
         self.arity = schema.arity
-        #: The candidate plan of the live rewrites this plan produces — they
-        #: all have one shape; compiled by whoever indexes the first of them.
-        self.child: Optional["CandidatePlan"] = None
+        #: The shape of every live rewrite this plan produces: which
+        #: selections, joins and select items a child keeps or gains does not
+        #: depend on the tuple's values.
+        self.child_shape = QueryShape()
         #: ``(tuple position, selection index)`` per selection on the
         #: consumed relation: the tuple must carry that selection's constant.
         self.checks: TupleT[TupleT[int, int], ...] = tuple(
@@ -302,30 +273,109 @@ class TriggerPlan:
         # The tuple's values enter the select list; its relation leaves FROM.
         return RewriteResult(
             Query(
-                select_items=tuple(
+                tuple(
                     [
                         item if position < 0 else Constant(vals[position])
                         for position, item in zip(self.fills, query.select_items)
                     ]
                 ),
-                relations=self.relations,
-                join_predicates=self.kept_joins,
-                selection_predicates=tuple(selections),
-                distinct=query.distinct,
-                window=query.window,
+                self.relations,
+                self.kept_joins,
+                tuple(selections),
+                query.distinct,
+                query.window,
             )
         )
 
 
-def plan_key(query: Query, relation: str) -> Hashable:
-    """The shape of ``query`` as far as rewriting by ``relation`` goes.
+class QueryShape:
+    """What is compiled once for every query of one shape.
 
-    Two queries with equal keys (and one schema for ``relation``) have equal
-    plans: the key is the query with the constants of its selections and
-    select list blanked.
+    A shape is a query with its constants blanked (:func:`shape_key`); a
+    :class:`~repro.core.protocol.QueryState` carries its own, so a node reads
+    everything below off the state it stores and compiles nothing another
+    query of the shape compiled already — on whichever node.  Each piece is
+    compiled from the first query that needs it and kept as long as some
+    state of the shape lives:
+
+    * ``plans`` — the :class:`TriggerPlan` of each relation of FROM, at most
+      one per relation;
+    * ``candidates`` — the :class:`~repro.core.strategy.CandidatePlan` of a
+      rewritten query of the shape;
+    * ``discriminators`` — per index key ``(relation, attribute)`` (the
+      attribute is None for an attribute-level key), the index of the
+      selection :meth:`discriminator` names, or -1.
+
+    The engine hands every input query of one shape the same object; every
+    live rewrite a plan produces gets the plan's ``child_shape``.  A shape
+    travels with its state by reference and stands for the shape id a real
+    wire would carry.
+    """
+
+    __slots__ = ("plans", "candidates", "discriminators", "__weakref__")
+
+    def __init__(self) -> None:
+        self.plans: Dict[str, TriggerPlan] = {}
+        self.candidates: Optional[CandidatePlan] = None
+        self.discriminators: Dict[TupleT[str, Optional[str]], int] = {}
+
+    def plan_for(
+        self, query: Query, relation: str, schema: RelationSchema
+    ) -> TriggerPlan:
+        """The plan of rewriting ``query`` (of this shape) by ``relation``."""
+        plan = self.plans.get(relation)
+        if plan is None:
+            plan = self.plans[relation] = compile_plan(query, relation, schema)
+        return plan
+
+    def candidate_plan(self, query: Query) -> CandidatePlan:
+        """The Section 6 candidate plan of ``query`` (of this shape)."""
+        plan = self.candidates
+        if plan is None:
+            plan = self.candidates = CandidatePlan(query)
+        return plan
+
+    def discriminator(
+        self, query: Query, relation: str, prefer_other_than: Optional[str]
+    ) -> Optional[SelectionPredicate]:
+        """The explicit selection on ``relation`` a trigger check tests first.
+
+        A stored query can only be rewritten by a tuple of ``relation`` whose
+        value for the selected attribute equals the selection's constant
+        (step 1 of :meth:`TriggerPlan.apply` returns :data:`DEAD` otherwise),
+        so this predicate of ``query`` is a safe *discriminator* for the query
+        index: the index files the record under the selection's ``(attribute,
+        value)`` and an arriving tuple only fetches records whose
+        discriminator matches (or records with no discriminator at all).
+
+        ``prefer_other_than`` names an attribute the caller already knows to
+        be bound (the value-level index key's attribute, which every resident
+        record trivially matches) — a selection on any *other* attribute
+        prunes more, so it wins when available.
+        """
+        selections = query.selection_predicates
+        index = self.discriminators.get((relation, prefer_other_than))
+        if index is None:
+            index = -1
+            for position, sp in enumerate(selections):
+                if sp.attribute.relation != relation:
+                    continue
+                if index < 0:
+                    index = position
+                if sp.attribute.attribute != prefer_other_than:
+                    index = position
+                    break
+            self.discriminators[relation, prefer_other_than] = index
+        return selections[index] if index >= 0 else None
+
+
+def shape_key(query: Query) -> Hashable:
+    """The shape of ``query``: the query with its constants blanked.
+
+    Two queries with equal keys (and one catalog) have equal plans of every
+    kind a :class:`QueryShape` holds.
     """
     return (
-        relation,
         query.relations,
         query.join_predicates,
         tuple([sp.attribute for sp in query.selection_predicates]),

@@ -70,12 +70,12 @@ class CandidatePlan:
     Which relation-attribute pairs carry a value-level candidate, in which
     order, and which stated selections each takes its value from are fixed by
     the query with its constants blanked (the
-    :func:`~repro.core.rewriting.plan_key` shape): the equality closure of
+    :func:`~repro.core.rewriting.shape_key` shape): the equality closure of
     the where clause is worked out here, once, and :meth:`apply` reads a
     query's constants through selection indexes.  No constant is hashed.
     Every live rewrite a :class:`~repro.core.rewriting.TriggerPlan` produces
-    has one shape, so the trigger plan keeps the candidate plan of its
-    children (``TriggerPlan.child``).
+    has the plan's ``child_shape``, which keeps their one candidate plan
+    (:meth:`~repro.core.rewriting.QueryShape.candidate_plan`).
     """
 
     __slots__ = ("values", "dedupe", "joins", "fallback")

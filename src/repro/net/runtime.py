@@ -59,7 +59,7 @@ TRANSPORT_NAMES: Tuple[str, ...] = ("sim", "asyncio")
 DEFAULT_TRANSPORT = "sim"
 
 
-@dataclass
+@dataclass(slots=True)
 class _ScheduledEvent:
     """A scheduled callback and whether it was cancelled or has fired."""
 

@@ -166,12 +166,18 @@ class Query:
     window: Optional[WindowSpec] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "select_items", tuple(self.select_items))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        object.__setattr__(self, "join_predicates", tuple(self.join_predicates))
-        object.__setattr__(
-            self, "selection_predicates", tuple(self.selection_predicates)
-        )
+        # A rewrite builds every child from tuples already: only other
+        # sequences are copied.
+        if type(self.select_items) is not tuple:
+            object.__setattr__(self, "select_items", tuple(self.select_items))
+        if type(self.relations) is not tuple:
+            object.__setattr__(self, "relations", tuple(self.relations))
+        if type(self.join_predicates) is not tuple:
+            object.__setattr__(self, "join_predicates", tuple(self.join_predicates))
+        if type(self.selection_predicates) is not tuple:
+            object.__setattr__(
+                self, "selection_predicates", tuple(self.selection_predicates)
+            )
         if len(set(self.relations)) != len(self.relations):
             raise UnsupportedQueryError(
                 "self-joins (a relation listed twice in FROM) are not supported"

@@ -2,13 +2,14 @@
 
 One handler invocation sends one :class:`AnswerMessage` envelope per owner,
 charged one message per answer it carries; the plans behind the triggers
-that produce those answers are shared per query shape and freed with the
-records that use them.
+that produce those answers live in the query shape every state carries,
+shared across nodes and freed with the last state of the shape.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -335,6 +336,8 @@ class TestTimestamps:
 
 
 class TestPlanLifetime:
+    """Plans live in the shape a state carries, not in the node storing it."""
+
     def stored_records(self, node):
         for table in (node.input_queries, node.rewritten_queries):
             for _, records in table.items():
@@ -351,20 +354,54 @@ class TestPlanLifetime:
         plans = [record.plan for record in self.stored_records(node)]
         assert len(plans) == 2 and plans[0] is plans[1] is not None
         assert plans[0].complete and plans[0].relation == "S"
-        assert list(node._plans.values()) == [plans[0]]
+        (record, _) = self.stored_records(node)
+        assert record.state.shape.plans == {"S": plans[0]}
         engine.close()
 
-    def test_rehomed_record_drops_its_plan_and_gets_the_new_homes(self):
+    def test_records_of_one_shape_on_different_nodes_share_one_plan(self):
+        engine = make_engine()
+        # Two queries of one shape: the engine hands both one shape.
+        first, second = engine.submit(SQL), engine.submit(SQL)
+        producer = producer_of(engine)
+        other = next(
+            value
+            for value in range(11, 100)
+            if engine.ring.owner_of_key(value_key("S", "c", value).text).address
+            != producer
+        )
+        for value in (10, other):
+            engine.publish("R", (value, value))
+            engine.publish("S", (value, 0))
+        homes = [
+            engine.nodes[engine.ring.owner_of_key(value_key("S", "c", v).text).address]
+            for v in (10, other)
+        ]
+        records = [
+            record
+            for home in homes
+            for _, stored in home.rewritten_queries.items()
+            for record in stored
+        ]
+        assert len(records) == 4
+        assert {record.state.query_id for record in records} == {
+            first.query_id, second.query_id
+        }
+        assert len({id(record.plan) for record in records}) == 1
+        assert len({id(record.state.shape) for record in records}) == 1
+        assert {(10, 0), (other, 0)} <= set(first.values())
+        engine.close()
+
+    def test_rehomed_record_keeps_its_plan(self):
         engine = make_engine()
         handle = engine.submit(SQL)
         engine.publish("R", (1, 10))
         engine.publish("S", (10, 0))
         old_home = engine.nodes[producer_of(engine)]
         (record,) = self.stored_records(old_home)
-        old_plan = record.plan
-        assert old_plan is not None
+        plan = record.plan
+        assert plan is not None
         items = old_home.extract_all()
-        assert record.plan is None
+        assert record.plan is plan
         new_home = engine.nodes[another_node(engine, old_home.address)]
         for item in items:
             new_home.accept_rehomed(item)
@@ -372,8 +409,7 @@ class TestPlanLifetime:
         tup = engine.publish("S", (10, 1), process=False)
         new_home._trigger(record, (tup,), schema)
         new_home._flush_answers(engine.now)
-        assert record.plan is not old_plan
-        assert record.plan is new_home._plans[next(iter(new_home._plans))]
+        assert record.plan is plan is record.state.shape.plans["S"]
         engine.run()
         assert (1, 1) in handle.values()
         engine.close()
@@ -390,17 +426,22 @@ class TestPlanLifetime:
             node._trigger(record, (tup,), engine.catalog.get(relation))
             assert record.plan.relation == relation
             assert not record.plan.complete
+            assert record.plan is record.state.shape.plans[relation]
         engine.run()
         engine.close()
 
-    def test_plans_are_freed_with_the_last_record_of_their_shape(self):
+    def test_shapes_are_freed_with_the_last_state_of_their_query(self):
         engine = make_engine()
         handle = engine.submit(SQL)
         engine.publish("R", (1, 10))
         engine.publish("S", (10, 0))
-        assert sum(len(node._plans) for node in engine.nodes.values()) == 2
+        (root,) = engine._shapes.values()
+        child = weakref.ref(root.plans["R"].child_shape)
+        root = weakref.ref(root)
+        assert child().plans["S"].complete
         engine.remove_query(handle.query_id)
+        engine.run()
         gc.collect()
-        assert sum(len(node._plans) for node in engine.nodes.values()) == 0
+        assert root() is None and child() is None
+        assert len(engine._shapes) == 0
         engine.close()
-

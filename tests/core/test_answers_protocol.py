@@ -11,6 +11,7 @@ from repro.core.protocol import (
     RicReplyMessage,
     RicRequestMessage,
 )
+from repro.core.rewriting import QueryShape
 from repro.core.ric import RicEntry
 from repro.core.windows import WindowState
 from repro.data.schema import RelationSchema
@@ -54,14 +55,16 @@ class TestQueryState:
         state = make_state()
         state.ric_info = (RicEntry("k", 1.0, "n2", 0.0),)
         new_query = parse_query("SELECT R.a FROM R", validate=False)
-        derived = state.derive(new_query, WindowState(1, 1))
+        shape = QueryShape()
+        derived = state.derive(new_query, WindowState(1, 1), shape)
         assert not derived.is_input
         assert derived.consumed == 1
         assert derived.query is new_query
+        assert derived.shape is shape is not state.shape
         # A child carries none of its parent's RIC entries: it will be
         # indexed under other keys, and piggy-backs what *its* decision learns.
         assert derived.ric_info == ()
-        assert derived.derive(new_query, None).consumed == 2
+        assert derived.derive(new_query, None, shape).consumed == 2
         assert derived.query_id == state.query_id
         assert derived.insertion_time == state.insertion_time
         # the parent state is untouched

@@ -19,8 +19,8 @@ from repro.core.protocol import (
     Subscriber,
 )
 from repro.core.query_table import StoredQueryRecord
-from repro.core.rewriting import compile_plan, plan_key, rewrite_query
-from repro.core.strategy import CandidatePlan, rewritten_query_candidates
+from repro.core.rewriting import QueryShape, compile_plan, rewrite_query, shape_key
+from repro.core.strategy import rewritten_query_candidates
 from repro.core.windows import WindowState, admits, combination_valid, extend
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
@@ -253,9 +253,17 @@ def _reference_rewrite(query, tup, schema):
 _plan_catalog = Catalog.uniform(4, 3)
 _plan_values = st.integers(min_value=0, max_value=1)
 _plan_attributes = st.sampled_from(["a0", "a1", "a2"])
-#: One compiled plan per query shape, shared by every example of the run: a
-#: plan compiled for one set of constants must serve every other.
-_shared_plans = {}
+#: One shape per input query shape, shared by every example of the run as the
+#: engine shares it between queries: a plan compiled for one set of constants
+#: must serve every other, and so must the plans of each plan's child shape.
+_shared_shapes = {}
+#: The shape key every child of one plan had (by ``id`` of the plan's
+#: ``child_shape``, which ``_shared_shapes`` keeps alive): they must agree.
+_child_keys = {}
+
+
+def _root_shape(query):
+    return _shared_shapes.setdefault(shape_key(query), QueryShape())
 
 
 @st.composite
@@ -316,13 +324,11 @@ def _plan_cases(draw):
 def test_plans_rewrite_exactly_like_the_reference(case):
     """Dead / alive / complete, the rewritten query and the answer, step by step."""
     current, tuples = case
+    shape = _root_shape(current)
     for tup in tuples:
         schema = _plan_catalog.get(tup.relation)
         outcome, expected = _reference_rewrite(current, tup, schema)
-        shared = _shared_plans.setdefault(
-            plan_key(current, tup.relation),
-            compile_plan(current, tup.relation, schema),
-        )
+        shared = shape.plan_for(current, tup.relation, schema)
         for result in (
             rewrite_query(current, tup, schema),
             rewrite_query(current, tup, schema, plan=shared),
@@ -339,6 +345,9 @@ def test_plans_rewrite_exactly_like_the_reference(case):
         assert shared.complete == (outcome == "complete") or outcome == "dead"
         if outcome != "alive":
             break
+        shape = shared.child_shape
+        key = _child_keys.setdefault(id(shape), shape_key(expected))
+        assert key == shape_key(expected)
         current = expected
 
 
@@ -596,8 +605,9 @@ def _reference_candidates(query, allow_attribute_level):
 def test_candidate_plans_enumerate_exactly_like_the_reference(case, allow):
     """Same keys in the same order for every live rewrite, step by step.
 
-    The trigger plans — and with them the candidate plan each compiled from
-    the first child it produced — are shared by every example of the run.
+    The shapes — the trigger plans and the candidate plan each child shape
+    compiled from the first child it met — are shared by every example of
+    the run.
     """
     current, tuples = case
     # The public function, on shapes no live rewrite has: one attribute
@@ -605,20 +615,17 @@ def test_candidate_plans_enumerate_exactly_like_the_reference(case, allow):
     assert rewritten_query_candidates(current, allow) == _reference_candidates(
         current, allow
     )
+    shape = _root_shape(current)
     for tup in tuples:
         schema = _plan_catalog.get(tup.relation)
-        plan = _shared_plans.setdefault(
-            plan_key(current, tup.relation),
-            compile_plan(current, tup.relation, schema),
-        )
+        plan = shape.plan_for(current, tup.relation, schema)
         result = plan.apply(current, tup)
         if not result.alive:
             break
         child = result.query
-        if plan.child is None:
-            plan.child = CandidatePlan(child)
+        shape = plan.child_shape
         expected = _reference_candidates(child, allow)
-        assert plan.child.apply(child, allow) == expected
+        assert shape.candidate_plan(child).apply(child, allow) == expected
         assert rewritten_query_candidates(child, allow) == expected
         current = child
 

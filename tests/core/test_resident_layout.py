@@ -32,11 +32,13 @@ from repro.core.protocol import (
     Subscriber,
 )
 from repro.core.query_table import StoredQueryRecord
+from repro.core.rewriting import QueryShape
 from repro.core.ric import RicEntry
 from repro.core.windows import WindowState
 from repro.data.schema import AttributeRef, RelationSchema
 from repro.data.tuples import Tuple
 from repro.net.messages import Envelope, Message
+from repro.net.runtime import _ScheduledEvent
 from repro.sql.ast import (
     Constant,
     JoinPredicate,
@@ -114,8 +116,16 @@ SLOTTED = [
 
 _IDS = [type(instance).__name__ for instance in SLOTTED]
 
+#: Per-message or per-state objects held to the slot rule only: the kernel's
+#: event holds a callback, and a state's shape compares by identity.
+SLOTTED_ONLY = [_ScheduledEvent(1.0, print, ("x",)), QueryShape()]
 
-@pytest.mark.parametrize("instance", SLOTTED, ids=_IDS)
+
+@pytest.mark.parametrize(
+    "instance",
+    SLOTTED + SLOTTED_ONLY,
+    ids=_IDS + [type(instance).__name__ for instance in SLOTTED_ONLY],
+)
 def test_an_instance_has_no_dict(instance):
     assert not hasattr(instance, "__dict__")
 

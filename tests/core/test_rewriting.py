@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.rewriting import (
     DEAD,
+    QueryShape,
     compile_plan,
-    plan_key,
     rewrite_chain,
     rewrite_query,
+    shape_key,
 )
 from repro.data.schema import AttributeRef, Catalog
 from repro.data.tuples import Tuple
@@ -205,10 +206,17 @@ class TestTriggerPlan:
             )
             for constant in (1, 2)
         )
-        assert plan_key(first, "S") == plan_key(second, "S")
-        assert plan_key(first, "S") != plan_key(first, "R")
+        assert shape_key(first) == shape_key(second)
+        other = parse_query(
+            "SELECT R.A, S.C FROM R, S WHERE R.B = S.B AND S.B = 1", catalog=catalog
+        )
+        assert shape_key(other) != shape_key(first)
         schema = catalog.get("S")
-        plan = compile_plan(first, "S", schema)
+        shape = QueryShape()
+        plan = shape.plan_for(first, "S", schema)
+        assert shape.plan_for(second, "S", schema) is plan
+        assert shape.plan_for(second, "R", catalog.get("R")) is not plan
+        assert list(shape.plans) == ["S", "R"]
         tup = make_tuple(catalog, "S", (2, 7, 9))
         assert rewrite_query(first, tup, schema, plan=plan).dead
         rewritten = rewrite_query(second, tup, schema, plan=plan).query
