@@ -65,7 +65,7 @@ def _measure(
 ) -> Dict[str, object]:
     """Time ``events`` membership events of one kind on a fresh engine."""
     engine = _build_engine(nodes, queries, tuples)
-    before_events = engine.churn.total_events
+    before_events = engine.churn.membership_events
     started = time.perf_counter()
     for _ in range(events):
         if kind == "join":
@@ -75,7 +75,7 @@ def _measure(
         else:
             engine.crash_node()
     elapsed = time.perf_counter() - started
-    performed = engine.churn.total_events - before_events
+    performed = engine.churn.membership_events - before_events
     stats = engine.churn
     per_event = elapsed / performed if performed else 0.0
     return {

@@ -14,14 +14,12 @@ from repro.analysis.base import Rule
 from repro.analysis.rules.annotations import AnnotationCompletenessRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
-from repro.analysis.rules.metrics_registry import MetricsRegistryRule
 from repro.analysis.rules.protocol import ProtocolRule
 
 #: Every shipped rule, in report order.
 ALL_RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
     ProtocolRule(),
-    MetricsRegistryRule(),
     ExceptionDisciplineRule(),
     AnnotationCompletenessRule(),
 )

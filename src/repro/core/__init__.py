@@ -23,7 +23,7 @@ The core package implements the recursive join algorithm of Sections 3–7:
 from repro.core.answers import Answer, QueryHandle
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
-from repro.core.membership import MembershipManager, RehomeReport
+from repro.core.membership import MembershipManager
 from repro.core.reference import ReferenceEngine
 from repro.core.strategy import (
     FirstCandidateStrategy,
@@ -45,7 +45,6 @@ __all__ = [
     "RJoinStrategy",
     "RandomStrategy",
     "ReferenceEngine",
-    "RehomeReport",
     "WorstStrategy",
     "make_strategy",
 ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import weakref
 from contextlib import nullcontext
+from dataclasses import fields
 from typing import (
     ContextManager,
     Dict,
@@ -130,6 +131,20 @@ class RJoinEngine:
         )
         self.strategy = strategy or make_strategy(self.config.strategy)
 
+        # Engine-wide counters and the query lifecycle, which every node
+        # writes to and asks ------------------------------------------------
+        self.churn = ChurnStats()
+        self.nodes: Dict[str, RJoinNode] = {}
+        self._handles: Dict[str, QueryHandle] = {}
+        self.lifecycle = QueryLifecycleManager(
+            ring=self.ring,
+            nodes=self.nodes,
+            handles=self._handles,
+            churn=self.churn,
+            clock=lambda: self.transport.now,
+            enabled=self.config.owner_failover,
+        )
+
         # Application layer --------------------------------------------------
         altt_delta = self.config.resolve_altt_delta(self.api.max_transit_delay())
         self._context = NodeContext(
@@ -141,30 +156,14 @@ class RJoinEngine:
             catalog=self.catalog,
             rng=random.Random(self.config.seed + 2),
             clock=lambda: self.transport.now,
-            sequence_clock=lambda: self._sequence,
+            sequence_clock=self._sequence_clock,
             rate_oracle=self._oracle_rate,
             collect_answer=self._collect_answer,
             altt_delta=altt_delta,
+            churn=self.churn,
+            lifecycle=self.lifecycle,
             obs=self.obs,
-            # Lifecycle callbacks resolve ``self.lifecycle`` / ``self.churn``
-            # lazily: the context must exist before either does.
-            resolve_owner=lambda query_id, default: self.lifecycle.resolve_owner(
-                query_id, default
-            ),
-            is_retracted=lambda query_id: self.lifecycle.is_retracted(query_id),
-            record_orphaned=lambda count: self.churn.record_orphaned(count),
-            record_retracted=self._note_retraction_purge,
-            record_candidates_scanned=lambda count: (
-                self.churn.record_trigger_candidates_scanned(count)
-            ),
-            record_queries_triggered=lambda count: (
-                self.churn.record_queries_triggered(count)
-            ),
-            record_shared_fanout=lambda count: (
-                self.churn.record_shared_state_fanout(count)
-            ),
         )
-        self.nodes: Dict[str, RJoinNode] = {}
         for chord_node in self.ring.nodes:
             rjoin_node = RJoinNode(chord_node.address, self._context)
             self.nodes[chord_node.address] = rjoin_node
@@ -176,13 +175,14 @@ class RJoinEngine:
             self.balancer = IdMovementBalancer(self.ring)
 
         # Dynamic membership ---------------------------------------------------
-        self.churn = ChurnStats()
+        # Handle registrations re-home through the lifecycle layer's notion
+        # of "home" (successor of the query's owner), not a key hash.
         self.membership = MembershipManager(
             ring=self.ring,
             nodes=self.nodes,
             loads=self.loads,
             churn=self.churn,
-            clock=lambda: self.transport.now,
+            registration_home=self.lifecycle.registration_home,
         )
         self._churn_rng = random.Random(self.config.seed + 3)
         self._next_node_index = len(self.ring)
@@ -194,7 +194,6 @@ class RJoinEngine:
         self._pending_membership: List[tuple] = []
 
         # Bookkeeping -------------------------------------------------------
-        self._handles: Dict[str, QueryHandle] = {}
         #: Input query shape (:func:`~repro.core.rewriting.shape_key`) -> the
         #: one :class:`~repro.core.rewriting.QueryShape` its states carry:
         #: one entry per shape some live state has, freed with the last one.
@@ -203,6 +202,10 @@ class RJoinEngine:
         )
         self._query_counter = 0
         self._sequence = 0
+        #: The sequence number of the first tuple published since the last
+        #: completed :meth:`run`, while any may still be in flight; ``None``
+        #: once the network has drained them all.
+        self._undrained_from: Optional[int] = None
         self._published = 0
         self._oracle_counts: Dict[str, int] = {}
         #: Queries ever submitted (handles of removed queries leave
@@ -210,21 +213,6 @@ class RJoinEngine:
         self._submitted_total = 0
         #: Answers delivered to queries that have since been removed.
         self._retired_answers = 0
-        #: Per-retraction purge accumulator fed by the nodes' ctx callback.
-        self._retraction_purged = 0
-
-        # Query lifecycle ------------------------------------------------------
-        self.lifecycle = QueryLifecycleManager(
-            ring=self.ring,
-            nodes=self.nodes,
-            handles=self._handles,
-            churn=self.churn,
-            clock=lambda: self.transport.now,
-            enabled=self.config.owner_failover,
-        )
-        # Handle registrations re-home through the lifecycle layer's notion
-        # of "home" (successor of the query's owner), not a key hash.
-        self.membership.registration_home = self.lifecycle.registration_home
 
     # ------------------------------------------------------------------
     # schema management
@@ -344,27 +332,20 @@ class RJoinEngine:
             # departed; any live node can drive the retraction.
             origin = self.ring.owner_of_key(query_id).address
         retraction = RetractQueryMessage(query_id=query_id, origin=origin)
-        self._retraction_purged = 0
+        retracted_before = self.churn.records_retracted
         with self._operation("retract", f"rm-{query_id}", origin):
             for address in self.ring.addresses:
                 self.api.send_direct(origin, retraction, address)
         self.run()
-        purged = self._retraction_purged
+        purged = self.churn.records_retracted - retracted_before
         self.lifecycle.deregister(query_id)
         del self._handles[query_id]
         self._retired_answers += handle.count
-        self.churn.record_query_removed(purged)
+        self.churn.queries_removed += 1
         if not self._handles:
-            vacuumed = 0
             for node in self.nodes.values():
-                vacuumed += node.vacuum(self.transport.now)
-            if vacuumed:
-                self.churn.record_vacuum(vacuumed)
+                self.churn.records_vacuumed += node.vacuum(self.transport.now)
         return purged
-
-    def _note_retraction_purge(self, count: int) -> None:
-        """Node-side retraction purges accumulate here (ctx callback)."""
-        self._retraction_purged += count
 
     # ------------------------------------------------------------------
     # tuple publication
@@ -387,7 +368,7 @@ class RJoinEngine:
             raise EngineError(f"unknown publisher node {publisher!r}")
         tup = self._build_tuple(relation, values, publisher)
         with self._operation("publish", f"pub-{tup.sequence}", publisher):
-            self.nodes[publisher].publish_tuple(tup)
+            self.nodes[publisher].publish_tuples((tup,))
         published_before = self._published
         self._published += 1
         if process:
@@ -523,8 +504,22 @@ class RJoinEngine:
             publisher=publisher,
         )
         self._sequence += 1
+        if self._undrained_from is None:
+            self._undrained_from = self._sequence
         self._record_oracle(tup, schema)
         return tup
+
+    def _sequence_clock(self) -> int:
+        """The tuple-window clock the nodes judge expiry against.
+
+        While published tuples are undrained it reads the first of them, not
+        the newest: a ``publish_batch`` burst is in flight all at once, and a
+        rewritten query whose window closes inside the burst can still be
+        completed by an earlier tuple of it that has not arrived yet.
+        """
+        if self._undrained_from is not None:
+            return self._undrained_from
+        return self._sequence
 
     # ------------------------------------------------------------------
     # simulation control
@@ -545,6 +540,7 @@ class RJoinEngine:
             for op in ops:
                 self._apply_membership_op(op)
             processed += self.transport.drain()
+        self._undrained_from = None
         return processed
 
     def tick(self, delta: float = 1.0) -> None:
@@ -715,7 +711,7 @@ class RJoinEngine:
         }
         moves = self.balancer.rebalance(loads)
         if moves:
-            self.membership.rehome_misplaced(kind="move", subject="id-movement")
+            self.membership.rehome_misplaced(kind="move")
         return len(moves)
 
     # ------------------------------------------------------------------
@@ -806,15 +802,11 @@ class RJoinEngine:
                 return None
             return successor, kept, kept.count
 
-        rerouted = self.api.redirect_in_flight(address, reroute)
-        if rerouted:
-            self.churn.record_answers_rerouted(rerouted)
+        self.churn.answers_rerouted += self.api.redirect_in_flight(address, reroute)
         self.membership.discard(node)
         if owned and successor is not None:
             self.lifecycle.failover_owner(address, successor)
-        repaired = self.lifecycle.repair_replicas(address)
-        if repaired:
-            self.churn.record_replica_repairs(repaired)
+        self.churn.replica_repairs += self.lifecycle.repair_replicas(address)
         self._forget_departed(address, node)
         # Only now, so that the fresh chains meet tables that no longer name
         # the victim.  A chain whose origin is gone too has nobody waiting.
@@ -922,7 +914,7 @@ class RJoinEngine:
         # Only the new node's successor can hold keys the newcomer now owns.
         successor = self.ring.successor_of(chord_node)
         displaced = [] if successor.address == address else [successor.address]
-        self.membership.rehome_misplaced(displaced, kind="join", subject=address)
+        self.membership.rehome_misplaced(displaced, kind="join")
 
     def _leave_now(self, address: str) -> None:
         node = self.nodes.pop(address)
@@ -1009,43 +1001,15 @@ class RJoinEngine:
             "current_storage": float(self.loads.total_current_storage),
             "answers": float(self.total_answers),
             "participating_nodes": float(self.loads.participating_nodes()),
-            # Dynamic membership (node churn) ------------------------------
-            "membership_events": float(self.churn.total_events),
-            "joins": float(self.churn.joins),
-            "leaves": float(self.churn.leaves),
-            "crashes": float(self.churn.crashes),
-            "records_rehomed": float(self.churn.records_rehomed),
-            "bytes_rehomed": float(self.churn.bytes_rehomed),
-            "records_lost": float(self.churn.records_lost),
-            "bytes_lost": float(self.churn.bytes_lost),
             "dropped_messages": float(self.api.dropped_messages),
-            "stale_one_hop_attempts": self._node_total("stale_one_hop_attempts"),
-            # Query lifecycle (removal + owner failover) -------------------
-            "queries_removed": float(self.churn.queries_removed),
-            "records_retracted": float(self.churn.records_retracted),
-            "records_vacuumed": float(self.churn.records_vacuumed),
-            "orphaned_state_records": float(self.churn.orphaned_state_records),
-            "failover_reregistrations": float(
-                self.churn.failover_reregistrations
-            ),
-            "replica_repairs": float(self.churn.replica_repairs),
-            "answers_rerouted": float(self.churn.answers_rerouted),
-            # Million-query matching (query index + shared state) ----------
-            "queries_triggered": float(self.churn.queries_triggered),
-            "trigger_candidates_scanned": float(
-                self.churn.trigger_candidates_scanned
-            ),
-            "shared_state_fanout": float(self.churn.shared_state_fanout),
-            # The RIC path (one question per key in flight per node, and
-            # none whose answer could not change the choice) ---------------
-            "ric_chains_started": self._node_total("ric_chains_started"),
-            "ric_questions_joined": self._node_total("ric_questions_joined"),
-            "ric_questions_spared": self._node_total("ric_questions_spared"),
-            "ric_chains_lost": self._node_total("ric_chains_lost"),
-            # The routing cache: one hop per keyed message wherever the
-            # owner's arc is cached.
-            "arc_sends_direct": self._node_total("arc_sends_direct"),
-            "arc_sends_misdirected": self._node_total("arc_sends_misdirected"),
+            # Churn, query lifecycle and matching counters ------------------
+            **{
+                field.name: float(getattr(self.churn, field.name))
+                for field in fields(self.churn)
+            },
+            # Per-node counters: stale one-hop sends, the RIC path and the
+            # routing cache ------------------------------------------------
+            **{counter: self._node_total(counter) for counter in _NODE_COUNTERS},
             # Observability (latency/load histograms; zeros when off) ------
             **histogram_percentiles(
                 self.obs.registry if self.obs is not None else None

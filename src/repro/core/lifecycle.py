@@ -223,7 +223,7 @@ class QueryLifecycleManager:
             registration.watermark = handle.count
             registration.replicated_at = now
             self._place(query_id, registration)
-            self.churn.record_failover_reregistration()
+            self.churn.failover_reregistrations += 1
         self._by_owner.setdefault(successor, set()).update(moved)
         self._by_owner.pop(address, None)
         return moved

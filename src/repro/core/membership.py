@@ -27,32 +27,14 @@ lost) into :class:`~repro.metrics.collectors.ChurnStats`, which is what the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.dht.chord import ChordRing
 from repro.errors import EngineError
-from repro.metrics.collectors import ChurnStats, LoadTracker, MembershipEvent
+from repro.metrics.collectors import ChurnStats, LoadTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.node import RehomedItem, RJoinNode
-
-
-@dataclass(frozen=True)
-class RehomeReport:
-    """What one re-homing pass moved (or destroyed)."""
-
-    records_moved: int = 0
-    bytes_moved: int = 0
-    records_lost: int = 0
-    bytes_lost: int = 0
-    #: items moved per state kind ("input" | "rewritten" | "tuple" | "altt")
-    moved_by_kind: Optional[Dict[str, int]] = None
-
-    @property
-    def records_touched(self) -> int:
-        """Moved plus lost records."""
-        return self.records_moved + self.records_lost
 
 
 def estimate_item_bytes(item: "RehomedItem") -> int:
@@ -102,20 +84,17 @@ class MembershipManager:
         nodes: Dict[str, "RJoinNode"],
         loads: LoadTracker,
         churn: ChurnStats,
-        clock: Callable[[], float],
+        registration_home: Callable[[str], Optional[str]],
     ) -> None:
         self.ring = ring
         self.nodes = nodes
         self.loads = loads
         self.churn = churn
-        self._clock = clock
         #: ``query_id -> address`` of the node that must hold the query's
-        #: replicated handle registration (None: no lifecycle layer wired,
-        #: or the query is gone).  Set by the engine once the
-        #: :class:`~repro.core.lifecycle.QueryLifecycleManager` exists.
-        self.registration_home: Optional[
-            Callable[[str], Optional[str]]
-        ] = None
+        #: replicated handle registration (None: the query is gone); the
+        #: lifecycle layer's
+        #: :meth:`~repro.core.lifecycle.QueryLifecycleManager.registration_home`.
+        self.registration_home = registration_home
 
     # ------------------------------------------------------------------
     # ownership
@@ -128,18 +107,15 @@ class MembershipManager:
     # re-homing passes
     # ------------------------------------------------------------------
     def rehome_misplaced(
-        self,
-        addresses: Optional[Sequence[str]] = None,
-        kind: str = "move",
-        subject: str = "",
-    ) -> RehomeReport:
+        self, addresses: Optional[Sequence[str]] = None, kind: str = "move"
+    ) -> None:
         """Move misplaced items from ``addresses`` (default: every node).
 
         A join only displaces state on the new node's successor, so the
         caller can restrict the scan; id movement touches arbitrary arcs and
-        scans everything.  Records one :class:`MembershipEvent` when any
-        state moved (or unconditionally for joins/leaves, which are events
-        even when they move nothing).
+        scans everything.  A join (``kind="join"``) is a membership event
+        even when it moves nothing; an id-movement round (``kind="move"``)
+        is one only when some state moved.
         """
         if addresses is None:
             scan: Iterable["RJoinNode"] = list(self.nodes.values())
@@ -150,15 +126,14 @@ class MembershipManager:
             pending.extend(
                 node.extract_misplaced(self.owner_of, self.registration_home)
             )
-        report = self._deliver(pending)
-        always_record = kind != "move"
-        if always_record or report.records_moved:
-            self._record(kind, subject, report)
-        return report
+        moved = self._deliver(pending)
+        if kind == "join":
+            self.churn.joins += 1
+        elif not moved:
+            return
+        self.churn.membership_events += 1
 
-    def handoff(
-        self, departed: "RJoinNode", subject: Optional[str] = None
-    ) -> RehomeReport:
+    def handoff(self, departed: "RJoinNode") -> None:
         """Hand every item of a departed node to the current owners.
 
         ``departed`` must already be out of the ring and the engine's node
@@ -169,13 +144,11 @@ class MembershipManager:
                 f"cannot hand off state of {departed.address!r}: the node is "
                 "still part of the ring"
             )
-        report = self._deliver(departed.extract_all())
-        self._record("leave", subject or departed.address, report)
-        return report
+        self._deliver(departed.extract_all())
+        self.churn.leaves += 1
+        self.churn.membership_events += 1
 
-    def discard(
-        self, crashed: "RJoinNode", subject: Optional[str] = None
-    ) -> RehomeReport:
+    def discard(self, crashed: "RJoinNode") -> None:
         """Destroy a crashed node's state and account it as lost.
 
         The load tracker is told about the destroyed rewritten queries and
@@ -183,30 +156,30 @@ class MembershipManager:
         the live state of the surviving nodes.
         """
         items = crashed.extract_all()
-        records_lost = len(items)
-        bytes_lost = sum(estimate_item_bytes(item) for item in items)
         queries_lost = sum(1 for item in items if item.kind == "rewritten")
         tuples_lost = sum(1 for item in items if item.kind == "tuple")
         if queries_lost:
             self.loads.record_query_dropped(crashed.address, queries_lost)
         if tuples_lost:
             self.loads.record_tuple_dropped(crashed.address, tuples_lost)
-        report = RehomeReport(records_lost=records_lost, bytes_lost=bytes_lost)
-        self._record("crash", subject or crashed.address, report)
-        return report
+        churn = self.churn
+        churn.records_lost += len(items)
+        churn.bytes_lost += sum(estimate_item_bytes(item) for item in items)
+        churn.crashes += 1
+        churn.membership_events += 1
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _deliver(self, pending: List["RehomedItem"]) -> RehomeReport:
-        """Hand every extracted item to the node owning its key.
+    def _deliver(self, pending: List["RehomedItem"]) -> int:
+        """Hand every extracted item to the node owning its key; returns the
+        number of items delivered (and counted as re-homed).
 
         Handle registrations route through the lifecycle layer's
         ``registration_home`` (they live at the successor of their query's
         owner, not at the hash of a key); a registration whose query has
         disappeared in the meantime is dropped rather than delivered.
         """
-        moved_by_kind: Dict[str, int] = {}
         bytes_moved = 0
         delivered = 0
         # Group the consignment per owning node first, so each target adopts
@@ -215,11 +188,7 @@ class MembershipManager:
         by_owner: Dict[str, List["RehomedItem"]] = {}
         for item in pending:
             if item.kind == "registration":
-                home = (
-                    self.registration_home(item.key_text)
-                    if self.registration_home is not None
-                    else None
-                )
+                home = self.registration_home(item.key_text)
                 if home is None:
                     continue
                 owner = home
@@ -232,25 +201,9 @@ class MembershipManager:
                 )
             by_owner.setdefault(owner, []).append(item)
             delivered += 1
-            moved_by_kind[item.kind] = moved_by_kind.get(item.kind, 0) + 1
             bytes_moved += estimate_item_bytes(item)
         for owner, items in by_owner.items():
             self.nodes[owner].accept_rehomed_batch(items)
-        return RehomeReport(
-            records_moved=delivered,
-            bytes_moved=bytes_moved,
-            moved_by_kind=moved_by_kind,
-        )
-
-    def _record(self, kind: str, subject: str, report: RehomeReport) -> None:
-        self.churn.record(
-            MembershipEvent(
-                kind=kind,
-                address=subject,
-                at=self._clock(),
-                records_rehomed=report.records_moved,
-                bytes_rehomed=report.bytes_moved,
-                records_lost=report.records_lost,
-                bytes_lost=report.bytes_lost,
-            )
-        )
+        self.churn.records_rehomed += delivered
+        self.churn.bytes_rehomed += bytes_moved
+        return delivered

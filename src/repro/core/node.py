@@ -63,12 +63,12 @@ from repro.data.tuples import Tuple
 from repro.dht.api import DHTMessagingService
 from repro.dht.hashing import IdentifierSpace
 from repro.errors import EngineError
-from repro.metrics.collectors import LoadTracker
+from repro.metrics.collectors import ChurnStats, LoadTracker
 from repro.net.messages import Envelope, Message
 from repro.sql.ast import WindowSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.lifecycle import HandleRegistration
+    from repro.core.lifecycle import HandleRegistration, QueryLifecycleManager
     from repro.obs.context import Observability
 
 
@@ -87,26 +87,14 @@ class NodeContext:
     sequence_clock: Callable[[], int]
     rate_oracle: Callable[[str], float]
     collect_answer: Callable[[AnswerMessage, float], None]
+    #: The engine-wide counters the nodes add to.
+    churn: ChurnStats
+    #: The query lifecycle: producers resolve a query's live owner through it
+    #: at answer-emission time (so failover re-registrations take effect
+    #: without rewriting every stored query state), and state arriving for a
+    #: query it has retracted is orphaned and dropped on sight.
+    lifecycle: "QueryLifecycleManager"
     altt_delta: Optional[float] = None
-    # Query lifecycle services (retraction + owner failover) ---------------
-    #: ``(query_id, fallback) -> current owner address``: producers resolve
-    #: the live owner at answer-emission time so failover re-registrations
-    #: take effect without rewriting every stored query state.
-    resolve_owner: Optional[Callable[[str, str], str]] = None
-    #: Whether a query id has been retracted; state arriving for a retracted
-    #: query is orphaned and must be dropped on sight.
-    is_retracted: Optional[Callable[[str], bool]] = None
-    #: Sink for the orphaned-state probe (dropped post-retraction records).
-    record_orphaned: Optional[Callable[[int], None]] = None
-    #: Sink for per-node retraction purges (records deleted per query).
-    record_retracted: Optional[Callable[[int], None]] = None
-    # Matching observability (the predicate-aware query index) -------------
-    #: Stored-query candidates fetched by tuple-arrival probes.
-    record_candidates_scanned: Optional[Callable[[int], None]] = None
-    #: Stored queries whose rewrite actually fired (non-dead trigger).
-    record_queries_triggered: Optional[Callable[[int], None]] = None
-    #: Extra subscribers served per shared-state answer emission.
-    record_shared_fanout: Optional[Callable[[int], None]] = None
     # End-to-end observability (tracing + histograms) ----------------------
     #: The engine's tracing/metrics facade; ``None`` when observability is
     #: off, in which case every node-level hook is a single None check.
@@ -169,7 +157,6 @@ class RJoinNode:
         #: owner's ring successor it currently is (owner failover).
         self.registrations: Dict[str, "HandleRegistration"] = {}
         # Local counters ------------------------------------------------------
-        self.answers_sent = 0
         #: Times a cached one-hop address turned out to have left the ring by
         #: the time a query was sent (Section 6 shortcut gone stale).  Eager
         #: candidate-table invalidation on membership events keeps this at
@@ -246,19 +233,14 @@ class RJoinNode:
     # ------------------------------------------------------------------
     # Procedure 1: publishing a tuple
     # ------------------------------------------------------------------
-    def publish_tuple(self, tup: Tuple) -> int:
-        """Index ``tup`` in the network: twice per attribute (attribute + value level).
-
-        Returns the number of messages sent.
-        """
-        return self.publish_tuples((tup,))
-
     def publish_tuples(self, tuples: Sequence[Tuple]) -> int:
-        """Index a whole batch of tuples: the paper's ``multiSend(M, I)``.
+        """Index tuples in the network, each twice per attribute (attribute
+        and value level): the paper's ``multiSend(M, I)``.
 
         Each of a tuple's 2k keys costs one message once its owner's arc is
-        cached, and O(log N) until then.  It is the path behind
-        :meth:`repro.core.engine.RJoinEngine.publish_batch`.
+        cached, and O(log N) until then.  It is the path behind both
+        :meth:`repro.core.engine.RJoinEngine.publish` and ``publish_batch``.
+        Returns the number of messages sent.
         """
         catalog = self.ctx.catalog
         hash_key = self.ctx.space.hash_key
@@ -316,20 +298,25 @@ class RJoinNode:
         tuple's values satisfy (plus the wildcard records); window-expired
         records are dropped through the bucket's expiry heap exactly like the
         old full scan dropped them (Section 5), without touching survivors.
+        A tuple-window record is judged against the engine's sequence clock,
+        not the arriving tuple's number: a tuple of a burst can arrive ahead
+        of an earlier one of it that may still complete the record.
         """
         schema = self.ctx.catalog.get(tup.relation)
         candidates, dropped = table.probe(
             key_text,
-            # expired(window, state, clock_of(tup)) per window mode.
-            clocks={"time": tup.pub_time, "tuples": float(tup.sequence)},
+            # expired(window, state, clock) per window mode.
+            clocks={
+                "time": tup.pub_time,
+                "tuples": float(self.ctx.sequence_clock()),
+            },
             value_of=lambda attribute: tup.value_of(attribute, schema),
         )
         if dropped:
             self.ctx.loads.record_query_dropped(self.address, dropped)
         if not candidates:
             return
-        if self.ctx.record_candidates_scanned is not None:
-            self.ctx.record_candidates_scanned(len(candidates))
+        self.ctx.churn.trigger_candidates_scanned += len(candidates)
         one = (tup,)
         for record in candidates:
             self._trigger(record, one, schema)
@@ -416,11 +403,9 @@ class RJoinNode:
                         self._buffer_answers(
                             subscriber.query_id, subscriber.owner, (values,)
                         )
-                    if self.ctx.record_shared_fanout is not None:
-                        self.ctx.record_shared_fanout(len(extras))
+                    self.ctx.churn.shared_state_fanout += len(extras)
         finally:
-            if fired and self.ctx.record_queries_triggered is not None:
-                self.ctx.record_queries_triggered(fired)
+            self.ctx.churn.queries_triggered += fired
             if answers:
                 self._buffer_answers(state.query_id, state.owner, answers)
 
@@ -450,10 +435,8 @@ class RJoinNode:
         departed owner's address, but answers must reach the surviving
         registrant.  The answers leave with :meth:`_flush_answers`.
         """
-        self.answers_sent += len(values)
         self.ctx.loads.record_answer(self.address, len(values))
-        if self.ctx.resolve_owner is not None:
-            owner = self.ctx.resolve_owner(query_id, owner)
+        owner = self.ctx.lifecycle.resolve_owner(query_id, owner)
         self._answers.setdefault(owner, {}).setdefault(query_id, []).extend(values)
 
     def _flush_answers(self, now: float) -> None:
@@ -914,9 +897,7 @@ class RJoinNode:
         state detaches its retracted subscribers and is only dropped — and
         counted by the ``orphaned_state_records`` probe — when none remain.
         """
-        is_retracted = self.ctx.is_retracted
-        if is_retracted is None:
-            return False
+        is_retracted = self.ctx.lifecycle.is_retracted
         if not state.extra_subscribers and not is_retracted(state.query_id):
             return False  # nearly every arrival: one subscriber, still active
         retracted_ids = [
@@ -928,8 +909,7 @@ class RJoinNode:
             return False
         for query_id in retracted_ids:
             if state.detach_subscriber(query_id):
-                if self.ctx.record_orphaned is not None:
-                    self.ctx.record_orphaned(1)
+                self.ctx.churn.orphaned_state_records += 1
                 return True
         return False
 
@@ -978,8 +958,7 @@ class RJoinNode:
             + rewritten_detached
             + ops_detached
         )
-        if purged and self.ctx.record_retracted is not None:
-            self.ctx.record_retracted(purged)
+        self.ctx.churn.records_retracted += purged
         return purged
 
     def vacuum(self, published_before: float) -> int:

@@ -17,7 +17,6 @@ text-table rendering used by the benchmark harness.
 from repro.metrics.collectors import (
     ChurnStats,
     LoadTracker,
-    MembershipEvent,
     NodeLoad,
 )
 from repro.metrics.report import (
@@ -30,7 +29,6 @@ from repro.metrics.report import (
 __all__ = [
     "ChurnStats",
     "LoadTracker",
-    "MembershipEvent",
     "NodeLoad",
     "format_table",
     "group_ranked",

@@ -17,229 +17,59 @@ state reduction the paper credits windows for.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Tuple
 
 
-@dataclass(frozen=True)
-class MembershipEvent:
-    """One ring-membership change and the state movement it caused.
+@dataclass(slots=True)
+class ChurnStats:
+    """Network-wide counters of membership churn, the query lifecycle and
+    tuple-arrival matching.
 
-    ``kind`` is ``"join"``, ``"leave"``, ``"crash"`` or ``"move"`` (one
-    id-movement rebalancing round).  Re-homed counters cover state handed to
-    its new owner; lost counters cover state destroyed by a crash.
+    Each field is named exactly as its ``RJoinEngine.metrics_summary`` key,
+    which reports every field as it stands; writers add to a field in place.
     """
 
-    kind: str
-    address: str
-    at: float
+    # Dynamic membership (node churn) -------------------------------------
+    #: Joins, graceful leaves, crashes and id-movement rounds that moved state.
+    membership_events: int = 0
+    joins: int = 0
+    leaves: int = 0
+    crashes: int = 0
+    #: Stored items (and their estimated payload bytes) moved to a new owner.
     records_rehomed: int = 0
     bytes_rehomed: int = 0
+    #: Stored items (and their estimated payload bytes) destroyed by crashes.
     records_lost: int = 0
     bytes_lost: int = 0
-
-
-class ChurnStats:
-    """Network-wide accounting of membership churn and state re-homing.
-
-    Fed by the engine's :class:`~repro.core.membership.MembershipManager`;
-    aggregates are maintained incrementally so the metrics summary reads
-    them in O(1).
-    """
-
-    def __init__(self) -> None:
-        self.events: List[MembershipEvent] = []
-        self._by_kind: Dict[str, int] = defaultdict(int)
-        self._records_rehomed = 0
-        self._bytes_rehomed = 0
-        self._records_lost = 0
-        self._bytes_lost = 0
-        # Query lifecycle (retraction + owner failover) -------------------
-        self._queries_removed = 0
-        self._records_retracted = 0
-        self._records_vacuumed = 0
-        self._orphaned_state_records = 0
-        self._failover_reregistrations = 0
-        self._replica_repairs = 0
-        self._answers_rerouted = 0
-        # Matching (predicate-aware query index + shared state) ------------
-        self._queries_triggered = 0
-        self._trigger_candidates_scanned = 0
-        self._shared_state_fanout = 0
-
-    def record(self, event: MembershipEvent) -> None:
-        """Account one membership event."""
-        self.events.append(event)
-        self._by_kind[event.kind] += 1
-        self._records_rehomed += event.records_rehomed
-        self._bytes_rehomed += event.bytes_rehomed
-        self._records_lost += event.records_lost
-        self._bytes_lost += event.bytes_lost
-
-    # ------------------------------------------------------------------
-    # query lifecycle accounting
-    # ------------------------------------------------------------------
-    def record_query_removed(self, records_retracted: int = 0) -> None:
-        """One continuous query was retracted, purging ``records_retracted``."""
-        self._queries_removed += 1
-        self._records_retracted += records_retracted
-
-    def record_vacuum(self, records: int) -> None:
-        """The no-active-queries vacuum reclaimed ``records`` stored items."""
-        self._records_vacuumed += records
-
-    def record_orphaned(self, records: int = 1) -> None:
-        """State of a retracted query surfaced after its removal (probe)."""
-        self._orphaned_state_records += records
-
-    def record_failover_reregistration(self, count: int = 1) -> None:
-        """A surviving node took over a departed owner's registrations."""
-        self._failover_reregistrations += count
-
-    def record_replica_repairs(self, count: int) -> None:
-        """Owners re-replicated registrations a departed holder destroyed."""
-        self._replica_repairs += count
-
-    def record_answers_rerouted(self, count: int = 1) -> None:
-        """In-flight answers were re-routed to a failed-over owner."""
-        self._answers_rerouted += count
-
-    # ------------------------------------------------------------------
-    # tuple-arrival matching accounting
-    # ------------------------------------------------------------------
-    def record_queries_triggered(self, count: int = 1) -> None:
-        """Stored queries whose rewrite actually fired on a tuple arrival."""
-        self._queries_triggered += count
-
-    def record_trigger_candidates_scanned(self, count: int) -> None:
-        """Stored-query candidates fetched by tuple-arrival index probes."""
-        self._trigger_candidates_scanned += count
-
-    def record_shared_state_fanout(self, count: int) -> None:
-        """Extra subscribers served by shared-state answer emissions."""
-        self._shared_state_fanout += count
-
-    # ------------------------------------------------------------------
-    # aggregates
-    # ------------------------------------------------------------------
-    @property
-    def joins(self) -> int:
-        """Number of nodes that joined the ring."""
-        return self._by_kind["join"]
-
-    @property
-    def leaves(self) -> int:
-        """Number of graceful departures."""
-        return self._by_kind["leave"]
-
-    @property
-    def crashes(self) -> int:
-        """Number of abrupt failures."""
-        return self._by_kind["crash"]
-
-    @property
-    def moves(self) -> int:
-        """Number of id-movement rebalancing rounds that moved state."""
-        return self._by_kind["move"]
-
-    @property
-    def total_events(self) -> int:
-        """Every membership event recorded so far."""
-        return len(self.events)
-
-    @property
-    def records_rehomed(self) -> int:
-        """Stored items moved to a new owner across all events; O(1)."""
-        return self._records_rehomed
-
-    @property
-    def bytes_rehomed(self) -> int:
-        """Estimated payload bytes moved across all events; O(1)."""
-        return self._bytes_rehomed
-
-    @property
-    def records_lost(self) -> int:
-        """Stored items destroyed by crashes; O(1)."""
-        return self._records_lost
-
-    @property
-    def bytes_lost(self) -> int:
-        """Estimated payload bytes destroyed by crashes; O(1)."""
-        return self._bytes_lost
-
-    @property
-    def queries_removed(self) -> int:
-        """Continuous queries retracted through the lifecycle layer; O(1)."""
-        return self._queries_removed
-
-    @property
-    def records_retracted(self) -> int:
-        """State records purged by query retractions; O(1)."""
-        return self._records_retracted
-
-    @property
-    def records_vacuumed(self) -> int:
-        """Stored items reclaimed by the no-active-queries vacuum; O(1)."""
-        return self._records_vacuumed
-
-    @property
-    def orphaned_state_records(self) -> int:
-        """Retracted-query state caught after removal (should stay 0); O(1)."""
-        return self._orphaned_state_records
-
-    @property
-    def failover_reregistrations(self) -> int:
-        """Handle registrations taken over by surviving nodes; O(1)."""
-        return self._failover_reregistrations
-
-    @property
-    def replica_repairs(self) -> int:
-        """Registrations re-replicated after their holder departed; O(1)."""
-        return self._replica_repairs
-
-    @property
-    def answers_rerouted(self) -> int:
-        """In-flight answers re-routed to a failed-over owner; O(1)."""
-        return self._answers_rerouted
-
-    @property
-    def queries_triggered(self) -> int:
-        """Stored queries whose rewrite fired on a tuple arrival; O(1)."""
-        return self._queries_triggered
-
-    @property
-    def trigger_candidates_scanned(self) -> int:
-        """Candidates fetched by tuple-arrival index probes; O(1).
-
-        The index-selectivity probe: with the predicate-aware query index
-        this stays close to :attr:`queries_triggered`; a full-scan matcher
-        would instead scan every resident record per arrival.
-        """
-        return self._trigger_candidates_scanned
-
-    @property
-    def shared_state_fanout(self) -> int:
-        """Extra subscribers served by shared-state answers; O(1)."""
-        return self._shared_state_fanout
+    # Query lifecycle (retraction + owner failover) -----------------------
+    queries_removed: int = 0
+    #: State records purged by query retractions.
+    records_retracted: int = 0
+    #: Stored items reclaimed by the no-active-queries vacuum.
+    records_vacuumed: int = 0
+    #: Retracted-query state caught after its removal (should stay 0).
+    orphaned_state_records: int = 0
+    #: Handle registrations taken over by surviving nodes.
+    failover_reregistrations: int = 0
+    #: Registrations re-replicated after their holder departed.
+    replica_repairs: int = 0
+    #: In-flight answers re-routed to a failed-over owner.
+    answers_rerouted: int = 0
+    # Matching (predicate-aware query index + shared state) ---------------
+    #: Stored queries whose rewrite fired on a tuple arrival.
+    queries_triggered: int = 0
+    #: Candidates fetched by tuple-arrival index probes: with the
+    #: predicate-aware query index this stays close to ``queries_triggered``,
+    #: where a full-scan matcher would scan every resident record per arrival.
+    trigger_candidates_scanned: int = 0
+    #: Extra subscribers served by shared-state answers.
+    shared_state_fanout: int = 0
 
     def reset(self) -> None:
-        """Clear every counter and the event log."""
-        self.events.clear()
-        self._by_kind.clear()
-        self._records_rehomed = 0
-        self._bytes_rehomed = 0
-        self._records_lost = 0
-        self._bytes_lost = 0
-        self._queries_removed = 0
-        self._records_retracted = 0
-        self._records_vacuumed = 0
-        self._orphaned_state_records = 0
-        self._failover_reregistrations = 0
-        self._replica_repairs = 0
-        self._answers_rerouted = 0
-        self._queries_triggered = 0
-        self._trigger_candidates_scanned = 0
-        self._shared_state_fanout = 0
+        """Zero every counter."""
+        for field in fields(self):
+            setattr(self, field.name, 0)
 
 
 @dataclass

@@ -32,9 +32,10 @@ RESULT_SCHEMA_VERSION = 14
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
 #: ``baseline`` / ``warmup_baseline`` fields and checkpoint snapshots).
-#: Keep in lock step with ``core/engine.py``; the ``metrics-registry``
-#: analysis rule enforces equality in both directions at lint time, and
-#: ``tests/analysis/test_schema_sync.py`` enforces it at runtime.
+#: Keep in lock step with ``core/engine.py``: a ``ChurnStats`` field, a
+#: per-node counter and a declared histogram each surface under their own
+#: names, and ``tests/analysis/test_schema_sync.py`` fails when the summary
+#: an engine produces and this tuple differ in either direction.
 SUMMARY_SCHEMA: Tuple[str, ...] = (
     "nodes",
     "published_tuples",

@@ -8,11 +8,11 @@ inbox depth.  Histograms use fixed bucket boundaries so two registries
 percentile estimates are deterministic functions of the recorded values.
 
 Every histogram the layer records into is declared up front in
-:data:`HISTOGRAMS`; the ``metrics-registry`` analysis rule pins the
-declared names against ``SUMMARY_SCHEMA`` (each histogram surfaces as
-``{name}_p50`` / ``{name}_p95`` / ``{name}_p99`` in
-``RJoinEngine.metrics_summary``), so adding an instrument without
-extending the result schema fails lint instead of shipping silent zeros.
+:data:`HISTOGRAMS`, and each surfaces as ``{name}_p50`` / ``{name}_p95``
+/ ``{name}_p99`` in ``RJoinEngine.metrics_summary``;
+``tests/analysis/test_schema_sync.py`` pins those keys against
+``SUMMARY_SCHEMA``, so adding an instrument without extending the result
+schema fails a test instead of shipping silent zeros.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class HistogramSpec:
     description: str
 
 
-#: The declared histogram instruments.  Machine-checked (rule
-#: ``metrics-registry``): each name must surface as percentile keys in
-#: ``SUMMARY_SCHEMA`` and be folded into ``metrics_summary`` via
-#: :func:`histogram_percentiles`.
+#: The declared histogram instruments.  Each name must surface as
+#: percentile keys in ``SUMMARY_SCHEMA``, folded into ``metrics_summary`` via
+#: :func:`histogram_percentiles` (checked by
+#: ``tests/analysis/test_schema_sync.py``).
 HISTOGRAMS: Tuple[HistogramSpec, ...] = (
     HistogramSpec(
         name="answer_latency",

@@ -86,41 +86,6 @@ class TestProtocolCompleteness:
         assert "RelayedMessage" not in "\n".join(messages(report.active))
 
 
-class TestMetricsRegistry:
-    def test_seeded_violations_fire(self):
-        report = run_fixture("metrics", "metrics-registry")
-        assert not report.ok
-        assert len(report.active) == 11
-        joined = "\n".join(messages(report.active))
-        assert "_hidden is mutated but no @property" in joined
-        assert "_orphans" in joined and "never surfaces" in joined
-        assert "ghost_metric" in joined and "not defined on ChurnStats" in joined
-        assert "'extra_key'" in joined and "does not declare it" in joined
-        assert "'ghost_reads'" in joined
-        assert "'stale_key'" in joined and "stale schema entry" in joined
-        # Histogram direction 1: declared histogram with no percentile keys.
-        assert "histogram 'ghost_histogram'" in joined
-        for suffix in ("p50", "p95", "p99"):
-            assert f"'ghost_histogram_{suffix}'" in joined
-        # Histogram direction 2: percentile key without a histogram.
-        assert "'phantom_hist_p95'" in joined
-        assert "phantom percentile key" in joined
-        # The summary never folds the percentiles in.
-        assert "does not spread" in joined
-
-    def test_consistent_counter_stays_silent(self):
-        report = run_fixture("metrics", "metrics-registry")
-        joined = "\n".join(messages(report.active))
-        assert "_joins" not in joined
-        # The declared answer_latency histogram has all three percentile
-        # keys in the schema: neither direction fires, and its keys are not
-        # mistaken for stale schema entries despite being absent from the
-        # dict literal.
-        assert "'answer_latency_p50'" not in joined
-        assert "'answer_latency_p95'" not in joined
-        assert "'answer_latency_p99'" not in joined
-
-
 class TestExceptionDiscipline:
     def test_seeded_violations_fire(self):
         report = run_fixture("exceptions", "exception-discipline")

@@ -89,7 +89,7 @@ class TestCoalescing:
         posted = record_posts(engine)
         messages_before = engine.traffic.total_messages
         sent_before = engine.traffic.node(producer).sent
-        answers_before = engine.nodes[producer].answers_sent
+        answers_before = engine.loads.node(producer).answers_produced
         engine.publish("R", (1, 10))
 
         (envelope,) = answer_envelopes(posted)
@@ -103,7 +103,7 @@ class TestCoalescing:
         assert engine.traffic.total_messages - messages_before == charged(posted)
         sent = engine.traffic.node(producer).sent - sent_before
         assert sent - sends_of(posted, producer, but=envelope) == k
-        assert engine.nodes[producer].answers_sent - answers_before == k
+        assert engine.loads.node(producer).answers_produced - answers_before == k
         assert sorted(handle.values()) == [(1, d) for d in range(k)]
         assert {answer.delivered_at for answer in handle.answers} == {
             envelope.sent_at + engine.config.hop_delay
@@ -213,7 +213,8 @@ class TestCoalescing:
         # invocation; nothing waits for the next delivery to pick up.
         assert node._answers == {}
         (envelope,) = answer_envelopes(posted)
-        assert envelope.weight == 1 and node.answers_sent == 1
+        assert envelope.weight == 1
+        assert engine.loads.node(node.address).answers_produced == 1
         # The R tuple's trigger of the input query, and the first S tuple's.
         assert engine.churn.queries_triggered - triggered_before == 2
         monkeypatch.undo()

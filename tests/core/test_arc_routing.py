@@ -317,7 +317,7 @@ def shrink_by_id_movement(s: StaleArc) -> str:
     ring = s.engine.ring
     heir = ring.successor_of(ring.node_by_address(s.old_owner)).address
     ring.move_node(s.old_owner, s.identifier - 1)
-    s.engine.membership.rehome_misplaced(kind="move", subject="id-movement")
+    s.engine.membership.rehome_misplaced(kind="move")
     return heir
 
 

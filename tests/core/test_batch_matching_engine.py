@@ -7,17 +7,15 @@ probes are implementation details — the bag of answers every query handle
 collects must be identical across all four indexing strategies, both
 backends, both publish paths and the centralised reference oracle.
 
-Two window regimes, because exact batch-vs-per-tuple equality is only
-defined for one of them:
+Two window regimes:
 
 * a tuple-mode window wider than the whole run — nothing can expire, so
   the two publish paths must agree answer-for-answer (and with the
   reference oracle);
 * a tight tuple-mode window under GC pressure — ``publish_batch`` assigns
-  the batch's sequence numbers up front, so the tuple clock legitimately
-  runs ahead of per-tuple publication and expiry decisions may differ
-  between the paths.  What must NOT differ there is the backend: the batch
-  path has to produce identical answers on ``memory`` and ``sqlite``.
+  the batch's sequence numbers up front, so expiry is judged against the
+  first undrained one (``tests/core/test_publish_batch_windows.py``); the
+  batch path must produce the oracle's answers on every backend.
 """
 
 from __future__ import annotations
@@ -122,7 +120,8 @@ class TestBatchPublishEquivalence:
 
 
 class TestBatchPathBackendInvariance:
-    """Tight window + GC pressure: the batch path is backend-invariant."""
+    """Tight window + GC pressure: the batch path is backend-invariant and
+    exact."""
 
     WINDOW = 25.0
 
@@ -132,8 +131,10 @@ class TestBatchPathBackendInvariance:
         _, _, memory_handles = run_workload(
             "memory", strategy, batched=True, window_size=self.WINDOW
         )
-        _, _, handles = run_workload(
+        _, reference, handles = run_workload(
             backend, strategy, batched=True, window_size=self.WINDOW
         )
         for handle, memory_handle in zip(handles, memory_handles):
-            assert as_bag(handle.values()) == as_bag(memory_handle.values())
+            bag = as_bag(handle.values())
+            assert bag == as_bag(memory_handle.values())
+            assert bag == as_bag(reference.answers(handle.query_id))

@@ -284,7 +284,7 @@ class TestScheduledOps:
         engine.schedule_membership_op("crash", delay=0.9)
         for generated in generator.generate_tuples(5):
             engine.publish(generated.relation, generated.values)
-        assert engine.churn.total_events == 3
+        assert engine.churn.membership_events == 3
         assert len(engine.ring) == ring_before - 1  # +1 join, -1 leave, -1 crash
         assert_ownership(engine)
 
@@ -293,7 +293,7 @@ class TestScheduledOps:
         engine.schedule_membership_op("leave", delay=0.1, min_nodes=3)
         engine.schedule_membership_op("crash", delay=0.2, min_nodes=3)
         engine.run()
-        assert engine.churn.total_events == 0
+        assert engine.churn.membership_events == 0
         assert len(engine.ring) == 3
 
     def test_max_nodes_bound_caps_joins(self):

@@ -546,7 +546,7 @@ def test_trigger_set_at_a_time_equals_tuple_at_a_time(case):
             (
                 posted,
                 rewritten,
-                node.answers_sent,
+                engine.loads.node(node.address).answers_produced,
                 engine.loads.per_node(),
                 engine.churn.queries_triggered,
                 engine.churn.shared_state_fanout,

@@ -250,7 +250,7 @@ class TestStaleArcs:
         heir = engine.ring.successor_of(engine.ring.node_by_address(s.hinted)).address
         middle = engine.space.midpoint(start, end)
         engine.ring.move_node(s.hinted, middle)
-        engine.membership.rehome_misplaced(kind="move", subject="id-movement")
+        engine.membership.rehome_misplaced(kind="move")
         identifier = s.ask(s.key_on((middle, end)))
         assert engine.nodes[s.hinted].arc_sends_misdirected == 1
         assert table.owner_of(identifier) == heir
