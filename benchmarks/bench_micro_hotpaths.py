@@ -8,14 +8,11 @@ perf-oriented PRs have a recorded trajectory:
 * ``prefix_match`` — attribute-level lookups (``tuples_for_prefix``),
 * ``store_gc`` — window garbage collection (``remove_published_before``),
 * ``altt_expire`` — ALTT Δ-expiry sweeps,
-* ``publish`` — end-to-end engine publication (batched when available),
+* ``publish`` — end-to-end engine publication (one ``publish_batch``),
 * ``kernel_pending`` — ``SimulationKernel.pending_events`` polling.
 
 Results are written to ``BENCH_hotpaths.json`` next to this file (override
-with ``--output``).  The script intentionally degrades gracefully on older
-revisions (it falls back to ``publish_many`` when ``publish_batch`` does not
-exist), so the same file can be run before and after a change to produce
-comparable numbers.
+with ``--output``).
 
 Usage::
 
@@ -195,16 +192,10 @@ def bench_publish(params: Dict[str, int]) -> Dict[str, float]:
         ("R" if i % 2 == 0 else "S", (i % 13, i % 7)) for i in range(n)
     ]
 
-    if hasattr(engine, "publish_batch"):
-        def run() -> None:
-            engine.publish_batch(rows)
-    else:
-        def run() -> None:
-            engine.publish_many(rows, process_each=False)
+    def run() -> None:
+        engine.publish_batch(rows)
 
-    result = _timed("publish", n, run)
-    result["batched"] = hasattr(engine, "publish_batch")
-    return result
+    return _timed("publish", n, run)
 
 
 def bench_kernel_pending(params: Dict[str, int]) -> Dict[str, float]:

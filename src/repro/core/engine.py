@@ -5,14 +5,15 @@ runtime transport (the deterministic ``sim`` kernel or the concurrent
 ``asyncio`` actor runtime, selected by ``RJoinConfig.runtime``), the
 messaging API with traffic accounting, one
 :class:`~repro.core.node.RJoinNode` per DHT node, the indexing strategy, and
-the answer registry.  Library users interact with three operations:
+the answer registry.  Library users interact with four operations:
 
 * :meth:`RJoinEngine.submit` — register a continuous query (SQL text or a
   parsed :class:`~repro.sql.ast.Query`) and obtain a
   :class:`~repro.core.answers.QueryHandle` that accumulates its answers,
 * :meth:`RJoinEngine.remove_query` — retract a previously submitted query,
   deleting its state on every node (see :mod:`repro.core.lifecycle`),
-* :meth:`RJoinEngine.publish` — insert a tuple into the network,
+* :meth:`RJoinEngine.publish_batch` — insert tuples into the network and
+  commit (:meth:`RJoinEngine.publish` is its one-row case),
 * :meth:`RJoinEngine.run` — drain the simulated network (deliver every
   pending message).
 
@@ -357,41 +358,13 @@ class RJoinEngine:
         publisher: Optional[str] = None,
         process: bool = True,
     ) -> Tuple:
-        """Publish a tuple of ``relation`` into the network (Procedure 1)."""
-        if relation not in self.catalog:
-            raise UnknownRelationError(
-                f"relation {relation!r} is not registered with the engine"
-            )
-        if publisher is None:
-            publisher = self._rng.choice(self.ring.addresses)
-        elif publisher not in self.nodes:
-            raise EngineError(f"unknown publisher node {publisher!r}")
-        tup = self._build_tuple(relation, values, publisher)
-        with self._operation("publish", f"pub-{tup.sequence}", publisher):
-            self.nodes[publisher].publish_tuples((tup,))
-        published_before = self._published
-        self._published += 1
-        if process:
-            self.run()
-        self._maybe_gc(published_before)
-        self._maybe_rebalance(published_before)
-        return tup
+        """Publish a tuple of ``relation`` into the network (Procedure 1).
 
-    def publish_many(
-        self,
-        rows: Iterable[tuple],
-        process_each: bool = True,
-    ) -> List[Tuple]:
-        """Publish ``(relation, values)`` pairs; returns the created tuples."""
-        checked = self._checked_rows(rows, operation="publish_many")
-        published = []
-        for relation, values in checked:
-            published.append(
-                self.publish(relation, values, process=process_each)
-            )
-        if not process_each:
-            self.run()
-        return published
+        A one-row :meth:`publish_batch`: the same validation, the same
+        routing and the same commit.
+        """
+        (tup,) = self._publish([(relation, values)], publisher, process, "publish")
+        return tup
 
     def publish_batch(
         self,
@@ -401,23 +374,34 @@ class RJoinEngine:
     ) -> List[Tuple]:
         """Publish a whole batch of ``(relation, values)`` pairs at once.
 
-        The fast path behind high-rate workloads: tuples are grouped per
-        publishing node and sent off in one go each
-        (:meth:`~repro.core.node.RJoinNode.publish_tuples`), every indexing
-        key hashed once for the batch (memoised by the identifier space).
-        The network is drained a single time at the end, and the
+        The engine's one ingestion path (:meth:`publish` is its one-row
+        case): tuples are grouped per publishing node and sent off in one go
+        each (:meth:`~repro.core.node.RJoinNode.publish_tuples`), every
+        indexing key hashed once for the batch (memoised by the identifier
+        space).  With ``process`` the call commits: the network is drained a
+        single time at the end, every node's store is flushed, and the
         garbage-collection / rebalancing hooks fire once per crossed
         scheduling boundary rather than once per tuple.
 
         ``publisher`` fixes the publishing node for the whole batch; by
-        default each row draws a random publisher, matching :meth:`publish`.
+        default each row draws a random publisher.
+        """
+        return self._publish(rows, publisher, process, "publish_batch")
+
+    def _publish(
+        self,
+        rows: Iterable[tuple],
+        publisher: Optional[str],
+        process: bool,
+        operation: str,
+    ) -> List[Tuple]:
+        """Stage, route and commit ``rows`` (see :meth:`publish_batch`).
+
+        ``operation`` names the public method in validation errors.
         """
         if publisher is not None and publisher not in self.nodes:
             raise EngineError(f"unknown publisher node {publisher!r}")
-        # Validate the whole batch (shape, relation, arity) before mutating any
-        # engine state, so a bad row cannot leave phantom sequence numbers or
-        # oracle counts behind.
-        rows = self._checked_rows(rows, operation="publish_batch")
+        rows = self._checked_rows(rows, operation)
         published_before = self._published
         published: List[Tuple] = []
         by_publisher: Dict[str, List[Tuple]] = {}
@@ -431,18 +415,26 @@ class RJoinEngine:
             # sequence number: the whole fan-out of the group
             # shares one trace.
             trace_id = f"pub-{tuples[0].sequence}"
-            with self._operation("publish_batch", trace_id, address):
+            with self._operation("publish", trace_id, address):
                 self.nodes[address].publish_tuples(tuples)
         self._published += len(published)
         if process:
             self.run()
-            # One write transaction per node per batch: disk backends buffer
+            # One write transaction per node per commit: disk backends buffer
             # their inserts, so the whole drain's fan-out lands with a single
             # flush here instead of a lazy flush on the next probe.
             for node in self.nodes.values():
                 node.tuple_store.flush()
-        self._maybe_gc(published_before)
-        self._maybe_rebalance(published_before)
+        crossed = self._crossed_boundary
+        if self.config.tuple_gc_window is not None and crossed(
+            published_before, self._published, self.config.gc_every_tuples
+        ):
+            for node in self.nodes.values():
+                node.gc_expired_state()
+        if self.balancer is not None and crossed(
+            published_before, self._published, self.config.rebalance_every_tuples
+        ):
+            self.rebalance()
         return published
 
     def _checked_rows(
@@ -677,25 +669,6 @@ class RJoinEngine:
     def _crossed_boundary(before: int, after: int, every: int) -> bool:
         """Whether a ``every``-tuples scheduling boundary lies in ``(before, after]``."""
         return after // every > before // every
-
-    def _maybe_gc(self, published_before: int) -> None:
-        if not self._crossed_boundary(
-            published_before, self._published, self.config.gc_every_tuples
-        ):
-            return
-        if self.config.tuple_gc_window is None:
-            return
-        for node in self.nodes.values():
-            node.gc_expired_state()
-
-    def _maybe_rebalance(self, published_before: int) -> None:
-        if self.balancer is None:
-            return
-        if not self._crossed_boundary(
-            published_before, self._published, self.config.rebalance_every_tuples
-        ):
-            return
-        self.rebalance()
 
     def rebalance(self) -> int:
         """Run one id-movement balancing round; returns the number of moves."""

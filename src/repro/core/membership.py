@@ -183,8 +183,7 @@ class MembershipManager:
         bytes_moved = 0
         delivered = 0
         # Group the consignment per owning node first, so each target adopts
-        # its share through the batch path (one store transaction per node)
-        # instead of item-at-a-time.
+        # its share in one call.
         by_owner: Dict[str, List["RehomedItem"]] = {}
         for item in pending:
             if item.kind == "registration":
@@ -203,7 +202,7 @@ class MembershipManager:
             delivered += 1
             bytes_moved += estimate_item_bytes(item)
         for owner, items in by_owner.items():
-            self.nodes[owner].accept_rehomed_batch(items)
+            self.nodes[owner].accept_rehomed(items)
         self.churn.records_rehomed += delivered
         self.churn.bytes_rehomed += bytes_moved
         return delivered

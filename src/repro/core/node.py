@@ -56,7 +56,7 @@ from repro.core.ric import Arc, CandidateTable, RateTracker, RicEntry, arc_holds
 from repro.core.strategy import IndexingStrategy, input_query_candidates
 from repro.core.windows import expired, extend
 from repro.core.config import RJoinConfig
-from repro.data.backends import PREFIX_PROBE, StoreBackend, make_store
+from repro.data.backends import StoreBackend, make_store
 from repro.data.schema import Catalog, RelationSchema
 from repro.data.store import StoredTuple
 from repro.data.tuples import Tuple
@@ -238,8 +238,10 @@ class RJoinNode:
         and value level): the paper's ``multiSend(M, I)``.
 
         Each of a tuple's 2k keys costs one message once its owner's arc is
-        cached, and O(log N) until then.  It is the path behind both
-        :meth:`repro.core.engine.RJoinEngine.publish` and ``publish_batch``.
+        cached, and O(log N) until then.  It is the routing step of the
+        engine's one ingestion path,
+        :meth:`repro.core.engine.RJoinEngine.publish_batch` (``publish`` is
+        its one-row case), which commits once the fan-out is delivered.
         Returns the number of messages sent.
         """
         catalog = self.ctx.catalog
@@ -535,12 +537,8 @@ class RJoinNode:
             return self.tuple_store.tuples_for_key(key.text)
         # Attribute-level rewritten query: scan every value-level copy of the
         # relation-attribute pair plus the ALTT, deduplicating publications.
-        # Routed through the set-at-a-time API so disk backends serve it from
-        # their batch/memo path.
         now = self.ctx.clock()
-        (tuples,) = self.tuple_store.match_batch(
-            ((PREFIX_PROBE, key.attribute_prefix),)
-        )
+        tuples = self.tuple_store.tuples_for_prefix(key.attribute_prefix)
         if self.ctx.obs is not None:
             self.ctx.obs.record_store_probe(len(tuples))
         seen = {tup.identity for tup in tuples}
@@ -1116,45 +1114,32 @@ class RJoinNode:
             dropped += len(stale)
         return dropped
 
-    def accept_rehomed(self, item: RehomedItem) -> None:
-        """Adopt an item handed over by another node after a membership change."""
-        if item.kind == "input":
-            self.input_queries.add(item.key_text, item.payload)
-        elif item.kind == "rewritten":
-            self.rewritten_queries.add(item.key_text, item.payload)
-        elif item.kind == "tuple":
-            record = item.payload
-            assert isinstance(record, StoredTuple)
-            self.tuple_store.add(item.key_text, record.tuple, record.stored_at)
-        elif item.kind == "altt":
-            tup, received_at = item.payload
-            self.altt.add(item.key_text, tup, received_at)
-        elif item.kind == "registration":
-            self.registrations[item.key_text] = item.payload
-        else:
-            raise EngineError(
-                f"cannot re-home item of unknown kind {item.kind!r} for key "
-                f"{item.key_text!r}; expected one of 'input', 'rewritten', "
-                "'tuple', 'altt' or 'registration'"
-            )
+    def accept_rehomed(self, items: Sequence[RehomedItem]) -> None:
+        """Adopt the items another node handed over after a membership change.
 
-    def accept_rehomed_batch(self, items: List[RehomedItem]) -> None:
-        """Adopt a whole consignment of re-homed items in one pass.
-
-        Tuple records — the bulk of any re-homing under churn — go through
-        the store's batch ingestion API so disk backends land them in one
-        write transaction; every other kind falls back to the per-item path.
+        A disk backend buffers the tuple records and lands them in one write
+        transaction at its next flush.
         """
-        entries: List[TupleT[str, Tuple, float]] = []
         for item in items:
-            if item.kind == "tuple":
+            if item.kind == "input":
+                self.input_queries.add(item.key_text, item.payload)
+            elif item.kind == "rewritten":
+                self.rewritten_queries.add(item.key_text, item.payload)
+            elif item.kind == "tuple":
                 record = item.payload
                 assert isinstance(record, StoredTuple)
-                entries.append((item.key_text, record.tuple, record.stored_at))
+                self.tuple_store.add(item.key_text, record.tuple, record.stored_at)
+            elif item.kind == "altt":
+                tup, received_at = item.payload
+                self.altt.add(item.key_text, tup, received_at)
+            elif item.kind == "registration":
+                self.registrations[item.key_text] = item.payload
             else:
-                self.accept_rehomed(item)
-        if entries:
-            self.tuple_store.add_batch(entries)
+                raise EngineError(
+                    f"cannot re-home item of unknown kind {item.kind!r} for key "
+                    f"{item.key_text!r}; expected one of 'input', 'rewritten', "
+                    "'tuple', 'altt' or 'registration'"
+                )
 
     # ------------------------------------------------------------------
     # introspection

@@ -10,8 +10,18 @@ lets the engine swap implementations without touching the protocol layer:
   in-core simulations,
 * ``sqlite`` — a disk-capable structured store
   (:class:`~repro.data.sqlite_store.SqliteTupleStore`) whose prefix matches
-  and window expiries are SQL index scans and whose writes are batched into
-  one transaction per network drain.
+  and window expiries are SQL index scans and whose writes are buffered
+  until the engine commits.
+
+A backend implements one form of each operation — the form the node calls:
+:meth:`StoreBackend.add`, :meth:`StoreBackend.tuples_for_key`,
+:meth:`StoreBackend.tuples_for_prefix` and the ranged
+:meth:`StoreBackend.remove_expired`.  The other forms
+(:meth:`StoreBackend.add_batch`, :meth:`StoreBackend.match_batch`,
+:meth:`StoreBackend.tuples_for_prefixes`,
+:meth:`StoreBackend.remove_published_before` and
+:meth:`StoreBackend.remove_sequenced_before`) are wrappers defined once,
+here.
 
 The contract every backend must honour (the conformance suite in
 ``tests/data/test_store_backends.py`` enforces it for all registered
@@ -21,18 +31,16 @@ backends, and ``abc`` refuses to build one missing an abstract method):
   regardless of insertion order,
 * :meth:`StoreBackend.tuples_for_prefix` deduplicates by tuple identity and
   returns publication order,
-* the ``remove_*_before`` expiry methods drop *strictly* older records and
-  return the removal count,
+* expiry drops *strictly* older records and returns the removal count,
 * :meth:`StoreBackend.remove_key` returns the removed records so membership
   re-homing can replay them into another node's backend — of any kind,
 * ``len(store)`` counts stored entries (one per ``(key, identity)`` slot),
   :meth:`StoreBackend.distinct_tuples` counts distinct publications, and
   :attr:`StoreBackend.cumulative_stored` survives :meth:`StoreBackend.clear`,
-* the set-at-a-time operations (:meth:`StoreBackend.add_batch`,
-  :meth:`StoreBackend.match_batch` / :meth:`StoreBackend.tuples_for_prefixes`
-  and the ranged :meth:`StoreBackend.remove_expired`) are answer-equivalent
-  to their per-item counterparts — they exist so the sqlite backend can serve a
-  whole drain tick's probes without a per-record Python round trip.
+* the write buffer is bounded: after a committing
+  :meth:`~repro.core.engine.RJoinEngine.publish` or ``publish_batch``,
+  every store's write buffer is empty (the engine flushes every node's
+  store once the drain is over).
 """
 
 from __future__ import annotations
@@ -156,12 +164,18 @@ class StoreBackend(abc.ABC):
         """Drop tuples under ``key`` stored strictly before ``cutoff``."""
 
     @abc.abstractmethod
-    def remove_published_before(self, cutoff: float) -> int:
-        """Drop every tuple published strictly before ``cutoff``."""
+    def remove_expired(
+        self,
+        published_before: Optional[float] = None,
+        sequenced_before: Optional[int] = None,
+    ) -> int:
+        """Ranged GC: drop records behind either cutoff in one sweep.
 
-    @abc.abstractmethod
-    def remove_sequenced_before(self, cutoff: float) -> int:
-        """Drop every tuple whose sequence number is strictly below ``cutoff``."""
+        A record goes when it was published strictly before
+        ``published_before`` or its sequence number is strictly below
+        ``sequenced_before``; an omitted cutoff removes nothing.  Returns
+        the removal count.
+        """
 
     @abc.abstractmethod
     def remove_key(self, key: str) -> List[StoredTuple]:
@@ -187,12 +201,8 @@ class StoreBackend(abc.ABC):
         """Tuples under any key starting with ``prefix`` (deduplicated, ordered)."""
 
     # ------------------------------------------------------------------
-    # set-at-a-time operations
+    # the other forms, defined once over the ones above
     # ------------------------------------------------------------------
-    # Every batch method has a per-item default: a backend only overrides
-    # what it can genuinely serve set-at-a-time (the sqlite backend answers
-    # a whole probe batch with one SQL statement).
-
     def add_batch(
         self, entries: Iterable[TupleT[str, "Tuple", float]]
     ) -> List[StoredTuple]:
@@ -226,27 +236,15 @@ class StoreBackend(abc.ABC):
         self, prefixes: Sequence[str]
     ) -> Dict[str, List["Tuple"]]:
         """Resolve several prefixes at once: ``prefix -> matching tuples``."""
-        texts = list(prefixes)
-        matched = self.match_batch([(PREFIX_PROBE, text) for text in texts])
-        return dict(zip(texts, matched))
+        return {prefix: self.tuples_for_prefix(prefix) for prefix in prefixes}
 
-    def remove_expired(
-        self,
-        published_before: Optional[float] = None,
-        sequenced_before: Optional[int] = None,
-    ) -> int:
-        """Ranged GC: drop records behind either cutoff in one sweep.
+    def remove_published_before(self, cutoff: float) -> int:
+        """Drop every tuple published strictly before ``cutoff``."""
+        return self.remove_expired(published_before=cutoff)
 
-        The union of :meth:`remove_published_before` and
-        :meth:`remove_sequenced_before` (both strict); the sqlite backend turns
-        the combined predicate into a single ranged ``DELETE``.
-        """
-        removed = 0
-        if published_before is not None:
-            removed += self.remove_published_before(published_before)
-        if sequenced_before is not None:
-            removed += self.remove_sequenced_before(sequenced_before)
-        return removed
+    def remove_sequenced_before(self, cutoff: int) -> int:
+        """Drop every tuple whose sequence number is strictly below ``cutoff``."""
+        return self.remove_expired(sequenced_before=cutoff)
 
     # ------------------------------------------------------------------
     # statistics

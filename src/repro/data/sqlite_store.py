@@ -8,20 +8,19 @@ one SQLite table whose indexes make every hot operation an index scan —
   (:meth:`SqliteTupleStore.tuples_for_prefix`): canonical two-field prefixes
   resolve to an equality scan on the first two columns,
 * ``(pub_time, sequence)`` and ``(sequence)`` serve the two window-expiry
-  orders (:meth:`SqliteTupleStore.remove_published_before` /
-  :meth:`SqliteTupleStore.remove_sequenced_before`),
+  orders (:meth:`SqliteTupleStore.remove_expired`),
 * ``(key, pub_time, sequence)`` serves exact-key lookups in publication
   order without re-sorting.
 
-Matching is *set-at-a-time*: a probe batch
-(:meth:`SqliteTupleStore.match_batch`) is answered by one compound SQL
-statement — an exact-key ``IN`` arm unioned with an attribute-bucket arm
-whose identity deduplication happens SQL-side (``GROUP BY rel, sequence``)
-— instead of one query plus a Python dedup loop per probe.  Canonical
-bucket results are additionally memoised per ``relation SEP attribute SEP``
-bucket, maintained incrementally on writes and dropped on deletes (the same
-scheme the ``memory`` backend's prefix cache uses), so steady-state probing
-costs a dict hit rather than a decode of every matching row.
+The store implements the one form of each operation the node calls; the
+set-at-a-time forms (``add_batch``, ``match_batch``,
+``tuples_for_prefixes``, ``remove_published_before``,
+``remove_sequenced_before``) are the base class's wrappers.  A canonical
+bucket probe deduplicates identities SQL-side (``GROUP BY rel, sequence``),
+and its result is memoised per ``relation SEP attribute SEP`` bucket,
+maintained incrementally on writes and dropped on deletes (the same scheme
+the ``memory`` backend's prefix cache uses), so steady-state probing costs
+a dict hit rather than a decode of every matching row.
 
 Tuple values are serialized with the packed row codec
 (:mod:`repro.data.rowcodec`): plain scalar rows take the ``struct`` fast
@@ -30,11 +29,11 @@ Python values still round-trip exactly (the cross-backend answer-equality
 tests rely on this).  Writes are *batched*:
 :meth:`SqliteTupleStore.add` only appends to a pending buffer, and the
 buffer is flushed inside a single ``executemany`` transaction the first
-time a read or removal needs to see it.  Under the engine's batched publish
-path (``RJoinEngine.publish_batch``) every tuple fan-out of one network
-drain lands in one transaction per node.  Window and sequence GC are single
-ranged ``DELETE``\\ s (:meth:`SqliteTupleStore.remove_expired` combines both
-cutoffs into one statement).
+time a read or removal needs to see it, or when the engine commits a
+``publish`` / ``publish_batch``: every tuple fan-out of one commit lands in
+one transaction per node, and no write stays buffered past the commit.
+Window and sequence GC are one ranged ``DELETE``
+(:meth:`SqliteTupleStore.remove_expired` combines both cutoffs).
 
 By default the database lives in memory (``:memory:``); pass a path to put
 it on disk and study out-of-core behaviour.
@@ -43,13 +42,11 @@ it on disk and study out-of-core behaviour.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple as TupleT
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple as TupleT
 
 import sqlite3
 
 from repro.data.backends import (
-    KEY_PROBE,
-    PREFIX_PROBE,
     SEPARATOR,
     StoreBackend,
     StoredTuple,
@@ -58,7 +55,6 @@ from repro.data.backends import (
 )
 from repro.data.rowcodec import pack_values, unpack_values
 from repro.data.tuples import Tuple
-from repro.errors import ConfigurationError
 
 _SCHEMA = """
 CREATE TABLE records (
@@ -83,13 +79,8 @@ CREATE INDEX idx_records_seq ON records (sequence);
 #: Column list of every record-returning SELECT, in `_record_from_row` order.
 _RECORD_COLUMNS = "key, rel, sequence, pub_time, stored_at, publisher, payload"
 
-#: Tuple-only column list of the deduplicating bucket SELECTs.
+#: Tuple-only column list of the deduplicating bucket SELECT.
 _TUPLE_COLUMNS = "rel, sequence, pub_time, publisher, payload"
-
-#: Probes per compound-statement chunk; keys cost one SQL parameter each and
-#: buckets two, so the worst-case chunk stays far below SQLite's historical
-#: 999-parameter floor.
-_PROBE_CHUNK = 400
 
 _tuple_order = (lambda t: (t.pub_time, t.sequence))
 
@@ -204,24 +195,17 @@ class SqliteTupleStore(StoreBackend):
             self._drop_bucket(key)
         return removed
 
-    def remove_published_before(self, cutoff: float) -> int:
-        """Drop every tuple published strictly before ``cutoff``.
-
-        An index range-scan on ``(pub_time, sequence)`` — no Python-side
-        bookkeeping is needed because the index *is* the expiry order.
-        """
-        return self.remove_expired(published_before=cutoff)
-
-    def remove_sequenced_before(self, cutoff: float) -> int:
-        """Drop every tuple whose sequence number is strictly below ``cutoff``."""
-        return self.remove_expired(sequenced_before=cutoff)
-
     def remove_expired(
         self,
         published_before: Optional[float] = None,
         sequenced_before: Optional[int] = None,
     ) -> int:
-        """Both window-expiry orders as one ranged ``DELETE``."""
+        """Both window-expiry orders as one ranged ``DELETE``.
+
+        An index range-scan on ``(pub_time, sequence)`` or ``(sequence)``:
+        no Python-side bookkeeping is needed because the index *is* the
+        expiry order.
+        """
         conditions: List[str] = []
         parameters: List[object] = []
         if published_before is not None:
@@ -300,141 +284,39 @@ class SqliteTupleStore(StoreBackend):
         """The stored records under exactly ``key``, in publication order."""
         return self._select_records("key = ?", (key,))
 
-    def _bucket_tuples(self, prefix: str) -> List[Tuple]:
-        """Resolve (and memoise) one canonical bucket through SQL.
-
-        The ``GROUP BY rel, sequence`` performs the identity deduplication
-        SQL-side; the bare columns are safe because every row of one
-        identity group describes the same publication.
-        """
-        cached = self._bucket_cache.get(prefix)
-        if cached is not None:
-            return list(cached)
-        relation, attribute = prefix.split(SEPARATOR)[:2]
-        self.flush()
-        rows = self._conn.execute(
-            f"SELECT {_TUPLE_COLUMNS} FROM records "
-            "WHERE relation = ? AND attribute = ? "
-            "GROUP BY rel, sequence ORDER BY pub_time, sequence",
-            (relation, attribute),
-        )
-        result = [self._tuple_from_row(row) for row in rows]
-        self._bucket_cache[prefix] = result
-        self._bucket_seen[prefix] = {tup.identity for tup in result}
-        return list(result)
-
     def tuples_for_prefix(self, prefix: str) -> List[Tuple]:
         """Tuples under any key starting with ``prefix`` (deduplicated, ordered).
 
-        Canonical attribute-level prefixes (``relation SEP attribute SEP``)
-        hit the bucket memo, or one deduplicating equality scan on the
-        ``(relation, attribute, value)`` index; arbitrary prefixes fall back
-        to a table scan.
+        A canonical attribute-level prefix (``relation SEP attribute SEP``)
+        is served from the bucket memo, or else by one equality scan on the
+        ``(relation, attribute, value)`` index whose result is memoised.
+        Its ``GROUP BY rel, sequence`` deduplicates identities SQL-side; the
+        bare columns are safe because every row of one identity group
+        describes the same publication.  Arbitrary prefixes fall back to a
+        table scan.
         """
         bucket = bucket_of(prefix)
-        if bucket is not None and len(bucket) == len(prefix):
-            return self._bucket_tuples(prefix)
-        records = self._select_records(
-            "substr(key, 1, ?) = ?", (len(prefix), prefix)
-        )
-        # The SELECT already returns publication order; merge_records only
-        # contributes the identity deduplication here.
-        return merge_records([records])
-
-    def match_batch(
-        self, probes: Sequence[TupleT[str, str]]
-    ) -> List[List[Tuple]]:
-        """Serve a whole probe batch with one compound SQL statement.
-
-        Exact keys become an ``IN`` arm, canonical buckets an OR-chained
-        equality arm with SQL-side dedup; a probe-label column routes each
-        row back to its probe in a single ordered pass.  Bucket results
-        already memoised are served from the cache, and freshly computed
-        ones populate it.  Non-canonical prefixes fall back to the per-probe
-        scan path.
-        """
-        results: List[Optional[List[Tuple]]] = [None] * len(probes)
-        key_slots: Dict[str, List[int]] = {}
-        bucket_slots: Dict[str, List[int]] = {}
-        for index, (kind, text) in enumerate(probes):
-            if kind == KEY_PROBE:
-                key_slots.setdefault(text, []).append(index)
-            elif kind == PREFIX_PROBE:
-                bucket = bucket_of(text)
-                if bucket is not None and len(bucket) == len(text):
-                    cached = self._bucket_cache.get(text)
-                    if cached is not None:
-                        results[index] = list(cached)
-                    else:
-                        bucket_slots.setdefault(text, []).append(index)
-                else:
-                    results[index] = self.tuples_for_prefix(text)
-            else:
-                raise ConfigurationError(
-                    f"unknown probe kind {kind!r}; expected "
-                    f"{KEY_PROBE!r} or {PREFIX_PROBE!r}"
-                )
-        if key_slots or bucket_slots:
-            self.flush()
-            matched = self._matched_rows(list(key_slots), list(bucket_slots))
-            for text, indexes in key_slots.items():
-                tuples = matched.get("k" + text, [])
-                for index in indexes:
-                    results[index] = list(tuples) if len(indexes) > 1 else tuples
-            for text, indexes in bucket_slots.items():
-                tuples = matched.get("p" + text, [])
-                self._bucket_cache[text] = tuples
-                self._bucket_seen[text] = {tup.identity for tup in tuples}
-                for index in indexes:
-                    results[index] = list(tuples)
-        return results  # type: ignore[return-value]
-
-    def _matched_rows(
-        self, keys: List[str], buckets: List[str]
-    ) -> Dict[str, List[Tuple]]:
-        """``probe label -> tuples`` for one batch, via compound SELECTs.
-
-        Labels are ``"k" + key`` for exact keys and ``"p" + bucket`` for
-        canonical buckets.  Large batches are chunked to stay below SQLite's
-        bound-parameter limit.
-        """
-        matched: Dict[str, List[Tuple]] = {}
-        for start in range(0, max(len(keys), len(buckets)), _PROBE_CHUNK):
-            key_chunk = keys[start : start + _PROBE_CHUNK]
-            bucket_chunk = buckets[start : start + _PROBE_CHUNK]
-            arms: List[str] = []
-            parameters: List[object] = []
-            if key_chunk:
-                placeholders = ", ".join("?" * len(key_chunk))
-                arms.append(
-                    f"SELECT 'k' || key AS probe, {_TUPLE_COLUMNS} "
-                    f"FROM records WHERE key IN ({placeholders})"
-                )
-                parameters.extend(key_chunk)
-            if bucket_chunk:
-                pairs = " OR ".join(
-                    "(relation = ? AND attribute = ?)" for _ in bucket_chunk
-                )
-                arms.append(
-                    "SELECT 'p' || relation || ? || attribute || ? AS probe, "
-                    f"{_TUPLE_COLUMNS} FROM records "
-                    f"WHERE {pairs} GROUP BY relation, attribute, rel, sequence"
-                )
-                parameters.append(SEPARATOR)
-                parameters.append(SEPARATOR)
-                for bucket in bucket_chunk:
-                    relation, attribute = bucket.split(SEPARATOR)[:2]
-                    parameters.append(relation)
-                    parameters.append(attribute)
-            statement = (
-                " UNION ALL ".join(arms) + " ORDER BY probe, pub_time, sequence"
+        if bucket is None or len(bucket) != len(prefix):
+            records = self._select_records(
+                "substr(key, 1, ?) = ?", (len(prefix), prefix)
             )
-            for row in self._conn.execute(statement, parameters):
-                probe = row[0]
-                matched.setdefault(probe, []).append(self._tuple_from_row(row[1:]))
-        for bucket in buckets:
-            matched.setdefault("p" + bucket, [])
-        return matched
+            # The SELECT already returns publication order; merge_records only
+            # contributes the identity deduplication here.
+            return merge_records([records])
+        cached = self._bucket_cache.get(prefix)
+        if cached is None:
+            relation, attribute = prefix.split(SEPARATOR)[:2]
+            self.flush()
+            rows = self._conn.execute(
+                f"SELECT {_TUPLE_COLUMNS} FROM records "
+                "WHERE relation = ? AND attribute = ? "
+                "GROUP BY rel, sequence ORDER BY pub_time, sequence",
+                (relation, attribute),
+            )
+            cached = [self._tuple_from_row(row) for row in rows]
+            self._bucket_cache[prefix] = cached
+            self._bucket_seen[prefix] = {tup.identity for tup in cached}
+        return list(cached)
 
     # ------------------------------------------------------------------
     # statistics

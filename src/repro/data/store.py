@@ -22,8 +22,7 @@ structures keep the hot paths off O(total-keys) scans:
 * per-key record lists kept ordered by ``(pub_time, sequence)`` so callers
   consume tuples in publication order without re-sorting,
 * min-heaps over publication time and sequence number so window garbage
-  collection (:meth:`TupleStore.remove_published_before`,
-  :meth:`TupleStore.remove_sequenced_before`) costs O(expired · log n)
+  collection (:meth:`TupleStore.remove_expired`) costs O(expired · log n)
   instead of a full re-scan of every stored record.
 """
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import insort
-from typing import Dict, Iterable, Iterator, List, Set, Tuple as TupleT
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple as TupleT
 
 from repro.data.backends import (
     SEPARATOR as _SEPARATOR,  # noqa: F401  (re-exported for compatibility)
@@ -150,7 +149,7 @@ class TupleStore(StoreBackend):
 
         Returns the number of removed entries.  Used by window-based state
         reduction and by tests; expiry sweeps over the whole store should use
-        :meth:`remove_published_before` / :meth:`remove_sequenced_before`.
+        :meth:`remove_expired`.
         """
         records = self._by_key.get(key)
         if not records:
@@ -198,7 +197,20 @@ class TupleStore(StoreBackend):
         ]
         heapq.heapify(self._seq_heap)
 
-    def remove_published_before(self, cutoff: float) -> int:
+    def remove_expired(
+        self,
+        published_before: Optional[float] = None,
+        sequenced_before: Optional[int] = None,
+    ) -> int:
+        """Ranged GC: drop records behind either cutoff, one heap per order."""
+        removed = 0
+        if published_before is not None:
+            removed += self._remove_published_before(published_before)
+        if sequenced_before is not None:
+            removed += self._remove_sequenced_before(sequenced_before)
+        return removed
+
+    def _remove_published_before(self, cutoff: float) -> int:
         """Drop every tuple whose publication time is strictly before ``cutoff``.
 
         Runs in O(expired · log n): the expiry heap names the keys holding
@@ -227,10 +239,10 @@ class TupleStore(StoreBackend):
                 del records[:index]
         return removed
 
-    def remove_sequenced_before(self, cutoff: float) -> int:
+    def _remove_sequenced_before(self, cutoff: int) -> int:
         """Drop every tuple whose sequence number is strictly below ``cutoff``.
 
-        The tuple-based window analogue of :meth:`remove_published_before`.
+        The tuple-based window analogue of :meth:`_remove_published_before`.
         Sequence numbers need not follow publication order within a key, so
         affected keys are re-filtered rather than prefix-cut.
         """

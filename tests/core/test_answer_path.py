@@ -404,8 +404,7 @@ class TestPlanLifetime:
         items = old_home.extract_all()
         assert record.plan is plan
         new_home = engine.nodes[another_node(engine, old_home.address)]
-        for item in items:
-            new_home.accept_rehomed(item)
+        new_home.accept_rehomed(items)
         schema = engine.catalog.get("S")
         tup = engine.publish("S", (10, 1), process=False)
         new_home._trigger(record, (tup,), schema)

@@ -120,9 +120,12 @@ class TestEngineApi:
         with pytest.raises(EngineError):
             engine.publish("R", (1, 2), publisher="ghost")
 
-    def test_publish_many(self, engine):
+    def test_publish_without_processing_then_run(self, engine):
         handle = engine.submit("SELECT R.a FROM R, S WHERE R.b = S.c")
-        engine.publish_many([("R", (1, 10)), ("S", (10, 3))], process_each=False)
+        engine.publish("R", (1, 10), process=False)
+        engine.publish("S", (10, 3), process=False)
+        assert handle.values() == []
+        engine.run()
         assert handle.values() == [(1,)]
 
     def test_handles_registry(self, engine):
@@ -391,14 +394,13 @@ class TestPublishBatch:
         assert "publish_batch" in str(excinfo.value)
         assert self._engine_state(engine) == before
 
-    @pytest.mark.parametrize("bad_row", [("R",), ("R", 1, 2, 3), 42, ("R", 5)])
-    def test_publish_many_malformed_rows_raise_engine_error(self, engine, bad_row):
+    @pytest.mark.parametrize("bad_values", [5, None, 2.5, object()])
+    def test_publish_malformed_values_raise_engine_error(self, engine, bad_values):
+        """``publish`` validates like a one-row ``publish_batch``, naming itself."""
         before = self._engine_state(engine)
         with pytest.raises(EngineError) as excinfo:
-            engine.publish_many([("R", (1, 10)), bad_row])
-        assert "publish_many" in str(excinfo.value)
-        # publish_many validates the whole list up front, so even the good
-        # leading row must not have been published.
+            engine.publish("R", bad_values)
+        assert "publish row 0" in str(excinfo.value)
         assert self._engine_state(engine) == before
 
     def test_oracle_rate_unaffected_by_failed_batch(self, engine):

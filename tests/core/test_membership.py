@@ -317,9 +317,9 @@ class TestManagerAndItems:
         node = next(iter(engine.nodes.values()))
         item = RehomedItem(kind="hologram", key_text="some-key", payload=object())
         with pytest.raises(EngineError, match="hologram"):
-            node.accept_rehomed(item)
+            node.accept_rehomed([item])
         with pytest.raises(EngineError, match="input"):
-            node.accept_rehomed(item)  # message names the valid kinds
+            node.accept_rehomed([item])  # message names the valid kinds
 
     def test_handoff_refuses_live_node(self):
         _, engine = build(queries=0, tuples=0)
