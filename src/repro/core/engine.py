@@ -985,7 +985,7 @@ class RJoinEngine:
             **{counter: self._node_total(counter) for counter in _NODE_COUNTERS},
             # Observability (latency/load histograms; zeros when off) ------
             **histogram_percentiles(
-                self.obs.registry if self.obs is not None else None
+                self.obs.histograms if self.obs is not None else None
             ),
         }
 

@@ -272,8 +272,6 @@ class RJoinNode:
         tup = msg.tuple
         self.ctx.loads.record_tuple_received(self.address)
         self.rates.record(key.text, now)
-        if self.ctx.obs is not None:
-            self.ctx.obs.record_key_load(key.text)
 
         if key.level == ATTRIBUTE_LEVEL:
             self._trigger_stored_queries(self.input_queries, key.text, tup)
@@ -331,10 +329,13 @@ class RJoinNode:
     ) -> None:
         """Procedure 3's loop: rewrite ``record`` by each tuple that may trigger it.
 
-        ``tuples`` are of one relation (``schema``'s) and in publication
-        order, as a key's store and the ALTT hand them out.  Everything that
-        is the same for all of them — the state, the window bounds, the
-        tracker, the plan, the sinks — is read once; per tuple remain the
+        ``tuples`` are of one relation (``schema``'s), in the order their
+        source hands them out: publication order from
+        :meth:`_stored_tuples_for` (a key's store keeps it; the ALTT's extras
+        are sorted into it), reception order from the ALTT itself (an input
+        query's raced tuples).  Everything that is the same for all of them
+        — the state, the window bounds, the tracker, the plan, the sinks —
+        is read once; per tuple remain the
         trigger conditions (published at or after the query's submission,
         inside the window by :func:`~repro.core.windows.admits`' rule,
         admitted by the DISTINCT tracker), the rewrite, and the answer or the
@@ -615,7 +616,7 @@ class RJoinNode:
             if spared:
                 self.ric_questions_spared += spared
                 if self.ctx.obs is not None:
-                    self.ctx.obs.record_ric("spared", spared)
+                    self.ctx.obs.add_to_span("ric_spared", spared)
             if ask:
                 self._start_ric_chain(state, candidates, known, ask)
                 return
@@ -654,7 +655,7 @@ class RJoinNode:
         if joined:
             self.ric_questions_joined += joined
             if self.ctx.obs is not None:
-                self.ctx.obs.record_ric("joined", joined)
+                self.ctx.obs.add_to_span("ric_joined", joined)
         if not ask:
             return
         self.ric_chains_started += 1
@@ -671,8 +672,6 @@ class RJoinNode:
 
     def _on_ric_request(self, msg: RicRequestMessage, delivered_at: float) -> None:
         """Report the local arrival rate and forward the chain (Section 6)."""
-        if self.ctx.obs is not None:
-            self.ctx.obs.record_ric("request")
         now = self.ctx.clock()
         entry = RicEntry(
             key_text=msg.target_key.text,
@@ -707,8 +706,6 @@ class RJoinNode:
         in the order they registered.  A reply whose keys nobody (alive)
         waits for changes only the candidate table.
         """
-        if self.ctx.obs is not None:
-            self.ctx.obs.record_ric("reply")
         ring = self.ctx.api.ring
         pending = self._pending_ric
         for entry in msg.collected:
@@ -831,7 +828,7 @@ class RJoinNode:
         """
         self.arc_sends_misdirected += 1
         if self.ctx.obs is not None:
-            self.ctx.obs.record_misdirected(envelope.kind)
+            self.ctx.obs.add_to_span("arc_misdirected")
         message = envelope.message
         self.ctx.api.send(
             self.address, message, identifier,

@@ -3,8 +3,8 @@
 Every RJoin node stores tuples it receives *at the value level* so that
 rewritten queries arriving later can still be matched against them
 (Procedure 2 and 3 of the paper).  The attribute-level tuple table (ALTT) of
-Section 4 reuses the same structure with an expiry time (see
-:mod:`repro.core.altt`).
+Section 4 is a class of its own, keyed by reception time with an expiry
+(see :mod:`repro.core.altt`).
 
 The store is a mapping ``indexing key -> list of stored tuples``.  It also
 maintains aggregate counters that feed the storage-load metric of the

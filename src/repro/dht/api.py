@@ -61,7 +61,7 @@ class DHTMessagingService:
         Optional :class:`~repro.obs.context.Observability` facade.  When
         given, every posted envelope is stamped with a trace context and
         every delivery runs inside a span that records the transit
-        instruments (hop delay, inbox depth, handler service time).
+        histograms (hop delay, inbox depth, handler service time).
     """
 
     def __init__(
@@ -329,8 +329,6 @@ class DHTMessagingService:
         handler = self._handlers.get(envelope.destination)
         if handler is None:
             self._dropped += envelope.weight
-            if self._obs is not None:
-                self._obs.record_dropped(envelope)
             return
         obs = self._obs
         span = (

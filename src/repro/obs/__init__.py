@@ -1,16 +1,18 @@
-"""End-to-end observability: trace propagation + metrics instruments.
+"""End-to-end observability: trace propagation + latency histograms.
 
 The zero-dependency observability layer of the reproduction.  Enabled via
-``RJoinConfig(observability="on")``:
+``RJoinConfig(observability="on")``, one :class:`Observability` per engine:
 
 * every :class:`~repro.net.messages.Envelope` carries a
   :class:`TraceContext` and every delivery opens a :class:`Span`
   (logical-clock timestamps; wall-clock service time on the asyncio
-  runtime), streamed to a bounded JSONL sink,
-* a :class:`MetricsRegistry` of counters, gauges and mergeable
-  fixed-bucket histograms records answer latency, per-hop delay, handler
-  service time, inbox depth and per-node/per-key load; the histograms fold
-  into ``metrics_summary`` as ``*_p50/_p95/_p99`` keys (result schema v8),
+  runtime), kept by a bounded sink; a span carries its delivery's
+  attribution (hops, weight, RIC questions joined or spared, routing-cache
+  arcs),
+* fixed-bucket histograms record answer latency, per-hop delay, handler
+  service time, inbox depth and store probe sizes; they fold into
+  ``metrics_summary`` as ``*_p50/_p95/_p99`` keys (see ``SUMMARY_SCHEMA``).
+  Counts are the engine's own ``ChurnStats`` and per-node counter fields,
 * ``python -m repro.obs`` summarizes or converts a recorded trace file
   (Chrome/Perfetto ``trace_event`` output).
 """
@@ -20,11 +22,8 @@ from repro.obs.export import chrome_trace_events, write_chrome_trace
 from repro.obs.instruments import (
     HISTOGRAMS,
     PERCENTILE_POINTS,
-    Counter,
-    Gauge,
     Histogram,
     HistogramSpec,
-    MetricsRegistry,
     histogram_percentiles,
 )
 from repro.obs.trace import (
@@ -35,7 +34,6 @@ from repro.obs.trace import (
     Span,
     SpanSink,
     TraceContext,
-    Tracer,
     load_spans,
 )
 
@@ -45,11 +43,8 @@ __all__ = [
     "write_chrome_trace",
     "HISTOGRAMS",
     "PERCENTILE_POINTS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSpec",
-    "MetricsRegistry",
     "histogram_percentiles",
     "DEFAULT_MAX_SPANS",
     "OBSERVABILITY_MODES",
@@ -58,6 +53,5 @@ __all__ = [
     "Span",
     "SpanSink",
     "TraceContext",
-    "Tracer",
     "load_spans",
 ]

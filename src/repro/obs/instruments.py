@@ -1,11 +1,12 @@
-"""Metrics instruments: counters, gauges and mergeable histograms.
+"""Distributions: the declared fixed-bucket histograms.
 
-The registry is the quantitative half of the observability layer: while
-:mod:`repro.obs.trace` follows *individual* operations, the instruments
-aggregate — latency distributions, per-node and per-key load counters,
-inbox depth.  Histograms use fixed bucket boundaries so two registries
-(e.g. from different worker processes) merge by adding bucket counts, and
-percentile estimates are deterministic functions of the recorded values.
+While the spans of :mod:`repro.obs.trace` follow *individual* deliveries,
+the histograms aggregate distributions — answer latency, per-hop delay,
+handler service time, inbox depth, store probe sizes.  Counts are no
+instrument of this layer: they are the engine's ``ChurnStats`` and per-node
+counter fields, and per-delivery attribution sits on the spans.  Fixed
+bucket boundaries make every percentile estimate a deterministic function of
+the recorded values, independent of recording order.
 
 Every histogram the layer records into is declared up front in
 :data:`HISTOGRAMS`, and each surfaces as ``{name}_p50`` / ``{name}_p95``
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -92,7 +93,7 @@ PERCENTILE_POINTS: Tuple[Tuple[str, float], ...] = (
 
 
 class Histogram:
-    """A fixed-bucket histogram; mergeable, with deterministic percentiles.
+    """A fixed-bucket histogram with deterministic percentiles.
 
     ``buckets`` are inclusive upper bounds; values above the last bound
     land in an overflow bucket whose percentile estimate is the observed
@@ -124,19 +125,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical buckets into this one."""
-        if other.spec.buckets != self.spec.buckets:
-            raise ObservabilityError(
-                f"cannot merge histogram {other.spec.name!r} into "
-                f"{self.spec.name!r}: bucket boundaries differ"
-            )
-        for index, count in enumerate(other._counts):
-            self._counts[index] += count
-        self.count += other.count
-        self.total += other.total
-        self.max = max(self.max, other.max)
-
     def percentile(self, fraction: float) -> float:
         """Nearest-rank percentile estimate (0.0 on an empty histogram)."""
         if not 0 < fraction <= 1:
@@ -153,159 +141,18 @@ class Histogram:
                 return self.max
         return self.max
 
-    @property
-    def mean(self) -> float:
-        """Mean of the recorded observations (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def bucket_counts(self) -> List[int]:
-        """Per-bucket observation counts (last entry = overflow bucket)."""
-        return list(self._counts)
-
-
-class Counter:
-    """A monotone counter with an optional bounded label dimension."""
-
-    #: Once this many distinct labels exist, further labels collapse into
-    #: one overflow bucket so hot-key floods cannot exhaust memory.
-    OVERFLOW_LABEL = "__other__"
-
-    def __init__(self, name: str, max_labels: int = 1024) -> None:
-        if max_labels <= 0:
-            raise ObservabilityError("max_labels must be positive")
-        self.name = name
-        self.max_labels = max_labels
-        self.value = 0
-        self.by_label: Dict[str, int] = {}
-
-    def inc(self, label: Optional[str] = None, amount: int = 1) -> None:
-        """Increment the counter (and the label's sub-counter, if given)."""
-        self.value += amount
-        if label is None:
-            return
-        by_label = self.by_label
-        current = by_label.get(label)
-        if current is None:
-            if len(by_label) >= self.max_labels:
-                label = self.OVERFLOW_LABEL
-                current = by_label.get(label, 0)
-            else:
-                current = 0
-        by_label[label] = current + amount
-
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's totals and labels into this one."""
-        self.value += other.value
-        for label, amount in other.by_label.items():
-            if label not in self.by_label and len(self.by_label) >= self.max_labels:
-                label = self.OVERFLOW_LABEL
-            self.by_label[label] = self.by_label.get(label, 0) + amount
-
-
-class Gauge:
-    """A last-value instrument that also tracks its high-water mark."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.max = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current value."""
-        self.value = value
-        if value > self.max:
-            self.max = value
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in (keeps the joint high-water mark)."""
-        self.value = other.value
-        self.max = max(self.max, other.max)
-
-
-class MetricsRegistry:
-    """All instruments of one engine (or one worker process).
-
-    Histograms are created eagerly from :data:`HISTOGRAMS` — asking for an
-    undeclared histogram raises, which keeps the declaration authoritative
-    at runtime exactly as the analysis rule keeps it at lint time.
-    Counters and gauges are created on demand.
-    """
-
-    def __init__(self) -> None:
-        self._histograms = {spec.name: Histogram(spec) for spec in HISTOGRAMS}
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-
-    def histogram(self, name: str) -> Histogram:
-        """The declared histogram called ``name``."""
-        try:
-            return self._histograms[name]
-        except KeyError:
-            declared = ", ".join(sorted(self._histograms))
-            raise ObservabilityError(
-                f"histogram {name!r} is not declared in HISTOGRAMS "
-                f"(declared: {declared}); declare it and extend "
-                "SUMMARY_SCHEMA"
-            ) from None
-
-    def counter(self, name: str) -> Counter:
-        """The counter called ``name`` (created on first use)."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge called ``name`` (created on first use)."""
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (cross-process aggregation)."""
-        for name, histogram in other._histograms.items():
-            self._histograms[name].merge(histogram)
-        for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).merge(gauge)
-
-    def snapshot(self) -> Dict[str, object]:
-        """A JSON-safe dump of every instrument (for debugging/export)."""
-        return {
-            "histograms": {
-                name: {
-                    "count": hist.count,
-                    "mean": hist.mean,
-                    "max": hist.max,
-                    "buckets": list(hist.spec.buckets),
-                    "counts": hist.bucket_counts(),
-                }
-                for name, hist in sorted(self._histograms.items())
-            },
-            "counters": {
-                name: {"value": counter.value, "by_label": dict(counter.by_label)}
-                for name, counter in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: {"value": gauge.value, "max": gauge.max}
-                for name, gauge in sorted(self._gauges.items())
-            },
-        }
-
 
 def histogram_percentiles(
-    registry: Optional[MetricsRegistry],
+    histograms: Optional[Mapping[str, Histogram]],
 ) -> Dict[str, float]:
     """The summary-schema fold: ``{name}_{p50,p95,p99}`` per declared histogram.
 
-    With ``registry=None`` (observability off) every key is still present,
+    With ``histograms=None`` (observability off) every key is still present,
     as zero — the result schema does not depend on the observability mode.
     """
     folded: Dict[str, float] = {}
     for spec in HISTOGRAMS:
-        histogram = None if registry is None else registry.histogram(spec.name)
+        histogram = None if histograms is None else histograms[spec.name]
         for suffix, fraction in PERCENTILE_POINTS:
             folded[f"{spec.name}_{suffix}"] = (
                 0.0 if histogram is None else histogram.percentile(fraction)

@@ -1,4 +1,4 @@
-"""Trace propagation: contexts, spans, sinks and the tracer.
+"""Trace records: contexts, spans and the sinks that bound them.
 
 One *trace* follows everything a single engine operation (a tuple
 publication, a query submission, a retraction) causes across the network:
@@ -12,28 +12,17 @@ answer.
 
 Timestamps are the *logical* transport clock, so a trace taken on the
 ``sim`` runtime is bit-identical across reruns; on the ``asyncio`` runtime
-the tracer additionally records wall-clock service time per span
-(``wall_us``).  Span volume is bounded by the sink (drops are counted, not
-silently lost).
+each span additionally records wall-clock service time (``wall_us``).  Span
+volume is bounded by the sink (drops are counted, not silently lost).  The
+span stack that opens and closes spans is
+:class:`~repro.obs.context.Observability`.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    TextIO,
-)
+from typing import Any, Dict, List, NamedTuple, Optional, TextIO
 
 from repro.errors import ObservabilityError
 
@@ -43,7 +32,7 @@ OBSERVABILITY_MODES = ("off", "on")
 #: Default bound on the number of spans a sink retains / writes.
 DEFAULT_MAX_SPANS = 100_000
 
-#: Default bound on the number of trace start times the tracer remembers
+#: Bound on the number of trace start times observability remembers
 #: (oldest evicted first; latency for an evicted trace is simply not
 #: recorded).
 DEFAULT_MAX_TRACES = 65_536
@@ -205,9 +194,6 @@ class MemorySink(SpanSink):
         self.recorded += 1
         self.spans.append(span)
 
-    def _store(self, span: Span) -> None:
-        self.spans.append(span)
-
     def write_jsonl(self, path: str) -> int:
         """Dump the retained spans as JSONL; returns the span count."""
         with open(path, "w", encoding="utf-8") as handle:
@@ -259,135 +245,3 @@ def load_spans(path: str) -> List[Span]:
                     f"{path}:{line_number}: malformed trace line ({exc})"
                 ) from exc
     return spans
-
-
-class Tracer:
-    """Allocates contexts, tracks the active span and records finished spans.
-
-    The tracer keeps a stack of active contexts: the engine pushes a root
-    context around each operation, the messaging layer pushes the carried
-    context around each delivery, and every message sent while a context is
-    active becomes its child.  Handler execution is synchronous on both
-    runtimes, so the stack nests correctly even under the asyncio actor
-    scheduler (tasks only interleave at await points, never mid-handler).
-    """
-
-    def __init__(
-        self,
-        sink: SpanSink,
-        clock: Callable[[], float],
-        wall_clock: bool = False,
-        max_traces: int = DEFAULT_MAX_TRACES,
-    ) -> None:
-        if max_traces <= 0:
-            raise ObservabilityError("max_traces must be positive")
-        self.sink = sink
-        self.clock = clock
-        self.wall_clock = wall_clock
-        self.max_traces = max_traces
-        self._span_ids = itertools.count(1)
-        self._stack: List[TraceContext] = []
-        self._wall_starts: List[float] = []
-        self._trace_starts: Dict[str, float] = {}
-        self.traces_started = 0
-
-    # ------------------------------------------------------------------
-    # context allocation
-    # ------------------------------------------------------------------
-    @property
-    def current(self) -> Optional[TraceContext]:
-        """The innermost active context (``None`` outside any span)."""
-        return self._stack[-1] if self._stack else None
-
-    def new_trace(self, trace_id: str) -> TraceContext:
-        """Open a fresh trace rooted at the current logical time."""
-        if trace_id not in self._trace_starts:
-            if len(self._trace_starts) >= self.max_traces:
-                # Evict the oldest registration (dict preserves insertion
-                # order); latency against an evicted root is not recorded.
-                oldest = next(iter(self._trace_starts))
-                del self._trace_starts[oldest]
-            self._trace_starts[trace_id] = self.clock()
-            self.traces_started += 1
-        return TraceContext(trace_id, next(self._span_ids), None, 0)
-
-    def child(self, parent: TraceContext) -> TraceContext:
-        """A context for a message sent from inside ``parent``'s span."""
-        # Positional construction: keyword arguments route a NamedTuple
-        # through Python-level argument matching, and this allocates once
-        # per posted message.
-        return TraceContext(
-            parent.trace_id, next(self._span_ids), parent.span_id, parent.hop + 1
-        )
-
-    def trace_start(self, trace_id: str) -> Optional[float]:
-        """Logical time the trace was opened (``None`` if unknown/evicted)."""
-        return self._trace_starts.get(trace_id)
-
-    # ------------------------------------------------------------------
-    # spans
-    # ------------------------------------------------------------------
-    def begin_span(
-        self,
-        context: TraceContext,
-        name: str,
-        node: str,
-        sent_at: Optional[float] = None,
-        hops: int = 0,
-    ) -> Span:
-        """Activate ``context``; messages sent until ``end_span`` become its
-        children.
-
-        The explicit begin/end pair exists for the per-delivery hot path:
-        a generator-based context manager costs two extra frames per
-        delivery, which alone pushed the ``on``-mode overhead past the
-        benchmark gate.  Callers must guarantee ``end_span`` runs (use
-        ``try``/``finally``); :meth:`span` wraps the pair for everyone
-        outside the hot path.
-        """
-        start = self.clock()
-        span = Span(
-            trace_id=context.trace_id,
-            span_id=context.span_id,
-            parent_id=context.parent_id,
-            name=name,
-            node=node,
-            start=start,
-            end=start,
-            sent_at=start if sent_at is None else sent_at,
-            hops=hops,
-            hop=context.hop,
-        )
-        self._stack.append(context)
-        if self.wall_clock:
-            self._wall_starts.append(time.perf_counter())
-        return span
-
-    def end_span(self, span: Span) -> None:
-        """Close the innermost open span and record it with the sink."""
-        self._stack.pop()
-        if self.wall_clock:
-            span.wall_us = (time.perf_counter() - self._wall_starts.pop()) * 1e6
-        span.end = self.clock()
-        self.sink.record(span)
-
-    @contextmanager
-    def span(
-        self,
-        context: TraceContext,
-        name: str,
-        node: str,
-        sent_at: Optional[float] = None,
-        hops: int = 0,
-    ) -> Iterator[Span]:
-        """Activate ``context`` for the duration of the block.
-
-        Messages sent inside the block become children of ``context``; the
-        finished span is recorded with the sink when the block exits (also
-        on exception — a failing handler still leaves a complete trace).
-        """
-        span = self.begin_span(context, name, node, sent_at=sent_at, hops=hops)
-        try:
-            yield span
-        finally:
-            self.end_span(span)

@@ -240,10 +240,11 @@ class StaleArc:
 
     VALUE = 2
 
-    def __init__(self, runtime: str) -> None:
+    def __init__(self, runtime: str, **config) -> None:
         catalog = two_relations()
         self.engine = engine = RJoinEngine(
-            RJoinConfig(num_nodes=16, seed=7, strategy="rjoin", runtime=runtime),
+            RJoinConfig(num_nodes=16, seed=7, strategy="rjoin", runtime=runtime,
+                        **config),
             catalog=catalog,
         )
         self.reference = ReferenceEngine(catalog)
@@ -319,6 +320,21 @@ def shrink_by_id_movement(s: StaleArc) -> str:
     ring.move_node(s.old_owner, s.identifier - 1)
     s.engine.membership.rehome_misplaced(kind="move")
     return heir
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_the_span_of_a_misdirected_delivery_is_marked(runtime):
+    """The trace attributes a stale arc to the one delivery that met it."""
+    s = StaleArc(runtime, observability="on")
+    s.warm()
+    s.publish("R", (1, s.VALUE))
+    split_by_join(s)
+    s.publish("S", (s.VALUE, 7))
+    assert s.misdirected() == 1
+    marked = [span for span in s.engine.obs.spans if span.arc_misdirected]
+    assert [(span.name, span.node, span.arc_direct, span.arc_misdirected)
+            for span in marked] == [("NewTupleMessage", s.old_owner, 1, 1)]
+    s.finish()
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)

@@ -69,7 +69,7 @@ class TestTraceReplay:
         assert all(span.weight == 1 for span in others)
         delivered = engine.total_answers
         assert sum(span.weight for span in answers) == delivered
-        assert engine.obs.registry.histogram("answer_latency").count == delivered
+        assert engine.obs.histograms["answer_latency"].count == delivered
         engine.close()
 
     def test_every_parent_resolves_no_orphan_spans(self):

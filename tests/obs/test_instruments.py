@@ -1,9 +1,8 @@
-"""Unit contract of the metrics instruments (histogram/counter/gauge).
+"""Unit contract of the declared histograms.
 
 The histogram properties matter beyond unit hygiene: deterministic
 percentiles are what makes ``metrics_summary`` reproducible across sim
-reruns, and bucket-wise mergeability is what lets worker processes fold
-their registries into one.
+reruns.
 """
 
 from __future__ import annotations
@@ -11,14 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs.context import Observability
 from repro.obs.instruments import (
     HISTOGRAMS,
     PERCENTILE_POINTS,
-    Counter,
-    Gauge,
     Histogram,
     HistogramSpec,
-    MetricsRegistry,
     histogram_percentiles,
 )
 
@@ -34,11 +31,15 @@ class TestHistogram:
         hist = Histogram(spec())
         for value in (0.5, 1.0, 1.5, 2.0, 3.9, 100.0):
             hist.record(value)
-        # buckets: <=1, <=2, <=4, overflow
-        assert hist.bucket_counts() == [2, 2, 1, 1]
+        # buckets: <=1 holds 2, <=2 holds 2, <=4 holds 1, overflow holds 1
+        assert hist.percentile(2 / 6) == 1.0
+        assert hist.percentile(3 / 6) == 2.0
+        assert hist.percentile(4 / 6) == 2.0
+        assert hist.percentile(5 / 6) == 4.0
+        assert hist.percentile(1.0) == 100.0
         assert hist.count == 6
         assert hist.max == 100.0
-        assert hist.mean == pytest.approx(sum((0.5, 1.0, 1.5, 2.0, 3.9, 100.0)) / 6)
+        assert hist.total == pytest.approx(sum((0.5, 1.0, 1.5, 2.0, 3.9, 100.0)))
 
     def test_percentile_is_bucket_upper_bound_nearest_rank(self):
         hist = Histogram(spec())
@@ -64,22 +65,17 @@ class TestHistogram:
         with pytest.raises(ObservabilityError):
             hist.percentile(1.5)
 
-    def test_merge_adds_bucket_counts(self):
-        left, right = Histogram(spec()), Histogram(spec())
-        for value in (0.5, 3.0):
-            left.record(value)
-        for value in (1.5, 9.0):
-            right.record(value)
-        left.merge(right)
-        assert left.count == 4
-        assert left.bucket_counts() == [1, 1, 1, 1]
-        assert left.max == 9.0
-
-    def test_merge_rejects_different_buckets(self):
-        left = Histogram(spec())
-        right = Histogram(spec(buckets=(1.0, 8.0)))
-        with pytest.raises(ObservabilityError):
-            left.merge(right)
+    def test_a_counted_record_is_that_many_observations(self):
+        counted, repeated = Histogram(spec()), Histogram(spec())
+        counted.record(1.5, 3)
+        counted.record(3.0)
+        for value in (1.5, 1.5, 1.5, 3.0):
+            repeated.record(value)
+        assert (counted.count, counted.total, counted.max) == (4, 7.5, 3.0)
+        for fraction in (0.25, 0.5, 0.75, 1.0):
+            assert counted.percentile(fraction) == repeated.percentile(fraction)
+        assert counted.percentile(0.75) == 2.0
+        assert counted.percentile(1.0) == 4.0
 
     def test_buckets_must_be_strictly_increasing(self):
         with pytest.raises(ObservabilityError):
@@ -88,92 +84,14 @@ class TestHistogram:
             Histogram(spec(buckets=()))
 
 
-class TestCounter:
-    def test_labelled_increments(self):
-        counter = Counter("deliveries")
-        counter.inc("node-1")
-        counter.inc("node-1", amount=2)
-        counter.inc("node-2")
-        counter.inc()  # total only
-        assert counter.value == 5
-        assert counter.by_label == {"node-1": 3, "node-2": 1}
-
-    def test_label_overflow_collapses_into_other(self):
-        counter = Counter("keys", max_labels=2)
-        counter.inc("a")
-        counter.inc("b")
-        counter.inc("c")
-        counter.inc("d")
-        counter.inc("a")  # existing labels keep counting past the bound
-        assert counter.by_label == {"a": 2, "b": 1, Counter.OVERFLOW_LABEL: 2}
-        assert counter.value == 5
-
-    def test_merge_folds_totals_and_labels(self):
-        left, right = Counter("c"), Counter("c")
-        left.inc("x")
-        right.inc("x")
-        right.inc("y", amount=3)
-        left.merge(right)
-        assert left.value == 5
-        assert left.by_label == {"x": 2, "y": 3}
-
-
-class TestGauge:
-    def test_tracks_last_value_and_high_water_mark(self):
-        gauge = Gauge("pending")
-        gauge.set(3.0)
-        gauge.set(10.0)
-        gauge.set(2.0)
-        assert gauge.value == 2.0
-        assert gauge.max == 10.0
-
-    def test_merge_keeps_joint_maximum(self):
-        left, right = Gauge("g"), Gauge("g")
-        left.set(5.0)
-        right.set(3.0)
-        left.merge(right)
-        assert left.value == 3.0
-        assert left.max == 5.0
-
-
-class TestMetricsRegistry:
-    def test_declared_histograms_exist_eagerly(self):
-        registry = MetricsRegistry()
-        for declared in HISTOGRAMS:
-            assert registry.histogram(declared.name).spec is declared
-
-    def test_undeclared_histogram_raises(self):
-        with pytest.raises(ObservabilityError, match="not declared"):
-            MetricsRegistry().histogram("made_up")
-
-    def test_counters_and_gauges_created_on_demand(self):
-        registry = MetricsRegistry()
-        assert registry.counter("hits") is registry.counter("hits")
-        assert registry.gauge("depth") is registry.gauge("depth")
-
-    def test_merge_folds_every_instrument_kind(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        right.histogram("answer_latency").record(2.0)
-        right.counter("hits").inc("n1")
-        right.gauge("depth").set(7.0)
-        left.merge(right)
-        assert left.histogram("answer_latency").count == 1
-        assert left.counter("hits").by_label == {"n1": 1}
-        assert left.gauge("depth").max == 7.0
-
-    def test_snapshot_is_json_safe(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.histogram("hop_delay").record(1.0)
-        registry.counter("hits").inc("n1")
-        registry.gauge("depth").set(2.0)
-        dump = json.dumps(registry.snapshot())
-        assert "hop_delay" in dump and "hits" in dump and "depth" in dump
+class TestDeclaredHistograms:
+    def test_observability_holds_each_declared_histogram(self):
+        obs = Observability(clock=lambda: 0.0)
+        assert [h.spec for h in obs.histograms.values()] == list(HISTOGRAMS)
 
 
 class TestHistogramPercentilesFold:
-    def test_none_registry_yields_all_keys_as_zero(self):
+    def test_observability_off_yields_all_keys_as_zero(self):
         folded = histogram_percentiles(None)
         assert len(folded) == len(HISTOGRAMS) * len(PERCENTILE_POINTS)
         assert set(folded.values()) == {0.0}
@@ -181,11 +99,11 @@ class TestHistogramPercentilesFold:
             for suffix, _ in PERCENTILE_POINTS:
                 assert f"{declared.name}_{suffix}" in folded
 
-    def test_live_registry_surfaces_recorded_percentiles(self):
-        registry = MetricsRegistry()
+    def test_live_histograms_surface_recorded_percentiles(self):
+        histograms = Observability(clock=lambda: 0.0).histograms
         for _ in range(100):
-            registry.histogram("answer_latency").record(1.0)
-        folded = histogram_percentiles(registry)
+            histograms["answer_latency"].record(1.0)
+        folded = histogram_percentiles(histograms)
         assert folded["answer_latency_p50"] == 1.0
         assert folded["answer_latency_p99"] == 1.0
         assert folded["hop_delay_p50"] == 0.0
