@@ -41,7 +41,6 @@ class AttributeLevelTupleTable:
         """``delta`` is the retention time Δ; ``None`` means keep forever."""
         self.delta = delta
         self._by_key: Dict[str, List[_AlttEntry]] = {}
-        self._stored_total = 0
         self._size = 0
         # (received_at, tiebreak, key) min-heap; only maintained when entries
         # can actually expire (finite Δ).
@@ -61,7 +60,6 @@ class AttributeLevelTupleTable:
         if entries and entries[-1].received_at > now:
             self._unsorted_keys.add(key_text)
         entries.append(_AlttEntry(tuple=tup, received_at=now))
-        self._stored_total += 1
         self._size += 1
         if self.delta is not None:
             heapq.heappush(
@@ -199,8 +197,3 @@ class AttributeLevelTupleTable:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def cumulative_stored(self) -> int:
-        """Total number of tuples ever added to the table."""
-        return self._stored_total

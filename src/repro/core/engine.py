@@ -181,7 +181,6 @@ class RJoinEngine:
         self.membership = MembershipManager(
             ring=self.ring,
             nodes=self.nodes,
-            loads=self.loads,
             churn=self.churn,
             registration_home=self.lifecycle.registration_home,
         )
@@ -743,11 +742,11 @@ class RJoinEngine:
         """A node fails abruptly; returns the crashed address.
 
         The node's entire state is destroyed (accounted as lost in
-        :attr:`churn` and as dropped state in :attr:`loads`), and every
-        message still in flight towards the dead address is destroyed by
-        the network — except that answers of queries the victim owned go on
-        to its successor, and a destroyed RIC chain is handed back to the
-        node that started it, which asks again
+        :attr:`churn`), and every message still in flight towards the dead
+        address is destroyed by the network — except that answers of
+        queries the victim owned go on to its successor, and a destroyed
+        RIC chain is handed back to the node that started it, which asks
+        again
         (:meth:`~repro.core.node.RJoinNode.ric_chain_lost`).  Unlike joins
         and leaves a crash takes effect immediately, even mid-drain — that
         is the point of modelling it.
@@ -971,7 +970,9 @@ class RJoinEngine:
             "qpl_per_node": self.loads.qpl_per_node(num_nodes),
             "total_storage": float(self.loads.total_storage_load),
             "storage_per_node": self.loads.storage_per_node(num_nodes),
-            "current_storage": float(self.loads.total_current_storage),
+            "current_storage": float(
+                sum(node.current_storage_items for node in self.nodes.values())
+            ),
             "answers": float(self.total_answers),
             "participating_nodes": float(self.loads.participating_nodes()),
             "dropped_messages": float(self.api.dropped_messages),

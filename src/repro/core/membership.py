@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 
 from repro.dht.chord import ChordRing
 from repro.errors import EngineError
-from repro.metrics.collectors import ChurnStats, LoadTracker
+from repro.metrics.collectors import ChurnStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.node import RehomedItem, RJoinNode
@@ -82,13 +82,11 @@ class MembershipManager:
         self,
         ring: ChordRing,
         nodes: Dict[str, "RJoinNode"],
-        loads: LoadTracker,
         churn: ChurnStats,
         registration_home: Callable[[str], Optional[str]],
     ) -> None:
         self.ring = ring
         self.nodes = nodes
-        self.loads = loads
         self.churn = churn
         #: ``query_id -> address`` of the node that must hold the query's
         #: replicated handle registration (None: the query is gone); the
@@ -149,19 +147,8 @@ class MembershipManager:
         self.churn.membership_events += 1
 
     def discard(self, crashed: "RJoinNode") -> None:
-        """Destroy a crashed node's state and account it as lost.
-
-        The load tracker is told about the destroyed rewritten queries and
-        tuples so the network-wide *current storage* aggregate keeps matching
-        the live state of the surviving nodes.
-        """
+        """Destroy a crashed node's state and account it as lost."""
         items = crashed.extract_all()
-        queries_lost = sum(1 for item in items if item.kind == "rewritten")
-        tuples_lost = sum(1 for item in items if item.kind == "tuple")
-        if queries_lost:
-            self.loads.record_query_dropped(crashed.address, queries_lost)
-        if tuples_lost:
-            self.loads.record_tuple_dropped(crashed.address, tuples_lost)
         churn = self.churn
         churn.records_lost += len(items)
         churn.bytes_lost += sum(estimate_item_bytes(item) for item in items)

@@ -303,7 +303,7 @@ class RJoinNode:
         of an earlier one of it that may still complete the record.
         """
         schema = self.ctx.catalog.get(tup.relation)
-        candidates, dropped = table.probe(
+        candidates, _ = table.probe(
             key_text,
             # expired(window, state, clock) per window mode.
             clocks={
@@ -312,8 +312,6 @@ class RJoinNode:
             },
             value_of=lambda attribute: tup.value_of(attribute, schema),
         )
-        if dropped:
-            self.ctx.loads.record_query_dropped(self.address, dropped)
         if not candidates:
             return
         self.ctx.churn.trigger_candidates_scanned += len(candidates)
@@ -460,7 +458,6 @@ class RJoinNode:
     # ------------------------------------------------------------------
     def _on_index_query(self, msg: IndexQueryMessage, delivered_at: float) -> None:
         now = self.ctx.clock()
-        self.ctx.loads.record_input_query_received(self.address)
         state, key = msg.state, msg.key
         if self._drop_if_retracted(state):
             return
@@ -920,18 +917,12 @@ class RJoinNode:
         round trips still pending on its behalf.  A shared record serving
         other subscribers too is not deleted — the retracted subscriber is
         detached (still counted as a purge) and the survivors keep the
-        record.  Physically purged rewritten queries leave the storage-load
-        accounting like window-expired ones do, so ``current_storage`` keeps
-        matching the live state.
+        record.
         """
         input_records, input_detached = self.input_queries.remove_query(query_id)
         rewritten_records, rewritten_detached = self.rewritten_queries.remove_query(
             query_id
         )
-        if rewritten_records:
-            self.ctx.loads.record_query_dropped(
-                self.address, len(rewritten_records)
-            )
         stale_ops: List[str] = []
         ops_detached = 0
         for label, op in self._pending_ric.items():
@@ -971,8 +962,6 @@ class RJoinNode:
         tuples_dropped = self.tuple_store.remove_expired(
             published_before=published_before
         )
-        if tuples_dropped:
-            self.ctx.loads.record_tuple_dropped(self.address, tuples_dropped)
         altt_dropped = self.altt.remove_published_before(published_before)
         cache_dropped = self.candidate_table.clear_entries()
         return tuples_dropped + altt_dropped + cache_dropped
@@ -1000,9 +989,6 @@ class RJoinNode:
                 "tuples": float(self.ctx.sequence_clock()),
             }
         )
-        if queries_dropped:
-            self.ctx.loads.record_query_dropped(self.address, queries_dropped)
-
         tuples_dropped = 0
         gc_window = self.ctx.config.tuple_gc_window
         if gc_window is not None:
@@ -1016,8 +1002,6 @@ class RJoinNode:
                 tuples_dropped = self.tuple_store.remove_expired(
                     sequenced_before=int(cutoff)
                 )
-            if tuples_dropped:
-                self.ctx.loads.record_tuple_dropped(self.address, tuples_dropped)
         return queries_dropped, tuples_dropped
 
     # ------------------------------------------------------------------

@@ -138,10 +138,6 @@ class ReferenceEngine:
         """Number of answers produced for ``query_id``."""
         return len(self.answers(query_id))
 
-    def all_answers(self) -> Dict[str, List[TupleT[Any, ...]]]:
-        """Answers of every registered query."""
-        return {qid: list(reg.answers) for qid, reg in self._queries.items()}
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------

@@ -34,9 +34,8 @@ backends, and ``abc`` refuses to build one missing an abstract method):
 * expiry drops *strictly* older records and returns the removal count,
 * :meth:`StoreBackend.remove_key` returns the removed records so membership
   re-homing can replay them into another node's backend — of any kind,
-* ``len(store)`` counts stored entries (one per ``(key, identity)`` slot),
-  :meth:`StoreBackend.distinct_tuples` counts distinct publications, and
-  :attr:`StoreBackend.cumulative_stored` survives :meth:`StoreBackend.clear`,
+* ``len(store)`` counts stored entries (one per ``(key, identity)`` slot)
+  and :meth:`StoreBackend.distinct_tuples` counts distinct publications,
 * the write buffer is bounded: after a committing
   :meth:`~repro.core.engine.RJoinEngine.publish` or ``publish_batch``,
   every store's write buffer is empty (the engine flushes every node's
@@ -183,7 +182,7 @@ class StoreBackend(abc.ABC):
 
     @abc.abstractmethod
     def clear(self) -> None:
-        """Remove every stored tuple (does not reset cumulative counters)."""
+        """Remove every stored tuple."""
 
     # ------------------------------------------------------------------
     # lookups
@@ -252,11 +251,6 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int:
         """Number of currently stored entries (across all keys)."""
-
-    @property
-    @abc.abstractmethod
-    def cumulative_stored(self) -> int:
-        """Total number of store operations over the node's lifetime."""
 
     @abc.abstractmethod
     def keys(self) -> Iterable[str]:

@@ -101,7 +101,6 @@ class SqliteTupleStore(StoreBackend):
         #: INSERT parameter rows buffered until the next read/removal.
         self._pending: List[TupleT] = []
         self._size = 0
-        self._stored_total = 0
         # Memoised canonical-bucket results (deduplicated, publication
         # order) plus the identity set backing each list.  Maintained
         # incrementally on add(), popped per bucket on keyed deletes and
@@ -133,7 +132,6 @@ class SqliteTupleStore(StoreBackend):
             )
         )
         self._size += 1
-        self._stored_total += 1
         if bucket is not None:
             cached = self._bucket_cache.get(bucket)
             if cached is not None:
@@ -235,7 +233,7 @@ class SqliteTupleStore(StoreBackend):
         return records
 
     def clear(self) -> None:
-        """Remove every stored tuple (does not reset cumulative counters)."""
+        """Remove every stored tuple."""
         self._pending.clear()
         self._conn.execute("DELETE FROM records")
         self._drop_all_buckets()
@@ -324,11 +322,6 @@ class SqliteTupleStore(StoreBackend):
     def __len__(self) -> int:
         """Number of currently stored entries (across all keys); O(1)."""
         return self._size
-
-    @property
-    def cumulative_stored(self) -> int:
-        """Total number of store operations performed over the node's lifetime."""
-        return self._stored_total
 
     def keys(self) -> Iterable[str]:
         """The indexing keys that currently hold tuples."""

@@ -6,8 +6,8 @@ rewritten queries arriving later can still be matched against them
 Section 4 is a class of its own, keyed by reception time with an expiry
 (see :mod:`repro.core.altt`).
 
-The store is a mapping ``indexing key -> list of stored tuples``.  It also
-maintains aggregate counters that feed the storage-load metric of the
+The store is a mapping ``indexing key -> list of stored tuples``.  Its size
+(``len(store)``) is the tuple half of a node's current storage load in the
 experimental section: the *storage load* of a node is the number of rewritten
 queries plus the number of tuples that the node has to store locally.
 
@@ -65,9 +65,7 @@ class TupleStore(StoreBackend):
         # Memoised tuples_for_prefix results per canonical bucket, dropped
         # whenever any key of the bucket is touched.
         self._prefix_cache: Dict[str, List[Tuple]] = {}
-        self._stored_total = 0  # cumulative number of store operations
         self._size = 0
-        self._identity_counts: Dict[TupleT[str, int], int] = {}
         # Lazy expiry queues: (clock value, tiebreak, key).  Each heap is
         # first materialised when the matching removal method is called, and
         # maintained incrementally from then on.  Entries are not removed
@@ -99,10 +97,7 @@ class TupleStore(StoreBackend):
             records.append(record)
         else:
             insort(records, record, key=_record_order)
-        self._stored_total += 1
         self._size += 1
-        identity = tup.identity
-        self._identity_counts[identity] = self._identity_counts.get(identity, 0) + 1
         if self._track_time:
             heapq.heappush(
                 self._time_heap, (tup.pub_time, next(self._tiebreak), key)
@@ -112,16 +107,6 @@ class TupleStore(StoreBackend):
                 self._seq_heap, (tup.sequence, next(self._tiebreak), key)
             )
         return record
-
-    def _forget(self, record: StoredTuple) -> None:
-        """Release the aggregate counters held by ``record``."""
-        self._size -= 1
-        identity = record.tuple.identity
-        count = self._identity_counts[identity] - 1
-        if count:
-            self._identity_counts[identity] = count
-        else:
-            del self._identity_counts[identity]
 
     def _invalidate_prefix(self, key: str) -> None:
         """Drop the memoised prefix lookup covering ``key``."""
@@ -158,9 +143,7 @@ class TupleStore(StoreBackend):
         removed = len(records) - len(kept)
         if not removed:
             return 0
-        for record in records:
-            if record.stored_at < cutoff:
-                self._forget(record)
+        self._size -= removed
         self._invalidate_prefix(key)
         if kept:
             self._by_key[key] = kept
@@ -227,10 +210,10 @@ class TupleStore(StoreBackend):
             index = 0
             length = len(records)
             while index < length and records[index].tuple.pub_time < cutoff:
-                self._forget(records[index])
                 index += 1
             if index == 0:
                 continue
+            self._size -= index
             removed += index
             self._invalidate_prefix(key)
             if index == length:
@@ -256,9 +239,7 @@ class TupleStore(StoreBackend):
             dropped = len(records) - len(kept)
             if not dropped:
                 continue
-            for record in records:
-                if record.tuple.sequence < cutoff:
-                    self._forget(record)
+            self._size -= dropped
             removed += dropped
             self._invalidate_prefix(key)
             if kept:
@@ -272,19 +253,17 @@ class TupleStore(StoreBackend):
         records = self._by_key.get(key)
         if not records:
             return []
-        for record in records:
-            self._forget(record)
+        self._size -= len(records)
         self._invalidate_prefix(key)
         self._drop_key(key)
         return records
 
     def clear(self) -> None:
-        """Remove every stored tuple (does not reset cumulative counters)."""
+        """Remove every stored tuple."""
         self._by_key.clear()
         self._keys_by_prefix.clear()
         self._unprefixed_keys.clear()
         self._prefix_cache.clear()
-        self._identity_counts.clear()
         self._time_heap.clear()
         self._seq_heap.clear()
         self._size = 0
@@ -340,11 +319,6 @@ class TupleStore(StoreBackend):
         """Number of currently stored entries (across all keys); O(1)."""
         return self._size
 
-    @property
-    def cumulative_stored(self) -> int:
-        """Total number of store operations performed over the node's lifetime."""
-        return self._stored_total
-
     def keys(self) -> Iterable[str]:
         """Iterate over the indexing keys that currently hold tuples."""
         return self._by_key.keys()
@@ -354,5 +328,5 @@ class TupleStore(StoreBackend):
             yield from records
 
     def distinct_tuples(self) -> int:
-        """Number of distinct publications currently stored at this node; O(1)."""
-        return len(self._identity_counts)
+        """Number of distinct publications currently stored at this node."""
+        return len({record.tuple.identity for record in self})

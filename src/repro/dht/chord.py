@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dht.hashing import IdentifierSpace
 from repro.dht.ring import RingMap
@@ -298,20 +298,3 @@ class ChordRing:
         start = self.node_by_address(start_address)
         path = self.route_path(start, self.space.hash_key(key))
         return path[-1], len(path) - 1
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def estimate_max_lookup_hops(self) -> int:
-        """A crude upper bound on lookup hops for the current network size.
-
-        Used to derive the ALTT expiry ``Δ`` (Section 4): each node can
-        estimate the number of nodes in the network and compute an
-        overestimate of the time a lookup can take.
-        """
-        n = max(len(self._ring), 2)
-        return max(2 * n.bit_length(), 4)
-
-    def load_map(self, load_of: Callable[[ChordNode], float]) -> Dict[str, float]:
-        """Evaluate ``load_of`` for every node, keyed by address."""
-        return {node.address: load_of(node) for node in self.nodes}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 
@@ -55,10 +55,6 @@ class IdentifierSpace:
                 self._hash_cache.clear()
             self._hash_cache[key] = identifier
         return identifier
-
-    def hash_keys(self, keys: Iterable[str]) -> List[int]:
-        """Vector form of :meth:`hash_key`."""
-        return [self.hash_key(key) for key in keys]
 
     def random_identifier(self, rng: Optional[random.Random] = None) -> int:
         """Draw a uniformly random identifier (used for node placement)."""

@@ -175,11 +175,9 @@ class ExperimentConfig(RJoinConfig):
     join_arity: int = 4
     distinct: bool = False
     # Arrival pattern ---------------------------------------------------------
-    #: ``"per-tuple"`` publishes (and drains) one tuple at a time, mirroring
-    #: the paper's steady arrivals; ``"batch"`` publishes bursts of
-    #: ``batch_size`` tuples through ``RJoinEngine.publish_batch`` (one drain
-    #: per burst), modelling high-rate batched arrivals.
-    publish_mode: str = "per-tuple"
+    #: Tuples are published in bursts of ``batch_size`` through
+    #: ``RJoinEngine.publish_batch`` (one drain per burst): 1 is the paper's
+    #: steady one-at-a-time arrivals, larger sizes model high-rate batches.
     batch_size: int = 1
     # Adversarial value skew ---------------------------------------------------
     #: Fraction of tuples whose values are forced onto the hottest keys (see
@@ -205,11 +203,6 @@ class ExperimentConfig(RJoinConfig):
             raise ExperimentError("warmup_tuples must be non-negative")
         if self.join_arity < 2:
             raise ExperimentError("experiments need at least two-way joins")
-        if self.publish_mode not in ("per-tuple", "batch"):
-            raise ExperimentError(
-                "publish_mode must be 'per-tuple' or 'batch', "
-                f"got {self.publish_mode!r}"
-            )
         if self.batch_size < 1:
             raise ExperimentError("batch_size must be at least one tuple")
         if not 0.0 <= self.hot_key_fraction <= 1.0:

@@ -51,10 +51,6 @@ class FigureResult:
         title = f"{self.figure}: {self.description}"
         return format_table(title, columns, rows)
 
-    def series_named(self, name: str) -> List[float]:
-        """Convenience accessor for one series."""
-        return self.series[name]
-
 
 def _scenario_base(name: str, seed: int) -> ExperimentConfig:
     """The registry's base configuration for a figure scenario, re-seeded."""

@@ -304,12 +304,9 @@ register(
             num_queries=120,
             num_tuples=120,
             warmup_tuples=20,
-            publish_mode="batch",
         ),
         default_variants=_sweep("batch_size", (5, 20, 50)),
-        paper_base=ExperimentConfig.paper_scale(
-            name="bursty", publish_mode="batch"
-        ),
+        paper_base=ExperimentConfig.paper_scale(name="bursty"),
     )
 )
 

@@ -8,10 +8,18 @@ The definitions follow Section 8 of the paper verbatim:
 * the *storage load* (SL) of a node is the number of rewritten queries plus
   the number of tuples it stores locally.
 
-Both cumulative (total load incurred over the run) and current (state held
-right now, after garbage collection) storage values are tracked: without
-sliding windows the two coincide; with windows the difference is exactly the
-state reduction the paper credits windows for.
+Each figure has one home:
+
+* QPL, cumulative SL and the answers a node produced are per-node counters
+  of :class:`LoadTracker`, bumped where the event happens;
+* *current* SL (state held right now, after garbage collection, retraction,
+  vacuum, crashes and re-homing) is not counted at all: it is read off the
+  live nodes' tables (``RJoinNode.current_storage_items``) when asked for;
+* every network-wide total is the sum of the per-node values, taken when it
+  is read.
+
+Without sliding windows cumulative and current SL coincide; with windows the
+difference is exactly the state reduction the paper credits windows for.
 """
 
 from __future__ import annotations
@@ -78,11 +86,8 @@ class NodeLoad:
 
     tuples_received: int = 0
     queries_received: int = 0          # rewritten queries received (QPL component)
-    input_queries_received: int = 0    # input query indexing (not part of QPL)
     queries_stored: int = 0            # cumulative rewritten queries stored
     tuples_stored: int = 0             # cumulative tuples stored (value level)
-    queries_dropped: int = 0           # stored queries removed (window GC)
-    tuples_dropped: int = 0            # stored tuples removed (window GC)
     answers_produced: int = 0
 
     @property
@@ -95,76 +100,39 @@ class NodeLoad:
         """Cumulative SL: every item the node ever had to store."""
         return self.queries_stored + self.tuples_stored
 
-    @property
-    def current_storage(self) -> int:
-        """Items currently held (after garbage collection)."""
-        return self.storage_load - self.queries_dropped - self.tuples_dropped
-
 
 class LoadTracker:
     """Network-wide QPL/SL accounting, keyed by node address.
 
-    Besides the per-node counters, the network-wide aggregates are maintained
-    incrementally so that :attr:`total_query_processing_load` and friends —
-    polled by the engine's metrics summary and by every rebalancing round —
-    are O(1) instead of a sum over all nodes.
+    The per-node counters are the only state; every network-wide figure is
+    their sum, taken when it is read (at checkpoints and summaries).
     """
 
     def __init__(self) -> None:
         self._per_node: Dict[str, NodeLoad] = defaultdict(NodeLoad)
-        self._total_qpl = 0
-        self._total_storage = 0
-        self._total_dropped = 0
-        self._total_answers = 0
-        self._participating = 0
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def record_tuple_received(self, address: str) -> None:
         """A node received a tuple and must search its stored queries."""
-        load = self._per_node[address]
-        if load.query_processing_load == 0:
-            self._participating += 1
-        load.tuples_received += 1
-        self._total_qpl += 1
+        self._per_node[address].tuples_received += 1
 
     def record_query_received(self, address: str) -> None:
         """A node received a rewritten query and must search its stored tuples."""
-        load = self._per_node[address]
-        if load.query_processing_load == 0:
-            self._participating += 1
-        load.queries_received += 1
-        self._total_qpl += 1
-
-    def record_input_query_received(self, address: str) -> None:
-        """A node received an input query for indexing."""
-        self._per_node[address].input_queries_received += 1
+        self._per_node[address].queries_received += 1
 
     def record_query_stored(self, address: str) -> None:
         """A node stored a rewritten query locally."""
         self._per_node[address].queries_stored += 1
-        self._total_storage += 1
 
     def record_tuple_stored(self, address: str) -> None:
         """A node stored a tuple locally (value level)."""
         self._per_node[address].tuples_stored += 1
-        self._total_storage += 1
-
-    def record_query_dropped(self, address: str, count: int = 1) -> None:
-        """Stored rewritten queries were garbage collected."""
-        self._per_node[address].queries_dropped += count
-        self._total_dropped += count
-
-    def record_tuple_dropped(self, address: str, count: int = 1) -> None:
-        """Stored tuples were garbage collected."""
-        self._per_node[address].tuples_dropped += count
-        self._total_dropped += count
 
     def record_answer(self, address: str, count: int = 1) -> None:
         """A node produced ``count`` answers for some input query."""
         self._per_node[address].answers_produced += count
-        self._total_answers += count
 
     # ------------------------------------------------------------------
     # per-node access
@@ -182,23 +150,13 @@ class LoadTracker:
     # ------------------------------------------------------------------
     @property
     def total_query_processing_load(self) -> int:
-        """Sum of QPL over all nodes; O(1)."""
-        return self._total_qpl
+        """Sum of QPL over all nodes."""
+        return sum(load.query_processing_load for load in self._per_node.values())
 
     @property
     def total_storage_load(self) -> int:
-        """Sum of cumulative SL over all nodes; O(1)."""
-        return self._total_storage
-
-    @property
-    def total_current_storage(self) -> int:
-        """Sum of currently held items over all nodes; O(1)."""
-        return self._total_storage - self._total_dropped
-
-    @property
-    def total_answers(self) -> int:
-        """Total answers produced network-wide; O(1)."""
-        return self._total_answers
+        """Sum of cumulative SL over all nodes."""
+        return sum(load.storage_load for load in self._per_node.values())
 
     def qpl_per_node(self, num_nodes: int) -> float:
         """Average QPL per node in a network of ``num_nodes``."""
@@ -219,27 +177,18 @@ class LoadTracker:
             reverse=True,
         )
 
-    def ranked_storage_load(self, current: bool = False) -> List[int]:
-        """Per-node SL (cumulative or current), sorted decreasing."""
-        if current:
-            values = (load.current_storage for load in self._per_node.values())
-        else:
-            values = (load.storage_load for load in self._per_node.values())
-        return sorted(values, reverse=True)
+    def ranked_storage_load(self) -> List[int]:
+        """Per-node cumulative SL, sorted decreasing."""
+        return sorted(
+            (load.storage_load for load in self._per_node.values()), reverse=True
+        )
 
     def participating_nodes(self) -> int:
-        """Number of nodes that incurred any query-processing load; O(1)."""
-        return self._participating
+        """Number of nodes that incurred any query-processing load."""
+        return sum(
+            1 for load in self._per_node.values() if load.query_processing_load
+        )
 
     def snapshot(self) -> Tuple[int, int]:
         """Return ``(total QPL, total cumulative SL)`` for delta computations."""
         return self.total_query_processing_load, self.total_storage_load
-
-    def reset(self) -> None:
-        """Clear every counter."""
-        self._per_node.clear()
-        self._total_qpl = 0
-        self._total_storage = 0
-        self._total_dropped = 0
-        self._total_answers = 0
-        self._participating = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 @dataclass
@@ -42,12 +42,14 @@ class NodeTraffic:
 
 
 class TrafficStats:
-    """Network-wide traffic accounting, keyed by node address."""
+    """Network-wide traffic accounting, keyed by node address.
+
+    The per-node counters are the only state; the network totals are their
+    sums, taken when read.
+    """
 
     def __init__(self) -> None:
         self._per_node: Dict[str, NodeTraffic] = defaultdict(NodeTraffic)
-        self._total_messages = 0
-        self._total_ric_messages = 0
 
     # ------------------------------------------------------------------
     # recording
@@ -60,19 +62,15 @@ class TrafficStats:
         """
         counters = self._per_node[address]
         counters.sent += count
-        self._total_messages += count
         if is_ric:
             counters.ric_sent += count
-            self._total_ric_messages += count
 
     def record_route(self, address: str, is_ric: bool = False, count: int = 1) -> None:
         """Charge ``count`` routed (forwarded) messages to ``address``."""
         counters = self._per_node[address]
         counters.routed += count
-        self._total_messages += count
         if is_ric:
             counters.ric_routed += count
-            self._total_ric_messages += count
 
     def record_path(
         self, sender: str, route: Iterable[str], is_ric: bool = False, count: int = 1
@@ -98,12 +96,12 @@ class TrafficStats:
     @property
     def total_messages(self) -> int:
         """Total number of transmissions in the whole network."""
-        return self._total_messages
+        return sum(counters.total for counters in self._per_node.values())
 
     @property
     def total_ric_messages(self) -> int:
         """Total transmissions that belong to RIC-information gathering."""
-        return self._total_ric_messages
+        return sum(counters.ric_total for counters in self._per_node.values())
 
     def node(self, address: str) -> NodeTraffic:
         """Counters of a single node (zeroed counters for unknown nodes)."""
@@ -117,26 +115,14 @@ class TrafficStats:
         """Average transmissions per node over a network of ``num_nodes``."""
         if num_nodes <= 0:
             return 0.0
-        return self._total_messages / num_nodes
+        return self.total_messages / num_nodes
 
     def ric_messages_per_node(self, num_nodes: int) -> float:
         """Average RIC transmissions per node."""
         if num_nodes <= 0:
             return 0.0
-        return self._total_ric_messages / num_nodes
-
-    def ranked_totals(self) -> List[int]:
-        """Per-node totals sorted in decreasing order (ranked-node plots)."""
-        return sorted(
-            (counters.total for counters in self._per_node.values()), reverse=True
-        )
+        return self.total_ric_messages / num_nodes
 
     def snapshot(self) -> Tuple[int, int]:
         """Return ``(total_messages, total_ric_messages)`` for delta computation."""
-        return self._total_messages, self._total_ric_messages
-
-    def reset(self) -> None:
-        """Clear every counter."""
-        self._per_node.clear()
-        self._total_messages = 0
-        self._total_ric_messages = 0
+        return self.total_messages, self.total_ric_messages

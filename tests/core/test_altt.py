@@ -54,7 +54,5 @@ class TestALTT:
         for i in range(4):
             table.add("k", tup(float(i), i), now=float(i))
         assert len(table) == 4
-        assert table.cumulative_stored == 4
         table.clear()
         assert len(table) == 0
-        assert table.cumulative_stored == 4

@@ -26,6 +26,7 @@ from repro.core.reference import ReferenceEngine
 from repro.data.backends import BACKEND_NAMES
 from repro.errors import EngineError
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+from tests.metrics.test_load_accounting import walk_current_storage
 
 STRATEGIES = ("rjoin", "random", "worst", "first")
 
@@ -135,7 +136,8 @@ class TestRemoveQuery:
         assert summary["orphaned_state_records"] == 0
         assert summary["records_vacuumed"] > 0
         # current-storage accounting matches the (empty) live state
-        assert engine.loads.total_current_storage == 0
+        live = sum(walk_current_storage(engine).values())
+        assert summary["current_storage"] == live == 0
 
     def test_remove_keeps_delivered_answers(self):
         _, engine, _, handles = build(queries=8, tuples=40)

@@ -20,6 +20,7 @@ from repro.core.node import RehomedItem
 from repro.core.reference import ReferenceEngine
 from repro.errors import DuplicateNodeError, EngineError
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+from tests.metrics.test_load_accounting import walk_current_storage
 
 STRATEGIES = ("rjoin", "random", "worst", "first")
 
@@ -124,11 +125,8 @@ class TestGracefulLeave:
     def test_leave_keeps_load_tracker_consistent(self):
         _, engine = build()
         engine.remove_node()
-        live = sum(
-            node.stored_rewritten_queries + node.stored_tuples
-            for node in engine.nodes.values()
-        )
-        assert engine.loads.total_current_storage == live
+        live = sum(walk_current_storage(engine).values())
+        assert engine.metrics_summary()["current_storage"] == live
 
     def test_cannot_remove_last_node(self):
         engine = RJoinEngine(RJoinConfig(num_nodes=1, seed=1))
@@ -154,11 +152,8 @@ class TestCrash:
     def test_crash_keeps_load_tracker_consistent(self):
         _, engine = build()
         engine.crash_node()
-        live = sum(
-            node.stored_rewritten_queries + node.stored_tuples
-            for node in engine.nodes.values()
-        )
-        assert engine.loads.total_current_storage == live
+        live = sum(walk_current_storage(engine).values())
+        assert engine.metrics_summary()["current_storage"] == live
 
     def test_crash_drops_in_flight_messages(self):
         generator, engine = build(queries=4, tuples=10)

@@ -24,15 +24,14 @@ class TestTupleStore:
         assert store.tuples_for_key("R.a=1") == [tup]
         assert store.tuples_for_key("other") == []
 
-    def test_len_and_cumulative(self, schema):
+    def test_len_and_clear(self, schema):
         store = TupleStore()
         for seq in range(5):
             store.add("k", make_tuple(schema, (seq, seq), seq), now=float(seq))
         assert len(store) == 5
-        assert store.cumulative_stored == 5
         store.clear()
         assert len(store) == 0
-        assert store.cumulative_stored == 5  # cumulative survives clears
+        assert store.distinct_tuples() == 0
 
     def test_same_tuple_under_two_keys_costs_two_slots(self, schema):
         store = TupleStore()

@@ -206,17 +206,16 @@ class TestConformance:
         assert len(store) == 0
         assert store.distinct_tuples() == 0
 
-    def test_cumulative_stored_survives_clear(self, store, schema):
+    def test_store_is_usable_after_clear(self, store, schema):
         for seq in range(5):
             store.add("k", make_tuple(schema, (seq, seq), seq), now=0.0)
-        assert store.cumulative_stored == 5
         store.clear()
         assert len(store) == 0
-        assert store.cumulative_stored == 5
+        assert store.distinct_tuples() == 0
         assert store.tuples_for_key("k") == []
         store.add("k", make_tuple(schema, (1, 1), 99), now=0.0)
         assert len(store) == 1
-        assert store.cumulative_stored == 6
+        assert store.distinct_tuples() == 1
 
     def test_keys_and_iteration(self, store, schema):
         store.add("a", make_tuple(schema, (1, 1), 1), now=0.0)
@@ -350,7 +349,6 @@ class TestBatchOperations:
         assert [r.key for r in records] == [key for key, _, _ in entries]
         assert [r.stored_at for r in records] == [now for _, _, now in entries]
         assert len(store) == 8
-        assert store.cumulative_stored == 8
         expected = make_store(store.name)
         try:
             for key, tup, now in entries:

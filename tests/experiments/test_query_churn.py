@@ -127,7 +127,6 @@ class TestRunnerIntegration:
     def test_batch_mode_dispatches_query_churn(self):
         result = run_experiment(
             tiny_config(
-                publish_mode="batch",
                 batch_size=5,
                 query_churn=QueryChurnSpec(remove_every=10),
             )

@@ -9,7 +9,7 @@ class TestLoadTracker:
         tracker.record_tuple_received("a")
         tracker.record_tuple_received("a")
         tracker.record_query_received("a")
-        tracker.record_input_query_received("a")  # not part of QPL
+        tracker.record_query_stored("a")  # storage, not QPL
         assert tracker.node("a").query_processing_load == 3
         assert tracker.total_query_processing_load == 3
 
@@ -19,17 +19,7 @@ class TestLoadTracker:
         tracker.record_tuple_stored("a")
         tracker.record_tuple_stored("a")
         assert tracker.node("a").storage_load == 3
-        assert tracker.node("a").current_storage == 3
-
-    def test_drops_reduce_current_but_not_cumulative(self):
-        tracker = LoadTracker()
-        tracker.record_query_stored("a")
-        tracker.record_tuple_stored("a")
-        tracker.record_query_dropped("a")
-        tracker.record_tuple_dropped("a")
-        assert tracker.node("a").storage_load == 2
-        assert tracker.node("a").current_storage == 0
-        assert tracker.total_current_storage == 0
+        assert tracker.total_storage_load == 3
 
     def test_ranked_distributions(self):
         tracker = LoadTracker()
@@ -43,7 +33,7 @@ class TestLoadTracker:
     def test_participation(self):
         tracker = LoadTracker()
         tracker.record_tuple_received("a")
-        tracker.record_input_query_received("b")  # no QPL
+        tracker.record_tuple_stored("b")  # no QPL
         assert tracker.participating_nodes() == 1
 
     def test_averages(self):
@@ -58,13 +48,14 @@ class TestLoadTracker:
     def test_answers_counted(self):
         tracker = LoadTracker()
         tracker.record_answer("a")
-        tracker.record_answer("b")
-        assert tracker.total_answers == 2
+        tracker.record_answer("a", count=3)
+        assert tracker.node("a").answers_produced == 4
+        assert tracker.node("b").answers_produced == 0
 
-    def test_snapshot_and_reset(self):
+    def test_snapshot(self):
         tracker = LoadTracker()
+        assert tracker.snapshot() == (0, 0)
         tracker.record_tuple_received("a")
         tracker.record_tuple_stored("a")
-        assert tracker.snapshot() == (1, 1)
-        tracker.reset()
-        assert tracker.snapshot() == (0, 0)
+        tracker.record_query_received("b")
+        assert tracker.snapshot() == (2, 1)

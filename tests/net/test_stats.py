@@ -40,20 +40,12 @@ class TestTrafficStats:
         assert stats.messages_per_node(0) == 0.0
         assert stats.ric_messages_per_node(5) == 0.0
 
-    def test_ranked_totals_sorted_descending(self):
+    def test_snapshot(self):
         stats = TrafficStats()
-        stats.record_send("a")
-        for _ in range(3):
-            stats.record_send("b")
-        assert stats.ranked_totals() == [3, 1]
-
-    def test_snapshot_and_reset(self):
-        stats = TrafficStats()
-        stats.record_send("a", is_ric=True)
-        assert stats.snapshot() == (1, 1)
-        stats.reset()
         assert stats.snapshot() == (0, 0)
-        assert stats.per_node() == {}
+        stats.record_send("a", is_ric=True)
+        stats.record_path("a", ["b", "c"])
+        assert stats.snapshot() == (3, 1)
 
     def test_unknown_node_has_zero_counters(self):
         stats = TrafficStats()
