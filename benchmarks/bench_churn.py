@@ -71,7 +71,7 @@ def _measure(
         if kind == "join":
             engine.add_node()
         elif kind == "leave":
-            engine.remove_node(graceful=True)
+            engine.remove_node()
         else:
             engine.crash_node()
     elapsed = time.perf_counter() - started

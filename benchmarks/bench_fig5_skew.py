@@ -31,7 +31,7 @@ def test_figure5_skew(benchmark):
     # The hottest node gets hotter as skew grows.
     assert max_qpl[-1] >= max_qpl[0]
     # RIC reuse dampens the growth of the RIC-request traffic: it grows
-    # strictly slower than the query-processing load does (see
-    # EXPERIMENTS.md for the deviation note vs. the paper's absolute
-    # decrease).
+    # strictly slower than the query-processing load does.  The paper
+    # reports an absolute decrease, which the reduced default scale does
+    # not reproduce reliably, so only the slower growth is asserted.
     assert ric[-1] / max(ric[0], 1e-9) <= qpl[-1] / max(qpl[0], 1e-9)

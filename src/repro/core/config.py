@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.data.backends import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.errors import ConfigurationError
 from repro.net.runtime import DEFAULT_TRANSPORT, TRANSPORT_NAMES
 from repro.obs.trace import OBSERVABILITY_MODES
 from repro.sql.ast import WindowSpec
-
-#: Sentinel meaning "derive the ALTT retention Δ from the network's bounded delay".
-AUTO = "auto"
-
 
 @dataclass
 class RJoinConfig:
@@ -23,6 +20,13 @@ class RJoinConfig:
     experiment is this configuration plus its workload
     (:class:`~repro.experiments.config.ExperimentConfig` subclasses it), so
     every field below can be set from a scenario or ``--set``.
+
+    What is not a field is fixed by the engine: the identifier space is
+    :data:`~repro.core.engine.IDENTIFIER_BITS` wide, the ALTT retention Δ
+    is four maximum transit times (none at zero delay), a node reports as a
+    key's RIC rate the number of tuples it has received for that key, and a
+    cached rate is asked again at its :data:`~repro.core.ric.REASK_FROM`-th
+    use and at every doubling of that — the one staleness rule.
 
     Parameters
     ----------
@@ -34,10 +38,11 @@ class RJoinConfig:
         (each node is a concurrent actor task with a bounded inbox; answer
         bags are identical, delivery order and traffic placement are not);
         see :mod:`repro.net.runtime`.
-    bits:
-        Width of the identifier space in bits.
     hop_delay:
-        Simulated time units consumed by one routing hop.
+        Simulated time units consumed by one routing hop.  With
+        ``delay_jitter`` it bounds a message's transit time, and the
+        engine derives the ALTT retention Δ from that bound (see
+        :class:`~repro.core.engine.RJoinEngine`).
     delay_jitter:
         Extra random per-message delay in ``[0, delay_jitter]`` (used to
         exercise the ALTT machinery with out-of-order deliveries).
@@ -55,16 +60,6 @@ class RJoinConfig:
         paper explores; an experiment enables it, the library
         default keeps it off so that RJoin delivers exactly the reference
         bag of answers.
-    altt_delta:
-        Retention Δ of the attribute-level tuple table: ``"auto"`` derives a
-        safe overestimate from the messaging delay bound, ``None`` keeps
-        tuples forever, a number sets Δ explicitly.
-    ric_window:
-        Horizon (in simulated time) of the per-key arrival counting used as
-        RIC information; ``None`` counts arrivals since the beginning.
-    ric_freshness:
-        Maximum age of a cached candidate-table entry before the candidate
-        node is asked again; ``None`` caches forever.
     tuple_gc_window:
         When every continuous query of the run uses the same sliding window,
         stored tuples older than this window can be garbage collected; an
@@ -101,15 +96,11 @@ class RJoinConfig:
 
     num_nodes: int = 64
     runtime: str = DEFAULT_TRANSPORT
-    bits: int = 48
     hop_delay: float = 1.0
     delay_jitter: float = 0.0
     strategy: str = "rjoin"
     store_backend: str = DEFAULT_BACKEND
     allow_attribute_level_rewrites: bool = False
-    altt_delta: Union[str, float, None] = AUTO
-    ric_window: Optional[float] = None
-    ric_freshness: Optional[float] = None
     tuple_gc_window: Optional[WindowSpec] = None
     gc_every_tuples: int = 50
     owner_failover: bool = True
@@ -127,25 +118,14 @@ class RJoinConfig:
             raise ConfigurationError(
                 f"unknown runtime {self.runtime!r}; known runtimes: {known}"
             )
-        if self.bits <= 0 or self.bits > 160:
-            raise ConfigurationError("bits must be in (0, 160]")
-        if self.hop_delay < 0 or self.delay_jitter < 0:
-            raise ConfigurationError("delays must be non-negative")
+        for delay in (self.hop_delay, self.delay_jitter):
+            if not math.isfinite(delay) or delay < 0:
+                raise ConfigurationError("delays must be finite and non-negative")
         if self.store_backend not in BACKEND_NAMES:
             known = ", ".join(BACKEND_NAMES)
             raise ConfigurationError(
                 f"unknown store backend {self.store_backend!r}; known: {known}"
             )
-        if isinstance(self.altt_delta, str) and self.altt_delta != AUTO:
-            raise ConfigurationError(
-                f"altt_delta must be a number, None or {AUTO!r}"
-            )
-        if isinstance(self.altt_delta, (int, float)) and self.altt_delta < 0:
-            raise ConfigurationError("altt_delta must be non-negative")
-        if self.ric_window is not None and self.ric_window <= 0:
-            raise ConfigurationError("ric_window must be positive")
-        if self.ric_freshness is not None and self.ric_freshness < 0:
-            raise ConfigurationError("ric_freshness must be non-negative")
         if self.gc_every_tuples <= 0:
             raise ConfigurationError("gc_every_tuples must be positive")
         if self.rebalance_every_tuples <= 0:
@@ -162,15 +142,3 @@ class RJoinConfig:
                 "ever be written to it otherwise)"
             )
 
-    def resolve_altt_delta(self, max_transit_delay: float) -> Optional[float]:
-        """Translate the configured Δ into a concrete retention time.
-
-        ``"auto"`` uses four times the maximum message transit delay, which
-        comfortably satisfies the requirement of the eventual-completeness
-        theorem (Δ must be at least one maximum transit time).
-        """
-        if self.altt_delta == AUTO:
-            return 4.0 * max_transit_delay if max_transit_delay > 0 else None
-        if self.altt_delta is None:
-            return None
-        return float(self.altt_delta)

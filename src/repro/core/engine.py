@@ -78,6 +78,10 @@ from repro.sql.ast import Query, WindowSpec
 from repro.sql.parser import parse_query
 
 
+#: Width in bits of the engine's identifier space: node placement, key
+#: hashing and the longest route (hence the ALTT retention Δ) follow from it.
+IDENTIFIER_BITS = 48
+
 #: Counters every :class:`RJoinNode` keeps for itself and the metrics summary
 #: reports summed over all nodes that ever lived.
 _NODE_COUNTERS = (
@@ -105,7 +109,7 @@ class RJoinEngine:
         self._rng = random.Random(self.config.seed)
 
         # Substrates -------------------------------------------------------
-        self.space = IdentifierSpace(self.config.bits)
+        self.space = IdentifierSpace(IDENTIFIER_BITS)
         self.transport = make_transport(self.config.runtime)
         #: The tracing/metrics facade, or ``None`` when observability is off
         #: (the instrumented paths then compile down to a single None check).
@@ -147,7 +151,12 @@ class RJoinEngine:
         )
 
         # Application layer --------------------------------------------------
-        altt_delta = self.config.resolve_altt_delta(self.api.max_transit_delay())
+        # The ALTT retention Δ: the eventual-completeness theorem needs an
+        # overestimate of the maximum transit time, and four of them is one
+        # comfortably.  With no delay nothing is ever in transit, so the
+        # table keeps its tuples for ever.
+        max_transit = self.api.max_transit_delay()
+        altt_delta = 4.0 * max_transit if max_transit > 0 else None
         self._context = NodeContext(
             api=self.api,
             space=self.space,
@@ -716,20 +725,15 @@ class RJoinEngine:
         self._join_now(address, node_id)
         return address
 
-    def remove_node(
-        self, address: Optional[str] = None, graceful: bool = True
-    ) -> str:
-        """A node leaves the ring; returns the departed address.
+    def remove_node(self, address: Optional[str] = None) -> str:
+        """A node leaves the ring gracefully; returns the departed address.
 
-        ``graceful=True`` models a cooperative departure: pending messages
-        are drained first and the node hands its entire state (stored
-        tuples, ALTT entries, input and rewritten queries) to the nodes now
-        owning the keys, so no state is lost.  ``graceful=False`` is a
-        crash (see :meth:`crash_node`).  Without an explicit ``address`` a
-        random live node departs.
+        A cooperative departure: pending messages are drained first and the
+        node hands its entire state (stored tuples, ALTT entries, input and
+        rewritten queries) to the nodes now owning the keys, so no state is
+        lost.  :meth:`crash_node` is the abrupt kind.  Without an explicit
+        ``address`` a random live node departs.
         """
-        if not graceful:
-            return self.crash_node(address)
         address = self._resolve_victim(address, operation="remove")
         if self.transport.is_draining:
             self._pending_membership.append(("leave", address))
@@ -811,17 +815,16 @@ class RJoinEngine:
         kind: str,
         delay: float = 0.0,
         address: Optional[str] = None,
-        graceful: bool = True,
         min_nodes: int = 2,
-        max_nodes: Optional[int] = None,
     ) -> EventHandle:
         """Schedule a membership change on the runtime transport.
 
-        The operation fires ``delay`` (logical) time units from now — in the
-        middle of whatever traffic is then in flight, which is exactly how
-        real churn arrives.  ``min_nodes`` / ``max_nodes`` turn the fired
-        event into a no-op when the ring has shrunk or grown past the bound
-        by the time it triggers.  Returns a cancellable event handle.
+        The operation — a ``join``, a graceful ``leave`` or a ``crash`` —
+        fires ``delay`` (logical) time units from now, in the middle of
+        whatever traffic is then in flight, which is exactly how real churn
+        arrives.  A departure turns into a no-op when the ring has shrunk
+        to ``min_nodes`` by the time it triggers.  Returns a cancellable
+        event handle.
         """
         if kind not in ("join", "leave", "crash"):
             raise EngineError(
@@ -829,27 +832,14 @@ class RJoinEngine:
                 "expected 'join', 'leave' or 'crash'"
             )
         return self.transport.schedule_in(
-            delay, self._fire_membership_op, kind, address, graceful,
-            min_nodes, max_nodes,
+            delay, self._fire_membership_op, kind, address, min_nodes
         )
 
     def _fire_membership_op(
-        self,
-        kind: str,
-        address: Optional[str],
-        graceful: bool,
-        min_nodes: int,
-        max_nodes: Optional[int],
+        self, kind: str, address: Optional[str], min_nodes: int
     ) -> None:
         """Kernel callback: apply (or queue) one scheduled membership change."""
         if kind == "join":
-            # Joins queued earlier in this drain have not grown the ring yet;
-            # count them so a burst of events cannot overshoot ``max_nodes``.
-            pending_joins = sum(
-                1 for op in self._pending_membership if op[0] == "join"
-            )
-            if max_nodes is not None and len(self.ring) + pending_joins >= max_nodes:
-                return
             self.add_node(address)
             return
         # Leaves queued earlier in this drain have not shrunk the ring yet;
@@ -859,10 +849,10 @@ class RJoinEngine:
             return
         if address is not None and not self.ring.has_address(address):
             return
-        if kind == "crash" or not graceful:
+        if kind == "crash":
             self.crash_node(address)
         else:
-            self.remove_node(address, graceful=True)
+            self.remove_node(address)
 
     def _apply_membership_op(self, op: tuple) -> None:
         """Apply one deferred join/leave at a quiescent point."""

@@ -137,8 +137,8 @@ class RJoinNode:
         self.tuple_store: StoreBackend = make_store(ctx.config.store_backend)
         self.altt = AttributeLevelTupleTable(delta=ctx.altt_delta)
         # RIC state ---------------------------------------------------------
-        self.rates = RateTracker(window=ctx.config.ric_window)
-        self.candidate_table = CandidateTable(freshness=ctx.config.ric_freshness)
+        self.rates = RateTracker()
+        self.candidate_table = CandidateTable()
         #: Only a strategy that asks RIC ever learns an arc; the others route
         #: every keyed message and must be told nothing for it.
         self._keeps_arcs = ctx.strategy.requires_ric
@@ -271,7 +271,7 @@ class RJoinNode:
         key = msg.key
         tup = msg.tuple
         self.ctx.loads.record_tuple_received(self.address)
-        self.rates.record(key.text, now)
+        self.rates.record(key.text)
 
         if key.level == ATTRIBUTE_LEVEL:
             self._trigger_stored_queries(self.input_queries, key.text, tup)
@@ -420,7 +420,7 @@ class RJoinNode:
         the rule could suppress a tuple whose earlier twin expired before
         completing a combination, losing answers; those queries rely on the
         owner-side deduplication of :class:`~repro.core.answers.QueryHandle`
-        instead (see DESIGN.md).
+        instead.
         """
         if state.distinct and state.query.window is None:
             return ProjectionTracker()
@@ -597,11 +597,10 @@ class RJoinNode:
         if len(candidates) == 1:  # no answer could change this choice
             self._send_query(state, candidates[0])
             return
-        now = self.ctx.clock()
         lookup = self.candidate_table.lookup
         known: Dict[str, RicEntry] = {}
         for key in candidates:
-            entry = lookup(key.text, now)
+            entry = lookup(key.text)
             if entry is not None:
                 known[key.text] = entry
         unknown = len(candidates) - len(known)
@@ -672,7 +671,7 @@ class RJoinNode:
         now = self.ctx.clock()
         entry = RicEntry(
             key_text=msg.target_key.text,
-            rate=self.rates.rate(msg.target_key.text, now),
+            rate=self.rates.rate(msg.target_key.text),
             address=self.address,
             observed_at=now,
             arc=self.ctx.api.ring.arc_of(self.address),

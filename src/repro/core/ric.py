@@ -7,11 +7,10 @@ knows no rate for, those whose answer could still change that choice
 (:meth:`~repro.core.strategy.IndexingStrategy.worth_asking`).  The node-local
 RIC state:
 
-* :class:`RateTracker` — every node records, per indexing key it is
-  responsible for, the arrival times of incoming tuples; the reported rate is
-  the number of arrivals observed during the last time window (or the total
-  count when no window is configured — "we observe what has happened ... and
-  assume a similar behavior for the future"),
+* :class:`RateTracker` — every node counts, per indexing key it is
+  responsible for, the incoming tuples; the reported rate is that count
+  ("we observe what has happened ... and assume a similar behavior for the
+  future"),
 * :class:`RicEntry` — one observation: key, rate, the address of the node
   that reported it, when it was reported, and the arc of the identifier
   circle that node was responsible for then,
@@ -20,14 +19,15 @@ RIC state:
   entries learned by asking candidates, or received piggy-backed on an
   arriving query (``QueryState.ric_info``: what the decision that sent it
   compared, moved into the table on arrival and kept nowhere else), are kept
-  so that future indexing decisions for the same key need no extra messages;
-  stale entries are asked again, and so is one that keeps deciding — at
-  its 8th, 16th, 32nd ... use, together with the keys it is compared with
-  (:data:`REASK_FROM`).  It also keeps the reporters' arcs, and those are the
-  node's routing cache: every message it sends to a key — a published
-  tuple, an input or rewritten query, a RIC question — goes to the key's
-  owner in one hop once that owner has reported anything at all, to this
-  node or to one that told it (:meth:`CandidateTable.owner_of`),
+  so that future indexing decisions for the same key need no extra messages,
+  except that an entry that keeps deciding is asked again — at its 8th,
+  16th, 32nd ... use, together with the keys it is compared with
+  (:data:`REASK_FROM`, the one staleness rule).  It also keeps the
+  reporters' arcs, and those are the node's routing cache: every message it
+  sends to a key — a published tuple, an input or rewritten query, a RIC
+  question — goes to the key's owner in one hop once that owner has reported
+  anything at all, to this node or to one that told it
+  (:meth:`CandidateTable.owner_of`),
 * and, in :class:`~repro.core.node.RJoinNode`, what is on its way: the
   indexing decisions waiting for a reply (``_pending_ric``) and the waiter
   index (``_ric_waiters``: key text -> the decisions waiting for that key),
@@ -39,9 +39,9 @@ RIC state:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: ``(predecessor id, own id)``: the identifiers ``(predecessor, own]`` a node
 #: is responsible for, clockwise; equal ends are the whole circle.
@@ -78,12 +78,6 @@ class RicEntry:
     #: ``None`` on a hand-built entry, which teaches no arc.
     arc: Optional[Arc] = None
 
-    def is_fresh(self, now: float, freshness: Optional[float]) -> bool:
-        """Whether the entry is still considered valid at time ``now``."""
-        if freshness is None:
-            return True
-        return (now - self.observed_at) <= freshness
-
 
 class RateTracker:
     """Per-node arrival counting for the keys the node is responsible for.
@@ -92,61 +86,34 @@ class RateTracker:
     the number of distinct keys the tracker holds state for: recording an
     arrival for a fresh key beyond the bound evicts the least recently
     *recorded* key first (deterministic LRU).  RIC entries
-    are advisory — an evicted key simply reports a rate (and total) of zero
+    are advisory — an evicted key simply reports a rate of zero
     until tuples arrive for it again — so the bound trades a little rate
     fidelity under million-distinct-key floods for a hard memory ceiling.
     ``None`` keeps state for every key ever seen.
     """
 
-    def __init__(
-        self, window: Optional[float] = None, max_keys: Optional[int] = 65536
-    ) -> None:
-        """``window`` bounds the observation horizon; ``None`` counts forever."""
-        self.window = window
+    def __init__(self, max_keys: Optional[int] = 65536) -> None:
         self.max_keys = max_keys
         self.evicted_keys = 0
-        self._arrivals: Dict[str, Deque[float]] = {}
         # Insertion-ordered: the first key is always the least recently
         # recorded one (record() re-appends the key it touches).
         self._totals: OrderedDict[str, int] = OrderedDict()
 
-    def record(self, key_text: str, now: float) -> None:
-        """Record the arrival of a tuple for ``key_text`` at time ``now``."""
+    def record(self, key_text: str) -> None:
+        """Record the arrival of a tuple for ``key_text``."""
         totals = self._totals
         if key_text in totals:
             totals[key_text] += 1
             totals.move_to_end(key_text)
         else:
             if self.max_keys is not None and len(totals) >= self.max_keys:
-                evicted, _ = totals.popitem(last=False)
-                self._arrivals.pop(evicted, None)
+                totals.popitem(last=False)
                 self.evicted_keys += 1
             totals[key_text] = 1
-        if self.window is None:
-            return
-        arrivals = self._arrivals.setdefault(key_text, deque())
-        arrivals.append(now)
-        self._prune(arrivals, now)
 
-    def rate(self, key_text: str, now: float) -> float:
-        """Observed arrival count for ``key_text`` over the configured horizon."""
-        if self.window is None:
-            return float(self._totals.get(key_text, 0))
-        arrivals = self._arrivals.get(key_text)
-        if not arrivals:
-            return 0.0
-        self._prune(arrivals, now)
-        return float(len(arrivals))
-
-    def total(self, key_text: str) -> int:
-        """Lifetime arrival count for ``key_text`` (zero once evicted)."""
-        return self._totals.get(key_text, 0)
-
-    def _prune(self, arrivals: Deque[float], now: float) -> None:
-        assert self.window is not None
-        cutoff = now - self.window
-        while arrivals and arrivals[0] < cutoff:
-            arrivals.popleft()
+    def rate(self, key_text: str) -> float:
+        """Arrivals recorded for ``key_text`` (zero once evicted)."""
+        return float(self._totals.get(key_text, 0))
 
     def tracked_keys(self) -> List[str]:
         """Keys for which arrival state is currently held."""
@@ -177,19 +144,16 @@ class CandidateTable:
     misses rather than one reporter at a time.  The arcs outlive the
     entries (:meth:`clear_entries`): they describe the ring, not any query.
 
-    A rate is a count its reporter read once, and with no ``freshness`` an
-    entry would hold it for ever: the first few tuples of a run would decide
-    where a key's queries go for the rest of it, and which way they decide
-    is chance.  So an entry that keeps being used is asked again
+    A rate is a count its reporter read once, and an entry would hold it
+    for ever: the first few tuples of a run would decide where a key's
+    queries go for the rest of it, and which way they decide is chance.  So an entry that keeps being used is asked again
     (:meth:`lookup` misses) at its :data:`REASK_FROM`-th use and at every
     doubling of that: the candidates of a decision that recurs are used
     together, miss together and are read again by one chain at one time, and
     a key used ``n`` times costs ``log2 n`` questions.
     """
 
-    def __init__(self, freshness: Optional[float] = None) -> None:
-        """``freshness`` is the maximum age of a usable entry (``None`` = no limit)."""
-        self.freshness = freshness
+    def __init__(self) -> None:
         self._entries: Dict[str, RicEntry] = {}
         #: Key text -> the lookups its entries have answered (no key without one).
         self._uses: Dict[str, int] = {}
@@ -288,11 +252,11 @@ class CandidateTable:
         del self._arc_ends[index]
         del self._arc_owners[index]
 
-    def lookup(self, key_text: str, now: float) -> Optional[RicEntry]:
-        """Return a fresh cached entry for ``key_text`` or None: also at its
+    def lookup(self, key_text: str) -> Optional[RicEntry]:
+        """Return the cached entry for ``key_text`` or None: also at its
         :data:`REASK_FROM`-th use and every doubling of it, to be asked again."""
         entry = self._entries.get(key_text)
-        if entry is not None and entry.is_fresh(now, self.freshness):
+        if entry is not None:
             uses = self._uses[key_text] = self._uses.get(key_text, 0) + 1
             if uses < REASK_FROM or uses & (uses - 1):
                 self._hits += 1
@@ -352,6 +316,6 @@ class CandidateTable:
 
     @property
     def misses(self) -> int:
-        """Number of lookups that found nothing fresh: the key is asked, or
+        """Number of lookups that found nothing to use: the key is asked, or
         waited for with the chain of this node that is asking it already."""
         return self._misses

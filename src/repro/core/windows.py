@@ -9,8 +9,10 @@ windows, the global publication sequence number for tuple-based windows) of
 the tuples consumed so far; a candidate tuple may extend the combination only
 if the resulting clock span still fits in the window.
 
-This module implements the order-independent form of the paper's rules (see
-DESIGN.md): a combination ``τ1 … τk`` is valid iff
+This module implements the order-independent form of the paper's rules —
+they are stated for tuples consumed in publication order, and jittered or
+concurrent delivery consumes them in any order: a combination ``τ1 … τk``
+is valid iff
 ``max(clock) − min(clock) + 1 ≤ W``.  The ``+ 1`` follows the paper's
 ``|start(q1) − pubT(τ)| + 1 ≤ window(q1)`` formula.  Because future tuples
 only ever have larger clocks, a stored rewritten query whose oldest consumed

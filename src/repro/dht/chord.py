@@ -91,10 +91,8 @@ class ChordRing:
         for index in range(num_nodes):
             address = address_format.format(index=index)
             if hashed_placement:
-                node_id = ring.space.hash_key(address)
                 # Extremely unlikely collisions: re-draw deterministically.
-                while node_id in ring._ring:
-                    node_id = ring.space.normalize(node_id + 1)
+                node_id = ring._free_identifier_from(ring.space.hash_key(address))
             else:
                 node_id = ring.random_free_identifier(rng)
             ring.add_node(address, node_id)
@@ -106,7 +104,17 @@ class ChordRing:
         This is the placement rule of :meth:`create_network`, exposed so that
         nodes joining a live ring land the same way the founding nodes did.
         """
-        node_id = self.space.random_identifier(rng)
+        return self._free_identifier_from(self.space.random_identifier(rng))
+
+    def _free_identifier_from(self, node_id: int) -> int:
+        """``node_id``, or the first identifier clockwise of it no node holds.
+
+        Raises :class:`ConfigurationError` when every identifier is held.
+        """
+        if len(self._ring) >= self.space.size:
+            raise ConfigurationError(
+                f"all {self.space.size} identifiers of the ring are taken"
+            )
         while node_id in self._ring:
             node_id = self.space.normalize(node_id + 1)
         return node_id

@@ -6,8 +6,8 @@ benchmark-friendly time, so every figure uses a *reduced default scale* that
 preserves the qualitative shapes (who wins, monotonicity, distribution
 patterns) and can be switched to the paper scale by setting the environment
 variable ``REPRO_FULL_SCALE=1`` (or by passing explicit overrides to the
-figure functions).  EXPERIMENTS.md records the scale used for the reported
-numbers.
+figure functions).  Every result file records the full configuration, scale
+included, that produced it (:mod:`repro.metrics.serialize`).
 """
 
 from __future__ import annotations
@@ -27,42 +27,36 @@ def is_full_scale() -> bool:
     return os.environ.get(FULL_SCALE_ENV, "").strip() not in ("", "0", "false", "no")
 
 
+#: Simulated time from the publication that crosses a churn event's index
+#: to the event: it fires while the *next* publication's messages are in
+#: flight, which is what makes crashes actually destroy in-flight traffic.
+CHURN_OP_DELAY = 0.5
+
+
 @dataclass(frozen=True)
 class ChurnSpec:
     """Membership-churn schedule of one experiment.
 
     Rates are expressed per published (measured) tuple: ``join_every=20``
-    triggers one node join after tuples 20, 40, 60, … of the tuple phase.
-    The runner translates the schedule into kernel-scheduled membership
-    events that fire ``op_delay`` simulated time units after the triggering
-    publication — i.e. while the *next* publication's messages are in
-    flight, which is what makes crashes actually destroy in-flight traffic.
-
-    ``graceful`` controls whether scheduled leaves hand their state off
-    (cooperative departure) or behave like crashes.  ``min_nodes`` /
-    ``max_nodes`` bound the ring size: events that would cross a bound turn
-    into no-ops.
+    triggers one node join after tuples 20, 40, 60, … of the tuple phase,
+    ``leave_every`` a graceful leave (the node hands its state off) and
+    ``crash_every`` a crash.  The runner translates the schedule into
+    kernel-scheduled membership events that fire :data:`CHURN_OP_DELAY`
+    simulated time units after the triggering publication.  A departure
+    that would shrink the ring below ``min_nodes`` turns into a no-op.
     """
 
     join_every: int = 0
     leave_every: int = 0
     crash_every: int = 0
-    start_after: int = 0
-    op_delay: float = 0.5
-    graceful: bool = True
     min_nodes: int = 2
-    max_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("join_every", "leave_every", "crash_every", "start_after"):
+        for name in ("join_every", "leave_every", "crash_every"):
             if getattr(self, name) < 0:
                 raise ExperimentError(f"{name} must be non-negative")
-        if self.op_delay < 0:
-            raise ExperimentError("op_delay must be non-negative")
         if self.min_nodes < 1:
             raise ExperimentError("min_nodes must be at least one")
-        if self.max_nodes is not None and self.max_nodes < self.min_nodes:
-            raise ExperimentError("max_nodes must be >= min_nodes")
 
     @property
     def enabled(self) -> bool:
@@ -81,12 +75,10 @@ class ChurnSpec:
             ("leave", self.leave_every),
             ("crash", self.crash_every),
         ):
-            if not every:
-                continue
-            index = max(self.start_after, 0) + every
-            while index <= num_tuples:
-                events.append((index, kind))
-                index += every
+            if every:
+                events.extend(
+                    (index, kind) for index in range(every, num_tuples + 1, every)
+                )
         order = {"join": 0, "leave": 1, "crash": 2}
         events.sort(key=lambda event: (event[0], order[event[1]]))
         return events
@@ -97,31 +89,20 @@ class QueryChurnSpec:
     """Query-lifecycle churn schedule of one experiment.
 
     Rates are expressed per published (measured) tuple, mirroring
-    :class:`ChurnSpec`: ``remove_every=10`` retracts one continuous query
-    after tuples 10, 20, 30, … of the tuple phase.  ``resubmit=True``
-    immediately re-submits an equivalent fresh query (same SQL, new handle
-    and insertion time) so the active population stays constant — the
-    "mixed query churn" workload; ``resubmit=False`` drains the population
-    towards ``min_queries`` instead.  ``target`` picks the victim: the
-    ``oldest`` active query (default — deterministic), the ``newest``, or
-    a seeded ``random`` choice.
+    :class:`ChurnSpec`: ``remove_every=10`` retracts the oldest active
+    continuous query after tuples 10, 20, 30, … of the tuple phase.
+    ``resubmit=True`` immediately re-submits an equivalent fresh query
+    (same SQL, new handle and insertion time) so the active population
+    stays constant — the "mixed query churn" workload; ``resubmit=False``
+    drains the population instead.
     """
 
     remove_every: int = 0
     resubmit: bool = True
-    start_after: int = 0
-    target: str = "oldest"
-    min_queries: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("remove_every", "start_after", "min_queries"):
-            if getattr(self, name) < 0:
-                raise ExperimentError(f"{name} must be non-negative")
-        if self.target not in ("oldest", "newest", "random"):
-            raise ExperimentError(
-                "target must be 'oldest', 'newest' or 'random', "
-                f"got {self.target!r}"
-            )
+        if self.remove_every < 0:
+            raise ExperimentError("remove_every must be non-negative")
 
     @property
     def enabled(self) -> bool:
@@ -132,12 +113,7 @@ class QueryChurnSpec:
         """The deterministic tuple indices after which one removal fires."""
         if not self.remove_every:
             return []
-        events: List[int] = []
-        index = max(self.start_after, 0) + self.remove_every
-        while index <= num_tuples:
-            events.append(index)
-            index += self.remove_every
-        return events
+        return list(range(self.remove_every, num_tuples + 1, self.remove_every))
 
 
 @dataclass

@@ -15,12 +15,11 @@ An experiment follows the structure used throughout Section 8:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.engine import RJoinEngine
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import CHURN_OP_DELAY, ExperimentConfig
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
 
@@ -169,8 +168,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     warmup_baseline = engine.metrics_summary()
 
     # Phase 1: submit and index the continuous queries.  Handles are kept in
-    # submission order so the query-churn schedule can pick deterministic
-    # victims (oldest / newest) later.
+    # submission order: the query-churn schedule retracts the oldest first.
     active_handles = []
     for query in generator.generate_queries(config.num_queries):
         active_handles.append(engine.submit(query, process=False))
@@ -213,7 +211,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         else []
     )
     query_churn_cursor = 0
-    victim_rng = random.Random(config.seed + 7919)
 
     def _dispatch_query_churn(index: int) -> None:
         nonlocal query_churn_cursor
@@ -223,16 +220,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             and query_churn_schedule[query_churn_cursor] <= index
         ):
             query_churn_cursor += 1
-            if len(active_handles) <= spec.min_queries or not active_handles:
+            if not active_handles:
                 continue
-            if spec.target == "oldest":
-                victim = active_handles.pop(0)
-            elif spec.target == "newest":
-                victim = active_handles.pop()
-            else:
-                victim = active_handles.pop(
-                    victim_rng.randrange(len(active_handles))
-                )
+            victim = active_handles.pop(0)
             engine.remove_query(victim.query_id)
             if spec.resubmit:
                 active_handles.append(engine.submit(victim.query))
@@ -247,11 +237,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             _, kind = churn_schedule[churn_cursor]
             churn_cursor += 1
             engine.schedule_membership_op(
-                kind,
-                delay=spec.op_delay,
-                graceful=spec.graceful,
-                min_nodes=spec.min_nodes,
-                max_nodes=spec.max_nodes,
+                kind, delay=CHURN_OP_DELAY, min_nodes=spec.min_nodes
             )
 
     def _capture(index: int, previous_index: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from repro.errors import MetricsError
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 
 def ranked_distribution(values: Iterable[float]) -> List[float]:
@@ -96,21 +96,3 @@ def format_table(
     for row in rendered_rows:
         lines.append(" | ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def series_summary(
-    series: Mapping[str, Sequence[float]],
-) -> Dict[str, Dict[str, float]]:
-    """Summarise named series with min/max/mean (used in EXPERIMENTS.md tables)."""
-    summary: Dict[str, Dict[str, float]] = {}
-    for name, values in series.items():
-        values = list(values)
-        if not values:
-            summary[name] = {"min": 0.0, "max": 0.0, "mean": 0.0}
-            continue
-        summary[name] = {
-            "min": float(min(values)),
-            "max": float(max(values)),
-            "mean": float(sum(values)) / len(values),
-        }
-    return summary

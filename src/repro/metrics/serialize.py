@@ -22,12 +22,13 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v15: the config dict carries every engine field (``ExperimentConfig`` is
-#: an ``RJoinConfig`` plus its workload) and no longer the arrival-mode
-#: switch, since every run publishes bursts of ``batch_size``.  Only this
-#: version loads: ``load_cells`` and ``report --diff`` refuse a file of any
-#: other one, and ``run`` recomputes its cell.
-RESULT_SCHEMA_VERSION = 15
+#: v16: the config dict carries every engine field (``ExperimentConfig`` is
+#: an ``RJoinConfig`` plus its workload), and only those a run can set:
+#: no identifier width, ALTT retention, RIC window or RIC freshness, and
+#: churn schedules of rates and bounds alone.  Only this version loads:
+#: ``load_cells`` and ``report --diff`` refuse a file of any other one, and
+#: ``run`` recomputes its cell.
+RESULT_SCHEMA_VERSION = 16
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /

@@ -116,8 +116,9 @@ class WindowSpec:
 
     ``mode`` is either ``"time"`` (window duration measured in simulation
     time units) or ``"tuples"`` (duration measured in published tuples, using
-    the global publication sequence number as a logical clock — see
-    DESIGN.md for the substitution note).
+    the global publication sequence number as a logical clock: the engine
+    numbers every publication, a count a deployed DHT would have to
+    approximate and the simulation keeps exactly).
     """
 
     size: float

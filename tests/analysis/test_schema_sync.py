@@ -49,7 +49,7 @@ def test_every_churn_counter_surfaces_under_its_own_name():
         engine.publish("R", (value, value % 4))
         engine.publish("S", (value % 4, value))
     engine.add_node()
-    engine.remove_node(graceful=True)
+    engine.remove_node()
     engine.crash_node()
     engine.rebalance()
     engine.remove_query(handle.query_id)

@@ -272,7 +272,7 @@ class StaleArc:
         )
         self.engine.run()
         table = self.home.candidate_table
-        assert table.lookup(self.key.text, self.engine.now).address == self.old_owner
+        assert table.lookup(self.key.text).address == self.old_owner
         assert table.owner_of(self.identifier) == self.old_owner
         del self.sent[:]
 
@@ -405,9 +405,7 @@ class TestStaleArcForwards:
         ]
         assert s.engine.nodes[new_owner].stored_rewritten_queries == 1
         # The entry still names the old owner; its arc says otherwise now.
-        assert s.home.candidate_table.lookup(
-            s.key.text, s.engine.now
-        ).address == s.old_owner
+        assert s.home.candidate_table.lookup(s.key.text).address == s.old_owner
         s.publish("R", (2, s.VALUE))
         assert s.notices() == [
             (ArcNoticeMessage, "direct", new_owner, s.home.address)
@@ -438,12 +436,12 @@ def test_a_departure_takes_its_arc_along_so_nothing_is_sent_on_it(runtime, depar
     ring = s.engine.ring
     heir = ring.successor_of(ring.node_by_address(s.old_owner)).address
     if departure == "leave":
-        s.engine.remove_node(s.old_owner, graceful=True)
+        s.engine.remove_node(s.old_owner)
     else:
         s.engine.crash_node(s.old_owner)
     table = s.home.candidate_table
     assert s.old_owner not in table._arc_of
-    assert table.lookup(s.key.text, s.engine.now) is None
+    assert table.lookup(s.key.text) is None
     del s.sent[:]
 
     s.publish("S", (s.VALUE, 7))

@@ -242,7 +242,7 @@ class TestOwnerFailover:
         _, engine, _, handles = build(queries=6, tuples=15)
         victim_owner = handles[0].owner
         owned = engine.lifecycle.queries_owned_by(victim_owner)
-        engine.remove_node(victim_owner, graceful=True)
+        engine.remove_node(victim_owner)
         for query_id in owned:
             assert engine.handles[query_id].owner != victim_owner
         assert engine.churn.failover_reregistrations == len(owned)
@@ -398,7 +398,7 @@ class TestRegistrationRehoming:
             if node.registrations
             and not engine.lifecycle.queries_owned_by(node.address)
         )
-        engine.remove_node(holder, graceful=True)
+        engine.remove_node(holder)
         assert_registration_invariant(engine)
 
     def test_id_movement_keeps_registration_invariant(self):

@@ -291,13 +291,36 @@ class TestScheduledOps:
         assert engine.churn.membership_events == 0
         assert len(engine.ring) == 3
 
-    def test_max_nodes_bound_caps_joins(self):
+    def test_scheduled_joins_are_unbounded(self):
         _, engine = build(queries=0, tuples=0, num_nodes=4)
         for delay in (0.1, 0.2, 0.3):
-            engine.schedule_membership_op("join", delay=delay, max_nodes=5)
+            engine.schedule_membership_op("join", delay=delay)
         engine.run()
-        assert len(engine.ring) == 5
-        assert engine.churn.joins == 1
+        assert len(engine.ring) == 7
+        assert engine.churn.joins == 3
+
+    def test_the_kind_says_whether_a_departure_hands_off(self):
+        _, engine = build(queries=4, tuples=20, num_nodes=8)
+        engine.schedule_membership_op("leave", delay=0.1)
+        engine.run()
+        assert (engine.churn.leaves, engine.churn.crashes) == (1, 0)
+        assert engine.churn.records_lost == 0
+        engine.schedule_membership_op("crash", delay=0.1)
+        engine.run()
+        assert (engine.churn.leaves, engine.churn.crashes) == (1, 1)
+
+    def test_a_scheduled_leave_of_a_named_node_hands_its_state_off(self):
+        _, engine = build(queries=4, tuples=20, num_nodes=8)
+        victim = max(
+            engine.nodes, key=lambda a: engine.nodes[a].current_storage_items
+        )
+        held = engine.metrics_summary()["current_storage"]
+        engine.schedule_membership_op("leave", delay=0.1, address=victim)
+        engine.run()
+        assert not engine.ring.has_address(victim)
+        assert engine.churn.records_rehomed > 0
+        assert engine.metrics_summary()["current_storage"] == held
+        assert_ownership(engine)
 
     def test_unknown_op_kind_rejected(self):
         _, engine = build(queries=0, tuples=0)

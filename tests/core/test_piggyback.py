@@ -151,7 +151,7 @@ def test_a_departure_is_forgotten_without_a_walk_over_the_stored_records(
             QueryTable, "items", lambda table: walks.append(table) or items(table)
         )
         if departure == "leave":
-            engine.remove_node(victim, graceful=True)
+            engine.remove_node(victim)
         else:
             engine.crash_node(victim)
         monkeypatch.undo()

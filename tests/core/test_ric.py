@@ -7,33 +7,23 @@ from repro.core.ric import REASK_FROM, CandidateTable, RateTracker, RicEntry, ar
 
 class TestRateTracker:
     def test_cumulative_counting(self):
-        tracker = RateTracker(window=None)
-        for t in range(5):
-            tracker.record("k", now=float(t))
-        assert tracker.rate("k", now=100.0) == 5.0
-        assert tracker.total("k") == 5
-        assert tracker.rate("unknown", now=0.0) == 0.0
-
-    def test_windowed_counting(self):
-        tracker = RateTracker(window=10.0)
-        tracker.record("k", now=0.0)
-        tracker.record("k", now=5.0)
-        tracker.record("k", now=12.0)
-        assert tracker.rate("k", now=12.0) == 2.0   # 5.0 and 12.0 remain
-        assert tracker.rate("k", now=30.0) == 0.0
-        assert tracker.total("k") == 3
+        tracker = RateTracker()
+        for _ in range(5):
+            tracker.record("k")
+        assert tracker.rate("k") == 5.0
+        assert tracker.rate("unknown") == 0.0
 
     def test_tracked_keys(self):
         tracker = RateTracker()
-        tracker.record("a", 0.0)
-        tracker.record("b", 0.0)
+        tracker.record("a")
+        tracker.record("b")
         assert sorted(tracker.tracked_keys()) == ["a", "b"]
 
     def test_max_keys_bounds_memory(self):
         """A million-distinct-key flood never holds more than ``max_keys``."""
-        tracker = RateTracker(window=10.0, max_keys=8)
+        tracker = RateTracker(max_keys=8)
         for i in range(1000):
-            tracker.record(f"k{i}", now=float(i))
+            tracker.record(f"k{i}")
             assert len(tracker) <= 8
         assert len(tracker) == 8
         assert tracker.evicted_keys == 992
@@ -42,39 +32,29 @@ class TestRateTracker:
 
     def test_eviction_is_least_recently_recorded(self):
         tracker = RateTracker(max_keys=2)
-        tracker.record("a", 0.0)
-        tracker.record("b", 1.0)
-        tracker.record("a", 2.0)   # refreshes "a": "b" is now the LRU key
-        tracker.record("c", 3.0)   # evicts "b"
+        tracker.record("a")
+        tracker.record("b")
+        tracker.record("a")   # refreshes "a": "b" is now the LRU key
+        tracker.record("c")   # evicts "b"
         assert sorted(tracker.tracked_keys()) == ["a", "c"]
-        assert tracker.total("a") == 2
+        assert tracker.rate("a") == 2.0
         assert tracker.evicted_keys == 1
 
     def test_evicted_key_reports_zero_then_recovers(self):
-        tracker = RateTracker(window=100.0, max_keys=1)
-        tracker.record("a", 0.0)
-        tracker.record("b", 1.0)   # evicts "a" with its arrival history
-        assert tracker.rate("a", now=1.0) == 0.0
-        assert tracker.total("a") == 0
+        tracker = RateTracker(max_keys=1)
+        tracker.record("a")
+        tracker.record("b")   # evicts "a" with its count
+        assert tracker.rate("a") == 0.0
         # Arrivals for an evicted key start a fresh count.
-        tracker.record("a", 2.0)
-        assert tracker.total("a") == 1
-        assert tracker.rate("a", now=2.0) == 1.0
+        tracker.record("a")
+        assert tracker.rate("a") == 1.0
 
     def test_unbounded_by_default(self):
         tracker = RateTracker()
         for i in range(100):
-            tracker.record(f"k{i}", 0.0)
+            tracker.record(f"k{i}")
         assert len(tracker) == 100
         assert tracker.evicted_keys == 0
-
-
-class TestRicEntry:
-    def test_freshness(self):
-        entry = RicEntry(key_text="k", rate=1.0, address="n", observed_at=10.0)
-        assert entry.is_fresh(now=15.0, freshness=5.0)
-        assert not entry.is_fresh(now=16.0, freshness=5.0)
-        assert entry.is_fresh(now=1e9, freshness=None)
 
 
 class TestCandidateTable:
@@ -88,13 +68,13 @@ class TestCandidateTable:
         table.update(self.entry(rate=1.0, observed_at=1.0))
         table.update(self.entry(rate=9.0, observed_at=5.0))
         table.update(self.entry(rate=3.0, observed_at=2.0))  # older, ignored
-        assert table.lookup("k", now=10.0).rate == 9.0
+        assert table.lookup("k").rate == 9.0
 
-    def test_lookup_respects_freshness(self):
-        table = CandidateTable(freshness=5.0)
+    def test_an_entry_is_used_whatever_its_age(self):
+        table = CandidateTable()
+        assert table.lookup("k") is None
         table.update(self.entry(observed_at=0.0))
-        assert table.lookup("k", now=4.0) is not None
-        assert table.lookup("k", now=6.0) is None
+        assert table.lookup("k") is not None
         assert table.hits == 1
         assert table.misses == 1
 
@@ -109,42 +89,42 @@ class TestCandidateTable:
         table.update(self.entry(observed_at=0.0))
         missed = []
         for use in range(1, 4 * REASK_FROM + 1):
-            if table.lookup("k", now=float(use)) is None:
+            if table.lookup("k") is None:
                 missed.append(use)
                 table.update(self.entry(rate=float(use), observed_at=float(use)))
         assert missed == [REASK_FROM, 2 * REASK_FROM, 4 * REASK_FROM]
         assert table.misses == 3 and table.hits == 4 * REASK_FROM - 3
-        assert table.lookup("k", now=99.0).rate == 4.0 * REASK_FROM
+        assert table.lookup("k").rate == 4.0 * REASK_FROM
 
     def test_keys_used_together_are_asked_again_together(self):
         """One chain reads the candidates of a recurring decision at one time."""
         table = CandidateTable()
         table.update_many([self.entry(key="a"), self.entry(key="b")])
         for _ in range(REASK_FROM - 1):
-            assert table.lookup("a", 1.0) is not None
-            assert table.lookup("b", 1.0) is not None
-        assert table.lookup("a", 1.0) is None and table.lookup("b", 1.0) is None
+            assert table.lookup("a") is not None
+            assert table.lookup("b") is not None
+        assert table.lookup("a") is None and table.lookup("b") is None
 
     def test_a_miss_left_unanswered_is_served_by_the_old_entry(self):
         """A question the strategy spares leaves the entry as good as before."""
         table = CandidateTable()
         table.update(self.entry(rate=2.0))
         for _ in range(REASK_FROM - 1):
-            table.lookup("k", 1.0)
-        assert table.lookup("k", 1.0) is None
-        assert table.lookup("k", 1.0).rate == 2.0
+            table.lookup("k")
+        assert table.lookup("k") is None
+        assert table.lookup("k").rate == 2.0
 
     def test_dropped_entries_take_their_use_counts_along(self):
         table = CandidateTable()
         table.update_many([self.entry(key="a", address="x"), self.entry(key="b")])
         for _ in range(REASK_FROM - 1):
-            table.lookup("a", 1.0), table.lookup("b", 1.0)
+            table.lookup("a"), table.lookup("b")
         table.invalidate_address("x")
         table.update(self.entry(key="a", address="y"))
-        assert table.lookup("a", 1.0) is not None  # use 1 of a new count
+        assert table.lookup("a") is not None  # use 1 of a new count
         table.clear_entries()
         table.update(self.entry(key="b"))
-        assert table.lookup("b", 1.0) is not None
+        assert table.lookup("b") is not None
 
 
 class TestArcs:

@@ -34,8 +34,8 @@ class TestCandidateTableInvalidation:
         table.update(entry("k3", "node-1"))
         assert table.invalidate_address("node-1") == 2
         assert len(table) == 1
-        assert table.lookup("k2", now=0.0) is not None
-        assert table.lookup("k1", now=0.0) is None
+        assert table.lookup("k2") is not None
+        assert table.lookup("k1") is None
         assert table.invalidate_address("node-1") == 0
 
 
@@ -77,7 +77,7 @@ class TestEagerInvalidationOnMembership:
         assert cached_addresses(engine), "warm-up left no RIC state to test"
         victim = "node-4"
         if departure == "leave":
-            engine.remove_node(victim, graceful=True)
+            engine.remove_node(victim)
         else:
             engine.crash_node(victim)
         assert victim not in cached_addresses(engine)
@@ -88,7 +88,7 @@ class TestEagerInvalidationOnMembership:
         engine, generator = build_busy_engine()
         for victim in ("node-2", "node-9"):
             if departure == "leave":
-                engine.remove_node(victim, graceful=True)
+                engine.remove_node(victim)
             else:
                 engine.crash_node(victim)
         for query in generator.generate_queries(6):
@@ -268,7 +268,7 @@ class TestStaleArcs:
         engine, table = s.engine, s.asker.candidate_table
         old_arc = engine.ring.arc_of(s.hinted)
         heir = engine.ring.successor_of(engine.ring.node_by_address(s.hinted)).address
-        engine.remove_node(s.hinted, graceful=True)
+        engine.remove_node(s.hinted)
         for node in engine.nodes.values():
             assert s.hinted not in node.candidate_table._arc_of
             assert s.hinted not in node.candidate_table._arc_owners
@@ -339,7 +339,7 @@ def test_never_more_arcs_than_live_members_after_three_rings_worth_of_churn():
         if round_number % 3 == 2:
             engine.crash_node(victim)
         else:
-            engine.remove_node(victim, graceful=True)
+            engine.remove_node(victim)
         s.publish(4)
     assert engine._next_node_index == 36 and len(engine.ring) == 12
     assert max(len(node.candidate_table._arc_of) for node in engine.nodes.values()) > 1

@@ -25,7 +25,7 @@ from collections import Counter
 from typing import Dict, List
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RJoinConfig
@@ -264,7 +264,7 @@ class TestOneQuestionPerKey:
         assert len(h.posted) == posted and h.finished_ids == ["node-0#2"]
         assert_ric_path_idle(h.engine)
         # ...except for the candidate table, which learns from every reply.
-        assert h.node.candidate_table.lookup(K1.text, h.engine.now) is late
+        assert h.node.candidate_table.lookup(K1.text) is late
 
     def test_a_dead_reporters_entry_ends_the_wait_but_is_not_used(self):
         h = Harness()
@@ -272,7 +272,7 @@ class TestOneQuestionPerKey:
         h.reply(h.entry(K1, rate=7.0, address="node-gone"), h.entry(K2, rate=3.0))
         ((query_id, entries),) = h.finished
         assert set(entries) == {K2.text, KNOWN.text}
-        assert h.node.candidate_table.lookup(K1.text, h.engine.now) is None
+        assert h.node.candidate_table.lookup(K1.text) is None
         # Unreported counts as rate 0.0, the lowest: K1 is chosen, and routed
         # (no address to take the one-hop shortcut to).
         (sent,) = [m for m in h.posted if isinstance(m, IndexQueryMessage)]
@@ -281,24 +281,37 @@ class TestOneQuestionPerKey:
         assert_ric_path_idle(h.engine)
 
     def test_a_stale_entry_is_asked_again_once_and_joined_by_the_rest(self):
-        h = Harness(ric_freshness=3.0)
+        h = Harness()
         h.index(1, K1)
         h.engine.run()
         assert h.finished_ids == ["node-0#1"]
-        h.engine.tick(10.0)
-        h.node.candidate_table.update(h.entry(KNOWN, rate=5.0))  # kept fresh
-        h.index(2, K1)
-        h.index(3, K1)
+        table = h.node.candidate_table
+        for _ in range(REASK_FROM - 1):
+            assert table.lookup(K1.text) is not None
+        h.index(2, K1)  # the REASK_FROM-th use: asked again
+        for _ in range(REASK_FROM - 1):
+            assert table.lookup(K1.text) is not None
+        h.index(3, K1)  # the next doubling, while #2's chain is in flight
         assert len(chains_started(h.posted)) == 2
         assert h.node.ric_questions_joined == 1
         h.engine.run()
         assert h.finished_ids == ["node-0#1", "node-0#2", "node-0#3"]
-        # Fresh again: the next decision needs no message at all.
+        # Answered again: the next decision needs no message at all.
         posted = len(h.posted)
         h.index(4, K1)
         assert h.finished_ids[-1] == "node-0#4"
         assert [type(m) for m in h.posted[posted:]] == [IndexQueryMessage]
         assert_ric_path_idle(h.engine)
+
+    def test_a_reported_rate_is_every_tuple_the_key_ever_received(self):
+        h = Harness()
+        for value in range(6):
+            h.engine.publish("R", (value, value))
+            h.engine.tick(100.0)
+        h.index(1, K1)
+        h.engine.run()
+        ((_, entries),) = h.finished
+        assert entries[K1.text].rate == 6.0
 
 
 class TestOnlyWhatCanChangeTheChoice:
@@ -490,7 +503,7 @@ class TestOneHop:
         assert h.node.candidate_table.owner_of(identifier) == owner
         # ...and are the table's from then on, not the state's.
         assert state.ric_info == ()
-        assert h.node.candidate_table.lookup(first.text, h.engine.now).rate == 2.0
+        assert h.node.candidate_table.lookup(first.text).rate == 2.0
 
     def test_a_request_for_a_key_of_ones_own_is_a_local_delivery_either_way(self):
         h = Harness()
@@ -840,14 +853,14 @@ def assert_one_chain_per_key(engine: RJoinEngine) -> None:
     num_queries=st.integers(min_value=6, max_value=24),
     num_tuples=st.integers(min_value=10, max_value=40),
     jitter=st.sampled_from([0.25, 0.5, 1.5]),
-    freshness=st.sampled_from([None, 6.0]),
 )
+# Keys of these runs pass their REASK_FROM-th use: cached rates are asked again.
+@example(seed=7, runtime="sim", num_queries=12, num_tuples=20, jitter=0.5)
+@example(seed=1, runtime="asyncio", num_queries=24, num_tuples=40, jitter=1.5)
 def test_single_flight_keeps_the_bags_and_never_doubles_a_question(
-    seed, runtime, num_queries, num_tuples, jitter, freshness
+    seed, runtime, num_queries, num_tuples, jitter
 ):
-    engine, generator = busy_engine(
-        runtime, seed, delay_jitter=jitter, ric_freshness=freshness
-    )
+    engine, generator = busy_engine(runtime, seed, delay_jitter=jitter)
     reference = ReferenceEngine(generator.catalog)
 
     def drain() -> None:

@@ -196,7 +196,7 @@ class TestSimAsyncioEquivalence:
             engine.register_catalog(self.generator.catalog)
             handles = [engine.submit(query) for query in queries]
             engine.schedule_membership_op("join", delay=0.5)
-            engine.schedule_membership_op("leave", delay=1.5, graceful=True)
+            engine.schedule_membership_op("leave", delay=1.5)
             for generated in tuples:
                 engine.publish(generated.relation, generated.values)
             engines[runtime] = (engine, handles)

@@ -100,7 +100,7 @@ class TestMembershipAcrossBackends:
         engine, _, handles = run_workload(backend, window)
         stored_before = sum(len(n.tuple_store) for n in engine.nodes.values())
         engine.add_node()
-        engine.remove_node(graceful=True)
+        engine.remove_node()
         stored_after = sum(len(n.tuple_store) for n in engine.nodes.values())
         assert stored_after == stored_before
         assert engine.churn.records_lost == 0

@@ -1,5 +1,7 @@
 """Tests for the Chord overlay: ownership, routing, membership changes."""
 
+import random
+
 import pytest
 
 from repro.dht.chord import ChordRing
@@ -38,6 +40,29 @@ class TestMembership:
     def test_unknown_address_raises(self, ring):
         with pytest.raises(UnknownNodeError):
             ring.node_by_address("nope")
+
+    @pytest.mark.hard_timeout(10)  # a full ring must raise, not walk the circle for ever
+    @pytest.mark.parametrize("hashed_placement", [False, True])
+    def test_a_full_identifier_space_refuses_one_more_node(self, hashed_placement):
+        space = IdentifierSpace(8)
+        full = ChordRing.create_network(
+            256, space=space, seed=1, hashed_placement=hashed_placement
+        )
+        assert sorted(node.node_id for node in full.nodes) == list(range(256))
+        with pytest.raises(ConfigurationError):
+            full.random_free_identifier(random.Random(1))
+        with pytest.raises(ConfigurationError):
+            ChordRing.create_network(
+                257, space=space, seed=1, hashed_placement=hashed_placement
+            )
+
+    def test_the_last_free_identifier_is_found(self):
+        ring = ChordRing(IdentifierSpace(4))
+        for identifier in range(16):
+            if identifier != 9:
+                ring.add_node(f"n{identifier}", identifier)
+        rng = random.Random(3)
+        assert {ring.random_free_identifier(rng) for _ in range(8)} == {9}
 
     def test_hashed_placement_is_deterministic(self):
         a = ChordRing.create_network(8, hashed_placement=True)

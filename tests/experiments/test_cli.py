@@ -2,6 +2,7 @@
 
 import io
 
+import pytest
 
 from repro.experiments.cli import main
 
@@ -108,6 +109,23 @@ class TestRun:
         assert code == 2
         assert "unknown config field 'nmu_nodes'" in output
         assert "num_nodes" in output
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "hop_delay=NaN",
+            "hop_delay=Infinity",
+            "delay_jitter=NaN",
+            "delay_jitter=-Infinity",
+        ],
+    )
+    def test_a_non_finite_delay_is_reported(self, tmp_path, setting):
+        code, output = run_cli(
+            "run", "baseline", "--output", str(tmp_path), "--set", setting
+        )
+        assert code == 2
+        assert "delays must be finite" in output
+        assert not list(tmp_path.rglob("*.json"))
 
 
 class TestReport:

@@ -16,15 +16,11 @@ from repro.sql.ast import WindowSpec
 NON_DEFAULT = {
     "num_nodes": 5,
     "runtime": "asyncio",
-    "bits": 32,
     "hop_delay": 2.0,
     "delay_jitter": 0.5,
     "strategy": "worst",
     "store_backend": "sqlite",
     "allow_attribute_level_rewrites": False,
-    "altt_delta": 3.0,
-    "ric_window": 10.0,
-    "ric_freshness": 6.0,
     "tuple_gc_window": WindowSpec(size=10, mode="tuples"),
     "gc_every_tuples": 7,
     "owner_failover": False,

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.engine import RJoinEngine
 from repro.errors import ExperimentError
 from repro.experiments.config import (
     ChurnSpec,
@@ -54,16 +55,13 @@ class TestQueryChurnSpec:
         assert spec.events_for(100) == []
 
     def test_events_schedule(self):
-        spec = QueryChurnSpec(remove_every=10, start_after=5)
-        assert spec.events_for(40) == [15, 25, 35]
+        spec = QueryChurnSpec(remove_every=10)
+        assert spec.events_for(40) == [10, 20, 30, 40]
+        assert spec.events_for(9) == []
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ExperimentError):
             QueryChurnSpec(remove_every=-1)
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(ExperimentError):
-            QueryChurnSpec(remove_every=5, target="loudest")
 
     def test_config_type_validation(self):
         with pytest.raises(ExperimentError):
@@ -91,26 +89,35 @@ class TestRunnerIntegration:
         assert summary["queries_removed"] == 3
         assert summary["active_queries"] == 5
 
-    def test_min_queries_floor_is_respected(self):
+    def test_removal_stops_once_no_query_is_left(self):
         result = run_experiment(
             tiny_config(
                 num_queries=2,
-                query_churn=QueryChurnSpec(
-                    remove_every=5, resubmit=False, min_queries=2
-                ),
-            )
-        )
-        assert result.summary["queries_removed"] == 0
-        assert result.summary["active_queries"] == 2
-
-    @pytest.mark.parametrize("target", ["oldest", "newest", "random"])
-    def test_victim_targets_run_clean(self, target):
-        result = run_experiment(
-            tiny_config(
-                query_churn=QueryChurnSpec(remove_every=15, target=target)
+                query_churn=QueryChurnSpec(remove_every=5, resubmit=False),
             )
         )
         assert result.summary["queries_removed"] == 2
+        assert result.summary["active_queries"] == 0
+
+    def test_the_oldest_query_goes_first(self, monkeypatch):
+        submitted, removed = [], []
+        submit, remove = RJoinEngine.submit, RJoinEngine.remove_query
+
+        def spied_submit(engine, *args, **kwargs):
+            handle = submit(engine, *args, **kwargs)
+            submitted.append(handle.query_id)
+            return handle
+
+        def spied_remove(engine, query_id):
+            removed.append(query_id)
+            return remove(engine, query_id)
+
+        monkeypatch.setattr(RJoinEngine, "submit", spied_submit)
+        monkeypatch.setattr(RJoinEngine, "remove_query", spied_remove)
+        run_experiment(tiny_config(query_churn=QueryChurnSpec(remove_every=5)))
+        # Eight first submissions; each removal re-submits at the back.
+        assert removed == submitted[:6]
+        assert len(submitted) == 8 + 6
 
     def test_composes_with_node_churn(self):
         result = run_experiment(
@@ -173,13 +180,7 @@ class TestSerialization:
         assert RESULT_SCHEMA_VERSION >= 4
 
     def test_query_churn_round_trip(self):
-        spec = QueryChurnSpec(
-            remove_every=7,
-            resubmit=False,
-            start_after=3,
-            target="random",
-            min_queries=2,
-        )
+        spec = QueryChurnSpec(remove_every=7, resubmit=False)
         assert query_churn_from_dict(query_churn_to_dict(spec)) == spec
         assert query_churn_to_dict(None) is None
         assert query_churn_from_dict(None) is None

@@ -10,7 +10,6 @@ from repro.metrics.report import (
     participation_count,
     percentile,
     ranked_distribution,
-    series_summary,
 )
 
 
@@ -59,10 +58,3 @@ class TestFormatting:
         assert "x" in lines[1] and "value" in lines[1]
         assert "3.14" in text
         assert len(lines) == 5
-
-    def test_series_summary(self):
-        summary = series_summary({"a": [1.0, 3.0], "empty": []})
-        assert summary["a"]["min"] == 1.0
-        assert summary["a"]["max"] == 3.0
-        assert summary["a"]["mean"] == 2.0
-        assert summary["empty"]["mean"] == 0.0
