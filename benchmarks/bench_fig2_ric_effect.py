@@ -13,12 +13,12 @@ RIC-request traffic being only a part of RJoin's total.  Set
 
 import pytest
 
-from repro.experiments.figures import figure2
+from repro.experiments.figures import figure
 
 
 @pytest.mark.benchmark(group="figure2")
 def test_figure2_ric_effect(benchmark):
-    result = benchmark.pedantic(figure2, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig2",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 

@@ -12,17 +12,16 @@ network.
 
 import pytest
 
-from repro.experiments.figures import figure3
+from repro.experiments.figures import figure
 
 
 @pytest.mark.benchmark(group="figure3")
 def test_figure3_tuple_rate(benchmark):
-    result = benchmark.pedantic(figure3, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig3",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 
-    counts = result.x_values
-    smallest, largest = str(counts[0]), str(counts[-1])
+    smallest, largest = result.labels[0], result.labels[-1]
 
     # Total load grows with the number of tuples.
     assert sum(result.distributions[f"qpl_ranked_{largest}"]) >= sum(

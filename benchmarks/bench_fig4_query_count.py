@@ -10,17 +10,17 @@ therefore more load, but the ranked-node distribution keeps the same pattern
 
 import pytest
 
-from repro.experiments.figures import figure4
+from repro.experiments.figures import figure
 from repro.metrics.report import load_imbalance
 
 
 @pytest.mark.benchmark(group="figure4")
 def test_figure4_query_count(benchmark):
-    result = benchmark.pedantic(figure4, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig4",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 
-    counts = [str(c) for c in result.x_values]
+    counts = result.labels
     qpl_totals = [sum(result.distributions[f"qpl_ranked_{c}"]) for c in counts]
     storage_totals = [sum(result.distributions[f"storage_ranked_{c}"]) for c in counts]
 

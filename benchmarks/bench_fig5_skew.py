@@ -11,12 +11,12 @@ RIC information is reused more often).
 
 import pytest
 
-from repro.experiments.figures import figure5
+from repro.experiments.figures import figure
 
 
 @pytest.mark.benchmark(group="figure5")
 def test_figure5_skew(benchmark):
-    result = benchmark.pedantic(figure5, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig5",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 

@@ -10,16 +10,16 @@ load keeps being shared among the nodes in a similar pattern.
 
 import pytest
 
-from repro.experiments.figures import figure6
+from repro.experiments.figures import figure
 
 
 @pytest.mark.benchmark(group="figure6")
 def test_figure6_join_arity(benchmark):
-    result = benchmark.pedantic(figure6, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig6",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 
-    arities = [f"{a}way" for a in result.x_values]
+    arities = result.labels
     qpl_totals = [sum(result.distributions[f"qpl_ranked_{a}"]) for a in arities]
     storage_totals = [sum(result.distributions[f"storage_ranked_{a}"]) for a in arities]
 

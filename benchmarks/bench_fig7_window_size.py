@@ -10,12 +10,12 @@ garbage-collect rewritten queries early and keep the state small.
 
 import pytest
 
-from repro.experiments.figures import figure7
+from repro.experiments.figures import figure
 
 
 @pytest.mark.benchmark(group="figure7")
 def test_figure7_window_size(benchmark):
-    result = benchmark.pedantic(figure7, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig7",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 
@@ -29,7 +29,6 @@ def test_figure7_window_size(benchmark):
     assert traffic[-1] >= traffic[0]
     # The ranked distributions keep the same pattern: every window size keeps
     # a comparable share of nodes involved.
-    sizes = result.x_values
-    small = result.distributions[f"qpl_ranked_W{sizes[0]}"]
-    large = result.distributions[f"qpl_ranked_W{sizes[-1]}"]
+    small = result.distributions[f"qpl_ranked_{result.labels[0]}"]
+    large = result.distributions[f"qpl_ranked_{result.labels[-1]}"]
     assert sum(1 for v in large if v > 0) >= sum(1 for v in small if v > 0)

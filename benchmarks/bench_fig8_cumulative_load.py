@@ -10,16 +10,15 @@ windows keep the final cumulative load substantially lower.
 
 import pytest
 
-from repro.experiments.figures import figure8
+from repro.experiments.figures import figure
 
 
 @pytest.mark.benchmark(group="figure8")
 def test_figure8_cumulative_load(benchmark):
-    result = benchmark.pedantic(figure8, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig8",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 
-    sizes = result.x_values
     final_qpl = result.series["final_cumulative_qpl"]
     final_storage = result.series["final_cumulative_storage"]
 
@@ -27,9 +26,9 @@ def test_figure8_cumulative_load(benchmark):
     assert final_qpl[-1] > final_qpl[0]
     assert final_storage[-1] > final_storage[0]
 
-    for size in sizes:
-        qpl_curve = result.distributions[f"cumulative_qpl_W{size}"]
-        storage_curve = result.distributions[f"cumulative_storage_W{size}"]
+    for label in result.labels:
+        qpl_curve = result.distributions[f"cumulative_qpl_{label}"]
+        storage_curve = result.distributions[f"cumulative_storage_{label}"]
         # Cumulative curves are non-decreasing and have one point per tuple.
         assert qpl_curve == sorted(qpl_curve)
         assert storage_curve == sorted(storage_curve)

@@ -11,12 +11,12 @@ participate in query processing.
 
 import pytest
 
-from repro.experiments.figures import figure9
+from repro.experiments.figures import figure
 
 
 @pytest.mark.benchmark(group="figure9")
 def test_figure9_id_movement(benchmark):
-    result = benchmark.pedantic(figure9, rounds=1, iterations=1)
+    result = benchmark.pedantic(figure, args=("fig9",), rounds=1, iterations=1)
     print()
     print(result.to_text())
 

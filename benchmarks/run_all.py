@@ -1,11 +1,11 @@
 """Smoke driver for the whole benchmark suite.
 
-Executes every figure benchmark (``bench_fig*.py`` exercises the same
-``figureN()`` entry points through pytest-benchmark) plus the hot-path
-microbenchmark at drastically reduced sizes, and fails loudly on any
-exception.  The goal is not timing fidelity — it is catching code paths that
-only the benchmarks exercise (full experiment sweeps, id movement, window
-sweeps) without paying for a full benchmark run.
+Executes every paper figure (``bench_fig*.py`` runs the same
+``figure(name)`` entry point at default scale through pytest-benchmark)
+plus the hot-path microbenchmark at drastically reduced sizes, and fails
+loudly on any exception.  The goal is not timing fidelity — it is catching
+code paths that only the benchmarks exercise (full experiment sweeps, id
+movement, window sweeps) without paying for a full benchmark run.
 
 Usage::
 
@@ -25,33 +25,23 @@ import traceback
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-from repro.experiments import figures
+from repro.experiments.figures import figure
+from repro.experiments.scenarios import sweep, window_sweep
 
-# One entry per paper figure: (figure function, smoke-scale overrides).
-# The overrides keep each run to a couple of seconds while still driving the
-# full experiment pipeline (warm-up, query indexing, checkpoints, GC,
-# id movement) end to end.
-SMOKE_FIGURES: List[Tuple[Callable, Dict[str, object]]] = [
-    (figures.figure2, {"num_nodes": 12, "num_queries": 6, "checkpoints": [10, 20]}),
-    (figures.figure3, {"num_nodes": 12, "num_queries": 6, "tuple_counts": [5, 10]}),
-    (figures.figure4, {"num_nodes": 12, "query_counts": [3, 6], "num_tuples": 15}),
-    (
-        figures.figure5,
-        {"num_nodes": 12, "num_queries": 6, "num_tuples": 15, "thetas": (0.5, 0.9)},
-    ),
-    (
-        figures.figure6,
-        {"num_nodes": 12, "num_queries": 6, "num_tuples": 15, "arities": (4,)},
-    ),
-    (
-        figures.figure7,
-        {"num_nodes": 12, "num_queries": 6, "num_tuples": 15, "window_sizes": [5, 10]},
-    ),
-    (
-        figures.figure8,
-        {"num_nodes": 12, "num_queries": 6, "num_tuples": 15, "window_sizes": [5, 10]},
-    ),
-    (figures.figure9, {"num_nodes": 12, "num_queries": 10, "num_tuples": 15}),
+# One entry per paper figure: (figure name, smoke-scale arguments of
+# ``figure``).  The arguments keep each run to a fraction of a second while
+# still driving the full experiment pipeline (warm-up, query indexing,
+# checkpoints, GC, id movement) end to end.
+SMOKE = {"num_nodes": 12, "num_queries": 6, "num_tuples": 15}
+SMOKE_FIGURES: List[Tuple[str, Dict[str, object]]] = [
+    ("fig2", {**SMOKE, "num_tuples": 20, "checkpoints": [10, 20]}),
+    ("fig3", {**SMOKE, "variants": sweep("num_tuples", [5, 10])}),
+    ("fig4", {**SMOKE, "variants": sweep("num_queries", [3, 6])}),
+    ("fig5", {**SMOKE, "variants": sweep("zipf_theta", (0.5, 0.9), label="theta")}),
+    ("fig6", {**SMOKE, "variants": sweep("join_arity", (4,))}),
+    ("fig7", {**SMOKE, "variants": window_sweep([5, 10])}),
+    ("fig8", {**SMOKE, "variants": window_sweep([5, 10])}),
+    ("fig9", {**SMOKE, "num_queries": 10}),
 ]
 
 
@@ -155,12 +145,10 @@ def run_all(verbose: bool = True, reports_dir: "str | None" = None) -> List[str]
             if verbose:
                 print(f"{name}: FAILED")
 
-    for figure_fn, overrides in SMOKE_FIGURES:
+    for name, arguments in SMOKE_FIGURES:
         _attempt(
-            figure_fn.__name__,
-            lambda figure_fn=figure_fn, overrides=overrides: figure_fn(
-                **overrides
-            ).figure,
+            name,
+            lambda name=name, arguments=arguments: figure(name, **arguments).figure,
         )
 
     for module_name, smoke_runner, report_runner, describe in SMOKE_SUITES:

@@ -113,12 +113,8 @@ class ExperimentError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Metrics / tooling
+# Tooling
 # ---------------------------------------------------------------------------
-
-
-class MetricsError(ReproError):
-    """A metrics report or aggregation was requested with invalid inputs."""
 
 
 class AnalysisError(ReproError):

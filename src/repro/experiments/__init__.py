@@ -13,24 +13,14 @@
   per-cell JSON checkpointing, resume and mean/stddev aggregation,
 * :mod:`repro.experiments.cli` — the ``python -m repro.experiments``
   ``run``/``list``/``report`` entry point,
-* :mod:`repro.experiments.figures` — one function per figure (Figures 2–9),
-  each a thin consumer of the scenario registry returning a
+* :mod:`repro.experiments.figures` — ``figure(name)`` runs a paper figure's
+  scenario (Figures 2–9) and returns a
   :class:`~repro.experiments.figures.FigureResult` with the same series the
   paper plots.
 """
 
 from repro.experiments.config import ChurnSpec, ExperimentConfig, is_full_scale
-from repro.experiments.figures import (
-    FigureResult,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-)
+from repro.experiments.figures import FigureResult, figure
 from repro.experiments.parallel import (
     CellOutcome,
     GridReport,
@@ -48,6 +38,8 @@ from repro.experiments.scenarios import (
     get_scenario,
     register,
     scenario_names,
+    sweep,
+    window_sweep,
 )
 
 __all__ = [
@@ -61,15 +53,8 @@ __all__ = [
     "Scenario",
     "ScenarioCell",
     "Variant",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
     "diff_grids",
+    "figure",
     "get_scenario",
     "is_full_scale",
     "load_cells",
@@ -78,4 +63,6 @@ __all__ = [
     "run_experiment",
     "run_grid",
     "scenario_names",
+    "sweep",
+    "window_sweep",
 ]

@@ -69,6 +69,15 @@ def _parse_set_options(pairs: Sequence[str]) -> Dict[str, object]:
     return overrides
 
 
+def _parse_seeds(text: str) -> List[int]:
+    try:
+        return [int(seed) for seed in text.split(",")]
+    except ValueError:
+        raise ExperimentError(
+            f"--seeds expects comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -174,9 +183,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             "run needs a scenario name (positional or --scenario); "
             "see `python -m repro.experiments list`"
         )
-    seeds = (
-        [int(seed) for seed in args.seeds.split(",")] if args.seeds else None
-    )
+    seeds = _parse_seeds(args.seeds) if args.seeds else None
     strategies = args.strategies.split(",") if args.strategies else None
     overrides = _parse_set_options(args.set_options)
     scenario = get_scenario(scenario_name)

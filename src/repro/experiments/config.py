@@ -5,9 +5,10 @@ to 2 560 incoming tuples.  A pure-Python simulation cannot complete that in
 benchmark-friendly time, so every figure uses a *reduced default scale* that
 preserves the qualitative shapes (who wins, monotonicity, distribution
 patterns) and can be switched to the paper scale by setting the environment
-variable ``REPRO_FULL_SCALE=1`` (or by passing explicit overrides to the
-figure functions).  Every result file records the full configuration, scale
-included, that produced it (:mod:`repro.metrics.serialize`).
+variable ``REPRO_FULL_SCALE=1`` (or by passing explicit overrides to
+:func:`repro.experiments.figures.figure`).  Every result file records the
+full configuration, scale included, that produced it
+(:mod:`repro.metrics.serialize`).
 """
 
 from __future__ import annotations
@@ -216,16 +217,5 @@ class ExperimentConfig(RJoinConfig):
             num_nodes=1000,
             num_queries=20000,
             num_tuples=1000,
-        )
-        return config.with_overrides(**overrides) if overrides else config
-
-    @classmethod
-    def default_scale(cls, **overrides) -> "ExperimentConfig":
-        """The reduced scale used by the benchmark harness by default."""
-        config = cls(
-            name="default-scale",
-            num_nodes=100,
-            num_queries=400,
-            num_tuples=100,
         )
         return config.with_overrides(**overrides) if overrides else config

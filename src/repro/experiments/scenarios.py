@@ -16,8 +16,8 @@ Two groups of scenarios ship by default:
   ``query-churn``, ``owner-failover``, ``latency`` and ``store-backends`` —
   stressing the system along axes the paper's Section 8 only touches
   implicitly, and
-* one scenario per paper figure (``fig2`` … ``fig9``) so that the figure
-  functions are thin consumers of the registry.
+* one scenario per paper figure (``fig2`` … ``fig9``), which
+  :func:`repro.experiments.figures.figure` runs and reads its series from.
 
 Every scenario expands into :class:`ScenarioCell`\\ s — one fully resolved
 ``ExperimentConfig`` per (variant, strategy, seed) — via
@@ -193,7 +193,7 @@ def scenario_names() -> List[str]:
     return sorted(SCENARIOS)
 
 
-def _sweep(
+def sweep(
     parameter: str,
     values: Sequence[object],
     label: Optional[str] = None,
@@ -211,7 +211,8 @@ def _sweep(
     return tuple(variants)
 
 
-def _window_sweep(sizes: Sequence[int]) -> Tuple[Variant, ...]:
+def window_sweep(sizes: Sequence[int]) -> Tuple[Variant, ...]:
+    """Variants sweeping the tuple-count sliding window over ``sizes``."""
     return tuple(
         Variant(
             label=f"W={size}",
@@ -263,9 +264,7 @@ register(
             num_tuples=80,
             warmup_tuples=20,
         ),
-        default_variants=_sweep(
-            "zipf_theta", (0.0, 0.3, 0.6, 0.9, 1.2), label="theta"
-        ),
+        default_variants=sweep("zipf_theta", (0.0, 0.3, 0.6, 0.9, 1.2), label="theta"),
         paper_base=ExperimentConfig.paper_scale(name="skew-sweep"),
     )
 )
@@ -285,7 +284,7 @@ register(
             num_tuples=120,
             warmup_tuples=20,
         ),
-        default_variants=_window_sweep((10, 25, 50, 100)),
+        default_variants=window_sweep((10, 25, 50, 100)),
         paper_base=ExperimentConfig.paper_scale(name="window-churn"),
     )
 )
@@ -305,7 +304,7 @@ register(
             num_tuples=120,
             warmup_tuples=20,
         ),
-        default_variants=_sweep("batch_size", (5, 20, 50)),
+        default_variants=sweep("batch_size", (5, 20, 50)),
         paper_base=ExperimentConfig.paper_scale(name="bursty"),
     )
 )
@@ -325,13 +324,13 @@ register(
             num_tuples=20,
             warmup_tuples=10,
         ),
-        default_variants=_sweep("num_queries", (200, 400, 800)),
+        default_variants=sweep("num_queries", (200, 400, 800)),
         paper_base=ExperimentConfig.paper_scale(name="query-flood"),
         # Million-query matching: the full-scale sweep pushes the resident
         # population to 10⁵–10⁶ queries — feasible only because the
         # predicate-aware query index keeps per-arrival matching sublinear
         # and shared rewritten-query state collapses duplicates.
-        paper_variants=_sweep("num_queries", (100_000, 300_000, 1_000_000)),
+        paper_variants=sweep("num_queries", (100_000, 300_000, 1_000_000)),
     )
 )
 
@@ -351,9 +350,7 @@ register(
             warmup_tuples=20,
             hot_value_count=2,
         ),
-        default_variants=_sweep(
-            "hot_key_fraction", (0.0, 0.25, 0.5, 0.9), label="hot"
-        ),
+        default_variants=sweep("hot_key_fraction", (0.0, 0.25, 0.5, 0.9), label="hot"),
         paper_base=ExperimentConfig.paper_scale(
             name="hot-key", hot_value_count=2
         ),
@@ -613,7 +610,7 @@ register(
 
 
 # ---------------------------------------------------------------------------
-# one scenario per paper figure — the figure harness consumes these
+# one scenario per paper figure — repro.experiments.figures runs these
 # ---------------------------------------------------------------------------
 register(
     Scenario(
@@ -654,7 +651,7 @@ register(
             num_tuples=1,
             warmup_tuples=40,
         ),
-        default_variants=_sweep("num_tuples", (20, 40, 80, 160)),
+        default_variants=sweep("num_tuples", (20, 40, 80, 160)),
         paper_base=ExperimentConfig(
             name="fig3",
             num_nodes=1000,
@@ -662,7 +659,7 @@ register(
             num_tuples=1,
             warmup_tuples=200,
         ),
-        paper_variants=_sweep("num_tuples", (40, 80, 160, 320, 640, 1280, 2560)),
+        paper_variants=sweep("num_tuples", (40, 80, 160, 320, 640, 1280, 2560)),
         seeds=(42,),
     )
 )
@@ -679,7 +676,7 @@ register(
             num_tuples=60,
             warmup_tuples=40,
         ),
-        default_variants=_sweep("num_queries", (100, 200, 400, 800)),
+        default_variants=sweep("num_queries", (100, 200, 400, 800)),
         paper_base=ExperimentConfig(
             name="fig4",
             num_nodes=1000,
@@ -687,7 +684,7 @@ register(
             num_tuples=1000,
             warmup_tuples=200,
         ),
-        paper_variants=_sweep("num_queries", (2000, 4000, 8000, 16000, 32000)),
+        paper_variants=sweep("num_queries", (2000, 4000, 8000, 16000, 32000)),
         seeds=(42,),
     )
 )
@@ -704,7 +701,7 @@ register(
             num_tuples=100,
             warmup_tuples=0,
         ),
-        default_variants=_sweep("zipf_theta", (0.3, 0.5, 0.7, 0.9), label="theta"),
+        default_variants=sweep("zipf_theta", (0.3, 0.5, 0.7, 0.9), label="theta"),
         paper_base=ExperimentConfig(
             name="fig5",
             num_nodes=1000,
@@ -728,7 +725,7 @@ register(
             num_tuples=80,
             warmup_tuples=40,
         ),
-        default_variants=_sweep("join_arity", (4, 6, 8)),
+        default_variants=sweep("join_arity", (4, 6, 8)),
         paper_base=ExperimentConfig(
             name="fig6",
             num_nodes=1000,
@@ -752,7 +749,7 @@ register(
             num_tuples=200,
             warmup_tuples=40,
         ),
-        default_variants=_window_sweep((25, 50, 100, 200)),
+        default_variants=window_sweep((25, 50, 100, 200)),
         paper_base=ExperimentConfig(
             name="fig7",
             num_nodes=1000,
@@ -760,7 +757,7 @@ register(
             num_tuples=1000,
             warmup_tuples=200,
         ),
-        paper_variants=_window_sweep((50, 100, 200, 400, 1000)),
+        paper_variants=window_sweep((50, 100, 200, 400, 1000)),
         seeds=(42,),
     )
 )

@@ -10,8 +10,8 @@ The experimental section measures three quantities per node (Section 8):
 * **storage load (SL)** — rewritten queries plus tuples stored locally.
 
 :class:`~repro.metrics.collectors.LoadTracker` maintains QPL/SL per node;
-:mod:`repro.metrics.report` provides the ranked-node distributions and
-text-table rendering used by the benchmark harness.
+:mod:`repro.metrics.report` provides the load-imbalance ratio and the
+text-table rendering used by the figures, the CLI and the benchmark harness.
 """
 
 from repro.metrics.collectors import (
@@ -19,19 +19,11 @@ from repro.metrics.collectors import (
     LoadTracker,
     NodeLoad,
 )
-from repro.metrics.report import (
-    format_table,
-    group_ranked,
-    participation_count,
-    ranked_distribution,
-)
+from repro.metrics.report import format_table
 
 __all__ = [
     "ChurnStats",
     "LoadTracker",
     "NodeLoad",
     "format_table",
-    "group_ranked",
-    "participation_count",
-    "ranked_distribution",
 ]

@@ -1,61 +1,13 @@
-"""Ranked-node distributions and plain-text reporting.
+"""Load imbalance and plain-text reporting.
 
-The figures of Section 8 plot per-node load against "ranked nodes": nodes are
-sorted by decreasing load, optionally bucketed in groups of 100 ("Ranked
-nodes (x100)").  These helpers turn per-node counters into those series and
-render small text tables so that the benchmark harness can print the rows the
-paper reports.
+:func:`load_imbalance` summarises a per-node load distribution in one ratio;
+:func:`format_table` renders the small text tables the figures, the
+experiments CLI and the benchmark harness print.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.errors import MetricsError
-from typing import Iterable, List, Sequence
-
-
-def ranked_distribution(values: Iterable[float]) -> List[float]:
-    """Sort per-node values in decreasing order (the x-axis is the rank)."""
-    return sorted(values, reverse=True)
-
-
-def group_ranked(
-    values: Iterable[float], group_size: int = 100, aggregate: str = "mean"
-) -> List[float]:
-    """Aggregate a ranked distribution into buckets of ``group_size`` nodes.
-
-    ``aggregate`` is ``"mean"`` or ``"sum"``.  This mirrors the paper's
-    "Ranked nodes (x100)" axes, where each plotted point summarises 100
-    consecutively ranked nodes.
-    """
-    ranked = ranked_distribution(values)
-    if group_size <= 0:
-        raise MetricsError("group_size must be positive")
-    groups: List[float] = []
-    for start in range(0, len(ranked), group_size):
-        chunk = ranked[start : start + group_size]
-        if aggregate == "sum":
-            groups.append(float(sum(chunk)))
-        elif aggregate == "mean":
-            groups.append(float(sum(chunk)) / len(chunk))
-        else:
-            raise MetricsError(f"unknown aggregate {aggregate!r}")
-    return groups
-
-
-def participation_count(values: Iterable[float], threshold: float = 0.0) -> int:
-    """Number of nodes whose load exceeds ``threshold`` (participating nodes)."""
-    return sum(1 for value in values if value > threshold)
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Simple nearest-rank percentile of ``values`` (fraction in [0, 1])."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-    return ordered[index]
+from typing import List, Sequence
 
 
 def load_imbalance(values: Sequence[float]) -> float:

@@ -102,6 +102,14 @@ class TestRun:
         assert code == 2
         assert "key=value" in output
 
+    def test_bad_seeds_are_reported(self, tmp_path):
+        code, output = run_cli(
+            "run", "baseline", "--output", str(tmp_path), "--seeds", "1,x"
+        )
+        assert code == 2
+        assert "--seeds expects comma-separated integers" in output
+        assert not list(tmp_path.rglob("*.json"))
+
     def test_unknown_set_field_is_reported(self, tmp_path):
         code, output = run_cli(
             "run", "baseline", "--output", str(tmp_path), "--set", "nmu_nodes=4"

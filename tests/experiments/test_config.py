@@ -68,7 +68,6 @@ class TestExperimentConfig:
 
     def test_presets(self):
         assert ExperimentConfig.paper_scale().num_nodes == 1000
-        assert ExperimentConfig.default_scale().num_nodes == 100
         assert ExperimentConfig.paper_scale(num_tuples=5).num_tuples == 5
 
     def test_is_full_scale_env(self, monkeypatch):

@@ -1,18 +1,50 @@
 """Smoke tests for the figure harness (tiny overrides, qualitative assertions)."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.figures import (
-    figure2,
-    figure3,
-    figure7,
-    figure9,
-)
+from repro.errors import ExperimentError
+from repro.experiments.figures import FIGURES, figure
+from repro.experiments.scenarios import sweep, window_sweep
+
+_RUN_ALL_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "run_all.py"
+
+
+def _smoke_figures():
+    """``benchmarks/run_all.py``'s smoke arguments, one entry per figure."""
+    spec = importlib.util.spec_from_file_location("bench_run_all", _RUN_ALL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.SMOKE_FIGURES)
+
+
+SMOKE_FIGURES = _smoke_figures()
+
+
+class TestEveryFigure:
+    def test_smoke_sizes_cover_every_figure(self):
+        assert sorted(SMOKE_FIGURES) == sorted(FIGURES)
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_series_and_distributions_are_well_formed(self, name):
+        fig = figure(name, **SMOKE_FIGURES[name])
+        for series, values in fig.series.items():
+            assert len(values) == len(fig.x_values), series
+        for key in fig.distributions:
+            assert any(key.endswith(f"_{label}") for label in fig.labels), key
+
+    def test_unknown_figure_is_refused(self):
+        with pytest.raises(ExperimentError, match="unknown figure 'fig1'"):
+            figure("fig1")
 
 
 class TestFigure2:
     def test_strategy_ordering_holds(self):
-        fig = figure2(num_nodes=24, num_queries=40, checkpoints=[20, 40])
+        fig = figure(
+            "fig2", num_nodes=24, num_queries=40, num_tuples=40, checkpoints=[20, 40]
+        )
         last = -1
         worst = fig.series["worst_qpl_per_node"][last]
         random_ = fig.series["random_qpl_per_node"][last]
@@ -36,7 +68,14 @@ class TestFigure2:
         """Paper claim (Fig. 2, its headline metric): choosing by RIC
         information costs less traffic than choosing at random, asking
         included, and that less than the worst choice."""
-        fig = figure2(num_nodes=24, num_queries=40, checkpoints=[20, 40], seed=seed)
+        fig = figure(
+            "fig2",
+            seed=seed,
+            num_nodes=24,
+            num_queries=40,
+            num_tuples=40,
+            checkpoints=[20, 40],
+        )
         worst, random_, rjoin = (
             fig.series[f"{strategy}_messages_per_node"][-1]
             for strategy in ("worst", "random", "rjoin")
@@ -65,7 +104,14 @@ class TestFigure2:
         the last checkpoint (0.382 / 0.302 / 0.330 before), RIC 26.3 / 15.0 /
         17.8 of 69.0 / 49.8 / 54.3 messages per node (26.4 / 15.0 / 18.0 of
         69.2 / 49.8 / 54.5), and 0.438 / 0.426 / 0.442 at the first."""
-        fig = figure2(num_nodes=24, num_queries=40, checkpoints=[20, 40], seed=seed)
+        fig = figure(
+            "fig2",
+            seed=seed,
+            num_nodes=24,
+            num_queries=40,
+            num_tuples=40,
+            checkpoints=[20, 40],
+        )
         first, last = (
             ric / total
             for ric, total in zip(
@@ -79,9 +125,14 @@ class TestFigure2:
 
 class TestFigure3:
     def test_load_grows_with_tuples(self):
-        fig = figure3(num_nodes=24, num_queries=40, tuple_counts=[10, 30])
-        qpl_small = sum(fig.distributions["qpl_ranked_10"])
-        qpl_large = sum(fig.distributions["qpl_ranked_30"])
+        fig = figure(
+            "fig3",
+            num_nodes=24,
+            num_queries=40,
+            variants=sweep("num_tuples", [10, 30]),
+        )
+        qpl_small = sum(fig.distributions["qpl_ranked_num_tuples=10"])
+        qpl_large = sum(fig.distributions["qpl_ranked_num_tuples=30"])
         assert qpl_large >= qpl_small
         assert (
             fig.series["participating_nodes"][1]
@@ -91,8 +142,12 @@ class TestFigure3:
 
 class TestFigure7:
     def test_larger_windows_cost_more(self):
-        fig = figure7(
-            num_nodes=24, num_queries=40, num_tuples=60, window_sizes=[10, 40]
+        fig = figure(
+            "fig7",
+            num_nodes=24,
+            num_queries=40,
+            num_tuples=60,
+            variants=window_sweep([10, 40]),
         )
         qpl = fig.series["qpl_per_node"]
         storage = fig.series["total_current_storage"]
@@ -102,7 +157,7 @@ class TestFigure7:
 
 class TestFigure9:
     def test_id_movement_does_not_increase_peak_load(self):
-        fig = figure9(num_nodes=24, num_queries=60, num_tuples=60)
+        fig = figure("fig9", num_nodes=24, num_queries=60, num_tuples=60)
         max_without, max_with = fig.series["max_storage"]
         assert max_with <= max_without
         participating_without, participating_with = fig.series["participating_nodes"]

@@ -11,6 +11,7 @@ from repro.experiments.scenarios import (
     scenario_names,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.figures import FIGURES as FIGURE_SPECS
 from repro.sql.ast import WindowSpec
 
 EXPLORATORY = (
@@ -26,7 +27,8 @@ EXPLORATORY = (
     "latency",
     "store-backends",
 )
-FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig9")
+#: Every scenario a figure reads (Figure 8 reads ``fig7``).
+FIGURES = tuple(sorted({spec.scenario for spec in FIGURE_SPECS.values()}))
 
 
 class TestRegistry:
