@@ -52,7 +52,7 @@ from repro.core.protocol import (
     RetractQueryMessage,
     RicRequestMessage,
 )
-from repro.core.rewriting import QueryShape, shape_key
+from repro.core.rewriting import QueryShape, RewriteMemo, shape_key
 from repro.core.strategy import IndexingStrategy, make_strategy
 from repro.data.schema import Catalog, RelationSchema
 from repro.data.tuples import Tuple
@@ -209,6 +209,9 @@ class RJoinEngine:
         self._shapes: "weakref.WeakValueDictionary[Hashable, QueryShape]" = (
             weakref.WeakValueDictionary()
         )
+        #: The rewrites every plan of those shapes shares; emptied with each
+        #: removed query, since its keys hold plans and so their shapes.
+        self._rewrites = RewriteMemo()
         self._query_counter = 0
         self._sequence = 0
         #: The sequence number of the first tuple published since the last
@@ -288,7 +291,7 @@ class RJoinEngine:
         key = shape_key(parsed)
         shape = self._shapes.get(key)
         if shape is None:
-            shape = self._shapes[key] = QueryShape()
+            shape = self._shapes[key] = QueryShape(self._rewrites)
         state = QueryState(
             query_id=query_id,
             owner=owner,
@@ -351,6 +354,7 @@ class RJoinEngine:
         del self._handles[query_id]
         self._retired_answers += handle.count
         self.churn.queries_removed += 1
+        self._rewrites.clear()
         if not self._handles:
             for node in self.nodes.values():
                 self.churn.records_vacuumed += node.vacuum(self.transport.now)
@@ -581,6 +585,7 @@ class RJoinEngine:
         not be used afterwards.
         """
         self.transport.shutdown()
+        self._rewrites.clear()
         for node in self.nodes.values():
             node.tuple_store.close()
         if self.obs is not None:

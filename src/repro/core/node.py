@@ -109,7 +109,7 @@ class _PendingIndexOp:
     #: chain it starts (if it has anything to ask that nobody is asking).
     label: str
     state: QueryState
-    candidates: List[IndexKey]
+    candidates: Sequence[IndexKey]
     #: Entries it had, plus those reported since, by key text.
     known: Dict[str, RicEntry]
     #: Candidate keys it waits for that no reply has reported yet.
@@ -362,6 +362,7 @@ class RJoinNode:
         if plan is not None and plan.relation != relation:
             plan = None
         extras = state.extra_subscribers
+        allow = self.ctx.config.allow_attribute_level_rewrites
         answers: List[TupleT[Any, ...]] = []
         fired = 0
         try:
@@ -391,11 +392,13 @@ class RJoinNode:
                     child = result.query
                     assert child is not None
                     shape = plan.child_shape
+                    candidates = result.candidates
+                    if candidates is None:  # no equal rewrite enumerated them
+                        candidates = shape.candidate_plan(child).apply(child, allow)
+                        result.candidates = candidates
                     self._index_query(
                         state.derive(child, extend(window, span, tup), shape),
-                        shape.candidate_plan(child).apply(
-                            child, self.ctx.config.allow_attribute_level_rewrites
-                        ),
+                        candidates,
                     )
                 elif not extras:
                     answers.append(values)
@@ -574,7 +577,7 @@ class RJoinNode:
             entry for entry in entries if has_address(entry.address)
         )
 
-    def _index_query(self, state: QueryState, candidates: List[IndexKey]) -> None:
+    def _index_query(self, state: QueryState, candidates: Sequence[IndexKey]) -> None:
         """Decide under which of ``candidates`` to index ``state`` and send it there.
 
         A strategy that chooses by rate reads the candidate table and asks
@@ -621,7 +624,7 @@ class RJoinNode:
     def _start_ric_chain(
         self,
         state: QueryState,
-        candidates: List[IndexKey],
+        candidates: Sequence[IndexKey],
         known: Dict[str, RicEntry],
         worth: List[IndexKey],
     ) -> None:
@@ -753,7 +756,7 @@ class RJoinNode:
     def _finish_indexing(
         self,
         state: QueryState,
-        candidates: List[IndexKey],
+        candidates: Sequence[IndexKey],
         entries: Dict[str, RicEntry],
     ) -> None:
         """Choose the candidate with the gathered rates and ship the query."""

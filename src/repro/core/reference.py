@@ -53,6 +53,8 @@ class ReferenceEngine:
         self._removed: Dict[str, _RegisteredQuery] = {}
         self._tuples: Dict[str, List[Tuple]] = {}
         self._sequence = 0
+        #: Queries ever submitted: the number of a default id.
+        self._submitted = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -62,8 +64,9 @@ class ReferenceEngine:
     ) -> str:
         """Register a continuous query; returns its id."""
         query.validate(self.catalog)
+        self._submitted += 1
         if query_id is None:
-            query_id = f"ref#{len(self._queries) + 1}"
+            query_id = f"ref#{self._submitted}"
         if query_id in self._queries:
             raise EngineError(f"duplicate query id {query_id!r}")
         self._queries[query_id] = _RegisteredQuery(

@@ -24,11 +24,14 @@ so a rewrite is *compile + apply*: :func:`compile_plan` works out the
 runs it on a query's constants and a tuple's values by position.
 :func:`rewrite_query` does both.  The nodes' trigger path keeps what it
 compiles in the :class:`QueryShape` every query state carries, so each
-shape is compiled once per engine, not once per node or per query.
+shape is compiled once per engine, not once per node or per query.  An
+engine's plans also share its :class:`RewriteMemo`, so one (query, tuple
+values) pair is rewritten once while it keeps recurring.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple as TupleT
 
 from repro.core.strategy import CandidatePlan
@@ -39,7 +42,17 @@ from repro.sql.ast import Constant, JoinPredicate, Query, SelectionPredicate
 from repro.sql.predicates import is_contradictory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.keys import IndexKey
     from repro.core.protocol import QueryState
+
+#: Entries one generation of a :class:`RewriteMemo` holds; a memo holds two.
+MEMO_GENERATION = 2048
+#: Bits of a :class:`RewriteMemo`'s admission bitmap (64 KB).
+MEMO_SEEN_BITS = 1 << 19
+#: Rewrites a :class:`RewriteMemo` leaves to :meth:`TriggerPlan.rewrite`
+#: after :data:`MEMO_GENERATION` misses brought fewer than a quarter as
+#: many hits.
+MEMO_PAUSE = 8 * MEMO_GENERATION
 
 
 class RewriteResult:
@@ -50,9 +63,12 @@ class RewriteResult:
     :class:`Query` such an answer stands for (no relations, no predicates,
     constants only) is materialised the first time :attr:`query` is read,
     which the trigger path of :class:`~repro.core.node.RJoinNode` never does.
+    ``candidates`` is where that trigger path keeps the Section 6 candidates
+    of an alive result's query, so a result a :class:`RewriteMemo` hands out
+    again is enumerated once.
     """
 
-    __slots__ = ("dead", "complete", "values", "_query", "_source")
+    __slots__ = ("dead", "complete", "values", "candidates", "_query", "_source")
 
     def __init__(
         self,
@@ -66,9 +82,11 @@ class RewriteResult:
         self.complete = complete
         #: Answer values of a complete result, else None.
         self.values = values
+        self.candidates: Optional[TupleT["IndexKey", ...]] = None
         self._query = query
-        #: The query a complete result was rewritten from, until
-        #: :attr:`query` is asked for.
+        #: The query this result was rewritten from: what a complete
+        #: result's :attr:`query` is built from, and what keeps the ``id`` a
+        #: :class:`RewriteMemo` key holds from being reused.
         self._source = source
 
     @property
@@ -80,7 +98,7 @@ class RewriteResult:
     def query(self) -> Optional[Query]:
         """The rewritten query; None when the rewrite is dead."""
         source = self._source
-        if self._query is None and source is not None:
+        if self._query is None and self.complete and source is not None:
             self._query = Query(
                 select_items=tuple(Constant(value) for value in self.values or ()),
                 relations=(),
@@ -95,6 +113,86 @@ class RewriteResult:
 
 
 DEAD = RewriteResult(dead=True)
+
+
+class RewriteMemo:
+    """The rewrites of one engine, each computed once while it recurs.
+
+    A key is ``(plan, id(query), *the tuple's values at the positions the
+    plan reads)`` — everything :meth:`TriggerPlan.apply` reads — and its
+    entry is the :class:`RewriteResult` itself, which holds the query it was
+    rewritten from, so that ``id`` is not reused while the entry lives.
+    Equal rewrites thus share one result: one child :class:`Query`, one
+    answer-values tuple, one candidate tuple — and the children's own
+    rewrites share keys in turn.  Values are compared by ``==``, as
+    everywhere else in the engine.
+
+    Bounded: two generations of at most :data:`MEMO_GENERATION` entries; a
+    hit in the old one moves to the young one, and a full young generation
+    becomes the old one, dropping what the old one still held.  A key is
+    admitted the second time it is missed: the first miss only sets a bit
+    of a :data:`MEMO_SEEN_BITS`-bit map, indexed by the key's hash and
+    zeroed once a sixteenth of its bits were set, so a rewrite that never
+    recurs leaves no object behind (an old entry whose bit was zeroed is
+    recomputed once more before it hits).  The engine owns its memo, hands
+    it to every :class:`QueryShape` it creates, and empties it when a query
+    is removed and when it closes.
+
+    A lookup costs a key and a probe, which a hit repays and a miss does
+    not.  So the memo counts its hits, and when :data:`MEMO_GENERATION`
+    misses brought fewer than a quarter as many, the next
+    :data:`MEMO_PAUSE` rewrites skip it (``paused``) — a workload whose
+    rewrites rarely repeat pays for a sample of its lookups, not for all.
+    """
+
+    __slots__ = ("young", "old", "_seen", "_marks", "hits", "misses", "paused")
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def __len__(self) -> int:
+        return len(self.young) + len(self.old)
+
+    def clear(self) -> None:
+        """Forget every entry and every key seen."""
+        self.young: Dict[Hashable, RewriteResult] = {}
+        self.old: Dict[Hashable, RewriteResult] = {}
+        self._seen = bytearray(MEMO_SEEN_BITS >> 3)
+        self._marks = 0
+        self.hits = 0
+        self.misses = 0
+        self.paused = 0
+
+    def miss(
+        self, key: Hashable, plan: "TriggerPlan", query: Query, vals: TupleT[Any, ...]
+    ) -> RewriteResult:
+        """The result of ``key``, which the young generation does not hold."""
+        self.misses += 1
+        if self.misses == MEMO_GENERATION:
+            if 4 * self.hits < MEMO_GENERATION:
+                self.paused = MEMO_PAUSE
+            self.hits = self.misses = 0
+        bit = hash(key) & (MEMO_SEEN_BITS - 1)
+        flag = 1 << (bit & 7)
+        seen = self._seen
+        if not seen[bit >> 3] & flag:  # first sight, or its bit was zeroed
+            seen[bit >> 3] |= flag
+            self._marks += 1
+            if self._marks == MEMO_SEEN_BITS >> 4:
+                self._seen = bytearray(MEMO_SEEN_BITS >> 3)
+                self._marks = 0
+            return plan.rewrite(query, vals)
+        result = self.old.pop(key, None)
+        if result is None:
+            result = plan.rewrite(query, vals)
+            if result is DEAD:
+                result = RewriteResult(dead=True, source=query)
+        young = self.young
+        if len(young) >= MEMO_GENERATION:
+            self.old = young
+            young = self.young = {}
+        young[key] = result
+        return result
 
 
 def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
@@ -149,17 +247,27 @@ class TriggerPlan:
         "fills",
         "complete",
         "child_shape",
+        "memo",
+        "reads",
     )
 
-    def __init__(self, query: Query, relation: str, schema: RelationSchema) -> None:
+    def __init__(
+        self,
+        query: Query,
+        relation: str,
+        schema: RelationSchema,
+        memo: Optional[RewriteMemo] = None,
+    ) -> None:
         position_of = schema.position_of
         selections = query.selection_predicates
         self.relation = relation
         self.arity = schema.arity
+        #: The engine's memo :meth:`apply` looks results up in, if any.
+        self.memo = memo
         #: The shape of every live rewrite this plan produces: which
         #: selections, joins and select items a child keeps or gains does not
         #: depend on the tuple's values.
-        self.child_shape = QueryShape()
+        self.child_shape = QueryShape(memo)
         #: ``(tuple position, selection index)`` per selection on the
         #: consumed relation: the tuple must carry that selection's constant.
         self.checks: TupleT[TupleT[int, int], ...] = tuple(
@@ -226,6 +334,19 @@ class TriggerPlan:
                 for position, item in zip(self.fills, query.select_items)
             )
         )
+        read = {position for position, _ in self.checks}
+        read.update(position for pair in self.self_joins for position in pair)
+        read.update(position for _, position, _, _ in self.bindings)
+        read.update(position for position in self.fills if position >= 0)
+        positions = sorted(read)
+        first = positions[0] if positions else 0
+        #: The tuple values a rewrite reads, as a tuple (a slice when there
+        #: are fewer than two): the tail of its memo key.
+        self.reads = (
+            itemgetter(*positions)
+            if len(positions) > 1
+            else itemgetter(slice(first, first + len(positions)))
+        )
 
     def apply(self, query: Query, tup: Tuple) -> RewriteResult:
         """One rewrite step: ``query`` (of this plan's shape) consumed ``tup``."""
@@ -235,6 +356,24 @@ class TriggerPlan:
                 f"tuple arity {len(vals)} does not match schema "
                 f"{self.relation!r} arity {self.arity}"
             )
+        memo = self.memo
+        if memo is None:
+            return self.rewrite(query, vals)
+        if memo.paused:
+            memo.paused -= 1
+            return self.rewrite(query, vals)
+        key = (self, id(query)) + self.reads(vals)
+        try:
+            result = memo.young.get(key)
+        except TypeError:  # an unhashable value: nothing to key it by
+            return self.rewrite(query, vals)
+        if result is None:
+            return memo.miss(key, self, query, vals)
+        memo.hits += 1
+        return result
+
+    def rewrite(self, query: Query, vals: TupleT[Any, ...]) -> RewriteResult:
+        """:meth:`apply` without the memo, on values of the plan's arity."""
         # Selections on the consumed relation must be satisfied.
         stated = query.selection_predicates
         for position, index in self.checks:
@@ -284,7 +423,8 @@ class TriggerPlan:
                 tuple(selections),
                 query.distinct,
                 query.window,
-            )
+            ),
+            source=query,
         )
 
 
@@ -306,15 +446,18 @@ class QueryShape:
       attribute is None for an attribute-level key), the index of the
       selection :meth:`discriminator` names, or -1.
 
-    The engine hands every input query of one shape the same object; every
-    live rewrite a plan produces gets the plan's ``child_shape``.  A shape
-    travels with its state by reference and stands for the shape id a real
-    wire would carry.
+    The engine hands every input query of one shape the same object, with
+    its :class:`RewriteMemo` as ``memo``; every live rewrite a plan produces
+    gets the plan's ``child_shape``, with the same memo.  A shape travels
+    with its state by reference and stands for the shape id a real wire
+    would carry.
     """
 
-    __slots__ = ("plans", "candidates", "discriminators", "__weakref__")
+    __slots__ = ("plans", "candidates", "discriminators", "memo", "__weakref__")
 
-    def __init__(self) -> None:
+    def __init__(self, memo: Optional[RewriteMemo] = None) -> None:
+        #: What the plans compiled here memoise their rewrites in, if anything.
+        self.memo = memo
         self.plans: Dict[str, TriggerPlan] = {}
         self.candidates: Optional[CandidatePlan] = None
         self.discriminators: Dict[TupleT[str, Optional[str]], int] = {}
@@ -325,7 +468,9 @@ class QueryShape:
         """The plan of rewriting ``query`` (of this shape) by ``relation``."""
         plan = self.plans.get(relation)
         if plan is None:
-            plan = self.plans[relation] = compile_plan(query, relation, schema)
+            plan = self.plans[relation] = compile_plan(
+                query, relation, schema, self.memo
+            )
         return plan
 
     def candidate_plan(self, query: Query) -> CandidatePlan:
@@ -388,19 +533,26 @@ def shape_key(query: Query) -> Hashable:
     )
 
 
-def compile_plan(query: Query, relation: str, schema: RelationSchema) -> TriggerPlan:
+def compile_plan(
+    query: Query,
+    relation: str,
+    schema: RelationSchema,
+    memo: Optional[RewriteMemo] = None,
+) -> TriggerPlan:
     """The :class:`TriggerPlan` of rewriting ``query`` by tuples of ``relation``.
 
-    Raises :class:`~repro.errors.RewriteError` when ``relation`` does not
-    appear in the query's FROM clause — callers are expected to route tuples
-    only to queries that reference their relation.
+    ``memo`` is the engine's :class:`RewriteMemo` the plan and the plans of
+    its children look their results up in; a plan compiled without one
+    rewrites every time.  Raises :class:`~repro.errors.RewriteError` when
+    ``relation`` does not appear in the query's FROM clause — callers are
+    expected to route tuples only to queries that reference their relation.
     """
     if relation not in query.relations:
         raise RewriteError(
             f"tuple of relation {relation!r} cannot rewrite a query over "
             f"{query.relations}"
         )
-    return TriggerPlan(query, relation, schema)
+    return TriggerPlan(query, relation, schema, memo)
 
 
 def rewrite_query(

@@ -124,8 +124,12 @@ class CandidatePlan:
 
     def apply(
         self, query: Query, allow_attribute_level: bool = True
-    ) -> List[IndexKey]:
-        """The candidates of ``query`` (of this plan's shape), in Section 6 order."""
+    ) -> Tuple[IndexKey, ...]:
+        """The candidates of ``query`` (of this plan's shape), in Section 6 order.
+
+        A tuple: equal rewrites share one (``RewriteResult.candidates``), so
+        no indexing decision may change it.
+        """
         stated = query.selection_predicates
         keys: List[IndexKey] = []
         for relation, attribute, sources in self.values:
@@ -142,7 +146,7 @@ class CandidatePlan:
             keys = list(first_by_text.values())
         if allow_attribute_level:
             keys.extend(self.joins)
-        return keys or list(self.fallback)
+        return tuple(keys) or self.fallback
 
 
 def rewritten_query_candidates(
@@ -156,7 +160,7 @@ def rewritten_query_candidates(
     :class:`FirstCandidateStrategy` and the deterministic tie-breaking of the
     rate-based strategies.
     """
-    return CandidatePlan(query).apply(query, allow_attribute_level)
+    return list(CandidatePlan(query).apply(query, allow_attribute_level))
 
 
 # ---------------------------------------------------------------------------

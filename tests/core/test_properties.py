@@ -625,7 +625,7 @@ def test_candidate_plans_enumerate_exactly_like_the_reference(case, allow):
         child = result.query
         shape = plan.child_shape
         expected = _reference_candidates(child, allow)
-        assert shape.candidate_plan(child).apply(child, allow) == expected
+        assert list(shape.candidate_plan(child).apply(child, allow)) == expected
         assert rewritten_query_candidates(child, allow) == expected
         current = child
 

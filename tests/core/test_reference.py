@@ -102,6 +102,14 @@ class TestReferenceEngine:
         with pytest.raises(EngineError):
             ref.submit(parse_query("SELECT R.a FROM R"), query_id="q1")
 
+    def test_default_ids_stay_unique_after_a_removal(self, catalog):
+        ref = ReferenceEngine(catalog)
+        first = ref.submit(parse_query("SELECT R.a FROM R"))
+        second = ref.submit(parse_query("SELECT R.a FROM R"))
+        ref.remove_query(first)
+        third = ref.submit(parse_query("SELECT R.a FROM R"))
+        assert len({first, second, third}) == 3
+
     def test_counters(self, catalog):
         ref = ReferenceEngine(catalog)
         ref.submit(parse_query("SELECT R.a FROM R"))
