@@ -16,11 +16,24 @@ The store implements the one form of each operation the node calls; the
 set-at-a-time forms (``add_batch``, ``match_batch``,
 ``tuples_for_prefixes``, ``remove_published_before``,
 ``remove_sequenced_before``) are the base class's wrappers.  A canonical
-bucket probe deduplicates identities SQL-side (``GROUP BY rel, sequence``),
-and its result is memoised per ``relation SEP attribute SEP`` bucket,
-maintained incrementally on writes and dropped on deletes (the same scheme
-the ``memory`` backend's prefix cache uses), so steady-state probing costs
-a dict hit rather than a decode of every matching row.
+bucket probe deduplicates identities SQL-side (``GROUP BY rel, sequence``).
+
+Both probe kinds are answered from one *probe memo* keyed by probe text:
+an exact key (duplicate identities kept, as the rows are) or a canonical
+``relation SEP attribute SEP`` bucket (deduplicated by identity).  A miss
+fills the entry from one SELECT; after that a repeated probe is a dict hit
+that neither flushes nor decodes a row.  The memo is write-through:
+:meth:`SqliteTupleStore.add` folds each written tuple into the entries that
+cover its key, in publication order, so a hit also sees the buffered
+writes.  A ranged delete (:meth:`SqliteTupleStore.remove_expired`) keeps
+the memo exact: a publication-time cutoff takes a head off each entry, and
+a sequence cutoff runs as ``DELETE … RETURNING`` whose rows name exactly
+the identities to take out of the entries they touch.  A keyed delete
+(``remove_key``, ``remove_older_than``) drops the entries covering its key
+and ``clear`` empties the memo.  The memo holds at most
+:data:`PROBE_MEMO_BOUND` cached tuples per store, counting one per entry
+plus one per tuple; past it the oldest entries go first, and a result
+larger than the bound is never memoised.
 
 Tuple values are serialized with the packed row codec
 (:mod:`repro.data.rowcodec`): plain scalar rows take the ``struct`` fast
@@ -29,11 +42,12 @@ Python values still round-trip exactly (the cross-backend answer-equality
 tests rely on this).  Writes are *batched*:
 :meth:`SqliteTupleStore.add` only appends to a pending buffer, and the
 buffer is flushed inside a single ``executemany`` transaction the first
-time a read or removal needs to see it, or when the engine commits a
+time a memo miss or a removal needs to see it, or when the engine commits a
 ``publish`` / ``publish_batch``: every tuple fan-out of one commit lands in
 one transaction per node, and no write stays buffered past the commit.
 Window and sequence GC are one ranged ``DELETE``
-(:meth:`SqliteTupleStore.remove_expired` combines both cutoffs).
+(:meth:`SqliteTupleStore.remove_expired` combines both cutoffs;
+``RETURNING`` needs sqlite 3.35 or later).
 
 By default the database lives in memory (``:memory:``); pass a path to put
 it on disk and study out-of-core behaviour.
@@ -41,7 +55,8 @@ it on disk and study out-of-core behaviour.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple as TupleT
 
 import sqlite3
@@ -79,10 +94,53 @@ CREATE INDEX idx_records_seq ON records (sequence);
 #: Column list of every record-returning SELECT, in `_record_from_row` order.
 _RECORD_COLUMNS = "key, rel, sequence, pub_time, stored_at, publisher, payload"
 
-#: Tuple-only column list of the deduplicating bucket SELECT.
+#: Tuple-only column list of the probe SELECTs, in `_tuple_from_row` order.
 _TUPLE_COLUMNS = "rel, sequence, pub_time, publisher, payload"
 
+#: The exact-key probe, after its SELECT list.
+_KEY_PROBE = "WHERE key = ? ORDER BY pub_time, sequence"
+
+#: Most cached tuples the probe memo holds per store: each entry counts one
+#: plus one per tuple it lists (held by ``TestProbeMemoBound``).  Room for
+#: every bucket of ``bench_store_backends``' 50,000-tuple store (50,032),
+#: and under 7 % of a store holding 10**6 tuples.
+PROBE_MEMO_BOUND = 65536
+
 _tuple_order = (lambda t: (t.pub_time, t.sequence))
+_published = attrgetter("pub_time")
+
+
+def _names_covering(key: str) -> TupleT[str, ...]:
+    """The memo names whose entries can list a tuple stored under ``key``."""
+    bucket = bucket_of(key)
+    return (key,) if bucket is None else (key, bucket)
+
+
+def _fold_into_key(entry: List[Tuple], tup: Tuple) -> None:
+    """Insert ``tup`` into an exact-key entry, duplicates kept as rows are."""
+    if not entry or _tuple_order(entry[-1]) <= _tuple_order(tup):
+        entry.append(tup)
+    else:
+        insort(entry, tup, key=_tuple_order)
+
+
+def _fold_into_bucket(entry: List[Tuple], tup: Tuple) -> bool:
+    """Insert ``tup`` into a bucket entry unless its identity is listed.
+
+    One identity is one publication, so a listed copy sorts level with
+    ``tup``; only that run of the list is searched.  Returns whether
+    ``tup`` went in.
+    """
+    order = _tuple_order(tup)
+    at = len(entry)
+    if entry and _tuple_order(entry[-1]) >= order:
+        low = bisect_left(entry, order, key=_tuple_order)
+        at = bisect_right(entry, order, lo=low, key=_tuple_order)
+        identity = tup.identity
+        if any(listed.identity == identity for listed in entry[low:at]):
+            return False
+    entry.insert(at, tup)
+    return True
 
 
 class SqliteTupleStore(StoreBackend):
@@ -98,15 +156,16 @@ class SqliteTupleStore(StoreBackend):
         self._conn.execute("PRAGMA synchronous = OFF")
         self._conn.execute("PRAGMA journal_mode = MEMORY")
         self._conn.executescript(_SCHEMA)
-        #: INSERT parameter rows buffered until the next read/removal.
+        #: INSERT parameter rows buffered until the next memo miss, removal
+        #: or commit.
         self._pending: List[TupleT] = []
         self._size = 0
-        # Memoised canonical-bucket results (deduplicated, publication
-        # order) plus the identity set backing each list.  Maintained
-        # incrementally on add(), popped per bucket on keyed deletes and
-        # cleared wholesale on ranged deletes.
-        self._bucket_cache: Dict[str, List[Tuple]] = {}
-        self._bucket_seen: Dict[str, Set[TupleT[str, int]]] = {}
+        # The probe memo: probe text (an exact key, or a canonical bucket)
+        # -> its result in publication order, oldest entry first.  A key
+        # ending in SEPARATOR is never an exact entry, so the two kinds
+        # cannot share a name.  ``_memo_size`` counts what the bound counts.
+        self._memo: Dict[str, List[Tuple]] = {}
+        self._memo_size = 0
 
     # ------------------------------------------------------------------
     # mutation
@@ -132,36 +191,79 @@ class SqliteTupleStore(StoreBackend):
             )
         )
         self._size += 1
-        if bucket is not None:
-            cached = self._bucket_cache.get(bucket)
-            if cached is not None:
-                self._cache_admit(bucket, cached, tup)
+        memo = self._memo
+        if memo:
+            grown = 0
+            entry = memo.get(key)  # the bucket's entry if key == bucket
+            if entry is not None and key != bucket:
+                _fold_into_key(entry, tup)
+                grown = 1
+            entry = memo.get(bucket) if bucket is not None else None
+            if entry is not None and _fold_into_bucket(entry, tup):
+                grown += 1
+            if grown:
+                self._memo_size += grown
+                self._trim_memo()
         return StoredTuple(tuple=tup, key=key, stored_at=now)
 
-    def _cache_admit(self, bucket: str, cached: List[Tuple], tup: Tuple) -> None:
-        """Fold a fresh write into an already-memoised bucket result."""
-        seen = self._bucket_seen[bucket]
-        identity = tup.identity
-        if identity in seen:
-            return
-        seen.add(identity)
-        if not cached or _tuple_order(cached[-1]) <= _tuple_order(tup):
-            cached.append(tup)
-        else:
-            insort(cached, tup, key=_tuple_order)
+    def _memoise(self, name: str, result: List[Tuple]) -> None:
+        """Admit a freshly selected probe result, if it fits the bound."""
+        cost = 1 + len(result)
+        if cost <= PROBE_MEMO_BOUND:
+            self._memo[name] = result
+            self._memo_size += cost
+            self._trim_memo()
 
-    def _drop_bucket(self, key: str) -> None:
-        """Invalidate the memoised bucket covering ``key`` (keyed deletes)."""
-        if not self._bucket_cache:
-            return
-        bucket = bucket_of(key)
-        if bucket is not None:
-            self._bucket_cache.pop(bucket, None)
-            self._bucket_seen.pop(bucket, None)
+    def _trim_memo(self) -> None:
+        """Evict the oldest entries until the memo is within its bound."""
+        memo = self._memo
+        while self._memo_size > PROBE_MEMO_BOUND:
+            self._memo_size -= 1 + len(memo.pop(next(iter(memo))))
 
-    def _drop_all_buckets(self) -> None:
-        self._bucket_cache.clear()
-        self._bucket_seen.clear()
+    def _drop_entries(self, key: str) -> None:
+        """Forget the memo entries covering ``key`` (keyed deletes)."""
+        for name in _names_covering(key):
+            entry = self._memo.pop(name, None)
+            if entry is not None:
+                self._memo_size -= 1 + len(entry)
+
+    def _cut_published_before(self, cutoff: float) -> None:
+        """Take the tuples published before ``cutoff`` out of the memo.
+
+        Entries are in publication order, so each loses a head.
+        """
+        for entry in self._memo.values():
+            if entry and entry[0].pub_time < cutoff:
+                head = bisect_left(entry, cutoff, key=_published)
+                del entry[:head]
+                self._memo_size -= head
+
+    def _forget(self, rows: List[TupleT[str, str, int]]) -> None:
+        """Take the deleted ``(key, rel, sequence)`` rows out of the memo.
+
+        A ranged delete removes every slot of a publication at once, so an
+        entry loses exactly the identities deleted under the keys it covers.
+        """
+        memo = self._memo
+        gone: Dict[str, Set[TupleT[str, int]]] = {}
+        for key, rel, sequence in rows:
+            for name in _names_covering(key):
+                if name in memo:
+                    gone.setdefault(name, set()).add((rel, sequence))
+        for name, identities in gone.items():
+            entry = memo[name]
+            before = len(entry)
+            # A window expires the oldest publications, so the deleted tuples
+            # usually lead the entry: cut them off, and scan only if some
+            # deleted identity sits further in.
+            head = 0
+            while head < before and entry[head].identity in identities:
+                head += 1
+            found = {tup.identity for tup in entry[:head]}
+            del entry[:head]
+            if len(found) < len(identities):
+                entry[:] = [tup for tup in entry if tup.identity not in identities]
+            self._memo_size -= before - len(entry)
 
     def flush(self) -> None:
         """Write the pending buffer in one ``executemany`` transaction."""
@@ -190,7 +292,7 @@ class SqliteTupleStore(StoreBackend):
             "DELETE FROM records WHERE key = ? AND stored_at < ?", (key, cutoff)
         )
         if removed:
-            self._drop_bucket(key)
+            self._drop_entries(key)
         return removed
 
     def remove_expired(
@@ -201,42 +303,50 @@ class SqliteTupleStore(StoreBackend):
         """Both window-expiry orders as one ranged ``DELETE``.
 
         An index range-scan on ``(pub_time, sequence)`` or ``(sequence)``:
-        no Python-side bookkeeping is needed because the index *is* the
-        expiry order.
+        no Python-side expiry bookkeeping is needed because the index *is*
+        the expiry order.  A publication-time cutoff takes a head off each
+        memo entry; what a sequence cutoff takes need not be a head, so that
+        ``DELETE`` returns the rows it removed (``RETURNING``, which costs
+        about as much again as the bare statement).
         """
-        conditions: List[str] = []
-        parameters: List[object] = []
+        if sequenced_before is None:
+            if published_before is None:
+                return 0
+            removed = self._delete(
+                "DELETE FROM records WHERE pub_time < ?", (published_before,)
+            )
+            if removed:
+                self._cut_published_before(published_before)
+            return removed
+        where = "sequence < ?"
+        parameters: TupleT[float, ...] = (sequenced_before,)
         if published_before is not None:
-            conditions.append("pub_time < ?")
-            parameters.append(published_before)
-        if sequenced_before is not None:
-            conditions.append("sequence < ?")
-            parameters.append(sequenced_before)
-        if not conditions:
-            return 0
-        removed = self._delete(
-            "DELETE FROM records WHERE " + " OR ".join(conditions),
-            tuple(parameters),
-        )
-        if removed:
-            # A ranged delete can touch any bucket; recomputing the affected
-            # set would cost a scan, so drop the whole memo.
-            self._drop_all_buckets()
-        return removed
+            where += " OR pub_time < ?"
+            parameters += (published_before,)
+        self.flush()
+        rows = self._conn.execute(
+            f"DELETE FROM records WHERE {where} RETURNING key, rel, sequence",
+            parameters,
+        ).fetchall()
+        self._size -= len(rows)
+        if rows and self._memo:
+            self._forget(rows)
+        return len(rows)
 
     def remove_key(self, key: str) -> List[StoredTuple]:
         """Remove and return every record stored under ``key`` (re-homing)."""
         records = self.records_for_key(key)
         if records:
             self._delete("DELETE FROM records WHERE key = ?", (key,))
-            self._drop_bucket(key)
+            self._drop_entries(key)
         return records
 
     def clear(self) -> None:
         """Remove every stored tuple."""
         self._pending.clear()
         self._conn.execute("DELETE FROM records")
-        self._drop_all_buckets()
+        self._memo.clear()
+        self._memo_size = 0
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -274,9 +384,27 @@ class SqliteTupleStore(StoreBackend):
         )
         return [self._record_from_row(row) for row in rows]
 
+    def _select_tuples(self, sql: str, parameters: TupleT) -> List[Tuple]:
+        self.flush()
+        rows = self._conn.execute(
+            f"SELECT {_TUPLE_COLUMNS} FROM records {sql}", parameters
+        )
+        return [self._tuple_from_row(row) for row in rows]
+
     def tuples_for_key(self, key: str) -> List[Tuple]:
-        """The tuples stored under exactly ``key``, in publication order."""
-        return [record.tuple for record in self.records_for_key(key)]
+        """The tuples stored under exactly ``key``, in publication order.
+
+        Served from the probe memo, or else by one scan of the
+        ``(key, pub_time, sequence)`` index whose result is memoised.
+        """
+        if key.endswith(SEPARATOR):
+            # Shaped like a bucket's name, so never an exact entry.
+            return self._select_tuples(_KEY_PROBE, (key,))
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = self._select_tuples(_KEY_PROBE, (key,))
+            self._memoise(key, cached)
+        return list(cached)
 
     def records_for_key(self, key: str) -> List[StoredTuple]:
         """The stored records under exactly ``key``, in publication order."""
@@ -286,7 +414,7 @@ class SqliteTupleStore(StoreBackend):
         """Tuples under any key starting with ``prefix`` (deduplicated, ordered).
 
         A canonical attribute-level prefix (``relation SEP attribute SEP``)
-        is served from the bucket memo, or else by one equality scan on the
+        is served from the probe memo, or else by one equality scan on the
         ``(relation, attribute, value)`` index whose result is memoised.
         Its ``GROUP BY rel, sequence`` deduplicates identities SQL-side; the
         bare columns are safe because every row of one identity group
@@ -301,19 +429,15 @@ class SqliteTupleStore(StoreBackend):
             # The SELECT already returns publication order; merge_records only
             # contributes the identity deduplication here.
             return merge_records([records])
-        cached = self._bucket_cache.get(prefix)
+        cached = self._memo.get(prefix)
         if cached is None:
             relation, attribute = prefix.split(SEPARATOR)[:2]
-            self.flush()
-            rows = self._conn.execute(
-                f"SELECT {_TUPLE_COLUMNS} FROM records "
+            cached = self._select_tuples(
                 "WHERE relation = ? AND attribute = ? "
                 "GROUP BY rel, sequence ORDER BY pub_time, sequence",
                 (relation, attribute),
             )
-            cached = [self._tuple_from_row(row) for row in rows]
-            self._bucket_cache[prefix] = cached
-            self._bucket_seen[prefix] = {tup.identity for tup in cached}
+            self._memoise(prefix, cached)
         return list(cached)
 
     # ------------------------------------------------------------------

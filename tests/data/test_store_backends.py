@@ -322,14 +322,20 @@ class TestConformance:
     def test_lookup_results_belong_to_the_caller(self, store, schema):
         """Mutating a returned list must not leak into the store's memo."""
         prefix = prefix_for("R", "a")
+        key = key_for("R", "a", 1)
         tup = make_tuple(schema, (1, 1), 1)
-        store.add(key_for("R", "a", 1), tup, now=0.0)
+        store.add(key, tup, now=0.0)
         store.tuples_for_prefix(prefix).clear()
-        store.tuples_for_key(key_for("R", "a", 1)).clear()
+        store.tuples_for_key(key).clear()
         store.match_batch(probes=[("prefix", prefix)])[0].append(tup)
-        assert store.tuples_for_prefix(prefix) == [tup]
-        assert store.match_batch(probes=[("prefix", prefix)]) == [[tup]]
-        assert store.tuples_for_key(key_for("R", "a", 1)) == [tup]
+        store.tuples_for_key(key).append(tup)  # a repeated exact-key probe
+        store.match_batch(probes=[("key", key)])[0].clear()
+        store.add(key_for("R", "a", 2), make_tuple(schema, (2, 2), 2), now=0.0)
+        store.tuples_for_key(key).clear()  # after a write to the bucket
+        assert store.tuples_for_prefix(prefix)[0] == tup
+        assert store.match_batch(probes=[("prefix", prefix)])[0][0] == tup
+        assert store.tuples_for_key(key) == [tup]
+        assert store.match_batch(probes=[("key", key)]) == [[tup]]
 
 
 class TestBatchOperations:
