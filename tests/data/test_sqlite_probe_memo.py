@@ -11,6 +11,9 @@ the bound lowered so that entries are evicted all the time.
 
 from __future__ import annotations
 
+import importlib.util
+from collections import Counter
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import sqlite_store
-from repro.data.backends import SEPARATOR, make_store
+from repro.data.backends import SEPARATOR, bucket_of, make_store
 from repro.data.sqlite_store import PROBE_MEMO_BOUND, SqliteTupleStore
 from repro.data.tuples import Tuple
 
@@ -270,6 +273,26 @@ class TestProbeMemoBound:
             assert len(store.tuples_for_key(r_key(1))) == PROBE_MEMO_BOUND // 4
         finally:
             store.close()
+
+    def test_the_gated_store_benchmark_fits_under_the_bound(self):
+        """Every bucket ``bench_store_backends`` probes fits in the memo at once.
+
+        Its ``prefix_match`` cycles through the buckets of its default-size
+        store; were they to cost more than the bound, oldest-first eviction
+        would turn every probe into a miss.
+        """
+        path = Path(__file__).resolve().parents[2] / "benchmarks"
+        path = path / "bench_store_backends.py"
+        spec = importlib.util.spec_from_file_location("bench_store_backends", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        listed = Counter(
+            bucket_of(bench._key_of(tup))
+            for tup in bench._make_tuples(bench.DEFAULT_SIZES["tuples"])
+        )
+        cost = sum(1 + listed[prefix] for prefix in bench._prefixes())
+        assert sum(listed.values()) == bench.DEFAULT_SIZES["tuples"]
+        assert cost <= PROBE_MEMO_BOUND
 
     def test_a_result_larger_than_the_bound_is_read_but_not_kept(self, monkeypatch):
         monkeypatch.setattr(sqlite_store, "PROBE_MEMO_BOUND", 8)

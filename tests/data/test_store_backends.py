@@ -324,16 +324,18 @@ class TestConformance:
         prefix = prefix_for("R", "a")
         key = key_for("R", "a", 1)
         tup = make_tuple(schema, (1, 1), 1)
+        stray = make_tuple(schema, (9, 9), 9)  # never stored
         store.add(key, tup, now=0.0)
         store.tuples_for_prefix(prefix).clear()
         store.tuples_for_key(key).clear()
-        store.match_batch(probes=[("prefix", prefix)])[0].append(tup)
-        store.tuples_for_key(key).append(tup)  # a repeated exact-key probe
+        store.match_batch(probes=[("prefix", prefix)])[0].append(stray)
+        store.tuples_for_key(key).append(stray)  # a repeated exact-key probe
         store.match_batch(probes=[("key", key)])[0].clear()
-        store.add(key_for("R", "a", 2), make_tuple(schema, (2, 2), 2), now=0.0)
+        tup2 = make_tuple(schema, (2, 2), 2)
+        store.add(key_for("R", "a", 2), tup2, now=0.0)
         store.tuples_for_key(key).clear()  # after a write to the bucket
-        assert store.tuples_for_prefix(prefix)[0] == tup
-        assert store.match_batch(probes=[("prefix", prefix)])[0][0] == tup
+        assert store.tuples_for_prefix(prefix) == [tup, tup2]
+        assert store.match_batch(probes=[("prefix", prefix)]) == [[tup, tup2]]
         assert store.tuples_for_key(key) == [tup]
         assert store.match_batch(probes=[("key", key)]) == [[tup]]
 
