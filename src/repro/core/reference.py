@@ -1,17 +1,20 @@
-"""Centralised continuous-join oracle.
+"""Centralised continuous-join oracle, written as SQL.
 
 The reference engine evaluates continuous multi-way equi-joins exactly as
 Definition 1 (bag semantics) and Definition 2 (new answers / set semantics)
-of the paper prescribe, but in a single process with global knowledge:
+of the paper prescribe, in one in-memory ``sqlite3`` database with global
+knowledge.  Each relation is a table (``e0, v0, …, e_k, v_k, seq, pub``).
+A submitted query becomes one ``SELECT`` per relation: its select list, join
+and selection predicates, ``pub >= insertion time`` on every relation,
+``max(c…) - min(c…) + 1 <= W`` over a window's clock column (``seq`` for
+``TUPLES``, ``pub`` for ``TIME``) and ``rowid = <the new row>`` on that
+relation.  A published tuple's row is inserted and that statement of every
+query run: its rows are the *new* answers.  ``DISTINCT`` dedupes in Python.
 
-* all published tuples are kept in one table per relation,
-* when a tuple ``t`` is published, every query submitted at or before
-  ``pubT(t)`` receives the *new* answers that involve ``t`` — combinations of
-  ``t`` with previously published tuples (one per other relation, each
-  published at or after the query's insertion time), satisfying every join
-  and selection predicate and, for window queries, fitting inside the
-  sliding window,
-* ``DISTINCT`` queries deduplicate their answer values.
+Values enter sqlite as integer ids, so that SQL equality stays Python's.  An
+``e`` column holds the value's id in one intern dict (``None`` joins
+``None``; ``1`` joins ``1.0`` and ``True``, not ``"1"``), a ``v`` column the
+position of the value itself, so answers carry the values published.
 
 It exists purely for validation: integration and property-based tests check
 that the distributed RJoin engine delivers exactly the same bag (or set) of
@@ -21,22 +24,22 @@ completeness + no-accidental-duplicates claim (Theorems 1 and 2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple as TupleT
 
-from repro.core.windows import combination_valid
 from repro.data.schema import AttributeRef, Catalog
 from repro.data.tuples import Tuple
-from repro.errors import EngineError, UnknownRelationError
+from repro.errors import EngineError, SchemaError
 from repro.sql.ast import Constant, Query
 
 
 @dataclass
 class _RegisteredQuery:
-    query_id: str
     query: Query
-    insertion_time: float
+    #: One ``SELECT`` per relation: the answers that involve its row ``:row``.
+    statements: Dict[str, str]
+    #: The statements' other named parameters.
+    params: Dict[str, Any]
     answers: List[TupleT[Any, ...]] = field(default_factory=list)
     seen: Set[TupleT[Any, ...]] = field(default_factory=set)
 
@@ -51,7 +54,16 @@ class ReferenceEngine:
         #: (mirrors the engine: a retracted query's handle retains the
         #: answers delivered before the retraction).
         self._removed: Dict[str, _RegisteredQuery] = {}
-        self._tuples: Dict[str, List[Tuple]] = {}
+        # Imported here, so that ``import repro`` does not load sqlite.
+        import sqlite3
+
+        self._db = sqlite3.connect(":memory:")
+        #: Relation name -> its table's name.
+        self._tables: Dict[str, str] = {}
+        #: Value -> the id its ``e`` columns hold; equal values share one.
+        self._ids: Dict[Any, int] = {}
+        #: Published values and select-list constants, by ``v`` column id.
+        self._cells: List[Any] = []
         self._sequence = 0
         #: Queries ever submitted: the number of a default id.
         self._submitted = 0
@@ -69,9 +81,9 @@ class ReferenceEngine:
             query_id = f"ref#{self._submitted}"
         if query_id in self._queries:
             raise EngineError(f"duplicate query id {query_id!r}")
-        self._queries[query_id] = _RegisteredQuery(
-            query_id=query_id, query=query, insertion_time=insertion_time
-        )
+        size = None if query.window is None else query.window.size
+        params = {"since": insertion_time, "size": size}
+        self._queries[query_id] = _RegisteredQuery(query, self._compile(query), params)
         return query_id
 
     def remove_query(self, query_id: str) -> None:
@@ -81,12 +93,58 @@ class ReferenceEngine:
         oracle-equality tests hold across removals; the answers produced
         before the retraction remain available through :meth:`answers`.
         """
-        try:
-            self._removed[query_id] = self._queries.pop(query_id)
-        except KeyError:
-            raise EngineError(
-                f"unknown (or already removed) query id {query_id!r}"
-            ) from None
+        if query_id not in self._queries:
+            raise EngineError(f"unknown (or already removed) query id {query_id!r}")
+        self._removed[query_id] = self._queries.pop(query_id)
+
+    def _table(self, relation: str) -> str:
+        """The table of ``relation``, created on first use."""
+        table = self._tables.get(relation)
+        if table is None:
+            table = self._tables[relation] = f"t{len(self._tables)}"
+            arity = self.catalog.get(relation).arity
+            columns = [f"e{i}, v{i}" for i in range(arity)] + ["seq", "pub"]
+            self._db.execute(f"CREATE TABLE {table} ({', '.join(columns)})")
+        return table
+
+    def _compile(self, query: Query) -> Dict[str, str]:
+        """One ``SELECT`` per relation of ``query`` (see the module docstring)."""
+        alias = {relation: f"r{i}" for i, relation in enumerate(query.relations)}
+
+        def column(ref: AttributeRef, kind: str) -> str:
+            position = self.catalog.get(ref.relation).position_of(ref.attribute)
+            return f"{alias[ref.relation]}.{kind}{position}"
+
+        select = []
+        for item in query.select_items:
+            if isinstance(item, Constant):
+                select.append(str(len(self._cells)))
+                self._cells.append(item.value)
+            else:
+                select.append(column(item, "v"))
+        where = [
+            f"{column(jp.left, 'e')} = {column(jp.right, 'e')}"
+            for jp in query.join_predicates
+        ]
+        for sp in query.selection_predicates:
+            value_id = self._ids.setdefault(sp.value, len(self._ids))
+            where.append(f"{column(sp.attribute, 'e')} = {value_id}")
+        where += [f"{name}.pub >= :since" for name in alias.values()]
+        if query.window is not None:
+            clock = "seq" if query.window.mode == "tuples" else "pub"
+            # Listed twice: one relation still calls the scalar max/min.
+            clocks = ", ".join([f"{name}.{clock}" for name in alias.values()] * 2)
+            where.append(f"max({clocks}) - min({clocks}) + 1 <= :size")
+        sources = ", ".join(
+            f"{self._table(relation)} AS {name}" for relation, name in alias.items()
+        )
+        # Publication order per relation, as a cross product would list them.
+        order = ", ".join(f"{name}.rowid" for name in alias.values())
+        head = f"SELECT {', '.join(select)} FROM {sources} WHERE {' AND '.join(where)}"
+        return {
+            relation: f"{head} AND {name}.rowid = :row ORDER BY {order}"
+            for relation, name in alias.items()
+        }
 
     # ------------------------------------------------------------------
     # publication
@@ -99,8 +157,6 @@ class ReferenceEngine:
         sequence: Optional[int] = None,
     ) -> Dict[str, List[TupleT[Any, ...]]]:
         """Publish a tuple and return the new answers it produces per query id."""
-        if relation not in self.catalog:
-            raise UnknownRelationError(f"unknown relation {relation!r}")
         schema = self.catalog.get(relation)
         self._sequence += 1
         tup = Tuple.from_schema(
@@ -113,25 +169,40 @@ class ReferenceEngine:
 
     def publish_tuple(self, tup: Tuple) -> Dict[str, List[TupleT[Any, ...]]]:
         """Publish an already constructed tuple (pub_time/sequence preserved)."""
+        schema = self.catalog.get(tup.relation)
+        if tup.arity != schema.arity:
+            raise SchemaError(f"{tup} does not have its schema's arity {schema.arity}")
+        row: List[Any] = []
+        for value in tup.values:
+            row += (self._ids.setdefault(value, len(self._ids)), len(self._cells))
+            self._cells.append(value)
+        marks = ", ".join("?" * (len(row) + 2))
+        rowid = self._db.execute(
+            f"INSERT INTO {self._table(tup.relation)} VALUES ({marks})",
+            (*row, tup.sequence, tup.pub_time),
+        ).lastrowid
+        cells = self._cells
         produced: Dict[str, List[TupleT[Any, ...]]] = {}
-        for registered in self._queries.values():
-            new_answers = self._new_answers_for(registered, tup)
+        for query_id, registered in self._queries.items():
+            statement = registered.statements.get(tup.relation)
+            if statement is None:
+                continue
+            rows = self._db.execute(statement, {**registered.params, "row": rowid})
+            new_answers = [tuple(map(cells.__getitem__, ids)) for ids in rows]
+            if registered.query.distinct:
+                seen = registered.seen
+                new_answers = [v for v in dict.fromkeys(new_answers) if v not in seen]
+                seen.update(new_answers)
             if new_answers:
-                produced[registered.query_id] = new_answers
+                produced[query_id] = new_answers
                 registered.answers.extend(new_answers)
-        # Store the tuple only after computing the new answers so that the
-        # combinations never use the new tuple twice.
-        self._tuples.setdefault(tup.relation, []).append(tup)
         return produced
 
     # ------------------------------------------------------------------
     # answers
     # ------------------------------------------------------------------
     def answers(self, query_id: str) -> List[TupleT[Any, ...]]:
-        """All answers produced for ``query_id`` so far (bag or set order-insensitive).
-
-        Removed queries keep their pre-retraction answer history.
-        """
+        """All answers produced for ``query_id`` so far, removed or not."""
         registered = self._queries.get(query_id) or self._removed.get(query_id)
         if registered is None:
             raise EngineError(f"unknown query id {query_id!r}")
@@ -142,85 +213,12 @@ class ReferenceEngine:
         return len(self.answers(query_id))
 
     # ------------------------------------------------------------------
-    # evaluation
-    # ------------------------------------------------------------------
-    def _new_answers_for(
-        self, registered: _RegisteredQuery, tup: Tuple
-    ) -> List[TupleT[Any, ...]]:
-        query = registered.query
-        if tup.relation not in query.relations:
-            return []
-        if tup.pub_time < registered.insertion_time:
-            return []
-
-        # Candidate tuples per relation: the new tuple for its own relation,
-        # previously published tuples (>= insertion time) for the others.
-        per_relation: List[List[Tuple]] = []
-        for relation in query.relations:
-            if relation == tup.relation:
-                per_relation.append([tup])
-                continue
-            stored = [
-                candidate
-                for candidate in self._tuples.get(relation, [])
-                if candidate.pub_time >= registered.insertion_time
-            ]
-            if not stored:
-                return []
-            per_relation.append(stored)
-
-        answers: List[TupleT[Any, ...]] = []
-        for combination in itertools.product(*per_relation):
-            by_relation = {t.relation: t for t in combination}
-            if not self._satisfies(query, by_relation):
-                continue
-            if query.window is not None:
-                clocks = tuple(
-                    query.window.clock_of(t) for t in combination
-                )
-                if not combination_valid(query.window, clocks):
-                    continue
-            values = self._project(query, by_relation)
-            if query.distinct:
-                if values in registered.seen:
-                    continue
-                registered.seen.add(values)
-            answers.append(values)
-        return answers
-
-    def _satisfies(self, query: Query, by_relation: Dict[str, Tuple]) -> bool:
-        for jp in query.join_predicates:
-            left = self._value_of(jp.left, by_relation)
-            right = self._value_of(jp.right, by_relation)
-            if left != right:
-                return False
-        for sp in query.selection_predicates:
-            if self._value_of(sp.attribute, by_relation) != sp.value:
-                return False
-        return True
-
-    def _project(
-        self, query: Query, by_relation: Dict[str, Tuple]
-    ) -> TupleT[Any, ...]:
-        values: List[Any] = []
-        for item in query.select_items:
-            if isinstance(item, Constant):
-                values.append(item.value)
-            else:
-                values.append(self._value_of(item, by_relation))
-        return tuple(values)
-
-    def _value_of(self, ref: AttributeRef, by_relation: Dict[str, Tuple]) -> Any:
-        schema = self.catalog.get(ref.relation)
-        return by_relation[ref.relation].value_of(ref.attribute, schema)
-
-    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
     def published_tuples(self) -> int:
-        """Number of tuples published so far."""
-        return sum(len(tuples) for tuples in self._tuples.values())
+        """Number of tuples published so far: every row inserted is one."""
+        return self._db.total_changes
 
     @property
     def registered_queries(self) -> int:

@@ -120,7 +120,7 @@ def tuple_expired(
 
 
 def combination_valid(window: Optional[WindowSpec], clocks: TupleT[float, ...]) -> bool:
-    """Order-independent validity of a full combination (used by the reference engine)."""
+    """Order-independent validity of a full combination: the spec of :func:`admits`."""
     if window is None or not clocks:
         return True
     return (max(clocks) - min(clocks) + 1) <= window.size
