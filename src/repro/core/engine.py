@@ -167,6 +167,7 @@ class RJoinEngine:
             rng=random.Random(self.config.seed + 2),
             clock=lambda: self.transport.now,
             sequence_clock=self._sequence_clock,
+            time_clock=self._time_clock,
             rate_oracle=self._oracle_rate,
             collect_answer=self._collect_answer,
             altt_delta=altt_delta,
@@ -214,10 +215,10 @@ class RJoinEngine:
         self._rewrites = RewriteMemo()
         self._query_counter = 0
         self._sequence = 0
-        #: The sequence number of the first tuple published since the last
-        #: completed :meth:`run`, while any may still be in flight; ``None``
-        #: once the network has drained them all.
-        self._undrained_from: Optional[int] = None
+        #: The first tuple published since the last completed :meth:`run`,
+        #: while any may still be in flight; ``None`` once the network has
+        #: drained them all.
+        self._undrained_from: Optional[Tuple] = None
         self._published = 0
         self._oracle_counts: Dict[str, int] = {}
         #: Queries ever submitted (handles of removed queries leave
@@ -509,7 +510,7 @@ class RJoinEngine:
         )
         self._sequence += 1
         if self._undrained_from is None:
-            self._undrained_from = self._sequence
+            self._undrained_from = tup
         self._record_oracle(tup, schema)
         return tup
 
@@ -522,8 +523,20 @@ class RJoinEngine:
         completed by an earlier tuple of it that has not arrived yet.
         """
         if self._undrained_from is not None:
-            return self._undrained_from
+            return self._undrained_from.sequence
         return self._sequence
+
+    def _time_clock(self) -> float:
+        """The time-window clock the nodes judge expiry against.
+
+        The same rule as :meth:`_sequence_clock`: while tuples are undrained
+        it reads the first one's publication time, not the transport clock,
+        which deliveries have moved past it while the rest of its burst is
+        still in flight.
+        """
+        if self._undrained_from is not None:
+            return self._undrained_from.pub_time
+        return self.transport.now
 
     # ------------------------------------------------------------------
     # simulation control
@@ -569,13 +582,13 @@ class RJoinEngine:
         concurrent runtime there is no kernel and this raises
         :class:`EngineError`.
         """
-        kernel = self.transport.kernel
-        if kernel is None:
+        transport = self.transport
+        if not isinstance(transport, SimulationKernel):
             raise EngineError(
-                f"the {self.transport.name!r} runtime has no simulation "
+                f"the {transport.name!r} runtime has no simulation "
                 "kernel; event-level control is a 'sim' runtime feature"
             )
-        return kernel
+        return transport
 
     def close(self) -> None:
         """Shut the engine down: drain the transport and release resources.

@@ -85,6 +85,7 @@ class NodeContext:
     rng: random.Random
     clock: Callable[[], float]
     sequence_clock: Callable[[], int]
+    time_clock: Callable[[], float]
     rate_oracle: Callable[[str], float]
     collect_answer: Callable[[AnswerMessage, float], None]
     #: The engine-wide counters the nodes add to.
@@ -974,7 +975,7 @@ class RJoinNode:
     def _window_clock(self, window: WindowSpec) -> float:
         """The current value of a window's clock (time or tuple sequence)."""
         if window.mode == "time":
-            return self.ctx.clock()
+            return self.ctx.time_clock()
         return float(self.ctx.sequence_clock())
 
     def gc_expired_state(self) -> TupleT[int, int]:

@@ -23,6 +23,7 @@ outside any handler at the transport's clock.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from repro.dht.chord import ChordNode, ChordRing
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.messages import Envelope, Message
 from repro.net.runtime import Transport
-from repro.net.simulator import SimTransport
+from repro.net.simulator import SimulationKernel
 from repro.net.stats import TrafficStats
 from repro.obs.context import Observability
 from repro.obs.trace import TraceContext
@@ -47,7 +48,7 @@ class DHTMessagingService:
         The Chord ring used for lookups and routing paths.
     transport:
         The runtime transport deliveries are posted to (a fresh
-        :class:`~repro.net.simulator.SimTransport` when omitted).
+        :class:`~repro.net.simulator.SimulationKernel` when omitted).
     traffic:
         Traffic accounting sink.
     hop_delay:
@@ -74,10 +75,11 @@ class DHTMessagingService:
         rng: Optional[random.Random] = None,
         observability: Optional[Observability] = None,
     ) -> None:
-        if hop_delay < 0 or delay_jitter < 0:
-            raise ConfigurationError("delays must be non-negative")
+        for delay in (hop_delay, delay_jitter):
+            if not math.isfinite(delay) or delay < 0:
+                raise ConfigurationError("delays must be finite and non-negative")
         self.ring = ring
-        self.transport = transport if transport is not None else SimTransport()
+        self.transport = transport if transport is not None else SimulationKernel()
         self.transport.bind(self._deliver)
         self.traffic = traffic if traffic is not None else TrafficStats()
         self.hop_delay = hop_delay

@@ -4,12 +4,13 @@ The paper's evaluation runs many Chord nodes inside a single process and
 measures message counts, query-processing load and storage load (Section 8).
 This subpackage provides the node↔network boundary used for that purpose:
 
-* :class:`~repro.net.runtime.Transport` — the transport-neutral runtime
-  contract (delivery, in-flight surgery, timers, clock + drain loop), with
+* :class:`~repro.net.runtime.Transport` — the runtime contract (delivery,
+  in-flight surgery, timers, clock + drain loop) and the one base both
+  runtimes extend: it owns the clock and the timer heap, with
   :func:`~repro.net.runtime.make_transport` as the registry factory,
-* :class:`~repro.net.simulator.SimulationKernel` /
-  :class:`~repro.net.simulator.SimTransport` — the deterministic
-  priority-queue discrete-event runtime (the test/oracle harness),
+* :class:`~repro.net.simulator.SimulationKernel` — the ``sim`` runtime: the
+  deterministic discrete-event kernel, where a posted envelope is one more
+  heap event (the test/oracle harness),
 * :class:`~repro.net.runtime_asyncio.AsyncioTransport` — the concurrent
   runtime: one actor task per address, bounded inboxes, backpressure,
 * :class:`~repro.net.messages.Message` / :class:`~repro.net.messages.Envelope`
@@ -31,7 +32,7 @@ from repro.net.runtime import (
     Transport,
     make_transport,
 )
-from repro.net.simulator import SimTransport, SimulationKernel
+from repro.net.simulator import SimulationKernel
 from repro.net.stats import TrafficStats
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "Envelope",
     "EventHandle",
     "Message",
-    "SimTransport",
     "SimulationKernel",
     "TRANSPORT_NAMES",
     "TrafficStats",

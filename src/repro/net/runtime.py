@@ -1,18 +1,20 @@
-"""The transport-neutral node runtime contract.
+"""The node runtime contract and the clock and timer heap both runtimes share.
 
-Historically the discrete-event :class:`~repro.net.simulator.SimulationKernel`
-*was* the architecture: the messaging API scheduled deliveries on it directly
-and the engine drained it between publications.  This module extracts the
-boundary the messaging layer actually needs into an explicit contract —
-:class:`Transport` — so the deterministic kernel becomes one runtime among
-several instead of the only one:
+:class:`Transport` is the boundary the messaging layer programs against, and
+it is also the one base every runtime extends.  The base owns what does not
+depend on how messages travel: the logical clock, the single
+``(time, sequence, event)`` heap with its cancellable timers, the delivery
+callback and the shut-down state.  A runtime adds only how an envelope gets
+to its destination:
 
-* ``sim`` (:class:`~repro.net.simulator.SimTransport`) — the discrete-event
-  kernel, byte-identical to the historical behaviour.  Fully deterministic;
-  the test/oracle harness.
+* ``sim`` (:class:`~repro.net.simulator.SimulationKernel`) — the
+  discrete-event kernel: a posted envelope is one more heap event, so
+  messages and timers fire in one (time, insertion) order.  Fully
+  deterministic; the test/oracle harness.
 * ``asyncio`` (:class:`~repro.net.runtime_asyncio.AsyncioTransport`) — a
   genuinely concurrent runtime where every registered address runs as an
-  actor task with a bounded inbox queue and backpressure-aware sends.
+  actor task with a bounded inbox queue and backpressure-aware sends; its
+  heap holds timers only.
 
 A transport owns four responsibilities:
 
@@ -25,28 +27,28 @@ A transport owns four responsibilities:
    undelivered messages addressed to one node off the network (a crash
    loses them, owner failover re-routes some),
 3. **timers** — :meth:`Transport.schedule_at` / :meth:`Transport.schedule_in`
-   run a callback at a (logical) time and return an
-   :class:`EventHandle`-shaped handle that supports cancellation,
+   run a callback at a (logical) time and return an :class:`EventHandle`
+   that supports cancellation,
 4. **the clock and the drain loop** — :attr:`Transport.now`,
    :meth:`Transport.advance_to` and :meth:`Transport.drain`, which runs the
    network to quiescence (every posted message delivered or destroyed, every
    due timer fired).
 
-:class:`EventHandle` (and the heap entry it wraps) lives here because both
-runtimes use the same timer representation.
+Times are finite: the clock and the heap refuse NaN and ±inf, so one bad
+delay cannot poison every later timestamp.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.messages import Envelope
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.simulator import SimulationKernel
 
 #: Signature of the delivery callback installed with :meth:`Transport.bind`.
 DeliverCallback = Callable[[Envelope], None]
@@ -57,6 +59,8 @@ TRANSPORT_NAMES: Tuple[str, ...] = ("sim", "asyncio")
 
 #: The runtime used when no explicit choice is made.
 DEFAULT_TRANSPORT = "sim"
+
+_INF = math.inf
 
 
 @dataclass(slots=True)
@@ -70,9 +74,9 @@ class _ScheduledEvent:
     fired: bool = False
 
 
-#: Timer-heap entry of both runtimes: ``(time, sequence, event)``.  The
-#: sequence number is unique per scheduler, so entries order as plain tuples
-#: by time, then insertion, and the event itself is never compared.
+#: Heap entry: ``(time, sequence, event)``.  The sequence number is unique
+#: per transport, so entries order as plain tuples by time, then insertion,
+#: and the event itself is never compared.
 _HeapEntry = Tuple[float, int, _ScheduledEvent]
 
 
@@ -80,14 +84,12 @@ class EventHandle:
     """Handle for a scheduled timer, allows cancellation.
 
     Returned by :meth:`Transport.schedule_at` / :meth:`Transport.schedule_in`
-    on every runtime (and by ``SimulationKernel.schedule_at`` directly).  The
-    ``owner`` is whichever scheduler maintains the live-event ledger — the
-    simulation kernel or the asyncio transport.
+    on every runtime.
     """
 
     __slots__ = ("_event", "_owner")
 
-    def __init__(self, event: _ScheduledEvent, owner: "_TimerLedger") -> None:
+    def __init__(self, event: _ScheduledEvent, owner: "Transport") -> None:
         self._event = event
         self._owner = owner
 
@@ -110,14 +112,8 @@ class EventHandle:
         return self._event.cancelled
 
 
-class _TimerLedger:
-    """Structural base for schedulers that own an :class:`EventHandle` ledger."""
-
-    _live_events: int = 0
-
-
-class Transport(ABC, _TimerLedger):
-    """The node ↔ network boundary every runtime implements.
+class Transport(ABC):
+    """The node ↔ network boundary, and the clock and heap of every runtime.
 
     The messaging layer (:class:`repro.dht.api.DHTMessagingService`)
     programs exclusively against this contract; the engine drives the drain
@@ -131,7 +127,9 @@ class Transport(ABC, _TimerLedger):
       remains,
     * **monotonic clock** — :attr:`now` never moves backwards; a delivered
       envelope's ``delivered_at`` never exceeds the clock observed by its
-      handler.
+      handler,
+    * **inert after shutdown** — once :meth:`shutdown` has returned, posts,
+      timers and drains are refused.
     """
 
     #: Registry name of the runtime (``sim`` / ``asyncio``).
@@ -143,18 +141,26 @@ class Transport(ABC, _TimerLedger):
     #: break byte-identical reruns), wall-clock-enabled on concurrent ones.
     wall_clock_spans: bool = False
 
+    def __init__(self, start_time: float = 0.0) -> None:
+        self._now = start_time
+        self._heap: List[_HeapEntry] = []
+        self._sequence = itertools.count()
+        self._live_events = 0  # heap entries that are neither cancelled nor fired
+        self._events_processed = 0
+        self._deliver: Optional[DeliverCallback] = None
+        self._draining = False
+        self._closed = False
+
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    @abstractmethod
     def bind(self, deliver: DeliverCallback) -> None:
         """Install the delivery callback every posted envelope is handed to."""
+        self._deliver = deliver
 
-    @abstractmethod
     def register_address(self, address: str) -> None:
         """Declare a deliverable address (the asyncio runtime spawns its actor)."""
 
-    @abstractmethod
     def unregister_address(self, address: str) -> None:
         """Forget an address; envelopes still posted to it are delivered to
         the bound callback, which counts them as dropped (no handler)."""
@@ -163,20 +169,93 @@ class Transport(ABC, _TimerLedger):
     # clock
     # ------------------------------------------------------------------
     @property
-    @abstractmethod
     def now(self) -> float:
         """Current logical time."""
+        return self._now
 
-    @abstractmethod
     def advance_to(self, time: float) -> None:
-        """Move the clock forward to ``time`` without processing anything."""
+        """Move the clock forward to ``time`` without processing anything.
 
-    @abstractmethod
+        Used by the engine to model wall-clock gaps between tuple
+        publications.  Pending events due before ``time`` are *not* skipped:
+        the next :meth:`drain` processes them at their own timestamps; the
+        clock simply never moves backwards.
+        """
+        if not math.isfinite(time):
+            raise SimulationError(
+                f"cannot move the clock to a non-finite time ({time})"
+            )
+        if time < self._now:
+            raise SimulationError(
+                f"cannot move the clock backwards from {self._now} to {time}"
+            )
+        self._now = time
+
     def advance_by(self, delta: float) -> None:
         """Move the clock forward by ``delta`` time units."""
+        if delta < 0:
+            raise SimulationError("cannot advance the clock by a negative delta")
+        self.advance_to(self._now + delta)
 
     # ------------------------------------------------------------------
-    # message delivery
+    # the heap
+    # ------------------------------------------------------------------
+    def push(
+        self, time: float, callback: Callable[..., None], args: Tuple[Any, ...]
+    ) -> _ScheduledEvent:
+        """Queue ``callback(*args)`` at absolute logical ``time``, handle-less.
+
+        The one place the heap grows.  For events nobody cancels one by one
+        (``sim`` message deliveries: a crash takes them off with
+        ``extract_where``); :meth:`schedule_at` wraps the returned event in an
+        :class:`EventHandle` for those somebody may.
+        """
+        if self._closed:
+            raise SimulationError("transport is shut down; cannot schedule")
+        if not self._now <= time < _INF:  # also false for NaN
+            if math.isfinite(time):
+                raise SimulationError(
+                    f"cannot schedule an event in the past ({time} < {self._now})"
+                )
+            raise SimulationError(
+                f"cannot schedule an event at a non-finite time ({time})"
+            )
+        event = _ScheduledEvent(time, callback, args)
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        self._live_events += 1
+        return event
+
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at absolute logical ``time``."""
+        return EventHandle(self.push(time, callback, args), self)
+
+    def schedule_in(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` after ``delay`` logical time units."""
+        if delay < 0:
+            raise SimulationError("delay must be non-negative")
+        return self.schedule_at(self._now + delay, callback, *args)
+
+    def step(self) -> bool:
+        """Fire the next pending heap event; return False when none remain."""
+        while self._heap:
+            _, _, event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            if event.time > self._now:
+                self._now = event.time
+            self._events_processed += 1
+            self._live_events -= 1
+            event.fired = True
+            event.callback(*event.args)
+            return True
+        return False
+
+    # ------------------------------------------------------------------
+    # message delivery (per runtime)
     # ------------------------------------------------------------------
     @abstractmethod
     def post(self, envelope: Envelope, delay: float) -> None:
@@ -190,21 +269,6 @@ class Transport(ABC, _TimerLedger):
         them, owner failover re-routes them)."""
 
     # ------------------------------------------------------------------
-    # timers
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute logical ``time``."""
-
-    @abstractmethod
-    def schedule_in(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` after ``delay`` logical time units."""
-
-    # ------------------------------------------------------------------
     # drain / shutdown
     # ------------------------------------------------------------------
     @abstractmethod
@@ -212,49 +276,51 @@ class Transport(ABC, _TimerLedger):
         """Run until quiescent; returns the number of events processed.
 
         ``max_events`` guards against runaway cascades: exceeding it raises
-        :class:`~repro.errors.SimulationError`.  Not re-entrant.
+        :class:`~repro.errors.SimulationError`.  Not re-entrant, and refused
+        after :meth:`shutdown`.
         """
 
+    def _start_drain(self) -> None:
+        """Refuse a re-entrant or post-shutdown drain, else mark one running."""
+        if self._draining:
+            raise SimulationError("drain() is not re-entrant")
+        if self._closed:
+            raise SimulationError("transport is shut down; cannot drain")
+        self._draining = True
+
     @property
-    @abstractmethod
     def is_draining(self) -> bool:
         """Whether a drain loop is currently executing."""
+        return self._draining
 
     @property
-    @abstractmethod
     def pending_events(self) -> int:
         """Undelivered messages plus uncancelled pending timers."""
+        return self._live_events
 
     @property
-    @abstractmethod
     def events_processed(self) -> int:
         """Total deliveries and timer firings since construction."""
+        return self._events_processed
 
-    @abstractmethod
     def shutdown(self) -> None:
-        """Drain outstanding work, stop every actor and release resources.
+        """Drain outstanding work, then refuse every later post, timer and
+        drain.  Idempotent."""
+        if self._closed:
+            return
+        if self.pending_events and not self._draining:
+            self.drain()
+        self._closed = True
 
-        Idempotent; after shutdown the transport accepts no further posts.
-        """
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
     @property
-    def kernel(self) -> Optional["SimulationKernel"]:
-        """The underlying simulation kernel, when this runtime has one.
-
-        Only the ``sim`` transport exposes a kernel; concurrent runtimes
-        return ``None``.  Callers needing deterministic event surgery should
-        check for ``None`` (or ask the engine, which raises a descriptive
-        error instead).
-        """
-        return None
+    def is_closed(self) -> bool:
+        """Whether :meth:`shutdown` has completed."""
+        return self._closed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"{type(self).__name__}(now={self.now:g}, "
-            f"pending={self.pending_events})"
+            f"{type(self).__name__}(now={self._now:g}, "
+            f"pending={self.pending_events}, processed={self._events_processed})"
         )
 
 
@@ -266,18 +332,12 @@ def make_transport(name: str = DEFAULT_TRANSPORT) -> Transport:
     versa).
     """
     if name == "sim":
-        from repro.net.simulator import SimTransport
+        from repro.net.simulator import SimulationKernel
 
-        return SimTransport()
+        return SimulationKernel()
     if name == "asyncio":
         from repro.net.runtime_asyncio import AsyncioTransport
 
         return AsyncioTransport()
     known = ", ".join(TRANSPORT_NAMES)
     raise ConfigurationError(f"unknown runtime {name!r}; known runtimes: {known}")
-
-
-def ensure_not_reentrant(transport: Transport) -> None:
-    """Raise when a drain is started while one is already executing."""
-    if transport.is_draining:
-        raise SimulationError("drain() is not re-entrant")

@@ -38,21 +38,12 @@ fire the earliest due timer, repeat until quiescent.
 from __future__ import annotations
 
 import asyncio
-import heapq
-import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.net.messages import Envelope
-from repro.net.runtime import (
-    DeliverCallback,
-    EventHandle,
-    Transport,
-    _HeapEntry,
-    _ScheduledEvent,
-    ensure_not_reentrant,
-)
+from repro.net.runtime import Transport
 
 #: Default bound on a per-address inbox before senders feel backpressure.
 DEFAULT_INBOX_CAPACITY = 1024
@@ -128,7 +119,12 @@ class _Inbox:
 
 
 class AsyncioTransport(Transport):
-    """Concurrent actor-per-address runtime behind the :class:`Transport` contract."""
+    """Concurrent actor-per-address runtime behind the :class:`Transport` contract.
+
+    The clock, the timer heap and the shut-down state are the base's; this
+    class adds the actors, their inboxes and the drain loop that waits for
+    them.
+    """
 
     name = "asyncio"
 
@@ -144,12 +140,10 @@ class AsyncioTransport(Transport):
     ) -> None:
         if inbox_capacity < 1:
             raise SimulationError("inbox_capacity must be at least 1")
+        super().__init__()
         self._inbox_capacity = inbox_capacity
         self._backpressure_timeout = backpressure_timeout
         self._loop = asyncio.new_event_loop()
-        self._deliver: Optional[DeliverCallback] = None
-        self._now = 0.0
-        # message plumbing -------------------------------------------------
         self._inboxes: Dict[str, _Inbox] = {}
         self._actors: Dict[str, "asyncio.Task[None]"] = {}
         self._pending: Dict[str, List[_InFlight]] = {}
@@ -158,32 +152,18 @@ class AsyncioTransport(Transport):
         self._in_handler = False
         self._live_messages = 0
         self._message_done = asyncio.Event()
-        # timers -----------------------------------------------------------
-        self._timer_heap: List[_HeapEntry] = []
-        self._timer_sequence = itertools.count()
-        self._live_events = 0
-        # drain / lifecycle ------------------------------------------------
-        self._events_processed = 0
-        self._draining = False
-        self._closed = False
         self._failure: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def bind(self, deliver: DeliverCallback) -> None:
-        """Install the delivery callback actors hand dequeued envelopes to."""
-        self._deliver = deliver
-
     def register_address(self, address: str) -> None:
         """Spawn the actor task (and inbox) serving ``address``."""
         self._ensure_actor(address)
 
-    def unregister_address(self, address: str) -> None:
-        """Keep the actor alive: envelopes already addressed here must still
-        reach the delivery callback, which counts them as dropped once the
-        messaging layer has forgotten the handler (graceful-leave parity
-        with the deterministic runtime)."""
+    # ``unregister_address`` is the base's no-op: the actor stays alive, so
+    # envelopes already addressed here still reach the delivery callback,
+    # which counts them as dropped (graceful-leave parity with ``sim``).
 
     def _ensure_actor(self, address: str) -> _Inbox:
         inbox = self._inboxes.get(address)
@@ -198,28 +178,6 @@ class AsyncioTransport(Transport):
                 self._actor_main(address, inbox)
             )
         return inbox
-
-    # ------------------------------------------------------------------
-    # clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current logical time (high-water mark of processed work)."""
-        return self._now
-
-    def advance_to(self, time: float) -> None:
-        """Move the logical clock forward to ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot move the clock backwards from {self._now} to {time}"
-            )
-        self._now = time
-
-    def advance_by(self, delta: float) -> None:
-        """Move the logical clock forward by ``delta`` time units."""
-        if delta < 0:
-            raise SimulationError("cannot advance the clock by a negative delta")
-        self.advance_to(self._now + delta)
 
     # ------------------------------------------------------------------
     # message delivery
@@ -259,38 +217,6 @@ class AsyncioTransport(Transport):
             self._message_done.set()
         self._pending.pop(address, None)
         return extracted
-
-    # ------------------------------------------------------------------
-    # timers
-    # ------------------------------------------------------------------
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute logical ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule an event in the past ({time} < {self._now})"
-            )
-        event = _ScheduledEvent(time, callback, args)
-        heapq.heappush(self._timer_heap, (time, next(self._timer_sequence), event))
-        self._live_events += 1
-        return EventHandle(event, self)
-
-    def schedule_in(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` after ``delay`` logical time units."""
-        if delay < 0:
-            raise SimulationError("delay must be non-negative")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def _pop_timer(self) -> Optional[_ScheduledEvent]:
-        while self._timer_heap:
-            _, _, event = heapq.heappop(self._timer_heap)
-            if event.cancelled:
-                continue
-            return event
-        return None
 
     # ------------------------------------------------------------------
     # actors
@@ -352,10 +278,7 @@ class AsyncioTransport(Transport):
         :meth:`schedule_in` observe ``is_draining`` exactly like they do on
         the deterministic runtime.
         """
-        ensure_not_reentrant(self)
-        if self._closed:
-            raise SimulationError("transport is shut down; cannot drain")
-        self._draining = True
+        self._start_drain()
         try:
             return self._loop.run_until_complete(self._drain_async(max_events))
         finally:
@@ -368,10 +291,8 @@ class AsyncioTransport(Transport):
             await self._await_message_quiescence(start, max_events)
             if self._driver_outbox:
                 continue  # a handler ran on the driver context meanwhile
-            event = self._pop_timer()
-            if event is None:
+            if not self.step():  # fire the earliest due timer
                 break
-            self._fire_timer(event)
             self._check_budget(start, max_events)
         self._raise_failure()
         return self._events_processed - start
@@ -395,14 +316,6 @@ class AsyncioTransport(Transport):
             await self._message_done.wait()
         self._raise_failure()
 
-    def _fire_timer(self, event: _ScheduledEvent) -> None:
-        if event.time > self._now:
-            self._now = event.time
-        self._live_events -= 1
-        event.fired = True
-        self._events_processed += 1
-        event.callback(*event.args)
-
     def _check_budget(self, start: int, max_events: Optional[int]) -> None:
         if max_events is not None and self._events_processed - start > max_events:
             raise SimulationError(f"exceeded the maximum of {max_events} events")
@@ -414,19 +327,9 @@ class AsyncioTransport(Transport):
             raise failure
 
     @property
-    def is_draining(self) -> bool:
-        """Whether :meth:`drain` is currently executing."""
-        return self._draining
-
-    @property
     def pending_events(self) -> int:
         """Undelivered envelopes plus uncancelled pending timers."""
         return self._live_messages + self._live_events
-
-    @property
-    def events_processed(self) -> int:
-        """Total deliveries and timer firings since construction."""
-        return self._events_processed
 
     def shutdown(self) -> None:
         """Drain outstanding work, stop every actor, close the loop.
@@ -436,9 +339,7 @@ class AsyncioTransport(Transport):
         """
         if self._closed:
             return
-        if self.pending_events and not self._draining:
-            self.drain()
-        self._closed = True
+        super().shutdown()
         tasks = list(self._actors.values())
         for task in tasks:
             task.cancel()
@@ -449,8 +350,3 @@ class AsyncioTransport(Transport):
         self._actors.clear()
         self._inboxes.clear()
         self._loop.close()
-
-    @property
-    def is_closed(self) -> bool:
-        """Whether :meth:`shutdown` has completed."""
-        return self._closed

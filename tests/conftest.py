@@ -6,10 +6,19 @@ import random
 import signal
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.data.schema import Catalog
+
+#: The long run of the engine-vs-oracle state machine
+#: (``tests/core/test_engine_state_machine.py``), selected with
+#: ``--hypothesis-profile generator``.  Without it that file keeps its tier-1
+#: budget.
+settings.register_profile(
+    "generator", max_examples=1000, stateful_step_count=40, deadline=None
+)
 
 
 @pytest.fixture(autouse=True)

@@ -8,8 +8,10 @@ from repro.errors import (
     EngineError,
     QueryRegistrationError,
     SchemaError,
+    SimulationError,
     UnknownRelationError,
 )
+from repro.net.runtime import TRANSPORT_NAMES
 from repro.sql.ast import WindowSpec
 from repro.sql.parser import parse_query
 
@@ -143,6 +145,24 @@ class TestEngineApi:
         before = engine.now
         engine.tick(5.0)
         assert engine.now == before + 5.0
+
+    @pytest.mark.parametrize("runtime", TRANSPORT_NAMES)
+    def test_non_finite_tick_and_membership_delay_are_refused(
+        self, small_catalog, runtime
+    ):
+        # A NaN clock would stamp every later tuple's pub_time NaN.
+        with RJoinEngine(
+            RJoinConfig(num_nodes=8, seed=1, runtime=runtime), catalog=small_catalog
+        ) as engine:
+            engine.tick(2.0)
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(SimulationError, match="non-finite"):
+                    engine.tick(bad)
+                with pytest.raises(SimulationError, match="non-finite"):
+                    engine.schedule_membership_op("join", delay=bad)
+            assert engine.now == 2.0
+            assert engine.transport.pending_events == 0
+            assert engine.publish("R", (1, 2)).pub_time == 2.0
 
     def test_register_relation(self, engine):
         engine.register_relation("U", ["x"])

@@ -86,3 +86,14 @@ def test_the_sequence_clock_reads_the_first_undrained_tuple(small_catalog):
     assert engine._sequence_clock() == 2
     engine.run()
     assert engine._sequence_clock() == 5
+
+
+def test_the_time_clock_reads_the_first_undrained_tuple(small_catalog):
+    engine = RJoinEngine(RJoinConfig(num_nodes=8, seed=3), catalog=small_catalog)
+    engine.tick(2.0)
+    first, *_ = engine.publish_batch([("R", (3, 4)), ("S", (4, 5))], process=False)
+    engine.tick(5.0)
+    engine.publish("S", (7, 8), process=False)
+    assert engine._time_clock() == first.pub_time == 2.0
+    engine.run()
+    assert engine._time_clock() == engine.now > 7.0

@@ -280,7 +280,7 @@ class TestEngineRuntimeSurface:
             with pytest.raises(EngineError, match="no simulation kernel"):
                 engine.kernel
         engine = RJoinEngine(RJoinConfig(num_nodes=8, seed=1), catalog=small_catalog)
-        assert engine.kernel is engine.transport.kernel
+        assert engine.kernel is engine.transport
         engine.close()
 
     def test_close_is_idempotent_and_final(self, small_catalog):

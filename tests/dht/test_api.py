@@ -8,10 +8,10 @@ import pytest
 from repro.dht.api import DHTMessagingService
 from repro.dht.chord import ChordRing
 from repro.dht.hashing import IdentifierSpace
-from repro.errors import RoutingError, UnknownNodeError
+from repro.errors import ConfigurationError, RoutingError, UnknownNodeError
 from repro.net.messages import Message
 from repro.net.runtime import TRANSPORT_NAMES, make_transport
-from repro.net.simulator import SimTransport, SimulationKernel
+from repro.net.simulator import SimulationKernel
 from repro.net.stats import TrafficStats
 from repro.obs.context import Observability
 from repro.obs.trace import TraceContext
@@ -27,7 +27,7 @@ def setup():
     ring = ChordRing.create_network(16, space=IdentifierSpace(16), seed=1)
     kernel = SimulationKernel()
     traffic = TrafficStats()
-    api = DHTMessagingService(ring, SimTransport(kernel), traffic, hop_delay=1.0)
+    api = DHTMessagingService(ring, kernel, traffic, hop_delay=1.0)
     received = []
     for address in ring.addresses:
         api.register_handler(
@@ -42,7 +42,7 @@ class TestSend:
         identifier = ring.space.hash_key("some-key")
         owner = ring.successor(identifier)
         api.send(ring.addresses[0], Ping(), identifier)
-        kernel.run_until_idle()
+        kernel.drain()
         assert len(received) == 1
         address, envelope = received[0]
         assert address == owner.address
@@ -53,7 +53,7 @@ class TestSend:
         ring, kernel, traffic, api, received = setup
         identifier = ring.space.hash_key("k")
         envelope = api.send(ring.addresses[0], Ping(), identifier)
-        kernel.run_until_idle()
+        kernel.drain()
         assert traffic.total_messages == envelope.hops
 
     def test_local_delivery_costs_nothing(self, setup):
@@ -61,7 +61,7 @@ class TestSend:
         identifier = ring.space.hash_key("local")
         owner = ring.successor(identifier)
         api.send(owner.address, Ping(), identifier)
-        kernel.run_until_idle()
+        kernel.drain()
         assert traffic.total_messages == 0
         assert len(received) == 1
 
@@ -70,14 +70,14 @@ class TestSend:
         identifier = ring.space.hash_key("delay")
         envelope = api.send(ring.addresses[0], Ping(), identifier)
         assert envelope.delivered_at == pytest.approx(envelope.hops * 1.0)
-        kernel.run_until_idle()
+        kernel.drain()
         assert kernel.now == pytest.approx(envelope.delivered_at)
 
     def test_ric_messages_counted_separately(self, setup):
         ring, kernel, traffic, api, received = setup
         identifier = ring.space.hash_key("ric")
         envelope = api.send(ring.addresses[0], Ping(), identifier, is_ric=True)
-        kernel.run_until_idle()
+        kernel.drain()
         assert traffic.total_ric_messages == envelope.hops
         assert traffic.total_messages == envelope.hops
 
@@ -88,7 +88,7 @@ class TestMultiSend:
         identifiers = [ring.space.hash_key(f"k{i}") for i in range(5)]
         messages = [Ping(payload=f"m{i}") for i in range(5)]
         api.multi_send(ring.addresses[0], messages, identifiers)
-        kernel.run_until_idle()
+        kernel.drain()
         assert len(received) == 5
 
     def test_multi_send_length_mismatch(self, setup):
@@ -102,7 +102,7 @@ class TestSendDirect:
         ring, kernel, traffic, api, received = setup
         sender, destination = ring.addresses[0], ring.addresses[5]
         envelope = api.send_direct(sender, Ping(), destination)
-        kernel.run_until_idle()
+        kernel.drain()
         assert envelope.hops == 1
         assert traffic.total_messages == 1
         assert received[0][0] == destination
@@ -111,7 +111,7 @@ class TestSendDirect:
         ring, kernel, traffic, api, received = setup
         sender = ring.addresses[0]
         api.send_direct(sender, Ping(), sender)
-        kernel.run_until_idle()
+        kernel.drain()
         assert traffic.total_messages == 0
         assert received[0][0] == sender
 
@@ -125,7 +125,7 @@ class TestSendDirectAccounting:
         envelope = api.send_direct(sender, Ping(), sender, weight=3)
         assert (envelope.hops, envelope.route) == (0, (sender,))
         assert envelope.direct and envelope.delivered_at == envelope.sent_at
-        kernel.run_until_idle()
+        kernel.drain()
         assert traffic.total_messages == 0 and traffic.per_node() == {}
         assert [address for address, _ in received] == [sender]
 
@@ -139,7 +139,7 @@ class TestSendDirectAccounting:
         assert envelope.direct and envelope.target_identifier is None
         assert envelope.weight == weight
         assert envelope.delivered_at == envelope.sent_at + 1.0
-        kernel.run_until_idle()
+        kernel.drain()
         assert traffic.node(sender).sent == traffic.total_messages == weight
         assert received == [(destination, envelope)]
         assert api.dropped_messages == 0
@@ -154,7 +154,7 @@ class TestSendDirectAccounting:
         assert (envelope.hops, envelope.route) == (1, (sender, departed))
         assert traffic.node(sender).sent == traffic.total_messages == weight
         assert api.dropped_messages == 0
-        kernel.run_until_idle()
+        kernel.drain()
         assert api.dropped_messages == weight
         assert not received
 
@@ -254,7 +254,7 @@ class TestDeliveryEdgeCases:
         destination = ring.addresses[3]
         api.unregister_handler(destination)
         api.send_direct(ring.addresses[0], Ping(), destination)
-        kernel.run_until_idle()
+        kernel.drain()
         assert api.dropped_messages == 1
         assert not received
 
@@ -266,12 +266,29 @@ class TestDeliveryEdgeCases:
         ring = ChordRing.create_network(8, space=IdentifierSpace(16), seed=2)
         kernel = SimulationKernel()
         api = DHTMessagingService(
-            ring, SimTransport(kernel), TrafficStats(), hop_delay=1.0, delay_jitter=0.5
+            ring, kernel, TrafficStats(), hop_delay=1.0, delay_jitter=0.5
         )
         api.register_handler(ring.addresses[0], lambda env: None)
         identifier = ring.space.hash_key("jitter")
         envelope = api.send(ring.addresses[0], Ping(), identifier)
         assert envelope.delivered_at >= envelope.hops * 1.0
+
+    @pytest.mark.parametrize(
+        "delays",
+        [
+            {"hop_delay": float("nan")},
+            {"hop_delay": float("inf")},
+            {"delay_jitter": float("inf")},
+            {"delay_jitter": float("nan")},
+            {"hop_delay": -1.0},
+        ],
+    )
+    def test_non_finite_or_negative_delays_are_rejected(self, delays):
+        # The same rule as RJoinConfig: a NaN hop delay would make
+        # max_transit_delay() NaN and every delivery time with it.
+        ring = ChordRing.create_network(4, space=IdentifierSpace(16), seed=2)
+        with pytest.raises(ConfigurationError, match="finite and non-negative"):
+            DHTMessagingService(ring, SimulationKernel(), **delays)
 
 
 class TestSendTime:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.messages import Envelope, Message
-from repro.net.simulator import SimTransport, SimulationKernel
+from repro.net.simulator import SimulationKernel
 
 
 class TestScheduling:
@@ -14,7 +14,7 @@ class TestScheduling:
         kernel.schedule_at(5.0, order.append, "late")
         kernel.schedule_at(1.0, order.append, "early")
         kernel.schedule_at(3.0, order.append, "middle")
-        kernel.run_until_idle()
+        kernel.drain()
         assert order == ["early", "middle", "late"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -22,20 +22,20 @@ class TestScheduling:
         order = []
         kernel.schedule_at(2.0, order.append, "first")
         kernel.schedule_at(2.0, order.append, "second")
-        kernel.run_until_idle()
+        kernel.drain()
         assert order == ["first", "second"]
 
     def test_schedule_in_relative_delay(self):
         kernel = SimulationKernel(start_time=10.0)
         seen = []
         kernel.schedule_in(2.5, lambda: seen.append(kernel.now))
-        kernel.run_until_idle()
+        kernel.drain()
         assert seen == [12.5]
 
     def test_clock_advances_to_event_time(self):
         kernel = SimulationKernel()
         kernel.schedule_at(7.0, lambda: None)
-        kernel.run_until_idle()
+        kernel.drain()
         assert kernel.now == 7.0
 
     def test_scheduling_in_the_past_rejected(self):
@@ -57,7 +57,7 @@ class TestScheduling:
             seen.append("second")
 
         kernel.schedule_in(1.0, first)
-        kernel.run_until_idle()
+        kernel.drain()
         assert seen == ["first", "second"]
         assert kernel.now == 2.0
 
@@ -68,7 +68,7 @@ class TestCancellation:
         seen = []
         handle = kernel.schedule_at(1.0, seen.append, "x")
         handle.cancel()
-        kernel.run_until_idle()
+        kernel.drain()
         assert not seen
         assert handle.cancelled
 
@@ -96,18 +96,6 @@ class TestClockControl:
         with pytest.raises(SimulationError):
             kernel.advance_by(-0.1)
 
-    def test_run_until_processes_only_due_events(self):
-        kernel = SimulationKernel()
-        seen = []
-        kernel.schedule_at(1.0, seen.append, "a")
-        kernel.schedule_at(10.0, seen.append, "b")
-        processed = kernel.run_until(5.0)
-        assert processed == 1
-        assert seen == ["a"]
-        assert kernel.now == 5.0
-        kernel.run_until_idle()
-        assert seen == ["a", "b"]
-
 
 class TestGuards:
     def test_max_events_guard(self):
@@ -118,13 +106,13 @@ class TestGuards:
 
         kernel.schedule_in(1.0, loop)
         with pytest.raises(SimulationError):
-            kernel.run_until_idle(max_events=10)
+            kernel.drain(max_events=10)
 
     def test_events_processed_counter(self):
         kernel = SimulationKernel()
         for i in range(4):
             kernel.schedule_at(float(i + 1), lambda: None)
-        kernel.run_until_idle()
+        kernel.drain()
         assert kernel.events_processed == 4
 
 
@@ -136,7 +124,7 @@ class TestPendingEventsCounter:
         handles[0].cancel()
         handles[0].cancel()  # double cancel must not double count
         assert kernel.pending_events == 4
-        kernel.run_until_idle()
+        kernel.drain()
         assert kernel.pending_events == 0
 
     def test_cancel_after_fire_keeps_counter_consistent(self):
@@ -146,7 +134,7 @@ class TestPendingEventsCounter:
         kernel.step()
         handle.cancel()  # no-op: the event already fired
         assert kernel.pending_events == 1
-        kernel.run_until_idle()
+        kernel.drain()
         assert kernel.pending_events == 0
 
 
@@ -161,7 +149,7 @@ class TestHandleLessPush:
         kernel.schedule_at(1.0, order.append, "timer@1")
         kernel.push(2.0, order.append, ("pushed@2 third",))
         kernel.push(0.5, order.append, ("pushed@0.5",))
-        assert kernel.run_until_idle() == 5
+        assert kernel.drain() == 5
         assert order == [
             "pushed@0.5", "timer@1", "pushed@2 first", "timer@2 second",
             "pushed@2 third",
@@ -188,7 +176,7 @@ class TestHandleLessPush:
         extracted = kernel.extract_where(lambda callback, args: args[0] != "kept")
         assert extracted == [("early",), ("late",)]
         assert kernel.pending_events == 1
-        kernel.run_until_idle()
+        kernel.drain()
         assert fired == ["kept"]
 
     def test_the_past_is_refused(self):
@@ -199,14 +187,13 @@ class TestHandleLessPush:
 
     def test_transport_post_rides_on_it_and_refuses_a_negative_delay(self):
         kernel = SimulationKernel(start_time=5.0)
-        transport = SimTransport(kernel)
         delivered = []
-        transport.bind(delivered.append)
+        kernel.bind(delivered.append)
         envelope = Envelope(Message(), "a", "b")
-        transport.post(envelope, 1.5)
-        assert transport.pending_events == 1
-        assert transport.extract_inbound("nobody") == []
+        kernel.post(envelope, 1.5)
+        assert kernel.pending_events == 1
+        assert kernel.extract_inbound("nobody") == []
         with pytest.raises(SimulationError, match="in the past"):
-            transport.post(envelope, -0.5)
-        assert transport.drain() == 1
-        assert delivered == [envelope] and transport.now == 6.5
+            kernel.post(envelope, -0.5)
+        assert kernel.drain() == 1
+        assert delivered == [envelope] and kernel.now == 6.5

@@ -12,12 +12,15 @@ same invariants.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.messages import Envelope, Message
 from repro.net.runtime import TRANSPORT_NAMES, Transport, make_transport
 from repro.net.runtime_asyncio import AsyncioTransport
+from repro.net.simulator import SimulationKernel
 
 pytestmark = pytest.mark.hard_timeout(120)
 
@@ -83,10 +86,7 @@ class TestFactory:
     def test_only_sim_exposes_a_kernel(self):
         for name in TRANSPORT_NAMES:
             runtime = make_transport(name)
-            if name == "sim":
-                assert runtime.kernel is not None
-            else:
-                assert runtime.kernel is None
+            assert isinstance(runtime, SimulationKernel) == (name == "sim")
             runtime.shutdown()
 
 
@@ -281,6 +281,22 @@ class TestClock:
         with pytest.raises(SimulationError, match="negative"):
             transport.advance_by(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_are_refused(self, transport, recorder, bad):
+        transport.advance_to(2.0)
+        with pytest.raises(SimulationError):
+            transport.advance_to(bad)
+        with pytest.raises(SimulationError):
+            transport.advance_by(bad)
+        with pytest.raises(SimulationError):
+            transport.schedule_at(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            transport.schedule_in(bad, lambda: None)
+        assert transport.now == 2.0
+        assert transport.pending_events == 0
+        transport.drain()
+        assert transport.now == 2.0
+
     def test_drain_ratchets_the_clock_to_processed_work(
         self, transport, recorder
     ):
@@ -306,6 +322,17 @@ class TestShutdown:
         transport.shutdown()
         with pytest.raises(SimulationError, match="shut down"):
             transport.post(envelope("node-1"), 1.0)
+
+
+    def test_a_shut_down_transport_refuses_timers_and_drains(
+        self, transport, recorder
+    ):
+        transport.shutdown()
+        with pytest.raises(SimulationError, match="shut down"):
+            transport.schedule_in(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="shut down"):
+            transport.drain()
+        assert transport.pending_events == 0
 
 
 class TestBackpressure:

@@ -5,8 +5,8 @@ The API redesign promises three things at the package root:
 * every name in ``repro.__all__`` resolves (eagerly or lazily via
   :pep:`562`), and the documented quickstart import works,
 * the deprecation shims of the transport extraction (``repro.EventHandle``,
-  ``simulator.EventHandle``, ``DHTMessagingService.kernel`` and its
-  bare-kernel constructor argument) have been removed,
+  ``simulator.EventHandle``, ``DHTMessagingService.kernel``) have been
+  removed, and the kernel a service defaults to *is* its transport,
 * ``python -m repro`` dispatches to the sub-CLIs while the historical
   direct invocations stay untouched.
 """
@@ -81,9 +81,10 @@ class TestDeprecationShimsAreGone:
         service = DHTMessagingService(ring)
         with pytest.raises(AttributeError, match="kernel"):
             service.kernel
-        assert service.transport.kernel is not None
-        with pytest.raises((AttributeError, TypeError)):
-            DHTMessagingService(ring, SimulationKernel())
+        # The bare-kernel argument is a transport now: there is no wrapper
+        # and no ``Transport.kernel`` to reach through.
+        assert isinstance(service.transport, SimulationKernel)
+        assert not hasattr(service.transport, "kernel")
 
 
 class TestUmbrellaCli:
