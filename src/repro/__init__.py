@@ -117,10 +117,8 @@ def __getattr__(name: str) -> Any:
         globals()[name] = value  # cache: subsequent lookups skip this hook
         return value
     # PEP 562 requires AttributeError here: hasattr()/getattr() probing
-    # depends on it, so the exception-discipline rule does not apply.
-    raise AttributeError(  # repro: allow[exception-discipline]
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+    # depends on it, so the exception-discipline rule exempts it.
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list:

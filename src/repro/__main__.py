@@ -29,7 +29,7 @@ usage: python -m repro <command> [args...]
 commands:
   experiments   scenario-grid runner (run / list / report); see
                 `python -m repro experiments --help`
-  analysis      in-tree static analysis (check / baseline); see
+  analysis      in-tree static analysis (check / list); see
                 `python -m repro analysis --help`
   obs           trace-file inspection (summarize / convert); see
                 `python -m repro obs --help`

@@ -7,159 +7,58 @@ inspect — everything works on :mod:`ast` trees, so a broken tree can still
 be analyzed and the analyzer can run on fixture trees that are not
 importable packages.
 
-Suppression happens in two layers, both handled by the driver:
-
-* **allowlist** — a ``# repro: allow[rule-id]`` trailing comment on the
-  offending line, a ``# repro: allow-file[rule-id]`` comment anywhere in the
-  file, or a ``@lint_allow("rule-id")`` decorator on the enclosing function
-  or class (see :mod:`repro.lint`),
-* **baseline** — a committed JSON file of fingerprinted pre-existing
-  findings (see :mod:`repro.analysis.baseline`); new code cannot add to it
-  without an explicit ``--write-baseline`` run.
+There is no suppression layer: every finding fails the check.  Code that
+is legitimately outside an invariant is exempted by the rule itself, in
+its own source (``EXEMPT_FILES`` in ``determinism-purity``, the exempt
+builtins and ``__getattr__`` case in ``exception-discipline``), where the
+exemption is reviewed with the rule it weakens.
 """
 
 from __future__ import annotations
 
 import abc
 import ast
-import re
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Set, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.project import Project
 
-#: Marker comment syntax: ``# repro: allow[rule-a, rule-b] optional reason``.
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
-_ALLOW_FILE_RE = re.compile(r"#\s*repro:\s*allow-file\[([^\]]+)\]")
-
-#: Name of the runtime no-op decorator recognised as an allowlist marker.
-LINT_ALLOW_DECORATOR = "lint_allow"
-
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a source location.
-
-    ``suppressed_by`` is ``None`` for an active finding, or the suppression
-    layer (``"allowlist"`` / ``"baseline"``) that silenced it.
-    """
+    """One rule violation at a source location."""
 
     rule: str
     path: str  # path relative to the analyzed package root, POSIX separators
     line: int
     message: str
-    suppressed_by: Optional[str] = None
-
-    @property
-    def active(self) -> bool:
-        """Whether the finding should fail the check."""
-        return self.suppressed_by is None
-
-    def suppressed(self, layer: str) -> "Finding":
-        """A copy of this finding marked as suppressed by ``layer``."""
-        return replace(self, suppressed_by=layer)
 
     def render(self) -> str:
         """Human-readable one-line rendering (``path:line: [rule] message``)."""
-        note = f"  (suppressed: {self.suppressed_by})" if self.suppressed_by else ""
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}{note}"
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def _decorator_allowed_rules(node: ast.AST) -> Set[str]:
-    """Rule ids exempted by ``@lint_allow(...)`` decorators on ``node``."""
-    rules: Set[str] = set()
-    decorators = getattr(node, "decorator_list", [])
-    for decorator in decorators:
-        if not isinstance(decorator, ast.Call):
-            continue
-        func = decorator.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name != LINT_ALLOW_DECORATOR:
-            continue
-        for arg in decorator.args:
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                rules.add(arg.value.strip())
-    return rules
-
-
-@dataclass
+@dataclass(frozen=True)
 class SourceFile:
-    """One parsed source file plus its allowlist annotations."""
+    """One parsed source file."""
 
     rel: str  # POSIX path relative to the analyzed package root
-    text: str
     tree: ast.Module
-    #: line number -> rule ids allowed on that line (trailing comments)
-    line_allows: Dict[int, Set[str]] = field(default_factory=dict)
-    #: rule ids allowed for the whole file
-    file_allows: Set[str] = field(default_factory=set)
-    #: (first_line, last_line) spans exempted per rule id by ``@lint_allow``
-    span_allows: List[Tuple[int, int, Set[str]]] = field(default_factory=list)
-
-    @classmethod
-    def parse(cls, rel: str, text: str) -> "SourceFile":
-        """Parse ``text`` and collect every allowlist marker it carries."""
-        tree = ast.parse(text)
-        line_allows: Dict[int, Set[str]] = {}
-        file_allows: Set[str] = set()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _ALLOW_RE.search(line)
-            if match:
-                rules = {part.strip() for part in match.group(1).split(",")}
-                line_allows.setdefault(lineno, set()).update(r for r in rules if r)
-            match = _ALLOW_FILE_RE.search(line)
-            if match:
-                rules = {part.strip() for part in match.group(1).split(",")}
-                file_allows.update(r for r in rules if r)
-        span_allows: List[Tuple[int, int, Set[str]]] = []
-        for node in ast.walk(tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                rules = _decorator_allowed_rules(node)
-                if rules:
-                    last = max(
-                        (n.lineno for n in ast.walk(node) if hasattr(n, "lineno")),
-                        default=node.lineno,
-                    )
-                    span_allows.append((node.lineno, last, rules))
-        return cls(
-            rel=rel,
-            text=text,
-            tree=tree,
-            line_allows=line_allows,
-            file_allows=file_allows,
-            span_allows=span_allows,
-        )
-
-    def is_allowed(self, rule: str, line: int) -> bool:
-        """Whether ``rule`` is allowlisted at ``line`` of this file."""
-        if rule in self.file_allows:
-            return True
-        if rule in self.line_allows.get(line, ()):  # trailing comment
-            return True
-        return any(
-            first <= line <= last and rule in rules
-            for first, last, rules in self.span_allows
-        )
 
 
 class Rule(abc.ABC):
     """One project invariant, checked over the parsed project."""
 
-    #: Stable identifier used in findings, allowlist markers and ``--rules``.
+    #: Stable identifier used in findings and by ``analyze(rule_names=...)``.
     name: str = "abstract"
-    #: One-line description shown by ``--list``.
+    #: One-line description shown by ``list``.
     description: str = ""
 
     @abc.abstractmethod
     def check(self, project: "Project") -> Iterator[Finding]:
         """Yield a finding per violation found in ``project``."""
 
-    # Convenience used by every concrete rule -----------------------------
     def finding(self, sf: SourceFile, node: ast.AST, message: str) -> Finding:
         """A finding anchored at ``node`` of ``sf``."""
         line = getattr(node, "lineno", 1)

@@ -1,8 +1,8 @@
 """Command-line interface: ``python -m repro.analysis check``.
 
 Exit codes: ``0`` — every checked invariant holds; ``1`` — at least one
-active finding; ``2`` — the analyzer itself was driven with invalid inputs
-(unknown rule, unreadable tree, broken baseline).
+finding; ``2`` — the analyzer itself was driven with invalid inputs (an
+unreadable tree).
 
 Output formats:
 
@@ -19,43 +19,33 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.baseline import write_baseline
 from repro.analysis.driver import AnalysisReport, analyze
 from repro.analysis.project import default_package_root
 from repro.analysis.rules import ALL_RULES
 from repro.errors import AnalysisError
 
+#: Where the analyzed package lives in the repository, prefixed to finding
+#: paths in ``github`` annotations so they land on the right file.
+GITHUB_PATH_PREFIX = "src/repro"
 
-def _render_text(report: AnalysisReport, verbose: bool) -> str:
-    lines: List[str] = []
-    for finding in report.active:
-        lines.append(finding.render())
-    if verbose:
-        for finding in report.suppressed:
-            lines.append(finding.render())
+
+def render(report: AnalysisReport, fmt: str) -> str:
+    """The report in output format ``fmt`` (``text`` / ``json`` / ``github``)."""
+    if fmt == "json":
+        return json.dumps(report.to_dict(), indent=2)
+    if fmt == "github":
+        lines = [
+            f"::error file={GITHUB_PATH_PREFIX}/{f.path},line={f.line},"
+            f"title=repro-lint {f.rule}::" + f.message.replace("\n", " ")
+            for f in report.findings
+        ]
+    else:
+        lines = [f.render() for f in report.findings]
     lines.append(
         f"repro-lint: {report.files_analyzed} files, "
-        f"{len(report.rules_run)} rules, "
-        f"{len(report.active)} finding(s), "
-        f"{len(report.suppressed)} suppressed"
-    )
-    return "\n".join(lines)
-
-
-def _render_github(report: AnalysisReport, path_prefix: str) -> str:
-    lines: List[str] = []
-    for finding in report.active:
-        path = f"{path_prefix}/{finding.path}" if path_prefix else finding.path
-        message = finding.message.replace("\n", " ")
-        lines.append(
-            f"::error file={path},line={finding.line},"
-            f"title=repro-lint {finding.rule}::{message}"
-        )
-    lines.append(
-        f"repro-lint: {len(report.active)} finding(s) over "
-        f"{report.files_analyzed} files"
+        f"{len(report.rules_run)} rules, {len(report.findings)} finding(s)"
     )
     return "\n".join(lines)
 
@@ -67,9 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser(
-        "check", help="run the invariant rules over a source tree"
-    )
+    check = sub.add_parser("check", help="run every rule over a source tree")
     check.add_argument(
         "path",
         nargs="?",
@@ -80,111 +68,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     check.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    check.add_argument(
         "--format",
         choices=("text", "json", "github"),
         default="text",
         help="output format (default: text)",
     )
-    check.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline JSON path (default: <package root>/analysis/"
-            "baseline.json when present)"
-        ),
-    )
-    check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    check.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "grandfather the current findings into the baseline file and "
-            "exit 0"
-        ),
-    )
-    check.add_argument(
-        "--github-path-prefix",
-        default="src/repro",
-        help=(
-            "path prepended to finding locations in --format github "
-            "annotations (default: src/repro)"
-        ),
-    )
-    check.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="also list suppressed (allowlisted/baselined) findings",
-    )
-
-    listing = sub.add_parser("list", help="list the shipped rules")
-    listing.set_defaults(command="list")
+    sub.add_parser("list", help="list the shipped rules")
     return parser
-
-
-def _resolve_baseline(
-    package_root: Path, arg: Optional[str], disabled: bool
-) -> Optional[Path]:
-    if disabled:
-        return None
-    if arg is not None:
-        return Path(arg)
-    default = package_root / "analysis" / "baseline.json"
-    return default if default.exists() else None
-
-
-def run_check(args: argparse.Namespace) -> int:
-    package_root = (
-        Path(args.path) if args.path is not None else default_package_root()
-    )
-    rule_names = (
-        [part.strip() for part in args.rules.split(",") if part.strip()]
-        if args.rules
-        else None
-    )
-    baseline_path = _resolve_baseline(
-        package_root, args.baseline, args.no_baseline
-    )
-    if args.write_baseline:
-        # Findings surviving the allowlist become the new grandfathered set.
-        report = analyze(package_root, rule_names, baseline_path=None)
-        target = baseline_path or package_root / "analysis" / "baseline.json"
-        count = write_baseline(Path(target), report.active)
-        print(f"repro-lint: baselined {count} fingerprint(s) to {target}")
-        return 0
-
-    report = analyze(package_root, rule_names, baseline_path)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    elif args.format == "github":
-        print(_render_github(report, args.github_path_prefix.rstrip("/")))
-    else:
-        print(_render_text(report, args.verbose))
-    return 0 if report.ok else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.command == "list":
+        for rule in ALL_RULES:
+            print(f"{rule.name}: {rule.description}")
+        return 0
+    root = Path(args.path) if args.path is not None else default_package_root()
     try:
-        if args.command == "list":
-            for rule in ALL_RULES:
-                print(f"{rule.name}: {rule.description}")
-            return 0
-        return run_check(args)
+        report = analyze(root)
     except AnalysisError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
+    print(render(report, args.format))
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

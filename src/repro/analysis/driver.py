@@ -1,15 +1,14 @@
-"""Running rules over a project and applying the suppression layers."""
+"""Running rules over a project and collecting their findings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.base import Finding, Rule
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.project import Project
-from repro.analysis.rules import ALL_RULES, rules_by_name
+from repro.analysis.rules import ALL_RULES
 from repro.errors import AnalysisError
 
 
@@ -20,38 +19,31 @@ class AnalysisReport:
     package_root: str
     files_analyzed: int
     rules_run: List[str]
-    #: Findings that fail the check (not allowlisted, not baselined).
-    active: List[Finding] = field(default_factory=list)
-    #: Findings silenced by an allowlist marker or the baseline.
-    suppressed: List[Finding] = field(default_factory=list)
+    #: Every finding, sorted by location; each one fails the check.
+    findings: List[Finding]
 
     @property
     def ok(self) -> bool:
         """Whether the tree satisfies every checked invariant."""
-        return not self.active
+        return not self.findings
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe rendering (the ``--format json`` document)."""
-
-        def _render(finding: Finding) -> Dict[str, object]:
-            return {
-                "rule": finding.rule,
-                "path": finding.path,
-                "line": finding.line,
-                "message": finding.message,
-                "suppressed_by": finding.suppressed_by,
-            }
-
         return {
-            "version": 1,
+            "version": 2,
             "package_root": self.package_root,
             "files_analyzed": self.files_analyzed,
             "rules_run": list(self.rules_run),
             "ok": self.ok,
-            "active_count": len(self.active),
-            "suppressed_count": len(self.suppressed),
-            "findings": [_render(f) for f in self.active],
-            "suppressed": [_render(f) for f in self.suppressed],
+            "findings": [
+                {
+                    "rule": f.rule,
+                    "path": f.path,
+                    "line": f.line,
+                    "message": f.message,
+                }
+                for f in self.findings
+            ],
         }
 
 
@@ -59,56 +51,32 @@ def select_rules(names: Optional[Sequence[str]]) -> List[Rule]:
     """The shipped rules matching ``names`` (all of them when ``None``)."""
     if names is None:
         return list(ALL_RULES)
-    registry = rules_by_name()
-    selected: List[Rule] = []
-    for name in names:
-        if name not in registry:
-            known = ", ".join(sorted(registry))
-            raise AnalysisError(f"unknown rule {name!r}; known rules: {known}")
-        selected.append(registry[name])
-    return selected
+    registry = {rule.name: rule for rule in ALL_RULES}
+    unknown = [name for name in names if name not in registry]
+    if unknown:
+        known = ", ".join(sorted(registry))
+        raise AnalysisError(f"unknown rule {unknown[0]!r}; known rules: {known}")
+    return [registry[name] for name in names]
 
 
 def analyze(
-    package_root: Path,
-    rule_names: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Path] = None,
+    package_root: Path, rule_names: Optional[Sequence[str]] = None
 ) -> AnalysisReport:
-    """Run the selected rules over ``package_root`` and classify findings.
+    """Run the selected rules (all by default) over ``package_root``.
 
-    Suppression order: allowlist markers first (they are part of the
-    source and reviewed with it), then the baseline.  Parse failures are
-    reported as active findings of the pseudo-rule ``parse-error`` — a
-    file the analyzer cannot read is never silently clean.
+    Parse failures are reported as findings of the pseudo-rule
+    ``parse-error`` — a file the analyzer cannot read is never silently
+    clean.
     """
     rules = select_rules(rule_names)
     project = Project(package_root)
-
-    raw: List[Finding] = list(project.parse_failures)
+    findings: List[Finding] = list(project.parse_failures)
     for rule in rules:
-        raw.extend(rule.check(project))
-
-    allowlisted: List[Finding] = []
-    unsuppressed: List[Finding] = []
-    for finding in raw:
-        sf = project.get(finding.path)
-        if sf is not None and sf.is_allowed(finding.rule, finding.line):
-            allowlisted.append(finding.suppressed("allowlist"))
-        else:
-            unsuppressed.append(finding)
-
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    active, baselined = apply_baseline(unsuppressed, baseline)
-
-    active.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    suppressed = sorted(
-        allowlisted + baselined,
-        key=lambda f: (f.path, f.line, f.rule, f.message),
-    )
+        findings.extend(rule.check(project))
+    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return AnalysisReport(
         package_root=str(project.package_root),
         files_analyzed=len(project),
         rules_run=[rule.name for rule in rules],
-        active=active,
-        suppressed=suppressed,
+        findings=findings,
     )

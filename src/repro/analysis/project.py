@@ -13,6 +13,7 @@ hide every other diagnostic.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
@@ -49,7 +50,7 @@ class Project:
             rel = path.relative_to(self.package_root).as_posix()
             text = path.read_text(encoding="utf-8")
             try:
-                self._files[rel] = SourceFile.parse(rel, text)
+                self._files[rel] = SourceFile(rel, ast.parse(text))
             except SyntaxError as exc:
                 self.parse_failures.append(
                     Finding(

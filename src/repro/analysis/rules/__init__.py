@@ -2,16 +2,16 @@
 
 Adding a rule: subclass :class:`repro.analysis.base.Rule` in a module next
 to the existing ones, give it a unique ``name``, and list an instance in
-:data:`ALL_RULES` below — ``python -m repro.analysis check`` picks it up,
-``--rules`` can select it, and allowlist comments address it by name.
+:data:`ALL_RULES` below — ``python -m repro.analysis check`` picks it up.
+A rule earns its place only if tier-1, ruff and mypy would all miss what it
+catches; an exemption from it is written into the rule's own code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.analysis.base import Rule
-from repro.analysis.rules.annotations import AnnotationCompletenessRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
 from repro.analysis.rules.protocol import ProtocolRule
@@ -21,10 +21,4 @@ ALL_RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
     ProtocolRule(),
     ExceptionDisciplineRule(),
-    AnnotationCompletenessRule(),
 )
-
-
-def rules_by_name() -> Dict[str, Rule]:
-    """``rule id -> rule instance`` for every shipped rule."""
-    return {rule.name: rule for rule in ALL_RULES}

@@ -6,7 +6,7 @@ after real concurrency lands): two runs with the same seed must take the
 same decisions in the same order.  That property dies the moment simulated
 code reads the wall clock, draws from an unseeded RNG, or iterates an
 unordered ``set`` where the order feeds observable behaviour.  This rule
-bans those constructs inside ``core/``, ``net/`` and ``dht/``:
+bans:
 
 * calls into wall-clock / entropy APIs (``time.time``, ``datetime.now``,
   ``os.urandom``, ``uuid.uuid4``, ``secrets.*`` …),
@@ -18,9 +18,10 @@ bans those constructs inside ``core/``, ``net/`` and ``dht/``:
   ``sorted(...)`` wrapper; string hash randomisation makes that order
   differ between interpreter runs.
 
-Kernel-clock plumbing and seeded-RNG helpers that must touch these APIs
-declare it with ``# repro: allow[determinism-purity]`` or the
-:func:`repro.lint.lint_allow` decorator.
+The scope is ``core/``, ``net/``, ``dht/``, ``data/`` and ``metrics/``:
+every layer a ``sim`` delivery passes through, the stores, ``LoadTracker``
+and ``ChurnStats`` included.  ``obs/`` stays out: its span timing reads
+``perf_counter`` on purpose and feeds no decision.
 
 The concurrent ``asyncio`` runtime (:data:`EXEMPT_FILES`) is exempt as a
 whole: wall-clock waits (backpressure timeouts) and scheduler-dependent
@@ -38,7 +39,7 @@ from repro.analysis.base import Finding, Rule, SourceFile
 from repro.analysis.project import Project
 
 #: Directories the purity invariant covers.
-SCOPE = ("core/", "net/", "dht/")
+SCOPE = ("core/", "net/", "dht/", "data/", "metrics/")
 
 #: Files inside the scope that are exempt as a whole: the concurrent
 #: runtimes, where wall-clock timeouts and nondeterministic interleavings
@@ -133,7 +134,7 @@ class DeterminismRule(Rule):
     name = "determinism-purity"
     description = (
         "no wall-clock reads, unseeded/global RNG or unordered-set "
-        "iteration inside core/, net/, dht/"
+        "iteration inside core/, net/, dht/, data/, metrics/"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -218,7 +219,7 @@ class DeterminismRule(Rule):
                     node,
                     f"call to {dotted}() is nondeterministic inside the "
                     "simulated core; route through the kernel clock or a "
-                    "seeded RNG (allowlist if this *is* that plumbing)",
+                    "seeded RNG",
                 )
             return
         if head == "datetime" and rest:

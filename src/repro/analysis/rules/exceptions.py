@@ -13,8 +13,10 @@ class fits).
 Re-raises (bare ``raise``), ``raise ... from ...`` chains whose *new*
 exception is a project error, and builtin exceptions used in ``except``
 clauses are all fine; only *originating* a builtin is banned.
-``NotImplementedError`` (abstract-surface convention) and
-``StopIteration``/``StopAsyncIteration`` (iterator protocol) are exempt.
+Three exemptions follow Python's own protocols: ``NotImplementedError``
+(abstract-surface convention), ``StopIteration``/``StopAsyncIteration``
+(iterator protocol), and ``AttributeError`` raised in a module-level
+``__getattr__`` (:pep:`562`: ``hasattr``/``getattr`` probing depends on it).
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ class ExceptionDisciplineRule(Rule):
 
     def check(self, project: Project) -> Iterator[Finding]:
         for sf in project.files():
+            pep562_raises = {
+                id(node)
+                for func in sf.tree.body
+                if isinstance(func, ast.FunctionDef) and func.name == "__getattr__"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Raise)
+            }
             for node in ast.walk(sf.tree):
                 if not isinstance(node, ast.Raise) or node.exc is None:
                     continue
@@ -64,6 +73,8 @@ class ExceptionDisciplineRule(Rule):
                     name = exc.func.id
                 elif isinstance(exc, ast.Name):
                     name = exc.id
+                if name == "AttributeError" and id(node) in pep562_raises:
+                    continue
                 if name in BANNED_BUILTINS:
                     yield self.finding(
                         sf,

@@ -46,14 +46,6 @@ class ProjectionTracker:
     def __init__(self) -> None:
         self._seen: Set[TupleT[TupleT[str, Any], ...]] = set()
 
-    def admits(self, query: Query, tup: Tuple, schema: RelationSchema) -> bool:
-        """Whether ``tup`` brings a new projection (and may therefore trigger)."""
-        return project(query, tup, schema) not in self._seen
-
-    def record(self, query: Query, tup: Tuple, schema: RelationSchema) -> None:
-        """Remember that ``tup``'s projection has triggered the stored query."""
-        self._seen.add(project(query, tup, schema))
-
     def admit_and_record(
         self, query: Query, tup: Tuple, schema: RelationSchema
     ) -> bool:

@@ -89,10 +89,9 @@ class RateTracker:
     are advisory — an evicted key simply reports a rate of zero
     until tuples arrive for it again — so the bound trades a little rate
     fidelity under million-distinct-key floods for a hard memory ceiling.
-    ``None`` keeps state for every key ever seen.
     """
 
-    def __init__(self, max_keys: Optional[int] = 65536) -> None:
+    def __init__(self, max_keys: int = 65536) -> None:
         self.max_keys = max_keys
         self.evicted_keys = 0
         # Insertion-ordered: the first key is always the least recently
@@ -106,7 +105,7 @@ class RateTracker:
             totals[key_text] += 1
             totals.move_to_end(key_text)
         else:
-            if self.max_keys is not None and len(totals) >= self.max_keys:
+            if len(totals) >= self.max_keys:
                 totals.popitem(last=False)
                 self.evicted_keys += 1
             totals[key_text] = 1

@@ -312,11 +312,6 @@ class Transport(ABC):
             self.drain()
         self._closed = True
 
-    @property
-    def is_closed(self) -> bool:
-        """Whether :meth:`shutdown` has completed."""
-        return self._closed
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(now={self._now:g}, "

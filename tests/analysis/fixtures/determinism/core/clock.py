@@ -3,8 +3,6 @@
 import random
 import time
 
-from repro.lint import lint_allow
-
 
 def wall_clock_now():
     return time.time()  # VIOLATION: wall clock inside the simulated core
@@ -32,11 +30,3 @@ def iterate_sorted(items):
     seen = set(items)
     return [value for value in sorted(seen)]  # fine: sorted() pins the order
 
-
-def tolerated_wall_clock():
-    return time.time()  # repro: allow[determinism-purity] fixture marker
-
-
-@lint_allow("determinism-purity", reason="fixture: decorator suppression")
-def tolerated_by_decorator():
-    return time.monotonic()

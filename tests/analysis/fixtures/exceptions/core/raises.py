@@ -15,10 +15,13 @@ def explode():
     raise RuntimeError  # VIOLATION: bare builtin raise (no call)
 
 
-def tolerated(value):
-    if value < 0:
-        raise ValueError("negative")  # repro: allow[exception-discipline]
-    return value
+def lookup(name):
+    raise AttributeError(name)  # VIOLATION: only __getattr__ may raise this
+
+
+class Proxy:
+    def __getattr__(self, name):
+        raise AttributeError(name)  # VIOLATION: a method is not PEP 562's hook
 
 
 def fine(value):
@@ -32,3 +35,8 @@ def reraise(value):
         return fine(value)
     except FixtureError:
         raise  # bare re-raise is always fine
+
+
+def __getattr__(name):
+    # PEP 562: a module-level __getattr__ must raise AttributeError.
+    raise AttributeError(f"module has no attribute {name!r}")

@@ -65,17 +65,6 @@ class TestProjectionTracker:
         )
         assert len(tracker) == 3
 
-    def test_admits_does_not_record(self):
-        cat = catalog()
-        query = paper_query(cat)
-        tracker = ProjectionTracker()
-        schema = cat.get("S")
-        tup = make_tuple(cat, "S", ("b", 2, "c"))
-        assert tracker.admits(query, tup, schema)
-        assert tracker.admits(query, tup, schema)
-        tracker.record(query, tup, schema)
-        assert not tracker.admits(query, tup, schema)
-
     def test_values_outside_projection_ignored(self):
         cat = catalog()
         query = paper_query(cat)

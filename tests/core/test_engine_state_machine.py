@@ -1,11 +1,11 @@
 """Generated interleavings of engine operations, checked against the oracle.
 
 A hypothesis ``RuleBasedStateMachine`` drives one ``sim`` engine (memory
-backend, ``delay_jitter`` on, so deliveries overtake each other) through
-``submit``, ``publish``, ``publish_batch``, ``remove_query`` and ``tick``,
-with the queries of ``test_properties``' plan cases: chains and stars of up
-to four relations, with selections, ``DISTINCT``, and no window, a tuple
-window or a time window.  Every operation returns with the network drained,
+or sqlite store backend, ``delay_jitter`` on, so deliveries overtake each
+other) through ``submit``, ``publish``, ``publish_batch``, ``remove_query``
+and ``tick``, with the queries of ``test_properties``' plan cases: chains
+and stars of up to four relations, with selections, ``DISTINCT``, and no
+window, a tuple window or a time window.  Every operation returns with the network drained,
 so after every step:
 
 * each handle's value bag — live or removed — equals what
@@ -56,10 +56,14 @@ def as_bag(values):
 class EngineVsReference(RuleBasedStateMachine):
     """One engine and one oracle fed the same operations."""
 
-    @initialize(seed=st.integers(0, 3))
-    def start(self, seed):
+    @initialize(
+        seed=st.integers(0, 3), backend=st.sampled_from(("memory", "sqlite"))
+    )
+    def start(self, seed, backend="memory"):
         self.engine = RJoinEngine(
-            RJoinConfig(num_nodes=8, seed=seed, delay_jitter=0.5),
+            RJoinConfig(
+                num_nodes=8, seed=seed, delay_jitter=0.5, store_backend=backend
+            ),
             catalog=_plan_catalog,
         )
         self.reference = ReferenceEngine(_plan_catalog)
@@ -149,8 +153,9 @@ def join(left, right):
 
 
 def replay(steps):
-    """Run ``(rule name, argument)`` steps on a seed-0 machine, checking its
-    invariants after each, as hypothesis does; returns the first handle."""
+    """Run ``(rule name, argument)`` steps on a seed-0 memory-backend machine,
+    checking its invariants after each, as hypothesis does; returns the first
+    handle."""
     machine = EngineVsReference()
     machine.start(seed=0)
     try:
