@@ -207,9 +207,10 @@ class DeterminismRule(Rule):
             return
         head, _, rest = dotted.partition(".")
         resolved = from_imports.get(head)
-        if resolved and not rest:
-            # ``from time import time`` style: resolve to the module path.
-            head, _, rest = resolved.partition(".")
+        if resolved:
+            # ``from time import time`` / ``from datetime import date``
+            # style: resolve to the module path.
+            head, _, rest = ".".join(filter(None, (resolved, rest))).partition(".")
         if head in _BANNED_MODULE_CALLS:
             banned = _BANNED_MODULE_CALLS[head]
             attr = rest.split(".")[0] if rest else ""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.analysis import ALL_RULES, analyze
 from repro.analysis.cli import main
 
@@ -29,6 +31,28 @@ class TestExitCodes:
         assert main(["check", str(tmp_path / "absent")]) == 2
         assert "not a directory" in capsys.readouterr().err
 
+    def test_default_path_is_the_shipped_package(self, capsys):
+        assert main(["check"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--rules", "determinism-purity"],
+            ["--verbose"],
+            ["--baseline", "baseline.json"],
+            ["--no-baseline"],
+            ["--write-baseline", "baseline.json"],
+            ["--github-path-prefix", "src/repro"],
+        ],
+    )
+    def test_a_removed_option_exits_two(self, capsys, option):
+        # ``check`` takes a path and --format, nothing else.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", DETERMINISM, *option])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFormats:
     def test_json_document(self, capsys):
@@ -40,6 +64,20 @@ class TestFormats:
         assert {"rule", "path", "line", "message"} <= set(
             document["findings"][0]
         )
+
+    def test_json_document_carries_no_suppression_fields(self, capsys):
+        assert main(["check", DETERMINISM, "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert set(document) == {
+            "version",
+            "package_root",
+            "files_analyzed",
+            "rules_run",
+            "ok",
+            "findings",
+        }
+        assert document["version"] == 2
+        assert document["rules_run"] == [rule.name for rule in ALL_RULES]
 
     def test_github_annotations(self, capsys):
         code = main(["check", DETERMINISM, "--format", "github"])

@@ -152,12 +152,12 @@ def join(left, right):
     )
 
 
-def replay(steps):
-    """Run ``(rule name, argument)`` steps on a seed-0 memory-backend machine,
-    checking its invariants after each, as hypothesis does; returns the first
-    handle."""
+def replay(steps, backend="memory"):
+    """Run ``(rule name, argument)`` steps on a seed-0 machine over the
+    ``backend`` store, checking its invariants after each, as hypothesis
+    does; returns the first handle."""
     machine = EngineVsReference()
-    machine.start(seed=0)
+    machine.start(seed=0, backend=backend)
     try:
         for name, argument in steps:
             getattr(machine, name)(argument)
@@ -171,30 +171,20 @@ def replay(steps):
 ZEROS = ("R0", (0, 0, 0))
 
 
-def test_replay_a_burst_under_a_tuple_window():
-    """The machine's shrunk finding on the engine from before a burst's window
-    expiry was judged against its first undrained sequence number (the fix
-    ``test_publish_batch_windows`` pins): one answer of the burst was lost.
-    """
+def tuple_window_burst():
     query = Query(
         select_items=(AttributeRef("R0", "a0"),),
         relations=("R0", "R1"),
         join_predicates=(join("R0.a0", "R1.a0"),),
         window=WindowSpec(size=5, mode="tuples"),
     )
-    steps = [("publish", ZEROS)] * 6 + [
+    return [("publish", ZEROS)] * 6 + [
         ("submit", query),
         ("publish_batch", [("R1", (0, 0, 0))] + [ZEROS] * 5),
     ]
-    assert len(replay(steps).values()) == 4
 
 
-def test_replay_a_burst_under_a_time_window():
-    """The same loss under a time window, which the machine found on the
-    engine that judged a rewritten query's window against the transport
-    clock: deliveries had moved it past the burst's publication time while
-    the tuple completing the query was still in flight.
-    """
+def time_window_burst():
     query = Query(
         select_items=(Constant(0),),
         relations=("R0", "R1", "R2", "R3"),
@@ -211,10 +201,33 @@ def test_replay_a_burst_under_a_time_window():
         ("R2", (1, 0, 0)),
         ("R0", (1, 0, 0)),
     ]
-    steps = [("publish", ZEROS)] * 15 + [
+    return [("publish", ZEROS)] * 15 + [
         ("publish_batch", [ZEROS] * 4),
         ("submit", query),
         ("publish_batch", [ZEROS, ("R1", (1, 0, 0))]),
         ("publish_batch", last_burst),
     ]
-    assert replay(steps).values() == [(0,)]
+
+
+def test_replay_a_burst_under_a_tuple_window():
+    """The machine's shrunk finding on the engine from before a burst's window
+    expiry was judged against its first undrained sequence number (the fix
+    ``test_publish_batch_windows`` pins): one answer of the burst was lost.
+    """
+    assert len(replay(tuple_window_burst()).values()) == 4
+
+
+def test_replay_a_burst_under_a_time_window():
+    """The same loss under a time window, which the machine found on the
+    engine that judged a rewritten query's window against the transport
+    clock: deliveries had moved it past the burst's publication time while
+    the tuple completing the query was still in flight.
+    """
+    assert replay(time_window_burst()).values() == [(0,)]
+
+
+def test_replay_both_bursts_on_the_sqlite_store():
+    """The same two bursts over the sqlite store, whose window expiry runs
+    as SQL rather than over in-memory lists."""
+    assert len(replay(tuple_window_burst(), backend="sqlite").values()) == 4
+    assert replay(time_window_burst(), backend="sqlite").values() == [(0,)]

@@ -49,6 +49,15 @@ class TestRateTracker:
         tracker.record("a")
         assert tracker.rate("a") == 1.0
 
+    def test_default_bound_is_the_engine_nodes_bound(self):
+        tracker = RateTracker()
+        assert tracker.max_keys == 65536
+        for i in range(65536 + 1):
+            tracker.record(f"k{i}")
+        assert len(tracker) == 65536
+        assert tracker.evicted_keys == 1
+        assert tracker.rate("k0") == 0.0
+
     def test_unbounded_by_default(self):
         tracker = RateTracker()
         for i in range(100):
