@@ -63,7 +63,9 @@ class RJoinConfig:
     tuple_gc_window:
         When every continuous query of the run uses the same sliding window,
         stored tuples older than this window can be garbage collected; an
-        experiment's generated queries all use it as their window.
+        experiment's generated queries all use it as their window.  ``submit``
+        refuses a query it does not cover (no window, the other mode, or a
+        larger size): the collected tuples would silently miss its answers.
     gc_every_tuples:
         How often (in published tuples) the engine sweeps stores for
         window-expired state.

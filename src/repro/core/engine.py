@@ -24,15 +24,17 @@ at any time through :attr:`traffic`, :attr:`loads` and
 
 from __future__ import annotations
 
+import gc
 import random
 import weakref
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from typing import (
     ContextManager,
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -93,6 +95,32 @@ _NODE_COUNTERS = (
     "arc_sends_direct",
     "arc_sends_misdirected",
 )
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body (or, as a decorator, each call) with CPython's cyclic
+    garbage collector switched off.
+
+    The engine's draining calls allocate stored rewritten queries that live
+    some hundred tuples (a window) and then die: too long for the young
+    generations, too briefly for the old one, so a collector left on keeps
+    re-scanning them.  What those calls make is acyclic -- reference
+    counting alone frees it, which ``tests/core/test_collector_pause.py``
+    holds -- so those scans find nothing.  The collector is process-wide:
+    if it is enabled this turns it off for the body and back on at the end,
+    also when the body raises; if the caller had already turned it off,
+    nothing changes, which also makes a nested entry a no-op.  A cycle made
+    inside the body is collected at the first collection after it.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class RJoinEngine:
@@ -261,6 +289,9 @@ class RJoinEngine:
             Address of the submitting node; a random node is used by default.
         window:
             Optional sliding-window specification overriding the query's own.
+            With ``tuple_gc_window`` set, the query's window must have that
+            mode and at most that size (:class:`QueryRegistrationError`
+            otherwise).
         process:
             Whether to drain the network immediately (deliver the indexing
             messages).  Batch callers can pass ``False`` and call
@@ -272,6 +303,19 @@ class RJoinEngine:
             parsed = query.validate(self.catalog if len(self.catalog) else None)
         if window is not None:
             parsed = parsed.with_window(window)
+        horizon = self.config.tuple_gc_window
+        own = parsed.window
+        if horizon is not None and (
+            own is None or own.mode != horizon.mode or own.size > horizon.size
+        ):
+            # The GC ticks drop every stored tuple older than the horizon, so
+            # a query that still needs one would silently lose its answers.
+            raise QueryRegistrationError(
+                f"tuple_gc_window ({horizon}) collects stored tuples older "
+                f"than itself; a query with {own or 'no window'} needs some "
+                "of them, so it must use a window of the same mode and at "
+                "most that size"
+            )
         if owner is None:
             owner = self._rng.choice(self.ring.addresses)
         elif owner not in self.nodes:
@@ -401,6 +445,7 @@ class RJoinEngine:
         """
         return self._publish(rows, publisher, process, "publish_batch")
 
+    @_collector_paused()
     def _publish(
         self,
         rows: Iterable[tuple],
@@ -541,6 +586,7 @@ class RJoinEngine:
     # ------------------------------------------------------------------
     # simulation control
     # ------------------------------------------------------------------
+    @_collector_paused()
     def run(self) -> int:
         """Deliver every pending message; returns the number of events processed.
 
@@ -557,6 +603,7 @@ class RJoinEngine:
             for op in ops:
                 self._apply_membership_op(op)
             processed += self.transport.drain()
+        self.churn.backpressure_escapes = self.transport.backpressure_escapes
         self._undrained_from = None
         return processed
 

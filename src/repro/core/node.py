@@ -184,16 +184,19 @@ class RJoinNode:
         #: when the handler returns, so it never outlives one invocation.
         self._answers: Dict[str, Dict[str, List[TupleT[Any, ...]]]] = {}
         # Dispatch ------------------------------------------------------------
-        #: Message type -> handler ``(message, delivered_at)``.
-        self._dispatch: Dict[type, Callable[[Any, float], None]] = {
-            NewTupleMessage: self._on_new_tuple,
-            EvalMessage: self._on_eval,
-            IndexQueryMessage: self._on_index_query,
-            RicRequestMessage: self._on_ric_request,
-            RicReplyMessage: self._on_ric_reply,
-            ArcNoticeMessage: self._on_arc_notice,
-            AnswerMessage: self._on_answer,
-            RetractQueryMessage: self._on_retract_query,
+        #: Message type -> handler ``(node, message, delivered_at)``.  The
+        #: handlers are the class's functions, not methods bound to this
+        #: node: a node holding its own bound methods would be a reference
+        #: cycle, which only the cyclic collector frees once it departs.
+        self._dispatch: Dict[type, Callable[[RJoinNode, Any, float], None]] = {
+            NewTupleMessage: RJoinNode._on_new_tuple,
+            EvalMessage: RJoinNode._on_eval,
+            IndexQueryMessage: RJoinNode._on_index_query,
+            RicRequestMessage: RJoinNode._on_ric_request,
+            RicReplyMessage: RJoinNode._on_ric_reply,
+            ArcNoticeMessage: RJoinNode._on_arc_notice,
+            AnswerMessage: RJoinNode._on_answer,
+            RetractQueryMessage: RJoinNode._on_retract_query,
         }
 
     # ------------------------------------------------------------------
@@ -224,7 +227,7 @@ class RJoinNode:
         if handler is None:
             return  # unknown kinds are silently ignored (forward compatibility)
         try:
-            handler(message, envelope.delivered_at)
+            handler(self, message, envelope.delivered_at)
         finally:
             # Also when the handler raised: what it produced before is sent,
             # and nothing is left over for the next delivery to inherit.

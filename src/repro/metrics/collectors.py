@@ -73,6 +73,11 @@ class ChurnStats:
     trigger_candidates_scanned: int = 0
     #: Extra subscribers served by shared-state answers.
     shared_state_fanout: int = 0
+    # Transport -------------------------------------------------------------
+    #: The transport's ``backpressure_escapes``, read at the end of every
+    #: ``RJoinEngine.run``: envelopes the ``asyncio`` runtime force-enqueued
+    #: past a full inbox (should stay 0 unless traffic is cyclic).
+    backpressure_escapes: int = 0
 
     def reset(self) -> None:
         """Zero every counter."""

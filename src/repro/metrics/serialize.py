@@ -22,13 +22,15 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v16: the config dict carries every engine field (``ExperimentConfig`` is
-#: an ``RJoinConfig`` plus its workload), and only those a run can set:
-#: no identifier width, ALTT retention, RIC window or RIC freshness, and
-#: churn schedules of rates and bounds alone.  Only this version loads:
+#: v17: the summary gained ``backpressure_escapes`` (the asyncio runtime's
+#: force-enqueues past a full inbox).  v16: the config dict carries every
+#: engine field (``ExperimentConfig`` is an ``RJoinConfig`` plus its
+#: workload), and only those a run can set: no identifier width, ALTT
+#: retention, RIC window or RIC freshness, and churn schedules of rates and
+#: bounds alone.  Only the current version loads:
 #: ``load_cells`` and ``report --diff`` refuse a file of any other one, and
 #: ``run`` recomputes its cell.
-RESULT_SCHEMA_VERSION = 16
+RESULT_SCHEMA_VERSION = 17
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
@@ -73,6 +75,7 @@ SUMMARY_SCHEMA: Tuple[str, ...] = (
     "queries_triggered",
     "trigger_candidates_scanned",
     "shared_state_fanout",
+    "backpressure_escapes",
     "ric_chains_started",
     "ric_questions_joined",
     "ric_questions_spared",

@@ -141,6 +141,11 @@ class Transport(ABC):
     #: break byte-identical reruns), wall-clock-enabled on concurrent ones.
     wall_clock_spans: bool = False
 
+    #: Envelopes force-enqueued past a full inbox once the backpressure
+    #: timeout ran out.  Only a runtime with bounded inboxes (``asyncio``)
+    #: counts any.
+    backpressure_escapes: int = 0
+
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
         self._heap: List[_HeapEntry] = []

@@ -92,18 +92,21 @@ class _Inbox:
         if len(self._items) >= self._capacity:
             self._writable.clear()
 
-    async def put(self, entry: _InFlight, timeout: float) -> None:
+    async def put(self, entry: _InFlight, timeout: float) -> bool:
         """Enqueue, awaiting capacity up to ``timeout`` seconds.
 
         On timeout the entry is enqueued anyway: losing backpressure is
-        recoverable, a distributed deadlock is not.
+        recoverable, a distributed deadlock is not.  Returns whether it was
+        (the escape hatch).
         """
         while len(self._items) >= self._capacity:
             try:
                 await asyncio.wait_for(self._writable.wait(), timeout)
             except asyncio.TimeoutError:
-                break
+                self.put_nowait(entry)
+                return True
         self.put_nowait(entry)
+        return False
 
     async def get(self) -> _InFlight:
         """Dequeue the oldest entry, awaiting one if the inbox is empty."""
@@ -153,6 +156,10 @@ class AsyncioTransport(Transport):
         self._live_messages = 0
         self._message_done = asyncio.Event()
         self._failure: Optional[BaseException] = None
+        #: Stays 0 unless traffic between full inboxes is cyclic.  Each
+        #: escape also leaves a ``TimeoutError`` traceback behind, the one
+        #: reference cycle a drain can make.
+        self.backpressure_escapes = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -263,7 +270,8 @@ class AsyncioTransport(Transport):
 
     async def _enqueue(self, entry: _InFlight) -> None:
         inbox = self._ensure_actor(entry.envelope.destination)
-        await inbox.put(entry, self._backpressure_timeout)
+        if await inbox.put(entry, self._backpressure_timeout):
+            self.backpressure_escapes += 1
 
     # ------------------------------------------------------------------
     # drain / shutdown

@@ -13,6 +13,7 @@ These tests check the paper's formal claims end to end on delay-free runs:
 
 from __future__ import annotations
 
+import random
 from typing import List
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.reference import ReferenceEngine
+from repro.errors import EngineError
 from repro.sql.ast import WindowSpec
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -161,6 +163,55 @@ class TestWindowedEquivalence:
         assert summary["current_storage"] < summary["total_storage"]
         for handle in handles:
             assert as_bag(handle.values()) == as_bag(reference.answers(handle.query_id))
+
+
+class TestGcHorizon:
+    """``tuple_gc_window`` collects stored tuples older than itself, so
+    ``submit`` accepts only the queries it covers: a window of its mode and
+    at most its size.  Any other query would lose answers without a word."""
+
+    HORIZON = WindowSpec(size=20, mode="tuples")
+    JOIN = "SELECT R.a, S.d FROM R, S WHERE R.b = S.c"
+
+    def engine(self) -> RJoinEngine:
+        engine = RJoinEngine(
+            RJoinConfig(num_nodes=16, seed=7, tuple_gc_window=self.HORIZON)
+        )
+        engine.register_relation("R", ["a", "b"])
+        engine.register_relation("S", ["c", "d"])
+        return engine
+
+    @pytest.mark.parametrize(
+        "window",
+        [None, WindowSpec(size=100, mode="tuples"), WindowSpec(size=20, mode="time")],
+        ids=["no-window", "larger", "other-mode"],
+    )
+    def test_uncovered_query_is_refused(self, window):
+        engine = self.engine()
+        query = self.JOIN if window is None else f"{self.JOIN} {window}"
+        with pytest.raises(EngineError, match="tuple_gc_window"):
+            engine.submit(query)
+        assert not engine.handles
+        assert engine.metrics_summary()["submitted_queries"] == 0.0
+
+    @pytest.mark.parametrize("size", [20, 8])
+    def test_covered_query_keeps_every_answer(self, size):
+        engine = self.engine()
+        reference = ReferenceEngine(engine.catalog)
+        handle = engine.submit(f"{self.JOIN} WINDOW {size} TUPLES")
+        reference.submit(
+            handle.query,
+            query_id=handle.query_id,
+            insertion_time=handle.insertion_time,
+        )
+        rng = random.Random(7)
+        for _ in range(300):
+            relation = rng.choice("RS")
+            values = (rng.randrange(10), rng.randrange(10))
+            reference.publish_tuple(engine.publish(relation, values))
+        assert engine.metrics_summary()["current_storage"] < 300
+        assert handle.count > 0
+        assert as_bag(handle.values()) == as_bag(reference.answers(handle.query_id))
 
 
 class TestDistinctEquivalence:

@@ -94,6 +94,30 @@ class TestStrategyBackendMatrix:
             engine.close()
 
 
+class TestBackpressureEscapes:
+    def test_an_answer_flood_never_force_enqueues(self):
+        """Engine traffic is not cyclic, so the bounded inboxes never need
+        the escape hatch, even when nearly every tuple makes answers."""
+        spec = WorkloadSpec(
+            num_relations=3,
+            attributes_per_relation=2,
+            value_domain=2,
+            join_arity=2,
+            seed=1301,
+        )
+        config = RJoinConfig(num_nodes=16, seed=13, runtime="asyncio")
+        engine, reference, handles = run_concurrent(
+            spec, num_queries=6, num_tuples=60, config=config
+        )
+        try:
+            assert_bags_match(handles, reference)
+            assert engine.total_answers > 500
+            assert engine.transport.backpressure_escapes == 0
+            assert engine.metrics_summary()["backpressure_escapes"] == 0.0
+        finally:
+            engine.close()
+
+
 class TestSimAsyncioEquivalence:
     """The two runtimes, fed the identical workload, agree bag-for-bag."""
 

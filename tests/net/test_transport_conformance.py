@@ -368,6 +368,28 @@ class TestBackpressure:
         assert runtime.pending_events == 0
         runtime.shutdown()
 
+    def test_a_traffic_cycle_between_full_inboxes_counts_its_escapes(self):
+        runtime = AsyncioTransport(inbox_capacity=1, backpressure_timeout=0.01)
+        delivered = []
+
+        def volley(env: Envelope) -> None:
+            # Each delivery sends two back: both actors end up awaiting
+            # room in the other's full inbox, which only the escape ends.
+            delivered.append(env)
+            if len(delivered) < 10:
+                target = "node-2" if env.destination == "node-1" else "node-1"
+                for _ in range(2):
+                    runtime.post(envelope(target, sender=env.destination), 0.5)
+
+        runtime.bind(volley)
+        assert runtime.backpressure_escapes == 0
+        runtime.post(envelope("node-1"), 1.0)
+        runtime.post(envelope("node-2"), 1.0)
+        runtime.drain()
+        assert runtime.pending_events == 0
+        assert runtime.backpressure_escapes > 0
+        runtime.shutdown()
+
     def test_inbox_capacity_is_validated(self):
         with pytest.raises(SimulationError, match="at least 1"):
             AsyncioTransport(inbox_capacity=0)
