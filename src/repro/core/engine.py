@@ -30,6 +30,7 @@ import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from typing import (
+    Any,
     ContextManager,
     Dict,
     Hashable,
@@ -37,6 +38,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NoReturn,
     Optional,
     Sequence,
     Union,
@@ -123,6 +125,11 @@ def _collector_paused() -> Iterator[None]:
         gc.enable()
 
 
+def _closed(*_args: Any) -> NoReturn:
+    """What a closed engine's nodes call instead of the engine."""
+    raise EngineError("the engine is closed")
+
+
 class RJoinEngine:
     """A simulated DHT network running the RJoin algorithm."""
 
@@ -138,14 +145,16 @@ class RJoinEngine:
 
         # Substrates -------------------------------------------------------
         self.space = IdentifierSpace(IDENTIFIER_BITS)
-        self.transport = make_transport(self.config.runtime)
+        # The clocks below close over the transport, not the engine, so they
+        # make no reference cycle through it.
+        transport = self.transport = make_transport(self.config.runtime)
         #: The tracing/metrics facade, or ``None`` when observability is off
         #: (the instrumented paths then compile down to a single None check).
         self.obs: Optional[Observability] = None
         if self.config.observability == "on":
             self.obs = Observability(
-                clock=lambda: self.transport.now,
-                wall_clock=self.transport.wall_clock_spans,
+                clock=lambda: transport.now,
+                wall_clock=transport.wall_clock_spans,
                 trace_path=self.config.trace_path,
             )
         self.traffic = TrafficStats()
@@ -174,7 +183,7 @@ class RJoinEngine:
             nodes=self.nodes,
             handles=self._handles,
             churn=self.churn,
-            clock=lambda: self.transport.now,
+            clock=lambda: transport.now,
             enabled=self.config.owner_failover,
         )
 
@@ -193,7 +202,7 @@ class RJoinEngine:
             loads=self.loads,
             catalog=self.catalog,
             rng=random.Random(self.config.seed + 2),
-            clock=lambda: self.transport.now,
+            clock=lambda: transport.now,
             sequence_clock=self._sequence_clock,
             time_clock=self._time_clock,
             rate_oracle=self._oracle_rate,
@@ -642,7 +651,12 @@ class RJoinEngine:
 
         Idempotent.  Closes every node's tuple store (sqlite connections,
         log files) and stops the runtime's actors/loop.  The engine must
-        not be used afterwards.
+        not be used afterwards; its handles and counters stay readable.  A
+        closed engine is no reference cycle, so dropping it frees it at
+        once: the messaging layer forgets its handlers (bound to the nodes)
+        and the transport its delivery callback, the query lifecycle (which
+        the nodes' context holds) forgets the nodes, and the context stops
+        calling back into the engine.
         """
         self.transport.shutdown()
         self._rewrites.clear()
@@ -650,6 +664,11 @@ class RJoinEngine:
             node.tuple_store.close()
         if self.obs is not None:
             self.obs.close()
+        self.api.close()
+        self.lifecycle.nodes = {}
+        context = self._context
+        context.sequence_clock = context.time_clock = _closed
+        context.rate_oracle = context.collect_answer = _closed
 
     def write_trace(self, path: str) -> int:
         """Dump the spans recorded so far as JSONL; returns the span count.

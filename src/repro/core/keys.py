@@ -43,10 +43,9 @@ class IndexKey:
     text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        text = f"{self.relation}{_SEPARATOR}{self.attribute}"
-        if self.value is not None:
-            text = f"{text}{_SEPARATOR}{self.value!r}"
-        object.__setattr__(self, "text", sys.intern(text))
+        object.__setattr__(
+            self, "text", _key_text(self.relation, self.attribute, self.value)
+        )
 
     # ------------------------------------------------------------------
     # properties
@@ -79,6 +78,33 @@ class IndexKey:
         if self.value is None:
             return f"{self.relation}.{self.attribute}"
         return f"{self.relation}.{self.attribute}={self.value!r}"
+
+
+def _key_text(relation: str, attribute: str, value: Optional[Any]) -> str:
+    """The interned :attr:`IndexKey.text` of a key with these fields."""
+    text = f"{relation}{_SEPARATOR}{attribute}"
+    if value is not None:
+        text = f"{text}{_SEPARATOR}{value!r}"
+    return sys.intern(text)
+
+
+_set_key_relation = IndexKey.__dict__["relation"].__set__
+_set_key_attribute = IndexKey.__dict__["attribute"].__set__
+_set_key_value = IndexKey.__dict__["value"].__set__
+_set_key_text = IndexKey.__dict__["text"].__set__
+
+
+def trusted_key(relation: str, attribute: str, value: Optional[Any]) -> IndexKey:
+    """``IndexKey(relation, attribute, value)``, built without the frozen
+    ``__init__``: for the value-level candidates of a rewritten query
+    (:meth:`~repro.core.strategy.CandidatePlan.apply`), whose fields are
+    parts of an already-valid query."""
+    key = object.__new__(IndexKey)
+    _set_key_relation(key, relation)
+    _set_key_attribute(key, attribute)
+    _set_key_value(key, value)
+    _set_key_text(key, _key_text(relation, attribute, value))
+    return key
 
 
 def attribute_key(relation: str, attribute: str) -> IndexKey:

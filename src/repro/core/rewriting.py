@@ -38,7 +38,15 @@ from repro.core.strategy import CandidatePlan
 from repro.data.schema import AttributeRef, RelationSchema
 from repro.data.tuples import Tuple
 from repro.errors import RewriteError, SchemaError
-from repro.sql.ast import Constant, JoinPredicate, Query, SelectionPredicate
+from repro.sql.ast import (
+    Constant,
+    JoinPredicate,
+    Query,
+    SelectionPredicate,
+    trusted_constant,
+    trusted_query,
+    trusted_selection,
+)
 from repro.sql.predicates import is_contradictory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -202,10 +210,12 @@ def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
     multi-query sharing stores one physical record for both, fanning answers
     out to every subscriber — when they agree on this key *and* their
     rewritten queries are equal.  The key is everything but the query:
-    insertion time, window state over the consumed tuples, input flag and
-    rewrite depth, four shallow hashes.  Under a window it holds the clocks of
-    the consumed tuples, so it already tells nearly all resident states
-    apart; the query table compares queries only among records that share it
+    insertion time, the window's ``min_clock`` and ``max_clock`` over the
+    consumed tuples (both None without a window), input flag and rewrite
+    depth — plain floats, ints and flags, so hashing it runs no Python code.
+    Under a window the clocks of the consumed tuples already tell nearly all
+    resident states apart; the query table compares queries only among
+    records that share the key
     (:meth:`~repro.core.query_table.QueryTable.find_share_host`).
 
     DISTINCT queries are not shared: they carry a mutating per-record
@@ -213,9 +223,13 @@ def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
     """
     if state.distinct:
         return None
+    window = state.window_state
+    if window is None:
+        return (state.insertion_time, None, None, state.is_input, state.consumed)
     return (
         state.insertion_time,
-        state.window_state,
+        window.min_clock,
+        window.max_clock,
         state.is_input,
         state.consumed,
     )
@@ -408,13 +422,15 @@ class TriggerPlan:
                 if value != vals[twin]:
                     return DEAD
             else:
-                selections.append(SelectionPredicate(other, value))
+                selections.append(trusted_selection(other, value))
         # The tuple's values enter the select list; its relation leaves FROM.
+        # Every part comes from ``query``, a valid query, so the child is
+        # built with the trusted constructors.
         return RewriteResult(
-            Query(
+            trusted_query(
                 tuple(
                     [
-                        item if position < 0 else Constant(vals[position])
+                        item if position < 0 else trusted_constant(vals[position])
                         for position, item in zip(self.fills, query.select_items)
                     ]
                 ),

@@ -31,7 +31,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from repro.core.keys import IndexKey, attribute_key
+from repro.core.keys import IndexKey, attribute_key, trusted_key
 from repro.data.schema import AttributeRef
 from repro.errors import ConfigurationError
 from repro.sql.ast import Query
@@ -138,7 +138,7 @@ class CandidatePlan:
                 stated[index].value != value for index in sources[1:]
             ):
                 continue  # contradictory constants imply nothing
-            keys.append(IndexKey(relation, attribute, value))
+            keys.append(trusted_key(relation, attribute, value))
         if self.dedupe:
             first_by_text: Dict[str, IndexKey] = {}
             for key in keys:

@@ -44,10 +44,23 @@ class WindowState:
 
     def extended_with(self, clock: float) -> "WindowState":
         """The state after also consuming a tuple with the given clock."""
-        return WindowState(
-            min_clock=min(self.min_clock, clock),
-            max_clock=max(self.max_clock, clock),
+        low, high = self.min_clock, self.max_clock
+        return trusted_window_state(
+            clock if clock < low else low, clock if clock > high else high
         )
+
+
+_set_min_clock = WindowState.__dict__["min_clock"].__set__
+_set_max_clock = WindowState.__dict__["max_clock"].__set__
+
+
+def trusted_window_state(min_clock: float, max_clock: float) -> WindowState:
+    """``WindowState(min_clock, max_clock)``, built without the frozen
+    ``__init__``."""
+    state = object.__new__(WindowState)
+    _set_min_clock(state, min_clock)
+    _set_max_clock(state, max_clock)
+    return state
 
 
 def initial_state(window: Optional[WindowSpec], tup: Tuple) -> Optional[WindowState]:
@@ -60,7 +73,7 @@ def initial_state(window: Optional[WindowSpec], tup: Tuple) -> Optional[WindowSt
     if window is None:
         return None
     clock = window.clock_of(tup)
-    return WindowState(min_clock=clock, max_clock=clock)
+    return trusted_window_state(clock, clock)
 
 
 def admits(

@@ -104,6 +104,16 @@ class DHTMessagingService:
         self._handlers.pop(address, None)
         self.transport.unregister_address(address)
 
+    def close(self) -> None:
+        """Forget every handler and unbind the transport's delivery callback.
+
+        The closing engine calls this: the handlers are bound to the nodes
+        and the callback to this service, so either link would keep a
+        reference cycle alive after the engine is dropped.
+        """
+        self._handlers.clear()
+        self.transport.bind(None)
+
     def redirect_in_flight(
         self,
         address: str,

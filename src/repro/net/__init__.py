@@ -9,8 +9,8 @@ This subpackage provides the node↔network boundary used for that purpose:
   runtimes extend: it owns the clock and the timer heap, with
   :func:`~repro.net.runtime.make_transport` as the registry factory,
 * :class:`~repro.net.simulator.SimulationKernel` — the ``sim`` runtime: the
-  deterministic discrete-event kernel, where a posted envelope is one more
-  heap event (the test/oracle harness),
+  deterministic discrete-event kernel, where a posted envelope is a bare
+  heap entry beside the timers (the test/oracle harness),
 * :class:`~repro.net.runtime_asyncio.AsyncioTransport` — the concurrent
   runtime: one actor task per address, bounded inboxes, backpressure,
 * :class:`~repro.net.messages.Message` / :class:`~repro.net.messages.Envelope`

@@ -8,8 +8,8 @@ callback and the shut-down state.  A runtime adds only how an envelope gets
 to its destination:
 
 * ``sim`` (:class:`~repro.net.simulator.SimulationKernel`) — the
-  discrete-event kernel: a posted envelope is one more heap event, so
-  messages and timers fire in one (time, insertion) order.  Fully
+  discrete-event kernel: a posted envelope is a bare heap entry beside the
+  timers, so messages and timers fire in one (time, insertion) order.  Fully
   deterministic; the test/oracle harness.
 * ``asyncio`` (:class:`~repro.net.runtime_asyncio.AsyncioTransport`) — a
   genuinely concurrent runtime where every registered address runs as an
@@ -45,7 +45,7 @@ import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.messages import Envelope
@@ -74,10 +74,11 @@ class _ScheduledEvent:
     fired: bool = False
 
 
-#: Heap entry: ``(time, sequence, event)``.  The sequence number is unique
+#: Heap entry: ``(time, sequence, event)``, or ``(time, sequence, envelope)``
+#: for a message the ``sim`` kernel delivers.  The sequence number is unique
 #: per transport, so entries order as plain tuples by time, then insertion,
 #: and the event itself is never compared.
-_HeapEntry = Tuple[float, int, _ScheduledEvent]
+_HeapEntry = Tuple[float, int, Union[_ScheduledEvent, Envelope]]
 
 
 class EventHandle:
@@ -159,8 +160,9 @@ class Transport(ABC):
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def bind(self, deliver: DeliverCallback) -> None:
-        """Install the delivery callback every posted envelope is handed to."""
+    def bind(self, deliver: Optional[DeliverCallback]) -> None:
+        """Install the delivery callback every posted envelope is handed to
+        (None: unbind it)."""
         self._deliver = deliver
 
     def register_address(self, address: str) -> None:
@@ -210,25 +212,29 @@ class Transport(ABC):
     ) -> _ScheduledEvent:
         """Queue ``callback(*args)`` at absolute logical ``time``, handle-less.
 
-        The one place the heap grows.  For events nobody cancels one by one
-        (``sim`` message deliveries: a crash takes them off with
-        ``extract_where``); :meth:`schedule_at` wraps the returned event in an
+        The one place timers join the heap (the ``sim`` kernel's ``post``
+        adds bare envelope entries beside them).  For events nobody cancels
+        one by one; :meth:`schedule_at` wraps the returned event in an
         :class:`EventHandle` for those somebody may.
         """
-        if self._closed:
-            raise SimulationError("transport is shut down; cannot schedule")
-        if not self._now <= time < _INF:  # also false for NaN
-            if math.isfinite(time):
-                raise SimulationError(
-                    f"cannot schedule an event in the past ({time} < {self._now})"
-                )
-            raise SimulationError(
-                f"cannot schedule an event at a non-finite time ({time})"
-            )
+        if self._closed or not self._now <= time < _INF:  # also true for NaN
+            raise self._refusal(time)
         event = _ScheduledEvent(time, callback, args)
         heapq.heappush(self._heap, (time, next(self._sequence), event))
         self._live_events += 1
         return event
+
+    def _refusal(self, time: float) -> SimulationError:
+        """Why nothing may be queued at ``time`` (shut down, past or not finite)."""
+        if self._closed:
+            return SimulationError("transport is shut down; cannot schedule")
+        if math.isfinite(time):
+            return SimulationError(
+                f"cannot schedule an event in the past ({time} < {self._now})"
+            )
+        return SimulationError(
+            f"cannot schedule an event at a non-finite time ({time})"
+        )
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -245,17 +251,29 @@ class Transport(ABC):
         return self.schedule_at(self._now + delay, callback, *args)
 
     def step(self) -> bool:
-        """Fire the next pending heap event; return False when none remain."""
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
+        """Fire the next pending heap entry; return False when none remain.
+
+        A bare envelope entry (what the ``sim`` kernel posts) goes straight
+        to the delivery callback.
+        """
+        heap = self._heap
+        while heap:
+            time, _, item = heapq.heappop(heap)
+            if isinstance(item, Envelope):
+                if time > self._now:
+                    self._now = time
+                self._events_processed += 1
+                self._live_events -= 1
+                self._deliver(item)  # type: ignore[misc]
+                return True
+            if item.cancelled:
                 continue
-            if event.time > self._now:
-                self._now = event.time
+            if time > self._now:
+                self._now = time
             self._events_processed += 1
             self._live_events -= 1
-            event.fired = True
-            event.callback(*event.args)
+            item.fired = True
+            item.callback(*item.args)
             return True
         return False
 

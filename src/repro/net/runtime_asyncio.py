@@ -196,12 +196,12 @@ class AsyncioTransport(Transport):
         messaging layer built it; actual delivery happens as soon as the
         destination actor gets scheduled.
         """
+        if self._closed:
+            raise SimulationError("transport is shut down; cannot post")
         if self._deliver is None:
             raise SimulationError(
                 "no delivery callback bound; call bind() before post()"
             )
-        if self._closed:
-            raise SimulationError("transport is shut down; cannot post")
         if delay < 0:
             raise SimulationError("delay must be non-negative")
         entry = _InFlight(envelope)

@@ -16,7 +16,12 @@ The supported query shape is the one used throughout the paper::
 
 Queries are immutable.  The rewriting step of RJoin (Section 3) produces a
 *new* :class:`Query` with one fewer relation; see
-:mod:`repro.core.rewriting`.
+:mod:`repro.core.rewriting`.  It builds its children with the *trusted*
+constructors beside the classes (:func:`trusted_query`,
+:func:`trusted_selection`, :func:`trusted_constant`): they set the slots of
+a fresh object directly and validate nothing, since every part comes from
+an already-valid parent.  The objects are the classes' own, frozen and
+equal to what the public constructors build from the same fields.
 """
 
 from __future__ import annotations
@@ -38,6 +43,16 @@ class Constant:
         if isinstance(self.value, str):
             return f"'{self.value}'"
         return str(self.value)
+
+
+_set_constant_value = Constant.__dict__["value"].__set__
+
+
+def trusted_constant(value: Any) -> Constant:
+    """``Constant(value)``, built without the frozen ``__init__``."""
+    constant = object.__new__(Constant)
+    _set_constant_value(constant, value)
+    return constant
 
 
 SelectItem = Union[AttributeRef, Constant]
@@ -108,6 +123,19 @@ class SelectionPredicate:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.attribute} = {Constant(self.value)}"
+
+
+_set_selection_attribute = SelectionPredicate.__dict__["attribute"].__set__
+_set_selection_value = SelectionPredicate.__dict__["value"].__set__
+
+
+def trusted_selection(attribute: AttributeRef, value: Any) -> SelectionPredicate:
+    """``SelectionPredicate(attribute, value)``, built without the frozen
+    ``__init__``."""
+    selection = object.__new__(SelectionPredicate)
+    _set_selection_attribute(selection, attribute)
+    _set_selection_value(selection, value)
+    return selection
 
 
 @dataclass(frozen=True)
@@ -317,3 +345,31 @@ class Query:
         from repro.sql.formatter import format_query
 
         return format_query(self)
+
+
+_set_query_select_items = Query.__dict__["select_items"].__set__
+_set_query_relations = Query.__dict__["relations"].__set__
+_set_query_join_predicates = Query.__dict__["join_predicates"].__set__
+_set_query_selection_predicates = Query.__dict__["selection_predicates"].__set__
+_set_query_distinct = Query.__dict__["distinct"].__set__
+_set_query_window = Query.__dict__["window"].__set__
+
+
+def trusted_query(
+    select_items: Tuple[SelectItem, ...],
+    relations: Tuple[str, ...],
+    join_predicates: Tuple[JoinPredicate, ...],
+    selection_predicates: Tuple[SelectionPredicate, ...],
+    distinct: bool,
+    window: Optional[WindowSpec],
+) -> Query:
+    """``Query(...)`` on fields that are tuples already and name each relation
+    once, built without ``__init__`` and its checks."""
+    query = object.__new__(Query)
+    _set_query_select_items(query, select_items)
+    _set_query_relations(query, relations)
+    _set_query_join_predicates(query, join_predicates)
+    _set_query_selection_predicates(query, selection_predicates)
+    _set_query_distinct(query, distinct)
+    _set_query_window(query, window)
+    return query

@@ -78,7 +78,7 @@ class TestCanonicalStateKey:
     def test_is_the_state_without_its_query(self):
         span = WindowState(3.0, 5.0)
         record = make_record("q", make_query(1), 2.0, span, consumed=1)
-        assert record.share_key == (2.0, span, False, 1)
+        assert record.share_key == (2.0, 3.0, 5.0, False, 1)
         other = make_record("p", make_query(2), 2.0, WindowState(3.0, 5.0), 1)
         assert other.share_key == record.share_key
 

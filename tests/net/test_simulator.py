@@ -1,9 +1,15 @@
 """Tests for the discrete-event simulation kernel."""
 
+import math
+
 import pytest
 
+from repro.core.config import RJoinConfig
+from repro.core.engine import RJoinEngine
+from repro.core.windows import WindowState
 from repro.errors import SimulationError
 from repro.net.messages import Envelope, Message
+from repro.net.runtime import _ScheduledEvent
 from repro.net.simulator import SimulationKernel
 
 
@@ -197,3 +203,118 @@ class TestHandleLessPush:
             kernel.post(envelope, -0.5)
         assert kernel.drain() == 1
         assert delivered == [envelope] and kernel.now == 6.5
+
+
+class TestEnvelopeEntries:
+    """A posted envelope is a bare heap entry among the timers."""
+
+    @staticmethod
+    def interleaved():
+        """A kernel holding envelopes to ``a`` and ``b`` and timers, mixed."""
+        kernel = SimulationKernel()
+        delivered = []
+        kernel.bind(delivered.append)
+        timers = []
+        to_a = []
+        posts = [(3.0, "a"), (1.0, "b"), (1.0, "a"), (2.0, "a"), (1.0, "a")]
+        posts += [(0.5, "b"), (2.0, "b")]
+        for index, (delay, destination) in enumerate(posts):
+            envelope = Envelope(Message(), "src", destination)
+            kernel.post(envelope, delay)
+            if destination == "a":
+                to_a.append((delay, index, envelope))
+            kernel.schedule_at(delay, timers.append, index)
+        return kernel, delivered, timers, [e for _, _, e in sorted(to_a)]
+
+    def test_extract_inbound_takes_one_address_in_time_then_post_order(self):
+        kernel, delivered, timers, to_a = self.interleaved()
+        assert kernel.pending_events == 14
+        extracted = kernel.extract_inbound("a")
+        assert extracted == to_a
+        assert [e.destination for e in extracted] == ["a"] * 4
+        assert kernel.pending_events == 14 - 4
+        assert kernel.extract_inbound("a") == []
+        assert kernel.drain() == 10
+        assert [e.destination for e in delivered] == ["b"] * 3
+        assert timers == [5, 1, 2, 4, 3, 6, 0]
+        assert kernel.pending_events == 0
+
+    def test_an_extracted_envelope_is_never_delivered(self):
+        kernel, delivered, _, to_a = self.interleaved()
+        kernel.extract_inbound("a")
+        kernel.drain()
+        assert not any(envelope in delivered for envelope in to_a)
+        assert kernel.events_processed == 10
+
+    def test_pending_shows_an_envelope_with_the_delivery_callback(self):
+        kernel, delivered, _, _ = self.interleaved()
+        envelopes = [
+            args for callback, args in kernel.pending() if callback == delivered.append
+        ]
+        assert len(envelopes) == 7
+        assert all(
+            len(args) == 1 and isinstance(args[0], Envelope) for args in envelopes
+        )
+
+    def test_post_refuses_an_unbound_or_shut_down_kernel(self):
+        envelope = Envelope(Message(), "a", "b")
+        kernel = SimulationKernel()
+        with pytest.raises(SimulationError, match="no delivery callback"):
+            kernel.post(envelope, 1.0)
+        kernel.bind(lambda envelope: None)
+        kernel.shutdown()
+        with pytest.raises(SimulationError, match="shut down"):
+            kernel.post(envelope, 1.0)
+        assert kernel.pending_events == 0
+
+    @pytest.mark.parametrize("delay", [math.inf, -math.inf, math.nan])
+    def test_post_refuses_a_non_finite_time(self, delay):
+        kernel = SimulationKernel()
+        kernel.bind(lambda envelope: None)
+        with pytest.raises(SimulationError, match="non-finite"):
+            kernel.post(Envelope(Message(), "a", "b"), delay)
+        assert kernel.pending_events == 0
+
+    def test_post_refuses_a_time_in_the_past(self):
+        kernel = SimulationKernel(start_time=5.0)
+        kernel.bind(lambda envelope: None)
+        with pytest.raises(SimulationError, match="in the past"):
+            kernel.post(Envelope(Message(), "a", "b"), -1e-9)
+        assert kernel.pending_events == 0
+
+
+class TestPerMessageObjects:
+    def test_a_seeded_run_builds_no_event_per_post_and_hashes_no_window(
+        self, monkeypatch
+    ):
+        """Deliveries build no ``_ScheduledEvent`` (only the one timer does),
+        and the sharing key of windowed, shared states hashes no
+        ``WindowState``."""
+        built = []
+        hashed = []
+        event_init = _ScheduledEvent.__init__
+        window_hash = WindowState.__hash__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            event_init(self, *args, **kwargs)
+
+        def counting_hash(self):
+            hashed.append(self)
+            return window_hash(self)
+
+        monkeypatch.setattr(_ScheduledEvent, "__init__", counting_init)
+        monkeypatch.setattr(WindowState, "__hash__", counting_hash)
+        engine = RJoinEngine(RJoinConfig(num_nodes=8, seed=7))
+        engine.register_relation("R", ["a", "b"])
+        engine.register_relation("S", ["c", "d"])
+        twin = "SELECT R.a, S.d FROM R, S WHERE R.b = S.c WINDOW 20 TUPLES"
+        handles = [engine.submit(twin), engine.submit(twin)]
+        engine.schedule_membership_op("join", delay=5.0)
+        for i in range(40):
+            engine.publish("RS"[i % 2], (i % 3, (i * 5) % 3))
+        engine.close()
+        assert engine.transport.events_processed > 300
+        assert len(built) == 1
+        assert hashed == []
+        assert sum(handle.count for handle in handles) > 0
