@@ -1,11 +1,12 @@
 """repro-lint: AST-based static analysis for the engine's own invariants.
 
 Generic linters cannot check what this reproduction relies on, and the
-three rules here check only that: the simulated core stays deterministic
-(``determinism-purity``), every protocol message is dispatched and charged
-to its sender (``protocol-completeness``), and library errors stay inside
-the :class:`~repro.errors.ReproError` hierarchy
-(``exception-discipline``).  Typing is mypy's job, style is ruff's::
+two rules here check only that: the simulated core stays deterministic
+(``determinism-purity``), and library errors stay inside the
+:class:`~repro.errors.ReproError` hierarchy (``exception-discipline``).
+Typing is mypy's job, style is ruff's.  The protocol is checked by running
+it: tier-1 holds the node's dispatch table to the declared messages and
+every posted envelope to the traffic it was charged::
 
     python -m repro.analysis check            # human output
     python -m repro.analysis check --format json

@@ -14,11 +14,9 @@ from typing import Tuple
 from repro.analysis.base import Rule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionDisciplineRule
-from repro.analysis.rules.protocol import ProtocolRule
 
 #: Every shipped rule, in report order.
 ALL_RULES: Tuple[Rule, ...] = (
     DeterminismRule(),
-    ProtocolRule(),
     ExceptionDisciplineRule(),
 )

@@ -183,21 +183,6 @@ class RJoinNode:
         #: query (in order of first answer); :meth:`handle_envelope` sends them
         #: when the handler returns, so it never outlives one invocation.
         self._answers: Dict[str, Dict[str, List[TupleT[Any, ...]]]] = {}
-        # Dispatch ------------------------------------------------------------
-        #: Message type -> handler ``(node, message, delivered_at)``.  The
-        #: handlers are the class's functions, not methods bound to this
-        #: node: a node holding its own bound methods would be a reference
-        #: cycle, which only the cyclic collector frees once it departs.
-        self._dispatch: Dict[type, Callable[[RJoinNode, Any, float], None]] = {
-            NewTupleMessage: RJoinNode._on_new_tuple,
-            EvalMessage: RJoinNode._on_eval,
-            IndexQueryMessage: RJoinNode._on_index_query,
-            RicRequestMessage: RJoinNode._on_ric_request,
-            RicReplyMessage: RJoinNode._on_ric_reply,
-            ArcNoticeMessage: RJoinNode._on_arc_notice,
-            AnswerMessage: RJoinNode._on_answer,
-            RetractQueryMessage: RJoinNode._on_retract_query,
-        }
 
     # ------------------------------------------------------------------
     # dispatch
@@ -211,6 +196,8 @@ class RJoinNode:
         answer names no identifier.)  A routed message was brought here by
         the ring itself, because its sender had no arc to send it on: that
         costs the sender one message, not every one (:meth:`_tell_arcs`).
+        A message kind :data:`DISPATCH` has no handler for raises
+        :class:`~repro.errors.EngineError`: every kind is the engine's own.
         """
         message = envelope.message
         identifier = envelope.target_identifier
@@ -223,9 +210,9 @@ class RJoinNode:
             elif self._keeps_arcs and envelope.sender != self.address:
                 # Its sender knew no arc for it, and is told.
                 self._tell_arcs(envelope, self.ctx.api.ring.arc_of(self.address))
-        handler = self._dispatch.get(type(message))
+        handler = DISPATCH.get(type(message))
         if handler is None:
-            return  # unknown kinds are silently ignored (forward compatibility)
+            raise EngineError(f"no handler for message kind {message.kind}")
         try:
             handler(self, message, envelope.delivered_at)
         finally:
@@ -1156,3 +1143,19 @@ class RJoinNode:
             f"RJoinNode({self.address}, input={self.stored_input_queries}, "
             f"rewritten={self.stored_rewritten_queries}, tuples={self.stored_tuples})"
         )
+
+
+#: Message class -> handler ``(node, message, delivered_at)``, one table for
+#: every node.  The handlers are the class's functions, not methods bound to
+#: a node: a node holding its own bound methods would be a reference cycle,
+#: which only the cyclic collector frees once it departs.
+DISPATCH: Dict[type, Callable[[RJoinNode, Any, float], None]] = {
+    NewTupleMessage: RJoinNode._on_new_tuple,
+    EvalMessage: RJoinNode._on_eval,
+    IndexQueryMessage: RJoinNode._on_index_query,
+    RicRequestMessage: RJoinNode._on_ric_request,
+    RicReplyMessage: RJoinNode._on_ric_reply,
+    ArcNoticeMessage: RJoinNode._on_arc_notice,
+    AnswerMessage: RJoinNode._on_answer,
+    RetractQueryMessage: RJoinNode._on_retract_query,
+}

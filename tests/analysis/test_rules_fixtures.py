@@ -159,25 +159,6 @@ class TestDeterminismPurity:
         assert report.ok, messages(report.findings)
 
 
-class TestProtocolCompleteness:
-    def test_seeded_violations_fire(self):
-        report = run_fixture("protocol", "protocol-completeness")
-        assert not report.ok
-        assert len(report.findings) == 3
-        joined = "\n".join(messages(report.findings))
-        assert "UnroutedMessage has no dispatch arm" in joined
-        assert "UnsentMessage is never constructed" in joined
-        assert "GhostMessage" in joined and "not a declared Message" in joined
-
-    def test_compliant_message_stays_silent(self):
-        report = run_fixture("protocol", "protocol-completeness")
-        assert "HandledMessage" not in "\n".join(messages(report.findings))
-
-    def test_a_message_handed_to_a_relay_of_a_primitive_is_accounted(self):
-        report = run_fixture("protocol", "protocol-completeness")
-        assert "RelayedMessage" not in "\n".join(messages(report.findings))
-
-
 class TestExceptionDiscipline:
     def test_seeded_violations_fire(self):
         report = run_fixture("exceptions", "exception-discipline")

@@ -13,7 +13,9 @@ so after every step:
   published tuples (Theorems 1 and 2: sound, complete, no accidental
   duplicates); for a ``DISTINCT`` query, its value set;
 * the engine is quiescent: no RIC round trip pending or waited on, no
-  buffered answers on any node, no event left on the kernel.
+  buffered answers on any node, no event left on the kernel;
+* every transmission is charged: Σ ``weight × hops`` over the envelopes
+  handed to the transport equals the traffic stats' total (Section 8).
 
 Tier-1 runs a small budget.  ``--hypothesis-profile generator`` (registered
 in ``tests/conftest.py``) runs the same machine for longer.
@@ -37,6 +39,7 @@ from repro.core.reference import ReferenceEngine
 from repro.data.schema import AttributeRef
 from repro.sql.ast import Constant, JoinPredicate, Query, WindowSpec
 from tests.core.test_properties import _plan_cases, _plan_catalog, _plan_values
+from tests.traffic import PostedTraffic
 
 #: At most this many live queries: enough for shared state and RIC traffic
 #: between queries, few enough to keep a step cheap.
@@ -66,6 +69,7 @@ class EngineVsReference(RuleBasedStateMachine):
             ),
             catalog=_plan_catalog,
         )
+        self.posted = PostedTraffic(self.engine.transport)
         self.reference = ReferenceEngine(_plan_catalog)
         self.live = []
         self.handles = []
@@ -132,6 +136,10 @@ class EngineVsReference(RuleBasedStateMachine):
             assert not node._ric_waiters, node.address
             assert not node._answers, node.address
 
+    @invariant()
+    def every_transmission_is_charged(self):
+        self.posted.assert_conserved(self.engine.traffic)
+
 
 #: The tier-1 budget (about 9 s on a 2-CPU x86 container); a loaded
 #: ``generator`` profile replaces it.
@@ -163,6 +171,7 @@ def replay(steps, backend="memory"):
             getattr(machine, name)(argument)
             machine.every_bag_equals_the_oracle()
             machine.nothing_is_left_in_flight()
+            machine.every_transmission_is_charged()
         return machine.handles[0]
     finally:
         machine.teardown()

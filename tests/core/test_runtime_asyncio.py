@@ -21,6 +21,7 @@ from repro.core.reference import ReferenceEngine
 from repro.data.backends import BACKEND_NAMES
 from repro.errors import EngineError, SimulationError
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
+from tests.traffic import PostedTraffic
 
 pytestmark = pytest.mark.hard_timeout(300)
 
@@ -202,7 +203,8 @@ class TestSimAsyncioEquivalence:
     def test_scheduled_churn_same_bags_and_counters(self):
         # Same scheduled join + graceful leave on both runtimes: same seed
         # picks the same ring positions and victims, graceful hand-offs lose
-        # nothing, so bags AND churn counters must agree exactly.
+        # nothing, so bags AND churn counters must agree exactly.  On each,
+        # every posted envelope is charged and every charge posted.
         spec = WorkloadSpec(
             num_relations=4,
             attributes_per_relation=3,
@@ -217,12 +219,14 @@ class TestSimAsyncioEquivalence:
         for runtime in ("sim", "asyncio"):
             config = RJoinConfig(num_nodes=16, seed=14, runtime=runtime)
             engine = RJoinEngine(config)
+            posted = PostedTraffic(engine.transport)
             engine.register_catalog(self.generator.catalog)
             handles = [engine.submit(query) for query in queries]
             engine.schedule_membership_op("join", delay=0.5)
             engine.schedule_membership_op("leave", delay=1.5)
             for generated in tuples:
                 engine.publish(generated.relation, generated.values)
+            posted.assert_conserved(engine.traffic)
             engines[runtime] = (engine, handles)
         sim_engine, sim_handles = engines["sim"]
         conc_engine, conc_handles = engines["asyncio"]

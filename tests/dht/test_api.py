@@ -15,6 +15,7 @@ from repro.net.simulator import SimulationKernel
 from repro.net.stats import TrafficStats
 from repro.obs.context import Observability
 from repro.obs.trace import TraceContext
+from tests.traffic import PostedTraffic
 
 
 @dataclass
@@ -179,6 +180,51 @@ class TestSendDirectAccounting:
         assert traffic.per_node() == reference.per_node()
         assert traffic.snapshot() == reference.snapshot()
         assert traffic.node(destination).total == 0
+
+
+def _send(ring, api):
+    owner = ring.node_by_address(ring.addresses[5])
+    api.send(ring.addresses[0], Ping(), owner.node_id)
+
+
+def _multi_send(ring, api):
+    sender = ring.node_by_address(ring.addresses[0])
+    # Five routed keys and the sender's own identifier, which costs no hop.
+    identifiers = [ring.space.hash_key(f"k{i}") for i in range(5)]
+    identifiers.append(sender.node_id)
+    api.multi_send(sender.address, [Ping() for _ in identifiers], identifiers)
+
+
+def _send_direct(ring, api):
+    api.send_direct(ring.addresses[0], Ping(), ring.addresses[5], weight=3)
+
+
+def _send_direct_to_self(ring, api):
+    api.send_direct(ring.addresses[0], Ping(), ring.addresses[0], weight=3)
+
+
+@pytest.mark.parametrize(
+    "primitive, free",
+    [
+        (_send, False),
+        (_multi_send, False),
+        (_send_direct, False),
+        (_send_direct_to_self, True),
+    ],
+    ids=["send", "multi_send", "send_direct", "send_direct_to_self"],
+)
+def test_each_primitive_charges_weight_times_hops_of_what_it_posts(
+    setup, primitive, free
+):
+    """Section 8's rule at the layer that implements it: the traffic charged
+    is Σ ``weight × hops`` over the envelopes handed to the transport."""
+    ring, kernel, traffic, api, received = setup
+    posted = PostedTraffic(kernel)
+    primitive(ring, api)
+    kernel.drain()
+    assert received
+    posted.assert_conserved(traffic)
+    assert (traffic.total_messages == 0) is free
 
 
 class CountingRandom(random.Random):
