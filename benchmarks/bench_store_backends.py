@@ -12,7 +12,7 @@ operations per second:
   prefix), and the metric keeps its name so the committed baseline still
   compares,
 * ``window_gc`` — ``remove_published_before`` ticks interleaved with fresh
-  writes, the window-churn pressure pattern,
+  writes, the sliding-window GC pressure pattern,
 * ``rehome`` — ``remove_key`` + replay into a fresh store of the same kind,
   the membership re-homing round trip.
 

@@ -2,13 +2,14 @@
 
 * :mod:`repro.experiments.config` — experiment parameters: the engine's
   :class:`~repro.core.config.RJoinConfig` plus the workload and checkpoints,
-  with the paper-scale and the reduced default-scale presets,
+  and the one rule (``ExperimentConfig.paper_scale``) that takes a
+  default-scale configuration to the paper's sizes,
 * :mod:`repro.experiments.runner` — runs one experiment end to end on the
   RJoin engine and collects every metric series the figures need,
 * :mod:`repro.experiments.scenarios` — the declarative scenario registry:
   named, parameterized experiment grids (``baseline``, ``skew-sweep``,
-  ``window-churn``, ``bursty``, ``query-flood``, ``hot-key``, plus one
-  scenario per paper figure),
+  ``bursty``, ``query-flood``, ``hot-key`` and the other exploratory
+  scenarios, plus one scenario per paper figure),
 * :mod:`repro.experiments.parallel` — the multiprocessing grid runner with
   per-cell JSON checkpointing, resume and mean/stddev aggregation,
 * :mod:`repro.experiments.cli` — the ``python -m repro.experiments``

@@ -6,7 +6,9 @@ benchmark-friendly time, so every figure uses a *reduced default scale* that
 preserves the qualitative shapes (who wins, monotonicity, distribution
 patterns) and can be switched to the paper scale by setting the environment
 variable ``REPRO_FULL_SCALE=1`` (or by passing explicit overrides to
-:func:`repro.experiments.figures.figure`).  Every result file records the
+:func:`repro.experiments.figures.figure`).  One rule,
+:meth:`ExperimentConfig.paper_scale`, takes every scenario's default base to
+the paper's sizes.  Every result file records the
 full configuration, scale included, that produced it
 (:mod:`repro.metrics.serialize`).
 """
@@ -209,13 +211,12 @@ class ExperimentConfig(RJoinConfig):
             )
         return replace(self, **overrides)
 
-    @classmethod
-    def paper_scale(cls, **overrides) -> "ExperimentConfig":
-        """The sizes used by the paper (10³ nodes, 2·10⁴ queries)."""
-        config = cls(
-            name="paper-scale",
+    def paper_scale(self) -> "ExperimentConfig":
+        """This configuration at the paper's sizes: 10³ nodes, 2·10⁴ queries
+        and 10³ tuples, after 200 warm-up tuples if this one warms up."""
+        return self.with_overrides(
             num_nodes=1000,
             num_queries=20000,
             num_tuples=1000,
+            warmup_tuples=200 if self.warmup_tuples else 0,
         )
-        return config.with_overrides(**overrides) if overrides else config

@@ -11,11 +11,11 @@ runner (``repro.experiments.parallel``) and the CLI
 
 Two groups of scenarios ship by default:
 
-* the exploratory grid of the ROADMAP — ``baseline``, ``skew-sweep``,
-  ``window-churn``, ``bursty``, ``query-flood``, ``hot-key``, ``node-churn``,
-  ``query-churn``, ``owner-failover``, ``latency`` and ``store-backends`` —
-  stressing the system along axes the paper's Section 8 only touches
-  implicitly, and
+* the exploratory grid — ``baseline``, ``skew-sweep``, ``bursty``,
+  ``query-flood``, ``hot-key``, ``node-churn``, ``query-churn``,
+  ``owner-failover``, ``latency`` and ``store-backends`` — stressing the
+  system along axes the paper's Section 8 only touches implicitly, each
+  with a claim ``tests/experiments/test_scenario_claims.py`` checks, and
 * one scenario per paper figure (``fig2`` … ``fig9``), which
   :func:`repro.experiments.figures.figure` runs and reads its series from.
 
@@ -78,18 +78,20 @@ class Scenario:
     axis: str
     default_base: ExperimentConfig
     default_variants: Tuple[Variant, ...]
-    paper_base: Optional[ExperimentConfig] = None
     paper_variants: Optional[Tuple[Variant, ...]] = None
     strategies: Tuple[str, ...] = ("rjoin",)
     seeds: Tuple[int, ...] = (41, 42, 43)
 
     def base(self, full_scale: Optional[bool] = None) -> ExperimentConfig:
-        """The scenario's base configuration at the requested scale."""
+        """The scenario's base configuration at the requested scale.
+
+        At paper scale it is ``default_base.paper_scale()``: one rule sets
+        the paper's sizes; what a scenario needs beyond them is in its
+        ``paper_variants``.
+        """
         if full_scale is None:
             full_scale = is_full_scale()
-        if full_scale and self.paper_base is not None:
-            return self.paper_base
-        return self.default_base
+        return self.default_base.paper_scale() if full_scale else self.default_base
 
     def variants(self, full_scale: Optional[bool] = None) -> Tuple[Variant, ...]:
         """The swept variants at the requested scale."""
@@ -237,14 +239,12 @@ register(
         ),
         axis="strategy",
         default_base=ExperimentConfig(
-            name="baseline",
             num_nodes=60,
             num_queries=150,
             num_tuples=80,
             warmup_tuples=20,
         ),
         default_variants=(Variant(label="default"),),
-        paper_base=ExperimentConfig.paper_scale(name="baseline"),
         strategies=("worst", "random", "rjoin", "first"),
     )
 )
@@ -258,34 +258,12 @@ register(
         ),
         axis="zipf_theta",
         default_base=ExperimentConfig(
-            name="skew-sweep",
             num_nodes=60,
             num_queries=120,
             num_tuples=80,
             warmup_tuples=20,
         ),
         default_variants=sweep("zipf_theta", (0.0, 0.3, 0.6, 0.9, 1.2), label="theta"),
-        paper_base=ExperimentConfig.paper_scale(name="skew-sweep"),
-    )
-)
-
-register(
-    Scenario(
-        name="window-churn",
-        description=(
-            "Sliding windows of shrinking size over a long tuple stream: "
-            "garbage-collection pressure and storage churn."
-        ),
-        axis="window",
-        default_base=ExperimentConfig(
-            name="window-churn",
-            num_nodes=60,
-            num_queries=100,
-            num_tuples=120,
-            warmup_tuples=20,
-        ),
-        default_variants=window_sweep((10, 25, 50, 100)),
-        paper_base=ExperimentConfig.paper_scale(name="window-churn"),
     )
 )
 
@@ -298,14 +276,12 @@ register(
         ),
         axis="batch_size",
         default_base=ExperimentConfig(
-            name="bursty",
             num_nodes=60,
             num_queries=120,
             num_tuples=120,
             warmup_tuples=20,
         ),
         default_variants=sweep("batch_size", (5, 20, 50)),
-        paper_base=ExperimentConfig.paper_scale(name="bursty"),
     )
 )
 
@@ -318,14 +294,12 @@ register(
         ),
         axis="num_queries",
         default_base=ExperimentConfig(
-            name="query-flood",
             num_nodes=60,
             num_queries=200,
             num_tuples=20,
             warmup_tuples=10,
         ),
         default_variants=sweep("num_queries", (200, 400, 800)),
-        paper_base=ExperimentConfig.paper_scale(name="query-flood"),
         # Million-query matching: the full-scale sweep pushes the resident
         # population to 10⁵–10⁶ queries — feasible only because the
         # predicate-aware query index keeps per-arrival matching sublinear
@@ -343,7 +317,6 @@ register(
         ),
         axis="hot_key_fraction",
         default_base=ExperimentConfig(
-            name="hot-key",
             num_nodes=60,
             num_queries=120,
             num_tuples=80,
@@ -351,11 +324,26 @@ register(
             hot_value_count=2,
         ),
         default_variants=sweep("hot_key_fraction", (0.0, 0.25, 0.5, 0.9), label="hot"),
-        paper_base=ExperimentConfig.paper_scale(
-            name="hot-key", hot_value_count=2
-        ),
     )
 )
+
+
+def _membership_variants(
+    join: int, leave: int, crash: int, mixed: Tuple[int, int, int]
+) -> Tuple[Variant, ...]:
+    """A static ring, each membership change alone, then all three mixed."""
+    schedules = {
+        "stable": None,
+        "join": ChurnSpec(join_every=join),
+        "leave": ChurnSpec(leave_every=leave),
+        "crash": ChurnSpec(crash_every=crash),
+        "mixed": ChurnSpec(*mixed),
+    }
+    return tuple(
+        Variant(label=label, overrides={"churn": churn})
+        for label, churn in schedules.items()
+    )
+
 
 register(
     Scenario(
@@ -367,59 +355,13 @@ register(
         ),
         axis="churn",
         default_base=ExperimentConfig(
-            name="node-churn",
             num_nodes=40,
             num_queries=100,
             num_tuples=100,
             warmup_tuples=20,
         ),
-        default_variants=(
-            Variant(label="stable", overrides={"churn": None}),
-            Variant(
-                label="join",
-                overrides={"churn": ChurnSpec(join_every=20)},
-            ),
-            Variant(
-                label="leave",
-                overrides={"churn": ChurnSpec(leave_every=20)},
-            ),
-            Variant(
-                label="crash",
-                overrides={"churn": ChurnSpec(crash_every=25)},
-            ),
-            Variant(
-                label="mixed",
-                overrides={
-                    "churn": ChurnSpec(
-                        join_every=20, leave_every=30, crash_every=50
-                    )
-                },
-            ),
-        ),
-        paper_base=ExperimentConfig.paper_scale(name="node-churn"),
-        paper_variants=(
-            Variant(label="stable", overrides={"churn": None}),
-            Variant(
-                label="join",
-                overrides={"churn": ChurnSpec(join_every=50)},
-            ),
-            Variant(
-                label="leave",
-                overrides={"churn": ChurnSpec(leave_every=50)},
-            ),
-            Variant(
-                label="crash",
-                overrides={"churn": ChurnSpec(crash_every=100)},
-            ),
-            Variant(
-                label="mixed",
-                overrides={
-                    "churn": ChurnSpec(
-                        join_every=50, leave_every=75, crash_every=150
-                    )
-                },
-            ),
-        ),
+        default_variants=_membership_variants(20, 20, 25, mixed=(20, 30, 50)),
+        paper_variants=_membership_variants(50, 50, 100, mixed=(50, 75, 150)),
     )
 )
 
@@ -434,7 +376,6 @@ register(
         ),
         axis="query_churn",
         default_base=ExperimentConfig(
-            name="query-churn",
             num_nodes=40,
             num_queries=60,
             num_tuples=100,
@@ -462,7 +403,6 @@ register(
                 },
             ),
         ),
-        paper_base=ExperimentConfig.paper_scale(name="query-churn"),
         paper_variants=(
             Variant(label="stable", overrides={"query_churn": None}),
             Variant(
@@ -507,6 +447,15 @@ register(
     )
 )
 
+
+def _failover_variants(churn: ChurnSpec) -> Tuple[Variant, ...]:
+    """With and without owner failover, under one crash schedule."""
+    return tuple(
+        Variant(label=label, overrides={"owner_failover": on, "churn": churn})
+        for label, on in (("failover", True), ("no-failover", False))
+    )
+
+
 register(
     Scenario(
         name="owner-failover",
@@ -519,23 +468,13 @@ register(
         ),
         axis="owner_failover",
         default_base=ExperimentConfig(
-            name="owner-failover",
             num_nodes=40,
             num_queries=80,
             num_tuples=100,
             warmup_tuples=20,
-            churn=ChurnSpec(crash_every=25, min_nodes=8),
         ),
-        default_variants=(
-            Variant(label="failover", overrides={"owner_failover": True}),
-            Variant(
-                label="no-failover", overrides={"owner_failover": False}
-            ),
-        ),
-        paper_base=ExperimentConfig.paper_scale(
-            name="owner-failover",
-            churn=ChurnSpec(crash_every=100, min_nodes=100),
-        ),
+        default_variants=_failover_variants(ChurnSpec(crash_every=25, min_nodes=8)),
+        paper_variants=_failover_variants(ChurnSpec(crash_every=100, min_nodes=100)),
     )
 )
 
@@ -556,21 +495,19 @@ register(
     Scenario(
         name="store-backends",
         description=(
-            "window-churn-style GC pressure replayed across the pluggable "
+            "Sliding-window GC pressure replayed across the pluggable "
             "tuple-store backends (memory / sqlite): same "
             "workload, same sliding window, different storage engines — "
             "answers must be identical, storage and wall-clock differ."
         ),
         axis="store_backend",
         default_base=ExperimentConfig(
-            name="store-backends",
             num_nodes=60,
             num_queries=100,
             num_tuples=120,
             warmup_tuples=20,
         ),
         default_variants=_backend_variants(window_size=25),
-        paper_base=ExperimentConfig.paper_scale(name="store-backends"),
         paper_variants=_backend_variants(window_size=100),
     )
 )
@@ -585,7 +522,6 @@ register(
         ),
         axis="hop_delay/delay_jitter",
         default_base=ExperimentConfig(
-            name="latency",
             num_nodes=60,
             num_queries=120,
             num_tuples=80,
@@ -604,7 +540,6 @@ register(
                 overrides={"hop_delay": 1.0, "delay_jitter": 10.0},
             ),
         ),
-        paper_base=ExperimentConfig.paper_scale(name="latency"),
     )
 )
 
@@ -618,7 +553,6 @@ register(
         description="Effect of taking RIC information into account (Figure 2).",
         axis="strategy",
         default_base=ExperimentConfig(
-            name="fig2",
             num_nodes=50,
             num_queries=100,
             num_tuples=200,
@@ -626,13 +560,12 @@ register(
             warmup_tuples=60,
         ),
         default_variants=(Variant(label="default"),),
-        paper_base=ExperimentConfig(
-            name="fig2",
-            num_nodes=1000,
-            num_queries=20000,
-            num_tuples=400,
-            checkpoints=[50, 100, 200, 400],
-            warmup_tuples=200,
+        # The paper's Figure 2 reads 400 tuples at four checkpoints.
+        paper_variants=(
+            Variant(
+                label="default",
+                overrides={"num_tuples": 400, "checkpoints": [50, 100, 200, 400]},
+            ),
         ),
         strategies=("worst", "random", "rjoin"),
         seeds=(42,),
@@ -645,20 +578,12 @@ register(
         description="Effect of increasing the number of incoming tuples (Figure 3).",
         axis="num_tuples",
         default_base=ExperimentConfig(
-            name="fig3",
             num_nodes=100,
             num_queries=400,
             num_tuples=1,
             warmup_tuples=40,
         ),
         default_variants=sweep("num_tuples", (20, 40, 80, 160)),
-        paper_base=ExperimentConfig(
-            name="fig3",
-            num_nodes=1000,
-            num_queries=20000,
-            num_tuples=1,
-            warmup_tuples=200,
-        ),
         paper_variants=sweep("num_tuples", (40, 80, 160, 320, 640, 1280, 2560)),
         seeds=(42,),
     )
@@ -670,20 +595,12 @@ register(
         description="Effect of increasing the number of indexed queries (Figure 4).",
         axis="num_queries",
         default_base=ExperimentConfig(
-            name="fig4",
             num_nodes=100,
             num_queries=1,
             num_tuples=60,
             warmup_tuples=40,
         ),
         default_variants=sweep("num_queries", (100, 200, 400, 800)),
-        paper_base=ExperimentConfig(
-            name="fig4",
-            num_nodes=1000,
-            num_queries=1,
-            num_tuples=1000,
-            warmup_tuples=200,
-        ),
         paper_variants=sweep("num_queries", (2000, 4000, 8000, 16000, 32000)),
         seeds=(42,),
     )
@@ -695,20 +612,12 @@ register(
         description="Effect of skewed data (Figure 5).",
         axis="zipf_theta",
         default_base=ExperimentConfig(
-            name="fig5",
             num_nodes=100,
             num_queries=300,
             num_tuples=100,
             warmup_tuples=0,
         ),
         default_variants=sweep("zipf_theta", (0.3, 0.5, 0.7, 0.9), label="theta"),
-        paper_base=ExperimentConfig(
-            name="fig5",
-            num_nodes=1000,
-            num_queries=20000,
-            num_tuples=1000,
-            warmup_tuples=0,
-        ),
         seeds=(42,),
     )
 )
@@ -719,20 +628,12 @@ register(
         description="Effect of having more complex queries (Figure 6).",
         axis="join_arity",
         default_base=ExperimentConfig(
-            name="fig6",
             num_nodes=100,
             num_queries=200,
             num_tuples=80,
             warmup_tuples=40,
         ),
         default_variants=sweep("join_arity", (4, 6, 8)),
-        paper_base=ExperimentConfig(
-            name="fig6",
-            num_nodes=1000,
-            num_queries=20000,
-            num_tuples=1000,
-            warmup_tuples=200,
-        ),
         seeds=(42,),
     )
 )
@@ -743,20 +644,12 @@ register(
         description="Effect of the sliding window size (Figures 7 and 8).",
         axis="window",
         default_base=ExperimentConfig(
-            name="fig7",
             num_nodes=100,
             num_queries=250,
             num_tuples=200,
             warmup_tuples=40,
         ),
         default_variants=window_sweep((25, 50, 100, 200)),
-        paper_base=ExperimentConfig(
-            name="fig7",
-            num_nodes=1000,
-            num_queries=20000,
-            num_tuples=1000,
-            warmup_tuples=200,
-        ),
         paper_variants=window_sweep((50, 100, 200, 400, 1000)),
         seeds=(42,),
     )
@@ -768,7 +661,6 @@ register(
         description="Effect of id movement (Figure 9).",
         axis="id_movement",
         default_base=ExperimentConfig(
-            name="fig9",
             num_nodes=100,
             num_queries=300,
             num_tuples=150,
@@ -777,13 +669,6 @@ register(
         default_variants=(
             Variant(label="without", overrides={"id_movement": False}),
             Variant(label="with", overrides={"id_movement": True}),
-        ),
-        paper_base=ExperimentConfig(
-            name="fig9",
-            num_nodes=1000,
-            num_queries=20000,
-            num_tuples=1000,
-            warmup_tuples=200,
         ),
         seeds=(42,),
     )

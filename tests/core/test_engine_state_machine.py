@@ -5,8 +5,12 @@ or sqlite store backend, ``delay_jitter`` on, so deliveries overtake each
 other) through ``submit``, ``publish``, ``publish_batch``, ``remove_query``
 and ``tick``, with the queries of ``test_properties``' plan cases: chains
 and stars of up to four relations, with selections, ``DISTINCT``, and no
-window, a tuple window or a time window.  Every operation returns with the network drained,
-so after every step:
+window, a tuple window or a time window.  The engine collects garbage every
+two publications under no ``tuple_gc_window``, a tuple-window one or a
+time-window one; ``submit`` of a query that horizon does not cover must
+raise :class:`~repro.errors.QueryRegistrationError`, and the oracle never
+sees that query.  Every operation returns with the network drained, so
+after every step:
 
 * each handle's value bag — live or removed — equals what
   :class:`~repro.core.reference.ReferenceEngine` derives from the same
@@ -23,6 +27,7 @@ in ``tests/conftest.py``) runs the same machine for longer.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -37,6 +42,7 @@ from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.reference import ReferenceEngine
 from repro.data.schema import AttributeRef
+from repro.errors import QueryRegistrationError
 from repro.sql.ast import Constant, JoinPredicate, Query, WindowSpec
 from tests.core.test_properties import _plan_cases, _plan_catalog, _plan_values
 from tests.traffic import PostedTraffic
@@ -52,6 +58,15 @@ _rows = st.tuples(
 )
 
 
+#: The engine's garbage-collection horizon: none, or the widest tuple or
+#: time window of the plan cases, so collection runs right at its edge.
+GC_HORIZONS = (
+    None,
+    WindowSpec(size=5, mode="tuples"),
+    WindowSpec(size=3.0, mode="time"),
+)
+
+
 def as_bag(values):
     return sorted(repr(value) for value in values)
 
@@ -60,12 +75,20 @@ class EngineVsReference(RuleBasedStateMachine):
     """One engine and one oracle fed the same operations."""
 
     @initialize(
-        seed=st.integers(0, 3), backend=st.sampled_from(("memory", "sqlite"))
+        seed=st.integers(0, 3),
+        backend=st.sampled_from(("memory", "sqlite")),
+        horizon=st.sampled_from(GC_HORIZONS),
     )
-    def start(self, seed, backend="memory"):
+    def start(self, seed, backend="memory", horizon=None):
+        self.horizon = horizon
         self.engine = RJoinEngine(
             RJoinConfig(
-                num_nodes=8, seed=seed, delay_jitter=0.5, store_backend=backend
+                num_nodes=8,
+                seed=seed,
+                delay_jitter=0.5,
+                store_backend=backend,
+                tuple_gc_window=horizon,
+                gc_every_tuples=2,
             ),
             catalog=_plan_catalog,
         )
@@ -85,6 +108,13 @@ class EngineVsReference(RuleBasedStateMachine):
     @precondition(lambda self: len(self.live) < MAX_LIVE_QUERIES)
     @rule(query=_queries)
     def submit(self, query):
+        window, horizon = query.window, self.horizon
+        if horizon is not None and (
+            window is None or window.mode != horizon.mode or window.size > horizon.size
+        ):
+            with pytest.raises(QueryRegistrationError):
+                self.engine.submit(query)
+            return
         handle = self.engine.submit(query)
         self.reference.submit(
             query, query_id=handle.query_id, insertion_time=handle.insertion_time

@@ -24,7 +24,7 @@ ALTERNATIVE_BACKENDS = tuple(name for name in BACKEND_NAMES if name != "memory")
 
 
 def run_workload(backend: str, window: WindowSpec, seed: int = 11):
-    """One window-churn-style run (GC pressure on) on the given backend."""
+    """One sliding-window run (GC pressure on) on the given backend."""
     spec = WorkloadSpec(
         num_relations=4,
         attributes_per_relation=3,
@@ -67,7 +67,7 @@ class TestAnswerEquivalence:
     def test_backend_answers_match_memory_and_reference(
         self, backend, window_size
     ):
-        """The window-churn grid produces identical answers on every backend."""
+        """Every window size produces identical answers on every backend."""
         window = WindowSpec(size=float(window_size), mode="tuples")
         memory_engine, memory_ref, memory_handles = run_workload("memory", window)
         engine, reference, handles = run_workload(backend, window)

@@ -40,21 +40,23 @@ def setup():
 class TestSend:
     def test_send_reaches_owner(self, setup):
         ring, kernel, traffic, api, received = setup
-        identifier = ring.space.hash_key("some-key")
+        identifier = ring.space.hash_key("key-0")
         owner = ring.successor(identifier)
         api.send(ring.addresses[0], Ping(), identifier)
         kernel.drain()
         assert len(received) == 1
         address, envelope = received[0]
+        assert envelope.hops >= 2
         assert address == owner.address
         assert envelope.destination == owner.address
         assert envelope.hops == len(envelope.route) - 1
 
     def test_send_charges_each_transmitting_node(self, setup):
         ring, kernel, traffic, api, received = setup
-        identifier = ring.space.hash_key("k")
+        identifier = ring.space.hash_key("key-3")
         envelope = api.send(ring.addresses[0], Ping(), identifier)
         kernel.drain()
+        assert envelope.hops >= 2
         assert traffic.total_messages == envelope.hops
 
     def test_local_delivery_costs_nothing(self, setup):

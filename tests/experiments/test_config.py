@@ -66,9 +66,20 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentError, match="'nmu_nodes'.*num_nodes"):
             ExperimentConfig().with_overrides(nmu_nodes=4)
 
-    def test_presets(self):
-        assert ExperimentConfig.paper_scale().num_nodes == 1000
-        assert ExperimentConfig.paper_scale(num_tuples=5).num_tuples == 5
+    def test_paper_scale_sets_the_paper_sizes_and_keeps_the_rest(self):
+        config = ExperimentConfig(num_nodes=40, zipf_theta=0.5, warmup_tuples=20)
+        paper = config.paper_scale()
+        assert (paper.num_nodes, paper.num_queries, paper.num_tuples) == (
+            1000,
+            20000,
+            1000,
+        )
+        assert paper.warmup_tuples == 200
+        assert paper.zipf_theta == 0.5
+        assert config.num_nodes == 40
+
+    def test_paper_scale_warms_up_only_where_the_config_does(self):
+        assert ExperimentConfig(warmup_tuples=0).paper_scale().warmup_tuples == 0
 
     def test_is_full_scale_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)

@@ -10,14 +10,13 @@ from repro.experiments.scenarios import (
     get_scenario,
     scenario_names,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ChurnSpec, ExperimentConfig
 from repro.experiments.figures import FIGURES as FIGURE_SPECS
 from repro.sql.ast import WindowSpec
 
 EXPLORATORY = (
     "baseline",
     "skew-sweep",
-    "window-churn",
     "bursty",
     "query-flood",
     "hot-key",
@@ -91,17 +90,6 @@ class TestScenarioSemantics:
         for cell in scenario.cells(seeds=[1]):
             assert cell.config.batch_size in (5, 20, 50)
 
-    def test_window_churn_sets_sliding_windows(self):
-        scenario = get_scenario("window-churn")
-        sizes = sorted(
-            cell.config.tuple_gc_window.size for cell in scenario.cells(seeds=[1])
-        )
-        assert sizes == [10.0, 25.0, 50.0, 100.0]
-        assert all(
-            cell.config.tuple_gc_window.mode == "tuples"
-            for cell in scenario.cells(seeds=[1])
-        )
-
     def test_query_flood_has_more_queries_than_tuples(self):
         for cell in get_scenario("query-flood").cells(seeds=[1]):
             assert cell.config.num_queries >= 10 * cell.config.num_tuples
@@ -131,6 +119,26 @@ class TestScenarioSemantics:
         ]
         assert default_sweep == [20, 40, 80, 160]
         assert paper_sweep[-1] == 2560
+
+    def test_paper_scale_is_one_rule_over_the_default_base(self):
+        sizes = ("num_nodes", "num_queries", "num_tuples", "warmup_tuples")
+        for scenario in SCENARIOS.values():
+            default, paper = scenario.base(False), scenario.base(True)
+            unscaled = paper.with_overrides(**{f: getattr(default, f) for f in sizes})
+            assert unscaled == default, scenario.name
+            assert (paper.num_nodes, paper.num_queries, paper.num_tuples) == (
+                1000,
+                20000,
+                1000,
+            )
+            assert paper.warmup_tuples == (200 if default.warmup_tuples else 0)
+
+    def test_paper_exceptions_are_variants(self):
+        fig2 = get_scenario("fig2").cells(full_scale=True)[0]
+        assert fig2.config.num_tuples == 400
+        assert fig2.config.checkpoints == [50, 100, 200, 400]
+        for cell in get_scenario("owner-failover").cells(full_scale=True):
+            assert cell.config.churn == ChurnSpec(crash_every=100, min_nodes=100)
 
 
 class TestCustomScenario:

@@ -7,7 +7,6 @@ import pytest
 from repro.data.backends import BACKEND_NAMES
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import get_scenario
 from repro.metrics.serialize import (
     RESULT_SCHEMA_VERSION,
@@ -50,31 +49,3 @@ class TestScenario:
         cells = scenario.cells(seeds=[1, 2], full_scale=False)
         assert len(cells) == len(BACKEND_NAMES) * 2
         assert {cell.config.store_backend for cell in cells} == set(BACKEND_NAMES)
-
-
-class TestCrossBackendRuns:
-    def test_experiment_answers_identical_across_backends(self):
-        """A shrunken store-backends cell: every backend, same results."""
-        scenario = get_scenario("store-backends")
-        shrink = {
-            "num_nodes": 12,
-            "num_queries": 10,
-            "num_tuples": 30,
-            "warmup_tuples": 5,
-        }
-        summaries = {}
-        for variant in scenario.variants(full_scale=False):
-            config = scenario.config_for(
-                variant, strategy="rjoin", seed=3, overrides=shrink
-            )
-            result = run_experiment(config)
-            summaries[variant.label] = result
-        memory = summaries["memory"]
-        for backend, result in summaries.items():
-            assert result.answers == memory.answers, backend
-            assert result.summary["current_storage"] == (
-                memory.summary["current_storage"]
-            ), backend
-            assert result.ranked_storage_current == (
-                memory.ranked_storage_current
-            ), backend
