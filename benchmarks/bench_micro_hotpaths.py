@@ -165,7 +165,9 @@ def bench_altt_expire(params: Dict[str, int]) -> Dict[str, float]:
     schema = _schema()
     n = params["altt_tuples"]
     ticks = params["altt_ticks"]
-    table = AttributeLevelTupleTable(delta=1.0)
+    # The engine's ratio: Δ is four maximum transit times.
+    delta, max_transit = 1.0, 0.25
+    table = AttributeLevelTupleTable(delta=delta, max_transit=max_transit)
     for seq in range(n):
         key = f"R{_SEP}a{seq % 1024}"
         table.add(key, _make_tuple(schema, seq, float(seq)), now=float(seq))
@@ -174,7 +176,8 @@ def bench_altt_expire(params: Dict[str, int]) -> Dict[str, float]:
     def run() -> None:
         removed = 0
         for tick in range(1, ticks + 1):
-            removed += table.expire(now=tick * step + 1.0)
+            # Expiry cuts publication times below now - Δ - max_transit.
+            removed += table.expire(now=tick * step + delta + max_transit)
         assert removed == n, f"expected {n} expiries, got {removed}"
 
     return _timed("altt_expire", ticks, run)

@@ -6,7 +6,8 @@ The core package implements the recursive join algorithm of Sections 3–7:
 * :mod:`repro.core.rewriting` — incremental query rewriting (tuple ⨝ query),
 * :mod:`repro.core.windows` — sliding-window validity and garbage collection,
 * :mod:`repro.core.dedup` — DISTINCT / set-semantics projection tracking,
-* :mod:`repro.core.altt` — attribute-level tuple table (Section 4, Δ expiry),
+* :mod:`repro.core.altt` — attribute-level tuple table (Section 4): a
+  memory tuple store that keeps what a node received for Δ,
 * :mod:`repro.core.ric` — rate-of-incoming-tuples bookkeeping, candidate
   table and piggy-backing,
 * :mod:`repro.core.strategy` — indexing-candidate enumeration and the

@@ -6,9 +6,10 @@ generalises that machinery into a :class:`MembershipManager` that computes
 ownership deltas for *any* ring mutation (join, graceful leave, crash, id
 movement) and re-homes every kind of node-local state:
 
-* stored value-level tuples (:class:`~repro.data.store.TupleStore`),
-* attribute-level tuple-table entries
-  (:class:`~repro.core.altt.AttributeLevelTupleTable`),
+* stored value-level tuples (:class:`~repro.data.store.TupleStore`) and
+  attribute-level tuple-table entries
+  (:class:`~repro.core.altt.AttributeLevelTupleTable`, a ``TupleStore`` too):
+  both move as ``StoredTuple`` records, reception time included,
 * stored input and rewritten queries
   (:class:`~repro.core.node.QueryTable`),
 * replicated handle registrations of the query lifecycle subsystem
@@ -47,11 +48,8 @@ def estimate_item_bytes(item: "RehomedItem") -> int:
     size = len(item.key_text)
     payload = item.payload
     kind = item.kind
-    if kind == "tuple":
+    if kind in ("tuple", "altt"):
         size += len(repr(payload.tuple.values))
-    elif kind == "altt":
-        tup, _received_at = payload
-        size += len(repr(tup.values))
     elif kind in ("input", "rewritten"):
         size += len(repr(payload.state.query))
         # A shared record carries its extra subscribers' registrations too.

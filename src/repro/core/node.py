@@ -136,7 +136,15 @@ class RJoinNode:
         self.input_queries = QueryTable()
         self.rewritten_queries = QueryTable()
         self.tuple_store: StoreBackend = make_store(ctx.config.store_backend)
-        self.altt = AttributeLevelTupleTable(delta=ctx.altt_delta)
+        self.altt = AttributeLevelTupleTable(
+            ctx.altt_delta, ctx.api.max_transit_delay()
+        )
+        #: Both tuple stores by re-homing kind: each holds ``StoredTuple``
+        #: records, whose ``stored_at`` (the ALTT's reception time) moves too.
+        self._stores: Dict[str, StoreBackend] = {
+            "tuple": self.tuple_store,
+            "altt": self.altt,
+        }
         # RIC state ---------------------------------------------------------
         self.rates = RateTracker()
         self.candidate_table = CandidateTable()
@@ -320,9 +328,8 @@ class RJoinNode:
 
         ``tuples`` are of one relation (``schema``'s), in the order their
         source hands them out: publication order from
-        :meth:`_stored_tuples_for` (a key's store keeps it; the ALTT's extras
-        are sorted into it), reception order from the ALTT itself (an input
-        query's raced tuples).  Everything that is the same for all of them
+        :meth:`_stored_tuples_for` and from the ALTT (an input query's raced
+        tuples).  Everything that is the same for all of them
         — the state, the window bounds, the tracker, the plan, the sinks —
         is read once; per tuple remain the
         trigger conditions (published at or after the query's submission,
@@ -541,7 +548,6 @@ class RJoinNode:
                 extras.append(tup)
         if not extras:
             return tuples
-        extras.sort(key=lambda t: (t.pub_time, t.sequence))
         return list(
             heapq.merge(tuples, extras, key=lambda t: (t.pub_time, t.sequence))
         )
@@ -952,12 +958,11 @@ class RJoinNode:
         queries); its arcs stay, being about the ring.
         Returns the number of reclaimed records.
         """
-        tuples_dropped = self.tuple_store.remove_expired(
-            published_before=published_before
+        dropped = sum(
+            store.remove_expired(published_before=published_before)
+            for store in self._stores.values()
         )
-        altt_dropped = self.altt.remove_published_before(published_before)
-        cache_dropped = self.candidate_table.clear_entries()
-        return tuples_dropped + altt_dropped + cache_dropped
+        return dropped + self.candidate_table.clear_entries()
 
     # ------------------------------------------------------------------
     # sliding-window / storage garbage collection
@@ -1054,21 +1059,14 @@ class RJoinNode:
         _extract_table(self.input_queries, "input")
         _extract_table(self.rewritten_queries, "rewritten")
 
-        for key_text in list(self.tuple_store.keys()):
-            if not should_move(key_text):
-                continue
-            for record in self.tuple_store.remove_key(key_text):
-                items.append(
-                    RehomedItem(kind="tuple", key_text=key_text, payload=record)
-                )
-
-        for key_text in self.altt.keys():
-            if not should_move(key_text):
-                continue
-            for entry in self.altt.pop_key(key_text):
-                items.append(
-                    RehomedItem(kind="altt", key_text=key_text, payload=entry)
-                )
+        for kind, store in self._stores.items():
+            for key_text in list(store.keys()):
+                if not should_move(key_text):
+                    continue
+                for record in store.remove_key(key_text):
+                    items.append(
+                        RehomedItem(kind=kind, key_text=key_text, payload=record)
+                    )
         return items
 
     def forget_address(self, address: str) -> int:
@@ -1094,18 +1092,15 @@ class RJoinNode:
         A disk backend buffers the tuple records and lands them in one write
         transaction at its next flush.
         """
+        tables = {"input": self.input_queries, "rewritten": self.rewritten_queries}
+        stores = self._stores
         for item in items:
-            if item.kind == "input":
-                self.input_queries.add(item.key_text, item.payload)
-            elif item.kind == "rewritten":
-                self.rewritten_queries.add(item.key_text, item.payload)
-            elif item.kind == "tuple":
+            if item.kind in tables:
+                tables[item.kind].add(item.key_text, item.payload)
+            elif item.kind in stores:
                 record = item.payload
                 assert isinstance(record, StoredTuple)
-                self.tuple_store.add(item.key_text, record.tuple, record.stored_at)
-            elif item.kind == "altt":
-                tup, received_at = item.payload
-                self.altt.add(item.key_text, tup, received_at)
+                stores[item.kind].add(item.key_text, record.tuple, record.stored_at)
             elif item.kind == "registration":
                 self.registrations[item.key_text] = item.payload
             else:

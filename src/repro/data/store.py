@@ -3,8 +3,8 @@
 Every RJoin node stores tuples it receives *at the value level* so that
 rewritten queries arriving later can still be matched against them
 (Procedure 2 and 3 of the paper).  The attribute-level tuple table (ALTT) of
-Section 4 is a class of its own, keyed by reception time with an expiry
-(see :mod:`repro.core.altt`).
+Section 4 is this store too, with a record's ``stored_at`` as its reception
+time and a Δ lookup and expiry on top (see :mod:`repro.core.altt`).
 
 The store is a mapping ``indexing key -> list of stored tuples``.  Its size
 (``len(store)``) is the tuple half of a node's current storage load in the

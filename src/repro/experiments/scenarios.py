@@ -501,11 +501,13 @@ register(
             "answers must be identical, storage and wall-clock differ."
         ),
         axis="store_backend",
+        # A narrow domain, so the backends agree on hundreds of answers.
         default_base=ExperimentConfig(
             num_nodes=60,
             num_queries=100,
             num_tuples=120,
             warmup_tuples=20,
+            value_domain=10,
         ),
         default_variants=_backend_variants(window_size=25),
         paper_variants=_backend_variants(window_size=100),

@@ -26,11 +26,16 @@ class TestALTT:
         assert table.find("R.a", now=7.0) == []
 
     def test_explicit_expire_removes_entries(self):
-        table = AttributeLevelTupleTable(delta=5)
-        table.add("R.a", tup(1.0, 1), now=1.0)
-        table.add("R.a", tup(8.0, 2), now=8.0)
-        removed = table.expire(now=10.0)
-        assert removed == 1
+        # Expiry cuts on publication time, at now - Δ - max_transit.
+        table = AttributeLevelTupleTable(delta=5, max_transit=2)
+        table.add("R.a", tup(1.0, 1), now=3.0)
+        table.add("R.a", tup(4.0, 2), now=4.0)
+        # Received at 3.0, the first tuple is still within Δ of 8.0: a cut
+        # at now - Δ on publication time would lose it.
+        assert table.expire(now=8.0) == 0
+        assert len(table.find("R.a", now=8.0)) == 2
+        assert table.expire(now=8.5) == 1
+        assert [t.sequence for t in table.find("R.a", now=8.5)] == [2]
         assert len(table) == 1
 
     def test_infinite_delta_keeps_everything(self):

@@ -302,6 +302,50 @@ class TestDelaysAndAltt:
         for handle in handles:
             assert as_bag(handle.values()) == as_bag(reference.answers(handle.query_id))
 
+    @pytest.mark.hard_timeout(60)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("runtime", ["sim", "asyncio"])
+    def test_a_tuple_that_races_past_its_query_still_triggers_it(self, runtime, seed):
+        """Section 4's lookup, needed: a query and a tuple in flight together.
+
+        The tuple can reach the attribute-level node before the input query
+        does, and then only the ALTT still holds it when the query arrives.
+        Without that lookup every seed here loses answers.
+        """
+        spec = WorkloadSpec(
+            num_relations=3,
+            attributes_per_relation=2,
+            value_domain=3,
+            join_arity=2,
+            seed=seed,
+        )
+        generator = WorkloadGenerator(spec)
+        engine = RJoinEngine(RJoinConfig(num_nodes=16, seed=seed, runtime=runtime))
+        try:
+            engine.register_catalog(generator.catalog)
+            reference = ReferenceEngine(generator.catalog)
+            queries = generator.generate_queries(6)
+            handles = []
+            for index, generated in enumerate(generator.generate_tuples(40)):
+                if index % 5 == 0 and queries:
+                    query = queries.pop()
+                    # Left in flight: the publish below drains both together.
+                    handle = engine.submit(query, process=False)
+                    reference.submit(
+                        query,
+                        query_id=handle.query_id,
+                        insertion_time=handle.insertion_time,
+                    )
+                    handles.append(handle)
+                (tup,) = engine.publish_batch([(generated.relation, generated.values)])
+                reference.publish_tuple(tup)
+            assert sum(handle.count for handle in handles) > 0
+            for handle in handles:
+                expected = reference.answers(handle.query_id)
+                assert as_bag(handle.values()) == as_bag(expected)
+        finally:
+            engine.close()
+
 
 class TestAnswerMetadata:
     def test_answers_carry_producer_and_times(self, small_catalog):

@@ -348,18 +348,29 @@ class TestManagerAndItems:
     def test_altt_entries_keep_reception_time_across_rehoming(self):
         """A re-homed ALTT entry must keep its remaining Δ budget."""
         _, engine = build(queries=4, tuples=20)
-        donor = next(
-            node for node in engine.nodes.values() if len(node.altt) > 0
+        by_size = sorted(engine.nodes.values(), key=lambda node: len(node.altt))
+        heir, donor = by_size[0], by_size[-1]
+        assert len(donor.altt) > 0
+
+        def received(node, keys):
+            return {
+                (key, record.identity): record.stored_at
+                for key in keys
+                for record in node.altt.records_for_key(key)
+            }
+
+        keys = list(donor.altt.keys())
+        before = received(donor, keys)
+        # Reception time, not publication time: routing took hops.
+        assert any(
+            record.stored_at > record.tuple.pub_time
+            for key in keys
+            for record in donor.altt.records_for_key(key)
         )
-        key = donor.altt.keys()[0]
-        entries = donor.altt.pop_key(key)
-        assert entries
-        received_times = [received_at for _, received_at in entries]
-        for tup, received_at in entries:
-            donor.altt.add(key, tup, received_at)
-        assert [
-            received_at for _, received_at in donor.altt.pop_key(key)
-        ] == received_times
+        items = [item for item in donor.extract_all() if item.kind == "altt"]
+        heir.accept_rehomed(items)
+        assert len(donor.altt) == 0
+        assert received(heir, keys) == before
 
     def test_estimate_item_bytes_positive_for_every_kind(self):
         _, engine = build(queries=6, tuples=20)

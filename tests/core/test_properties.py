@@ -782,33 +782,42 @@ def test_store_heap_expiry_matches_filter_semantics(ops):
 
 
 @given(
+    # (expire?, clock step, transit) events on a whole-number clock, so that
+    # expiry cutoffs land on publication and reception times often.
     st.lists(
-        st.tuples(st.booleans(), st.floats(min_value=0, max_value=50)),
+        st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 4)),
         min_size=1,
         max_size=40,
     ),
-    st.floats(min_value=0.5, max_value=10),
+    st.integers(1, 8),
+    st.integers(0, 4),
 )
-def test_altt_heap_expiry_matches_filter_semantics(events, delta):
-    """ALTT expiry drops exactly the entries older than Δ, in any add order."""
+def test_altt_heap_expiry_matches_filter_semantics(events, delta, max_transit):
+    """ALTT expiry agrees with find: ``expire(now)`` changes no later lookup
+    and keeps nothing published before ``now - Δ - max_transit``, whatever
+    order tuples arrive in within their transit bound."""
     from repro.core.altt import AttributeLevelTupleTable
 
-    table = AttributeLevelTupleTable(delta=delta)
-    shadow = []  # (key, received_at) of retained entries
+    table = AttributeLevelTupleTable(delta=delta, max_transit=max_transit)
+    keys = [f"R\x1fa{index}" for index in range(3)]
     schema = _catalog.get("R")
     sequence = 0
-    for is_expire, clock in events:
+    clock = 0
+    for is_expire, step, transit in events:
+        clock += step
         if is_expire:
-            cutoff = clock - delta
-            expected = sum(1 for _, at in shadow if at < cutoff)
-            shadow = [(k, at) for k, at in shadow if at >= cutoff]
-            assert table.expire(now=clock) == expected
+            later = (clock, clock + delta / 2, clock + delta + max_transit)
+            before = [table.find(key, now) for key in keys for now in later]
+            size = len(table)
+            removed = table.expire(now=clock)
+            assert [table.find(key, now) for key in keys for now in later] == before
+            assert removed == size - len(table)
+            cutoff = clock - delta - max_transit
+            assert all(record.tuple.pub_time >= cutoff for record in table)
         else:
             sequence += 1
+            published = clock - min(transit, max_transit)
             tup = Tuple.from_schema(
-                schema, (1, 1), pub_time=clock, sequence=sequence
+                schema, (1, 1), pub_time=published, sequence=sequence
             )
-            key = f"R\x1fa{sequence % 3}"
-            table.add(key, tup, now=clock)
-            shadow.append((key, clock))
-        assert len(table) == len(shadow)
+            table.add(keys[sequence % 3], tup, now=clock)
