@@ -14,16 +14,20 @@ a default Δ from the messaging service's bounded per-hop delay.
 
 The table is a memory :class:`~repro.data.store.TupleStore` whose records'
 ``stored_at`` is their reception time: :meth:`find` judges Δ by it, and
-expiry reuses the store's publication-time heap.  A tuple reaches its
-attribute-level node at most ``max_transit`` after it was published, so one
-published before ``now - Δ - max_transit`` was received before ``now - Δ``
-and no :meth:`find` can return it again.
+expiry reuses the store's publication-time heap.  Lookups are by exact key
+only, so the table keeps none of the store's prefix index.  A tuple reaches
+its attribute-level node at most ``max_transit`` after it was published, so
+one published before ``now - Δ - max_transit`` was received before
+``now - Δ`` and no :meth:`find` can return it again.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import insort
 from typing import List, Optional
 
+from repro.data.backends import StoredTuple, record_order
 from repro.data.store import TupleStore
 from repro.data.tuples import Tuple
 
@@ -39,6 +43,30 @@ class AttributeLevelTupleTable(TupleStore):
         self.max_transit = max_transit
         if delta is not None:
             self._ensure_time_heap()  # fed by every add, as expire runs on each
+
+    def add(self, key: str, tup: Tuple, now: float) -> StoredTuple:
+        """Store ``tup`` under ``key``, received at ``now``: the store's
+        ``add`` without its prefix index."""
+        record = StoredTuple(tuple=tup, key=key, stored_at=now)
+        records = self._by_key.get(key)
+        if records is None:
+            self._by_key[key] = [record]
+        elif record_order(record) >= record_order(records[-1]):
+            records.append(record)
+        else:
+            insort(records, record, key=record_order)
+        self._size += 1
+        if self._track_time:
+            heapq.heappush(self._time_heap, (tup.pub_time, next(self._tiebreak), key))
+        if self._track_seq:
+            heapq.heappush(self._seq_heap, (tup.sequence, next(self._tiebreak), key))
+        return record
+
+    def _drop_key(self, key: str) -> None:
+        del self._by_key[key]
+
+    #: With no prefix index, a prefix lookup scans every key.
+    tuples_for_prefix = TupleStore._scan_prefix
 
     def expire(self, now: float) -> int:
         """Drop entries no :meth:`find` at ``now`` or later can return."""

@@ -302,7 +302,10 @@ class TupleStore(StoreBackend):
             result = merge_records([self._by_key[key] for key in keys])
             self._prefix_cache[prefix] = result
             return list(result)
-        # Arbitrary prefix: fall back to scanning every key.
+        return self._scan_prefix(prefix)
+
+    def _scan_prefix(self, prefix: str) -> List[Tuple]:
+        """:meth:`tuples_for_prefix` by scanning every key (arbitrary prefixes)."""
         lists = [
             records
             for key, records in self._by_key.items()

@@ -2,6 +2,7 @@
 
 from repro.core.altt import AttributeLevelTupleTable
 from repro.data.schema import RelationSchema
+from repro.data.store import TupleStore
 from repro.data.tuples import Tuple
 
 
@@ -61,3 +62,28 @@ class TestALTT:
         assert len(table) == 4
         table.clear()
         assert len(table) == 0
+
+    def test_keeps_no_prefix_index(self):
+        # Lookups are by exact key, so the store's prefix bookkeeping is
+        # skipped; find, expiry, re-homing and a (scanning) prefix lookup
+        # answer as the indexed memory store does.
+        table = AttributeLevelTupleTable(delta=5)
+        store = TupleStore()
+        keys = ["R\x1fa", "R\x1fa\x1f1", "S\x1fb\x1f1"]
+        for index in range(9):
+            for target in (table, store):
+                target.add(keys[index % 3], tup(float(index), index), now=index)
+        assert table._keys_by_prefix == {}
+        assert table._unprefixed_keys == set()
+        for key in keys:
+            assert table.find(key, now=8.0) == store.tuples_for_key(key)[-2:]
+        for prefix in ("R\x1fa\x1f", "R\x1f", "S\x1fb\x1f"):
+            assert table.tuples_for_prefix(prefix) == store.tuples_for_prefix(prefix)
+        assert table.expire(now=9.0) == 4
+        assert [t.sequence for t in table.find(keys[0], now=9.0)] == [6]
+        moved = table.remove_key(keys[1])
+        assert [record.tuple.sequence for record in moved] == [4, 7]
+        assert [record.stored_at for record in moved] == [4, 7]
+        assert list(table.keys()) == [keys[0], keys[2]]
+        assert len(table) == 3
+        assert table._keys_by_prefix == {} and table._prefix_cache == {}

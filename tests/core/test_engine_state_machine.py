@@ -1,15 +1,16 @@
 """Generated interleavings of engine operations, checked against the oracle.
 
-A hypothesis ``RuleBasedStateMachine`` drives one ``sim`` engine (memory
-or sqlite store backend, ``delay_jitter`` on, so deliveries overtake each
-other) through ``submit``, ``publish``, ``publish_batch``, ``remove_query``
-and ``tick``, with the queries of ``test_properties``' plan cases: chains
-and stars of up to four relations, with selections, ``DISTINCT``, and no
-window, a tuple window or a time window.  The engine collects garbage every
-two publications under no ``tuple_gc_window``, a tuple-window one or a
-time-window one; ``submit`` of a query that horizon does not cover must
-raise :class:`~repro.errors.QueryRegistrationError`, and the oracle never
-sees that query.  Every operation returns with the network drained, so
+A hypothesis ``RuleBasedStateMachine`` drives one engine (``sim`` or
+``asyncio`` runtime, memory or sqlite store backend, ``delay_jitter`` on, so
+deliveries overtake each other) through ``submit``, ``publish``,
+``publish_batch``, ``remove_query`` and ``tick``, with the queries of
+``test_properties``' plan cases: chains and stars of up to four relations,
+with selections, ``DISTINCT``, and no window, a tuple window or a time
+window.  The engine collects garbage every two publications under no
+``tuple_gc_window``, a tuple-window one or a time-window one; ``submit`` of
+a query that horizon does not cover must raise
+:class:`~repro.errors.QueryRegistrationError`, and the oracle never sees
+that query.  Every operation returns with the network drained, so
 after every step:
 
 * each handle's value bag — live or removed — equals what
@@ -17,12 +18,13 @@ after every step:
   published tuples (Theorems 1 and 2: sound, complete, no accidental
   duplicates); for a ``DISTINCT`` query, its value set;
 * the engine is quiescent: no RIC round trip pending or waited on, no
-  buffered answers on any node, no event left on the kernel;
+  buffered answers on any node, no event left on the transport;
 * every transmission is charged: Σ ``weight × hops`` over the envelopes
   handed to the transport equals the traffic stats' total (Section 8).
 
-Tier-1 runs a small budget.  ``--hypothesis-profile generator`` (registered
-in ``tests/conftest.py``) runs the same machine for longer.
+Tier-1 runs a small budget; the replay tests run on ``sim``.
+``--hypothesis-profile generator`` (registered in ``tests/conftest.py``)
+runs the same machine for longer.
 """
 
 from __future__ import annotations
@@ -78,13 +80,15 @@ class EngineVsReference(RuleBasedStateMachine):
         seed=st.integers(0, 3),
         backend=st.sampled_from(("memory", "sqlite")),
         horizon=st.sampled_from(GC_HORIZONS),
+        runtime=st.sampled_from(("sim", "asyncio")),
     )
-    def start(self, seed, backend="memory", horizon=None):
+    def start(self, seed, backend="memory", horizon=None, runtime="sim"):
         self.horizon = horizon
         self.engine = RJoinEngine(
             RJoinConfig(
                 num_nodes=8,
                 seed=seed,
+                runtime=runtime,
                 delay_jitter=0.5,
                 store_backend=backend,
                 tuple_gc_window=horizon,
@@ -171,7 +175,7 @@ class EngineVsReference(RuleBasedStateMachine):
         self.posted.assert_conserved(self.engine.traffic)
 
 
-#: The tier-1 budget (about 9 s on a 2-CPU x86 container); a loaded
+#: The tier-1 budget (10–15 s on a 2-CPU x86 container); a loaded
 #: ``generator`` profile replaces it.
 TIER1 = settings(
     max_examples=200,
@@ -181,7 +185,10 @@ TIER1 = settings(
 )
 _long_run = settings.default is settings.get_profile("generator")
 EngineVsReference.TestCase.settings = settings.default if _long_run else TIER1
-TestEngineVsReference = EngineVsReference.TestCase
+#: A hang of the asyncio runtime fails the run instead of stalling it.
+TestEngineVsReference = pytest.mark.hard_timeout(600 if _long_run else 120)(
+    EngineVsReference.TestCase
+)
 
 
 def join(left, right):

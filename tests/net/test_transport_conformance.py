@@ -154,8 +154,9 @@ class TestDelivery:
             transport.drain()
 
     def test_max_events_bounds_runaway_cascades(self, transport, recorder):
-        # Self-limiting at 200 rounds so the teardown drain (which runs
-        # without a budget) still terminates after the budgeted drain raises.
+        # Self-limiting at 200 rounds.  The budget is that drain's own: the
+        # next drain, unbudgeted, neither inherits the failure nor leaves
+        # the cascade half run.
         rounds = []
 
         def ping_pong(env: Envelope) -> None:
@@ -169,6 +170,9 @@ class TestDelivery:
         transport.post(envelope("node-1"), 1.0)
         with pytest.raises(SimulationError, match="maximum"):
             transport.drain(max_events=50)
+        transport.drain()
+        assert transport.pending_events == 0
+        assert len(rounds) == 200
 
     def test_is_draining_is_visible_to_handlers(self, transport, recorder):
         observed = []
@@ -224,6 +228,90 @@ class TestInFlightSurgery:
         transport.drain()
         assert recorder.ids_for("node-1") == []
         assert len(recorder.ids_for("node-2")) == 3
+
+
+#: Runtimes for the per-destination FIFO checks: ``sim``, and ``asyncio``
+#: with inboxes so small that a handler's posts wait for room.
+SMALL_INBOX_RUNTIMES = {
+    "sim": SimulationKernel,
+    "asyncio-capacity-1": lambda: AsyncioTransport(inbox_capacity=1),
+    "asyncio-capacity-2": lambda: AsyncioTransport(inbox_capacity=2),
+}
+
+
+@pytest.fixture(params=sorted(SMALL_INBOX_RUNTIMES))
+def small_inboxes(request):
+    runtime = SMALL_INBOX_RUNTIMES[request.param]()
+    yield runtime
+    runtime.shutdown()
+
+
+class TestPerDestinationFifo:
+    """What one handler posts to a full inbox arrives in posting order.
+
+    ``node-0``'s handler posts a burst of eight to ``node-1`` while fillers
+    posted before the drain keep ``node-1``'s inbox full, so on ``asyncio``
+    the burst waits for room; each filler's delivery then posts to
+    ``node-1`` itself, and those posts must queue behind the burst.
+    """
+
+    def wire(self, runtime, handler):
+        runtime.bind(handler)
+        for address in ("node-0", "node-1", "node-2"):
+            runtime.register_address(address)
+
+    def test_handler_posts_to_a_full_inbox_arrive_in_posting_order(
+        self, small_inboxes
+    ):
+        runtime, rec = small_inboxes, Recorder()
+        posted, fillers = [], set()
+
+        def post(destination, sender):
+            env = envelope(destination, sender=sender)
+            if destination == "node-1":
+                posted.append(env.message.message_id)
+            runtime.post(env, 1.0)
+            return env.message.message_id
+
+        def handler(env: Envelope) -> None:
+            rec(env)
+            if env.destination == "node-0":
+                for _ in range(8):
+                    post("node-1", "node-0")
+            elif env.message.message_id in fillers:
+                post("node-1", "node-1")
+
+        self.wire(runtime, handler)
+        post("node-0", "node-2")
+        fillers.update(post("node-1", "node-2") for _ in range(2))
+        runtime.drain()
+        assert rec.ids_for("node-1") == posted
+        assert len(posted) == 12 and set(posted[:2]) == fillers
+        assert runtime.pending_events == 0
+        assert runtime.backpressure_escapes == 0
+
+    def test_extract_inbound_from_a_handler_takes_inbox_and_waiting_queue(
+        self, small_inboxes
+    ):
+        runtime, rec = small_inboxes, Recorder()
+        burst, extracted = [], []
+
+        def handler(env: Envelope) -> None:
+            rec(env)
+            if env.destination == "node-0":
+                for _ in range(8):
+                    env = envelope("node-1")
+                    burst.append(env.message.message_id)
+                    runtime.post(env, 1.0)
+                extracted.extend(runtime.extract_inbound("node-1"))
+
+        self.wire(runtime, handler)
+        runtime.post(envelope("node-0"), 1.0)
+        runtime.drain()
+        assert [env.message.message_id for env in extracted] == burst
+        assert rec.ids_for("node-1") == []
+        assert runtime.pending_events == 0
+        assert runtime.backpressure_escapes == 0
 
 
 class TestTimers:
