@@ -98,7 +98,7 @@ def _build_table(num_queries: int) -> QueryTable:
             consumed=1,
             shape=shape,
         )
-        table.add(KEY.text, StoredQueryRecord(state=state, key=KEY, stored_at=0.0))
+        table.add(KEY.text, StoredQueryRecord(state=state, key=KEY))
     return table
 
 
@@ -115,7 +115,7 @@ def _measure_matching(
     started = time.perf_counter()
     for i in range(probes):
         d_value = i % num_queries
-        candidates, _ = table.probe(
+        candidates = table.probe(
             KEY.text, clocks, lambda attribute, d=d_value: 10 if attribute == "c" else d
         )
         candidates_fetched += len(candidates)

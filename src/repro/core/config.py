@@ -61,14 +61,17 @@ class RJoinConfig:
         default keeps it off so that RJoin delivers exactly the reference
         bag of answers.
     tuple_gc_window:
-        When every continuous query of the run uses the same sliding window,
-        stored tuples older than this window can be garbage collected; an
-        experiment's generated queries all use it as their window.  ``submit``
-        refuses a query it does not cover (no window, the other mode, or a
-        larger size): the collected tuples would silently miss its answers.
+        The stored-tuple horizon: when every continuous query of the run
+        uses the same sliding window, stored tuples older than this window
+        can be garbage collected; an experiment's generated queries all use
+        it as their window.  ``submit`` refuses a query it does not cover (no
+        window, the other mode, or a larger size): the collected tuples
+        would silently miss its answers.  Rewritten queries do not depend on
+        it: each dies with its own window.
     gc_every_tuples:
-        How often (in published tuples) the engine sweeps stores for
-        window-expired state.
+        How often (in published tuples) the engine sweeps for window-expired
+        state: rewritten queries past their own window in every run, and
+        stored tuples past ``tuple_gc_window`` when it is set.
     owner_failover:
         Whether every submitted query's handle registration (owner address
         plus answer watermark) is replicated onto the owner's ring

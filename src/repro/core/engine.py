@@ -493,9 +493,7 @@ class RJoinEngine:
             for node in self.nodes.values():
                 node.tuple_store.flush()
         crossed = self._crossed_boundary
-        if self.config.tuple_gc_window is not None and crossed(
-            published_before, self._published, self.config.gc_every_tuples
-        ):
+        if crossed(published_before, self._published, self.config.gc_every_tuples):
             for node in self.nodes.values():
                 node.gc_expired_state()
         if self.balancer is not None and crossed(

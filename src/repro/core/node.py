@@ -302,7 +302,7 @@ class RJoinNode:
         of an earlier one of it that may still complete the record.
         """
         schema = self.ctx.catalog.get(tup.relation)
-        candidates, _ = table.probe(
+        candidates = table.probe(
             key_text,
             # expired(window, state, clock) per window mode.
             clocks={
@@ -465,13 +465,12 @@ class RJoinNode:
         self._adopt_ric_info(state)
         # Section 4, rule 2: the ALTT holds the tuples that raced past the query.
         raced = self.altt.find(key.text, now, state.insertion_time)
-        self._settle(self.input_queries, state, key, now, keep=True, waiting=raced)
+        self._settle(self.input_queries, state, key, keep=True, waiting=raced)
 
     # ------------------------------------------------------------------
     # Procedure 3: receiving a rewritten query
     # ------------------------------------------------------------------
     def _on_eval(self, msg: EvalMessage, delivered_at: float) -> None:
-        now = self.ctx.clock()
         self.ctx.loads.record_query_received(self.address)
         state, key = msg.state, msg.key
         if self._drop_if_retracted(state):
@@ -487,14 +486,13 @@ class RJoinNode:
             window, state.window_state, self._window_clock(window)
         )
         stored = self._stored_tuples_for(key)
-        self._settle(self.rewritten_queries, state, key, now, open_for_future, stored)
+        self._settle(self.rewritten_queries, state, key, open_for_future, stored)
 
     def _settle(
         self,
         table: QueryTable,
         state: QueryState,
         key: IndexKey,
-        now: float,
         keep: bool,
         waiting: Sequence[Tuple],
     ) -> None:
@@ -511,7 +509,6 @@ class RJoinNode:
         record = StoredQueryRecord(
             state=state,
             key=key,
-            stored_at=now,
             tracker=self._make_tracker(state),
             share_key=canonical_state_key(state),
         )
@@ -973,34 +970,32 @@ class RJoinNode:
             return self.ctx.time_clock()
         return float(self.ctx.sequence_clock())
 
-    def gc_expired_state(self) -> TupleT[int, int]:
+    def gc_expired_state(self) -> None:
         """Drop window-expired rewritten queries and (optionally) stored tuples.
 
-        Returns ``(queries dropped, tuples dropped)``.  Stored tuples are only
-        collected when the engine configured ``tuple_gc_window`` (i.e. every
-        query of the run shares the same window, so an aged-out tuple can
-        never contribute to any answer again).
+        The engine calls this at every ``gc_every_tuples`` boundary.  A
+        rewritten query dies with its own window (Section 5), so every
+        bucket of the rewritten-query table is swept whatever the
+        configuration.  Stored tuples are only collected when the engine
+        configured ``tuple_gc_window``, the stored-tuple horizon: ``submit``
+        admits only queries it covers, so an aged-out tuple can never
+        contribute to any answer again.  Both halves read the clocks the
+        trigger path judges windows by.
         """
-        queries_dropped = self.rewritten_queries.gc_expired(
+        self.rewritten_queries.gc_expired(
             {
-                "time": self.ctx.clock(),
+                "time": self.ctx.time_clock(),
                 "tuples": float(self.ctx.sequence_clock()),
             }
         )
-        tuples_dropped = 0
         gc_window = self.ctx.config.tuple_gc_window
         if gc_window is not None:
             # tuple_expired(window, tup, clock) <=> clock_of(tup) < cutoff.
             cutoff = self._window_clock(gc_window) - gc_window.size + 1
             if gc_window.mode == "time":
-                tuples_dropped = self.tuple_store.remove_expired(
-                    published_before=cutoff
-                )
+                self.tuple_store.remove_expired(published_before=cutoff)
             else:
-                tuples_dropped = self.tuple_store.remove_expired(
-                    sequenced_before=int(cutoff)
-                )
-        return queries_dropped, tuples_dropped
+                self.tuple_store.remove_expired(sequenced_before=int(cutoff))
 
     # ------------------------------------------------------------------
     # membership support (id movement, node join/leave — Figure 9 and churn)

@@ -21,6 +21,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple as TupleT,
     Union,
 )
@@ -51,7 +52,6 @@ class StoredQueryRecord:
 
     state: QueryState
     key: IndexKey
-    stored_at: float
     tracker: Optional[ProjectionTracker] = None
     seq: int = 0
     discriminator: Optional[SelectionPredicate] = None
@@ -71,10 +71,12 @@ class _KeyBucket:
     record additionally lives either in ``wildcard`` (no usable
     discriminating selection) or in ``by_value[attribute][value]`` — the
     predicate-aware index an arriving tuple probes with its own values.
-    ``expiry`` holds per-window-mode ``(deadline, seq)`` min-heaps so the
-    trigger path drops aged-out records without scanning the bucket.  Entries
-    of records removed otherwise are skipped when popped, and each heap holds
-    at most 2 × live records + 8 entries (:meth:`bound_expiry`).  ``key`` is
+    ``expiry`` holds per-window-mode ``(deadline, seq)`` min-heaps, the only
+    record of when the bucket's records die: the trigger path and the GC
+    sweep both pop them, so aged-out records leave without a scan of the
+    bucket.  Entries of records removed otherwise are skipped when popped,
+    and each heap holds at most 2 × live records + 8 entries
+    (:meth:`bound_expiry`).  ``key`` is
     the :class:`IndexKey` of the bucket's first record, which every later
     record points at.  ``by_share`` is the sharing index: the cheap part of a
     shareable state (:func:`~repro.core.rewriting.canonical_state_key`) maps
@@ -119,11 +121,12 @@ class _KeyBucket:
     def bound_expiry(self, mode: str) -> None:
         """Drop ``mode``'s stale heap entries once they break the bound.
 
-        Popping skips them anyway, so no trigger order or drop count changes.
+        Popping skips them anyway, so no trigger order changes.
         """
         heap = self.expiry[mode]
         if len(heap) > 2 * len(self.records) + 8:
-            # In place: :meth:`QueryTable.probe` may be popping this very list.
+            # In place: :meth:`QueryTable._drop_expired` may be popping this
+            # very list.
             heap[:] = [entry for entry in heap if entry[1] in self.records]
             heapq.heapify(heap)
 
@@ -136,25 +139,19 @@ class QueryTable:
     values their trigger conditions test (see
     :meth:`~repro.core.rewriting.QueryShape.discriminator`), so a tuple
     arrival fetches only the records its values can actually rewrite —
-    mirroring the tuple store's prefix index, but over queries.  The table
-    also keeps per-bucket and table-wide expiry heaps (window GC without
-    scans) and a per-bucket registry of canonical sharing keys for
-    multi-query state sharing.
+    mirroring the tuple store's prefix index, but over queries.  Each bucket
+    also keeps the expiry heaps of its records (window GC without scans) and
+    a registry of canonical sharing keys for multi-query state sharing.
     """
 
-    __slots__ = ("_by_key", "_size", "_expiry", "_tiebreak")
+    __slots__ = ("_by_key", "_size", "_tiebreak", "_modes")
 
     def __init__(self) -> None:
         self._by_key: Dict[str, _KeyBucket] = {}
         self._size = 0
-        # mode -> (deadline, seq, key text, record) min-heap.  Entries are
-        # never removed eagerly; stale ones (records dropped through the
-        # trigger path or rehomed) are skipped by an identity check.
-        self._expiry: Dict[str, List[TupleT[float, int, str, StoredQueryRecord]]] = {
-            "time": [],
-            "tuples": [],
-        }
         self._tiebreak = itertools.count()
+        #: The window modes of the records ever added (their heaps may be due).
+        self._modes: Set[str] = set()
 
     def add(self, key_text: str, record: StoredQueryRecord) -> None:
         """Store ``record`` under ``key_text``, (re)indexing it for probes."""
@@ -200,9 +197,7 @@ class QueryTable:
             # expired(window, state, clock) <=> clock > deadline.
             deadline = state.min_clock + window.size - 1
             heapq.heappush(bucket.expiry[window.mode], (deadline, seq))
-            heapq.heappush(
-                self._expiry[window.mode], (deadline, seq, key_text, record)
-            )
+            self._modes.add(window.mode)
 
     @staticmethod
     def _discriminator_of(
@@ -271,6 +266,24 @@ class QueryTable:
         if window is not None:
             bucket.bound_expiry(window.mode)
 
+    def _drop_expired(
+        self, key_text: str, bucket: _KeyBucket, clocks: Mapping[str, float]
+    ) -> None:
+        """Pop ``bucket``'s expiry heaps: drop every record whose deadline passed.
+
+        ``clocks`` maps a window mode to its current clock value.  Deadlines
+        are fixed at insertion time (window states are immutable), so a
+        record is expired exactly when its deadline is below the clock; it
+        can never be satisfied again (Section 5).
+        """
+        for mode, clock in clocks.items():
+            heap = bucket.expiry[mode]
+            while heap and heap[0][0] < clock:
+                _, seq = heapq.heappop(heap)
+                record = bucket.records.get(seq)
+                if record is not None:
+                    self._remove_record(key_text, bucket, record)
+
     # ------------------------------------------------------------------
     # probing (the tuple-arrival fast path)
     # ------------------------------------------------------------------
@@ -279,33 +292,22 @@ class QueryTable:
         key_text: str,
         clocks: Mapping[str, float],
         value_of: Callable[[str], object],
-    ) -> TupleT[List[StoredQueryRecord], int]:
-        """Candidate records for a tuple arrival, plus the expiry-drop count.
+    ) -> List[StoredQueryRecord]:
+        """Candidate records for a tuple arrival.
 
-        First pops the bucket's expiry heaps for every window mode in
-        ``clocks`` (records whose deadline passed can never be satisfied
-        again — Section 5 — and are dropped exactly like the old linear scan
-        dropped them).  Then assembles the candidates: every wildcard record
-        plus, per discriminating attribute, the records filed under the
-        arriving tuple's value for it (``value_of``).  Candidates come back
-        in insertion order, preserving the deterministic trigger order of
-        the full-scan implementation.
+        First drops the bucket's records whose window deadline passed under
+        ``clocks`` (:meth:`_drop_expired`).  Then assembles the candidates:
+        every wildcard record plus, per discriminating attribute, the records
+        filed under the arriving tuple's value for it (``value_of``).
+        Candidates come back in insertion order, preserving the deterministic
+        trigger order of the full-scan implementation.
         """
         bucket = self._by_key.get(key_text)
         if bucket is None:
-            return [], 0
-        dropped = 0
-        for mode, clock in clocks.items():
-            heap = bucket.expiry[mode]
-            while heap and heap[0][0] < clock:
-                _, seq = heapq.heappop(heap)
-                record = bucket.records.get(seq)
-                if record is None:
-                    continue
-                self._remove_record(key_text, bucket, record)
-                dropped += 1
+            return []
+        self._drop_expired(key_text, bucket, clocks)
         if not bucket.records:
-            return [], dropped
+            return []
         signature: TupleT[object, ...] = (
             tuple(value_of(attribute) for attribute in bucket.by_value)
             if bucket.by_value
@@ -317,11 +319,11 @@ class QueryTable:
             and memo[0] == bucket.version
             and memo[1] == signature
         ):
-            return memo[2], dropped
+            return memo[2]
         if not bucket.by_value:
             candidates = list(bucket.records.values())
             bucket.last_probe = (bucket.version, signature, candidates)
-            return candidates, dropped
+            return candidates
         groups: List[Dict[int, StoredQueryRecord]] = []
         if bucket.wildcard:
             groups.append(bucket.wildcard)
@@ -340,7 +342,7 @@ class QueryTable:
             merged.sort(key=lambda entry: entry[0])
             candidates = [record for _, record in merged]
         bucket.last_probe = (bucket.version, signature, candidates)
-        return candidates, dropped
+        return candidates
 
     def find_share_host(
         self, key_text: str, share_key: Optional[Hashable], query: Query
@@ -377,12 +379,6 @@ class QueryTable:
             return None
         return list(bucket.records.values())
 
-    def replace(self, key_text: str, records: List[StoredQueryRecord]) -> None:
-        """Swap the record list of ``key_text`` (dropping the key when empty)."""
-        self.pop_key(key_text)
-        for record in records:
-            self.add(key_text, record)
-
     def pop_key(self, key_text: str) -> List[StoredQueryRecord]:
         """Remove and return every record stored under ``key_text``."""
         bucket = self._by_key.pop(key_text, None)
@@ -417,9 +413,9 @@ class QueryTable:
         whose state serves only ``query_id`` is physically removed; a shared
         record detaches the subscriber (promoting a new primary when
         needed) and stays.  Returns ``(removed records, detach count)``.
-        Stale expiry-heap entries for removed records pop harmlessly later —
-        the identity check of :meth:`gc_expired` skips records that are no
-        longer stored.
+        Stale expiry-heap entries for removed records pop harmlessly later
+        (no record is stored under their sequence number), and
+        :meth:`_KeyBucket.bound_expiry` keeps them to the heap's bound.
         """
         removed: List[StoredQueryRecord] = []
         detached = 0
@@ -436,21 +432,22 @@ class QueryTable:
                     detached += 1
         return removed, detached
 
-    def gc_expired(self, clocks: Mapping[str, float]) -> int:
-        """Drop records whose window deadline passed; returns the drop count.
+    def gc_expired(self, clocks: Mapping[str, float]) -> None:
+        """Drop every record whose window deadline passed, bucket by bucket.
 
-        ``clocks`` maps a window mode to its current clock value.  Deadlines
-        are fixed at insertion time (window states are immutable), so a
-        record is expired exactly when its deadline is below the clock.
+        Pops each bucket's heaps as :meth:`probe` does, so a bucket no tuple
+        arrives at still lets its dead records go.  A bucket whose heap top
+        is not yet due is passed over with a look at it, and a window mode
+        no record of the table has used is not looked at.  ``clocks`` maps
+        each of those modes to its clock.
         """
-        dropped = 0
-        for mode, clock in clocks.items():
-            heap = self._expiry[mode]
-            while heap and heap[0][0] < clock:
-                _, seq, key_text, record = heapq.heappop(heap)
-                bucket = self._by_key.get(key_text)
-                if bucket is None or bucket.records.get(seq) is not record:
-                    continue
-                self._remove_record(key_text, bucket, record)
-                dropped += 1
-        return dropped
+        for mode in self._modes:
+            clock = clocks[mode]
+            due = [
+                (key_text, bucket)
+                for key_text, bucket in self._by_key.items()
+                if (heap := bucket.expiry[mode]) and heap[0][0] < clock
+            ]
+            only = {mode: clock}
+            for key_text, bucket in due:
+                self._drop_expired(key_text, bucket, only)

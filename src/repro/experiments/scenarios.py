@@ -523,11 +523,13 @@ register(
             "interleaving (ALTT/Δ pressure)."
         ),
         axis="hop_delay/delay_jitter",
+        # A narrow domain, so the delays are compared on hundreds of answers.
         default_base=ExperimentConfig(
             num_nodes=60,
             num_queries=120,
             num_tuples=80,
             warmup_tuples=20,
+            value_domain=20,
         ),
         default_variants=(
             Variant(label="hop=0.1", overrides={"hop_delay": 0.1}),

@@ -517,7 +517,6 @@ def test_trigger_set_at_a_time_equals_tuple_at_a_time(case):
         record = StoredQueryRecord(
             state=state,
             key=attribute_key(relation, "a0"),
-            stored_at=0.0,
             tracker=node._make_tracker(state),
         )
         posted, rewritten = [], []

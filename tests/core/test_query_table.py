@@ -51,7 +51,7 @@ def make_record(query_id, query, insertion_time=0.0, span=None, consumed=0):
         consumed=consumed,
     )
     return StoredQueryRecord(
-        state=state, key=KEY, stored_at=0.0, share_key=canonical_state_key(state)
+        state=state, key=KEY, share_key=canonical_state_key(state)
     )
 
 
@@ -328,35 +328,58 @@ class TestExpiryHeapBound:
 
     STEPS = 400
 
-    def expire_through_gc(self):
-        """One record per clock tick under one never-probed key, each tick
-        followed by a table-wide ``gc_expired``; then one probe per value."""
+    def test_gc_sweeps_a_never_probed_bucket(self):
+        """One record per clock tick under a key no tuple arrives at, each
+        tick followed by a table-wide ``gc_expired``: the sweep pops the
+        bucket's own heap, so records and entries stay within one window."""
         table = QueryTable()
         window = WindowSpec(size=10, mode="tuples")
-        drops, sizes = [], []
         for clock in range(self.STEPS):
             span = WindowState(float(clock), float(clock))
             query = make_query(clock % 3, window)
             table.add("k", make_record(f"q{clock}", query, 0.0, span, consumed=1))
-            drops.append(table.gc_expired({"tuples": float(clock)}))
+            table.gc_expired({"tuples": float(clock)})
+            bucket = table._by_key["k"]
+            assert len(bucket.records) == len(table) <= 10
+            assert len(bucket.expiry["tuples"]) <= len(bucket.records)
+
+    def retract_as_we_go(self):
+        """One open-window record per clock tick under one never-probed key;
+        each tick retracts the record five ticks older and sweeps with
+        ``gc_expired``, which finds nothing due.  Then one probe per value,
+        and a sweep past every deadline."""
+        table = QueryTable()
+        window = WindowSpec(size=10 * self.STEPS, mode="tuples")
+        sizes = []
+        for clock in range(self.STEPS):
+            span = WindowState(float(clock), float(clock))
+            query = make_query(clock % 3, window)
+            table.add("k", make_record(f"q{clock}", query, 0.0, span, consumed=1))
+            if clock >= 5:
+                removed, _ = table.remove_query(f"q{clock - 5}")
+                assert len(removed) == 1
+            table.gc_expired({"tuples": float(clock)})
             bucket = table._by_key["k"]
             sizes.append((len(bucket.expiry["tuples"]), len(bucket.records)))
-        probes = []
-        for constant in range(3):
-            candidates, dropped = table.probe(
-                "k", {"tuples": self.STEPS + 3.0}, lambda attribute, c=constant: c
-            )
-            probes.append(([record.state.query_id for record in candidates], dropped))
-        return drops, sizes, probes
+        probes = [
+            [
+                record.state.query_id
+                for record in table.probe(
+                    "k", {"tuples": float(self.STEPS)}, lambda attribute, c=c: c
+                )
+            ]
+            for c in range(3)
+        ]
+        table.gc_expired({"tuples": 20.0 * self.STEPS})
+        return sizes, probes, len(table)
 
-    def test_gc_of_a_never_probed_bucket_keeps_its_heap_bounded(self, monkeypatch):
-        drops, sizes, probes = self.expire_through_gc()
+    def test_retractions_keep_a_never_probed_bucket_heap_bounded(self, monkeypatch):
+        sizes, probes, left = self.retract_as_we_go()
         assert all(heap <= 2 * live + 8 for heap, live in sizes)
-        assert sum(drops) >= self.STEPS - 20
+        assert sizes[-1][1] == 5 and left == 0
         monkeypatch.setattr(_KeyBucket, "bound_expiry", lambda bucket, mode: None)
-        unbounded = self.expire_through_gc()
+        unbounded = self.retract_as_we_go()
         # Without the bound the stale entries pile up, and nothing else differs.
-        assert unbounded[1][-1][0] > self.STEPS - 20
-        assert (drops, probes) == (unbounded[0], unbounded[2])
-        assert sum(dropped for _, dropped in probes) > 0
-        assert [ids for ids, _ in probes] != [[], [], []]
+        assert unbounded[0][-1][0] == self.STEPS
+        assert (probes, left) == unbounded[1:]
+        assert sorted(sum(probes, [])) == [f"q{c}" for c in range(395, 400)]

@@ -94,7 +94,7 @@ SLOTTED = [
     Subscriber("q2", "n1"),
     STATE,
     StoredQueryRecord(
-        state=STATE, key=KEY, stored_at=2.0, seq=7, discriminator=SELECTION,
+        state=STATE, key=KEY, seq=7, discriminator=SELECTION,
         share_key=(2.0, SPAN, False, 1),
     ),
     Answer("q1", (1, 3), produced_at=2.0, delivered_at=3.0, producer="n4"),

@@ -157,6 +157,7 @@ def test_bursty_answers_do_not_depend_on_batch_size(seed):
 def test_latency_answers_do_not_depend_on_delay(seed):
     exact = _grid("latency", seed, exact=True)
     assert len(set(_answers(exact).values())) == 1, _answers(exact)
+    assert next(iter(exact.values())).answers >= 100
     _never_above(_grid("latency", seed), exact)
 
 
