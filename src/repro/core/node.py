@@ -56,9 +56,8 @@ from repro.core.ric import Arc, CandidateTable, RateTracker, RicEntry, arc_holds
 from repro.core.strategy import IndexingStrategy, input_query_candidates
 from repro.core.windows import expired, extend
 from repro.core.config import RJoinConfig
-from repro.data.backends import StoreBackend, make_store
+from repro.data.backends import StoreBackend, StoredTuple, make_store
 from repro.data.schema import Catalog, RelationSchema
-from repro.data.store import StoredTuple
 from repro.data.tuples import Tuple
 from repro.dht.api import DHTMessagingService
 from repro.dht.hashing import IdentifierSpace

@@ -23,19 +23,26 @@ A backend implements one form of each operation — the form the node calls:
 :meth:`StoreBackend.remove_sequenced_before`) are wrappers defined once,
 here.
 
-The contract every backend must honour (the conformance suite in
+The contract rests on one premise about its input: *sequence order agrees
+with publication order*.  A tuple's ``sequence`` is the global publication
+number and the engine stamps ``pub_time`` from a clock that never moves
+back as it counts it up (``RJoinEngine._build_tuple``), so of two tuples in
+any store the one with the smaller sequence number was not published later.
+Both window cutoffs are therefore heads of publication order.  Given that,
+every backend must honour (the conformance suite in
 ``tests/data/test_store_backends.py`` enforces it for all registered
 backends, and ``abc`` refuses to build one missing an abstract method):
 
 * per-key record lists are ordered by publication ``(pub_time, sequence)``
   regardless of insertion order,
-* :meth:`StoreBackend.tuples_for_prefix` deduplicates by tuple identity and
-  returns publication order,
+* :meth:`StoreBackend.tuples_for_prefix` takes a canonical
+  ``relation SEP attribute SEP`` bucket only (anything else raises
+  :class:`~repro.errors.ConfigurationError`), deduplicates by tuple identity
+  and returns publication order,
 * expiry drops *strictly* older records and returns the removal count,
 * :meth:`StoreBackend.remove_key` returns the removed records so membership
   re-homing can replay them into another node's backend — of any kind,
-* ``len(store)`` counts stored entries (one per ``(key, identity)`` slot)
-  and :meth:`StoreBackend.distinct_tuples` counts distinct publications,
+* ``len(store)`` counts stored entries (one per ``(key, identity)`` slot),
 * the write buffer is bounded: after a committing
   :meth:`~repro.core.engine.RJoinEngine.publish` or ``publish_batch``,
   every store's write buffer is empty (the engine flushes every node's
@@ -104,7 +111,7 @@ def bucket_of(key: str) -> Optional[str]:
     """The ``relation SEP attribute SEP`` prefix of a value-level key.
 
     Returns None for keys that do not carry two separator-delimited fields
-    (those are only reachable through each backend's slow scan path).
+    (an ALTT's attribute-level key): no prefix probe can reach those.
     """
     first = key.find(SEPARATOR)
     if first < 0:
@@ -113,6 +120,21 @@ def bucket_of(key: str) -> Optional[str]:
     if second < 0:
         return None
     return key[: second + 1]
+
+
+def canonical_bucket(prefix: str) -> str:
+    """``prefix``, if it is a canonical ``relation SEP attribute SEP`` bucket.
+
+    The node probes a bucket by the ``attribute_prefix`` of an
+    attribute-level key; any other prefix is a caller's error and raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if bucket_of(prefix) != prefix:
+        raise ConfigurationError(
+            f"prefix probe {prefix!r} is not a canonical "
+            "'relation SEP attribute SEP' bucket"
+        )
+    return prefix
 
 
 def merge_records(lists: List[List[StoredTuple]]) -> List["Tuple"]:
@@ -160,7 +182,11 @@ class StoreBackend(abc.ABC):
 
     @abc.abstractmethod
     def remove_older_than(self, key: str, cutoff: float) -> int:
-        """Drop tuples under ``key`` stored strictly before ``cutoff``."""
+        """Drop tuples under ``key`` stored strictly before ``cutoff``.
+
+        Nothing under ``src/`` calls it; the end-to-end ledger's tracing
+        wraps it by name (ROADMAP item 12(a)).
+        """
 
     @abc.abstractmethod
     def remove_expired(
@@ -172,8 +198,9 @@ class StoreBackend(abc.ABC):
 
         A record goes when it was published strictly before
         ``published_before`` or its sequence number is strictly below
-        ``sequenced_before``; an omitted cutoff removes nothing.  Returns
-        the removal count.
+        ``sequenced_before``; an omitted cutoff removes nothing.  By the
+        contract's premise, what either cutoff takes is a head of each
+        key's publication-ordered list.  Returns the removal count.
         """
 
     @abc.abstractmethod
@@ -192,12 +219,9 @@ class StoreBackend(abc.ABC):
         """The tuples stored under exactly ``key``, in publication order."""
 
     @abc.abstractmethod
-    def records_for_key(self, key: str) -> List[StoredTuple]:
-        """The stored records under exactly ``key``, in publication order."""
-
-    @abc.abstractmethod
     def tuples_for_prefix(self, prefix: str) -> List["Tuple"]:
-        """Tuples under any key starting with ``prefix`` (deduplicated, ordered)."""
+        """Tuples under the keys of canonical bucket ``prefix`` (deduplicated,
+        ordered); see :func:`canonical_bucket`."""
 
     # ------------------------------------------------------------------
     # the other forms, defined once over the ones above
@@ -259,10 +283,6 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def __iter__(self) -> Iterator[StoredTuple]:
         """Iterate over every stored record."""
-
-    @abc.abstractmethod
-    def distinct_tuples(self) -> int:
-        """Number of distinct publications currently stored at this node."""
 
     # ------------------------------------------------------------------
     # lifecycle (optional)

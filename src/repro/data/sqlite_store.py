@@ -4,11 +4,13 @@ A disk-capable implementation of the
 :class:`~repro.data.backends.StoreBackend` contract: stored records live in
 one SQLite table whose indexes make every hot operation an index scan —
 
-* ``(relation, attribute, value)`` serves the attribute-level prefix match
-  (:meth:`SqliteTupleStore.tuples_for_prefix`): canonical two-field prefixes
-  resolve to an equality scan on the first two columns,
+* ``(relation, attribute, value)`` serves the attribute-level bucket match
+  (:meth:`SqliteTupleStore.tuples_for_prefix`): a canonical
+  ``relation SEP attribute SEP`` bucket, the only prefix it takes, resolves
+  to an equality scan on the first two columns,
 * ``(pub_time, sequence)`` and ``(sequence)`` serve the two window-expiry
-  orders (:meth:`SqliteTupleStore.remove_expired`),
+  cutoffs (:meth:`SqliteTupleStore.remove_expired`), one per column the
+  cutoff names; by the contract's premise both cut the same order,
 * ``(key, pub_time, sequence)`` serves exact-key lookups in publication
   order without re-sorting.
 
@@ -26,10 +28,9 @@ that neither flushes nor decodes a row.  The memo is write-through:
 :meth:`SqliteTupleStore.add` folds each written tuple into the entries that
 cover its key, in publication order, so a hit also sees the buffered
 writes.  A ranged delete (:meth:`SqliteTupleStore.remove_expired`) keeps
-the memo exact: a publication-time cutoff takes a head off each entry, and
-while the memo holds an entry a sequence cutoff runs as
-``DELETE … RETURNING`` whose rows name exactly the identities to take out
-of the entries they touch.  A keyed delete
+the memo exact without reading back what it deleted: entries are in
+publication order, which is sequence order too (the contract's premise),
+so either cutoff takes a head off each entry.  A keyed delete
 (``remove_key``, ``remove_older_than``) drops the entries covering its key
 and ``clear`` empties the memo.  The memo holds at most
 :data:`PROBE_MEMO_BOUND` cached tuples per store, counting one per entry
@@ -47,8 +48,7 @@ time a memo miss or a removal needs to see it, or when the engine commits a
 ``publish`` / ``publish_batch``: every tuple fan-out of one commit lands in
 one transaction per node, and no write stays buffered past the commit.
 Window and sequence GC are one ranged ``DELETE``
-(:meth:`SqliteTupleStore.remove_expired` combines both cutoffs;
-``RETURNING`` needs sqlite 3.35 or later).
+(:meth:`SqliteTupleStore.remove_expired` combines both cutoffs).
 
 By default the database lives in memory (``:memory:``); pass a path to put
 it on disk and study out-of-core behaviour.
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple as TupleT
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple as TupleT
 
 import sqlite3
 
@@ -67,7 +67,7 @@ from repro.data.backends import (
     StoreBackend,
     StoredTuple,
     bucket_of,
-    merge_records,
+    canonical_bucket,
 )
 from repro.data.rowcodec import pack_values, unpack_values
 from repro.data.tuples import Tuple
@@ -114,6 +114,7 @@ PROBE_MEMO_BOUND = 65536
 
 _tuple_order = (lambda t: (t.pub_time, t.sequence))
 _published = attrgetter("pub_time")
+_sequenced = attrgetter("sequence")
 
 
 def _names_covering(key: str) -> TupleT[str, ...]:
@@ -233,34 +234,22 @@ class SqliteTupleStore(StoreBackend):
             if entry is not None:
                 self._memo_size -= 1 + len(entry)
 
-    def _cut_published_before(self, cutoff: float) -> None:
-        """Take the tuples published before ``cutoff`` out of the memo.
+    def _cut_heads(self, before: float, below: float) -> None:
+        """Take the tuples published before ``before`` or sequenced below
+        ``below`` out of the memo.
 
-        Entries are in publication order, so each loses a head.
+        Entries are in publication order, which is sequence order too, so
+        each loses a head: the longer of the two cutoffs' heads.
         """
         for entry in self._memo.values():
-            if entry and entry[0].pub_time < cutoff:
-                head = bisect_left(entry, cutoff, key=_published)
+            head = 0
+            if entry and entry[0].pub_time < before:
+                head = bisect_left(entry, before, key=_published)
+            if head < len(entry) and entry[head].sequence < below:
+                head = bisect_left(entry, below, head, key=_sequenced)
+            if head:
                 del entry[:head]
                 self._memo_size -= head
-
-    def _forget(self, rows: List[TupleT[str, str, int]]) -> None:
-        """Take the deleted ``(key, rel, sequence)`` rows out of the memo.
-
-        A ranged delete removes every slot of a publication at once, so an
-        entry loses exactly the identities deleted under the keys it covers.
-        """
-        memo = self._memo
-        gone: Dict[str, Set[TupleT[str, int]]] = {}
-        for key, rel, sequence in rows:
-            for name in _names_covering(key):
-                if name in memo:
-                    gone.setdefault(name, set()).add((rel, sequence))
-        for name, identities in gone.items():
-            entry = memo[name]
-            before = len(entry)
-            entry[:] = [tup for tup in entry if tup.identity not in identities]
-            self._memo_size -= before - len(entry)
 
     def flush(self) -> None:
         """Write the pending buffer in one ``executemany`` transaction."""
@@ -297,45 +286,35 @@ class SqliteTupleStore(StoreBackend):
         published_before: Optional[float] = None,
         sequenced_before: Optional[int] = None,
     ) -> int:
-        """Both window-expiry orders as one ranged ``DELETE``.
+        """Both window-expiry cutoffs as one ranged ``DELETE``.
 
         An index range-scan on ``(pub_time, sequence)`` or ``(sequence)``:
         no Python-side expiry bookkeeping is needed because the index *is*
-        the expiry order.  A publication-time cutoff takes a head off each
-        memo entry; what a sequence cutoff takes need not be a head, so that
-        ``DELETE`` returns the rows it removed (``RETURNING``, which costs
-        about as much again as the bare statement) whenever the memo holds
-        an entry to keep exact.
+        the expiry order.  Either cutoff takes a head off each memo entry.
         """
-        if sequenced_before is None:
-            if published_before is None:
-                return 0
-            removed = self._delete(
-                "DELETE FROM records WHERE pub_time < ?", (published_before,)
-            )
-            if removed:
-                self._cut_published_before(published_before)
-            return removed
-        where = "sequence < ?"
-        parameters: TupleT[float, ...] = (sequenced_before,)
+        clauses: List[str] = []
+        parameters: TupleT[float, ...] = ()
+        if sequenced_before is not None:
+            clauses.append("sequence < ?")
+            parameters += (sequenced_before,)
         if published_before is not None:
-            where += " OR pub_time < ?"
+            clauses.append("pub_time < ?")
             parameters += (published_before,)
-        if not self._memo:
-            return self._delete(f"DELETE FROM records WHERE {where}", parameters)
-        self.flush()
-        rows = self._conn.execute(
-            f"DELETE FROM records WHERE {where} RETURNING key, rel, sequence",
-            parameters,
-        ).fetchall()
-        self._size -= len(rows)
-        if rows:
-            self._forget(rows)
-        return len(rows)
+        if not clauses:
+            return 0
+        removed = self._delete(
+            f"DELETE FROM records WHERE {' OR '.join(clauses)}", parameters
+        )
+        if removed:
+            self._cut_heads(
+                float("-inf") if published_before is None else published_before,
+                float("-inf") if sequenced_before is None else sequenced_before,
+            )
+        return removed
 
     def remove_key(self, key: str) -> List[StoredTuple]:
         """Remove and return every record stored under ``key`` (re-homing)."""
-        records = self.records_for_key(key)
+        records = self._records_for_key(key)
         if records:
             self._delete("DELETE FROM records WHERE key = ?", (key,))
             self._drop_entries(key)
@@ -406,32 +385,25 @@ class SqliteTupleStore(StoreBackend):
             self._memoise(key, cached)
         return list(cached)
 
-    def records_for_key(self, key: str) -> List[StoredTuple]:
+    def _records_for_key(self, key: str) -> List[StoredTuple]:
         """The stored records under exactly ``key``, in publication order."""
         return self._select_records("key = ?", (key,))
 
     def tuples_for_prefix(self, prefix: str) -> List[Tuple]:
-        """Tuples under any key starting with ``prefix`` (deduplicated, ordered).
+        """The tuples stored under the keys of bucket ``prefix``.
 
-        A canonical attribute-level prefix (``relation SEP attribute SEP``)
+        ``prefix`` is a canonical ``relation SEP attribute SEP`` bucket; any
+        other prefix raises :class:`~repro.errors.ConfigurationError`.  It
         is served from the probe memo, or else by one equality scan on the
         ``(relation, attribute, value)`` index whose result is memoised.
         Its ``GROUP BY rel, sequence`` deduplicates identities SQL-side; the
         bare columns are safe because every row of one identity group
-        describes the same publication.  Arbitrary prefixes fall back to a
-        table scan.
+        describes the same publication.
         """
-        bucket = bucket_of(prefix)
-        if bucket is None or len(bucket) != len(prefix):
-            records = self._select_records(
-                "substr(key, 1, ?) = ?", (len(prefix), prefix)
-            )
-            # The SELECT already returns publication order; merge_records only
-            # contributes the identity deduplication here.
-            return merge_records([records])
-        cached = self._memo.get(prefix)
+        # A memo name ending in SEPARATOR is a bucket's, never an exact key's.
+        cached = self._memo.get(prefix) if prefix.endswith(SEPARATOR) else None
         if cached is None:
-            relation, attribute = prefix.split(SEPARATOR)[:2]
+            relation, attribute, _ = canonical_bucket(prefix).split(SEPARATOR)
             cached = self._select_tuples(
                 "WHERE relation = ? AND attribute = ? "
                 "GROUP BY rel, sequence ORDER BY pub_time, sequence",
@@ -462,14 +434,6 @@ class SqliteTupleStore(StoreBackend):
         )
         for row in rows:
             yield self._record_from_row(row)
-
-    def distinct_tuples(self) -> int:
-        """Number of distinct publications currently stored at this node."""
-        self.flush()
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM (SELECT DISTINCT rel, sequence FROM records)"
-        ).fetchone()
-        return count
 
     # ------------------------------------------------------------------
     # lifecycle

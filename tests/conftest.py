@@ -13,9 +13,10 @@ from repro.core.engine import RJoinEngine
 from repro.data.schema import Catalog
 
 #: The long run of the engine-vs-oracle state machine
-#: (``tests/core/test_engine_state_machine.py``), selected with
-#: ``--hypothesis-profile generator``.  Without it that file keeps its tier-1
-#: budget.
+#: (``tests/core/test_engine_state_machine.py``) and of the sqlite probe
+#: memo's interleavings (``tests/data/test_sqlite_probe_memo.py``), selected
+#: with ``--hypothesis-profile generator``.  Without it those files keep
+#: their tier-1 budgets.
 settings.register_profile(
     "generator", max_examples=1000, stateful_step_count=40, deadline=None
 )

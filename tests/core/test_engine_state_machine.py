@@ -20,7 +20,10 @@ after every step:
 * the engine is quiescent: no RIC round trip pending or waited on, no
   buffered answers on any node, no event left on the transport;
 * every transmission is charged: Σ ``weight × hops`` over the envelopes
-  handed to the transport equals the traffic stats' total (Section 8).
+  handed to the transport equals the traffic stats' total (Section 8);
+* every node's tuple store and ALTT, read in sequence order, is in
+  publication order too: the premise of the store contract
+  (:mod:`repro.data.backends`) that makes every expiry a head cut.
 
 Tier-1 runs a small budget; the replay tests run on ``sim``.
 ``--hypothesis-profile generator`` (registered in ``tests/conftest.py``)
@@ -174,6 +177,14 @@ class EngineVsReference(RuleBasedStateMachine):
     def every_transmission_is_charged(self):
         self.posted.assert_conserved(self.engine.traffic)
 
+    @invariant()
+    def sequence_order_is_publication_order_in_every_store(self):
+        for node in self.engine.nodes.values():
+            for store in (node.tuple_store, node.altt):
+                records = sorted(store, key=lambda record: record.tuple.sequence)
+                times = [record.tuple.pub_time for record in records]
+                assert times == sorted(times), (node.address, store.name)
+
 
 #: The tier-1 budget (10–15 s on a 2-CPU x86 container); a loaded
 #: ``generator`` profile replaces it.
@@ -209,6 +220,7 @@ def replay(steps, backend="memory"):
             machine.every_bag_equals_the_oracle()
             machine.nothing_is_left_in_flight()
             machine.every_transmission_is_charged()
+            machine.sequence_order_is_publication_order_in_every_store()
         return machine.handles[0]
     finally:
         machine.teardown()

@@ -735,8 +735,8 @@ def test_engine_matches_reference_on_random_workloads(seed, num_tuples):
 _store_ops = st.lists(
     st.tuples(
         st.sampled_from(["add", "gc_time", "gc_seq", "lookup"]),
-        st.integers(min_value=0, max_value=5),   # value / cutoff selector
-        st.integers(min_value=0, max_value=30),  # clock component
+        st.integers(min_value=0, max_value=5),  # value / cutoff selector
+        st.integers(min_value=0, max_value=3),  # clock step
     ),
     min_size=1,
     max_size=40,
@@ -745,39 +745,50 @@ _store_ops = st.lists(
 
 @given(_store_ops)
 def test_store_heap_expiry_matches_filter_semantics(ops):
-    """Heap-based expiry removes exactly the records a full scan would."""
+    """Heap-based expiry removes exactly the records a full scan would, and
+    the prefix memo holds at most one entry per non-empty bucket.
+
+    Tuples are numbered as the engine numbers them: one global sequence,
+    published on a clock that never moves back.
+    """
     from repro.data.store import TupleStore
 
     store = TupleStore()
     shadow = []  # (key, tuple) pairs still alive under naive filtering
     schema = _catalog.get("R")
     sequence = 0
-    for op, value, clock in ops:
+    clock = 0.0
+    for op, value, step in ops:
+        clock += step
+        bucket = f"R\x1f{'ab'[value % 2]}\x1f"
         if op == "add":
             sequence += 1
             tup = Tuple.from_schema(
-                schema, (value, value), pub_time=float(clock), sequence=sequence
+                schema, (value, value), pub_time=clock, sequence=sequence
             )
-            key = f"R\x1fa\x1f{value!r}"
-            store.add(key, tup, now=float(clock))
+            key = f"{bucket}{value!r}"
+            store.add(key, tup, now=clock)
             shadow.append((key, tup))
         elif op == "gc_time":
-            cutoff = float(clock)
+            cutoff = clock - value
             expected = sum(1 for _, t in shadow if t.pub_time < cutoff)
             shadow = [(k, t) for k, t in shadow if t.pub_time >= cutoff]
             assert store.remove_published_before(cutoff) == expected
         elif op == "gc_seq":
-            cutoff = value * 4
+            cutoff = sequence + 1 - 2 * value
             expected = sum(1 for _, t in shadow if t.sequence < cutoff)
             shadow = [(k, t) for k, t in shadow if t.sequence >= cutoff]
             assert store.remove_sequenced_before(cutoff) == expected
         else:
-            prefix = "R\x1fa\x1f"
-            got = {t.identity for t in store.tuples_for_prefix(prefix)}
-            expected_ids = {t.identity for _, t in shadow}
+            got = [t.identity for t in store.tuples_for_prefix(bucket)]
+            expected_ids = sorted(
+                {t.identity for k, t in shadow if k.startswith(bucket)},
+                key=lambda identity: identity[1],
+            )
             assert got == expected_ids
         assert len(store) == len(shadow)
-        assert store.distinct_tuples() == len({t.identity for _, t in shadow})
+        assert {r.identity for r in store} == {t.identity for _, t in shadow}
+        assert len(store._prefix_cache) <= len(store._keys_by_prefix)
 
 
 @given(

@@ -85,10 +85,9 @@ class TestAnswerEquivalence:
         for address, node in engine.nodes.items():
             memory_node = memory_engine.nodes[address]
             assert len(node.tuple_store) == len(memory_node.tuple_store)
-            assert (
-                node.tuple_store.distinct_tuples()
-                == memory_node.tuple_store.distinct_tuples()
-            )
+            assert {r.identity for r in node.tuple_store} == {
+                r.identity for r in memory_node.tuple_store
+            }
         assert engine.metrics_summary() == memory_engine.metrics_summary()
 
 

@@ -7,6 +7,12 @@ after each read checks the sqlite result against two references: the
 ``memory`` backend given the same operations, and a fresh SELECT that does
 not go through the memo.  It runs once at the stated bound and once with
 the bound lowered so that entries are evicted all the time.
+
+The tuples come from one stream numbered as the engine numbers its
+publications: sequence numbers are global and publication times never fall
+as they rise (the store contract's premise), while the writes take them in
+any order, as delayed deliveries do.  So every expiry cutoff is a head cut
+of each memo entry, which is what keeps the memo exact.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from repro.data import sqlite_store
 from repro.data.backends import SEPARATOR, bucket_of, make_store
 from repro.data.sqlite_store import PROBE_MEMO_BOUND, SqliteTupleStore
 from repro.data.tuples import Tuple
+from repro.errors import ConfigurationError
 
 
 def key_for(relation: str, attribute: str, value) -> str:
@@ -46,24 +53,28 @@ KEYS = [
     for value in (0, 1)
 ] + ["plain", BUCKET_SHAPED_KEY]
 
-#: The four canonical buckets plus a non-canonical prefix (the scan path).
+#: The four canonical buckets: the only prefixes a store takes.
 PREFIXES = [
     prefix_for(relation, attribute)
     for relation in ("R", "S")
     for attribute in ("a", "b")
-] + ["R"]
+]
 
-PUB_TIMES = [0.0, 1.0, 2.0, 3.0, 4.0]
+#: Publications 0 … 40 of one stream, at times 0.0 … 20.0.
+LAST_PUBLICATION = 40
 
-#: Sequence numbers count per relation, so ``R`` and ``S`` reuse them; the
-#: shift keeps two relations' publications from sorting level.
-SHIFT = {"R": 0.0, "S": 0.5}
+
+def publication(sequence: int) -> Tuple:
+    """The stream's publication ``sequence``: two per time unit, so that
+    publications also sort level on time."""
+    relation = "RS"[sequence % 2]
+    return Tuple(relation, (sequence,), float(sequence // 2), sequence)
+
 
 adds = st.tuples(
     st.just("add"),
     st.sampled_from(KEYS),
-    st.sampled_from(PUB_TIMES),
-    st.none() | st.integers(0, 40),  # None: a new publication; else re-store one
+    st.integers(0, LAST_PUBLICATION),  # a publication, new or stored before
 )
 steps = st.one_of(
     adds,
@@ -73,8 +84,8 @@ steps = st.one_of(
     st.tuples(st.just("prefix"), st.sampled_from(PREFIXES)),
     st.tuples(
         st.just("expire"),
-        st.none() | st.sampled_from(PUB_TIMES),
-        st.none() | st.integers(0, 12),
+        st.none() | st.integers(0, LAST_PUBLICATION // 2 + 1).map(float),
+        st.none() | st.integers(0, LAST_PUBLICATION + 1),
     ),
     st.tuples(st.just("remove_key"), st.sampled_from(KEYS)),
     st.tuples(st.just("older"), st.sampled_from(KEYS), st.integers(0, 20)),
@@ -82,7 +93,7 @@ steps = st.one_of(
 )
 
 
-#: The WHERE clause of a prefix match, as the store's scan path writes it.
+#: The WHERE clause of a bucket match, read without the store's index scan.
 PREFIX_MATCH = "substr(key, 1, ?) = ?"
 
 
@@ -114,20 +125,12 @@ def deduplicated(tuples: List[Tuple]) -> List[Tuple]:
 def run(steps_to_take, bound: int) -> None:
     sqlite = SqliteTupleStore()
     memory = make_store("memory")
-    published: List[Tuple] = []
     try:
         for clock, step in enumerate(steps_to_take):
             kind = step[0]
             if kind == "add":
-                _, key, pub_time, reuse = step
-                if reuse is None or not published:
-                    relation = key[0] if SEPARATOR in key else "R"
-                    seq = sum(1 for tup in published if tup.relation == relation)
-                    pub_time += SHIFT[relation]
-                    tup = Tuple(relation, (seq, key), pub_time, seq)
-                    published.append(tup)
-                else:
-                    tup = published[reuse % len(published)]
+                _, key, sequence = step
+                tup = publication(sequence)
                 sqlite.add(key, tup, now=float(clock))
                 memory.add(key, tup, now=float(clock))
             elif kind == "flush":
@@ -165,32 +168,39 @@ def run(steps_to_take, bound: int) -> None:
         sqlite.close()
 
 
-@pytest.mark.parametrize("bound", [PROBE_MEMO_BOUND, 5], ids=["stated", "evicting"])
-@settings(
-    max_examples=150,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
+#: The tier-1 budget; ``--hypothesis-profile generator`` (tests/conftest.py)
+#: runs the profile's instead.
+_quiet = [HealthCheck.function_scoped_fixture]
+_long_run = settings.default is settings.get_profile("generator")
+INTERLEAVINGS = (
+    settings(settings.default, suppress_health_check=_quiet)
+    if _long_run
+    else settings(max_examples=150, deadline=None, suppress_health_check=_quiet)
 )
+
+
+@pytest.mark.parametrize("bound", [PROBE_MEMO_BOUND, 5], ids=["stated", "evicting"])
+@INTERLEAVINGS
 @given(steps_to_take=st.lists(steps, max_size=40))
 @example(
     steps_to_take=[
-        ("add", KEYS[0], 2.0, None),
+        ("add", KEYS[0], 4),
         ("key", KEYS[0]),
         ("prefix", PREFIXES[0]),
-        ("add", KEYS[0], 1.0, None),  # out of publication order
-        ("add", KEYS[0], 0.0, 0),  # the same identity under one key again
+        ("add", KEYS[0], 2),  # out of publication order
+        ("add", KEYS[0], 2),  # the same identity under one key again
         ("key", KEYS[0]),
         ("prefix", PREFIXES[0]),
-        ("expire", None, 1),
+        ("expire", None, 3),  # a sequence cutoff: both slots of 2 go
         ("key", KEYS[0]),
         ("prefix", PREFIXES[0]),
     ]
 )
 @example(
     steps_to_take=[
-        ("add", KEYS[0], 0.0, None),
-        ("add", KEYS[0], 1.0, None),
-        ("add", KEYS[1], 3.0, None),
+        ("add", KEYS[0], 0),
+        ("add", KEYS[0], 1),
+        ("add", KEYS[1], 6),
         ("key", KEYS[0]),
         ("prefix", PREFIXES[0]),
         ("expire", 2.0, None),  # a head of two off both entries
@@ -200,23 +210,25 @@ def run(steps_to_take, bound: int) -> None:
 )
 @example(
     steps_to_take=[
-        ("add", KEYS[0], 0.0, None),
-        ("add", BUCKET_SHAPED_KEY, 1.0, None),
+        ("add", KEYS[0], 0),
+        ("add", BUCKET_SHAPED_KEY, 2),
         ("prefix", PREFIXES[0]),
         ("key", BUCKET_SHAPED_KEY),  # not the bucket's entry
-        ("add", BUCKET_SHAPED_KEY, 1.0, 1),  # folded once, as into a bucket
+        ("add", BUCKET_SHAPED_KEY, 2),  # folded once, as into a bucket
         ("prefix", PREFIXES[0]),
         ("key", BUCKET_SHAPED_KEY),
     ]
 )
 @example(
     steps_to_take=[
-        ("add", key_for("R", "a", 0), 3.0, None),  # (R, 0)
-        ("add", key_for("S", "a", 0), 0.0, None),  # (S, 0)
-        ("add", key_for("R", "a", 0), 0.0, 1),  # (S, 0) under R's key too
-        ("key", key_for("R", "a", 0)),
-        ("expire", 1.0, None),  # takes (S, 0) and leaves (R, 0)
-        ("key", key_for("R", "a", 0)),
+        ("add", KEYS[0], 5),
+        ("add", KEYS[0], 1),
+        ("add", KEYS[1], 3),
+        ("key", KEYS[0]),
+        ("prefix", PREFIXES[0]),
+        ("expire", 2.0, 5),  # the longer head is the sequence cutoff's
+        ("key", KEYS[0]),
+        ("prefix", PREFIXES[0]),
     ]
 )
 def test_every_interleaving_reads_like_memory_and_like_the_table(
@@ -233,9 +245,14 @@ def r_key(k: int) -> str:
     return key_for("R", "a", k)
 
 
+#: More keys than any filled store here has: publication ``i`` of every key
+#: precedes publication ``i + 1`` of any key, in sequence and in time.
+STRIDE = 100
+
+
 def stream(k: int, per_key: int) -> List[Tuple]:
     """The tuples :func:`filled_store` puts under ``r_key(k)``, in order."""
-    return [Tuple("R", (k, i), float(i), k * per_key + i) for i in range(per_key)]
+    return [Tuple("R", (k, i), float(i), i * STRIDE + k) for i in range(per_key)]
 
 
 def filled_store(keys: int, per_key: int) -> SqliteTupleStore:
@@ -311,7 +328,7 @@ class TestProbeMemoUpkeep:
         try:
             store.tuples_for_key(r_key(0))
             store.tuples_for_prefix(BUCKET)
-            late = Tuple("R", (0, 9), 0.5, 99)  # sorts between the two
+            late = Tuple("R", (0, 9), 0.5, STRIDE - 1)  # sorts between the two
             store.add(r_key(0), late, 0.0)
             first, second = stream(0, 2)
             assert store.tuples_for_key(r_key(0)) == [first, late, second]
@@ -326,12 +343,12 @@ class TestProbeMemoUpkeep:
             for k in range(3):
                 store.tuples_for_key(r_key(k))
             store.tuples_for_prefix(BUCKET)
-            assert store.remove_expired(sequenced_before=2) == 2  # key 0's two
+            (a1, a2), (b1, b2), (c1, c2) = (stream(k, 2) for k in range(3))
+            assert store.remove_expired(sequenced_before=a1.sequence + 1) == 1
             assert list(store._memo) == [r_key(0), r_key(1), r_key(2), BUCKET]
-            assert store._memo[r_key(0)] == []
-            assert store._memo[r_key(1)] == stream(1, 2)
-            (a1, a2), (b1, b2) = stream(1, 2), stream(2, 2)
-            assert store.tuples_for_prefix(BUCKET) == [a1, b1, a2, b2]
+            assert store._memo[r_key(0)] == [a2]
+            assert store._memo[r_key(1)] == [b1, b2]
+            assert store.tuples_for_prefix(BUCKET) == [b1, c1, a2, b2, c2]
         finally:
             store.close()
 
@@ -347,3 +364,14 @@ class TestProbeMemoUpkeep:
             assert store.tuples_for_prefix(BUCKET) == stream(1, 2)
         finally:
             store.close()
+
+
+def test_a_non_canonical_prefix_is_refused_even_when_a_key_of_its_name_is_memoised():
+    store = filled_store(1, 2)
+    try:
+        store.tuples_for_key("R")
+        assert "R" in store._memo
+        with pytest.raises(ConfigurationError, match="canonical"):
+            store.tuples_for_prefix("R")
+    finally:
+        store.close()

@@ -1,9 +1,12 @@
 """Backend-conformance suite for every registered tuple-store backend.
 
 Every implementation of :class:`repro.data.backends.StoreBackend` must obey
-the same contract — publication ordering, strict expiry cutoffs, prefix
-matching with identity deduplication, re-homing round-trips and counter
-consistency — so the whole suite is parametrized over the registry.  A new
+the same contract — publication ordering, strict expiry cutoffs, canonical
+bucket matching with identity deduplication, re-homing round-trips and
+counter consistency — so the whole suite is parametrized over the registry.
+Its tuples keep the contract's premise: a larger sequence number is never
+published earlier (the engine's global numbering), though tuples may be
+stored in any order.  A new
 backend only has to register in :func:`repro.data.backends.make_store` to be
 held to the same invariants.  The sqlite backend runs twice: with its default
 in-memory database and with the database in a file, the configuration that
@@ -67,6 +70,16 @@ def make_tuple(schema, values, seq, pub_time=0.0):
     return Tuple.from_schema(schema, values, pub_time=pub_time, sequence=seq)
 
 
+def distinct_tuples(store) -> int:
+    """Distinct publications held by ``store``."""
+    return len({record.identity for record in store})
+
+
+def records_under(store, key):
+    """The records ``store`` holds under ``key``, in publication order."""
+    return [record for record in store if record.key == key]
+
+
 class TestFactory:
     def test_every_registered_backend_constructs(self):
         for name in BACKEND_NAMES:
@@ -96,25 +109,37 @@ class TestConformance:
         for tup in (late, early, middle):
             store.add("k", tup, now=0.0)
         assert [t.sequence for t in store.tuples_for_key("k")] == [1, 2, 3]
-        assert [r.tuple.sequence for r in store.records_for_key("k")] == [1, 2, 3]
+        assert [r.tuple.sequence for r in records_under(store, "k")] == [1, 2, 3]
 
     def test_prefix_match_dedups_and_orders(self, store, schema):
-        shared = make_tuple(schema, (1, 2), 1, pub_time=2.0)
+        shared = make_tuple(schema, (1, 2), 2, pub_time=2.0)
         store.add(key_for("R", "a", 1), shared, now=0.0)
         store.add(key_for("R", "a", 2), shared, now=0.0)  # same publication
-        other = make_tuple(schema, (9, 9), 2, pub_time=1.0)
-        store.add(key_for("R", "a", 9), other, now=0.0)
-        store.add(key_for("S", "a", 1), make_tuple(schema, (7, 7), 3), now=0.0)
+        other = make_tuple(schema, (9, 9), 1, pub_time=1.0)
+        store.add(key_for("R", "a", 9), other, now=0.0)  # stored out of order
+        store.add(
+            key_for("S", "a", 1), make_tuple(schema, (7, 7), 3, pub_time=3.0), now=0.0
+        )
         result = store.tuples_for_prefix(prefix_for("R", "a"))
-        assert [t.sequence for t in result] == [2, 1]  # ordered, deduplicated
+        assert [t.sequence for t in result] == [1, 2]  # ordered, deduplicated
         assert store.tuples_for_prefix(prefix_for("R", "zzz")) == []
 
-    def test_arbitrary_prefix_fallback(self, store, schema):
+    @pytest.mark.parametrize(
+        "prefix",
+        ["plain-key", "", "R", "R\x1f", "R\x1fa", "R\x1fa\x1f1", "R\x1fa\x1f1\x1f"],
+    )
+    def test_non_canonical_prefix_is_refused(self, store, schema, prefix):
+        """Only a ``relation SEP attribute SEP`` bucket is a prefix probe."""
         store.add("plain-key-1", make_tuple(schema, (1, 1), 1), now=0.0)
-        store.add("plain-key-2", make_tuple(schema, (2, 2), 2), now=0.0)
-        store.add("other", make_tuple(schema, (3, 3), 3), now=0.0)
-        result = store.tuples_for_prefix("plain-key")
-        assert sorted(t.sequence for t in result) == [1, 2]
+        store.add(key_for("R", "a", 1), make_tuple(schema, (2, 2), 2), now=0.0)
+        store.tuples_for_key("plain-key-1")
+        store.tuples_for_prefix(prefix_for("R", "a"))
+        with pytest.raises(ConfigurationError, match="canonical"):
+            store.tuples_for_prefix(prefix)
+        with pytest.raises(ConfigurationError, match="canonical"):
+            store.match_batch([("prefix", prefix)])
+        with pytest.raises(ConfigurationError, match="canonical"):
+            store.tuples_for_prefixes([prefix_for("R", "a"), prefix])
 
     def test_remove_published_before_is_strict(self, store, schema):
         store.add("k", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
@@ -126,12 +151,13 @@ class TestConformance:
         assert store.remove_published_before(2.0) == 0
 
     def test_remove_sequenced_before_is_strict(self, store, schema):
-        # Sequence order deliberately disagrees with publication order.
-        store.add("k", make_tuple(schema, (1, 1), 5, pub_time=1.0), now=0.0)
-        store.add("k", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=0.0)
-        store.add("j", make_tuple(schema, (3, 3), 9, pub_time=0.5), now=0.0)
-        assert store.remove_sequenced_before(5) == 1
-        assert sorted(t.sequence for t in store.tuples_for_key("k")) == [5]
+        # Stored out of publication order; publication ties on time.
+        store.add("k", make_tuple(schema, (1, 1), 5, pub_time=2.0), now=0.0)
+        store.add("k", make_tuple(schema, (2, 2), 2, pub_time=1.0), now=0.0)
+        store.add("j", make_tuple(schema, (3, 3), 9, pub_time=2.0), now=0.0)
+        store.add("k", make_tuple(schema, (4, 4), 4, pub_time=2.0), now=0.0)
+        assert store.remove_sequenced_before(5) == 2
+        assert [t.sequence for t in store.tuples_for_key("k")] == [5]
         assert store.remove_sequenced_before(5) == 0
         assert len(store) == 2
 
@@ -181,7 +207,7 @@ class TestConformance:
                 target.add(record.key, record.tuple, record.stored_at)
             assert len(store) == 0
             assert [t.sequence for t in target.tuples_for_key(key)] == [1, 2, 3]
-            assert [r.stored_at for r in target.records_for_key(key)] == [
+            assert [r.stored_at for r in records_under(target, key)] == [
                 11.0,
                 12.0,
                 13.0,
@@ -198,24 +224,24 @@ class TestConformance:
         store.add("k2", shared, now=0.0)
         store.add("k1", make_tuple(schema, (3, 4), 2), now=0.0)
         assert len(store) == 3
-        assert store.distinct_tuples() == 2
+        assert distinct_tuples(store) == 2
         store.remove_key("k2")
         assert len(store) == 2
-        assert store.distinct_tuples() == 2  # identity 1 still lives under k1
+        assert distinct_tuples(store) == 2  # identity 1 still lives under k1
         store.remove_key("k1")
         assert len(store) == 0
-        assert store.distinct_tuples() == 0
+        assert distinct_tuples(store) == 0
 
     def test_store_is_usable_after_clear(self, store, schema):
         for seq in range(5):
             store.add("k", make_tuple(schema, (seq, seq), seq), now=0.0)
         store.clear()
         assert len(store) == 0
-        assert store.distinct_tuples() == 0
+        assert distinct_tuples(store) == 0
         assert store.tuples_for_key("k") == []
         store.add("k", make_tuple(schema, (1, 1), 99), now=0.0)
         assert len(store) == 1
-        assert store.distinct_tuples() == 1
+        assert distinct_tuples(store) == 1
 
     def test_keys_and_iteration(self, store, schema):
         store.add("a", make_tuple(schema, (1, 1), 1), now=0.0)
@@ -225,12 +251,12 @@ class TestConformance:
 
     def test_empty_store_edge_cases(self, store):
         assert len(store) == 0
-        assert store.distinct_tuples() == 0
+        assert distinct_tuples(store) == 0
         assert list(store.keys()) == []
         assert list(store) == []
         assert store.remove_published_before(100.0) == 0
         assert store.remove_sequenced_before(100) == 0
-        assert store.tuples_for_prefix("anything") == []
+        assert store.tuples_for_prefix(prefix_for("R", "a")) == []
         store.clear()
 
     def test_values_round_trip_exactly(self, store, schema):
@@ -268,7 +294,7 @@ class TestConformance:
     def test_records_carry_key_and_stored_at(self, store, schema):
         store.add("k", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=2.5)
         store.add("j", make_tuple(schema, (2, 2), 2, pub_time=2.0), now=7.0)
-        (record,) = store.records_for_key("k")
+        (record,) = records_under(store, "k")
         assert (record.key, record.stored_at, record.tuple.sequence) == ("k", 2.5, 1)
         assert sorted((r.key, r.stored_at) for r in store) == [
             ("j", 7.0),
@@ -285,8 +311,8 @@ class TestConformance:
 
     def test_expiry_drops_emptied_keys(self, store, schema):
         store.add("old", make_tuple(schema, (1, 1), 1, pub_time=1.0), now=0.0)
-        store.add("new", make_tuple(schema, (2, 2), 2, pub_time=5.0), now=0.0)
-        store.add("mixed", make_tuple(schema, (3, 3), 3, pub_time=1.0), now=0.0)
+        store.add("new", make_tuple(schema, (3, 3), 3, pub_time=5.0), now=0.0)
+        store.add("mixed", make_tuple(schema, (2, 2), 2, pub_time=1.0), now=0.0)
         store.add("mixed", make_tuple(schema, (4, 4), 4, pub_time=5.0), now=0.0)
         assert store.remove_published_before(2.0) == 2
         assert sorted(store.keys()) == ["mixed", "new"]
@@ -301,10 +327,10 @@ class TestConformance:
         store.add(
             key_for("R", "a", 2), make_tuple(schema, (2, 2), 2, pub_time=2.0), now=0.0
         )
-        assert store.distinct_tuples() == 2
+        assert distinct_tuples(store) == 2
         assert store.remove_sequenced_before(2) == 2  # both slots of seq 1
         assert len(store) == 1
-        assert store.distinct_tuples() == 1
+        assert distinct_tuples(store) == 1
         assert store.tuples_for_prefix(prefix_for("R", "b")) == []
 
     def test_clear_discards_memoised_prefix_results(self, store, schema):
@@ -367,19 +393,19 @@ class TestBatchOperations:
             expected.close()
 
     def test_match_batch_agrees_with_per_probe_lookups(self, store, schema):
-        shared = make_tuple(schema, (1, 2), 1, pub_time=2.0)
+        shared = make_tuple(schema, (1, 2), 2, pub_time=2.0)
         store.add(key_for("R", "a", 1), shared, now=0.0)
         store.add(key_for("R", "a", 2), shared, now=0.0)
-        store.add(key_for("R", "a", 9), make_tuple(schema, (9, 9), 2, pub_time=1.0), now=0.0)
-        store.add(key_for("S", "b", 1), make_tuple(schema, (7, 7), 3), now=0.0)
-        store.add("plain-key", make_tuple(schema, (4, 4), 4), now=0.0)
+        store.add(key_for("R", "a", 9), make_tuple(schema, (9, 9), 1, pub_time=1.0), now=0.0)
+        store.add(key_for("S", "b", 1), make_tuple(schema, (7, 7), 3, pub_time=3.0), now=0.0)
+        store.add("plain-key", make_tuple(schema, (4, 4), 4, pub_time=3.0), now=0.0)
         probes = [
             ("prefix", prefix_for("R", "a")),
             ("key", key_for("R", "a", 1)),
             ("prefix", prefix_for("S", "b")),
             ("key", "missing-key"),
             ("prefix", prefix_for("R", "zzz")),
-            ("prefix", "plain"),
+            ("key", "plain-key"),
             ("prefix", prefix_for("R", "a")),  # repeated probe
         ]
         batched = store.match_batch(probes=probes)
@@ -415,19 +441,20 @@ class TestBatchOperations:
     def test_batch_results_stay_consistent_across_writes_and_gc(self, store, schema):
         """Memoised bucket results must track interleaved mutation exactly."""
         prefix = prefix_for("R", "a")
-        for seq in range(1, 11):
+        # Publication n goes under value n % 4 with sequence 2n at time n.
+        for n in range(1, 11):
             store.add(
-                key_for("R", "a", seq % 4),
-                make_tuple(schema, (seq, seq), seq, pub_time=float(seq)),
+                key_for("R", "a", n % 4),
+                make_tuple(schema, (n, n), 2 * n, pub_time=float(n)),
                 now=0.0,
             )
         first = store.tuples_for_prefix(prefix)
-        assert [t.sequence for t in first] == list(range(1, 11))
+        assert [t.sequence // 2 for t in first] == list(range(1, 11))
         # Write after the result was memoised — including one out of
-        # publication order.
+        # publication order (sequence 11, published at 5.5).
         store.add(
             key_for("R", "a", 1),
-            make_tuple(schema, (12, 12), 12, pub_time=12.0),
+            make_tuple(schema, (12, 12), 24, pub_time=12.0),
             now=0.0,
         )
         store.add(
@@ -435,15 +462,15 @@ class TestBatchOperations:
             make_tuple(schema, (11, 11), 11, pub_time=5.5),
             now=0.0,
         )
-        assert [t.sequence for t in store.tuples_for_prefix(prefix)] == [
+        assert [t.values[0] for t in store.tuples_for_prefix(prefix)] == [
             1, 2, 3, 4, 5, 11, 6, 7, 8, 9, 10, 12,
         ]
         # Ranged GC, keyed removal and re-probing must all agree again.
         assert store.remove_published_before(5.0) == 4
         store.remove_key(key_for("R", "a", 3))
         (after,) = store.match_batch([("prefix", prefix)])
-        # seq 3 (already expired) and seq 7 lived under value 3.
-        assert {t.sequence for t in after} == {5, 6, 8, 9, 10, 11, 12}
+        # 3 (already expired) and 7 lived under value 3.
+        assert {t.values[0] for t in after} == {5, 6, 8, 9, 10, 11, 12}
         assert after == store.tuples_for_prefix(prefix)
 
     def test_remove_expired_combines_both_cutoffs(self, store, schema):

@@ -313,6 +313,47 @@ class TestPerDestinationFifo:
         assert runtime.pending_events == 0
         assert runtime.backpressure_escapes == 0
 
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_an_inbox_has_waiting_envelopes_only_while_it_is_full(self, capacity):
+        """``runtime_asyncio``'s waiting-queue rule, read at every inbox from
+        inside every handler, and after each post of a burst that waits."""
+        runtime, rec = AsyncioTransport(inbox_capacity=capacity), Recorder()
+        longest_wait = 0
+
+        def check_every_inbox():
+            nonlocal longest_wait
+            for address, inbox in runtime._inboxes.items():
+                longest_wait = max(longest_wait, len(inbox.waiting))
+                assert not inbox.waiting or len(inbox.items) >= inbox.capacity, (
+                    address, len(inbox.items), len(inbox.waiting)
+                )
+
+        def handler(env: Envelope) -> None:
+            rec(env)
+            check_every_inbox()
+            if env.destination == "node-0":
+                for _ in range(8):
+                    runtime.post(envelope("node-1"), 1.0)
+                    check_every_inbox()
+            elif env.destination == "node-1" and len(rec.delivered) < 6:
+                runtime.post(envelope("node-1", sender="node-1"), 1.0)
+                runtime.post(envelope("node-2", sender="node-1"), 1.0)
+                check_every_inbox()
+
+        try:
+            self.wire(runtime, handler)
+            runtime.post(envelope("node-0"), 1.0)
+            for _ in range(2):
+                runtime.post(envelope("node-1", sender="node-2"), 1.0)
+            check_every_inbox()
+            runtime.drain()
+            check_every_inbox()
+            assert longest_wait > 0  # the burst did wait for room
+            assert runtime.pending_events == 0
+            assert runtime.backpressure_escapes == 0
+        finally:
+            runtime.shutdown()
+
 
 class TestTimers:
     def test_timers_fire_in_due_time_order(self, transport, recorder):
