@@ -35,10 +35,8 @@ backends, and ``abc`` refuses to build one missing an abstract method):
 
 * per-key record lists are ordered by publication ``(pub_time, sequence)``
   regardless of insertion order,
-* :meth:`StoreBackend.tuples_for_prefix` takes a canonical
-  ``relation SEP attribute SEP`` bucket only (anything else raises
-  :class:`~repro.errors.ConfigurationError`), deduplicates by tuple identity
-  and returns publication order,
+* :meth:`StoreBackend.tuples_for_prefix` deduplicates by tuple identity and
+  returns publication order,
 * expiry drops *strictly* older records and returns the removal count,
 * :meth:`StoreBackend.remove_key` returns the removed records so membership
   re-homing can replay them into another node's backend — of any kind,
@@ -111,7 +109,7 @@ def bucket_of(key: str) -> Optional[str]:
     """The ``relation SEP attribute SEP`` prefix of a value-level key.
 
     Returns None for keys that do not carry two separator-delimited fields
-    (an ALTT's attribute-level key): no prefix probe can reach those.
+    (those are only reachable through each backend's slow scan path).
     """
     first = key.find(SEPARATOR)
     if first < 0:
@@ -120,21 +118,6 @@ def bucket_of(key: str) -> Optional[str]:
     if second < 0:
         return None
     return key[: second + 1]
-
-
-def canonical_bucket(prefix: str) -> str:
-    """``prefix``, if it is a canonical ``relation SEP attribute SEP`` bucket.
-
-    The node probes a bucket by the ``attribute_prefix`` of an
-    attribute-level key; any other prefix is a caller's error and raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    if bucket_of(prefix) != prefix:
-        raise ConfigurationError(
-            f"prefix probe {prefix!r} is not a canonical "
-            "'relation SEP attribute SEP' bucket"
-        )
-    return prefix
 
 
 def merge_records(lists: List[List[StoredTuple]]) -> List["Tuple"]:
@@ -220,8 +203,7 @@ class StoreBackend(abc.ABC):
 
     @abc.abstractmethod
     def tuples_for_prefix(self, prefix: str) -> List["Tuple"]:
-        """Tuples under the keys of canonical bucket ``prefix`` (deduplicated,
-        ordered); see :func:`canonical_bucket`."""
+        """Tuples under any key starting with ``prefix`` (deduplicated, ordered)."""
 
     # ------------------------------------------------------------------
     # the other forms, defined once over the ones above

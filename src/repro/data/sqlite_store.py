@@ -4,10 +4,9 @@ A disk-capable implementation of the
 :class:`~repro.data.backends.StoreBackend` contract: stored records live in
 one SQLite table whose indexes make every hot operation an index scan —
 
-* ``(relation, attribute, value)`` serves the attribute-level bucket match
-  (:meth:`SqliteTupleStore.tuples_for_prefix`): a canonical
-  ``relation SEP attribute SEP`` bucket, the only prefix it takes, resolves
-  to an equality scan on the first two columns,
+* ``(relation, attribute, value)`` serves the attribute-level prefix match
+  (:meth:`SqliteTupleStore.tuples_for_prefix`): canonical two-field prefixes
+  resolve to an equality scan on the first two columns,
 * ``(pub_time, sequence)`` and ``(sequence)`` serve the two window-expiry
   cutoffs (:meth:`SqliteTupleStore.remove_expired`), one per column the
   cutoff names; by the contract's premise both cut the same order,
@@ -67,7 +66,7 @@ from repro.data.backends import (
     StoreBackend,
     StoredTuple,
     bucket_of,
-    canonical_bucket,
+    merge_records,
 )
 from repro.data.rowcodec import pack_values, unpack_values
 from repro.data.tuples import Tuple
@@ -390,20 +389,27 @@ class SqliteTupleStore(StoreBackend):
         return self._select_records("key = ?", (key,))
 
     def tuples_for_prefix(self, prefix: str) -> List[Tuple]:
-        """The tuples stored under the keys of bucket ``prefix``.
+        """Tuples under any key starting with ``prefix`` (deduplicated, ordered).
 
-        ``prefix`` is a canonical ``relation SEP attribute SEP`` bucket; any
-        other prefix raises :class:`~repro.errors.ConfigurationError`.  It
+        A canonical attribute-level prefix (``relation SEP attribute SEP``)
         is served from the probe memo, or else by one equality scan on the
         ``(relation, attribute, value)`` index whose result is memoised.
         Its ``GROUP BY rel, sequence`` deduplicates identities SQL-side; the
         bare columns are safe because every row of one identity group
-        describes the same publication.
+        describes the same publication.  Arbitrary prefixes fall back to a
+        table scan.
         """
-        # A memo name ending in SEPARATOR is a bucket's, never an exact key's.
-        cached = self._memo.get(prefix) if prefix.endswith(SEPARATOR) else None
+        bucket = bucket_of(prefix)
+        if bucket is None or len(bucket) != len(prefix):
+            records = self._select_records(
+                "substr(key, 1, ?) = ?", (len(prefix), prefix)
+            )
+            # The SELECT already returns publication order; merge_records only
+            # contributes the identity deduplication here.
+            return merge_records([records])
+        cached = self._memo.get(prefix)
         if cached is None:
-            relation, attribute, _ = canonical_bucket(prefix).split(SEPARATOR)
+            relation, attribute = prefix.split(SEPARATOR)[:2]
             cached = self._select_tuples(
                 "WHERE relation = ? AND attribute = ? "
                 "GROUP BY rel, sequence ORDER BY pub_time, sequence",

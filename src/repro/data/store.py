@@ -16,12 +16,10 @@ queries plus the number of tuples that the node has to store locally.
 :func:`repro.data.backends.make_store` for the registry).  Three auxiliary
 structures keep the hot paths off O(total-keys) scans:
 
-* a *prefix index* (canonical ``relation SEP attribute SEP`` bucket -> set
-  of value keys) so that attribute-level lookups
-  (:meth:`TupleStore.tuples_for_prefix`) only touch the keys of the
-  requested bucket, with each bucket's result memoised until a key of the
-  bucket changes; a key outside every bucket (an ALTT's attribute-level
-  key) is in no index,
+* a *prefix index* (``relation + attribute -> set of value keys``) so that
+  attribute-level lookups (:meth:`TupleStore.tuples_for_prefix`) only touch
+  the keys of the requested relation-attribute pair, with each bucket's
+  result memoised until a key of the bucket changes,
 * per-key record lists kept in publication order ``(pub_time, sequence)``
   so callers consume tuples in that order without re-sorting,
 * one min-heap over publication order, so window garbage collection
@@ -41,7 +39,6 @@ from repro.data.backends import (
     StoreBackend,
     StoredTuple,
     bucket_of as _bucket_of,
-    canonical_bucket,
     merge_records,
     record_order as _record_order,
 )
@@ -65,8 +62,10 @@ class TupleStore(StoreBackend):
     def __init__(self) -> None:
         self._by_key: Dict[str, List[StoredTuple]] = {}
         self._keys_by_prefix: Dict[str, Set[str]] = {}
-        # Memoised tuples_for_prefix results per bucket, dropped whenever
-        # any key of the bucket is touched: at most one per indexed bucket.
+        self._unprefixed_keys: Set[str] = set()
+        # Memoised tuples_for_prefix results per canonical bucket, dropped
+        # whenever any key of the bucket is touched: at most one per
+        # indexed bucket.
         self._prefix_cache: Dict[str, List[Tuple]] = {}
         self._size = 0
         # Lazy expiry queue of (pub_time, sequence, key), first materialised
@@ -82,13 +81,15 @@ class TupleStore(StoreBackend):
     def add(self, key: str, tup: Tuple, now: float) -> StoredTuple:
         """Store ``tup`` under ``key`` and return the stored record."""
         record = StoredTuple(tuple=tup, key=key, stored_at=now)
-        if self._prefix_cache:
-            self._invalidate_prefix(key)
+        bucket = _bucket_of(key)
+        if bucket is not None and self._prefix_cache:
+            self._prefix_cache.pop(bucket, None)
         records = self._by_key.get(key)
         if records is None:
             self._by_key[key] = [record]
-            bucket = _bucket_of(key)
-            if bucket is not None:
+            if bucket is None:
+                self._unprefixed_keys.add(key)
+            else:
                 self._keys_by_prefix.setdefault(bucket, set()).add(key)
         elif _record_order(record) >= _record_order(records[-1]):
             records.append(record)
@@ -111,7 +112,9 @@ class TupleStore(StoreBackend):
         """Remove an emptied key from the dictionary and the prefix index."""
         del self._by_key[key]
         bucket = _bucket_of(key)
-        if bucket is not None:
+        if bucket is None:
+            self._unprefixed_keys.discard(key)
+        else:
             keys = self._keys_by_prefix.get(bucket)
             if keys is not None:
                 keys.discard(key)
@@ -206,6 +209,7 @@ class TupleStore(StoreBackend):
         """Remove every stored tuple."""
         self._by_key.clear()
         self._keys_by_prefix.clear()
+        self._unprefixed_keys.clear()
         self._prefix_cache.clear()
         self._expiry_heap.clear()
         self._size = 0
@@ -218,24 +222,40 @@ class TupleStore(StoreBackend):
         return [r.tuple for r in self._by_key.get(key, [])]
 
     def tuples_for_prefix(self, prefix: str) -> List[Tuple]:
-        """The tuples stored under the keys of bucket ``prefix``.
+        """Return tuples stored under any key starting with ``prefix``.
 
-        ``prefix`` is a canonical ``relation SEP attribute SEP`` bucket, as
-        a rewritten query indexed at the attribute level names it; any other
-        prefix raises :class:`~repro.errors.ConfigurationError`.  Results are
-        deduplicated by tuple identity and in publication order, served from
-        the bucket's memo or merged from its keys' lists.
+        Used when a rewritten query indexed at the *attribute level* needs to
+        scan every locally stored tuple of a relation-attribute pair
+        regardless of the value component of the key.  Results are
+        deduplicated by tuple identity and sorted by ``(pub_time, sequence)``.
+        Canonical attribute-level prefixes hit the prefix index (and a result
+        memo invalidated on writes) instead of scanning every stored key.
         """
-        cached = self._prefix_cache.get(prefix)
-        if cached is not None:
-            return list(cached)
-        keys = self._keys_by_prefix.get(prefix)
-        if not keys:
-            canonical_bucket(prefix)
+        bucket = _bucket_of(prefix)
+        if bucket is not None and len(bucket) == len(prefix):
+            # Canonical two-field prefix (``relation SEP attribute SEP``):
+            # every matching key lives exactly in this bucket.
+            cached = self._prefix_cache.get(prefix)
+            if cached is not None:
+                return list(cached)
+            keys = self._keys_by_prefix.get(prefix)
+            if not keys:
+                return []
+            result = merge_records([self._by_key[key] for key in keys])
+            self._prefix_cache[prefix] = result
+            return list(result)
+        return self._scan_prefix(prefix)
+
+    def _scan_prefix(self, prefix: str) -> List[Tuple]:
+        """:meth:`tuples_for_prefix` by scanning every key (arbitrary prefixes)."""
+        lists = [
+            records
+            for key, records in self._by_key.items()
+            if key.startswith(prefix)
+        ]
+        if not lists:
             return []
-        result = merge_records([self._by_key[key] for key in keys])
-        self._prefix_cache[prefix] = result
-        return list(result)
+        return merge_records(lists)
 
     # ------------------------------------------------------------------
     # statistics

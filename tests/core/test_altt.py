@@ -1,12 +1,9 @@
 """Tests for the attribute-level tuple table (ALTT)."""
 
-import pytest
-
 from repro.core.altt import AttributeLevelTupleTable
 from repro.data.schema import RelationSchema
 from repro.data.store import TupleStore
 from repro.data.tuples import Tuple
-from repro.errors import ConfigurationError
 
 
 SCHEMA = RelationSchema("R", ["a"])
@@ -67,22 +64,21 @@ class TestALTT:
         assert len(table) == 0
 
     def test_keeps_no_prefix_index(self):
-        # An attribute-level key falls in no bucket, so the store's own add
-        # files nothing in the prefix index; find, expiry and re-homing answer
-        # as a plain memory store does, a bucket probe finds nothing, and any
-        # other prefix is refused.
+        # Lookups are by exact key, so the store's prefix bookkeeping is
+        # skipped; find, expiry, re-homing and a (scanning) prefix lookup
+        # answer as the indexed memory store does.
         table = AttributeLevelTupleTable(delta=5)
         store = TupleStore()
-        keys = ["R\x1fa", "R\x1fb", "S\x1fb"]
+        keys = ["R\x1fa", "R\x1fa\x1f1", "S\x1fb\x1f1"]
         for index in range(9):
             for target in (table, store):
                 target.add(keys[index % 3], tup(float(index), index), now=index)
         assert table._keys_by_prefix == {}
+        assert table._unprefixed_keys == set()
         for key in keys:
             assert table.find(key, now=8.0) == store.tuples_for_key(key)[-2:]
-        assert table.tuples_for_prefix("R\x1fa\x1f") == []
-        with pytest.raises(ConfigurationError, match="canonical"):
-            table.tuples_for_prefix("R\x1f")
+        for prefix in ("R\x1fa\x1f", "R\x1f", "S\x1fb\x1f"):
+            assert table.tuples_for_prefix(prefix) == store.tuples_for_prefix(prefix)
         assert table.expire(now=9.0) == 4
         assert [t.sequence for t in table.find(keys[0], now=9.0)] == [6]
         moved = table.remove_key(keys[1])

@@ -30,7 +30,6 @@ from repro.data import sqlite_store
 from repro.data.backends import SEPARATOR, bucket_of, make_store
 from repro.data.sqlite_store import PROBE_MEMO_BOUND, SqliteTupleStore
 from repro.data.tuples import Tuple
-from repro.errors import ConfigurationError
 
 
 def key_for(relation: str, attribute: str, value) -> str:
@@ -53,12 +52,12 @@ KEYS = [
     for value in (0, 1)
 ] + ["plain", BUCKET_SHAPED_KEY]
 
-#: The four canonical buckets: the only prefixes a store takes.
+#: The four canonical buckets plus a non-canonical prefix (the scan path).
 PREFIXES = [
     prefix_for(relation, attribute)
     for relation in ("R", "S")
     for attribute in ("a", "b")
-]
+] + ["R"]
 
 #: Publications 0 … 40 of one stream, at times 0.0 … 20.0.
 LAST_PUBLICATION = 40
@@ -93,7 +92,7 @@ steps = st.one_of(
 )
 
 
-#: The WHERE clause of a bucket match, read without the store's index scan.
+#: The WHERE clause of a prefix match, as the store's scan path writes it.
 PREFIX_MATCH = "substr(key, 1, ?) = ?"
 
 
@@ -365,13 +364,3 @@ class TestProbeMemoUpkeep:
         finally:
             store.close()
 
-
-def test_a_non_canonical_prefix_is_refused_even_when_a_key_of_its_name_is_memoised():
-    store = filled_store(1, 2)
-    try:
-        store.tuples_for_key("R")
-        assert "R" in store._memo
-        with pytest.raises(ConfigurationError, match="canonical"):
-            store.tuples_for_prefix("R")
-    finally:
-        store.close()

@@ -245,12 +245,13 @@ def test_prefix_cache_invalidated_by_mutations(schema):
     assert store.tuples_for_prefix(prefix) == []
 
 
-def test_keys_outside_every_bucket_are_in_no_index(schema):
+def test_non_canonical_prefix_falls_back_to_scan(schema):
     store = TupleStore()
     store.add("R\x1fa\x1f10", make_tuple(schema, (1, 1), 1), now=0.0)
-    store.add("R\x1fa", make_tuple(schema, (2, 2), 2), now=0.0)
-    store.add("plain-key", make_tuple(schema, (3, 3), 3), now=0.0)
-    assert store._keys_by_prefix == {"R\x1fa\x1f": {"R\x1fa\x1f10"}}
-    assert [t.sequence for t in store.tuples_for_prefix("R\x1fa\x1f")] == [1]
-    assert store.remove_expired(sequenced_before=4) == 3
-    assert store._keys_by_prefix == {} and list(store.keys()) == []
+    store.add("R\x1fa\x1f11", make_tuple(schema, (2, 2), 2), now=0.0)
+    store.add("R\x1fa\x1f20", make_tuple(schema, (3, 3), 3), now=0.0)
+    store.add("plain-key", make_tuple(schema, (4, 4), 4), now=0.0)
+    # A prefix extending into the value component is not a canonical bucket.
+    assert len(store.tuples_for_prefix("R\x1fa\x1f1")) == 2
+    assert len(store.tuples_for_prefix("plain")) == 1
+    assert len(store.tuples_for_prefix("")) == 4
