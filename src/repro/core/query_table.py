@@ -21,7 +21,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple as TupleT,
     Union,
 )
@@ -63,6 +62,21 @@ class StoredQueryRecord:
 _ShareHosts = Union[StoredQueryRecord, Dict[Query, StoredQueryRecord]]
 
 
+class _ExpiryHeap(List[TupleT[float, int]]):
+    """One window mode's ``(deadline, seq)`` min-heap of a bucket.
+
+    ``hint`` is the deadline of the bucket's one live entry in the table's
+    GC hint heap of that mode (None when it has none); it is at most the
+    heap's earliest deadline.
+    """
+
+    __slots__ = ("hint",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hint: Optional[float] = None
+
+
 class _KeyBucket:
     """The records stored under one key text, sub-indexed for probing.
 
@@ -71,12 +85,12 @@ class _KeyBucket:
     record additionally lives either in ``wildcard`` (no usable
     discriminating selection) or in ``by_value[attribute][value]`` — the
     predicate-aware index an arriving tuple probes with its own values.
-    ``expiry`` holds per-window-mode ``(deadline, seq)`` min-heaps, the only
-    record of when the bucket's records die: the trigger path and the GC
-    sweep both pop them, so aged-out records leave without a scan of the
-    bucket.  Entries of records removed otherwise are skipped when popped,
-    and each heap holds at most 2 × live records + 8 entries
-    (:meth:`bound_expiry`).  ``key`` is
+    ``expiry`` holds a ``(deadline, seq)`` min-heap per window mode its
+    records have used, the only record of when the bucket's records die:
+    the trigger path and the GC sweep both pop them, so aged-out records
+    leave without a scan of the bucket.  Entries of records removed
+    otherwise are skipped when popped, and each heap holds at most
+    2 × live records + 8 entries (:meth:`bound_expiry`).  ``key`` is
     the :class:`IndexKey` of the bucket's first record, which every later
     record points at.  ``by_share`` is the sharing index: the cheap part of a
     shareable state (:func:`~repro.core.rewriting.canonical_state_key`) maps
@@ -102,10 +116,7 @@ class _KeyBucket:
         self.wildcard: Dict[int, StoredQueryRecord] = {}
         self.by_value: Dict[str, Dict[object, Dict[int, StoredQueryRecord]]] = {}
         self.by_share: Dict[Hashable, _ShareHosts] = {}
-        self.expiry: Dict[str, List[TupleT[float, int]]] = {
-            "time": [],
-            "tuples": [],
-        }
+        self.expiry: Dict[str, _ExpiryHeap] = {}
         #: Mutation counter; bumped on every add/remove so probe plans and
         #: memoised candidate lists can be invalidated cheaply.
         self.version = 0
@@ -123,8 +134,8 @@ class _KeyBucket:
 
         Popping skips them anyway, so no trigger order changes.
         """
-        heap = self.expiry[mode]
-        if len(heap) > 2 * len(self.records) + 8:
+        heap = self.expiry.get(mode)
+        if heap is not None and len(heap) > 2 * len(self.records) + 8:
             # In place: :meth:`QueryTable._drop_expired` may be popping this
             # very list.
             heap[:] = [entry for entry in heap if entry[1] in self.records]
@@ -142,16 +153,22 @@ class QueryTable:
     mirroring the tuple store's prefix index, but over queries.  Each bucket
     also keeps the expiry heaps of its records (window GC without scans) and
     a registry of canonical sharing keys for multi-query state sharing.
+    A GC tick visits only the buckets that may hold a due record: per window
+    mode, a heap of ``(deadline, key text)`` hints, one live hint per bucket
+    with records of that mode, at most its earliest deadline.  A hint is
+    stale once its bucket is gone or holds a different one; stale hints are
+    skipped when popped, and each hint heap holds at most 2 × buckets + 8
+    entries (:meth:`_bound_hints`).
     """
 
-    __slots__ = ("_by_key", "_size", "_tiebreak", "_modes")
+    __slots__ = ("_by_key", "_size", "_tiebreak", "_hints")
 
     def __init__(self) -> None:
         self._by_key: Dict[str, _KeyBucket] = {}
         self._size = 0
         self._tiebreak = itertools.count()
-        #: The window modes of the records ever added (their heaps may be due).
-        self._modes: Set[str] = set()
+        #: Window mode -> the GC hint heap of the records ever added with it.
+        self._hints: Dict[str, List[TupleT[float, str]]] = {}
 
     def add(self, key_text: str, record: StoredQueryRecord) -> None:
         """Store ``record`` under ``key_text``, (re)indexing it for probes."""
@@ -170,9 +187,13 @@ class QueryTable:
         if sp is None:
             bucket.wildcard[seq] = record
         else:
-            bucket.by_value.setdefault(sp.attribute.attribute, {}).setdefault(
-                sp.value, {}
-            )[seq] = record
+            groups = bucket.by_value.get(sp.attribute.attribute)
+            if groups is None:
+                groups = bucket.by_value[sp.attribute.attribute] = {}
+            group = groups.get(sp.value)
+            if group is None:
+                group = groups[sp.value] = {}
+            group[seq] = record
 
         if record.share_key is not None:
             # The first record with a cheap part is filed as it is, without a
@@ -196,8 +217,39 @@ class QueryTable:
         if window is not None and state is not None:
             # expired(window, state, clock) <=> clock > deadline.
             deadline = state.min_clock + window.size - 1
-            heapq.heappush(bucket.expiry[window.mode], (deadline, seq))
-            self._modes.add(window.mode)
+            mode = window.mode
+            expiry = bucket.expiry.get(mode)
+            if expiry is None:
+                expiry = bucket.expiry[mode] = _ExpiryHeap()
+            heapq.heappush(expiry, (deadline, seq))
+            if expiry.hint is None or deadline < expiry.hint:
+                self._hint(key_text, expiry, mode, deadline)
+
+    def _hint(
+        self, key_text: str, expiry: _ExpiryHeap, mode: str, deadline: float
+    ) -> None:
+        """Make ``(deadline, key_text)`` the live hint of ``expiry``'s bucket."""
+        expiry.hint = deadline
+        heap = self._hints.get(mode)
+        if heap is None:
+            heap = self._hints[mode] = []
+        heapq.heappush(heap, (deadline, key_text))
+        self._bound_hints(mode)
+
+    def _bound_hints(self, mode: str) -> None:
+        """Drop ``mode``'s stale hints once they break the heap's bound.
+
+        In place: :meth:`gc_expired` may be popping this very list.
+        """
+        heap = self._hints[mode]
+        if len(heap) > 2 * len(self._by_key) + 8:
+            heap[:] = [
+                (expiry.hint, key_text)
+                for key_text, bucket in self._by_key.items()
+                if (expiry := bucket.expiry.get(mode)) is not None
+                and expiry.hint is not None
+            ]
+            heapq.heapify(heap)
 
     @staticmethod
     def _discriminator_of(
@@ -261,6 +313,8 @@ class QueryTable:
                     del bucket.by_share[record.share_key]
         if not bucket.records:
             del self._by_key[key_text]
+            for mode in self._hints:
+                self._bound_hints(mode)
             return
         window = record.state.query.window
         if window is not None:
@@ -277,7 +331,7 @@ class QueryTable:
         can never be satisfied again (Section 5).
         """
         for mode, clock in clocks.items():
-            heap = bucket.expiry[mode]
+            heap = bucket.expiry.get(mode)
             while heap and heap[0][0] < clock:
                 _, seq = heapq.heappop(heap)
                 record = bucket.records.get(seq)
@@ -386,6 +440,8 @@ class QueryTable:
             return []
         records = list(bucket.records.values())
         self._size -= len(records)
+        for mode in self._hints:
+            self._bound_hints(mode)
         return records
 
     def keys(self) -> Iterable[str]:
@@ -435,19 +491,24 @@ class QueryTable:
     def gc_expired(self, clocks: Mapping[str, float]) -> None:
         """Drop every record whose window deadline passed, bucket by bucket.
 
-        Pops each bucket's heaps as :meth:`probe` does, so a bucket no tuple
-        arrives at still lets its dead records go.  A bucket whose heap top
-        is not yet due is passed over with a look at it, and a window mode
-        no record of the table has used is not looked at.  ``clocks`` maps
-        each of those modes to its clock.
+        Pops each mode's hint heap down to the clock and, for every live
+        hint, the bucket's heap of that mode as :meth:`probe` does, so a
+        bucket no tuple arrives at still lets its dead records go; a bucket
+        left with entries of the mode gets a fresh hint at its earliest
+        deadline.  Buckets with nothing due are not looked at.  ``clocks``
+        maps each window mode the table has used to its clock.
         """
-        for mode in self._modes:
+        for mode, heap in self._hints.items():
             clock = clocks[mode]
-            due = [
-                (key_text, bucket)
-                for key_text, bucket in self._by_key.items()
-                if (heap := bucket.expiry[mode]) and heap[0][0] < clock
-            ]
             only = {mode: clock}
-            for key_text, bucket in due:
+            by_key = self._by_key
+            while heap and heap[0][0] < clock:
+                deadline, key_text = heapq.heappop(heap)
+                bucket = by_key.get(key_text)
+                expiry = None if bucket is None else bucket.expiry.get(mode)
+                if expiry is None or expiry.hint != deadline:
+                    continue  # stale
+                expiry.hint = None
                 self._drop_expired(key_text, bucket, only)
+                if expiry and by_key.get(key_text) is bucket:
+                    self._hint(key_text, expiry, mode, expiry[0][0])

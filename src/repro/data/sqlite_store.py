@@ -2,16 +2,16 @@
 
 A disk-capable implementation of the
 :class:`~repro.data.backends.StoreBackend` contract: stored records live in
-one SQLite table whose indexes make every hot operation an index scan —
+one SQLite table with two secondary indexes, so every hot operation is an
+index scan —
 
-* ``(relation, attribute, value)`` serves the attribute-level prefix match
-  (:meth:`SqliteTupleStore.tuples_for_prefix`): canonical two-field prefixes
-  resolve to an equality scan on the first two columns,
-* ``(pub_time, sequence)`` and ``(sequence)`` serve the two window-expiry
-  cutoffs (:meth:`SqliteTupleStore.remove_expired`), one per column the
-  cutoff names; by the contract's premise both cut the same order,
 * ``(key, pub_time, sequence)`` serves exact-key lookups in publication
-  order without re-sorting.
+  order without re-sorting, and the canonical-bucket prefix match
+  (:meth:`SqliteTupleStore.tuples_for_prefix`) as a range of keys,
+* ``(sequence, pub_time)`` serves both window-expiry cutoffs
+  (:meth:`SqliteTupleStore.remove_expired`): by the contract's premise
+  sequence order is publication order, so a publication-time cutoff is the
+  sequence cutoff of the first row it keeps.
 
 The store implements the one form of each operation the node calls; the
 set-at-a-time forms (``add_batch``, ``match_batch``,
@@ -19,17 +19,27 @@ set-at-a-time forms (``add_batch``, ``match_batch``,
 ``remove_sequenced_before``) are the base class's wrappers.  A canonical
 bucket probe deduplicates identities SQL-side (``GROUP BY rel, sequence``).
 
+The store keeps a *key map*: each key that may hold a row, mapped to the
+``(pub_time, sequence)`` of its newest row, oldest first.  A key absent
+from it holds no row, so its probe answers ``[]`` with no flush, no SELECT
+and no memo entry — most probes of an ingest-heavy node are of such keys.
+Every expiry cutoff prunes the map from its front, up to the first key
+with a row the cutoff keeps; a key behind that one, or one a keyed delete
+emptied, stays listed until a probe finds it empty.
+
 Both probe kinds are answered from one *probe memo* keyed by probe text:
 an exact key (duplicate identities kept, as the rows are) or a canonical
 ``relation SEP attribute SEP`` bucket (deduplicated by identity).  A miss
 fills the entry from one SELECT; after that a repeated probe is a dict hit
-that neither flushes nor decodes a row.  The memo is write-through:
+that neither flushes nor decodes a row.  An exact key's empty result is
+not memoised: the key map answers it.  The memo is write-through:
 :meth:`SqliteTupleStore.add` folds each written tuple into the entries that
 cover its key, in publication order, so a hit also sees the buffered
 writes.  A ranged delete (:meth:`SqliteTupleStore.remove_expired`) keeps
 the memo exact without reading back what it deleted: entries are in
 publication order, which is sequence order too (the contract's premise),
-so either cutoff takes a head off each entry.  A keyed delete
+so either cutoff takes a head off each entry, and an entry it empties
+leaves the memo (an exact key's leaves the key map too).  A keyed delete
 (``remove_key``, ``remove_older_than``) drops the entries covering its key
 and ``clear`` empties the memo.  The memo holds at most
 :data:`PROBE_MEMO_BOUND` cached tuples per store, counting one per entry
@@ -75,9 +85,6 @@ _SCHEMA = """
 CREATE TABLE records (
     id INTEGER PRIMARY KEY,
     key TEXT NOT NULL,
-    relation TEXT,
-    attribute TEXT,
-    value TEXT,
     rel TEXT NOT NULL,
     sequence INTEGER NOT NULL,
     pub_time REAL NOT NULL,
@@ -86,9 +93,7 @@ CREATE TABLE records (
     payload BLOB NOT NULL
 );
 CREATE INDEX idx_records_key_order ON records (key, pub_time, sequence);
-CREATE INDEX idx_records_attr ON records (relation, attribute, value);
-CREATE INDEX idx_records_pub ON records (pub_time, sequence);
-CREATE INDEX idx_records_seq ON records (sequence);
+CREATE INDEX idx_records_order ON records (sequence, pub_time);
 """
 
 #: Column list of every record-returning SELECT, in `_record_from_row` order.
@@ -99,6 +104,16 @@ _TUPLE_COLUMNS = "rel, sequence, pub_time, publisher, payload"
 
 #: The exact-key probe, after its SELECT list.
 _KEY_PROBE = "WHERE key = ? ORDER BY pub_time, sequence"
+
+#: A canonical bucket's probe, after its SELECT list: the range of keys that
+#: start with the bucket's name, one identity per publication.
+_BUCKET_PROBE = (
+    "WHERE key >= ? AND key < ? GROUP BY rel, sequence ORDER BY pub_time, sequence"
+)
+
+#: The first character past SEPARATOR: ``name[:-1] + _PAST_SEPARATOR`` is the
+#: least text above every key that starts with the bucket ``name``.
+_PAST_SEPARATOR = chr(ord(SEPARATOR) + 1)
 
 #: Most cached tuples the probe memo holds per store: each entry counts one
 #: plus one per tuple it lists (held by ``TestProbeMemoBound``).  Room for
@@ -166,6 +181,9 @@ class SqliteTupleStore(StoreBackend):
         #: or commit.
         self._pending: List[TupleT] = []
         self._size = 0
+        #: The key map: every key that may hold a row -> the ``(pub_time,
+        #: sequence)`` of its newest row, the most recently written key last.
+        self._newest: Dict[str, TupleT[float, int]] = {}
         # The probe memo: probe text (an exact key, or a canonical bucket)
         # -> its result in publication order, oldest entry first.  A key
         # ending in SEPARATOR is never an exact entry, so the two kinds
@@ -178,28 +196,28 @@ class SqliteTupleStore(StoreBackend):
     # ------------------------------------------------------------------
     def add(self, key: str, tup: Tuple, now: float) -> StoredTuple:
         """Store ``tup`` under ``key`` and return the stored record."""
-        relation = attribute = value = None
-        bucket = bucket_of(key)
-        if bucket is not None:
-            relation, attribute, value = key.split(SEPARATOR, 2)
+        pub_time = tup.pub_time
+        sequence = tup.sequence
         self._pending.append(
             (
                 key,
-                relation,
-                attribute,
-                value,
                 tup.relation,
-                tup.sequence,
-                tup.pub_time,
+                sequence,
+                pub_time,
                 now,
                 tup.publisher,
                 pack_values(tup.values),
             )
         )
         self._size += 1
+        newest = self._newest
+        order = (pub_time, sequence)
+        prior = newest.pop(key, None)
+        newest[key] = order if prior is None or prior < order else prior
         memo = self._memo
         if memo:
             grown = 0
+            bucket = bucket_of(key)
             entry = memo.get(key)  # the bucket's entry if key == bucket
             if entry is not None and key != bucket:
                 _fold_into_key(entry, tup)
@@ -238,9 +256,13 @@ class SqliteTupleStore(StoreBackend):
         ``below`` out of the memo.
 
         Entries are in publication order, which is sequence order too, so
-        each loses a head: the longer of the two cutoffs' heads.
+        each loses a head: the longer of the two cutoffs' heads.  An entry
+        left empty goes; an exact key's empty entry says the key holds no
+        row, so the key leaves the key map too.
         """
-        for entry in self._memo.values():
+        memo = self._memo
+        emptied: List[str] = []
+        for name, entry in memo.items():
             head = 0
             if entry and entry[0].pub_time < before:
                 head = bisect_left(entry, before, key=_published)
@@ -249,6 +271,13 @@ class SqliteTupleStore(StoreBackend):
             if head:
                 del entry[:head]
                 self._memo_size -= head
+                if not entry:
+                    emptied.append(name)
+        for name in emptied:
+            del memo[name]
+            self._memo_size -= 1
+            if not name.endswith(SEPARATOR):
+                self._newest.pop(name, None)
 
     def flush(self) -> None:
         """Write the pending buffer in one ``executemany`` transaction."""
@@ -256,9 +285,8 @@ class SqliteTupleStore(StoreBackend):
             return
         self._conn.execute("BEGIN")
         self._conn.executemany(
-            "INSERT INTO records (key, relation, attribute, value, rel, "
-            "sequence, pub_time, stored_at, publisher, payload) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "INSERT INTO records (key, rel, sequence, pub_time, stored_at, "
+            "publisher, payload) VALUES (?, ?, ?, ?, ?, ?, ?)",
             self._pending,
         )
         self._conn.execute("COMMIT")
@@ -273,6 +301,8 @@ class SqliteTupleStore(StoreBackend):
 
     def remove_older_than(self, key: str, cutoff: float) -> int:
         """Drop tuples under ``key`` stored strictly before ``cutoff``."""
+        if key not in self._newest:
+            return 0
         removed = self._delete(
             "DELETE FROM records WHERE key = ? AND stored_at < ?", (key, cutoff)
         )
@@ -287,32 +317,45 @@ class SqliteTupleStore(StoreBackend):
     ) -> int:
         """Both window-expiry cutoffs as one ranged ``DELETE``.
 
-        An index range-scan on ``(pub_time, sequence)`` or ``(sequence)``:
-        no Python-side expiry bookkeeping is needed because the index *is*
-        the expiry order.  Either cutoff takes a head off each memo entry.
+        An index range-scan on ``(sequence, pub_time)``: no Python-side
+        expiry bookkeeping is needed because the index *is* the expiry
+        order.  By the contract's premise the rows published before
+        ``published_before`` are those sequenced below the first row it
+        keeps, which one covering-index read finds.  Either cutoff takes a
+        head off each memo entry and off the key map (oldest key first).
         """
-        clauses: List[str] = []
-        parameters: TupleT[float, ...] = ()
-        if sequenced_before is not None:
-            clauses.append("sequence < ?")
-            parameters += (sequenced_before,)
-        if published_before is not None:
-            clauses.append("pub_time < ?")
-            parameters += (published_before,)
-        if not clauses:
+        if published_before is None and sequenced_before is None:
             return 0
-        removed = self._delete(
-            f"DELETE FROM records WHERE {' OR '.join(clauses)}", parameters
-        )
+        below = float("-inf") if sequenced_before is None else sequenced_before
+        before = float("-inf") if published_before is None else published_before
+        cut: float = below
+        if published_before is not None:
+            self.flush()
+            first_kept = self._conn.execute(
+                "SELECT sequence FROM records WHERE pub_time >= ? "
+                "ORDER BY sequence LIMIT 1",
+                (published_before,),
+            ).fetchone()
+            cut = max(cut, float("inf") if first_kept is None else first_kept[0])
+        removed = self._delete("DELETE FROM records WHERE sequence < ?", (cut,))
         if removed:
-            self._cut_heads(
-                float("-inf") if published_before is None else published_before,
-                float("-inf") if sequenced_before is None else sequenced_before,
-            )
+            self._cut_heads(before, below)
+        # By the premise, a key whose newest row is behind a cutoff has no
+        # row left; the walk stops at the first key with a row kept.
+        newest = self._newest
+        gone: List[str] = []
+        for key, (pub_time, sequence) in newest.items():
+            if pub_time >= before and sequence >= below:
+                break
+            gone.append(key)
+        for key in gone:
+            del newest[key]
         return removed
 
     def remove_key(self, key: str) -> List[StoredTuple]:
         """Remove and return every record stored under ``key`` (re-homing)."""
+        if self._newest.pop(key, None) is None:
+            return []
         records = self._records_for_key(key)
         if records:
             self._delete("DELETE FROM records WHERE key = ?", (key,))
@@ -323,6 +366,7 @@ class SqliteTupleStore(StoreBackend):
         """Remove every stored tuple."""
         self._pending.clear()
         self._conn.execute("DELETE FROM records")
+        self._newest.clear()
         self._memo.clear()
         self._memo_size = 0
         self._size = 0
@@ -372,15 +416,21 @@ class SqliteTupleStore(StoreBackend):
     def tuples_for_key(self, key: str) -> List[Tuple]:
         """The tuples stored under exactly ``key``, in publication order.
 
-        Served from the probe memo, or else by one scan of the
-        ``(key, pub_time, sequence)`` index whose result is memoised.
+        Served from the probe memo, or as ``[]`` for a key the key map does
+        not list, or else by one scan of the ``(key, pub_time, sequence)``
+        index whose result is memoised unless it is empty.
         """
+        if key not in self._newest:
+            return []
         if key.endswith(SEPARATOR):
             # Shaped like a bucket's name, so never an exact entry.
             return self._select_tuples(_KEY_PROBE, (key,))
         cached = self._memo.get(key)
         if cached is None:
             cached = self._select_tuples(_KEY_PROBE, (key,))
+            if not cached:
+                del self._newest[key]
+                return cached
             self._memoise(key, cached)
         return list(cached)
 
@@ -392,9 +442,9 @@ class SqliteTupleStore(StoreBackend):
         """Tuples under any key starting with ``prefix`` (deduplicated, ordered).
 
         A canonical attribute-level prefix (``relation SEP attribute SEP``)
-        is served from the probe memo, or else by one equality scan on the
-        ``(relation, attribute, value)`` index whose result is memoised.
-        Its ``GROUP BY rel, sequence`` deduplicates identities SQL-side; the
+        is served from the probe memo, or else by one range scan of the
+        ``(key, pub_time, sequence)`` index whose result is memoised.  Its
+        ``GROUP BY rel, sequence`` deduplicates identities SQL-side; the
         bare columns are safe because every row of one identity group
         describes the same publication.  Arbitrary prefixes fall back to a
         table scan.
@@ -409,11 +459,8 @@ class SqliteTupleStore(StoreBackend):
             return merge_records([records])
         cached = self._memo.get(prefix)
         if cached is None:
-            relation, attribute = prefix.split(SEPARATOR)[:2]
             cached = self._select_tuples(
-                "WHERE relation = ? AND attribute = ? "
-                "GROUP BY rel, sequence ORDER BY pub_time, sequence",
-                (relation, attribute),
+                _BUCKET_PROBE, (prefix, prefix[:-1] + _PAST_SEPARATOR)
             )
             self._memoise(prefix, cached)
         return list(cached)

@@ -12,7 +12,7 @@ per-bucket expiry heaps keep to their bound however records leave.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RJoinConfig
@@ -383,3 +383,132 @@ class TestExpiryHeapBound:
         assert unbounded[0][-1][0] == self.STEPS
         assert (probes, left) == unbounded[1:]
         assert sorted(sum(probes, [])) == [f"q{c}" for c in range(395, 400)]
+
+
+# ---------------------------------------------------------------------------
+# Model: the GC hint heaps leave what a sweep of every bucket would leave
+# ---------------------------------------------------------------------------
+_MODES = ("time", "tuples")
+
+_gc_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(_KEYS),
+            st.sampled_from(_MODES),
+            st.integers(0, 12),  # the record's min clock
+            st.integers(1, 6),  # its window size
+        ),
+        st.tuples(st.just("probe"), st.sampled_from(_KEYS), st.integers(0, 3)),
+        st.tuples(st.just("remove_query"), st.integers(0, 50)),
+        st.tuples(st.just("pop_key"), st.sampled_from(_KEYS)),
+        st.tuples(st.just("gc"), st.integers(0, 3), st.integers(0, 3)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gc_ops)
+@example(
+    [
+        ("add", "k0", "tuples", 0, 1),
+        ("add", "k0", "tuples", 5, 5),
+        ("gc", 0, 3),  # the bucket keeps a record, so it keeps a hint
+        ("gc", 0, 10),
+    ]
+)
+@example(
+    [
+        ("add", "k0", "time", 5, 5),
+        ("add", "k0", "time", 0, 1),  # an earlier deadline: a new hint
+        ("gc", 3, 0),
+        ("pop_key", "k0"),
+        ("add", "k0", "time", 0, 3),  # a new bucket under the same key
+        ("gc", 0, 0),
+    ]
+)
+def test_gc_leaves_what_a_sweep_of_every_bucket_leaves(ops):
+    """After every ``gc_expired``, the table holds exactly the records a sweep
+    of every bucket would leave; each hint heap keeps to 2 × buckets + 8."""
+    table = QueryTable()
+    live = {}  # query id -> (key text, mode, deadline)
+    clocks = {"time": 0.0, "tuples": 0.0}
+    serial = 0
+
+    def expire(keys):
+        for query_id, (key_text, mode, deadline) in list(live.items()):
+            if key_text in keys and deadline < clocks[mode]:
+                del live[query_id]
+
+    for op in ops:
+        if op[0] == "add":
+            _, key_text, mode, min_clock, size = op
+            serial += 1
+            span = WindowState(float(min_clock), float(min_clock))
+            query = make_query(serial % 3, WindowSpec(size=size, mode=mode))
+            table.add(key_text, make_record(f"q{serial}", query, 0.0, span, 1))
+            live[f"q{serial}"] = (key_text, mode, min_clock + size - 1)
+        elif op[0] == "probe":
+            _, key_text, step = op
+            clocks["time"] += step
+            table.probe(key_text, dict(clocks), lambda attribute: 1)
+            expire({key_text})
+        elif op[0] == "remove_query" and live:
+            query_id = sorted(live)[op[1] % len(live)]
+            removed, _ = table.remove_query(query_id)
+            assert [record.state.query_id for record in removed] == [query_id]
+            del live[query_id]
+        elif op[0] == "pop_key":
+            for record in table.pop_key(op[1]):
+                del live[record.state.query_id]
+        elif op[0] == "gc":
+            clocks["time"] += op[1]
+            clocks["tuples"] += op[2]
+            table.gc_expired(dict(clocks))
+            expire(set(_KEYS))
+            held = {
+                record.state.query_id: key_text
+                for key_text, records in table.items()
+                for record in records
+            }
+            assert held == {query_id: at[0] for query_id, at in live.items()}
+
+        assert len(table) == len(live)
+        for mode, heap in table._hints.items():
+            assert len(heap) <= 2 * len(table._by_key) + 8
+        for key_text, bucket in table._by_key.items():
+            for record in bucket.records.values():
+                window = record.state.query.window
+                deadline = record.state.window_state.min_clock + window.size - 1
+                hint = bucket.expiry[window.mode].hint
+                assert hint <= deadline
+                assert (hint, key_text) in table._hints[window.mode]
+
+
+class TestHintHeapBound:
+    """Each GC hint heap holds at most 2 × buckets + 8 entries."""
+
+    STEPS = 400
+
+    def fill(self):
+        """Under one key, each record due before the last: every add makes
+        the bucket's hint stale and pushes a new one."""
+        table = QueryTable()
+        window = WindowSpec(size=1, mode="tuples")
+        sizes = []
+        for clock in reversed(range(self.STEPS)):
+            span = WindowState(float(clock), float(clock))
+            query = make_query(clock % 3, window)
+            table.add("k", make_record(f"q{clock}", query, 0.0, span, consumed=1))
+            sizes.append(len(table._hints["tuples"]))
+        table.gc_expired({"tuples": float(self.STEPS)})
+        return sizes, len(table)
+
+    def test_stale_hints_keep_to_the_bound(self, monkeypatch):
+        sizes, left = self.fill()
+        assert max(sizes) <= 2 * 1 + 8 and left == 0
+        monkeypatch.setattr(QueryTable, "_bound_hints", lambda table, mode: None)
+        unbounded, left = self.fill()
+        # Without the bound every stale hint stays, and nothing else differs.
+        assert unbounded[-1] == self.STEPS and left == 0

@@ -160,6 +160,14 @@ def run(steps_to_take, bound: int) -> None:
                 sqlite.clear()
                 memory.clear()
             assert len(sqlite) == len(memory)
+            # The key map lists every key holding a row, and every key that
+            # has a memo entry: a probe it turns away misses nothing.
+            assert set(memory.keys()) <= set(sqlite._newest)
+            assert all(
+                name in sqlite._newest
+                for name in sqlite._memo
+                if not name.endswith(SEPARATOR)
+            )
             entries = sqlite._memo.values()
             assert sqlite._memo_size == sum(1 + len(entry) for entry in entries)
             assert sqlite._memo_size <= bound
@@ -265,12 +273,18 @@ def filled_store(keys: int, per_key: int) -> SqliteTupleStore:
 class TestProbeMemoBound:
     def test_a_probe_sweep_holds_the_memo_at_its_cap(self):
         store = filled_store(1, 10)
+        singles = PROBE_MEMO_BOUND // 2  # keys of one row, 2 each
         try:
+            # One row per key, published after ``r_key(0)``'s stream.
+            store.add_batch(
+                [(r_key(k), Tuple("R", (k,), 10.0, 10 * STRIDE + k), 0.0)
+                 for k in range(1, singles + 1)]
+            )
             assert store.tuples_for_key(r_key(0)) == stream(0, 10)  # costs 11
-            for k in range(1, PROBE_MEMO_BOUND + 1):  # empty keys, 1 each
-                store.tuples_for_key(r_key(k))
+            for k in range(1, singles + 1):
+                assert len(store.tuples_for_key(r_key(k))) == 1
             assert store._memo_size == PROBE_MEMO_BOUND
-            assert len(store._memo) == PROBE_MEMO_BOUND
+            assert len(store._memo) == singles
             assert r_key(0) not in store._memo
             assert store.tuples_for_key(r_key(0)) == stream(0, 10)
             assert store._memo_size <= PROBE_MEMO_BOUND
@@ -281,8 +295,9 @@ class TestProbeMemoBound:
         store = SqliteTupleStore()
         try:
             for k in range(4):
+                store.add(r_key(k), Tuple("R", (k,), 0.0, k), 0.0)
                 store.tuples_for_key(r_key(k))
-            for seq in range(PROBE_MEMO_BOUND):
+            for seq in range(4, PROBE_MEMO_BOUND):
                 store.add(r_key(seq % 4), Tuple("R", (seq,), 0.0, seq), 0.0)
                 assert store._memo_size <= PROBE_MEMO_BOUND
             assert r_key(0) not in store._memo
@@ -364,3 +379,59 @@ class TestProbeMemoUpkeep:
         finally:
             store.close()
 
+
+
+class CountingConnection:
+    """A sqlite connection that counts the statements run through it."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.statements = 0
+
+    def execute(self, *args):
+        self.statements += 1
+        return self.conn.execute(*args)
+
+    def executemany(self, *args):
+        self.statements += 1
+        return self.conn.executemany(*args)
+
+    def close(self):
+        self.conn.close()
+
+
+class TestKeyMap:
+    def test_a_probe_of_a_key_without_rows_runs_no_sql(self):
+        store = filled_store(2, 2)
+        try:
+            # Both rows of r_key(0) and the first of r_key(1) expire.
+            assert store.remove_expired(sequenced_before=STRIDE + 1) == 3
+            store.add(r_key(1), Tuple("R", (1, 2), 2.0, 2 * STRIDE + 1), 0.0)
+            counting = store._conn = CountingConnection(store._conn)
+            for key in (r_key(0), r_key(7)):  # rows all expired, never stored
+                assert store.tuples_for_key(key) == []
+                assert store.remove_key(key) == []
+                assert store.remove_older_than(key, 10.0) == 0
+            assert counting.statements == 0
+            assert store._pending and store._memo == {}
+            assert len(store.tuples_for_key(r_key(1))) == 2
+            assert counting.statements > 0
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("cutoff", ["published", "sequenced"])
+    def test_a_cutoff_past_every_row_empties_the_key_map(self, cutoff):
+        store = filled_store(3, 4)
+        try:
+            store.add(r_key(5), Tuple("R", (5,), 5.0, 5 * STRIDE), 0.0)  # pending
+            store.tuples_for_key(r_key(1))
+            store.tuples_for_prefix(BUCKET)
+            assert len(store._newest) == 4
+            if cutoff == "published":
+                assert store.remove_published_before(6.0) == 13
+            else:
+                assert store.remove_sequenced_before(6 * STRIDE) == 13
+            assert store._newest == {} and store._memo == {}
+            assert store._memo_size == 0 and len(store) == 0
+        finally:
+            store.close()

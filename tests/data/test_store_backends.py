@@ -152,15 +152,19 @@ class TestConformance:
         assert len(store) == 2
 
     def test_expiry_interleaved_with_new_writes(self, store, schema):
-        for seq in range(1, 6):
-            store.add(
-                "k", make_tuple(schema, (seq, seq), seq, pub_time=float(seq)), now=0.0
-            )
+        def publication(seq):
+            return make_tuple(schema, (seq, seq), seq, pub_time=float(seq))
+
+        for seq in (1, 2, 3, 5, 6):  # publication 4 is delivered late
+            store.add("k", publication(seq), now=0.0)
         assert store.remove_published_before(3.0) == 2
         # Writes after a GC tick must be seen by the next tick.
-        store.add("k", make_tuple(schema, (9, 9), 9, pub_time=3.5), now=0.0)
-        assert store.remove_published_before(4.0) == 2  # pub 3.0 and 3.5
-        assert [t.sequence for t in store.tuples_for_key("k")] == [4, 5]
+        store.add("k", publication(4), now=0.0)
+        assert store.remove_published_before(5.0) == 2  # pub 3.0 and 4.0
+        assert [t.sequence for t in store.tuples_for_key("k")] == [5, 6]
+        store.add("k", publication(7), now=0.0)
+        assert store.remove_sequenced_before(7) == 2
+        assert [t.sequence for t in store.tuples_for_key("k")] == [7]
 
     def test_remove_older_than_uses_stored_at(self, store, schema):
         store.add("k", make_tuple(schema, (1, 1), 1), now=0.0)

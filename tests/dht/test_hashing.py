@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.dht import hashing
 from repro.dht.hashing import IdentifierSpace
 from repro.errors import ConfigurationError
 
@@ -25,6 +26,16 @@ class TestIdentifierSpace:
         second = space.hash_key("R.a")
         assert first == second
         assert 0 <= first < space.size
+
+    def test_hash_cache_keeps_its_bound_and_its_answers(self, monkeypatch):
+        keys = [f"R.a={value}" for value in range(20)]
+        fresh = [IdentifierSpace(32).hash_key(key) for key in keys]
+        monkeypatch.setattr(hashing, "_HASH_CACHE_LIMIT", 8)
+        space = IdentifierSpace(32)
+        for _ in range(3):  # every pass resets the cache twice
+            for key, identifier in zip(keys, fresh):
+                assert space.hash_key(key) == identifier
+                assert len(space._hash_cache) <= 8
 
     def test_different_keys_differ(self):
         space = IdentifierSpace(64)
