@@ -56,7 +56,7 @@ buffer is flushed inside a single ``executemany`` transaction the first
 time a memo miss or a removal needs to see it, or when the engine commits a
 ``publish`` / ``publish_batch``: every tuple fan-out of one commit lands in
 one transaction per node, and no write stays buffered past the commit.
-Window and sequence GC are one ranged ``DELETE``
+Window and sequence GC are one ranged ``DELETE`` on the order index
 (:meth:`SqliteTupleStore.remove_expired` combines both cutoffs).
 
 By default the database lives in memory (``:memory:``); pass a path to put
