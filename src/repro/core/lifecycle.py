@@ -121,6 +121,8 @@ class QueryLifecycleManager:
         self.retracted: Set[str] = set()
         #: owner address -> ids of the active queries it owns.
         self._by_owner: Dict[str, Set[str]] = {}
+        #: insertion time -> active queries submitted at it (:meth:`tied`).
+        self._live_at: Dict[float, int] = {}
 
     # ------------------------------------------------------------------
     # registration placement
@@ -145,6 +147,8 @@ class QueryLifecycleManager:
     def register(self, handle: "QueryHandle") -> None:
         """Replicate ``handle``'s registration onto the owner's successor."""
         self._by_owner.setdefault(handle.owner, set()).add(handle.query_id)
+        inserted = handle.insertion_time
+        self._live_at[inserted] = self._live_at.get(inserted, 0) + 1
         if not self.enabled:
             return
         home = self.registration_home(handle.query_id)
@@ -166,8 +170,24 @@ class QueryLifecycleManager:
                 owned.discard(query_id)
                 if not owned:
                     del self._by_owner[handle.owner]
+            live = self._live_at.pop(handle.insertion_time) - 1
+            if live:
+                self._live_at[handle.insertion_time] = live
         for node in self.nodes.values():
             node.registrations.pop(query_id, None)
+
+    def tied(self, insertion_time: float) -> bool:
+        """Whether another active query has ``insertion_time``, or may still
+        get it: the clock still reads it, so the next submission would.
+
+        A state whose window names its tuples can only have a twin while
+        its insertion time is tied
+        (:func:`~repro.core.rewriting.canonical_state_key`).
+        """
+        return (
+            self._live_at.get(insertion_time, 0) > 1
+            or insertion_time == self._clock()
+        )
 
     def mark_retracted(self, query_id: str) -> None:
         """Tombstone ``query_id`` so late-arriving state is dropped."""

@@ -91,8 +91,9 @@ class NodeContext:
     churn: ChurnStats
     #: The query lifecycle: producers resolve a query's live owner through it
     #: at answer-emission time (so failover re-registrations take effect
-    #: without rewriting every stored query state), and state arriving for a
-    #: query it has retracted is orphaned and dropped on sight.
+    #: without rewriting every stored query state), state arriving for a
+    #: query it has retracted is orphaned and dropped on sight, and it says
+    #: which insertion times are tied (who gets a share key).
     lifecycle: "QueryLifecycleManager"
     altt_delta: Optional[float] = None
     # End-to-end observability (tracing + histograms) ----------------------
@@ -503,17 +504,24 @@ class RJoinNode:
         newcomer runs its catch-up on its own (unstored) record first — the
         host already triggered for its subscribers when those tuples arrived
         — and only then attaches its subscribers, so future arrivals trigger
-        the host exactly once.
+        the host exactly once.  Only a state with a share key looks for a
+        host, and only those are counted (``share_lookups`` / ``share_hits``).
         """
+        share_key = canonical_state_key(state, self.ctx.lifecycle.tied)
         record = StoredQueryRecord(
             state=state,
             key=key,
             tracker=self._make_tracker(state),
-            share_key=canonical_state_key(state),
+            share_key=share_key,
         )
         host: Optional[StoredQueryRecord] = None
         if keep:
-            host = table.find_share_host(key.text, record.share_key, state.query)
+            if share_key is not None:
+                churn = self.ctx.churn
+                churn.share_lookups += 1
+                host = table.find_share_host(key.text, share_key, state.query)
+                if host is not None:
+                    churn.share_hits += 1
             if host is None:
                 table.add(key.text, record)
                 if not state.is_input:

@@ -93,10 +93,14 @@ class _KeyBucket:
     2 × live records + 8 entries (:meth:`bound_expiry`).  ``key`` is
     the :class:`IndexKey` of the bucket's first record, which every later
     record points at.  ``by_share`` is the sharing index: the cheap part of a
-    shareable state (:func:`~repro.core.rewriting.canonical_state_key`) maps
-    to the one resident record that has it or, from the second such record
-    on, to a ``{query: record}`` dict — one entry per resident shareable
-    record, freed with it.
+    record's state (its ``share_key``,
+    :func:`~repro.core.rewriting.canonical_state_key`) maps to the one
+    resident record that has it or, from the second such record on, to a
+    ``{query: record}`` dict — one entry per resident record with a share
+    key, freed with it; a state that can have no twin has no key and no
+    entry.  ``wildcard``, ``expiry`` and ``by_share`` are None until their
+    first entry: a bucket of discriminated, windowless, unshared records
+    holds none of them.
     """
 
     __slots__ = (
@@ -113,10 +117,10 @@ class _KeyBucket:
     def __init__(self, key: IndexKey) -> None:
         self.key = key
         self.records: Dict[int, StoredQueryRecord] = {}
-        self.wildcard: Dict[int, StoredQueryRecord] = {}
+        self.wildcard: Optional[Dict[int, StoredQueryRecord]] = None
         self.by_value: Dict[str, Dict[object, Dict[int, StoredQueryRecord]]] = {}
-        self.by_share: Dict[Hashable, _ShareHosts] = {}
-        self.expiry: Dict[str, _ExpiryHeap] = {}
+        self.by_share: Optional[Dict[Hashable, _ShareHosts]] = None
+        self.expiry: Optional[Dict[str, _ExpiryHeap]] = None
         #: Mutation counter; bumped on every add/remove so probe plans and
         #: memoised candidate lists can be invalidated cheaply.
         self.version = 0
@@ -134,7 +138,7 @@ class _KeyBucket:
 
         Popping skips them anyway, so no trigger order changes.
         """
-        heap = self.expiry.get(mode)
+        heap = None if self.expiry is None else self.expiry.get(mode)
         if heap is not None and len(heap) > 2 * len(self.records) + 8:
             # In place: :meth:`QueryTable._drop_expired` may be popping this
             # very list.
@@ -185,7 +189,10 @@ class QueryTable:
 
         sp = record.discriminator = self._discriminator_of(record)
         if sp is None:
-            bucket.wildcard[seq] = record
+            wildcard = bucket.wildcard
+            if wildcard is None:
+                wildcard = bucket.wildcard = {}
+            wildcard[seq] = record
         else:
             groups = bucket.by_value.get(sp.attribute.attribute)
             if groups is None:
@@ -202,13 +209,16 @@ class QueryTable:
             # query that cannot be hashed (an unhashable selection constant)
             # leaves the newcomer unshareable: stored and triggered like any
             # other record, only never found as a host.
-            hosts = bucket.by_share.setdefault(record.share_key, record)
+            by_share = bucket.by_share
+            if by_share is None:
+                by_share = bucket.by_share = {}
+            hosts = by_share.setdefault(record.share_key, record)
             if hosts is not record:
                 try:
                     if not isinstance(hosts, dict):
                         hosts = {hosts.state.query: hosts}
                     hosts.setdefault(record.state.query, record)
-                    bucket.by_share[record.share_key] = hosts
+                    by_share[record.share_key] = hosts
                 except TypeError:
                     record.share_key = None
 
@@ -218,9 +228,12 @@ class QueryTable:
             # expired(window, state, clock) <=> clock > deadline.
             deadline = state.min_clock + window.size - 1
             mode = window.mode
-            expiry = bucket.expiry.get(mode)
+            heaps = bucket.expiry
+            if heaps is None:
+                heaps = bucket.expiry = {}
+            expiry = heaps.get(mode)
             if expiry is None:
-                expiry = bucket.expiry[mode] = _ExpiryHeap()
+                expiry = heaps[mode] = _ExpiryHeap()
             heapq.heappush(expiry, (deadline, seq))
             if expiry.hint is None or deadline < expiry.hint:
                 self._hint(key_text, expiry, mode, deadline)
@@ -246,7 +259,8 @@ class QueryTable:
             heap[:] = [
                 (expiry.hint, key_text)
                 for key_text, bucket in self._by_key.items()
-                if (expiry := bucket.expiry.get(mode)) is not None
+                if bucket.expiry is not None
+                and (expiry := bucket.expiry.get(mode)) is not None
                 and expiry.hint is not None
             ]
             heapq.heapify(heap)
@@ -291,7 +305,8 @@ class QueryTable:
         self._size -= 1
         sp = record.discriminator
         if sp is None:
-            bucket.wildcard.pop(seq, None)
+            if bucket.wildcard is not None:
+                bucket.wildcard.pop(seq, None)
         else:
             attribute = sp.attribute.attribute
             groups = bucket.by_value.get(attribute)
@@ -303,14 +318,15 @@ class QueryTable:
                         del groups[sp.value]
                         if not groups:
                             del bucket.by_value[attribute]
-        if record.share_key is not None:
-            hosts = bucket.by_share.get(record.share_key)
+        by_share = bucket.by_share
+        if record.share_key is not None and by_share is not None:
+            hosts = by_share.get(record.share_key)
             if hosts is record:
-                del bucket.by_share[record.share_key]
+                del by_share[record.share_key]
             elif isinstance(hosts, dict) and hosts.get(record.state.query) is record:
                 del hosts[record.state.query]
                 if not hosts:
-                    del bucket.by_share[record.share_key]
+                    del by_share[record.share_key]
         if not bucket.records:
             del self._by_key[key_text]
             for mode in self._hints:
@@ -330,8 +346,11 @@ class QueryTable:
         record is expired exactly when its deadline is below the clock; it
         can never be satisfied again (Section 5).
         """
+        heaps = bucket.expiry
+        if heaps is None:
+            return
         for mode, clock in clocks.items():
-            heap = bucket.expiry.get(mode)
+            heap = heaps.get(mode)
             while heap and heap[0][0] < clock:
                 _, seq = heapq.heappop(heap)
                 record = bucket.records.get(seq)
@@ -399,19 +418,18 @@ class QueryTable:
         return candidates
 
     def find_share_host(
-        self, key_text: str, share_key: Optional[Hashable], query: Query
+        self, key_text: str, share_key: Hashable, query: Query
     ) -> Optional[StoredQueryRecord]:
         """The resident record hosting the state ``(share_key, query)``, if any.
 
-        A cheap part no resident record has — nearly every rewritten query
-        under a window — misses without touching ``query``; one resident
-        record with it costs one ``==``, more of them one hash and one
-        ``==``, however many there are.
+        Only a state with a share key has a host to look for: the node
+        calls this for those alone, so a state that can have no twin costs
+        no lookup.  A cheap part no resident record has misses without
+        touching ``query``; one resident record with it costs one ``==``,
+        more of them one hash and one ``==``, however many there are.
         """
-        if share_key is None:
-            return None
         bucket = self._by_key.get(key_text)
-        if bucket is None:
+        if bucket is None or bucket.by_share is None:
             return None
         hosts = bucket.by_share.get(share_key)
         if hosts is None:
@@ -505,7 +523,9 @@ class QueryTable:
             while heap and heap[0][0] < clock:
                 deadline, key_text = heapq.heappop(heap)
                 bucket = by_key.get(key_text)
-                expiry = None if bucket is None else bucket.expiry.get(mode)
+                if bucket is None or bucket.expiry is None:
+                    continue  # stale
+                expiry = bucket.expiry.get(mode)
                 if expiry is None or expiry.hint != deadline:
                     continue  # stale
                 expiry.hint = None

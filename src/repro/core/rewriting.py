@@ -32,7 +32,16 @@ values) pair is rewritten once while it keeps recurring.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple as TupleT
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Tuple as TupleT,
+)
 
 from repro.core.strategy import CandidatePlan
 from repro.data.schema import AttributeRef, RelationSchema
@@ -203,7 +212,9 @@ class RewriteMemo:
         return result
 
 
-def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
+def canonical_state_key(
+    state: "QueryState", tied: Optional[Callable[[float], bool]] = None
+) -> Optional[Hashable]:
     """The cheap part of a state's sharing identity (None: do not share).
 
     Two states represent exactly the same residual evaluation work — and
@@ -213,15 +224,34 @@ def canonical_state_key(state: "QueryState") -> Optional[Hashable]:
     insertion time, the window's ``min_clock`` and ``max_clock`` over the
     consumed tuples (both None without a window), input flag and rewrite
     depth — plain floats, ints and flags, so hashing it runs no Python code.
-    Under a window the clocks of the consumed tuples already tell nearly all
-    resident states apart; the query table compares queries only among
-    records that share the key
+    The query table compares queries only among records that share the key
     (:meth:`~repro.core.query_table.QueryTable.find_share_host`).
+
+    A state that can have no twin gets no key, so it costs no lookup and no
+    sharing-index entry.  Every state of a query carries the query's
+    insertion time, and under a ``TUPLES`` window the clocks of at most two
+    consumed tuples name them (a tuple's clock is its publication number,
+    and FROM lists no relation twice).  Such a state can only equal a state
+    of another input query with its insertion time: ``tied(insertion_time)``
+    says whether one lives or may still be submitted.  Without ``tied``
+    every such state gets its key.  With no window, a ``TIME`` window (one
+    ``publish_batch`` gives its tuples one ``pub_time``) or three or more
+    tuples consumed (the clocks do not name the middle ones), one query's
+    own states may be equal, and the key is always given.
 
     DISTINCT queries are not shared: they carry a mutating per-record
     projection tracker whose merge semantics are not order-independent.
     """
     if state.distinct:
+        return None
+    spec = state.query.window
+    if (
+        tied is not None
+        and spec is not None
+        and spec.mode == "tuples"
+        and state.consumed < 3
+        and not tied(state.insertion_time)
+    ):
         return None
     window = state.window_state
     if window is None:

@@ -73,6 +73,11 @@ class ChurnStats:
     trigger_candidates_scanned: int = 0
     #: Extra subscribers served by shared-state answers.
     shared_state_fanout: int = 0
+    #: Kept states that had a share key and so looked for a resident host
+    #: (a state that can have no twin has none and is not counted).
+    share_lookups: int = 0
+    #: Lookups that found one: each is a record sharing saved.
+    share_hits: int = 0
     # Transport -------------------------------------------------------------
     #: The transport's ``backpressure_escapes``, read at the end of every
     #: ``RJoinEngine.run``: envelopes the ``asyncio`` runtime force-enqueued

@@ -22,7 +22,9 @@ from repro.experiments.config import ChurnSpec, ExperimentConfig, QueryChurnSpec
 from repro.experiments.runner import ExperimentResult
 from repro.sql.ast import WindowSpec
 
-#: v17: the summary gained ``backpressure_escapes`` (the asyncio runtime's
+#: v18: the summary gained ``share_lookups`` and ``share_hits`` (kept
+#: states with a share key, and those a resident host absorbed).  v17: the
+#: summary gained ``backpressure_escapes`` (the asyncio runtime's
 #: force-enqueues past a full inbox).  v16: the config dict carries every
 #: engine field (``ExperimentConfig`` is an ``RJoinConfig`` plus its
 #: workload), and only those a run can set: no identifier width, ALTT
@@ -30,7 +32,7 @@ from repro.sql.ast import WindowSpec
 #: bounds alone.  Only the current version loads:
 #: ``load_cells`` and ``report --diff`` refuse a file of any other one, and
 #: ``run`` recomputes its cell.
-RESULT_SCHEMA_VERSION = 17
+RESULT_SCHEMA_VERSION = 18
 
 #: The declared key set of ``RJoinEngine.metrics_summary`` — the flat
 #: per-run metric dictionary embedded in every result cell (``summary`` /
@@ -75,6 +77,8 @@ SUMMARY_SCHEMA: Tuple[str, ...] = (
     "queries_triggered",
     "trigger_candidates_scanned",
     "shared_state_fanout",
+    "share_lookups",
+    "share_hits",
     "backpressure_escapes",
     "ric_chains_started",
     "ric_questions_joined",

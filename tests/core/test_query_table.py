@@ -512,3 +512,59 @@ class TestHintHeapBound:
         unbounded, left = self.fill()
         # Without the bound every stale hint stays, and nothing else differs.
         assert unbounded[-1] == self.STEPS and left == 0
+
+
+
+class TestBucketDictsOnFirstUse:
+    """A bucket makes its wildcard, expiry and sharing dicts when first used."""
+
+    @staticmethod
+    def unshared(query_id, query, span=None, consumed=0):
+        record = make_record(query_id, query, 0.0, span, consumed)
+        record.share_key = None
+        return record
+
+    def test_discriminated_windowless_unshared_records_make_none(self):
+        table = QueryTable()
+        for constant in range(3):
+            table.add("k", self.unshared(f"q{constant}", make_query(constant)))
+        bucket = table._by_key["k"]
+        assert len(bucket.records) == 3 and bucket.by_value
+        assert bucket.wildcard is None
+        assert bucket.expiry is None
+        assert bucket.by_share is None
+        probed = table.probe("k", {"tuples": 0.0}, lambda attribute: 1)
+        assert [record.state.query_id for record in probed] == ["q1"]
+        part = (0.0, None, None, True, 0)
+        assert table.find_share_host("k", part, make_query(1)) is None
+        table.gc_expired({"tuples": 100.0})
+        assert len(table) == 3
+
+    def test_each_dict_comes_with_its_first_entry(self):
+        table = QueryTable()
+        table.add("k", self.unshared("plain", make_query(1)))
+        bucket = table._by_key["k"]
+        window = WindowSpec(size=10, mode="tuples")
+        timed = self.unshared("timed", make_query(2, window), WindowState(1.0, 1.0), 1)
+        table.add("k", timed)
+        assert set(bucket.expiry) == {"tuples"}
+        assert bucket.wildcard is None and bucket.by_share is None
+        shared = make_record("shared", make_query(3))
+        table.add("k", shared)
+        assert bucket.by_share == {shared.share_key: shared}
+        wild = self.unshared(
+            "wild",
+            Query(
+                select_items=(R_A, S_D),
+                relations=("R", "S"),
+                join_predicates=(JoinPredicate(R_B, S_C),),
+            ),
+        )
+        table.add("k", wild)
+        assert list(bucket.wildcard.values()) == [wild]
+
+    def test_a_bucket_whose_last_record_leaves_is_freed(self):
+        table = QueryTable()
+        table.add("k", self.unshared("q", make_query(1)))
+        removed, _ = table.remove_query("q")
+        assert removed and "k" not in table._by_key and len(table) == 0
