@@ -5,15 +5,20 @@ rank ``i`` (1-based) probability proportional to ``1 / i^θ``.  ``θ = 0``
 degenerates to the uniform distribution; the paper's default ``θ = 0.9`` is
 highly skewed.  Sampling uses the inverse-CDF method over the precomputed
 cumulative weights, so drawing a value costs ``O(log n)``.
+
+The weights are plain Python, so importing the package loads no
+third-party module (numpy added ~14 MB to every process).  Its floats may
+not equal numpy's to the last bit, nor did numpy's SIMD ``power`` equal
+scalar ``pow``; its draws equal the numpy sampler's, which a digest in
+``tests/workload/test_zipf.py`` pins.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+from itertools import accumulate
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -37,10 +42,10 @@ class ZipfSampler:
         # A fixed-seed fallback keeps the sampler deterministic even when no
         # RNG is threaded through (the workload generator always passes one).
         self._rng = rng or random.Random(0)
-        weights = np.arange(1, num_items + 1, dtype=float) ** (-theta)
-        probabilities = weights / weights.sum()
-        self._probabilities: List[float] = probabilities.tolist()
-        self._cumulative: List[float] = np.cumsum(probabilities).tolist()
+        weights = [float(rank) ** -theta for rank in range(1, num_items + 1)]
+        total = sum(weights)
+        self._probabilities: List[float] = [weight / total for weight in weights]
+        self._cumulative: List[float] = list(accumulate(self._probabilities))
         # Guard against floating point drift on the last bucket.
         self._cumulative[-1] = 1.0
         if shuffle_ranks:

@@ -1,5 +1,6 @@
 """Tests for the Zipf sampler."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -57,3 +58,25 @@ class TestZipfSampler:
     def test_single_item(self):
         sampler = ZipfSampler(1, theta=0.9)
         assert sampler.sample() == 0
+
+
+#: sha256 of ``repr`` of the draws below, taken with the numpy-backed sampler
+#: this plain-Python one replaced.  Its floats may not equal numpy's to the
+#: last bit; its draws must.
+DRAWS_DIGEST = "60a12c55ef878c9c9d39d22eedb337d5395787e70ee2cff500cfd6735b6f8e2d"
+
+
+def test_draws_match_the_pinned_digest():
+    cells = [
+        (n, theta, shuffle)
+        for n in (1, 4, 6, 8, 200, 1000)
+        for theta in (0.0, 0.3, 0.5, 0.6, 0.7, 0.9, 1.2)
+        for shuffle in (False, True)
+    ]
+    draws = [
+        ZipfSampler(
+            n, theta, rng=random.Random(index), shuffle_ranks=shuffle
+        ).sample_many(5000)
+        for index, (n, theta, shuffle) in enumerate(cells)
+    ]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == DRAWS_DIGEST
