@@ -236,6 +236,8 @@ class RJoinEngine:
         #: What the nodes that have since departed had counted; keeps the
         #: engine-wide counters monotone under churn.
         self._departed_counts: Dict[str, int] = dict.fromkeys(_NODE_COUNTERS, 0)
+        #: Each node's storage as it read when :meth:`close` dropped it.
+        self._storage_at_close: List[int] = []
         #: Join/leave operations requested while the network was mid-drain;
         #: applied at the next quiescent point (see :meth:`run`).
         self._pending_membership: List[tuple] = []
@@ -306,6 +308,7 @@ class RJoinEngine:
             messages).  Batch callers can pass ``False`` and call
             :meth:`run` once at the end.
         """
+        self.transport.check_open("submit")
         if isinstance(query, str):
             parsed = parse_query(query, catalog=self.catalog)
         else:
@@ -466,6 +469,7 @@ class RJoinEngine:
 
         ``operation`` names the public method in validation errors.
         """
+        self.transport.check_open(operation)
         if publisher is not None and publisher not in self.nodes:
             raise EngineError(f"unknown publisher node {publisher!r}")
         rows = self._checked_rows(rows, operation)
@@ -645,25 +649,35 @@ class RJoinEngine:
         return transport
 
     def close(self) -> None:
-        """Shut the engine down: drain the transport and release resources.
+        """Shut the engine down: drain the transport and let go of the nodes.
 
         Idempotent.  Closes every node's tuple store (sqlite connections,
-        log files) and stops the runtime's actors/loop.  The engine must
-        not be used afterwards; its handles and counters stay readable.  A
-        closed engine is no reference cycle, so dropping it frees it at
-        once: the messaging layer forgets its handlers (bound to the nodes)
-        and the transport its delivery callback, the query lifecycle (which
-        the nodes' context holds) forgets the nodes, and the context stops
-        calling back into the engine.
+        log files), stops the runtime's actors/loop and empties the node
+        map, so a closed engine its caller still holds keeps no query,
+        tuple, ALTT or RIC state: only its handles (and their answers) and
+        its read-outs -- :attr:`traffic`, :attr:`loads`, the ring, the
+        per-node counters and each node's storage as it read at close,
+        which :meth:`metrics_summary` and :meth:`storage_distribution`
+        report unchanged.  The engine must not be used afterwards: the
+        transport refuses a publish, a submit, a drain or a crash
+        (:class:`~repro.errors.SimulationError`).  A closed engine is no
+        reference cycle, so dropping it frees it at once: the messaging
+        layer forgets its handlers and the transport its delivery callback,
+        and the context stops calling back into the engine.
         """
         self.transport.shutdown()
         self._rewrites.clear()
+        self._oracle_counts.clear()
+        self._storage_at_close += [
+            node.current_storage_items for node in self.nodes.values()
+        ]
         for node in self.nodes.values():
-            node.tuple_store.close()
+            self._retire(node)
+        # In place: the lifecycle and the membership manager share the map.
+        self.nodes.clear()
         if self.obs is not None:
             self.obs.close()
         self.api.close()
-        self.lifecycle.nodes = {}
         context = self._context
         context.sequence_clock = context.time_clock = _closed
         context.rate_oracle = context.collect_answer = _closed
@@ -837,6 +851,7 @@ class RJoinEngine:
         and leaves a crash takes effect immediately, even mid-drain — that
         is the point of modelling it.
         """
+        self.transport.check_open("crash a node")
         address = self._resolve_victim(address, operation="crash")
         node = self.nodes.pop(address)
         # Owner failover: the survivor is the crashed node's ring successor —
@@ -985,6 +1000,10 @@ class RJoinEngine:
         """
         for survivor in self.nodes.values():
             survivor.forget_address(address)
+        self._retire(node)
+
+    def _retire(self, node: RJoinNode) -> None:
+        """Fold a departing node's counters into the engine's; close its store."""
         for counter in _NODE_COUNTERS:
             self._departed_counts[counter] += getattr(node, counter)
         node.tuple_store.close()
@@ -1016,11 +1035,14 @@ class RJoinEngine:
         storage load recorded by the load tracker.
         """
         if current:
-            return sorted(
-                (node.current_storage_items for node in self.nodes.values()),
-                reverse=True,
-            )
+            return sorted(self._storage_items(), reverse=True)
         return self.loads.ranked_storage_load()
+
+    def _storage_items(self) -> List[int]:
+        """Per-node current storage: the live nodes', or theirs at close."""
+        return self._storage_at_close + [
+            node.current_storage_items for node in self.nodes.values()
+        ]
 
     def qpl_distribution(self) -> List[int]:
         """Per-node query-processing load, sorted decreasing."""
@@ -1042,9 +1064,7 @@ class RJoinEngine:
             "qpl_per_node": self.loads.qpl_per_node(num_nodes),
             "total_storage": float(self.loads.total_storage_load),
             "storage_per_node": self.loads.storage_per_node(num_nodes),
-            "current_storage": float(
-                sum(node.current_storage_items for node in self.nodes.values())
-            ),
+            "current_storage": float(sum(self._storage_items())),
             "answers": float(self.total_answers),
             "participating_nodes": float(self.loads.participating_nodes()),
             "dropped_messages": float(self.api.dropped_messages),

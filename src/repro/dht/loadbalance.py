@@ -12,9 +12,10 @@ tuples among the nodes.  :class:`IdMovementBalancer` reproduces that effect:
 * after the ring changes, the caller re-homes application state whose
   ownership moved (the engine does this through its own re-homing hook).
 
-The algorithm is intentionally simple — one balancing round pairs the k most
-loaded nodes with the k least loaded ones — because the paper only uses it to
-demonstrate that RJoin can exploit lower-level DHT optimisations unchanged.
+The algorithm is intentionally simple — one balancing round pairs each node
+above the average with the least loaded node that can move next to it —
+because the paper only uses it to demonstrate that RJoin can exploit
+lower-level DHT optimisations unchanged.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ class IdMovementBalancer:
         """Run one balancing round given per-node loads (keyed by address).
 
         Nodes whose load is below ``light_load_factor * average`` are
-        candidates to move; they are paired, heaviest-first, with the most
-        loaded nodes and re-join at the midpoint of the heavy node's arc so
-        that they take over about half of its key range.  Returns the moves
+        candidates to move; heaviest-first, each node above the average takes
+        the lightest candidate that can move next to it, which re-joins at
+        the midpoint of the heavy node's arc so that it takes over about half
+        of its key range.  Returns the moves
         performed (which the caller must follow with state re-homing).
         """
         if len(self.ring) < 2 or not loads:
@@ -76,14 +78,17 @@ class IdMovementBalancer:
         ]
         moves: List[IdMove] = []
         budget = self.max_moves_per_round
-        for donor_address, mover_address in zip(heavy, light):
+        for donor_address in heavy:
             if budget is not None and len(moves) >= budget:
                 break
-            if donor_address == mover_address:
-                continue
-            move = self._move_next_to(mover_address, donor_address)
-            if move is not None:
-                moves.append(move)
+            # The first light node that can take over part of the arc: one
+            # already preceding the donor cannot, so the next one is tried.
+            for mover_address in light:
+                move = self._move_next_to(mover_address, donor_address)
+                if move is not None:
+                    moves.append(move)
+                    light.remove(mover_address)
+                    break
         self.moves_performed.extend(moves)
         return moves
 

@@ -307,9 +307,13 @@ class Transport(ABC):
         """Refuse a re-entrant or post-shutdown drain, else mark one running."""
         if self._draining:
             raise SimulationError("drain() is not re-entrant")
-        if self._closed:
-            raise SimulationError("transport is shut down; cannot drain")
+        self.check_open("drain")
         self._draining = True
+
+    def check_open(self, action: str) -> None:
+        """Refuse ``action`` once :meth:`shutdown` has returned."""
+        if self._closed:
+            raise SimulationError(f"transport is shut down; cannot {action}")
 
     @property
     def is_draining(self) -> bool:

@@ -136,10 +136,7 @@ class AsyncioTransport(Transport):
     def _ensure_actor(self, address: str) -> _Inbox:
         inbox = self._inboxes.get(address)
         if inbox is None:
-            if self._closed:
-                raise SimulationError(
-                    "transport is shut down; cannot register new addresses"
-                )
+            self.check_open("register new addresses")
             inbox = _Inbox(self._inbox_capacity)
             self._inboxes[address] = inbox
             self._actors[address] = self._loop.create_task(self._actor_main(inbox))

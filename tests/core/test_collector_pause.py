@@ -1,6 +1,6 @@
 """The engine's draining calls run with CPython's cyclic collector paused.
 
-Two halves:
+Four parts:
 
 * **the invariant it rests on** — the state the publish path makes is
   acyclic, so reference counting alone frees it: with the collector off,
@@ -11,6 +11,11 @@ Two halves:
 * **a closed engine is no cycle** — built, driven, closed and dropped on
   either runtime and either backend, an engine leaves ``gc.collect()``
   nothing to find, and its handles stay readable;
+* **a closed engine holds no state** — one its caller still holds has let
+  go of every node (query tables, stores), keeps no more than
+  :data:`RETAINED_PER_NODE` tracked objects per ring node, reads out the
+  same metrics and answers as before :meth:`RJoinEngine.close`, and
+  refuses the calls that would change them;
 * **the collector state around a call** — an enabled collector is enabled
   again after the call, also after an error inside it; one the caller
   disabled stays disabled; a nested :meth:`RJoinEngine.run` does not
@@ -20,6 +25,7 @@ Two halves:
 from __future__ import annotations
 
 import gc
+import weakref
 from contextlib import contextmanager
 from typing import Iterator, List
 
@@ -29,7 +35,8 @@ from repro.core.answers import QueryHandle
 from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.node import RJoinNode
-from repro.errors import EngineError
+from repro.core.query_table import QueryTable
+from repro.errors import EngineError, SimulationError
 from repro.sql.ast import WindowSpec
 
 pytestmark = pytest.mark.hard_timeout(120)
@@ -89,6 +96,15 @@ def make_engine(**overrides) -> RJoinEngine:
     return engine
 
 
+def import_lazy_modules() -> None:
+    """Build one engine on the runtime and backend imported on first use.
+
+    Importing them leaves cyclic garbage of their own (ssl's enum classes,
+    the sqlite store's): built first, it is out of the count.
+    """
+    make_engine(runtime="asyncio", store_backend="sqlite").close()
+
+
 def rows(start: int, count: int) -> List[tuple]:
     """``count`` deterministic rows over a domain of 4, round-robin R/S/T."""
     return [
@@ -142,10 +158,7 @@ class TestClosedEngineIsAcyclic:
     def test_dropping_a_closed_engine_leaves_no_cyclic_garbage(
         self, runtime, backend
     ):
-        # Importing the asyncio runtime leaves cyclic garbage of its own
-        # (ssl's enum classes): one engine built first takes it out of the
-        # count.
-        make_engine(runtime="asyncio").close()
+        import_lazy_modules()
         with paused_collector():
             engine = make_engine(runtime=runtime, store_backend=backend)
             handles = drive(engine, QUERIES)
@@ -154,6 +167,80 @@ class TestClosedEngineIsAcyclic:
             assert gc.collect() == 0
         assert all(handle.count == len(handle.answers) for handle in handles)
         assert sum(handle.count for handle in handles) > 0
+
+
+#: GC-tracked objects a closed engine may keep per ring node: the ring's
+#: node and finger lists, the traffic and load records, and a share of
+#: the engine's own fixed parts (about 20 per node at 8 nodes; 300-400
+#: per node before :meth:`RJoinEngine.close` dropped the nodes).
+RETAINED_PER_NODE = 40
+
+
+def read_outs(engine: RJoinEngine, handles: List[QueryHandle]) -> tuple:
+    """Everything a caller reads off an engine and its handles."""
+    return (
+        engine.metrics_summary(),
+        engine.qpl_distribution(),
+        engine.storage_distribution(),
+        engine.storage_distribution(current=False),
+        engine.total_answers,
+        [(handle.count, sorted(map(repr, handle.values()))) for handle in handles],
+    )
+
+
+def tracked(kind: type) -> int:
+    """How many objects of exactly ``kind`` the collector tracks."""
+    return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("runtime", ["sim", "asyncio"])
+class TestClosedEngineHoldsNoState:
+    def test_the_nodes_die_and_the_read_outs_stay(self, runtime, backend):
+        with paused_collector():
+            tables = tracked(QueryTable)
+            engine = make_engine(runtime=runtime, store_backend=backend)
+            handles = drive(engine, QUERIES)
+            before = read_outs(engine, handles)
+            node = next(iter(engine.nodes.values()))
+            dead_node, dead_store = weakref.ref(node), weakref.ref(node.tuple_store)
+            assert tracked(QueryTable) > tables
+            del node
+            engine.close()
+            # Reference counting alone frees them: the collector is off.
+            assert dead_node() is None and dead_store() is None
+            assert tracked(QueryTable) == tables
+            assert read_outs(engine, handles) == before
+
+    def test_what_a_kept_engine_retains_is_bounded(self, runtime, backend):
+        import_lazy_modules()
+        with paused_collector():
+            engine = make_engine(runtime=runtime, store_backend=backend)
+            handles = drive(engine, QUERIES)
+            engine.close()
+            kept = len(gc.get_objects())
+            nodes = len(engine.ring)
+            del engine
+            assert gc.collect() == 0
+            retained = kept - len(gc.get_objects())
+        assert 0 < retained <= RETAINED_PER_NODE * nodes
+        assert sum(handle.count for handle in handles) > 0
+
+    def test_a_closed_engine_refuses_what_would_change_it(self, runtime, backend):
+        engine = make_engine(runtime=runtime, store_backend=backend)
+        drive(engine, QUERIES)
+        engine.close()
+        engine.close()
+        before = engine.metrics_summary()
+        for call in (
+            lambda: engine.publish("R", (1, 2)),
+            lambda: engine.publish_batch(rows(0, 3)),
+            lambda: engine.submit(QUERIES[0]),
+            engine.run,
+        ):
+            with pytest.raises(SimulationError, match="shut down"):
+                call()
+        assert engine.metrics_summary() == before
 
 
 class TestCollectorState:

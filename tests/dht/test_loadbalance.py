@@ -64,12 +64,16 @@ class TestIdMovementBalancer:
         )
         assert all(move.donor_address == heavy_addr for move in moves)
 
-    def test_split_reduces_donor_arc(self, ring):
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 7, 11, 42])
+    @pytest.mark.parametrize("position", ["first", "middle"])
+    def test_split_reduces_donor_arc(self, position, seed):
         # Light nodes are tried from the end of the ring order, so the first
-        # candidate is ``ring.nodes[-1]``.  A donor in the middle of the ring
-        # has another predecessor, which the balancer may move next to it.
-        donor = ring.nodes[len(ring.nodes) // 2]
-        assert ring.predecessor_of(donor).address != ring.nodes[-1].address
+        # candidate is ``ring.nodes[-1]``.  It already precedes
+        # ``ring.nodes[0]`` and cannot move next to it: the balancer must go
+        # on to the next light node.  A donor in the middle of the ring has
+        # another predecessor.
+        ring = ChordRing.create_network(16, space=IdentifierSpace(16), seed=seed)
+        donor = ring.nodes[0 if position == "first" else len(ring.nodes) // 2]
         loads = {node.address: 1.0 for node in ring.nodes}
         loads[donor.address] = 100.0
         before = ring.arc_length_of(donor)
