@@ -107,7 +107,6 @@ def _measure_matching(
 ) -> Dict[str, object]:
     """Indexed-probe vs linear-scan throughput at one population size."""
     table = _build_table(num_queries)
-    clocks: Dict[str, float] = {}
 
     # Indexed probes: arrivals cycle through the discriminating values, so
     # every probe fetches exactly the records it can rewrite.
@@ -116,7 +115,7 @@ def _measure_matching(
     for i in range(probes):
         d_value = i % num_queries
         candidates = table.probe(
-            KEY.text, clocks, lambda attribute, d=d_value: 10 if attribute == "c" else d
+            KEY.text, lambda attribute, d=d_value: 10 if attribute == "c" else d
         )
         candidates_fetched += len(candidates)
     indexed_seconds = time.perf_counter() - started

@@ -67,11 +67,11 @@ class RJoinConfig:
         it as their window.  ``submit`` refuses a query it does not cover (no
         window, the other mode, or a larger size): the collected tuples
         would silently miss its answers.  Rewritten queries do not depend on
-        it: each dies with its own window.
+        it: each leaves with its own window, when the next drain starts.
     gc_every_tuples:
-        How often (in published tuples) the engine sweeps for window-expired
-        state: rewritten queries past their own window in every run, and
-        stored tuples past ``tuple_gc_window`` when it is set.
+        How often (in published tuples) the engine collects the stored
+        tuples past ``tuple_gc_window``; it governs stored tuples only, and
+        does nothing when no horizon is set.
     owner_failover:
         Whether every submitted query's handle registration (owner address
         plus answer watermark) is replicated onto the owner's ring

@@ -25,6 +25,7 @@ at any time through :attr:`traffic`, :attr:`loads` and
 from __future__ import annotations
 
 import gc
+import math
 import random
 import weakref
 from contextlib import contextmanager, nullcontext
@@ -259,7 +260,12 @@ class RJoinEngine:
         #: drained them all.
         self._undrained_from: Optional[Tuple] = None
         self._published = 0
+        #: Published tuples per index key text; counted only for a strategy
+        #: that reads the rate oracle (``uses_oracle``).
         self._oracle_counts: Dict[str, int] = {}
+        #: Window mode of every submitted windowed query -> its clock at the
+        #: last sweep of the rewritten-query tables (-inf before the first).
+        self._swept_at: Dict[str, float] = {}
         #: Queries ever submitted (handles of removed queries leave
         #: :attr:`_handles` but stay counted here).
         self._submitted_total = 0
@@ -332,6 +338,8 @@ class RJoinEngine:
             owner = self._rng.choice(self.ring.addresses)
         elif owner not in self.nodes:
             raise QueryRegistrationError(f"unknown owner node {owner!r}")
+        if own is not None:
+            self._swept_at.setdefault(own.mode, -math.inf)
 
         self._query_counter += 1
         query_id = f"{owner}#{self._query_counter}"
@@ -567,7 +575,8 @@ class RJoinEngine:
         self._sequence += 1
         if self._undrained_from is None:
             self._undrained_from = tup
-        self._record_oracle(tup, schema)
+        if self.strategy.uses_oracle:
+            self._record_oracle(tup, schema)
         return tup
 
     def _sequence_clock(self) -> int:
@@ -606,8 +615,10 @@ class RJoinEngine:
         :meth:`remove_node`) are applied once the network is quiescent, so
         ownership never changes under a message that was routed to the old
         owner.  Crashes are the exception: they take effect immediately
-        (see :meth:`crash_node`).
+        (see :meth:`crash_node`).  Every rewritten query whose window
+        closed leaves as the drain starts (:meth:`_sweep_expired_queries`).
         """
+        self._sweep_expired_queries()
         processed = self.transport.drain()
         while self._pending_membership:
             ops, self._pending_membership = self._pending_membership, []
@@ -617,6 +628,29 @@ class RJoinEngine:
         self.churn.backpressure_escapes = self.transport.backpressure_escapes
         self._undrained_from = None
         return processed
+
+    def _sweep_expired_queries(self) -> None:
+        """Drop every rewritten query past its window from every node's table.
+
+        Reads the drain's own clocks, which stay fixed while it delivers the
+        tuples published since the last one (:meth:`_sequence_clock`), so no
+        record a probe of this drain finds is past its window, and none a
+        drain stores is (:meth:`RJoinNode._on_eval
+        <repro.core.node.RJoinNode._on_eval>`).  Only the modes of submitted
+        windowed queries are read; while none of their clocks has moved
+        since the last sweep nothing can be due, and no node is visited.
+        """
+        clocks = {
+            mode: (
+                self._time_clock() if mode == "time" else float(self._sequence_clock())
+            )
+            for mode in self._swept_at
+        }
+        if clocks == self._swept_at:
+            return
+        self._swept_at = clocks
+        for node in self.nodes.values():
+            node.rewritten_queries.sweep(clocks)
 
     def tick(self, delta: float = 1.0) -> None:
         """Advance the simulated clock without publishing anything."""
@@ -757,7 +791,7 @@ class RJoinEngine:
         )
 
     # ------------------------------------------------------------------
-    # rate oracle (used by the Worst baseline and by tests)
+    # rate oracle (read by the Worst baseline alone)
     # ------------------------------------------------------------------
     def _record_oracle(self, tup: Tuple, schema: RelationSchema) -> None:
         for key in tuple_index_keys(tup, schema):

@@ -294,22 +294,14 @@ class RJoinNode:
         """Trigger, rewrite and re-index the queries stored under ``key_text``.
 
         The probe fetches only the records whose discriminating selection the
-        tuple's values satisfy (plus the wildcard records); window-expired
-        records are dropped through the bucket's expiry heap exactly like the
-        old full scan dropped them (Section 5), without touching survivors.
-        A tuple-window record is judged against the engine's sequence clock,
-        not the arriving tuple's number: a tuple of a burst can arrive ahead
-        of an earlier one of it that may still complete the record.
+        tuple's values satisfy (plus the wildcard records).  Records whose
+        window closed before this drain are already gone: the engine sweeps
+        every rewritten-query table when a drain starts (Section 5), and
+        :meth:`_trigger`'s window rule turns away the tuple of any other.
         """
         schema = self.ctx.catalog.get(tup.relation)
         candidates = table.probe(
-            key_text,
-            # expired(window, state, clock) per window mode.
-            clocks={
-                "time": tup.pub_time,
-                "tuples": float(self.ctx.sequence_clock()),
-            },
-            value_of=lambda attribute: tup.value_of(attribute, schema),
+            key_text, lambda attribute: tup.value_of(attribute, schema)
         )
         if not candidates:
             return
@@ -978,23 +970,17 @@ class RJoinNode:
         return float(self.ctx.sequence_clock())
 
     def gc_expired_state(self) -> None:
-        """Drop window-expired rewritten queries and (optionally) stored tuples.
+        """Drop the stored tuples that aged out of ``tuple_gc_window``.
 
-        The engine calls this at every ``gc_every_tuples`` boundary.  A
-        rewritten query dies with its own window (Section 5), so every
-        bucket of the rewritten-query table is swept whatever the
-        configuration.  Stored tuples are only collected when the engine
-        configured ``tuple_gc_window``, the stored-tuple horizon: ``submit``
-        admits only queries it covers, so an aged-out tuple can never
-        contribute to any answer again.  Both halves read the clocks the
-        trigger path judges windows by.
+        The engine calls this at every ``gc_every_tuples`` boundary; it
+        governs stored tuples only (rewritten queries leave with their own
+        window when a drain starts, :meth:`RJoinEngine.run
+        <repro.core.engine.RJoinEngine.run>`).  Nothing is collected unless
+        the engine configured ``tuple_gc_window``, the stored-tuple horizon:
+        ``submit`` admits only queries it covers, so an aged-out tuple can
+        never contribute to any answer again.  The cutoff reads the clocks
+        the trigger path judges windows by.
         """
-        self.rewritten_queries.gc_expired(
-            {
-                "time": self.ctx.time_clock(),
-                "tuples": float(self.ctx.sequence_clock()),
-            }
-        )
         gc_window = self.ctx.config.tuple_gc_window
         if gc_window is not None:
             # tuple_expired(window, tup, clock) <=> clock_of(tup) < cutoff.

@@ -62,21 +62,6 @@ class StoredQueryRecord:
 _ShareHosts = Union[StoredQueryRecord, Dict[Query, StoredQueryRecord]]
 
 
-class _ExpiryHeap(List[TupleT[float, int]]):
-    """One window mode's ``(deadline, seq)`` min-heap of a bucket.
-
-    ``hint`` is the deadline of the bucket's one live entry in the table's
-    GC hint heap of that mode (None when it has none); it is at most the
-    heap's earliest deadline.
-    """
-
-    __slots__ = ("hint",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.hint: Optional[float] = None
-
-
 class _KeyBucket:
     """The records stored under one key text, sub-indexed for probing.
 
@@ -85,42 +70,36 @@ class _KeyBucket:
     record additionally lives either in ``wildcard`` (no usable
     discriminating selection) or in ``by_value[attribute][value]`` — the
     predicate-aware index an arriving tuple probes with its own values.
-    ``expiry`` holds a ``(deadline, seq)`` min-heap per window mode its
-    records have used, the only record of when the bucket's records die:
-    the trigger path and the GC sweep both pop them, so aged-out records
-    leave without a scan of the bucket.  Entries of records removed
-    otherwise are skipped when popped, and each heap holds at most
-    2 × live records + 8 entries (:meth:`bound_expiry`).  ``key`` is
-    the :class:`IndexKey` of the bucket's first record, which every later
-    record points at.  ``by_share`` is the sharing index: the cheap part of a
+    ``text`` is the key text the bucket is filed under and ``key`` the
+    :class:`IndexKey` of its first record, which every later record points
+    at.  ``by_share`` is the sharing index: the cheap part of a
     record's state (its ``share_key``,
     :func:`~repro.core.rewriting.canonical_state_key`) maps to the one
     resident record that has it or, from the second such record on, to a
     ``{query: record}`` dict — one entry per resident record with a share
     key, freed with it; a state that can have no twin has no key and no
-    entry.  ``wildcard``, ``expiry`` and ``by_share`` are None until their
-    first entry: a bucket of discriminated, windowless, unshared records
-    holds none of them.
+    entry.  ``wildcard`` and ``by_share`` are None until their first entry:
+    a bucket of discriminated, unshared records holds neither.
     """
 
     __slots__ = (
+        "text",
         "key",
         "records",
         "wildcard",
         "by_value",
         "by_share",
-        "expiry",
         "version",
         "last_probe",
     )
 
-    def __init__(self, key: IndexKey) -> None:
+    def __init__(self, text: str, key: IndexKey) -> None:
+        self.text = text
         self.key = key
         self.records: Dict[int, StoredQueryRecord] = {}
         self.wildcard: Optional[Dict[int, StoredQueryRecord]] = None
         self.by_value: Dict[str, Dict[object, Dict[int, StoredQueryRecord]]] = {}
         self.by_share: Optional[Dict[Hashable, _ShareHosts]] = None
-        self.expiry: Optional[Dict[str, _ExpiryHeap]] = None
         #: Mutation counter; bumped on every add/remove so probe plans and
         #: memoised candidate lists can be invalidated cheaply.
         self.version = 0
@@ -133,21 +112,16 @@ class _KeyBucket:
             TupleT[int, TupleT[object, ...], List[StoredQueryRecord]]
         ] = None
 
-    def bound_expiry(self, mode: str) -> None:
-        """Drop ``mode``'s stale heap entries once they break the bound.
 
-        Popping skips them anyway, so no trigger order changes.
-        """
-        heap = None if self.expiry is None else self.expiry.get(mode)
-        if heap is not None and len(heap) > 2 * len(self.records) + 8:
-            # In place: :meth:`QueryTable._drop_expired` may be popping this
-            # very list.
-            heap[:] = [entry for entry in heap if entry[1] in self.records]
-            heapq.heapify(heap)
+#: One window mode's expiry calendar: a min-heap of its distinct deadlines,
+#: and per deadline the ``bucket, group, seq, ...`` of the records added with
+#: it, ``group`` being the probe group the record was filed in (flat, so an
+#: entry costs three list slots and no tuple).
+_Calendar = TupleT[List[float], Dict[float, List[object]]]
 
 
 class QueryTable:
-    """Predicate-aware stored-query index with O(1) size and heap-driven GC.
+    """Predicate-aware stored-query index with O(1) size and calendar GC.
 
     Both node-local query tables (input and rewritten) use this structure.
     Under each key text, records are sub-indexed by the discriminating bound
@@ -155,30 +129,29 @@ class QueryTable:
     :meth:`~repro.core.rewriting.QueryShape.discriminator`), so a tuple
     arrival fetches only the records its values can actually rewrite —
     mirroring the tuple store's prefix index, but over queries.  Each bucket
-    also keeps the expiry heaps of its records (window GC without scans) and
-    a registry of canonical sharing keys for multi-query state sharing.
-    A GC tick visits only the buckets that may hold a due record: per window
-    mode, a heap of ``(deadline, key text)`` hints, one live hint per bucket
-    with records of that mode, at most its earliest deadline.  A hint is
-    stale once its bucket is gone or holds a different one; stale hints are
-    skipped when popped, and each hint heap holds at most 2 × buckets + 8
-    entries (:meth:`_bound_hints`).
+    also keeps a registry of canonical sharing keys for multi-query state
+    sharing.  Window GC runs off one expiry calendar per window mode
+    (:meth:`sweep`): every record added with a window deadline has one
+    calendar entry, which leaves when the clock passes that deadline, so
+    the calendar holds at most the records added within one window of the
+    clock.  Records a retraction or a re-homing took out earlier leave
+    their entries behind until then; popping skips them.
     """
 
-    __slots__ = ("_by_key", "_size", "_tiebreak", "_hints")
+    __slots__ = ("_by_key", "_size", "_tiebreak", "_calendars")
 
     def __init__(self) -> None:
         self._by_key: Dict[str, _KeyBucket] = {}
         self._size = 0
         self._tiebreak = itertools.count()
-        #: Window mode -> the GC hint heap of the records ever added with it.
-        self._hints: Dict[str, List[TupleT[float, str]]] = {}
+        #: Window mode -> the expiry calendar of the records added with it.
+        self._calendars: Dict[str, _Calendar] = {}
 
     def add(self, key_text: str, record: StoredQueryRecord) -> None:
         """Store ``record`` under ``key_text``, (re)indexing it for probes."""
         bucket = self._by_key.get(key_text)
         if bucket is None:
-            bucket = self._by_key[key_text] = _KeyBucket(record.key)
+            bucket = self._by_key[key_text] = _KeyBucket(key_text, record.key)
         else:
             record.key = bucket.key
         seq = next(self._tiebreak)
@@ -193,6 +166,7 @@ class QueryTable:
             if wildcard is None:
                 wildcard = bucket.wildcard = {}
             wildcard[seq] = record
+            group = wildcard
         else:
             groups = bucket.by_value.get(sp.attribute.attribute)
             if groups is None:
@@ -227,43 +201,38 @@ class QueryTable:
         if window is not None and state is not None:
             # expired(window, state, clock) <=> clock > deadline.
             deadline = state.min_clock + window.size - 1
-            mode = window.mode
-            heaps = bucket.expiry
-            if heaps is None:
-                heaps = bucket.expiry = {}
-            expiry = heaps.get(mode)
-            if expiry is None:
-                expiry = heaps[mode] = _ExpiryHeap()
-            heapq.heappush(expiry, (deadline, seq))
-            if expiry.hint is None or deadline < expiry.hint:
-                self._hint(key_text, expiry, mode, deadline)
+            calendar = self._calendars.get(window.mode)
+            if calendar is None:
+                calendar = self._calendars[window.mode] = ([], {})
+            entries = calendar[1].get(deadline)
+            if entries is None:
+                calendar[1][deadline] = [bucket, group, seq]
+                heapq.heappush(calendar[0], deadline)
+            else:
+                entries += (bucket, group, seq)
 
-    def _hint(
-        self, key_text: str, expiry: _ExpiryHeap, mode: str, deadline: float
-    ) -> None:
-        """Make ``(deadline, key_text)`` the live hint of ``expiry``'s bucket."""
-        expiry.hint = deadline
-        heap = self._hints.get(mode)
-        if heap is None:
-            heap = self._hints[mode] = []
-        heapq.heappush(heap, (deadline, key_text))
-        self._bound_hints(mode)
+    def sweep(self, clocks: Mapping[str, float]) -> None:
+        """Drop every record whose window deadline the clock has passed.
 
-    def _bound_hints(self, mode: str) -> None:
-        """Drop ``mode``'s stale hints once they break the heap's bound.
-
-        In place: :meth:`gc_expired` may be popping this very list.
+        ``clocks`` maps a window mode to its current clock value (a mode it
+        does not name is left alone).  Deadlines are fixed at insertion
+        time (window states are immutable), so a record is expired exactly
+        when its deadline is below the clock; it can never be satisfied
+        again (Section 5).  Pops each due deadline off its mode's calendar
+        and removes those of its records still stored under the bucket and
+        sequence number they were added with; a mode with nothing due costs
+        one comparison.
         """
-        heap = self._hints[mode]
-        if len(heap) > 2 * len(self._by_key) + 8:
-            heap[:] = [
-                (expiry.hint, key_text)
-                for key_text, bucket in self._by_key.items()
-                if bucket.expiry is not None
-                and (expiry := bucket.expiry.get(mode)) is not None
-                and expiry.hint is not None
-            ]
-            heapq.heapify(heap)
+        for mode, (deadlines, due) in self._calendars.items():
+            clock = clocks.get(mode)
+            if clock is None:
+                continue
+            while deadlines and deadlines[0] < clock:
+                entries = iter(due.pop(heapq.heappop(deadlines)))
+                for bucket, group, seq in zip(entries, entries, entries):
+                    record = bucket.records.pop(seq, None)
+                    if record is not None:
+                        self._unlink(bucket, record, group)
 
     @staticmethod
     def _discriminator_of(
@@ -295,91 +264,68 @@ class QueryTable:
             return None
         return sp
 
-    def _remove_record(
-        self, key_text: str, bucket: _KeyBucket, record: StoredQueryRecord
-    ) -> None:
-        """Unlink ``record`` from every bucket structure (heaps stay lazy)."""
-        seq = record.seq
-        del bucket.records[seq]
-        bucket.version += 1
-        self._size -= 1
+    @staticmethod
+    def _group_of(
+        bucket: _KeyBucket, record: StoredQueryRecord
+    ) -> Dict[int, StoredQueryRecord]:
+        """The probe group ``record`` is filed in (``wildcard`` or a value's)."""
         sp = record.discriminator
         if sp is None:
-            if bucket.wildcard is not None:
-                bucket.wildcard.pop(seq, None)
-        else:
-            attribute = sp.attribute.attribute
-            groups = bucket.by_value.get(attribute)
-            if groups is not None:
-                group = groups.get(sp.value)
-                if group is not None:
-                    group.pop(seq, None)
-                    if not group:
-                        del groups[sp.value]
-                        if not groups:
-                            del bucket.by_value[attribute]
-        by_share = bucket.by_share
-        if record.share_key is not None and by_share is not None:
-            hosts = by_share.get(record.share_key)
+            return bucket.wildcard
+        return bucket.by_value[sp.attribute.attribute][sp.value]
+
+    def _unlink(
+        self,
+        bucket: _KeyBucket,
+        record: StoredQueryRecord,
+        group: Dict[int, StoredQueryRecord],
+    ) -> None:
+        """Unlink ``record``, already out of ``bucket.records``, from the bucket.
+
+        ``group`` is the probe group it is filed in; the calendar stays lazy.
+        The probe memo goes too: it may list ``record``, and would keep it
+        alive until the bucket's next probe.
+        """
+        del group[record.seq]
+        bucket.version += 1
+        bucket.last_probe = None
+        self._size -= 1
+        sp = record.discriminator
+        if sp is not None and not group:
+            groups = bucket.by_value[sp.attribute.attribute]
+            del groups[sp.value]
+            if not groups:
+                del bucket.by_value[sp.attribute.attribute]
+        share_key = record.share_key
+        if share_key is not None:
+            by_share = bucket.by_share
+            hosts = by_share.get(share_key)
             if hosts is record:
-                del by_share[record.share_key]
+                del by_share[share_key]
             elif isinstance(hosts, dict) and hosts.get(record.state.query) is record:
                 del hosts[record.state.query]
                 if not hosts:
-                    del by_share[record.share_key]
+                    del by_share[share_key]
         if not bucket.records:
-            del self._by_key[key_text]
-            for mode in self._hints:
-                self._bound_hints(mode)
-            return
-        window = record.state.query.window
-        if window is not None:
-            bucket.bound_expiry(window.mode)
-
-    def _drop_expired(
-        self, key_text: str, bucket: _KeyBucket, clocks: Mapping[str, float]
-    ) -> None:
-        """Pop ``bucket``'s expiry heaps: drop every record whose deadline passed.
-
-        ``clocks`` maps a window mode to its current clock value.  Deadlines
-        are fixed at insertion time (window states are immutable), so a
-        record is expired exactly when its deadline is below the clock; it
-        can never be satisfied again (Section 5).
-        """
-        heaps = bucket.expiry
-        if heaps is None:
-            return
-        for mode, clock in clocks.items():
-            heap = heaps.get(mode)
-            while heap and heap[0][0] < clock:
-                _, seq = heapq.heappop(heap)
-                record = bucket.records.get(seq)
-                if record is not None:
-                    self._remove_record(key_text, bucket, record)
+            del self._by_key[bucket.text]
 
     # ------------------------------------------------------------------
     # probing (the tuple-arrival fast path)
     # ------------------------------------------------------------------
     def probe(
-        self,
-        key_text: str,
-        clocks: Mapping[str, float],
-        value_of: Callable[[str], object],
+        self, key_text: str, value_of: Callable[[str], object]
     ) -> List[StoredQueryRecord]:
         """Candidate records for a tuple arrival.
 
-        First drops the bucket's records whose window deadline passed under
-        ``clocks`` (:meth:`_drop_expired`).  Then assembles the candidates:
-        every wildcard record plus, per discriminating attribute, the records
+        Every wildcard record plus, per discriminating attribute, the records
         filed under the arriving tuple's value for it (``value_of``).
         Candidates come back in insertion order, preserving the deterministic
-        trigger order of the full-scan implementation.
+        trigger order of the full-scan implementation.  Records whose window
+        closed left at the last :meth:`sweep`; one that closed since is
+        turned away by the trigger path's own window check.
         """
         bucket = self._by_key.get(key_text)
         if bucket is None:
-            return []
-        self._drop_expired(key_text, bucket, clocks)
-        if not bucket.records:
             return []
         signature: TupleT[object, ...] = (
             tuple(value_of(attribute) for attribute in bucket.by_value)
@@ -452,14 +398,17 @@ class QueryTable:
         return list(bucket.records.values())
 
     def pop_key(self, key_text: str) -> List[StoredQueryRecord]:
-        """Remove and return every record stored under ``key_text``."""
+        """Remove and return every record stored under ``key_text``.
+
+        The bucket is emptied as it leaves, so its calendar entries find
+        none of its records when popped.
+        """
         bucket = self._by_key.pop(key_text, None)
         if bucket is None:
             return []
         records = list(bucket.records.values())
+        bucket.records.clear()
         self._size -= len(records)
-        for mode in self._hints:
-            self._bound_hints(mode)
         return records
 
     def keys(self) -> Iterable[str]:
@@ -487,9 +436,8 @@ class QueryTable:
         whose state serves only ``query_id`` is physically removed; a shared
         record detaches the subscriber (promoting a new primary when
         needed) and stays.  Returns ``(removed records, detach count)``.
-        Stale expiry-heap entries for removed records pop harmlessly later
-        (no record is stored under their sequence number), and
-        :meth:`_KeyBucket.bound_expiry` keeps them to the heap's bound.
+        The calendar entries of removed records pop harmlessly at their
+        deadline (no record is stored under their sequence number).
         """
         removed: List[StoredQueryRecord] = []
         detached = 0
@@ -500,35 +448,9 @@ class QueryTable:
                 if not record.state.serves(query_id):
                     continue
                 if record.state.detach_subscriber(query_id):
-                    self._remove_record(key_text, bucket, record)
+                    del bucket.records[seq]
+                    self._unlink(bucket, record, self._group_of(bucket, record))
                     removed.append(record)
                 else:
                     detached += 1
         return removed, detached
-
-    def gc_expired(self, clocks: Mapping[str, float]) -> None:
-        """Drop every record whose window deadline passed, bucket by bucket.
-
-        Pops each mode's hint heap down to the clock and, for every live
-        hint, the bucket's heap of that mode as :meth:`probe` does, so a
-        bucket no tuple arrives at still lets its dead records go; a bucket
-        left with entries of the mode gets a fresh hint at its earliest
-        deadline.  Buckets with nothing due are not looked at.  ``clocks``
-        maps each window mode the table has used to its clock.
-        """
-        for mode, heap in self._hints.items():
-            clock = clocks[mode]
-            only = {mode: clock}
-            by_key = self._by_key
-            while heap and heap[0][0] < clock:
-                deadline, key_text = heapq.heappop(heap)
-                bucket = by_key.get(key_text)
-                if bucket is None or bucket.expiry is None:
-                    continue  # stale
-                expiry = bucket.expiry.get(mode)
-                if expiry is None or expiry.hint != deadline:
-                    continue  # stale
-                expiry.hint = None
-                self._drop_expired(key_text, bucket, only)
-                if expiry and by_key.get(key_text) is bucket:
-                    self._hint(key_text, expiry, mode, expiry[0][0])

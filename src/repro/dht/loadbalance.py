@@ -13,7 +13,7 @@ tuples among the nodes.  :class:`IdMovementBalancer` reproduces that effect:
   ownership moved (the engine does this through its own re-homing hook).
 
 The algorithm is intentionally simple — one balancing round pairs each node
-above the average with the least loaded node that can move next to it —
+above the average with the least loaded node still unmoved —
 because the paper only uses it to demonstrate that RJoin can exploit
 lower-level DHT optimisations unchanged.
 """
@@ -61,10 +61,12 @@ class IdMovementBalancer:
 
         Nodes whose load is below ``light_load_factor * average`` are
         candidates to move; heaviest-first, each node above the average takes
-        the lightest candidate that can move next to it, which re-joins at
-        the midpoint of the heavy node's arc so that it takes over about half
-        of its key range.  Returns the moves
-        performed (which the caller must follow with state re-homing).
+        the lightest candidate not yet moved, which re-joins at the midpoint
+        of the heavy node's arc so that it takes over about half of its key
+        range (the donor's own predecessor included: it moves forward).  An
+        arc too small to split keeps its donor and the candidate.  Returns
+        the moves performed (which the caller must follow with state
+        re-homing).
         """
         if len(self.ring) < 2 or not loads:
             return []
@@ -79,16 +81,14 @@ class IdMovementBalancer:
         moves: List[IdMove] = []
         budget = self.max_moves_per_round
         for donor_address in heavy:
-            if budget is not None and len(moves) >= budget:
+            if not light or (budget is not None and len(moves) >= budget):
                 break
-            # The first light node that can take over part of the arc: one
-            # already preceding the donor cannot, so the next one is tried.
-            for mover_address in light:
-                move = self._move_next_to(mover_address, donor_address)
-                if move is not None:
-                    moves.append(move)
-                    light.remove(mover_address)
-                    break
+            # Whether the donor's arc can be split does not depend on the
+            # mover, so the lightest candidate is the only one tried.
+            move = self._move_next_to(light[0], donor_address)
+            if move is not None:
+                moves.append(move)
+                light.pop(0)
         self.moves_performed.extend(moves)
         return moves
 
@@ -102,10 +102,6 @@ class IdMovementBalancer:
         new_id = self.ring.space.midpoint(predecessor.node_id, donor.node_id)
         if new_id in (predecessor.node_id, donor.node_id):
             return None  # arc too small to split
-        # If the mover currently precedes the donor directly, moving it would
-        # not change ownership; skip.
-        if predecessor.address == mover.address:
-            return None
         old_id = mover.node_id
         try:
             self.ring.move_node(mover_address, new_id)

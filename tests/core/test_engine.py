@@ -371,6 +371,22 @@ class TestPublishBatch:
         with pytest.raises(EngineError):
             engine.publish_batch(self._rows(), publisher="not-a-node")
 
+    @pytest.fixture
+    def worst(self, small_catalog):
+        """An engine whose strategy reads the rate oracle, so it counts."""
+        return RJoinEngine(
+            RJoinConfig(num_nodes=16, seed=7, strategy="worst"), catalog=small_catalog
+        )
+
+    def test_the_oracle_counts_only_for_a_strategy_that_reads_it(
+        self, engine, worst
+    ):
+        for eng in (engine, worst):
+            eng.publish_batch(self._rows())
+        assert engine._oracle_counts == {}
+        # Four tuples of two attributes: one value and one attribute key each.
+        assert sum(worst._oracle_counts.values()) == 4 * 2 * 2
+
     def _engine_state(self, engine):
         return (
             engine._sequence,
@@ -380,13 +396,14 @@ class TestPublishBatch:
             engine.loads.total_storage_load,
         )
 
-    def test_failed_batch_leaves_engine_state_untouched(self, engine):
+    def test_failed_batch_leaves_engine_state_untouched(self, worst):
         """Regression: a wrong-arity row mid-batch must not leak state.
 
         Before the fix, a failed 2-row batch left ``_sequence == 2`` and four
         phantom ``_oracle_counts`` behind with ``_published == 0``, silently
         skewing the Worst baseline's rate oracle for every later experiment.
         """
+        engine = worst
         before = self._engine_state(engine)
         with pytest.raises(SchemaError):
             engine.publish_batch([("R", (1, 10)), ("S", (1, 2, 3))])
@@ -394,20 +411,23 @@ class TestPublishBatch:
         assert engine._sequence == 0
         assert engine._oracle_counts == {}
 
-    def test_failed_batch_unknown_relation_leaves_state_untouched(self, engine):
+    def test_failed_batch_unknown_relation_leaves_state_untouched(self, worst):
+        engine = worst
         before = self._engine_state(engine)
         with pytest.raises(UnknownRelationError):
             engine.publish_batch([("R", (1, 10)), ("nope", (1, 2))])
         assert self._engine_state(engine) == before
 
-    def test_failed_publish_leaves_sequence_untouched(self, engine):
+    def test_failed_publish_leaves_sequence_untouched(self, worst):
+        engine = worst
         with pytest.raises(SchemaError):
             engine.publish("R", (1, 2, 3))
         assert engine._sequence == 0
         assert engine._oracle_counts == {}
 
     @pytest.mark.parametrize("bad_row", [("R",), ("R", 1, 2, 3), 42, ("R", 5)])
-    def test_batch_malformed_rows_raise_engine_error(self, engine, bad_row):
+    def test_batch_malformed_rows_raise_engine_error(self, worst, bad_row):
+        engine = worst
         before = self._engine_state(engine)
         with pytest.raises(EngineError) as excinfo:
             engine.publish_batch([("R", (1, 10)), bad_row])
@@ -415,17 +435,20 @@ class TestPublishBatch:
         assert self._engine_state(engine) == before
 
     @pytest.mark.parametrize("bad_values", [5, None, 2.5, object()])
-    def test_publish_malformed_values_raise_engine_error(self, engine, bad_values):
+    def test_publish_malformed_values_raise_engine_error(self, worst, bad_values):
         """``publish`` validates like a one-row ``publish_batch``, naming itself."""
+        engine = worst
         before = self._engine_state(engine)
         with pytest.raises(EngineError) as excinfo:
             engine.publish("R", bad_values)
         assert "publish row 0" in str(excinfo.value)
         assert self._engine_state(engine) == before
 
-    def test_oracle_rate_unaffected_by_failed_batch(self, engine):
+    def test_oracle_rate_unaffected_by_failed_batch(self, worst):
+        engine = worst
         engine.publish("R", (1, 10))
         rate_before = dict(engine._oracle_counts)
+        assert rate_before
         with pytest.raises(SchemaError):
             engine.publish_batch([("R", (2, 20)), ("S", (1,))])
         assert engine._oracle_counts == rate_before

@@ -6,7 +6,8 @@ the query only among the resident records that have that part.  These tests
 pin what that buys — a miss touches no query, a hit costs O(1) however many
 records share the part — and that hosts come and go exactly as a plain
 dictionary keyed on the full ``(query, cheap part)`` says.  The table's
-per-bucket expiry heaps keep to their bound however records leave.
+expiry calendar drops exactly the records past their window, and keeps to
+its bound however records leave.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from repro.core.config import RJoinConfig
 from repro.core.engine import RJoinEngine
 from repro.core.keys import attribute_key
 from repro.core.protocol import QueryState
-from repro.core.query_table import QueryTable, StoredQueryRecord, _KeyBucket
+from repro.core.query_table import QueryTable, StoredQueryRecord
 from repro.core.rewriting import canonical_state_key
-from repro.core.windows import WindowState
+from repro.core.windows import WindowState, expired
 from repro.data.schema import AttributeRef
 from repro.sql.ast import JoinPredicate, Query, SelectionPredicate, WindowSpec
 
@@ -323,74 +324,95 @@ class TestUnhashableConstants:
         assert len(table) == 0 and list(table.keys()) == []
 
 
-class TestExpiryHeapBound:
-    """A bucket's expiry heap holds at most 2 × live records + 8 entries."""
+def calendar_entries(table):
+    """``(entries, distinct deadlines)`` over every mode's calendar."""
+    entries = deadlines = 0
+    for heap, due in table._calendars.values():
+        assert sorted(heap) == sorted(due)  # one heap slot per deadline
+        deadlines += len(heap)
+        entries += sum(len(at) for at in due.values()) // 3  # bucket, group, seq
+    return entries, deadlines
+
+
+class TestCalendarBound:
+    """The calendar holds one entry per record added with a deadline the
+    clock has not passed at the last sweep: at most the records added
+    within one window of the clock, and none once the clock passes every
+    deadline, however the records left."""
 
     STEPS = 400
+    WINDOW = 10
 
-    def test_gc_sweeps_a_never_probed_bucket(self):
-        """One record per clock tick under a key no tuple arrives at, each
-        tick followed by a table-wide ``gc_expired``: the sweep pops the
-        bucket's own heap, so records and entries stay within one window."""
+    def run(self, retract: bool, rehome: bool):
+        """One record per clock tick under one of three never-probed keys,
+        swept at every tick; optionally each tick retracts the record five
+        ticks older, or re-homes the records of the key it was added under
+        (a re-homed record is added again, with its deadline)."""
         table = QueryTable()
-        window = WindowSpec(size=10, mode="tuples")
+        window = WindowSpec(size=self.WINDOW, mode="tuples")
+        keys = ("k0", "k1", "k2")
+        added = []  # the deadline of every add
         for clock in range(self.STEPS):
             span = WindowState(float(clock), float(clock))
             query = make_query(clock % 3, window)
-            table.add("k", make_record(f"q{clock}", query, 0.0, span, consumed=1))
-            table.gc_expired({"tuples": float(clock)})
-            bucket = table._by_key["k"]
-            assert len(bucket.records) == len(table) <= 10
-            assert len(bucket.expiry["tuples"]) <= len(bucket.records)
-
-    def retract_as_we_go(self):
-        """One open-window record per clock tick under one never-probed key;
-        each tick retracts the record five ticks older and sweeps with
-        ``gc_expired``, which finds nothing due.  Then one probe per value,
-        and a sweep past every deadline."""
-        table = QueryTable()
-        window = WindowSpec(size=10 * self.STEPS, mode="tuples")
-        sizes = []
-        for clock in range(self.STEPS):
-            span = WindowState(float(clock), float(clock))
-            query = make_query(clock % 3, window)
-            table.add("k", make_record(f"q{clock}", query, 0.0, span, consumed=1))
-            if clock >= 5:
+            table.add(keys[clock % 3], make_record(f"q{clock}", query, 0.0, span, 1))
+            added.append(clock + self.WINDOW - 1)
+            if retract and clock >= 5:
                 removed, _ = table.remove_query(f"q{clock - 5}")
                 assert len(removed) == 1
-            table.gc_expired({"tuples": float(clock)})
-            bucket = table._by_key["k"]
-            sizes.append((len(bucket.expiry["tuples"]), len(bucket.records)))
-        probes = [
-            [
-                record.state.query_id
-                for record in table.probe(
-                    "k", {"tuples": float(self.STEPS)}, lambda attribute, c=c: c
-                )
-            ]
-            for c in range(3)
-        ]
-        table.gc_expired({"tuples": 20.0 * self.STEPS})
-        return sizes, probes, len(table)
+            if rehome:
+                for record in table.pop_key(keys[clock % 3]):
+                    table.add(keys[(clock + 1) % 3], record)
+                    deadline = record.state.window_state.min_clock + self.WINDOW - 1
+                    added.append(deadline)
+            table.sweep({"tuples": float(clock)})
+            entries, deadlines = calendar_entries(table)
+            # The adds of the last window, each a record added at a clock
+            # in clock - WINDOW + 1 .. clock.
+            assert entries == sum(deadline >= clock for deadline in added)
+            assert len(table) <= entries
+            assert deadlines == min(clock + 1, self.WINDOW)
+            if not rehome:
+                assert entries <= self.WINDOW
+        table.sweep({"tuples": float(self.STEPS + self.WINDOW)})
+        assert len(table) == 0 and calendar_entries(table) == (0, 0)
+        assert table._calendars["tuples"] == ([], {})
 
-    def test_retractions_keep_a_never_probed_bucket_heap_bounded(self, monkeypatch):
-        sizes, probes, left = self.retract_as_we_go()
-        assert all(heap <= 2 * live + 8 for heap, live in sizes)
-        assert sizes[-1][1] == 5 and left == 0
-        monkeypatch.setattr(_KeyBucket, "bound_expiry", lambda bucket, mode: None)
-        unbounded = self.retract_as_we_go()
-        # Without the bound the stale entries pile up, and nothing else differs.
-        assert unbounded[0][-1][0] == self.STEPS
-        assert (probes, left) == unbounded[1:]
-        assert sorted(sum(probes, [])) == [f"q{c}" for c in range(395, 400)]
+    @pytest.mark.parametrize(
+        "retract, rehome", [(False, False), (True, False), (False, True)]
+    )
+    def test_entries_stay_within_one_window(self, retract, rehome):
+        self.run(retract, rehome)
+
+    def test_a_record_retracted_before_its_deadline_is_skipped(self):
+        table = QueryTable()
+        window = WindowSpec(size=3, mode="tuples")
+        for name in ("a", "b"):
+            query = make_query(1, window)
+            table.add("k", make_record(name, query, 0.0, WindowState(0.0, 0.0), 1))
+        assert [r.state.query_id for r in table.remove_query("a")[0]] == ["a"]
+        table.sweep({"tuples": 2.0})  # nothing due: the deadline is 2
+        assert len(table) == 1 and calendar_entries(table) == (2, 1)
+        table.sweep({"tuples": 3.0})
+        assert len(table) == 0 and calendar_entries(table) == (0, 0)
+        assert "k" not in table._by_key
+
+    def test_a_sweep_with_no_clock_for_a_mode_leaves_it(self):
+        table = QueryTable()
+        span = WindowState(0.0, 0.0)
+        for name, mode in (("t", "time"), ("n", "tuples")):
+            query = make_query(1, WindowSpec(size=1, mode=mode))
+            table.add("k", make_record(name, query, 0.0, span, 1))
+        table.sweep({"tuples": 5.0})
+        assert [r.state.query_id for _, rs in table.items() for r in rs] == ["t"]
 
 
 # ---------------------------------------------------------------------------
-# Model: the GC hint heaps leave what a sweep of every bucket would leave
+# Model: a sweep leaves what an ``expired()`` scan of every bucket leaves
 # ---------------------------------------------------------------------------
 _MODES = ("time", "tuples")
 
-_gc_ops = st.lists(
+_sweep_ops = st.lists(
     st.one_of(
         st.tuples(
             st.just("add"),
@@ -399,47 +421,54 @@ _gc_ops = st.lists(
             st.integers(0, 12),  # the record's min clock
             st.integers(1, 6),  # its window size
         ),
-        st.tuples(st.just("probe"), st.sampled_from(_KEYS), st.integers(0, 3)),
         st.tuples(st.just("remove_query"), st.integers(0, 50)),
         st.tuples(st.just("pop_key"), st.sampled_from(_KEYS)),
-        st.tuples(st.just("gc"), st.integers(0, 3), st.integers(0, 3)),
+        # Re-homing: pop one key and add its records back under another.
+        st.tuples(st.just("rehome"), st.sampled_from(_KEYS), st.sampled_from(_KEYS)),
+        st.tuples(st.just("sweep"), st.integers(0, 3), st.integers(0, 3)),
     ),
     max_size=60,
 )
 
+#: The tier-1 budget; ``--hypothesis-profile generator`` replaces it.
+_long_run = settings.default is settings.get_profile("generator")
 
-@settings(max_examples=300, deadline=None)
-@given(_gc_ops)
+
+@(settings.default if _long_run else settings(max_examples=300, deadline=None))
+@given(_sweep_ops)
 @example(
     [
         ("add", "k0", "tuples", 0, 1),
         ("add", "k0", "tuples", 5, 5),
-        ("gc", 0, 3),  # the bucket keeps a record, so it keeps a hint
-        ("gc", 0, 10),
+        ("sweep", 0, 3),  # the bucket keeps its later record
+        ("sweep", 0, 10),
     ]
 )
 @example(
     [
-        ("add", "k0", "time", 5, 5),
-        ("add", "k0", "time", 0, 1),  # an earlier deadline: a new hint
-        ("gc", 3, 0),
-        ("pop_key", "k0"),
-        ("add", "k0", "time", 0, 3),  # a new bucket under the same key
-        ("gc", 0, 0),
+        ("add", "k0", "time", 0, 3),
+        ("rehome", "k0", "k1"),  # the record has two entries now
+        ("add", "k0", "time", 0, 3),  # a new bucket under the old key
+        ("sweep", 3, 0),
+        ("add", "k1", "time", 2, 3),
+        ("sweep", 1, 0),
     ]
 )
-def test_gc_leaves_what_a_sweep_of_every_bucket_leaves(ops):
-    """After every ``gc_expired``, the table holds exactly the records a sweep
-    of every bucket would leave; each hint heap keeps to 2 × buckets + 8."""
+def test_a_sweep_leaves_what_an_expired_scan_of_every_bucket_leaves(ops):
+    """After every ``sweep``, the table holds exactly the records an
+    ``expired()`` scan of every bucket would keep, across retractions and
+    re-homings; between sweeps, exactly what was added and not taken out."""
     table = QueryTable()
-    live = {}  # query id -> (key text, mode, deadline)
+    live = {}  # query id -> (key text, record)
     clocks = {"time": 0.0, "tuples": 0.0}
     serial = 0
 
-    def expire(keys):
-        for query_id, (key_text, mode, deadline) in list(live.items()):
-            if key_text in keys and deadline < clocks[mode]:
-                del live[query_id]
+    def held():
+        return {
+            record.state.query_id: key_text
+            for key_text, records in table.items()
+            for record in records
+        }
 
     for op in ops:
         if op[0] == "add":
@@ -447,13 +476,9 @@ def test_gc_leaves_what_a_sweep_of_every_bucket_leaves(ops):
             serial += 1
             span = WindowState(float(min_clock), float(min_clock))
             query = make_query(serial % 3, WindowSpec(size=size, mode=mode))
-            table.add(key_text, make_record(f"q{serial}", query, 0.0, span, 1))
-            live[f"q{serial}"] = (key_text, mode, min_clock + size - 1)
-        elif op[0] == "probe":
-            _, key_text, step = op
-            clocks["time"] += step
-            table.probe(key_text, dict(clocks), lambda attribute: 1)
-            expire({key_text})
+            record = make_record(f"q{serial}", query, 0.0, span, 1)
+            table.add(key_text, record)
+            live[f"q{serial}"] = (key_text, record)
         elif op[0] == "remove_query" and live:
             query_id = sorted(live)[op[1] % len(live)]
             removed, _ = table.remove_query(query_id)
@@ -462,61 +487,31 @@ def test_gc_leaves_what_a_sweep_of_every_bucket_leaves(ops):
         elif op[0] == "pop_key":
             for record in table.pop_key(op[1]):
                 del live[record.state.query_id]
-        elif op[0] == "gc":
+        elif op[0] == "rehome":
+            _, source, target = op
+            for record in table.pop_key(source):
+                table.add(target, record)
+                live[record.state.query_id] = (target, record)
+        elif op[0] == "sweep":
             clocks["time"] += op[1]
             clocks["tuples"] += op[2]
-            table.gc_expired(dict(clocks))
-            expire(set(_KEYS))
-            held = {
-                record.state.query_id: key_text
-                for key_text, records in table.items()
-                for record in records
+            table.sweep(dict(clocks))
+            live = {
+                query_id: (key_text, record)
+                for query_id, (key_text, record) in live.items()
+                if not expired(
+                    record.state.query.window,
+                    record.state.window_state,
+                    clocks[record.state.query.window.mode],
+                )
             }
-            assert held == {query_id: at[0] for query_id, at in live.items()}
-
+        assert held() == {query_id: at[0] for query_id, at in live.items()}
         assert len(table) == len(live)
-        for mode, heap in table._hints.items():
-            assert len(heap) <= 2 * len(table._by_key) + 8
-        for key_text, bucket in table._by_key.items():
-            for record in bucket.records.values():
-                window = record.state.query.window
-                deadline = record.state.window_state.min_clock + window.size - 1
-                hint = bucket.expiry[window.mode].hint
-                assert hint <= deadline
-                assert (hint, key_text) in table._hints[window.mode]
-
-
-class TestHintHeapBound:
-    """Each GC hint heap holds at most 2 × buckets + 8 entries."""
-
-    STEPS = 400
-
-    def fill(self):
-        """Under one key, each record due before the last: every add makes
-        the bucket's hint stale and pushes a new one."""
-        table = QueryTable()
-        window = WindowSpec(size=1, mode="tuples")
-        sizes = []
-        for clock in reversed(range(self.STEPS)):
-            span = WindowState(float(clock), float(clock))
-            query = make_query(clock % 3, window)
-            table.add("k", make_record(f"q{clock}", query, 0.0, span, consumed=1))
-            sizes.append(len(table._hints["tuples"]))
-        table.gc_expired({"tuples": float(self.STEPS)})
-        return sizes, len(table)
-
-    def test_stale_hints_keep_to_the_bound(self, monkeypatch):
-        sizes, left = self.fill()
-        assert max(sizes) <= 2 * 1 + 8 and left == 0
-        monkeypatch.setattr(QueryTable, "_bound_hints", lambda table, mode: None)
-        unbounded, left = self.fill()
-        # Without the bound every stale hint stays, and nothing else differs.
-        assert unbounded[-1] == self.STEPS and left == 0
-
+        assert set(table.keys()) == {key_text for key_text, _ in live.values()}
 
 
 class TestBucketDictsOnFirstUse:
-    """A bucket makes its wildcard, expiry and sharing dicts when first used."""
+    """A bucket makes its wildcard and sharing dicts when first used."""
 
     @staticmethod
     def unshared(query_id, query, span=None, consumed=0):
@@ -531,13 +526,13 @@ class TestBucketDictsOnFirstUse:
         bucket = table._by_key["k"]
         assert len(bucket.records) == 3 and bucket.by_value
         assert bucket.wildcard is None
-        assert bucket.expiry is None
         assert bucket.by_share is None
-        probed = table.probe("k", {"tuples": 0.0}, lambda attribute: 1)
+        assert table._calendars == {}
+        probed = table.probe("k", lambda attribute: 1)
         assert [record.state.query_id for record in probed] == ["q1"]
         part = (0.0, None, None, True, 0)
         assert table.find_share_host("k", part, make_query(1)) is None
-        table.gc_expired({"tuples": 100.0})
+        table.sweep({"tuples": 100.0})
         assert len(table) == 3
 
     def test_each_dict_comes_with_its_first_entry(self):
@@ -547,7 +542,7 @@ class TestBucketDictsOnFirstUse:
         window = WindowSpec(size=10, mode="tuples")
         timed = self.unshared("timed", make_query(2, window), WindowState(1.0, 1.0), 1)
         table.add("k", timed)
-        assert set(bucket.expiry) == {"tuples"}
+        assert set(table._calendars) == {"tuples"}
         assert bucket.wildcard is None and bucket.by_share is None
         shared = make_record("shared", make_query(3))
         table.add("k", shared)

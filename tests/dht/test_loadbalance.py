@@ -68,10 +68,9 @@ class TestIdMovementBalancer:
     @pytest.mark.parametrize("position", ["first", "middle"])
     def test_split_reduces_donor_arc(self, position, seed):
         # Light nodes are tried from the end of the ring order, so the first
-        # candidate is ``ring.nodes[-1]``.  It already precedes
-        # ``ring.nodes[0]`` and cannot move next to it: the balancer must go
-        # on to the next light node.  A donor in the middle of the ring has
-        # another predecessor.
+        # candidate is ``ring.nodes[-1]``, which already precedes
+        # ``ring.nodes[0]``; a donor in the middle of the ring has another
+        # predecessor.  Either way the donor's arc shrinks.
         ring = ChordRing.create_network(16, space=IdentifierSpace(16), seed=seed)
         donor = ring.nodes[0 if position == "first" else len(ring.nodes) // 2]
         loads = {node.address: 1.0 for node in ring.nodes}
@@ -80,3 +79,19 @@ class TestIdMovementBalancer:
         moves = IdMovementBalancer(ring).rebalance(loads)
         assert [move.donor_address for move in moves] == [donor.address]
         assert ring.arc_length_of(ring.node_by_address(donor.address)) < before
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 7, 11, 42])
+    def test_the_donors_predecessor_moves_forward_and_halves_its_arc(self, seed):
+        ring = ChordRing.create_network(16, space=IdentifierSpace(16), seed=seed)
+        donor = ring.nodes[len(ring.nodes) // 2]
+        predecessor = ring.predecessor_of(donor)
+        loads = {node.address: 1.0 for node in ring.nodes}
+        loads[donor.address] = 100.0
+        loads[predecessor.address] = 0.0  # the lightest candidate
+        before = ring.arc_length_of(donor)
+        moves = IdMovementBalancer(ring).rebalance(loads)
+        assert [(move.address, move.donor_address) for move in moves] == [
+            (predecessor.address, donor.address)
+        ]
+        assert ring.predecessor_of(donor).address == predecessor.address
+        assert ring.arc_length_of(donor) in (before // 2, (before + 1) // 2)
