@@ -2,71 +2,40 @@
 
 A disk-capable implementation of the
 :class:`~repro.data.backends.StoreBackend` contract: stored records live in
-one SQLite table with two secondary indexes, so every hot operation is an
-index scan —
+one SQLite table with two indexes.  ``(key, pub_time, sequence)`` serves
+exact-key probes in publication order and, as a range of keys, canonical
+bucket probes (:meth:`SqliteTupleStore.tuples_for_prefix`, deduplicated
+SQL-side by ``GROUP BY rel, sequence``).  ``(sequence, pub_time)`` serves
+both expiry cutoffs as one ranged ``DELETE``: by the contract's premise
+sequence order is publication order, so a publication-time cutoff is the
+sequence cutoff of the first row it keeps.
 
-* ``(key, pub_time, sequence)`` serves exact-key lookups in publication
-  order without re-sorting, and the canonical-bucket prefix match
-  (:meth:`SqliteTupleStore.tuples_for_prefix`) as a range of keys,
-* ``(sequence, pub_time)`` serves both window-expiry cutoffs
-  (:meth:`SqliteTupleStore.remove_expired`): by the contract's premise
-  sequence order is publication order, so a publication-time cutoff is the
-  sequence cutoff of the first row it keeps.
+The store keeps one exact *key map*: a key has an entry if and only if it
+holds a row, buffered writes included.  An entry holds the sequence
+number of the key's newest row and either the key's rows, in publication
+order, or "not cached".  So a probe of a key without an entry answers
+``[]`` with no SQL, and a cached entry answers with no flush and no
+decode.  The first write to a key creates its entry with that one row;
+later writes fold into the cached rows.  A cutoff drops every entry whose
+newest row it deletes and takes a head off each cached list (publication
+order is sequence order).  Canonical bucket results are cached in a
+separate map, so a bucket's name never meets a key's.  Both maps share one
+bound, :data:`PROBE_MEMO_BOUND` cached tuples per store, counting one per
+cached entry plus one per row: past it the oldest cached rows go, the
+entry stays, and a result larger than the bound is read but not kept.
 
-The store implements the one form of each operation the node calls; the
-set-at-a-time forms (``add_batch``, ``match_batch``,
-``tuples_for_prefixes``, ``remove_published_before``,
-``remove_sequenced_before``) are the base class's wrappers.  A canonical
-bucket probe deduplicates identities SQL-side (``GROUP BY rel, sequence``).
-
-The store keeps a *key map*: each key that may hold a row, mapped to the
-``(pub_time, sequence)`` of its newest row, oldest first.  A key absent
-from it holds no row, so its probe answers ``[]`` with no flush, no SELECT
-and no memo entry — most probes of an ingest-heavy node are of such keys.
-Every expiry cutoff prunes the map from its front, up to the first key
-with a row the cutoff keeps; a key behind that one, or one a keyed delete
-emptied, stays listed until a probe finds it empty.
-
-Both probe kinds are answered from one *probe memo* keyed by probe text:
-an exact key (duplicate identities kept, as the rows are) or a canonical
-``relation SEP attribute SEP`` bucket (deduplicated by identity).  A miss
-fills the entry from one SELECT; after that a repeated probe is a dict hit
-that neither flushes nor decodes a row.  An exact key's empty result is
-not memoised: the key map answers it.  The memo is write-through:
-:meth:`SqliteTupleStore.add` folds each written tuple into the entries that
-cover its key, in publication order, so a hit also sees the buffered
-writes.  A ranged delete (:meth:`SqliteTupleStore.remove_expired`) keeps
-the memo exact without reading back what it deleted: entries are in
-publication order, which is sequence order too (the contract's premise),
-so either cutoff takes a head off each entry, and an entry it empties
-leaves the memo (an exact key's leaves the key map too).  A keyed delete
-(``remove_key``, ``remove_older_than``) drops the entries covering its key
-and ``clear`` empties the memo.  The memo holds at most
-:data:`PROBE_MEMO_BOUND` cached tuples per store, counting one per entry
-plus one per tuple; past it the oldest entries go first, and a result
-larger than the bound is never memoised.
-
-Tuple values are serialized with the packed row codec
-(:mod:`repro.data.rowcodec`): plain scalar rows take the ``struct`` fast
-path and anything exotic falls back to a whole-row pickle, so arbitrary
-Python values still round-trip exactly (the cross-backend answer-equality
-tests rely on this).  Writes are *batched*:
-:meth:`SqliteTupleStore.add` only appends to a pending buffer, and the
-buffer is flushed inside a single ``executemany`` transaction the first
-time a memo miss or a removal needs to see it, or when the engine commits a
-``publish`` / ``publish_batch``: every tuple fan-out of one commit lands in
-one transaction per node, and no write stays buffered past the commit.
-Window and sequence GC are one ranged ``DELETE`` on the order index
-(:meth:`SqliteTupleStore.remove_expired` combines both cutoffs).
-
+Tuple values use the packed row codec (:mod:`repro.data.rowcodec`).
+Writes are buffered and flushed in one ``executemany`` transaction when a
+miss or a removal needs them, or when the engine commits a ``publish`` /
+``publish_batch``.  The set-at-a-time forms are the base class's wrappers.
 By default the database lives in memory (``:memory:``); pass a path to put
-it on disk and study out-of-core behaviour.
+it on disk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from operator import attrgetter
+from collections import OrderedDict
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple as TupleT
 
 import sqlite3
@@ -97,7 +66,7 @@ CREATE INDEX idx_records_order ON records (sequence, pub_time);
 """
 
 #: Column list of every record-returning SELECT, in `_record_from_row` order.
-_RECORD_COLUMNS = "key, rel, sequence, pub_time, stored_at, publisher, payload"
+_RECORD_COLUMNS = "key, stored_at, rel, sequence, pub_time, publisher, payload"
 
 #: Tuple-only column list of the probe SELECTs, in `_tuple_from_row` order.
 _TUPLE_COLUMNS = "rel, sequence, pub_time, publisher, payload"
@@ -115,38 +84,49 @@ _BUCKET_PROBE = (
 #: least text above every key that starts with the bucket ``name``.
 _PAST_SEPARATOR = chr(ord(SEPARATOR) + 1)
 
-#: Most cached tuples the probe memo holds per store: each entry counts one
-#: plus one per tuple it lists (held by ``TestProbeMemoBound``).  Room for
-#: every bucket of ``bench_store_backends``' 50,000-tuple store (50,032),
-#: and under 7 % of a store holding 10**6 tuples.  That CI-gated benchmark
-#: must fit under the bound: it probes its buckets cyclically, and with
-#: oldest-first eviction a cycle larger than the memo misses on every probe
-#: (``prefix_match`` fell about 100x at a bound of 4,096).
+#: Most cached tuples the store holds: each cached entry counts one plus one
+#: per row it lists (held by ``TestProbeMemoBound``).  Room for every bucket
+#: of ``bench_store_backends``' 50,000-tuple store (50,032), and under 7 % of
+#: a store holding 10**6 tuples.  That CI-gated benchmark must fit under the
+#: bound: it probes its buckets cyclically, and with oldest-first eviction a
+#: cycle larger than the cache misses on every probe (``prefix_match`` fell
+#: about 100x at a bound of 4,096).
 #: ``test_the_gated_store_benchmark_fits_under_the_bound`` fails if it
 #: outgrows it.
 PROBE_MEMO_BOUND = 65536
 
 _tuple_order = (lambda t: (t.pub_time, t.sequence))
-_published = attrgetter("pub_time")
-_sequenced = attrgetter("sequence")
 
 
-def _names_covering(key: str) -> TupleT[str, ...]:
-    """The memo names whose entries can list a tuple stored under ``key``."""
-    bucket = bucket_of(key)
-    return (key,) if bucket is None else (key, bucket)
+class _Entry:
+    """A key's entry: its newest row's sequence number and its cached rows.
+
+    ``rows`` is None while not cached.  A bucket's entry has no newest row
+    of its own (``newest`` is -1).
+    """
+
+    __slots__ = ("newest", "rows")
+
+    def __init__(self, newest: int) -> None:
+        self.newest = newest
+        self.rows: Optional[List[Tuple]] = None
 
 
-def _fold_into_key(entry: List[Tuple], tup: Tuple) -> None:
-    """Insert ``tup`` into an exact-key entry, duplicates kept as rows are."""
-    if not entry or _tuple_order(entry[-1]) <= _tuple_order(tup):
-        entry.append(tup)
-    else:
-        insort(entry, tup, key=_tuple_order)
+def _cut_head(rows: List[Tuple], cut: float) -> int:
+    """Delete the rows sequenced below ``cut`` off the front of ``rows``.
+
+    A cut takes what the SQL ``DELETE`` took, so the scan is as long as
+    the rows it removes.  Returns how many went.
+    """
+    head = 0
+    while head < len(rows) and rows[head].sequence < cut:
+        head += 1
+    del rows[:head]
+    return head
 
 
 def _fold_into_bucket(entry: List[Tuple], tup: Tuple) -> bool:
-    """Insert ``tup`` into a bucket entry unless its identity is listed.
+    """Insert ``tup`` into a bucket's rows unless its identity is listed.
 
     One identity is one publication, so a listed copy sorts level with
     ``tup``; only that run of the list is searched.  Returns whether
@@ -177,107 +157,124 @@ class SqliteTupleStore(StoreBackend):
         self._conn.execute("PRAGMA synchronous = OFF")
         self._conn.execute("PRAGMA journal_mode = MEMORY")
         self._conn.executescript(_SCHEMA)
-        #: INSERT parameter rows buffered until the next memo miss, removal
-        #: or commit.
+        #: INSERT parameter rows buffered until the next miss, removal or
+        #: commit.
         self._pending: List[TupleT] = []
         self._size = 0
-        #: The key map: every key that may hold a row -> the ``(pub_time,
-        #: sequence)`` of its newest row, the most recently written key last.
-        self._newest: Dict[str, TupleT[float, int]] = {}
-        # The probe memo: probe text (an exact key, or a canonical bucket)
-        # -> its result in publication order, oldest entry first.  A key
-        # ending in SEPARATOR is never an exact entry, so the two kinds
-        # cannot share a name.  ``_memo_size`` counts what the bound counts.
-        self._memo: Dict[str, List[Tuple]] = {}
-        self._memo_size = 0
+        #: The key map: each key holding a row -> its entry.
+        self._keys: Dict[str, _Entry] = {}
+        #: Canonical bucket name -> its entry (``newest`` unused).
+        self._buckets: Dict[str, _Entry] = {}
+        #: The entries of both maps whose rows are cached, oldest first;
+        #: ``_cached`` counts what the bound counts.
+        self._admitted: OrderedDict[_Entry, None] = OrderedDict()
+        self._cached = 0
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, key: str, tup: Tuple, now: float) -> StoredTuple:
         """Store ``tup`` under ``key`` and return the stored record."""
-        pub_time = tup.pub_time
         sequence = tup.sequence
         self._pending.append(
             (
                 key,
                 tup.relation,
                 sequence,
-                pub_time,
+                tup.pub_time,
                 now,
                 tup.publisher,
                 pack_values(tup.values),
             )
         )
         self._size += 1
-        newest = self._newest
-        order = (pub_time, sequence)
-        prior = newest.pop(key, None)
-        newest[key] = order if prior is None or prior < order else prior
-        memo = self._memo
-        if memo:
-            grown = 0
+        entry = self._keys.get(key)
+        if entry is None:
+            # No entry means no row, so ``tup`` is the key's whole list.
+            self._keys[key] = entry = _Entry(sequence)
+            self._admit(entry, [tup])
+        else:
+            if entry.newest < sequence:
+                entry.newest = sequence
+            rows = entry.rows
+            if rows is not None:
+                # Sequence order is publication order; duplicate identities
+                # are kept, as the rows are.
+                if rows and rows[-1].sequence > sequence:
+                    insort(rows, tup, key=_tuple_order)
+                else:
+                    rows.append(tup)
+                self._cached += 1
+        buckets = self._buckets
+        if buckets:
             bucket = bucket_of(key)
-            entry = memo.get(key)  # the bucket's entry if key == bucket
-            if entry is not None and key != bucket:
-                _fold_into_key(entry, tup)
-                grown = 1
-            entry = memo.get(bucket) if bucket is not None else None
-            if entry is not None and _fold_into_bucket(entry, tup):
-                grown += 1
-            if grown:
-                self._memo_size += grown
-                self._trim_memo()
+            entry = buckets.get(bucket) if bucket is not None else None
+            if (
+                entry is not None
+                and entry.rows is not None
+                and _fold_into_bucket(entry.rows, tup)
+            ):
+                self._cached += 1
+        if self._cached > PROBE_MEMO_BOUND:
+            self._trim()
         return StoredTuple(tuple=tup, key=key, stored_at=now)
 
-    def _memoise(self, name: str, result: List[Tuple]) -> None:
-        """Admit a freshly selected probe result, if it fits the bound."""
-        cost = 1 + len(result)
+    def _admit(self, entry: _Entry, rows: List[Tuple]) -> None:
+        """Cache ``rows`` as ``entry``'s, unless they alone exceed the bound."""
+        cost = 1 + len(rows)
         if cost <= PROBE_MEMO_BOUND:
-            self._memo[name] = result
-            self._memo_size += cost
-            self._trim_memo()
+            entry.rows = rows
+            self._admitted[entry] = None
+            self._cached += cost
+            self._trim()
 
-    def _trim_memo(self) -> None:
-        """Evict the oldest entries until the memo is within its bound."""
-        memo = self._memo
-        while self._memo_size > PROBE_MEMO_BOUND:
-            self._memo_size -= 1 + len(memo.pop(next(iter(memo))))
+    def _uncache(self, entry: _Entry) -> None:
+        """Drop ``entry``'s cached rows, if it has any."""
+        rows = entry.rows
+        if rows is not None:
+            entry.rows = None
+            self._cached -= 1 + len(rows)
+            del self._admitted[entry]
 
-    def _drop_entries(self, key: str) -> None:
-        """Forget the memo entries covering ``key`` (keyed deletes)."""
-        for name in _names_covering(key):
-            entry = self._memo.pop(name, None)
-            if entry is not None:
-                self._memo_size -= 1 + len(entry)
+    def _trim(self) -> None:
+        """Uncache the oldest entries until the cache is within its bound."""
+        admitted = self._admitted
+        while self._cached > PROBE_MEMO_BOUND:
+            self._uncache(next(iter(admitted)))
 
-    def _cut_heads(self, before: float, below: float) -> None:
-        """Take the tuples published before ``before`` or sequenced below
-        ``below`` out of the memo.
+    def _uncache_bucket_of(self, key: str) -> None:
+        """Forget the cached bucket result that may list ``key``'s rows."""
+        bucket = bucket_of(key)
+        entry = self._buckets.pop(bucket, None) if bucket is not None else None
+        if entry is not None:
+            self._uncache(entry)
 
-        Entries are in publication order, which is sequence order too, so
-        each loses a head: the longer of the two cutoffs' heads.  An entry
-        left empty goes; an exact key's empty entry says the key holds no
-        row, so the key leaves the key map too.
+    def _cut(self, cut: float) -> None:
+        """Take the rows sequenced below ``cut`` out of both maps.
+
+        A key whose newest row is below ``cut`` holds no row any more.  A
+        cached list is in publication order, which is sequence order too,
+        so it loses a head; a bucket left empty goes.
         """
-        memo = self._memo
+        keys, buckets = self._keys, self._buckets
+        gone: List[str] = []
+        for key, entry in keys.items():
+            rows = entry.rows
+            if entry.newest < cut:
+                gone.append(key)
+            elif rows and rows[0].sequence < cut:
+                self._cached -= _cut_head(rows, cut)
+        for key in gone:
+            self._uncache(keys.pop(key))
         emptied: List[str] = []
-        for name, entry in memo.items():
-            head = 0
-            if entry and entry[0].pub_time < before:
-                head = bisect_left(entry, before, key=_published)
-            if head < len(entry) and entry[head].sequence < below:
-                head = bisect_left(entry, below, head, key=_sequenced)
-            if head:
-                del entry[:head]
-                self._memo_size -= head
-                if not entry:
-                    emptied.append(name)
-        for name in emptied:
-            del memo[name]
-            self._memo_size -= 1
-            if not name.endswith(SEPARATOR):
-                self._newest.pop(name, None)
+        for bucket, entry in buckets.items():
+            rows = entry.rows
+            if rows and rows[0].sequence < cut:
+                self._cached -= _cut_head(rows, cut)
+                if not rows:
+                    emptied.append(bucket)
+        for bucket in emptied:
+            self._uncache(buckets.pop(bucket))
 
     def flush(self) -> None:
         """Write the pending buffer in one ``executemany`` transaction."""
@@ -301,13 +298,21 @@ class SqliteTupleStore(StoreBackend):
 
     def remove_older_than(self, key: str, cutoff: float) -> int:
         """Drop tuples under ``key`` stored strictly before ``cutoff``."""
-        if key not in self._newest:
+        entry = self._keys.get(key)
+        if entry is None:
             return 0
         removed = self._delete(
             "DELETE FROM records WHERE key = ? AND stored_at < ?", (key, cutoff)
         )
         if removed:
-            self._drop_entries(key)
+            self._uncache(entry)
+            self._uncache_bucket_of(key)
+            rows = self._select_tuples(_KEY_PROBE, (key,))
+            if rows:
+                entry.newest = rows[-1].sequence
+                self._admit(entry, rows)
+            else:
+                del self._keys[key]
         return removed
 
     def remove_expired(
@@ -317,18 +322,15 @@ class SqliteTupleStore(StoreBackend):
     ) -> int:
         """Both window-expiry cutoffs as one ranged ``DELETE``.
 
-        An index range-scan on ``(sequence, pub_time)``: no Python-side
-        expiry bookkeeping is needed because the index *is* the expiry
-        order.  By the contract's premise the rows published before
+        An index range-scan on ``(sequence, pub_time)``: the index *is* the
+        expiry order.  By the contract's premise the rows published before
         ``published_before`` are those sequenced below the first row it
-        keeps, which one covering-index read finds.  Either cutoff takes a
-        head off each memo entry and off the key map (oldest key first).
+        keeps, which one covering-index read finds; the key map then loses
+        what the ``DELETE`` took.
         """
         if published_before is None and sequenced_before is None:
             return 0
-        below = float("-inf") if sequenced_before is None else sequenced_before
-        before = float("-inf") if published_before is None else published_before
-        cut: float = below
+        cut: float = float("-inf") if sequenced_before is None else sequenced_before
         if published_before is not None:
             self.flush()
             first_kept = self._conn.execute(
@@ -339,53 +341,33 @@ class SqliteTupleStore(StoreBackend):
             cut = max(cut, float("inf") if first_kept is None else first_kept[0])
         removed = self._delete("DELETE FROM records WHERE sequence < ?", (cut,))
         if removed:
-            self._cut_heads(before, below)
-        # By the premise, a key whose newest row is behind a cutoff has no
-        # row left; the walk stops at the first key with a row kept.
-        newest = self._newest
-        gone: List[str] = []
-        for key, (pub_time, sequence) in newest.items():
-            if pub_time >= before and sequence >= below:
-                break
-            gone.append(key)
-        for key in gone:
-            del newest[key]
+            self._cut(cut)
         return removed
 
     def remove_key(self, key: str) -> List[StoredTuple]:
         """Remove and return every record stored under ``key`` (re-homing)."""
-        if self._newest.pop(key, None) is None:
+        entry = self._keys.pop(key, None)
+        if entry is None:
             return []
-        records = self._records_for_key(key)
-        if records:
-            self._delete("DELETE FROM records WHERE key = ?", (key,))
-            self._drop_entries(key)
+        self._uncache(entry)
+        self._uncache_bucket_of(key)
+        records = self._select_records("key = ?", (key,))
+        self._delete("DELETE FROM records WHERE key = ?", (key,))
         return records
 
     def clear(self) -> None:
         """Remove every stored tuple."""
         self._pending.clear()
         self._conn.execute("DELETE FROM records")
-        self._newest.clear()
-        self._memo.clear()
-        self._memo_size = 0
+        self._keys.clear()
+        self._buckets.clear()
+        self._admitted.clear()
+        self._cached = 0
         self._size = 0
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    @staticmethod
-    def _record_from_row(row: TupleT) -> StoredTuple:
-        key, rel, sequence, pub_time, stored_at, publisher, payload = row
-        tup = Tuple(
-            relation=rel,
-            values=unpack_values(payload),
-            pub_time=pub_time,
-            sequence=sequence,
-            publisher=publisher,
-        )
-        return StoredTuple(tuple=tup, key=key, stored_at=stored_at)
-
     @staticmethod
     def _tuple_from_row(row: TupleT) -> Tuple:
         rel, sequence, pub_time, publisher, payload = row
@@ -396,6 +378,11 @@ class SqliteTupleStore(StoreBackend):
             sequence=sequence,
             publisher=publisher,
         )
+
+    @classmethod
+    def _record_from_row(cls, row: TupleT) -> StoredTuple:
+        tup = cls._tuple_from_row(row[2:])
+        return StoredTuple(tuple=tup, key=row[0], stored_at=row[1])
 
     def _select_records(self, where: str, parameters: TupleT) -> List[StoredTuple]:
         self.flush()
@@ -413,41 +400,35 @@ class SqliteTupleStore(StoreBackend):
         )
         return [self._tuple_from_row(row) for row in rows]
 
+    def _fill(self, entry: _Entry, sql: str, parameters: TupleT) -> List[Tuple]:
+        """Read an uncached entry's rows with one SELECT and cache them."""
+        rows = self._select_tuples(sql, parameters)
+        self._admit(entry, rows)
+        return rows
+
     def tuples_for_key(self, key: str) -> List[Tuple]:
         """The tuples stored under exactly ``key``, in publication order.
 
-        Served from the probe memo, or as ``[]`` for a key the key map does
-        not list, or else by one scan of the ``(key, pub_time, sequence)``
-        index whose result is memoised unless it is empty.
+        ``[]`` for a key without an entry, the cached rows of a cached
+        entry, or else one scan of the ``(key, pub_time, sequence)`` index.
         """
-        if key not in self._newest:
+        entry = self._keys.get(key)
+        if entry is None:
             return []
-        if key.endswith(SEPARATOR):
-            # Shaped like a bucket's name, so never an exact entry.
-            return self._select_tuples(_KEY_PROBE, (key,))
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._select_tuples(_KEY_PROBE, (key,))
-            if not cached:
-                del self._newest[key]
-                return cached
-            self._memoise(key, cached)
-        return list(cached)
-
-    def _records_for_key(self, key: str) -> List[StoredTuple]:
-        """The stored records under exactly ``key``, in publication order."""
-        return self._select_records("key = ?", (key,))
+        rows = entry.rows
+        if rows is None:
+            rows = self._fill(entry, _KEY_PROBE, (key,))
+        return list(rows)
 
     def tuples_for_prefix(self, prefix: str) -> List[Tuple]:
         """Tuples under any key starting with ``prefix`` (deduplicated, ordered).
 
         A canonical attribute-level prefix (``relation SEP attribute SEP``)
-        is served from the probe memo, or else by one range scan of the
-        ``(key, pub_time, sequence)`` index whose result is memoised.  Its
-        ``GROUP BY rel, sequence`` deduplicates identities SQL-side; the
-        bare columns are safe because every row of one identity group
-        describes the same publication.  Arbitrary prefixes fall back to a
-        table scan.
+        is served from its cached entry, or else by one range scan of the
+        ``(key, pub_time, sequence)`` index.  Its ``GROUP BY rel, sequence``
+        deduplicates identities SQL-side; the bare columns are safe because
+        every row of one identity group describes the same publication.
+        Arbitrary prefixes fall back to a table scan.
         """
         bucket = bucket_of(prefix)
         if bucket is None or len(bucket) != len(prefix):
@@ -457,13 +438,15 @@ class SqliteTupleStore(StoreBackend):
             # The SELECT already returns publication order; merge_records only
             # contributes the identity deduplication here.
             return merge_records([records])
-        cached = self._memo.get(prefix)
-        if cached is None:
-            cached = self._select_tuples(
-                _BUCKET_PROBE, (prefix, prefix[:-1] + _PAST_SEPARATOR)
+        entry = self._buckets.get(prefix)
+        if entry is None:
+            entry = self._buckets[prefix] = _Entry(-1)
+        rows = entry.rows
+        if rows is None:
+            rows = self._fill(
+                entry, _BUCKET_PROBE, (prefix, prefix[:-1] + _PAST_SEPARATOR)
             )
-            self._memoise(prefix, cached)
-        return list(cached)
+        return list(rows)
 
     # ------------------------------------------------------------------
     # statistics
@@ -473,12 +456,8 @@ class SqliteTupleStore(StoreBackend):
         return self._size
 
     def keys(self) -> Iterable[str]:
-        """The indexing keys that currently hold tuples."""
-        self.flush()
-        return [
-            row[0]
-            for row in self._conn.execute("SELECT DISTINCT key FROM records")
-        ]
+        """The indexing keys that currently hold tuples (the key map's)."""
+        return list(self._keys)
 
     def __iter__(self) -> Iterator[StoredTuple]:
         self.flush()

@@ -1,18 +1,20 @@
-"""The sqlite store's probe memo: exact under every interleaving, and bounded.
+"""The sqlite store's key map and cache: exact under every interleaving, and bounded.
 
-The ``sqlite`` backend answers exact-key and canonical-bucket probes from one
-write-through memo (:mod:`repro.data.sqlite_store`).  The property test
-drives random runs of writes, flushes, probes and every kind of delete, and
-after each read checks the sqlite result against two references: the
-``memory`` backend given the same operations, and a fresh SELECT that does
-not go through the memo.  It runs once at the stated bound and once with
-the bound lowered so that entries are evicted all the time.
+The ``sqlite`` backend answers exact-key probes from one key map, where a key
+has an entry exactly while it holds a row, and caches rows of keys and of
+canonical buckets under one bound (:mod:`repro.data.sqlite_store`).  The
+property test drives random runs of writes, flushes, probes and every kind
+of delete.  After each step it checks the map against the ``memory``
+backend given the same operations, and after each read it checks the sqlite
+result against that backend and a fresh SELECT that does not go through
+the cache.  It runs once at the stated bound and once with the bound
+lowered so that entries are evicted all the time.
 
 The tuples come from one stream numbered as the engine numbers its
 publications: sequence numbers are global and publication times never fall
 as they rise (the store contract's premise), while the writes take them in
 any order, as delayed deliveries do.  So every expiry cutoff is a head cut
-of each memo entry, which is what keeps the memo exact.
+of each cached list, which is what keeps the cache exact.
 """
 
 from __future__ import annotations
@@ -92,6 +94,35 @@ steps = st.one_of(
 )
 
 
+class CountingConnection:
+    """A sqlite connection that counts the statements run through it."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.statements = 0
+
+    def execute(self, *args):
+        self.statements += 1
+        return self.conn.execute(*args)
+
+    def executemany(self, *args):
+        self.statements += 1
+        return self.conn.executemany(*args)
+
+    def close(self):
+        self.conn.close()
+
+
+def cached_names(store: SqliteTupleStore) -> List[str]:
+    """The names of the cached entries, the oldest cached first."""
+    names = {
+        entry: name
+        for entries in (store._keys, store._buckets)
+        for name, entry in entries.items()
+    }
+    return [names[entry] for entry in store._admitted]
+
+
 #: The WHERE clause of a prefix match, as the store's scan path writes it.
 PREFIX_MATCH = "substr(key, 1, ?) = ?"
 
@@ -123,6 +154,7 @@ def deduplicated(tuples: List[Tuple]) -> List[Tuple]:
 
 def run(steps_to_take, bound: int) -> None:
     sqlite = SqliteTupleStore()
+    counting = sqlite._conn = CountingConnection(sqlite._conn)
     memory = make_store("memory")
     try:
         for clock, step in enumerate(steps_to_take):
@@ -160,17 +192,29 @@ def run(steps_to_take, bound: int) -> None:
                 sqlite.clear()
                 memory.clear()
             assert len(sqlite) == len(memory)
-            # The key map lists every key holding a row, and every key that
-            # has a memo entry: a probe it turns away misses nothing.
-            assert set(memory.keys()) <= set(sqlite._newest)
-            assert all(
-                name in sqlite._newest
-                for name in sqlite._memo
-                if not name.endswith(SEPARATOR)
-            )
-            entries = sqlite._memo.values()
-            assert sqlite._memo_size == sum(1 + len(entry) for entry in entries)
-            assert sqlite._memo_size <= bound
+            # The key map lists exactly the keys holding a row, each with its
+            # newest row's sequence number, and answers keys() with no SQL.
+            statements = counting.statements
+            assert sorted(sqlite.keys()) == sorted(sqlite._keys)
+            assert sorted(sqlite._keys) == sorted(memory.keys())
+            assert counting.statements == statements
+            for key, entry in sqlite._keys.items():
+                stored = memory.tuples_for_key(key)
+                assert entry.newest == max(tup.sequence for tup in stored)
+                assert entry.rows is None or entry.rows == stored
+            for bucket, entry in sqlite._buckets.items():
+                assert entry.rows is None or entry.rows == (
+                    memory.tuples_for_prefix(bucket)
+                )
+            cached = list(sqlite._admitted)
+            assert all(entry.rows is not None for entry in cached)
+            assert sum(
+                entry.rows is not None
+                for entries in (sqlite._keys, sqlite._buckets)
+                for entry in entries.values()
+            ) == len(cached)
+            assert sqlite._cached == sum(1 + len(entry.rows) for entry in cached)
+            assert sqlite._cached <= bound
     finally:
         sqlite.close()
 
@@ -283,11 +327,11 @@ class TestProbeMemoBound:
             assert store.tuples_for_key(r_key(0)) == stream(0, 10)  # costs 11
             for k in range(1, singles + 1):
                 assert len(store.tuples_for_key(r_key(k))) == 1
-            assert store._memo_size == PROBE_MEMO_BOUND
-            assert len(store._memo) == singles
-            assert r_key(0) not in store._memo
+            assert store._cached == PROBE_MEMO_BOUND
+            assert len(store._admitted) == singles
+            assert store._keys[r_key(0)].rows is None
             assert store.tuples_for_key(r_key(0)) == stream(0, 10)
-            assert store._memo_size <= PROBE_MEMO_BOUND
+            assert store._cached <= PROBE_MEMO_BOUND
         finally:
             store.close()
 
@@ -299,8 +343,8 @@ class TestProbeMemoBound:
                 store.tuples_for_key(r_key(k))
             for seq in range(4, PROBE_MEMO_BOUND):
                 store.add(r_key(seq % 4), Tuple("R", (seq,), 0.0, seq), 0.0)
-                assert store._memo_size <= PROBE_MEMO_BOUND
-            assert r_key(0) not in store._memo
+                assert store._cached <= PROBE_MEMO_BOUND
+            assert store._keys[r_key(0)].rows is None
             assert len(store.tuples_for_key(r_key(1))) == PROBE_MEMO_BOUND // 4
         finally:
             store.close()
@@ -331,7 +375,7 @@ class TestProbeMemoBound:
         try:
             assert store.tuples_for_key(r_key(0)) == stream(0, 8)
             assert store.tuples_for_prefix(BUCKET) == stream(0, 8)
-            assert store._memo == {} and store._memo_size == 0
+            assert not store._admitted and store._cached == 0
         finally:
             store.close()
 
@@ -359,9 +403,9 @@ class TestProbeMemoUpkeep:
             store.tuples_for_prefix(BUCKET)
             (a1, a2), (b1, b2), (c1, c2) = (stream(k, 2) for k in range(3))
             assert store.remove_expired(sequenced_before=a1.sequence + 1) == 1
-            assert list(store._memo) == [r_key(0), r_key(1), r_key(2), BUCKET]
-            assert store._memo[r_key(0)] == [a2]
-            assert store._memo[r_key(1)] == [b1, b2]
+            assert cached_names(store) == [r_key(0), r_key(1), r_key(2), BUCKET]
+            assert store._keys[r_key(0)].rows == [a2]
+            assert store._keys[r_key(1)].rows == [b1, b2]
             assert store.tuples_for_prefix(BUCKET) == [b1, c1, a2, b2, c2]
         finally:
             store.close()
@@ -373,31 +417,11 @@ class TestProbeMemoUpkeep:
                 store.tuples_for_key(r_key(k))
             store.tuples_for_prefix(BUCKET)
             store.remove_key(r_key(0))
-            assert list(store._memo) == [r_key(1)]
+            assert cached_names(store) == [r_key(1)]
             assert store.tuples_for_key(r_key(0)) == []
             assert store.tuples_for_prefix(BUCKET) == stream(1, 2)
         finally:
             store.close()
-
-
-
-class CountingConnection:
-    """A sqlite connection that counts the statements run through it."""
-
-    def __init__(self, conn):
-        self.conn = conn
-        self.statements = 0
-
-    def execute(self, *args):
-        self.statements += 1
-        return self.conn.execute(*args)
-
-    def executemany(self, *args):
-        self.statements += 1
-        return self.conn.executemany(*args)
-
-    def close(self):
-        self.conn.close()
 
 
 class TestKeyMap:
@@ -413,9 +437,30 @@ class TestKeyMap:
                 assert store.remove_key(key) == []
                 assert store.remove_older_than(key, 10.0) == 0
             assert counting.statements == 0
-            assert store._pending and store._memo == {}
+            # r_key(1)'s entry was cached by its first write: still no SQL.
+            assert store._pending and list(store._keys) == [r_key(1)]
             assert len(store.tuples_for_key(r_key(1))) == 2
+            assert counting.statements == 0
+            assert len(store.tuples_for_prefix(BUCKET)) == 2
             assert counting.statements > 0
+        finally:
+            store.close()
+
+    def test_a_key_written_again_after_a_cutoff_emptied_it_is_read_without_sql(
+        self,
+    ):
+        store = filled_store(2, 2)
+        try:
+            assert store.tuples_for_key(r_key(0)) == stream(0, 2)
+            # Both rows of r_key(0) and the first of r_key(1) expire.
+            assert store.remove_expired(sequenced_before=STRIDE + 1) == 3
+            assert store.tuples_for_key(r_key(0)) == []
+            again = Tuple("R", (0, 2), 2.0, 2 * STRIDE)
+            store.add(r_key(0), again, 0.0)
+            store.flush()
+            counting = store._conn = CountingConnection(store._conn)
+            assert store.tuples_for_key(r_key(0)) == [again]
+            assert counting.statements == 0
         finally:
             store.close()
 
@@ -426,12 +471,12 @@ class TestKeyMap:
             store.add(r_key(5), Tuple("R", (5,), 5.0, 5 * STRIDE), 0.0)  # pending
             store.tuples_for_key(r_key(1))
             store.tuples_for_prefix(BUCKET)
-            assert len(store._newest) == 4
+            assert len(store._keys) == 4
             if cutoff == "published":
                 assert store.remove_published_before(6.0) == 13
             else:
                 assert store.remove_sequenced_before(6 * STRIDE) == 13
-            assert store._newest == {} and store._memo == {}
-            assert store._memo_size == 0 and len(store) == 0
+            assert store._keys == {} and store._buckets == {}
+            assert not store._admitted and store._cached == 0 and len(store) == 0
         finally:
             store.close()
